@@ -11,14 +11,23 @@
 //                       const float* query, const float* scale,
 //                       const float* offset, const float* half_scale);
 //
-// Blocking follows the BLIS decomposition: B is packed into NR-wide column
-// panels per (jc, pc) block by the calling thread; A is packed into
-// MR-tall row panels per MC block by whichever worker owns that block. The
-// parallel axis is the MC row-block index — a pure function of m, so the
-// fs::par determinism contract (chunks independent of thread count) makes
-// output bits thread-count-invariant for a fixed Arch. Edge tiles are
-// zero-padded during packing, so the micro-kernel always runs a full
-// MR x NR tile and writeback clips.
+// Blocking follows the BLIS decomposition, with two parallel axes chosen
+// by m (never by the thread count):
+//
+//   * m > kMc — run_row_blocks: B is packed into NR-wide column panels per
+//     (jc, pc) block by the calling thread; A is packed into MR-tall row
+//     panels per MC block by whichever worker owns that block. The
+//     parallel axis is the MC row-block index, a pure function of m.
+//   * m <= kMc (mini-batch products) — run_column_panels: one row block,
+//     so the calling thread packs A once and the parallel axis is fixed
+//     groups of kPanelsPerChunk column panels, a pure function of n; each
+//     chunk packs its own B panels.
+//
+// Both axes keep each C element's micro-kernel inputs and its ascending
+// pc accumulation order, so with the fs::par determinism contract (chunks
+// independent of thread count) the output bits are thread-count-invariant
+// for a fixed Arch. Edge tiles are zero-padded during packing, so the
+// micro-kernel always runs a full MR x NR tile and writeback clips.
 //
 // Epilogues fuse into tile writeback on the LAST pc block: by then the
 // tile holds its complete k-accumulation (the pc loop is outer to the
@@ -42,6 +51,8 @@ namespace fs::kern::detail {
 inline constexpr std::size_t kKc = 256;
 inline constexpr std::size_t kMc = 96;
 inline constexpr std::size_t kNc = 512;
+/// Column panels per chunk in run_column_panels (64 columns at NR = 8).
+inline constexpr std::size_t kPanelsPerChunk = 8;
 
 /// Logical A(i, p) of the m x k operand, whichever way it is stored.
 inline double load_a(const GemmCall& call, std::size_t i, std::size_t p) {
@@ -131,16 +142,13 @@ inline void epilogue_only(const GemmCall& call) {
   }
 }
 
+/// m > kMc: row blocks are the parallel axis. B is packed per (jc, pc)
+/// block by the calling thread and shared; each chunk packs its own
+/// MC x KC A block.
 template <typename Arch>
-void run_gemm(const GemmCall& call) {
+void run_row_blocks(const GemmCall& call) {
   constexpr std::size_t MR = Arch::kMr;
   constexpr std::size_t NR = Arch::kNr;
-  if (call.m == 0 || call.n == 0) return;
-  if (call.k == 0) {
-    epilogue_only(call);
-    return;
-  }
-
   const std::size_t num_ic = (call.m + kMc - 1) / kMc;
   par::ParallelOptions options;
   options.what = "kern.gemm";
@@ -155,7 +163,7 @@ void run_gemm(const GemmCall& call) {
       const bool acc_c = call.accumulate || pc != 0;
       double* bp = pack_scratch_b(nc_padded * kc);
       pack_b_block<NR>(call, jc, nc, pc, kc, bp);
-      const auto block_body = [&, bp](std::size_t blk) {
+      par::parallel_for(num_ic, options, [&, bp](std::size_t blk) {
         const std::size_t ic = blk * kMc;
         const std::size_t mc = std::min(kMc, call.m - ic);
         const std::size_t mc_padded = (mc + MR - 1) / MR * MR;
@@ -171,16 +179,67 @@ void run_gemm(const GemmCall& call) {
                                nr, acc, acc_c, last_pc);
           }
         }
-      };
-      // Mini-batch-sized products (a single MC block) skip the parallel
-      // region entirely — same body, same order, none of the fork-join
-      // bookkeeping. Identical to what a 1-chunk region would execute.
-      if (num_ic == 1)
-        block_body(0);
-      else
-        par::parallel_for(num_ic, options, block_body);
+      });
     }
   }
+}
+
+/// m <= kMc (mini-batch products): a single row block, so the parallel
+/// axis is groups of kPanelsPerChunk column panels. The calling thread
+/// packs the whole A strip once (one MR x KC panel set per KC block, about
+/// the size of A itself) before the one parallel region; each chunk packs
+/// only its own B panels into its thread's scratch and walks the KC blocks
+/// in ascending order. A C element therefore gets bit-for-bit what
+/// run_row_blocks would give it.
+template <typename Arch>
+void run_column_panels(const GemmCall& call) {
+  constexpr std::size_t MR = Arch::kMr;
+  constexpr std::size_t NR = Arch::kNr;
+  const std::size_t m_padded = (call.m + MR - 1) / MR * MR;
+  double* ap = pack_scratch_a(m_padded * call.k);
+  for (std::size_t pc = 0; pc < call.k; pc += kKc)
+    pack_a_block<MR>(call, 0, call.m, pc, std::min(kKc, call.k - pc),
+                     ap + m_padded * pc);
+
+  const auto chunk_body = [&](const par::ChunkRange& chunk) {
+    const std::size_t j0 = chunk.begin * NR;
+    const std::size_t nc = std::min(chunk.end * NR, call.n) - j0;
+    double* bp = pack_scratch_b((chunk.end - chunk.begin) * NR * kKc);
+    alignas(64) double acc[MR * NR];
+    for (std::size_t pc = 0; pc < call.k; pc += kKc) {
+      const std::size_t kc = std::min(kKc, call.k - pc);
+      const bool last_pc = pc + kc == call.k;
+      const bool acc_c = call.accumulate || pc != 0;
+      const double* apc = ap + m_padded * pc;
+      pack_b_block<NR>(call, j0, nc, pc, kc, bp);
+      for (std::size_t jr = 0; jr < nc; jr += NR) {
+        const double* bpanel = bp + (jr / NR) * kc * NR;
+        const std::size_t nr = std::min(NR, nc - jr);
+        for (std::size_t ir = 0; ir < call.m; ir += MR) {
+          Arch::micro_kernel(kc, apc + (ir / MR) * kc * MR, bpanel, acc);
+          write_tile<MR, NR>(call, ir, std::min(MR, call.m - ir), j0 + jr,
+                             nr, acc, acc_c, last_pc);
+        }
+      }
+    }
+  };
+  par::ParallelOptions options;
+  options.what = "kern.gemm";
+  options.grain = kPanelsPerChunk;  // chunks are a function of n alone
+  par::parallel_for_chunks((call.n + NR - 1) / NR, options, chunk_body);
+}
+
+template <typename Arch>
+void run_gemm(const GemmCall& call) {
+  if (call.m == 0 || call.n == 0) return;
+  if (call.k == 0) {
+    epilogue_only(call);
+    return;
+  }
+  if (call.m <= kMc)
+    run_column_panels<Arch>(call);
+  else
+    run_row_blocks<Arch>(call);
 }
 
 template <typename Arch>

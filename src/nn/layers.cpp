@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "kern/kern.h"
+#include "par/par.h"
 
 namespace fs::nn {
 
@@ -146,11 +147,25 @@ Matrix Dense::backward(const Matrix& d_output) {
 }
 
 void Dense::apply_gradients(double learning_rate) {
-  for (std::size_t i = 0; i < weights_.size(); ++i)
-    weights_.data()[i] -= learning_rate * grad_weights_.data()[i];
-  for (std::size_t c = 0; c < bias_.size(); ++c)
+  // One fused pass over the weights: step, then zero the gradient.
+  // Element-wise, so the chunking (a function of the shape alone) cannot
+  // change a bit.
+  double* const w = weights_.data();
+  double* const g = grad_weights_.data();
+  const auto step = [=](const par::ChunkRange& chunk) {
+    for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
+      w[i] -= learning_rate * g[i];
+      g[i] = 0.0;
+    }
+  };
+  par::ParallelOptions options;
+  options.what = "nn.dense.sgd";
+  options.grain = par::grain_for(/*per_item_ops=*/2);
+  par::parallel_for_chunks(weights_.size(), options, step);
+  for (std::size_t c = 0; c < bias_.size(); ++c) {
     bias_[c] -= learning_rate * grad_bias_[c];
-  clear_gradients();
+    grad_bias_[c] = 0.0;
+  }
 }
 
 void Dense::clear_gradients() {

@@ -109,7 +109,7 @@ void ServeDaemon::write_snapshot() {
   // The journal's content is now covered by the snapshot; compact it. A
   // crash between rename and reset is safe: frames below the snapshot
   // watermark are skipped on replay.
-  reset_journal(journal_path());
+  journal_->reset();
   ++report_.snapshots_written;
 }
 

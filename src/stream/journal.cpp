@@ -98,17 +98,30 @@ JournalWriter::JournalWriter(const std::string& path) : path_(path) {
   std::error_code ec;
   const auto existing = std::filesystem::file_size(path_, ec);
   const bool fresh = ec || existing < sizeof(kJournalHeader);
-  const int flags = O_WRONLY | O_CREAT | (fresh ? O_TRUNC : O_APPEND);
+  // Always O_APPEND: every write lands at the file's current end, so a
+  // truncation (reset(), or reset_journal on the path) can never leave a
+  // zero-filled hole that recovery would read as a torn tail.
+  const int flags = O_WRONLY | O_CREAT | O_APPEND | (fresh ? O_TRUNC : 0);
   fd_ = ::open(path_.c_str(), flags, 0644);
   if (fd_ < 0) throw IoError("cannot open journal for writing: " + path_);
   if (fresh) {
     // New (or hopelessly short) file: start from a clean header.
-    if (!util::write_all_eintr(fd_, kJournalHeader, sizeof(kJournalHeader)))
-      throw IoError("journal header write failed: " + path_);
-    bytes_ = sizeof(kJournalHeader);
+    write_header();
   } else {
     bytes_ = existing;
   }
+}
+
+void JournalWriter::write_header() {
+  if (!util::write_all_eintr(fd_, kJournalHeader, sizeof(kJournalHeader)))
+    throw IoError("journal header write failed: " + path_);
+  bytes_ = sizeof(kJournalHeader);
+}
+
+void JournalWriter::reset() {
+  if (::ftruncate(fd_, 0) != 0)
+    throw IoError("cannot reset journal: " + path_);
+  write_header();
 }
 
 JournalWriter::~JournalWriter() {

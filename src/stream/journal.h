@@ -76,12 +76,16 @@ class JournalWriter {
   void flush();
   /// fsync(2) barrier: everything appended so far survives power loss.
   void sync();
+  /// Truncates the open journal back to its header — post-snapshot
+  /// compaction. Later appends start right after the header.
+  void reset();
 
   std::uint64_t bytes() const { return bytes_; }
   const std::string& path() const { return path_; }
 
  private:
   void append_frame(const std::string& payload);
+  void write_header();
 
   std::string path_;
   int fd_ = -1;
@@ -103,8 +107,9 @@ RecoveredJournal recover_journal(const std::string& path);
 /// Truncates the journal file to `valid_bytes` (crash-recovery cleanup).
 void truncate_journal(const std::string& path, std::uint64_t valid_bytes);
 
-/// Resets the journal to an empty (header-only) file — post-snapshot
-/// compaction.
+/// Resets the journal at `path` to an empty (header-only) file. A writer
+/// that has the journal open resets through JournalWriter::reset(), which
+/// also keeps its byte count in step.
 void reset_journal(const std::string& path);
 
 // ---- snapshots ---------------------------------------------------------

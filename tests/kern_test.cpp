@@ -263,6 +263,62 @@ TEST(KernGemm, ThreadCountNeverChangesTheBits) {
   }
 }
 
+TEST(KernGemm, SingleRowBlockColumnSplitIsExactAndThreadInvariant) {
+  // m <= MC products take the column-panel split: n spans one partial
+  // panel (7), one exact chunk (64), a chunk plus one column (65) and the
+  // gowalla JOC width (1380); k = 300 > KC accumulates across KC blocks.
+  // Each (variant, accumulate) pair carries one of none/ReLU/sigmoid, so
+  // every epilogue runs with accumulate on and off.
+  const Epilogue kEpilogues[] = {Epilogue::kNone, Epilogue::kBiasRelu,
+                                 Epilogue::kBiasSigmoid};
+  util::Rng rng(1380);
+  for (std::size_t m : {1u, 16u, 96u})
+    for (std::size_t n : {7u, 64u, 65u, 1380u})
+      for (std::size_t k : {16u, 300u}) {
+        const Shape shape{m, n, k};
+        const std::vector<double> a = random_values(m * k, rng);
+        const std::vector<double> b = random_values(k * n, rng);
+        const std::vector<double> c0 = random_values(m * n, rng);
+        const std::vector<double> bias = random_values(n, rng);
+        std::size_t combo = 0;
+        for (const Variant& variant : kVariants)
+          for (bool accumulate : {false, true}) {
+            const Epilogue epilogue = kEpilogues[combo++ % 3];
+            std::vector<double> c_ref = c0;
+            const std::vector<double> expected = reference_gemm(
+                build_call(shape, variant, a, b, c_ref, accumulate, epilogue,
+                           bias.data()),
+                c0);
+            for (IsaPath path : supported_paths()) {
+              PathGuard guard(path);
+              std::vector<double> c1;
+              for (std::size_t threads : {1u, 2u, 5u}) {
+                par::set_threads(threads);
+                std::vector<double> c = c0;
+                gemm(build_call(shape, variant, a, b, c, accumulate, epilogue,
+                                bias.data()));
+                if (threads == 1) {
+                  for (std::size_t v = 0; v < c.size(); ++v)
+                    ASSERT_NEAR(c[v], expected[v],
+                                1e-12 * (1.0 + std::fabs(expected[v])))
+                        << path_name(path) << " " << variant.name
+                        << " m=" << m << " n=" << n << " k=" << k
+                        << " acc=" << accumulate << " elem=" << v;
+                  c1 = std::move(c);
+                } else {
+                  EXPECT_EQ(0, std::memcmp(c1.data(), c.data(),
+                                           c.size() * sizeof(double)))
+                      << path_name(path) << " " << variant.name << " m=" << m
+                      << " n=" << n << " k=" << k << " acc=" << accumulate
+                      << " threads=" << threads;
+                }
+              }
+            }
+          }
+      }
+  par::set_threads(1);
+}
+
 TEST(KernGemm, RejectsMalformedCalls) {
   std::vector<double> a(4), b(4), c(4);
   EXPECT_THROW(gemm_nn(2, 2, 2, nullptr, 2, b.data(), 2, c.data(), 2),

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <sstream>
+#include <string>
 
 #include "nn/layers.h"
 #include "nn/matrix.h"
 #include "nn/supervised_autoencoder.h"
+#include "par/pool.h"
+#include "util/binary_io.h"
 
 namespace fs::nn {
 namespace {
@@ -211,6 +216,28 @@ INSTANTIATE_TEST_SUITE_P(AllActivations, DenseGradCheck,
                          ::testing::Values(Activation::kIdentity,
                                            Activation::kTanh,
                                            Activation::kSigmoid));
+
+TEST(Dense, ApplyGradientsLeavesTheGradientsZeroed) {
+  // 700 x 160 weights span several chunks of the fused SGD pass.
+  util::Rng rng(61);
+  Dense layer(700, 160, Activation::kRelu, rng);
+  Matrix x(16, 700);
+  for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.normal();
+  const Matrix& out = layer.forward(x);
+  Matrix d_out(out.rows(), out.cols(), 1.0);
+  layer.backward_into(d_out, nullptr);
+  const Matrix before = layer.weights();
+  layer.apply_gradients(0.1);
+  const Matrix stepped = layer.weights();
+  const std::vector<double> stepped_bias = layer.bias();
+  EXPECT_NE(0, std::memcmp(before.data(), stepped.data(),
+                           before.size() * sizeof(double)));
+  // A second step with nothing accumulated in between must be a no-op.
+  layer.apply_gradients(0.1);
+  EXPECT_EQ(0, std::memcmp(stepped.data(), layer.weights().data(),
+                           stepped.size() * sizeof(double)));
+  EXPECT_EQ(stepped_bias, layer.bias());
+}
 
 TEST(Dense, BackwardWithoutForwardThrows) {
   util::Rng rng(17);
@@ -425,6 +452,40 @@ TEST(SupervisedAutoencoder, DeterministicGivenSeed) {
   const auto pb = b.predict_proba(x);
   for (std::size_t i = 0; i < pa.size(); ++i)
     EXPECT_DOUBLE_EQ(pa[i], pb[i]);
+}
+
+TEST(SupervisedAutoencoder, ThreadCountNeverChangesTheBits) {
+  // A 700-wide input spans several column-panel chunks in the mini-batch
+  // GEMMs and several chunks of the fused SGD pass.
+  util::Rng rng(67);
+  Matrix x(48, 700);
+  std::vector<int> y(48);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x.data()[i] = rng.uniform() < 0.1 ? 1.0 : 0.0;
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] = static_cast<int>(i % 2);
+  AutoencoderConfig cfg;
+  cfg.encoder_dims = {700, 160, 24};
+  cfg.epochs = 3;
+  cfg.seed = 71;
+
+  const auto train_at = [&](std::size_t threads, Matrix& code) {
+    par::set_threads(threads);
+    SupervisedAutoencoder ae(cfg);
+    ae.train(x, y);
+    code = ae.encode(x);
+    std::ostringstream bytes(std::ios::binary);
+    util::BinaryWriter writer(bytes);
+    ae.save(writer);
+    return std::move(bytes).str();
+  };
+  Matrix code1, code4;
+  const std::string saved1 = train_at(1, code1);
+  const std::string saved4 = train_at(4, code4);
+  par::set_threads(0);
+  EXPECT_EQ(saved1, saved4);
+  ASSERT_EQ(code1.size(), code4.size());
+  EXPECT_EQ(0, std::memcmp(code1.data(), code4.data(),
+                           code1.size() * sizeof(double)));
 }
 
 }  // namespace

@@ -269,6 +269,24 @@ TEST(Journal, TornWriteFailpointThrowsAndLeavesRecoverablePrefix) {
   EXPECT_EQ(recovered.records[0].line, "keep");
 }
 
+TEST(Journal, ResetKeepsAppendingRightAfterTheHeader) {
+  const std::string dir = temp_dir("journal_reset");
+  const std::string path = dir + "/journal.fsj";
+  stream::JournalWriter writer(path);  // fresh file: header only
+  const std::uint64_t header_bytes = writer.bytes();
+  writer.append_quarantined(0, stream::RejectReason::kShortLine, "old");
+  writer.reset();
+  EXPECT_EQ(writer.bytes(), header_bytes);
+  EXPECT_EQ(std::filesystem::file_size(path), header_bytes);
+  writer.append_quarantined(1, stream::RejectReason::kShortLine, "new");
+  EXPECT_EQ(std::filesystem::file_size(path), writer.bytes());
+
+  const auto recovered = stream::recover_journal(path);
+  EXPECT_FALSE(recovered.truncated_tail);
+  ASSERT_EQ(recovered.records.size(), 1u);
+  EXPECT_EQ(recovered.records[0].line, "new");
+}
+
 TEST(Snapshot, RoundTripsAndRefusesForeignFingerprint) {
   const std::string dir = temp_dir("snapshot");
   const std::string path = dir + "/snapshot.fss";
@@ -443,6 +461,49 @@ TEST(Daemon, KillAndResumeConvergesToUninterruptedDigest) {
   for (std::size_t i = 0; i < counts.size(); ++i)
     EXPECT_EQ(counts[i], baseline.quarantine().counts()[i]) << i;
   EXPECT_EQ(report.shed, 0u);
+}
+
+TEST(Daemon, FramesJournaledAfterASnapshotSurviveAKill) {
+  // A daemon's first run in a fresh journal dir: snapshots (which compact
+  // the journal) at ticks 2 and 4, then one more tick whose frames exist
+  // only in the journal when the process dies without a final snapshot.
+  const StreamWorld world = make_stream_world("daemon_post_snapshot");
+  fp::clear();
+  constexpr std::uint64_t kTicks = 5;
+
+  stream::ServeConfig baseline_cfg = serve_config("");
+  baseline_cfg.max_ticks = kTicks;
+  stream::ServeDaemon baseline(
+      baseline_cfg, std::make_unique<stream::ReplaySource>(world.stream_path));
+  const auto baseline_report = baseline.run();
+  ASSERT_EQ(baseline_report.ticks, kTicks);
+  baseline.engine().drain();
+
+  const std::string durable_dir = world.dir + "/journal";
+  std::filesystem::create_directories(durable_dir);
+  stream::ServeConfig cfg = serve_config(durable_dir);
+  cfg.snapshot_every = 2;
+  cfg.max_ticks = kTicks;
+  std::uint64_t journaled = 0;
+  {
+    stream::ServeDaemon killed(
+        cfg, std::make_unique<stream::ReplaySource>(world.stream_path));
+    const auto report = killed.run();
+    ASSERT_EQ(report.snapshots_written, 2u);
+    journaled = killed.journaled_watermark();
+  }  // dies here: no final snapshot
+
+  stream::ServeDaemon resumed(
+      serve_config(durable_dir),
+      std::make_unique<stream::ReplaySource>(world.stream_path));
+  const auto info = resumed.recover();
+  EXPECT_TRUE(info.snapshot_used);
+  EXPECT_FALSE(info.journal_truncated);
+  EXPECT_GT(info.journal_frames_replayed, 0u);
+  EXPECT_EQ(info.consumed_lines, journaled);
+  resumed.engine().drain();
+  EXPECT_EQ(resumed.engine().state_digest(),
+            baseline.engine().state_digest());
 }
 
 TEST(Daemon, ShedModeAccountsEveryDroppedLine) {

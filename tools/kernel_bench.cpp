@@ -1,16 +1,18 @@
 // kernel_bench — fs::kern micro-benchmark. Sweeps the GEMM macro-kernel
 // and the quantized-KNN lower-bound kernel over every ISA path this host
 // supports (pinned per measurement with kern::force_path) and writes a
-// machine-readable JSON report: GFLOP/s per (path, shape) and lower-bound
-// throughput per path, so kernel regressions show up as a number diff
-// instead of a pipeline-level slowdown with no attribution.
+// machine-readable JSON report: GFLOP/s per (path, variant, shape) and
+// lower-bound throughput per path, so kernel regressions show up as a
+// number diff instead of a pipeline-level slowdown with no attribution.
 //
 //   kernel_bench [--out kernel_bench.json] [--threads N] [--min-ms 80]
 //                [--quick]
 //
-// Shapes mirror the pipeline's real products: mini-batch forward/backward
-// GEMMs (m = batch), batch encoding (m = corpus rows), and the KNN
-// reference scan. --quick shrinks reps and the shape list for CI smoke.
+// Shapes mirror the pipeline's real products: the gowalla autoencoder's
+// mini-batch training GEMMs (m = batch 16, JOC width 1380, hidden 320) in
+// the nn/nt/tn variant each one actually runs, batch encoding (m = corpus
+// rows), and the KNN reference scan. Every GEMM is timed at --threads.
+// --quick shrinks reps and the shape list for CI smoke.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -31,6 +33,9 @@ using namespace fs;
 namespace json = obs::json;
 
 struct Shape {
+  /// "nn": C = A B; "nt": C = A B^T (Dense::forward); "tn": C = A^T B
+  /// (Dense weight gradients).
+  const char* variant;
   std::size_t m, n, k;
   const char* what;  // which pipeline product this stands in for
 };
@@ -57,22 +62,35 @@ std::pair<double, std::size_t> measure(double min_ms, const Body& body) {
 }
 
 json::Object bench_gemm(const Shape& shape, double min_ms, util::Rng& rng) {
-  nn::Matrix a(shape.m, shape.k);
-  nn::Matrix b(shape.k, shape.n);
+  // Operands in their stored layout: A is k x m for tn, B is n x k for nt.
+  kern::GemmCall call;
+  call.m = shape.m;
+  call.n = shape.n;
+  call.k = shape.k;
+  call.a_trans = shape.variant[0] == 't';
+  call.b_trans = shape.variant[1] == 't';
+  nn::Matrix a(call.a_trans ? shape.k : shape.m,
+               call.a_trans ? shape.m : shape.k);
+  nn::Matrix b(call.b_trans ? shape.n : shape.k,
+               call.b_trans ? shape.k : shape.n);
   nn::Matrix c(shape.m, shape.n);
   for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = rng.normal();
   for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] = rng.normal();
+  call.a = a.data();
+  call.lda = a.cols();
+  call.b = b.data();
+  call.ldb = b.cols();
+  call.c = c.data();
+  call.ldc = shape.n;
 
-  const auto [wall_ms, reps] = measure(min_ms, [&] {
-    kern::gemm_nn(shape.m, shape.n, shape.k, a.data(), shape.k, b.data(),
-                  shape.n, c.data(), shape.n);
-  });
+  const auto [wall_ms, reps] = measure(min_ms, [&] { kern::gemm(call); });
   const double flops = 2.0 * static_cast<double>(shape.m) *
                        static_cast<double>(shape.n) *
                        static_cast<double>(shape.k) *
                        static_cast<double>(reps);
   json::Object entry;
   entry["what"] = std::string(shape.what);
+  entry["variant"] = std::string(shape.variant);
   entry["m"] = shape.m;
   entry["n"] = shape.n;
   entry["k"] = shape.k;
@@ -121,15 +139,18 @@ int run(const util::ArgParser& args) {
   const bool quick = args.get_flag("quick");
   const double min_ms = quick ? 5.0 : args.get_double("min-ms");
 
-  // Stand-ins for the pipeline's actual hot products (tiny/gowalla-sized
-  // training batches, corpus-wide encodes) plus one square stress shape.
+  // Stand-ins for the pipeline's actual hot products: the gowalla
+  // autoencoder's mini-batch training GEMMs (encoder 1380 -> 320 -> 48),
+  // corpus-wide encodes, plus square stress shapes.
   std::vector<Shape> shapes = {
-      {16, 320, 640, "dense.forward (mini-batch)"},
-      {320, 640, 16, "dense.grad_weights (tn)"},
-      {800, 48, 320, "encode (corpus rows)"},
-      {256, 256, 256, "square"},
+      {"nt", 16, 320, 1380, "encoder.l1.forward (mini-batch)"},
+      {"nt", 16, 1380, 320, "decoder.l2.forward (mini-batch)"},
+      {"tn", 320, 1380, 16, "encoder.l1.grad_weights"},
+      {"nn", 16, 320, 1380, "decoder.l2.grad_input"},
+      {"nt", 800, 48, 320, "encode (corpus rows)"},
+      {"nn", 256, 256, 256, "square"},
   };
-  if (!quick) shapes.push_back({512, 512, 512, "square-large"});
+  if (!quick) shapes.push_back({"nn", 512, 512, 512, "square-large"});
 
   json::Array paths;
   for (const kern::IsaPath path : kern::supported_paths()) {
@@ -147,20 +168,24 @@ int run(const util::ArgParser& args) {
   }
 
   json::Object root;
-  root["schema_version"] = 1;
+  root["schema_version"] = 2;
   root["threads"] = par::threads();
   root["paths"] = std::move(paths);
 
   const json::Value report(std::move(root));
   json::write_file(args.get("out"), report, 2);
 
-  // Human-readable recap: peak GFLOP/s per path.
+  // Human-readable recap: GFLOP/s per (path, variant, shape).
+  std::printf("threads %zu\n", par::threads());
   for (const json::Value& section : report.at("paths").as_array()) {
-    double best = 0.0;
+    const char* path = section.at("path").as_string().c_str();
     for (const json::Value& entry : section.at("gemm").as_array())
-      best = std::max(best, entry.at("gflops").as_number());
-    std::printf("%-7s peak %.2f GFLOP/s, knn_lb %.1f Mrows/s\n",
-                section.at("path").as_string().c_str(), best,
+      std::printf("%-7s %s(%4.0f,%4.0f,%4.0f) %7.2f GFLOP/s  %s\n", path,
+                  entry.at("variant").as_string().c_str(),
+                  entry.at("m").as_number(), entry.at("n").as_number(),
+                  entry.at("k").as_number(), entry.at("gflops").as_number(),
+                  entry.at("what").as_string().c_str());
+    std::printf("%-7s knn_lb %.1f Mrows/s\n", path,
                 section.at("knn_lb").at("mrows_per_s").as_number());
   }
   std::printf("wrote %s\n", args.get("out").c_str());
