@@ -8,6 +8,67 @@
 
 namespace fs::block {
 
+namespace {
+
+/// Cell tier: within-cell pairs plus the forward slot-tolerance window.
+/// Pairs are appended unsorted and may repeat.
+void append_cell_tier_pairs(const CellIndex& index, int slot_tolerance,
+                            std::vector<data::UserPair>& out) {
+  // Join each occupied cell's user list against the lists of cells in the
+  // same grid at most slot_tolerance slots away. Only the forward window
+  // [cell, cell + tolerance] is joined — the backward half is the same
+  // pair seen from the other cell.
+  const auto occupied = index.occupied_cells();
+  const auto slot_count = static_cast<std::uint32_t>(index.slot_count());
+  const auto tol =
+      static_cast<std::uint32_t>(std::max(0, slot_tolerance));
+  for (std::size_t i = 0; i < occupied.size(); ++i) {
+    const std::uint32_t cell = occupied[i];
+    const std::uint32_t grid = cell / slot_count;
+    const auto users = index.users_in_cell(cell);
+    // Within the cell itself.
+    for (std::size_t x = 0; x < users.size(); ++x)
+      for (std::size_t y = x + 1; y < users.size(); ++y)
+        out.push_back(data::make_pair_ordered(users[x], users[y]));
+    // Against later cells inside the tolerance window and the same grid.
+    for (std::size_t j = i + 1;
+         j < occupied.size() && occupied[j] <= cell + tol; ++j) {
+      if (occupied[j] / slot_count != grid) continue;
+      for (const data::UserId u : users)
+        for (const data::UserId v : index.users_in_cell(occupied[j]))
+          if (u != v) out.push_back(data::make_pair_ordered(u, v));
+    }
+  }
+}
+
+/// Hop tier: every pair at most `hop_expansion` hops apart in the
+/// strong-co-occurrence graph. No-op when hop_expansion <= 0.
+void append_hop_tier_pairs(const CellIndex& index, int hop_expansion,
+                           std::vector<data::UserPair>& out) {
+  if (hop_expansion <= 0) return;
+  const graph::Graph strong = strong_cooccurrence_graph(index);
+  std::vector<int> depth(strong.node_count(), -1);
+  std::vector<graph::NodeId> queue;
+  for (graph::NodeId a = 0; a < strong.node_count(); ++a) {
+    queue.clear();
+    queue.push_back(a);
+    depth[a] = 0;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const graph::NodeId v = queue[head];
+      if (depth[v] >= hop_expansion) break;
+      for (graph::NodeId w : strong.neighbors(v)) {
+        if (depth[w] >= 0) continue;
+        depth[w] = depth[v] + 1;
+        queue.push_back(w);
+        if (w > a) out.push_back({a, w});
+      }
+    }
+    for (const graph::NodeId v : queue) depth[v] = -1;
+  }
+}
+
+}  // namespace
+
 bool blocking_enabled(const BlockingConfig& config,
                       std::size_t universe_pairs) {
   switch (config.mode) {
@@ -81,77 +142,12 @@ bool within_hops(const graph::Graph& g, graph::NodeId a, graph::NodeId b,
   return found;
 }
 
-void append_cell_tier_pairs(const CellIndex& index, std::uint32_t grid_lo,
-                            std::uint32_t grid_hi, int slot_tolerance,
-                            std::vector<data::UserPair>& out) {
-  // Join each occupied anchor cell's user list against the lists of cells
-  // in the same grid at most slot_tolerance slots away. Only the forward
-  // window [cell, cell + tolerance] is joined — the backward half is the
-  // same pair seen from the other cell. The window join may *read* cells
-  // past the anchor range (the index is global); only anchors are bounded.
-  const auto occupied = index.occupied_cells();
-  const auto slot_count = static_cast<std::uint32_t>(index.slot_count());
-  const auto tol =
-      static_cast<std::uint32_t>(std::max(0, slot_tolerance));
-  const std::size_t begin = static_cast<std::size_t>(
-      std::lower_bound(occupied.begin(), occupied.end(),
-                       grid_lo * slot_count) -
-      occupied.begin());
-  for (std::size_t i = begin; i < occupied.size(); ++i) {
-    const std::uint32_t cell = occupied[i];
-    const std::uint32_t grid = cell / slot_count;
-    if (grid >= grid_hi) break;
-    const auto users = index.users_in_cell(cell);
-    // Within the cell itself.
-    for (std::size_t x = 0; x < users.size(); ++x)
-      for (std::size_t y = x + 1; y < users.size(); ++y)
-        out.push_back(data::make_pair_ordered(users[x], users[y]));
-    // Against later cells inside the tolerance window and the same grid.
-    for (std::size_t j = i + 1;
-         j < occupied.size() && occupied[j] <= cell + tol; ++j) {
-      if (occupied[j] / slot_count != grid) continue;
-      for (const data::UserId u : users)
-        for (const data::UserId v : index.users_in_cell(occupied[j]))
-          if (u != v) out.push_back(data::make_pair_ordered(u, v));
-    }
-  }
-}
-
-void append_hop_tier_pairs(const CellIndex& index, int hop_expansion,
-                           std::vector<data::UserPair>& out) {
-  if (hop_expansion <= 0) return;
-  const graph::Graph strong = strong_cooccurrence_graph(index);
-  std::vector<int> depth(strong.node_count(), -1);
-  std::vector<graph::NodeId> queue;
-  for (graph::NodeId a = 0; a < strong.node_count(); ++a) {
-    queue.clear();
-    queue.push_back(a);
-    depth[a] = 0;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const graph::NodeId v = queue[head];
-      if (depth[v] >= hop_expansion) break;
-      for (graph::NodeId w : strong.neighbors(v)) {
-        if (depth[w] >= 0) continue;
-        depth[w] = depth[v] + 1;
-        queue.push_back(w);
-        if (w > a) out.push_back({a, w});
-      }
-    }
-    for (const graph::NodeId v : queue) depth[v] = -1;
-  }
-}
-
 std::vector<data::UserPair> generate_candidate_pairs(
     const CellIndex& index, const BlockingConfig& config) {
   obs::Span span("block.candidates.generate");
   std::vector<data::UserPair> out;
 
-  // Cell tier over every grid at once (the sharded path calls the same
-  // helper per grid range and unions the results).
-  append_cell_tier_pairs(index, 0,
-                         static_cast<std::uint32_t>(index.grid_count()),
-                         config.slot_tolerance, out);
-
+  append_cell_tier_pairs(index, config.slot_tolerance, out);
   append_hop_tier_pairs(index, config.hop_expansion, out);
 
   std::sort(out.begin(), out.end());

@@ -63,17 +63,6 @@ CellIndex::CellIndex(const data::Dataset& dataset,
   span.arg("occupied_cells", static_cast<double>(occupied_.size()));
 }
 
-CellIndex CellIndex::from_parts(std::size_t grid_count, std::size_t slot_count,
-                                std::vector<std::vector<PoiVisit>> poi_visits) {
-  CellIndex index;
-  index.grid_count_ = grid_count;
-  index.slot_count_ = slot_count;
-  index.cell_profiles_.resize(poi_visits.size());
-  index.poi_visits_ = std::move(poi_visits);
-  index.finalize_from_visits();
-  return index;
-}
-
 void CellIndex::finalize_from_visits() {
   // Profiles are the visit lists with the POI dimension collapsed; visits
   // are sorted by (cellslot, poi), so a run of equal cellslots is adjacent.

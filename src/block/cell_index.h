@@ -47,16 +47,6 @@ class CellIndex {
             const geo::TimeSlotting& slots,
             runtime::ExecutionContext* context = nullptr);
 
-  /// Assembles an index from already-binned per-user visit lists (each
-  /// sorted and de-duplicated) — the merge point of the sharded build: a
-  /// shard-ordered concatenation of per-shard fragments yields the same
-  /// visit lists the monolithic constructor bins, so profiles, the inverted
-  /// index, and the signature come out byte-identical. Shares the finalize
-  /// path with the constructor; there is exactly one place that derives
-  /// them.
-  static CellIndex from_parts(std::size_t grid_count, std::size_t slot_count,
-                              std::vector<std::vector<PoiVisit>> poi_visits);
-
   std::size_t user_count() const { return cell_profiles_.size(); }
   std::size_t grid_count() const { return grid_count_; }
   std::size_t slot_count() const { return slot_count_; }
@@ -94,7 +84,6 @@ class CellIndex {
   std::uint64_t signature() const { return signature_; }
 
  private:
-  CellIndex() = default;
   /// Derives cell_profiles_, the CSR inverted index, and the signature from
   /// poi_visits_ (which must be sorted unique per user).
   void finalize_from_visits();

@@ -39,6 +39,9 @@ void save_pipeline_checkpoint(const std::string& path,
   // Write to a sibling temp file and rename into place; any failure after
   // the temp file exists removes it again, so a failed save never leaves a
   // stray .tmp behind (the chaos harness asserts exactly this invariant).
+  // The tmp's bytes are synced before the rename publishes them, and the
+  // parent directory after it, so a power loss leaves either the previous
+  // checkpoint or the complete new one — never a torn file under the name.
   const std::string tmp_path = path + ".tmp";
   try {
     {
@@ -51,6 +54,9 @@ void save_pipeline_checkpoint(const std::string& path,
         throw IoError("save_pipeline_checkpoint: write failed for " +
                       tmp_path);
     }
+    if (!util::fsync_path(tmp_path))
+      throw IoError("save_pipeline_checkpoint: fsync failed for " +
+                    tmp_path);
     if (util::failpoint::fail("checkpoint.save.rename"))
       throw IoError("save_pipeline_checkpoint: injected rename failure for " +
                     path);
@@ -59,6 +65,9 @@ void save_pipeline_checkpoint(const std::string& path,
     if (ec)
       throw IoError("save_pipeline_checkpoint: rename to " + path +
                     " failed: " + ec.message());
+    if (!util::fsync_parent_dir(path))
+      throw IoError("save_pipeline_checkpoint: directory fsync failed for " +
+                    path);
   } catch (...) {
     std::error_code ignored;
     std::filesystem::remove(tmp_path, ignored);

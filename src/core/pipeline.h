@@ -16,7 +16,6 @@
 #include "graph/graph.h"
 #include "ml/logistic.h"
 #include "ml/svm.h"
-#include "shard/sharded_candidates.h"
 #include "util/error.h"
 #include "util/runtime.h"
 
@@ -54,18 +53,6 @@ struct FriendSeekerConfig {
   /// standard deviations of the decision distribution. Damps borderline
   /// pairs oscillating between iterations; 0 disables.
   double flip_margin = 0.3;
-
-  // ---- Sharded execution ----
-  /// 0 = the monolithic path (exactly the pre-sharding pipeline). N >= 1
-  /// partitions the spatial division into N contiguous quadtree-subtree
-  /// grid ranges (balanced by check-in weight) and runs the CellIndex
-  /// build and phase-1 scoring shard by shard with a deterministic
-  /// shard-ordered merge. Guarantee (enforced by the shard differential
-  /// tests): the final-graph digest is byte-identical to the monolithic
-  /// run at any shard count, including 1 — which is also why `shards` is
-  /// deliberately absent from the checkpoint fingerprint: checkpoints are
-  /// interchangeable across shard counts.
-  std::size_t shards = 0;
 
   // ---- Candidate blocking & feature caching ----
   /// Spatial-temporal blocking over the candidate universe: pairs that never
@@ -153,11 +140,6 @@ struct FriendSeekerResult {
   /// JOC/presence cache hit rate over phase-2 iterations >= 2 (the steady
   /// state the cache exists for); 0 when fewer than two iterations ran.
   double phase2_cache_hit_rate = 0.0;
-  /// Per-shard execution accounting when sharded execution was requested
-  /// (config.shards >= 1); empty on the monolithic path. Every universe
-  /// pair is owned by exactly one shard, so scored + pruned sums across
-  /// shards equal the blocking totals (the schema-v4 bench invariant).
-  std::vector<shard::ShardRunStats> shards;
 };
 
 /// One trained attack instance. `run` trains on the labeled pairs and

@@ -30,12 +30,6 @@ PresenceModel::PresenceModel(const PresenceModelConfig& config)
     : config_(config), knn_(config.knn_k) {
   if (config.feature_dim == 0)
     throw std::invalid_argument("PresenceModel: feature_dim must be > 0");
-  knn_.set_quantize(config.knn_quantize);
-}
-
-void PresenceModel::set_knn_quantize(bool enabled) {
-  config_.knn_quantize = enabled;
-  knn_.set_quantize(enabled);
 }
 
 void PresenceModel::train(const nn::Matrix& jocs,

@@ -37,11 +37,6 @@ struct PresenceModelConfig {
   std::size_t max_autoencoder_rows = 800;
   /// Cap on KNN reference rows (query cost is linear in this).
   std::size_t max_knn_rows = 2500;
-  /// Routes KNN queries through the int8 lower-bound distance engine
-  /// (exact rerank of survivors; see ml::KnnClassifier::set_quantize).
-  /// A runtime acceleration knob: not serialized, and re-applied after
-  /// load via set_knn_quantize.
-  bool knn_quantize = false;
   std::uint64_t seed = 13;
   /// Optional sink for autoencoder divergence reports (not serialized).
   fs::util::Diagnostics* diagnostics = nullptr;
@@ -75,13 +70,6 @@ class PresenceModel {
 
   bool trained() const { return trained_; }
   std::size_t feature_dim() const { return config_.feature_dim; }
-
-  /// Toggles the quantized KNN distance path at runtime (used to re-apply
-  /// the knob to a deserialized model — serialization never records it).
-  void set_knn_quantize(bool enabled);
-  const ml::KnnQuantStats& knn_quant_stats() const {
-    return knn_.quant_stats();
-  }
 
   /// Serializes the trained model (autoencoder, scaler, KNN stage) so an
   /// attack can be trained once and reused across targets.

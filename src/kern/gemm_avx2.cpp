@@ -3,15 +3,12 @@
 // Compiled with -mavx2 -mfma on x86-64 builds; on any other toolchain the
 // TU degrades to a null vtable and dispatch never selects it.
 #include <cstddef>
-#include <cstdint>
 
 #include "kern/kern_internal.h"
 
 #if defined(__x86_64__) && defined(__AVX2__) && defined(__FMA__)
 
 #include <immintrin.h>
-
-#include <cmath>
 
 #include "kern/gemm_body.h"
 
@@ -58,56 +55,14 @@ struct Avx2Arch {
     _mm256_store_pd(acc + 3 * kNr + 4, c31);
   }
 
-  static float lb_row(const std::uint8_t* codes, std::size_t dim,
-                      const float* query, const float* scale,
-                      const float* offset, const float* half_scale) {
-    const __m256 sign_mask = _mm256_set1_ps(-0.0f);
-    const __m256 zero = _mm256_setzero_ps();
-    __m256 acc = zero;
-    std::size_t c = 0;
-    for (; c + 8 <= dim; c += 8) {
-      const __m128i raw =
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + c));
-      const __m256 code = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(raw));
-      const __m256 reconstructed = _mm256_fmadd_ps(
-          _mm256_loadu_ps(scale + c), code, _mm256_loadu_ps(offset + c));
-      const __m256 diff =
-          _mm256_andnot_ps(sign_mask,
-                           _mm256_sub_ps(_mm256_loadu_ps(query + c),
-                                         reconstructed));
-      const __m256 gap = _mm256_max_ps(
-          _mm256_sub_ps(diff, _mm256_loadu_ps(half_scale + c)), zero);
-      acc = _mm256_fmadd_ps(gap, gap, acc);
-    }
-    // Fixed-order lane reduction: (lo half + hi half), then pairwise.
-    const __m128 halves = _mm_add_ps(_mm256_castps256_ps128(acc),
-                                     _mm256_extractf128_ps(acc, 1));
-    const __m128 pairs = _mm_add_ps(halves, _mm_movehl_ps(halves, halves));
-    float total = _mm_cvtss_f32(
-        _mm_add_ss(pairs, _mm_shuffle_ps(pairs, pairs, 0x1)));
-    for (; c < dim; ++c) {
-      const float reconstructed =
-          offset[c] + scale[c] * static_cast<float>(codes[c]);
-      const float gap = std::fabs(query[c] - reconstructed) - half_scale[c];
-      if (gap > 0.0f) total += gap * gap;
-    }
-    return total;
-  }
 };
 
 void gemm_entry(const GemmCall& call) { run_gemm<Avx2Arch>(call); }
 
-void lb_entry(const std::uint8_t* codes, std::size_t n, std::size_t dim,
-              const float* query, const float* scale, const float* offset,
-              const float* half_scale, float* out_lb) {
-  run_knn_lb<Avx2Arch>(codes, n, dim, query, scale, offset, half_scale,
-                       out_lb);
-}
-
 }  // namespace
 
 const VTable* vtable_avx2() {
-  static const VTable table{&gemm_entry, &lb_entry};
+  static const VTable table{&gemm_entry};
   return &table;
 }
 

@@ -3,15 +3,12 @@
 // ascending-k order. Compiled with -mavx512f -mfma on x86-64 builds; on
 // any other toolchain the TU degrades to a null vtable.
 #include <cstddef>
-#include <cstdint>
 
 #include "kern/kern_internal.h"
 
 #if defined(__x86_64__) && defined(__AVX512F__)
 
 #include <immintrin.h>
-
-#include <cmath>
 
 #include "kern/gemm_body.h"
 
@@ -52,57 +49,14 @@ struct Avx512Arch {
     _mm512_store_pd(acc + 7 * kNr, c7);
   }
 
-  static float lb_row(const std::uint8_t* codes, std::size_t dim,
-                      const float* query, const float* scale,
-                      const float* offset, const float* half_scale) {
-    const __m512 zero = _mm512_setzero_ps();
-    __m512 acc = zero;
-    std::size_t c = 0;
-    for (; c + 16 <= dim; c += 16) {
-      const __m128i raw =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + c));
-      const __m512 code = _mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(raw));
-      const __m512 reconstructed = _mm512_fmadd_ps(
-          _mm512_loadu_ps(scale + c), code, _mm512_loadu_ps(offset + c));
-      const __m512 diff =
-          _mm512_abs_ps(_mm512_sub_ps(_mm512_loadu_ps(query + c),
-                                      reconstructed));
-      const __m512 gap = _mm512_max_ps(
-          _mm512_sub_ps(diff, _mm512_loadu_ps(half_scale + c)), zero);
-      acc = _mm512_fmadd_ps(gap, gap, acc);
-    }
-    // Fixed-order lane reduction: halves, quarters, pairs, singles.
-    const __m256 hi = _mm512_castps512_ps256(
-        _mm512_shuffle_f32x4(acc, acc, 0x0e));  // lanes [2,3] -> [0,1]
-    const __m256 h = _mm256_add_ps(_mm512_castps512_ps256(acc), hi);
-    const __m128 q = _mm_add_ps(_mm256_castps256_ps128(h),
-                                _mm256_extractf128_ps(h, 1));
-    const __m128 p = _mm_add_ps(q, _mm_movehl_ps(q, q));
-    float total =
-        _mm_cvtss_f32(_mm_add_ss(p, _mm_shuffle_ps(p, p, 0x1)));
-    for (; c < dim; ++c) {
-      const float reconstructed =
-          offset[c] + scale[c] * static_cast<float>(codes[c]);
-      const float gap = std::fabs(query[c] - reconstructed) - half_scale[c];
-      if (gap > 0.0f) total += gap * gap;
-    }
-    return total;
-  }
 };
 
 void gemm_entry(const GemmCall& call) { run_gemm<Avx512Arch>(call); }
 
-void lb_entry(const std::uint8_t* codes, std::size_t n, std::size_t dim,
-              const float* query, const float* scale, const float* offset,
-              const float* half_scale, float* out_lb) {
-  run_knn_lb<Avx512Arch>(codes, n, dim, query, scale, offset, half_scale,
-                         out_lb);
-}
-
 }  // namespace
 
 const VTable* vtable_avx512() {
-  static const VTable table{&gemm_entry, &lb_entry};
+  static const VTable table{&gemm_entry};
   return &table;
 }
 

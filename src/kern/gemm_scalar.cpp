@@ -3,9 +3,7 @@
 // compiler can never fuse the multiply-add below into an FMA: the
 // reference semantics are exactly "round after multiply, round after add"
 // in ascending-k order, on any host.
-#include <cmath>
 #include <cstddef>
-#include <cstdint>
 
 #include "kern/gemm_body.h"
 #include "kern/kern_internal.h"
@@ -33,33 +31,14 @@ struct ScalarArch {
     for (std::size_t v = 0; v < kMr * kNr; ++v) acc[v] = local[v];
   }
 
-  static float lb_row(const std::uint8_t* codes, std::size_t dim,
-                      const float* query, const float* scale,
-                      const float* offset, const float* half_scale) {
-    float acc = 0.0f;
-    for (std::size_t c = 0; c < dim; ++c) {
-      const float reconstructed =
-          offset[c] + scale[c] * static_cast<float>(codes[c]);
-      const float gap = std::fabs(query[c] - reconstructed) - half_scale[c];
-      if (gap > 0.0f) acc += gap * gap;
-    }
-    return acc;
-  }
 };
 
 void gemm_entry(const GemmCall& call) { run_gemm<ScalarArch>(call); }
 
-void lb_entry(const std::uint8_t* codes, std::size_t n, std::size_t dim,
-              const float* query, const float* scale, const float* offset,
-              const float* half_scale, float* out_lb) {
-  run_knn_lb<ScalarArch>(codes, n, dim, query, scale, offset, half_scale,
-                         out_lb);
-}
-
 }  // namespace
 
 const VTable* vtable_scalar() {
-  static const VTable table{&gemm_entry, &lb_entry};
+  static const VTable table{&gemm_entry};
   return &table;
 }
 

@@ -1,9 +1,8 @@
 // fs::kern — the compute kernel layer.
 //
-// Everything hot in the pipeline reduces to two primitives: dense GEMM
-// (the autoencoder's forward/backward products, batch encoding, Gram
-// matrices) and point-to-set squared distances (the KNN stage). This layer
-// implements both as cache-blocked, register-tiled kernels with runtime
+// The pipeline's hot dense primitive is GEMM (the autoencoder's
+// forward/backward products, batch encoding, Gram matrices). This layer
+// implements it as a cache-blocked, register-tiled kernel with runtime
 // ISA dispatch:
 //
 //   * GEMM packs A into MR-tall row panels and B into NR-wide column
@@ -14,10 +13,6 @@
 //   * Epilogues (bias add, bias+ReLU/sigmoid/tanh) are fused into the
 //     C-tile writeback, so callers get activated layer outputs in a single
 //     pass instead of re-sweeping the matrix.
-//   * The quantized KNN path computes asymmetric lower-bound distances
-//     between a full-precision query and int8-coded reference rows
-//     (per-dimension scale/offset), which callers use to prune exact
-//     re-ranking.
 //
 // Dispatch model: the ISA path (scalar, AVX2, AVX-512) is chosen once, at
 // first use, from CPU capabilities, and can be pinned with FS_KERNEL=
@@ -33,7 +28,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -124,23 +118,5 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
 
 /// Raw entry point behind the three wrappers (kernel_bench uses it).
 void gemm(const GemmCall& call);
-
-// ---------------------------------------------------------------------------
-// Quantized KNN distance
-// ---------------------------------------------------------------------------
-
-/// Lower bounds on squared Euclidean distance between one full-precision
-/// query and n int8-quantized reference rows.
-///
-/// Row i, dimension c is stored as codes[i*dim + c] with reconstruction
-/// x_hat = offset[c] + scale[c] * code; the true coordinate satisfies
-/// |x - x_hat| <= half_scale[c] (= scale[c]/2, precomputed). The bound per
-/// row is sum_c max(|q_c - x_hat_c| - half_scale_c, 0)^2 <= ||q - x||^2,
-/// evaluated in f32 — callers add a small relative slack to absorb f32
-/// rounding before using it to prune exact (f64) evaluation.
-void knn_lower_bounds(const std::uint8_t* codes, std::size_t n,
-                      std::size_t dim, const float* query, const float* scale,
-                      const float* offset, const float* half_scale,
-                      float* out_lb);
 
 }  // namespace fs::kern

@@ -1,42 +1,16 @@
 // K-nearest-neighbors classifier — the paper's phase-1 classifier C over
 // presence-proximity features ("we use a simple KNN ... as the classifier
 // C", Sec IV-B).
-//
-// Two distance paths share one decision rule:
-//
-//   full precision (default)  — one exact f64 scan per query.
-//   quantized (`set_quantize`) — training rows are compressed to int8
-//     codes with per-dimension scale/offset; fs::kern computes an
-//     asymmetric squared-distance LOWER BOUND per row, the k tightest
-//     bounds seed an exact heap, and every remaining row whose bound
-//     clears the running k-th distance (with a small relative slack) is
-//     pruned without touching its f64 row. Survivors are re-ranked with
-//     the same exact f64 expression the default path uses, so whenever
-//     the bound is admissible — it underestimates by construction, the
-//     slack absorbs f32 rounding — the neighbor set, tie-breaks, and
-//     returned probability bits are identical to full precision.
-//
-// The quantized index is a runtime acceleration structure: it is rebuilt
-// by fit()/set_quantize() and never serialized (KNN0 format unchanged).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "nn/matrix.h"
-#include "util/aligned.h"
 #include "util/binary_io.h"
 #include "util/runtime.h"
 
 namespace fs::ml {
-
-/// Aggregate work counters from quantized batch queries: how many rows
-/// the lower bound pruned versus how many needed the exact f64 distance.
-struct KnnQuantStats {
-  std::uint64_t rows_scanned = 0;  ///< candidate rows considered (n * queries)
-  std::uint64_t exact_evals = 0;   ///< rows that survived to exact rerank
-};
 
 class KnnClassifier {
  public:
@@ -44,11 +18,6 @@ class KnnClassifier {
 
   /// Stores the (already scaled) training features and binary labels.
   void fit(nn::Matrix features, std::vector<int> labels);
-
-  /// Switches between the exact scan and the int8 lower-bound path
-  /// (rebuilding or dropping the code index). Safe before or after fit.
-  void set_quantize(bool enabled);
-  bool quantize() const { return quantize_; }
 
   /// Fraction of positive labels among the k nearest training rows
   /// (Euclidean distance). Ties in distance resolve by training order.
@@ -66,28 +35,13 @@ class KnnClassifier {
   std::size_t k() const { return k_; }
   std::size_t train_size() const { return labels_.size(); }
 
-  /// Counters accumulated across quantized batch calls since fit().
-  const KnnQuantStats& quant_stats() const { return quant_stats_; }
-
   void save(util::BinaryWriter& writer) const;
   static KnnClassifier load(util::BinaryReader& reader);
 
  private:
-  void build_quant_index();
-  double quantized_proba(const double* query,
-                         std::uint64_t* exact_evals) const;
-
   std::size_t k_;
   nn::Matrix features_;
   std::vector<int> labels_;
-
-  // int8 scalar-quantization index (runtime-only; see file comment).
-  bool quantize_ = false;
-  std::vector<std::uint8_t, util::AlignedAllocator<std::uint8_t>> codes_;
-  std::vector<float> scale_;
-  std::vector<float> offset_;
-  std::vector<float> half_scale_;
-  mutable KnnQuantStats quant_stats_;
 };
 
 }  // namespace fs::ml

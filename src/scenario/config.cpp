@@ -86,9 +86,6 @@ AttackSpec parse_attack(const json::Value& node, const std::string& context) {
       blocking_from(reader.get_enum("blocking", "auto", {"on", "off",
                                                          "auto"}));
   spec.label = reader.get_string("label", "");
-  spec.knn_quantize = reader.get_bool("knn_quantize", false);
-  spec.shards =
-      static_cast<std::size_t>(reader.get_int("shards", 0, 0, 4096));
   spec.threads =
       static_cast<std::size_t>(reader.get_int("threads", 0, 0, 1024));
   reader.finish();
@@ -179,8 +176,6 @@ json::Value attack_to_json(const AttackSpec& spec) {
   json::Object o;
   o["blocking"] = blocking_name(spec.blocking);
   o["label"] = attack_label(spec);
-  o["knn_quantize"] = spec.knn_quantize;
-  o["shards"] = spec.shards;
   o["threads"] = spec.threads;
   return json::Value(std::move(o));
 }
@@ -265,8 +260,6 @@ std::string defense_label(const DefenseSpec& spec) {
 std::string attack_label(const AttackSpec& spec) {
   if (!spec.label.empty()) return spec.label;
   std::string label = "blk:" + blocking_name(spec.blocking);
-  label += ",quant:" + std::string(spec.knn_quantize ? "on" : "off");
-  label += ",shards:" + std::to_string(spec.shards);
   label += ",thr:" + std::to_string(spec.threads);
   return label;
 }

@@ -49,14 +49,11 @@ struct DefenseSpec {
   std::size_t grid_sigma = 120;
 };
 
-/// Attack-execution variant: candidate blocking, the quantized KNN
-/// distance path, sharded execution, and the thread count (0 = inherit the
-/// runner's ambient thread setting).
+/// Attack-execution variant: candidate blocking and the thread count
+/// (0 = inherit the runner's ambient thread setting).
 struct AttackSpec {
   block::BlockingMode blocking = block::BlockingMode::kAuto;
   std::string label;
-  bool knn_quantize = false;
-  std::size_t shards = 0;
   std::size_t threads = 0;
 };
 

@@ -1,9 +1,9 @@
 // On-disk layout of the columnar check-in store (`.fsst`).
 //
 // The store is the out-of-core twin of data::Dataset: every check-in as
-// fixed-width columns, sorted by (cell, slot) so a quadtree shard maps to a
-// contiguous row range, memory-mapped read-only at attack time so the
-// working set is resident pages, not vectors.
+// fixed-width columns, sorted by (cell, slot) so each grid cell's rows are
+// contiguous, memory-mapped read-only at attack time so the working set is
+// resident pages, not vectors.
 //
 //   +--------------------------------------------------------------+
 //   | StoreHeader (256 B, fixed)     crc32 over bytes [0, 252)     |
@@ -69,8 +69,8 @@ struct StoreHeader {
   std::uint64_t sigma = 0;        // division parameters baked into cell/slot
   std::int64_t tau_seconds = 0;
   std::uint64_t block_bytes = kBlockBytes;
-  /// FNV-1a over the (cell, slot) sequence in row order: certifies the sort
-  /// order the shard planner's binary searches depend on.
+  /// FNV-1a over the (cell, slot) sequence in row order: certifies the
+  /// (cell, slot) sort order.
   std::uint64_t sort_fingerprint = 0;
   /// data::LoadReport counters in declaration order, so the quarantine
   /// census of the original SNAP load survives the conversion.

@@ -58,7 +58,7 @@ MappedStore MappedStore::open(const std::string& path, Verify verify) {
   }
   void* base = mmap(nullptr, bytes, PROT_READ, MAP_PRIVATE, fd, 0);
   // The mapping outlives the descriptor; closing now keeps the fd budget
-  // flat no matter how many stores a sharded run opens.
+  // flat no matter how many stores a process opens.
   ::close(fd);
   if (base == MAP_FAILED)
     throw IoError("store mmap '" + path + "': " + std::strerror(errno));
@@ -199,17 +199,6 @@ data::Dataset MappedStore::to_dataset() const {
     friendships.add_edge(edge_ids[i], edge_ids[i + 1]);
   return data::Dataset::build(user_count(), std::move(poi_table),
                               std::move(rows), std::move(friendships));
-}
-
-std::pair<std::size_t, std::size_t> MappedStore::rows_for_grids(
-    std::uint32_t grid_lo, std::uint32_t grid_hi) const {
-  const auto cell_col = cells();
-  const auto lo =
-      std::lower_bound(cell_col.begin(), cell_col.end(), grid_lo);
-  const auto hi =
-      std::lower_bound(cell_col.begin(), cell_col.end(), grid_hi);
-  return {static_cast<std::size_t>(lo - cell_col.begin()),
-          static_cast<std::size_t>(hi - cell_col.begin())};
 }
 
 std::size_t MappedStore::resident_bytes() const {

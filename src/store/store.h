@@ -90,12 +90,6 @@ class MappedStore {
   /// the store's (cell, slot) row order.
   data::Dataset to_dataset() const;
 
-  /// Half-open row range [lo, hi) whose cell lies in [grid_lo, grid_hi).
-  /// Valid because rows are sorted by (cell, slot) — certified by the sort
-  /// fingerprint at open — so a shard's grids are one contiguous stripe.
-  std::pair<std::size_t, std::size_t> rows_for_grids(std::uint32_t grid_lo,
-                                                     std::uint32_t grid_hi) const;
-
   /// Bytes of the mapping currently resident in RAM (mincore census).
   /// Falls back to file size if the kernel refuses the query.
   std::size_t resident_bytes() const;

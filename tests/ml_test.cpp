@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
-#include <sstream>
 
 #include "ml/knn.h"
 #include "ml/metrics.h"
@@ -175,136 +173,6 @@ TEST(Knn, Validation) {
   KnnClassifier knn(3);
   EXPECT_THROW(knn.fit(nn::Matrix(2, 2), {1}), std::invalid_argument);
   EXPECT_THROW(knn.predict(nn::Matrix(1, 2)), std::logic_error);
-}
-
-/// Clustered data shaped like scaled presence codes: unit-variance columns,
-/// two overlapping blobs, plus exact-duplicate rows to exercise the
-/// training-order tie rule under both distance paths.
-void presence_like(nn::Matrix& x, std::vector<int>& y, std::size_t n,
-                   std::size_t dim, util::Rng& rng) {
-  x = nn::Matrix(n, dim);
-  y.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    y[i] = static_cast<int>(i % 2);
-    for (std::size_t c = 0; c < dim; ++c)
-      x(i, c) = rng.normal(y[i] ? 0.8 : -0.8, 1.0);
-  }
-  // Duplicate a handful of rows verbatim (distance ties are real ties).
-  for (std::size_t i = 0; i + 10 < n && i < 8; ++i)
-    for (std::size_t c = 0; c < dim; ++c) x(n - 1 - i, c) = x(i, c);
-}
-
-TEST(Knn, QuantizedPathMatchesFullPrecisionBitForBit) {
-  // The int8 lower bound only ever PRUNES; survivors are re-ranked with
-  // the same f64 expression the default path uses. When the bound is
-  // admissible (always, up to the slack margin) the neighbor sets — and
-  // therefore the returned probability doubles — are identical.
-  util::Rng rng(2026);
-  nn::Matrix train_x, test_x;
-  std::vector<int> train_y, test_y;
-  presence_like(train_x, train_y, 400, 16, rng);
-  presence_like(test_x, test_y, 200, 16, rng);
-
-  KnnClassifier exact(7);
-  exact.fit(train_x, train_y);
-  const std::vector<double> exact_probs = exact.predict_proba(test_x);
-
-  KnnClassifier quant(7);
-  quant.set_quantize(true);
-  quant.fit(train_x, train_y);
-  EXPECT_TRUE(quant.quantize());
-  const std::vector<double> quant_probs = quant.predict_proba(test_x);
-
-  ASSERT_EQ(exact_probs.size(), quant_probs.size());
-  std::size_t agree = 0;
-  for (std::size_t i = 0; i < exact_probs.size(); ++i) {
-    // Byte-identical, not approximately equal: same neighbors, same count.
-    if (std::memcmp(&exact_probs[i], &quant_probs[i], sizeof(double)) == 0)
-      ++agree;
-  }
-  // recall@decision contract: >= 0.99 agreement (here the bound is tight
-  // enough that every query agrees; the margin guards rounding edges).
-  EXPECT_GE(static_cast<double>(agree),
-            0.99 * static_cast<double>(exact_probs.size()));
-
-  // The engine must actually prune: exact evaluations well under n per
-  // query on clustered data, never more than the scan ceiling.
-  const KnnQuantStats& stats = quant.quant_stats();
-  EXPECT_EQ(stats.rows_scanned, test_x.rows() * train_x.rows());
-  EXPECT_LE(stats.exact_evals, stats.rows_scanned);
-  EXPECT_LT(stats.exact_evals, stats.rows_scanned / 2)
-      << "lower bound pruned less than half the candidate rows";
-}
-
-TEST(Knn, QuantizeToggleAndRebuild) {
-  util::Rng rng(7);
-  nn::Matrix x;
-  std::vector<int> y;
-  presence_like(x, y, 64, 4, rng);
-  KnnClassifier knn(3);
-  knn.fit(x, y);
-  const std::vector<double> before = knn.predict_proba(x);
-  // Enable AFTER fit: the index is built from the stored features.
-  knn.set_quantize(true);
-  const std::vector<double> during = knn.predict_proba(x);
-  knn.set_quantize(false);
-  const std::vector<double> after = knn.predict_proba(x);
-  ASSERT_EQ(before.size(), during.size());
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(before[i], during[i]) << "row " << i;
-    EXPECT_EQ(before[i], after[i]) << "row " << i;
-  }
-}
-
-TEST(Knn, QuantizedHandlesDegenerateDimensions) {
-  // Constant columns quantize to scale-0 dimensions; they must contribute
-  // an exact (not inflated) bound so nothing is mis-pruned.
-  nn::Matrix train = nn::Matrix::from_rows({{0.0, 5.0},
-                                            {0.1, 5.0},
-                                            {0.2, 5.0},
-                                            {10.0, 5.0},
-                                            {11.0, 5.0}});
-  KnnClassifier knn(3);
-  knn.set_quantize(true);
-  knn.fit(std::move(train), {1, 1, 0, 0, 0});
-  const nn::Matrix query = nn::Matrix::from_rows({{0.05, 5.0}});
-  EXPECT_NEAR(knn.predict_proba(query)[0], 2.0 / 3.0, 1e-12);
-}
-
-TEST(Knn, QuantizedSerializationRoundTripDropsIndexNotBehavior) {
-  // KNN0 bytes are identical with or without quantize (runtime-only knob),
-  // and a loaded model starts on the full-precision path.
-  util::Rng rng(11);
-  nn::Matrix x;
-  std::vector<int> y;
-  presence_like(x, y, 32, 3, rng);
-  KnnClassifier knn(3);
-  knn.set_quantize(true);
-  knn.fit(x, y);
-
-  std::ostringstream quant_bytes;
-  {
-    util::BinaryWriter w(quant_bytes);
-    knn.save(w);
-  }
-  KnnClassifier plain(3);
-  plain.fit(x, y);
-  std::ostringstream plain_bytes;
-  {
-    util::BinaryWriter w(plain_bytes);
-    plain.save(w);
-  }
-  EXPECT_EQ(quant_bytes.str(), plain_bytes.str());
-
-  std::istringstream in(quant_bytes.str());
-  util::BinaryReader r(in);
-  KnnClassifier loaded = KnnClassifier::load(r);
-  EXPECT_FALSE(loaded.quantize());
-  loaded.set_quantize(true);
-  const std::vector<double> a = knn.predict_proba(x);
-  const std::vector<double> b = loaded.predict_proba(x);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
 }
 
 // ---------- SVM ----------

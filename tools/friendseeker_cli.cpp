@@ -7,7 +7,6 @@
 //                          [--min-checkins N --max-users N]
 //   friendseeker attack    CHECKINS EDGES | --store STORE.fsst
 //                          [--sigma S --tau D --dim D --k K]
-//                          [--shards N]
 //                          [--blocking on|off|auto --block-hops H
 //                           --block-slot-tolerance T]
 //                          [--permissive] [--checkpoint-dir DIR [--resume]]
@@ -317,11 +316,6 @@ int cmd_attack(int argc, char** argv) {
                   "store is fully verified, materialized, and its pages "
                   "dropped — memory accounting charges the resident "
                   "estimate, not the file size");
-  args.add_option("shards", "0",
-                  "partition the spatial division into N quadtree-subtree "
-                  "shards and run the index build and phase-1 scoring "
-                  "shard by shard (0 = monolithic; the final graph is "
-                  "byte-identical at any shard count)");
   args.add_option("max-iterations", "0",
                   "alias for --iterations (overrides it when > 0)");
   args.add_option("deadline-sec", "0",
@@ -344,10 +338,6 @@ int cmd_attack(int argc, char** argv) {
                   "worker threads for parallel regions (0 = FS_THREADS env "
                   "or hardware concurrency); results are identical for any "
                   "value");
-  args.add_option("knn-quantize", "off",
-                  "on | off: route phase-1 KNN through the int8 "
-                  "lower-bound distance engine (pruned rows skip the exact "
-                  "distance; survivors are re-ranked in full precision)");
   args.add_flag("baselines", "also run the four baseline attacks");
   args.add_flag("strict", "abort on the first malformed input line (default)");
   args.add_flag("permissive",
@@ -430,10 +420,6 @@ int cmd_attack(int argc, char** argv) {
                   : std::max<std::size_t>(40, ds.poi_count() / 8);
   cfg.tau_days = args.get_double("tau");
   cfg.presence.feature_dim = static_cast<std::size_t>(args.get_int("dim"));
-  const std::string knn_quantize = args.get("knn-quantize");
-  if (knn_quantize != "on" && knn_quantize != "off")
-    throw std::invalid_argument("--knn-quantize must be on or off");
-  cfg.presence.knn_quantize = knn_quantize == "on";
   cfg.k = static_cast<int>(args.get_int("k"));
   cfg.max_iterations = args.get_int("max-iterations") > 0
                            ? static_cast<int>(args.get_int("max-iterations"))
@@ -450,7 +436,6 @@ int cmd_attack(int argc, char** argv) {
   cfg.blocking.hop_expansion = static_cast<int>(args.get_int("block-hops"));
   cfg.blocking.slot_tolerance =
       static_cast<int>(args.get_int("block-slot-tolerance"));
-  cfg.shards = static_cast<std::size_t>(args.get_int("shards"));
   cfg.checkpoint_dir = args.get("checkpoint-dir");
   cfg.resume = args.get_flag("resume");
   cfg.context = &context;
@@ -492,22 +477,6 @@ int cmd_attack(int argc, char** argv) {
                  "via hop expansion, %zu forced train pairs)\n",
                  bs.scored_pairs, bs.universe_pairs, bs.pruned_pairs,
                  bs.hop_candidates, bs.forced_pairs);
-  }
-  if (!seeker.last_result().shards.empty()) {
-    util::Table shard_table({"shard", "grids", "rows", "universe", "scored",
-                             "pruned", "wall ms"});
-    for (std::size_t s = 0; s < seeker.last_result().shards.size(); ++s) {
-      const auto& st = seeker.last_result().shards[s];
-      shard_table.new_row()
-          .add(s)
-          .add(static_cast<std::size_t>(st.grid_hi - st.grid_lo))
-          .add(st.rows)
-          .add(st.universe_pairs)
-          .add(st.scored_pairs)
-          .add(st.pruned_pairs)
-          .add(st.wall_ms, 1);
-    }
-    shard_table.print("sharded execution (digest-identical to monolithic)");
   }
   {
     const auto& cs = seeker.last_result().cache;

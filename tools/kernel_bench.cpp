@@ -1,9 +1,8 @@
 // kernel_bench — fs::kern micro-benchmark. Sweeps the GEMM macro-kernel
-// and the quantized-KNN lower-bound kernel over every ISA path this host
-// supports (pinned per measurement with kern::force_path) and writes a
-// machine-readable JSON report: GFLOP/s per (path, variant, shape) and
-// lower-bound throughput per path, so kernel regressions show up as a
-// number diff instead of a pipeline-level slowdown with no attribution.
+// over every ISA path this host supports (pinned per measurement with
+// kern::force_path) and writes a machine-readable JSON report: GFLOP/s per
+// (path, variant, shape), so kernel regressions show up as a number diff
+// instead of a pipeline-level slowdown with no attribution.
 //
 //   kernel_bench [--out kernel_bench.json] [--threads N] [--min-ms 80]
 //                [--quick]
@@ -11,11 +10,10 @@
 // Shapes mirror the pipeline's real products: the gowalla autoencoder's
 // mini-batch training GEMMs (m = batch 16, JOC width 1380, hidden 320) in
 // the nn/nt/tn variant each one actually runs, batch encoding (m = corpus
-// rows), and the KNN reference scan. Every GEMM is timed at --threads.
+// rows), and square stress shapes. Every GEMM is timed at --threads.
 // --quick shrinks reps and the shape list for CI smoke.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -23,7 +21,6 @@
 #include "nn/matrix.h"
 #include "obs/json.h"
 #include "par/pool.h"
-#include "util/aligned.h"
 #include "util/args.h"
 #include "util/rng.h"
 
@@ -100,40 +97,6 @@ json::Object bench_gemm(const Shape& shape, double min_ms, util::Rng& rng) {
   return entry;
 }
 
-json::Object bench_knn_lb(std::size_t rows, std::size_t dim, double min_ms,
-                          util::Rng& rng) {
-  std::vector<std::uint8_t, util::AlignedAllocator<std::uint8_t>> codes(
-      rows * dim);
-  std::vector<float> query(dim), scale(dim), offset(dim), half(dim),
-      lb(rows);
-  for (auto& c : codes) c = static_cast<std::uint8_t>(rng.range(0, 255));
-  for (std::size_t c = 0; c < dim; ++c) {
-    query[c] = static_cast<float>(rng.normal());
-    scale[c] = 0.01f;
-    offset[c] = -1.0f;
-    half[c] = 0.005f;
-  }
-  const auto [wall_ms, reps] = measure(min_ms, [&] {
-    kern::knn_lower_bounds(codes.data(), rows, dim, query.data(),
-                           scale.data(), offset.data(), half.data(),
-                           lb.data());
-  });
-  const double total_rows =
-      static_cast<double>(rows) * static_cast<double>(reps);
-  json::Object entry;
-  entry["rows"] = rows;
-  entry["dim"] = dim;
-  entry["reps"] = reps;
-  entry["wall_ms"] = wall_ms;
-  entry["mrows_per_s"] =
-      wall_ms > 0.0 ? total_rows / (wall_ms * 1e3) : 0.0;
-  entry["gbytes_per_s"] =
-      wall_ms > 0.0
-          ? total_rows * static_cast<double>(dim) / (wall_ms * 1e6)
-          : 0.0;
-  return entry;
-}
-
 int run(const util::ArgParser& args) {
   par::set_threads(static_cast<std::size_t>(args.get_int("threads")));
   const bool quick = args.get_flag("quick");
@@ -162,13 +125,11 @@ int run(const util::ArgParser& args) {
     for (const Shape& shape : shapes)
       gemm.emplace_back(bench_gemm(shape, min_ms, rng));
     section["gemm"] = std::move(gemm);
-    section["knn_lb"] =
-        bench_knn_lb(quick ? 1024 : 4096, 64, min_ms, rng);
     paths.emplace_back(std::move(section));
   }
 
   json::Object root;
-  root["schema_version"] = 2;
+  root["schema_version"] = 3;
   root["threads"] = par::threads();
   root["paths"] = std::move(paths);
 
@@ -185,8 +146,6 @@ int run(const util::ArgParser& args) {
                   entry.at("m").as_number(), entry.at("n").as_number(),
                   entry.at("k").as_number(), entry.at("gflops").as_number(),
                   entry.at("what").as_string().c_str());
-    std::printf("%-7s knn_lb %.1f Mrows/s\n", path,
-                section.at("knn_lb").at("mrows_per_s").as_number());
   }
   std::printf("wrote %s\n", args.get("out").c_str());
   return 0;

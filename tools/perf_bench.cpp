@@ -6,7 +6,7 @@
 //
 //   perf_bench [--preset tiny|gowalla|brightkite] [--out BENCH_pipeline.json]
 //              [--metrics-out M.json] [--trace-out T.json] [--seed N]
-//              [--threads N] [--scaling 1,2,4,8] [--shards N]
+//              [--threads N] [--scaling 1,2,4,8]
 //              [--blocking on|off|auto] [--universe sampled|full]
 //              [--store-comparison on|off]
 //   perf_bench --validate FILE    # schema-check an existing BENCH file
@@ -18,19 +18,14 @@
 //
 // --store-comparison on (the default) additionally round-trips the
 // experiment's dataset through the columnar store and re-runs the attack
-// in-memory, store-backed, and store-backed with 4 shards, emitting the
-// "store_comparison" section (wall, peak memory, digest identity). The
-// validator re-checks the shard-ownership invariant — per-shard scored +
-// pruned sums to the universe — from the emitted JSON alone.
+// in-memory and store-backed, emitting the "store_comparison" section
+// (wall, peak memory, digest identity).
 //
-// Schema v5 adds two sections the validator enforces:
-//   "kernel"       — the fs::kern ISA path the run executed on (active,
-//                    requested via FS_KERNEL, and every supported path).
-//   "knn_quantize" — a full re-run with the int8 KNN distance engine on,
-//                    graded against the measured run's iteration-0
-//                    (presence-only) decisions. recall@decision >= 0.99 is
-//                    a schema invariant: a file from a regressed quantizer
-//                    does not validate and never ships.
+// The "kernel" section records the fs::kern ISA path the run executed on
+// (active, requested via FS_KERNEL, and every supported path).
+// "totals.cpu_ms" is process CPU (user + sys from getrusage) over the same
+// window as "totals.wall_ms", so it can never exceed wall x threads; the
+// validator enforces that bound with 10 % slack.
 //
 // --universe full extends the sampled test set with EVERY remaining user
 // pair, the population an attacker actually faces; quality is still scored
@@ -38,9 +33,10 @@
 // This is the regime candidate blocking exists for — the "blocking"
 // section then shows the scored-universe shrinkage, and the "cache"
 // section the phase-2 feature-cache hit rate.
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -57,7 +53,6 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "par/pool.h"
-#include "shard/sharded_candidates.h"
 #include "store/convert.h"
 #include "store/store.h"
 #include "util/args.h"
@@ -69,7 +64,7 @@ namespace {
 using namespace fs;
 namespace json = obs::json;
 
-constexpr double kSchemaVersion = 5.0;
+constexpr double kSchemaVersion = 6.0;
 
 /// Runs the attack and grades the balanced test subset. Under --universe
 /// full the test list carries unlabeled extension pairs after the labeled
@@ -108,6 +103,17 @@ void extend_to_full_universe(eval::Experiment& experiment) {
     }
 }
 
+/// User + system CPU of the whole process (every pool thread included).
+double process_cpu_ms() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto ms = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) * 1000.0 +
+           static_cast<double>(tv.tv_usec) / 1000.0;
+  };
+  return ms(usage.ru_utime) + ms(usage.ru_stime);
+}
+
 std::vector<std::size_t> parse_scaling(const std::string& spec) {
   std::vector<std::size_t> threads;
   std::istringstream iss(spec);
@@ -122,42 +128,16 @@ std::vector<std::size_t> parse_scaling(const std::string& spec) {
   return threads;
 }
 
-/// One "shards" array (from the measured run or a store_comparison entry):
-/// every entry internally consistent (universe == scored + pruned) and the
-/// shard universes summing to `expect_universe`. This is the ownership
-/// invariant that makes sharded and monolithic runs score the same pair
-/// population — re-checked here from the emitted JSON alone.
-void validate_shards(const json::Array& shards, double expect_universe) {
-  if (shards.empty()) throw ParseError("shards is empty");
-  double universe_sum = 0.0;
-  for (const json::Value& entry : shards) {
-    for (const char* key :
-         {"grid_lo", "grid_hi", "rows", "universe_pairs", "scored_pairs",
-          "pruned_pairs", "cell_candidates", "wall_ms"})
-      if (entry.at(key).as_number() < 0.0)
-        throw ParseError(std::string("shard entry: negative ") + key);
-    const double universe = entry.at("universe_pairs").as_number();
-    if (entry.at("scored_pairs").as_number() +
-            entry.at("pruned_pairs").as_number() !=
-        universe)
-      throw ParseError("shard entry: scored + pruned != universe");
-    universe_sum += universe;
-  }
-  if (universe_sum != expect_universe)
-    throw ParseError(
-        "shards: per-shard universes do not sum to the blocking universe");
-}
-
 /// Checks one BENCH_pipeline.json against the schema this tool writes.
 /// Throws ParseError with the offending key on any mismatch.
 void validate_bench(const json::Value& root) {
   if (!root.is_object()) throw ParseError("root is not an object");
   if (root.at("schema_version").as_number() != kSchemaVersion)
-    throw ParseError("schema_version != 5");
+    throw ParseError("schema_version != 6");
   root.at("preset").as_string();
   root.at("seed").as_number();
-  if (root.at("threads").as_number() < 1.0)
-    throw ParseError("threads < 1");
+  const double threads = root.at("threads").as_number();
+  if (threads < 1.0) throw ParseError("threads < 1");
   if (root.at("host_hardware_threads").as_number() < 1.0)
     throw ParseError("host_hardware_threads < 1");
   root.at("result_digest").as_string();
@@ -182,11 +162,6 @@ void validate_bench(const json::Value& root) {
     throw ParseError("blocking.prune_ratio < 1");
   if (blocking.at("forced_train_pairs").as_number() < 0.0)
     throw ParseError("blocking.forced_train_pairs is negative");
-
-  // The shards section is optional (absent when the measured run was
-  // monolithic); when present its universes must sum to the blocking one.
-  if (root.contains("shards"))
-    validate_shards(root.at("shards").as_array(), universe_pairs);
 
   const json::Value& cache = root.at("cache");
   for (const char* key : {"hits", "misses", "bytes"})
@@ -220,29 +195,6 @@ void validate_bench(const json::Value& root) {
   if (!active_listed)
     throw ParseError("kernel.path is not in kernel.available");
 
-  // The quantized-KNN contract: the int8 lower-bound engine must reproduce
-  // at least 99% of the full-precision positive decisions at iteration 0,
-  // and its work counters must be internally consistent.
-  const json::Value& quant = root.at("knn_quantize");
-  if (quant.at("decisions").as_number() < 1.0)
-    throw ParseError("knn_quantize.decisions < 1");
-  const double recall = quant.at("recall_at_decision").as_number();
-  if (recall < 0.99 || recall > 1.0)
-    throw ParseError(
-        "knn_quantize.recall_at_decision violates the >= 0.99 contract");
-  const double agreement = quant.at("decision_agreement").as_number();
-  if (agreement < 0.0 || agreement > 1.0)
-    throw ParseError("knn_quantize.decision_agreement outside [0, 1]");
-  const double scanned = quant.at("rows_scanned").as_number();
-  const double exact_evals = quant.at("exact_evals").as_number();
-  if (scanned < 0.0 || exact_evals < 0.0 || exact_evals > scanned)
-    throw ParseError(
-        "knn_quantize.exact_evals outside [0, rows_scanned]");
-  if (quant.at("prune_ratio").as_number() < 1.0)
-    throw ParseError("knn_quantize.prune_ratio < 1");
-  if (quant.at("wall_ms").as_number() < 0.0)
-    throw ParseError("knn_quantize.wall_ms is negative");
-
   const json::Array& stages = root.at("stages").as_array();
   if (stages.empty()) throw ParseError("stages is empty");
   for (const json::Value& stage : stages) {
@@ -253,8 +205,12 @@ void validate_bench(const json::Value& root) {
                          stage.at("name").as_string() + ": negative " + key);
   }
 
-  if (root.at("totals").at("wall_ms").as_number() < 0.0)
-    throw ParseError("totals.wall_ms is negative");
+  const double wall_ms = root.at("totals").at("wall_ms").as_number();
+  const double cpu_ms = root.at("totals").at("cpu_ms").as_number();
+  if (wall_ms < 0.0) throw ParseError("totals.wall_ms is negative");
+  if (cpu_ms < 0.0) throw ParseError("totals.cpu_ms is negative");
+  if (cpu_ms > wall_ms * threads * 1.1)
+    throw ParseError("totals.cpu_ms exceeds wall_ms x threads x 1.1");
   if (root.at("peak_memory_bytes").as_number() < 0.0)
     throw ParseError("peak_memory_bytes is negative");
 
@@ -291,17 +247,14 @@ void validate_bench(const json::Value& root) {
         throw ParseError(std::string("store.") + key + " is negative");
 
     const json::Array& comparison = root.at("store_comparison").as_array();
-    if (comparison.size() < 3)
-      throw ParseError(
-          "store_comparison needs in-memory, store, and sharded entries");
+    if (comparison.size() < 2)
+      throw ParseError("store_comparison needs in-memory and store entries");
     for (const json::Value& entry : comparison) {
       entry.at("label").as_string();
       const std::string source = entry.at("source").as_string();
       if (source != "memory" && source != "store")
         throw ParseError(
             "store_comparison entry: source must be memory or store");
-      if (entry.at("shard_count").as_number() < 0.0)
-        throw ParseError("store_comparison entry: negative shard_count");
       if (entry.at("wall_ms").as_number() < 0.0)
         throw ParseError("store_comparison entry: negative wall_ms");
       if (entry.at("peak_memory_bytes").as_number() < 0.0)
@@ -313,9 +266,6 @@ void validate_bench(const json::Value& root) {
       if (!entry.at("identical").as_bool())
         throw ParseError("store_comparison entry: digest diverged from the "
                          "in-memory run (store round-trip broke identity)");
-      if (entry.contains("shards"))
-        validate_shards(entry.at("shards").as_array(),
-                        entry.at("universe_pairs").as_number());
     }
   }
 }
@@ -344,27 +294,7 @@ struct RunOutcome {
   ml::Prf prf;
   std::string digest;
   std::size_t peak = 0;
-  std::size_t universe_pairs = 0;
-  std::vector<shard::ShardRunStats> shards;
 };
-
-/// Serializes per-shard run stats as the schema-v4 "shards" array.
-json::Array shard_section(const std::vector<shard::ShardRunStats>& stats) {
-  json::Array shards;
-  for (const shard::ShardRunStats& st : stats) {
-    json::Object entry;
-    entry["grid_lo"] = static_cast<std::size_t>(st.grid_lo);
-    entry["grid_hi"] = static_cast<std::size_t>(st.grid_hi);
-    entry["rows"] = static_cast<std::size_t>(st.rows);
-    entry["universe_pairs"] = static_cast<std::size_t>(st.universe_pairs);
-    entry["scored_pairs"] = static_cast<std::size_t>(st.scored_pairs);
-    entry["pruned_pairs"] = static_cast<std::size_t>(st.pruned_pairs);
-    entry["cell_candidates"] = static_cast<std::size_t>(st.cell_candidates);
-    entry["wall_ms"] = st.wall_ms;
-    shards.emplace_back(std::move(entry));
-  }
-  return shards;
-}
 
 RunOutcome run_attack_once(const eval::BenchPreset& preset,
                            const eval::Experiment& experiment,
@@ -381,8 +311,6 @@ RunOutcome run_attack_once(const eval::BenchPreset& preset,
   outcome.wall_ms = span.milliseconds();
   outcome.digest = eval::result_digest(attack.last_result());
   outcome.peak = context.peak_charged();
-  outcome.universe_pairs = attack.last_result().blocking.universe_pairs;
-  outcome.shards = attack.last_result().shards;
   return outcome;
 }
 
@@ -410,10 +338,6 @@ int run_bench(const util::ArgParser& args) {
   const std::string universe_arg = args.get("universe");
   if (universe_arg != "sampled" && universe_arg != "full")
     throw std::invalid_argument("--universe must be sampled or full");
-  const int shards_arg = args.get_int("shards");
-  if (shards_arg < 0)
-    throw std::invalid_argument("--shards must be >= 0");
-  preset.seeker.shards = static_cast<std::size_t>(shards_arg);
   const std::string store_compare_arg = args.get("store-comparison");
   if (store_compare_arg != "on" && store_compare_arg != "off")
     throw std::invalid_argument("--store-comparison must be on or off");
@@ -421,6 +345,7 @@ int run_bench(const util::ArgParser& args) {
   runtime::ExecutionContext context;
   preset.seeker.context = &context;
 
+  const double cpu_before_ms = process_cpu_ms();
   obs::Span total_span("perf_bench.total");
   eval::Experiment experiment =
       eval::make_experiment(preset.world, {}, 0.7, 7 + seed);
@@ -428,11 +353,14 @@ int run_bench(const util::ArgParser& args) {
   eval::FriendSeekerAttack attack(preset.seeker);
   const ml::Prf prf = run_graded(attack, experiment);
   total_span.end();
+  // Span::milliseconds() keeps counting after end(), so both totals are
+  // read here, at the end of the measured window.
+  const double total_wall_ms = total_span.milliseconds();
+  const double total_cpu_ms = process_cpu_ms() - cpu_before_ms;
   const std::string main_digest = eval::result_digest(attack.last_result());
 
   // Per-stage rollup from the spans the pipeline recorded.
   json::Array stages;
-  double total_cpu_ms = 0.0;
   for (const auto& [name, agg] : obs::tracer().aggregate()) {
     json::Object stage;
     stage["name"] = name;
@@ -444,7 +372,6 @@ int run_bench(const util::ArgParser& args) {
             ? static_cast<double>(agg.count) * 1000.0 / agg.wall_ms
             : 0.0;
     stages.emplace_back(std::move(stage));
-    if (name != "perf_bench.total") total_cpu_ms += agg.cpu_ms;
   }
 
   json::Object quality;
@@ -453,7 +380,7 @@ int run_bench(const util::ArgParser& args) {
   quality["recall"] = prf.recall;
 
   json::Object totals;
-  totals["wall_ms"] = total_span.milliseconds();
+  totals["wall_ms"] = total_wall_ms;
   totals["cpu_ms"] = total_cpu_ms;
 
   const core::FriendSeekerResult& last = attack.last_result();
@@ -508,7 +435,6 @@ int run_bench(const util::ArgParser& args) {
   root["stages"] = std::move(stages);
   root["totals"] = std::move(totals);
   root["peak_memory_bytes"] = context.peak_charged();
-  if (!last.shards.empty()) root["shards"] = shard_section(last.shards);
 
   // Scaling sweep: one full re-run per requested thread count, after the
   // stage rollup above so its spans don't pollute the per-stage numbers.
@@ -542,92 +468,14 @@ int run_bench(const util::ArgParser& args) {
     par::set_threads(main_threads);
   }
 
-  // Quantized-KNN contract run: the same attack with the int8 distance
-  // engine on, graded against the measured run's iteration-0 decisions
-  // (the presence-only graph the quantizer actually influences). Runs
-  // after the stage rollup so its spans stay out of the per-stage numbers.
-  {
-    obs::Counter& evals_counter = obs::metrics().counter(
-        "ml.knn.quant.exact_evals_total", {},
-        "rows surviving the int8 lower bound to exact rerank");
-    obs::Counter& scanned_counter = obs::metrics().counter(
-        "ml.knn.quant.rows_scanned_total", {},
-        "candidate rows considered by the quantized KNN path");
-    const std::uint64_t evals_before = evals_counter.value();
-    const std::uint64_t scanned_before = scanned_counter.value();
-
-    eval::BenchPreset quant_preset = preset;
-    quant_preset.seeker.presence.knn_quantize = true;
-    runtime::ExecutionContext quant_context;
-    quant_preset.seeker.context = &quant_context;
-    obs::Span quant_span("perf_bench.knn_quantize.run");
-    eval::FriendSeekerAttack quant_attack(quant_preset.seeker);
-    run_graded(quant_attack, experiment);
-    quant_span.end();
-
-    const core::FriendSeekerResult& full_run = attack.last_result();
-    const core::FriendSeekerResult& quant_run = quant_attack.last_result();
-    const std::vector<int>& full0 =
-        full_run.iterations.empty() ? full_run.test_predictions
-                                    : full_run.iterations.front()
-                                          .test_predictions;
-    const std::vector<int>& quant0 =
-        quant_run.iterations.empty() ? quant_run.test_predictions
-                                     : quant_run.iterations.front()
-                                           .test_predictions;
-    const std::size_t decisions = std::min(full0.size(), quant0.size());
-    std::size_t agree = 0, positives = 0, recovered = 0;
-    for (std::size_t i = 0; i < decisions; ++i) {
-      agree += full0[i] == quant0[i];
-      if (full0[i] != 0) {
-        ++positives;
-        recovered += quant0[i] != 0;
-      }
-    }
-    const std::uint64_t exact_evals = evals_counter.value() - evals_before;
-    const std::uint64_t rows_scanned =
-        scanned_counter.value() - scanned_before;
-    const double recall =
-        positives > 0 ? static_cast<double>(recovered) /
-                            static_cast<double>(positives)
-                      : 1.0;
-
-    json::Object quant;
-    quant["decisions"] = decisions;
-    quant["positives_full_precision"] = positives;
-    quant["recall_at_decision"] = recall;
-    quant["decision_agreement"] =
-        decisions > 0
-            ? static_cast<double>(agree) / static_cast<double>(decisions)
-            : 1.0;
-    quant["rows_scanned"] = static_cast<std::size_t>(rows_scanned);
-    quant["exact_evals"] = static_cast<std::size_t>(exact_evals);
-    quant["prune_ratio"] =
-        exact_evals > 0 ? static_cast<double>(rows_scanned) /
-                              static_cast<double>(exact_evals)
-                        : 1.0;
-    quant["wall_ms"] = quant_span.milliseconds();
-    std::printf("knn-quantize: recall@decision=%.4f agreement=%.4f "
-                "prune=%.1fx wall=%.0fms\n",
-                recall,
-                decisions > 0 ? static_cast<double>(agree) /
-                                    static_cast<double>(decisions)
-                              : 1.0,
-                exact_evals > 0 ? static_cast<double>(rows_scanned) /
-                                      static_cast<double>(exact_evals)
-                                : 1.0,
-                quant_span.milliseconds());
-    root["knn_quantize"] = std::move(quant);
-  }
-
   const std::string out_path = args.get("out");
 
   // Store comparison: round-trip the experiment's dataset through the
-  // columnar store, then re-run the attack in-memory, store-backed, and
-  // store-backed with 4 shards. Digest identity across all three modes is
-  // part of the schema contract (validate_bench rejects divergence), so CI
-  // tracks the out-of-core overhead in the same pass that proves the store
-  // and shard paths change nothing about the answer.
+  // columnar store, then re-run the attack in-memory and store-backed.
+  // Digest identity across both modes is part of the schema contract
+  // (validate_bench rejects divergence), so CI tracks the out-of-core
+  // overhead in the same pass that proves the store changes nothing about
+  // the answer.
   if (store_compare_arg == "on") {
     const std::string store_path = out_path + ".fsst";
     store::ConvertOptions convert_options;
@@ -646,8 +494,7 @@ int run_bench(const util::ArgParser& args) {
     store_info["convert_ms"] = convert_span.milliseconds();
 
     json::Array comparison;
-    const auto run_mode = [&](const char* label, bool from_store,
-                              std::size_t shard_count) {
+    const auto run_mode = [&](const char* label, bool from_store) {
       eval::Experiment mode_experiment = experiment;
       std::size_t mapped_resident = 0;
       if (from_store) {
@@ -656,32 +503,24 @@ int run_bench(const util::ArgParser& args) {
         mapped_resident = mapped.resident_bytes();
         mapped.release_pages();
       }
-      eval::BenchPreset mode_preset = preset;
-      mode_preset.seeker.shards = shard_count;
       const RunOutcome outcome =
-          run_attack_once(mode_preset, mode_experiment, main_threads);
+          run_attack_once(preset, mode_experiment, main_threads);
       json::Object entry;
       entry["label"] = label;
       entry["source"] = from_store ? "store" : "memory";
-      entry["shard_count"] = shard_count;
       entry["wall_ms"] = outcome.wall_ms;
       entry["peak_memory_bytes"] = outcome.peak + mapped_resident;
       entry["f1"] = outcome.prf.f1;
       entry["result_digest"] = outcome.digest;
       entry["identical"] = outcome.digest == main_digest;
-      if (!outcome.shards.empty()) {
-        entry["universe_pairs"] = outcome.universe_pairs;
-        entry["shards"] = shard_section(outcome.shards);
-      }
       std::printf("store-comparison: %-14s wall=%.0fms peak=%zu digest=%s%s\n",
                   label, outcome.wall_ms, outcome.peak + mapped_resident,
                   outcome.digest.c_str(),
                   outcome.digest == main_digest ? "" : " MISMATCH");
       comparison.emplace_back(std::move(entry));
     };
-    run_mode("in-memory", false, 0);
-    run_mode("store", true, 0);
-    run_mode("store+4-shards", true, 4);
+    run_mode("in-memory", false);
+    run_mode("store", true);
     root["store"] = std::move(store_info);
     root["store_comparison"] = std::move(comparison);
   }
@@ -690,7 +529,7 @@ int run_bench(const util::ArgParser& args) {
   validate_bench(bench);  // never ship a file the validator would reject
   json::write_file(out_path, bench, 2);
   std::printf("wrote %s (preset=%s F1=%.4f wall=%.0fms)\n", out_path.c_str(),
-              preset_name.c_str(), prf.f1, total_span.milliseconds());
+              preset_name.c_str(), prf.f1, total_wall_ms);
 
   if (!args.get("metrics-out").empty())
     obs::write_metrics_files(obs::metrics(), args.get("metrics-out"));
@@ -716,13 +555,9 @@ int main(int argc, char** argv) {
                   "comma-separated thread counts (e.g. 1,2,4,8): re-run per "
                   "count and emit the scaling section with byte-identity "
                   "digests");
-  args.add_option("shards", "0",
-                  "quadtree shard count for the measured run (0 = monolithic; "
-                  ">= 1 emits the per-shard stats section)");
   args.add_option("store-comparison", "on",
-                  "re-run via the columnar store (in-memory vs store-backed "
-                  "vs store+4-shards) and emit the store_comparison section: "
-                  "on | off");
+                  "re-run via the columnar store (in-memory vs store-backed) "
+                  "and emit the store_comparison section: on | off");
   args.add_option("blocking", "auto",
                   "candidate blocking for the measured run: on | off | auto");
   args.add_option("universe", "sampled",
