@@ -583,6 +583,8 @@ FriendSeekerResult FriendSeeker::run(
       // presence half comes from the feature cache — a guaranteed hit
       // after the phase-1 fill, which is exactly what the cache's hit-rate
       // accounting is meant to show.
+      obs::Span composite_span("core.phase2.composite");
+      composite_span.arg("rows", static_cast<double>(active_count));
       par::ParallelOptions copts;
       copts.context = ctx;
       copts.what = "core.phase2.composite";
@@ -608,6 +610,7 @@ FriendSeekerResult FriendSeeker::run(
               std::copy(social.begin(), social.end(), row + d);
             }
           });
+      composite_span.end();
 
       // Train C' on the labeled pairs (subsampled under the kernel cap).
       // The RNG is derived from (seed, iteration) alone — never from how

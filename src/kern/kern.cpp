@@ -14,16 +14,20 @@ namespace fs::kern {
 
 namespace {
 
-const detail::VTable* vtable_for(IsaPath path) {
-  switch (path) {
-    case IsaPath::kScalar:
-      return detail::vtable_scalar();
-    case IsaPath::kAvx2:
-      return detail::vtable_avx2();
-    case IsaPath::kAvx512:
-      return detail::vtable_avx512();
-  }
-  return nullptr;
+// The GEMM and row-sweep tables of one path; null members when the build
+// lacks the path.
+struct PathKernels {
+  const detail::VTable* gemm;
+  const detail::RowKernels* rows;
+};
+
+const PathKernels* kernels_for(IsaPath path) {
+  static const PathKernels table[] = {
+      {detail::vtable_scalar(), detail::rows_scalar()},
+      {detail::vtable_avx2(), detail::rows_avx2()},
+      {detail::vtable_avx512(), detail::rows_avx512()},
+  };
+  return &table[static_cast<int>(path)];
 }
 
 bool cpu_supports(IsaPath path) {
@@ -59,10 +63,10 @@ struct Dispatch {
 
 std::mutex g_mutex;
 Dispatch g_dispatch;
-// The hot path reads one atomic: the resolved vtable (null = unresolved).
-std::atomic<const detail::VTable*> g_vtable{nullptr};
+// The hot path reads one atomic: the resolved tables (null = unresolved).
+std::atomic<const PathKernels*> g_kernels{nullptr};
 
-const detail::VTable* resolve_locked() {
+const PathKernels* resolve_locked() {
   const char* env = std::getenv("FS_KERNEL");
   if (env != nullptr && *env != '\0') {
     const IsaPath requested = parse_path(env);
@@ -76,17 +80,17 @@ const detail::VTable* resolve_locked() {
       if (path_supported(candidate)) best = candidate;
     g_dispatch = Dispatch{best, ""};
   }
-  const detail::VTable* table = vtable_for(g_dispatch.path);
-  g_vtable.store(table, std::memory_order_release);
-  return table;
+  const PathKernels* kernels = kernels_for(g_dispatch.path);
+  g_kernels.store(kernels, std::memory_order_release);
+  return kernels;
 }
 
-const detail::VTable* active_vtable() {
-  const detail::VTable* table = g_vtable.load(std::memory_order_acquire);
-  if (table != nullptr) return table;
+const PathKernels* active_kernels() {
+  const PathKernels* kernels = g_kernels.load(std::memory_order_acquire);
+  if (kernels != nullptr) return kernels;
   std::lock_guard<std::mutex> lock(g_mutex);
-  table = g_vtable.load(std::memory_order_acquire);
-  if (table != nullptr) return table;
+  kernels = g_kernels.load(std::memory_order_acquire);
+  if (kernels != nullptr) return kernels;
   return resolve_locked();
 }
 
@@ -105,7 +109,9 @@ const char* path_name(IsaPath path) {
 }
 
 bool path_supported(IsaPath path) {
-  return cpu_supports(path) && vtable_for(path) != nullptr;
+  const PathKernels* kernels = kernels_for(path);
+  return cpu_supports(path) && kernels->gemm != nullptr &&
+         kernels->rows != nullptr;
 }
 
 std::vector<IsaPath> supported_paths() {
@@ -117,13 +123,13 @@ std::vector<IsaPath> supported_paths() {
 }
 
 IsaPath active_path() {
-  active_vtable();
+  active_kernels();
   std::lock_guard<std::mutex> lock(g_mutex);
   return g_dispatch.path;
 }
 
 std::string requested_path() {
-  active_vtable();
+  active_kernels();
   std::lock_guard<std::mutex> lock(g_mutex);
   return g_dispatch.requested;
 }
@@ -134,7 +140,7 @@ void force_path(IsaPath path) {
                              " is not supported on this host/build");
   std::lock_guard<std::mutex> lock(g_mutex);
   g_dispatch.path = path;
-  g_vtable.store(vtable_for(path), std::memory_order_release);
+  g_kernels.store(kernels_for(path), std::memory_order_release);
 }
 
 namespace detail {
@@ -163,7 +169,7 @@ void gemm(const GemmCall& call) {
     throw std::invalid_argument("kern::gemm: epilogue without bias");
   if (call.ldc < call.n)
     throw std::invalid_argument("kern::gemm: ldc < n");
-  active_vtable()->gemm(call);
+  active_kernels()->gemm->gemm(call);
 }
 
 namespace {
@@ -215,6 +221,38 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
              const double* bias) {
   gemm(make_call(m, n, k, a, lda, /*a_trans=*/true, b, ldb,
                  /*b_trans=*/false, c, ldc, accumulate, epilogue, bias));
+}
+
+std::size_t packed_rows_size(std::size_t n, std::size_t dim) {
+  return (n + kRowGroup - 1) / kRowGroup * kRowGroup * dim;
+}
+
+void pack_rows8(const double* rows, std::size_t n, std::size_t dim,
+                double* out) {
+  const std::size_t groups = (n + kRowGroup - 1) / kRowGroup;
+  for (std::size_t g = 0; g < groups; ++g) {
+    double* group = out + g * kRowGroup * dim;
+    for (std::size_t lane = 0; lane < kRowGroup; ++lane) {
+      const std::size_t r = g * kRowGroup + lane;
+      for (std::size_t c = 0; c < dim; ++c)
+        group[c * kRowGroup + lane] = r < n ? rows[r * dim + c] : 0.0;
+    }
+  }
+}
+
+void sq_dist_rows(const double* panel, std::size_t n, std::size_t dim,
+                  const double* q, double* out) {
+  active_kernels()->rows->sq_dist(panel, n, dim, q, out);
+}
+
+void dot_rows(const double* panel, std::size_t n, std::size_t dim,
+              const double* q, double* out) {
+  active_kernels()->rows->dot(panel, n, dim, q, out);
+}
+
+RowPanel::RowPanel(const double* rows, std::size_t n, std::size_t dim)
+    : data_(packed_rows_size(n, dim)), rows_(n), dim_(dim) {
+  pack_rows8(rows, n, dim, data_.data());
 }
 
 }  // namespace fs::kern

@@ -1,9 +1,13 @@
 // fs::kern — the compute kernel layer.
 //
-// The pipeline's hot dense primitive is GEMM (the autoencoder's
-// forward/backward products, batch encoding, Gram matrices). This layer
-// implements it as a cache-blocked, register-tiled kernel with runtime
-// ISA dispatch:
+// Two kernel families live here, behind one runtime ISA dispatch:
+//
+//   * GEMM, the autoencoder's dense primitive (forward/backward products,
+//     batch encoding), as a cache-blocked, register-tiled kernel;
+//   * row sweeps, the classifiers' primitive: one query against every row
+//     of a packed reference panel (KNN distances, RBF dot products).
+//
+// GEMM:
 //
 //   * GEMM packs A into MR-tall row panels and B into NR-wide column
 //     panels (BLIS-style MC/KC/NC blocking), then drives an MR x NR
@@ -25,11 +29,22 @@
 // legitimately differ in low-order bits (FMA vs separate multiply-add,
 // vector-lane epilogue order); the scalar path is the golden reference the
 // parity suite measures the vector paths against.
+//
+// Row sweeps have a stronger contract: their bits are PATH-independent.
+// Each output element runs the plain scalar loop's own operation sequence
+// (a subtract or multiply, then a separate add, columns ascending from
+// 0.0); vector lanes only run independent elements side by side. Their
+// translation units are therefore compiled with -ffp-contract=off and
+// without -mfma, so no path can fuse the multiply-add, and every path
+// returns exactly what `acc += (r[c] - q[c]) * (r[c] - q[c])` (or
+// `acc += r[c] * q[c]`) returns, at any thread count.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <vector>
+
+#include "util/aligned.h"
 
 namespace fs::kern {
 
@@ -118,5 +133,61 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
 
 /// Raw entry point behind the three wrappers (kernel_bench uses it).
 void gemm(const GemmCall& call);
+
+// ---------------------------------------------------------------------------
+// Row sweeps
+// ---------------------------------------------------------------------------
+
+/// Rows per packed group: one AVX-512 register, two AVX2 registers.
+inline constexpr std::size_t kRowGroup = 8;
+
+/// Doubles a packed panel of n rows x dim columns occupies (n rounded up
+/// to whole groups).
+std::size_t packed_rows_size(std::size_t n, std::size_t dim);
+
+/// Packs n row-major rows (stride dim) into groups of kRowGroup rows,
+/// column-major inside a group: out[(g * dim + c) * 8 + lane] holds row
+/// g * 8 + lane, column c. Tail lanes of the last group are zero. `out`
+/// holds packed_rows_size(n, dim) doubles. The panel of rows [8g, n) starts
+/// at out + g * 8 * dim, so a sweep can start at any group.
+void pack_rows8(const double* rows, std::size_t n, std::size_t dim,
+                double* out);
+
+/// out[r] = sum over c of (row_r[c] - q[c])^2 for the first n rows of a
+/// packed panel, each accumulated left to right from 0.0 without FMA.
+void sq_dist_rows(const double* panel, std::size_t n, std::size_t dim,
+                  const double* q, double* out);
+
+/// out[r] = sum over c of row_r[c] * q[c], accumulated like sq_dist_rows.
+void dot_rows(const double* panel, std::size_t n, std::size_t dim,
+              const double* q, double* out);
+
+/// An owning, 64-byte-aligned packed panel. The sweeps run on the calling
+/// thread and only read the panel, so any number of workers can share one.
+class RowPanel {
+ public:
+  RowPanel() = default;
+  RowPanel(const double* rows, std::size_t n, std::size_t dim);
+
+  std::size_t rows() const { return rows_; }
+  std::size_t dim() const { return dim_; }
+  /// The sub-panel of rows [first_row, rows()); first_row must be a
+  /// multiple of kRowGroup.
+  const double* from_row(std::size_t first_row) const {
+    return data_.data() + first_row * dim_;
+  }
+
+  void sq_dist(const double* q, double* out) const {
+    sq_dist_rows(data_.data(), rows_, dim_, q, out);
+  }
+  void dot(const double* q, double* out) const {
+    dot_rows(data_.data(), rows_, dim_, q, out);
+  }
+
+ private:
+  std::vector<double, util::AlignedAllocator<double>> data_;
+  std::size_t rows_ = 0;
+  std::size_t dim_ = 0;
+};
 
 }  // namespace fs::kern

@@ -1,9 +1,10 @@
 // Internal seams between the dispatcher (kern.cpp) and the per-ISA
 // translation units. Each arch TU is compiled with its own instruction-set
-// flags and exposes exactly one symbol: its vtable accessor. Everything
-// else in those TUs lives in anonymous namespaces, so template code
-// instantiated under -mavx2/-mavx512f can never be ODR-merged into the
-// scalar path (which must stay free of FMA contraction).
+// flags and exposes exactly one symbol: its table accessor (gemm_*.cpp a
+// VTable, rows_*.cpp a RowKernels). Everything else in those TUs lives in
+// anonymous namespaces, so template code instantiated under
+// -mavx2/-mavx512f can never be ODR-merged into the scalar path (which
+// must stay free of FMA contraction).
 #pragma once
 
 #include <cstddef>
@@ -21,6 +22,19 @@ const VTable* vtable_scalar();
 /// Null when the build (not the CPU) lacks the path.
 const VTable* vtable_avx2();
 const VTable* vtable_avx512();
+
+/// Row-sweep bodies (rows_*.cpp, all compiled with -ffp-contract=off and
+/// without -mfma, so every path returns the scalar reference's bits).
+struct RowKernels {
+  void (*sq_dist)(const double* panel, std::size_t n, std::size_t dim,
+                  const double* q, double* out);
+  void (*dot)(const double* panel, std::size_t n, std::size_t dim,
+              const double* q, double* out);
+};
+
+const RowKernels* rows_scalar();
+const RowKernels* rows_avx2();
+const RowKernels* rows_avx512();
 
 /// 64-byte-aligned thread-local pack scratch, grown monotonically. Two
 /// separate arenas because one GEMM holds both an A block and a B block.

@@ -1,0 +1,63 @@
+// AVX2 row sweeps: a group is two ymm registers, four groups (eight ymm
+// accumulators) per column step. Compiled with -mavx2 -ffp-contract=off
+// and deliberately without -mfma: separate multiply and add are what keep
+// these bits equal to the scalar path's. On any other toolchain the TU
+// degrades to a null table and dispatch never selects it.
+#include <cstddef>
+
+#include "kern/kern_internal.h"
+
+#if defined(__x86_64__) && defined(__AVX2__)
+
+#include <immintrin.h>
+
+#include "kern/rows_body.h"
+
+namespace fs::kern::detail {
+
+namespace {
+
+struct Avx2Lanes {
+  struct Vec {
+    __m256d lo, hi;
+  };
+  static constexpr std::size_t kGroups = 4;
+
+  static Vec zero() { return {_mm256_setzero_pd(), _mm256_setzero_pd()}; }
+  static Vec splat(double x) {
+    const __m256d v = _mm256_set1_pd(x);
+    return {v, v};
+  }
+  static Vec load(const double* p) {
+    return {_mm256_loadu_pd(p), _mm256_loadu_pd(p + 4)};
+  }
+  static void store(double* p, Vec x) {
+    _mm256_storeu_pd(p, x.lo);
+    _mm256_storeu_pd(p + 4, x.hi);
+  }
+  static Vec add(Vec a, Vec b) {
+    return {_mm256_add_pd(a.lo, b.lo), _mm256_add_pd(a.hi, b.hi)};
+  }
+  static Vec sub(Vec a, Vec b) {
+    return {_mm256_sub_pd(a.lo, b.lo), _mm256_sub_pd(a.hi, b.hi)};
+  }
+  static Vec mul(Vec a, Vec b) {
+    return {_mm256_mul_pd(a.lo, b.lo), _mm256_mul_pd(a.hi, b.hi)};
+  }
+};
+
+}  // namespace
+
+const RowKernels* rows_avx2() { return row_kernels<Avx2Lanes>(); }
+
+}  // namespace fs::kern::detail
+
+#else
+
+namespace fs::kern::detail {
+
+const RowKernels* rows_avx2() { return nullptr; }
+
+}  // namespace fs::kern::detail
+
+#endif

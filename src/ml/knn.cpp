@@ -1,10 +1,11 @@
 #include "ml/knn.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
+#include "kern/kern.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "par/par.h"
 
 namespace fs::ml {
@@ -20,37 +21,40 @@ void KnnClassifier::fit(nn::Matrix features, std::vector<int> labels) {
     throw std::invalid_argument("KnnClassifier::fit: empty training set");
   features_ = std::move(features);
   labels_ = std::move(labels);
+  panel_ = kern::RowPanel(features_.data(), features_.rows(), features_.cols());
 }
 
 double KnnClassifier::predict_proba(const double* query) const {
   if (labels_.empty())
     throw std::logic_error("KnnClassifier: predict before fit");
   const std::size_t n = features_.rows();
-  const std::size_t dim = features_.cols();
   const std::size_t k = std::min(k_, n);
 
   // Max-heap over the best-k (distance, index) pairs, kept in a flat array.
+  // Distances arrive a block at a time and feed the heap in ascending row
+  // order, so ties in distance still resolve by training order.
+  constexpr std::size_t kBlock = 32 * kern::kRowGroup;
+  double dist[kBlock];
   std::vector<std::pair<double, std::size_t>> best;
   best.reserve(k + 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* row = features_.row(i);
-    double dist = 0.0;
-    for (std::size_t c = 0; c < dim; ++c) {
-      const double d = row[c] - query[c];
-      dist += d * d;
-    }
-    // Early exit: skip if worse than current k-th best.
-    if (best.size() == k && dist >= best.front().first) continue;
-    best.emplace_back(dist, i);
-    std::push_heap(best.begin(), best.end());
-    if (best.size() > k) {
-      std::pop_heap(best.begin(), best.end());
-      best.pop_back();
+  for (std::size_t first = 0; first < n; first += kBlock) {
+    const std::size_t count = std::min(kBlock, n - first);
+    kern::sq_dist_rows(panel_.from_row(first), count, panel_.dim(), query,
+                       dist);
+    for (std::size_t r = 0; r < count; ++r) {
+      // Early exit: skip if worse than current k-th best.
+      if (best.size() == k && dist[r] >= best.front().first) continue;
+      best.emplace_back(dist[r], first + r);
+      std::push_heap(best.begin(), best.end());
+      if (best.size() > k) {
+        std::pop_heap(best.begin(), best.end());
+        best.pop_back();
+      }
     }
   }
 
   std::size_t positives = 0;
-  for (const auto& [dist, idx] : best) positives += labels_[idx] != 0;
+  for (const auto& [d, idx] : best) positives += labels_[idx] != 0;
   return static_cast<double>(positives) / static_cast<double>(best.size());
 }
 
@@ -60,9 +64,11 @@ std::vector<double> KnnClassifier::predict_proba(
     throw std::logic_error("KnnClassifier: predict before fit");
   if (queries.cols() != features_.cols())
     throw std::invalid_argument("KnnClassifier: query width mismatch");
+  obs::Span span("ml.knn.predict");
+  span.arg("rows", static_cast<double>(queries.rows()));
   std::vector<double> out(queries.rows());
-  // One linear scan per query, queries fanned out across the pool; each
-  // query's heap is chunk-local, so slots never contend.
+  // One packed-panel sweep per query, queries fanned out across the pool;
+  // each query's heap is chunk-local, so slots never contend.
   par::ParallelOptions popts;
   popts.context = context;
   popts.what = "ml.knn.batch";

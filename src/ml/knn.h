@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "kern/kern.h"
 #include "nn/matrix.h"
 #include "util/binary_io.h"
 #include "util/runtime.h"
@@ -20,12 +21,14 @@ class KnnClassifier {
   void fit(nn::Matrix features, std::vector<int> labels);
 
   /// Fraction of positive labels among the k nearest training rows
-  /// (Euclidean distance). Ties in distance resolve by training order.
+  /// (squared Euclidean distance from kern::sq_dist_rows, which gives the
+  /// plain scalar loop's bits on every kernel path). Ties in distance
+  /// resolve by training order.
   double predict_proba(const double* query) const;
 
   /// Batch queries run one neighbor search per row across the fs::par
-  /// pool; `context` (optional) is probed for cancellation/deadline at
-  /// chunk granularity.
+  /// pool, all sharing the packed panel; `context` (optional) is probed
+  /// for cancellation/deadline at chunk granularity.
   std::vector<double> predict_proba(
       const nn::Matrix& queries,
       runtime::ExecutionContext* context = nullptr) const;
@@ -41,6 +44,7 @@ class KnnClassifier {
  private:
   std::size_t k_;
   nn::Matrix features_;
+  kern::RowPanel panel_;  // features_ packed for the distance sweep
   std::vector<int> labels_;
 };
 

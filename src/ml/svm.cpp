@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "kern/kern.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "par/par.h"
@@ -15,21 +16,12 @@ namespace fs::ml {
 
 namespace {
 
-double dot(const double* x, const double* y, std::size_t dim) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < dim; ++i) acc += x[i] * y[i];
-  return acc;
-}
-
-/// Per-row squared norms — the cached half of the RBF fast path.
-std::vector<double> row_squared_norms(const nn::Matrix& m) {
-  std::vector<double> norms(m.rows());
-  par::ParallelOptions popts;
-  popts.what = "ml.svm.norms";
-  popts.grain = par::grain_for(m.cols());
-  par::parallel_for(m.rows(), popts, [&](std::size_t i) {
-    norms[i] = dot(m.row(i), m.row(i), m.cols());
-  });
+/// Squared row norms of a packed panel, as its squared distances to the
+/// origin: each term (x − 0)² is exactly x·x.
+std::vector<double> row_squared_norms(const kern::RowPanel& panel) {
+  std::vector<double> norms(panel.rows());
+  const std::vector<double> origin(panel.dim(), 0.0);
+  panel.sq_dist(origin.data(), norms.data());
   return norms;
 }
 
@@ -40,15 +32,21 @@ SvmClassifier::SvmClassifier(const SvmConfig& config) : config_(config) {
     throw std::invalid_argument("SvmClassifier: C must be > 0");
 }
 
-double SvmClassifier::kernel_to_support(std::size_t sv, const double* query,
-                                        double query_norm) const {
-  const double dist = support_norms_[sv] + query_norm -
-                      2.0 * dot(support_.row(sv), query, support_.cols());
-  return std::exp(-gamma_ * (dist > 0.0 ? dist : 0.0));
+double SvmClassifier::decide(const double* query, double query_norm,
+                             double* dots) const {
+  support_panel_.dot(query, dots);
+  double f = bias_;
+  for (std::size_t s = 0; s < support_.rows(); ++s) {
+    const double dist = support_norms_[s] + query_norm - 2.0 * dots[s];
+    f += alpha_y_[s] * std::exp(-gamma_ * (dist > 0.0 ? dist : 0.0));
+  }
+  return f;
 }
 
 void SvmClassifier::cache_support_norms() {
-  support_norms_ = row_squared_norms(support_);
+  support_panel_ =
+      kern::RowPanel(support_.data(), support_.rows(), support_.cols());
+  support_norms_ = row_squared_norms(support_panel_);
 }
 
 void SvmClassifier::fit(const nn::Matrix& features,
@@ -116,22 +114,29 @@ void SvmClassifier::fit(const nn::Matrix& features,
   // Precomputed kernel matrix (symmetric; memory guarded by max_train_rows
   // and charged against the run's memory budget when governed). Cached row
   // norms turn each RBF entry into one dot product; rows fan out over the
-  // pool filling the upper triangle, then a mirror pass copies it down.
+  // pool, each sweeping the packed panel from the group that holds row
+  // i + 1 to fill the upper triangle, then a mirror pass copies it down.
   const runtime::MemoryCharge kernel_charge(
       config_.context, n * n * sizeof(double), "ml.svm.kernel");
-  const std::vector<double> norms = row_squared_norms(features);
+  const kern::RowPanel panel(features.data(), n, dim);
+  const std::vector<double> norms = row_squared_norms(panel);
   nn::Matrix K(n, n);
   par::ParallelOptions kopts;
   kopts.context = config_.context;
   kopts.what = "ml.svm.kernel";
   kopts.grain = par::grain_for(n * dim / 2 + 1);
-  par::parallel_for(n, kopts, [&](std::size_t i) {
-    K(i, i) = 1.0;
-    const double* xi = features.row(i);
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double dist =
-          norms[i] + norms[j] - 2.0 * dot(xi, features.row(j), dim);
-      K(i, j) = std::exp(-gamma_ * (dist > 0.0 ? dist : 0.0));
+  par::parallel_for_chunks(n, kopts, [&](const par::ChunkRange& chunk) {
+    std::vector<double> dots(n);
+    for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
+      K(i, i) = 1.0;
+      // Lanes of the first group at or below the diagonal are discarded.
+      const std::size_t first = (i + 1) / kern::kRowGroup * kern::kRowGroup;
+      kern::dot_rows(panel.from_row(first), n - first, dim, features.row(i),
+                     dots.data());
+      for (std::size_t j = i + 1; j < n; ++j) {
+        const double dist = norms[i] + norms[j] - 2.0 * dots[j - first];
+        K(i, j) = std::exp(-gamma_ * (dist > 0.0 ? dist : 0.0));
+      }
     }
   });
   for (std::size_t i = 0; i < n; ++i)
@@ -141,12 +146,52 @@ void SvmClassifier::fit(const nn::Matrix& features,
   double b = 0.0;
   util::Rng rng(config_.seed);
 
+  // The non-zero alphas in ascending index order, each with alpha·y (exact:
+  // y is ±1). Error terms sum this list instead of scanning all n alphas;
+  // it is rebuilt after every alpha update.
+  struct Term {
+    std::size_t j;
+    double alpha_y;
+  };
+  std::vector<Term> terms;
+  const auto rebuild_terms = [&] {
+    terms.clear();
+    for (std::size_t j = 0; j < n; ++j)
+      if (alpha[j] != 0.0) terms.push_back({j, alpha[j] * y[j]});
+  };
   auto decision_i = [&](std::size_t i) {
     double f = b;
     const double* krow = K.row(i);
-    for (std::size_t j = 0; j < n; ++j)
-      if (alpha[j] != 0.0) f += alpha[j] * y[j] * krow[j];
+    for (const Term& t : terms) f += t.alpha_y * krow[t.j];
     return f;
+  };
+  // decision_i for rows first..first+count-1 at once: each lane walks its
+  // own K row over the same term list, so it repeats decision_i's sum for
+  // that row exactly; the eight lanes only make independent sums run side
+  // by side. A short tail block (count < 8) falls back to decision_i.
+  constexpr std::size_t kLanes = 8;
+  const auto decision_block = [&](std::size_t first, std::size_t count,
+                                  double* f) {
+    if (count < kLanes) {
+      for (std::size_t l = 0; l < count; ++l) f[l] = decision_i(first + l);
+      return;
+    }
+    const double* k0 = K.row(first);
+    double f0 = b, f1 = b, f2 = b, f3 = b, f4 = b, f5 = b, f6 = b, f7 = b;
+    for (const Term& t : terms) {
+      const double* kc = k0 + t.j;  // column j of rows first..first+7
+      const double a = t.alpha_y;
+      f0 += a * kc[0];
+      f1 += a * kc[n];
+      f2 += a * kc[2 * n];
+      f3 += a * kc[3 * n];
+      f4 += a * kc[4 * n];
+      f5 += a * kc[5 * n];
+      f6 += a * kc[6 * n];
+      f7 += a * kc[7 * n];
+    }
+    const double lanes[kLanes] = {f0, f1, f2, f3, f4, f5, f6, f7};
+    std::copy(lanes, lanes + kLanes, f);
   };
 
   const double C = config_.c;
@@ -165,8 +210,17 @@ void SvmClassifier::fit(const nn::Matrix& features,
     }
     obs::Span pass_span("ml.svm.pass");
     int changed = 0;
+    // Error terms of rows [spec_begin, spec_end), computed ahead by
+    // decision_block; valid until the next alpha/b update.
+    double spec[kLanes];
+    std::size_t spec_begin = 0, spec_end = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double e_i = decision_i(i) - y[i];
+      if (i >= spec_end) {
+        spec_begin = i;
+        spec_end = std::min(i + kLanes, n);
+        decision_block(i, spec_end - i, spec);
+      }
+      const double e_i = spec[i - spec_begin] - y[i];
       const bool violates = (y[i] * e_i < -tol && alpha[i] < C) ||
                             (y[i] * e_i > tol && alpha[i] > 0.0);
       if (!violates) continue;
@@ -207,6 +261,8 @@ void SvmClassifier::fit(const nn::Matrix& features,
       if (alpha_i_new > 0.0 && alpha_i_new < C) b = b1;
       else if (alpha_j_new > 0.0 && alpha_j_new < C) b = b2;
       else b = (b1 + b2) / 2.0;
+      rebuild_terms();
+      spec_end = i + 1;  // later rows must see the new alphas and b
 
       ++changed;
     }
@@ -239,27 +295,35 @@ void SvmClassifier::fit(const nn::Matrix& features,
 
 double SvmClassifier::decision(const double* query) const {
   if (!trained_) throw std::logic_error("SvmClassifier: predict before fit");
-  double f = bias_;
-  const std::size_t dim = support_.cols();
-  const double query_norm = dot(query, query, dim);
-  for (std::size_t s = 0; s < support_.rows(); ++s)
-    f += alpha_y_[s] * kernel_to_support(s, query, query_norm);
-  return f;
+  const kern::RowPanel packed(query, 1, support_.cols());
+  std::vector<double> dots(support_.rows());
+  return decide(query, row_squared_norms(packed)[0], dots.data());
 }
 
 std::vector<double> SvmClassifier::decision(const nn::Matrix& queries) const {
+  if (!trained_) throw std::logic_error("SvmClassifier: predict before fit");
   if (queries.cols() != support_.cols())
     throw std::invalid_argument("SvmClassifier: query width mismatch");
+  obs::Span span("ml.svm.decision");
+  span.arg("rows", static_cast<double>(queries.rows()));
   std::vector<double> out(queries.rows());
   // Full-universe evaluation is the phase-2 hot path: queries fan out over
-  // the pool, each row scanning every support vector independently.
+  // the pool, each sweeping the shared packed support panel. A chunk packs
+  // its own queries once for their squared norms.
   par::ParallelOptions popts;
   popts.context = config_.context;
   popts.what = "ml.svm.decision";
   popts.grain = par::grain_for(support_.rows() * support_.cols() + 1);
-  par::parallel_for(queries.rows(), popts, [&](std::size_t r) {
-    out[r] = decision(queries.row(r));
-  });
+  par::parallel_for_chunks(
+      queries.rows(), popts, [&](const par::ChunkRange& chunk) {
+        const kern::RowPanel packed(queries.row(chunk.begin),
+                                    chunk.end - chunk.begin, queries.cols());
+        const std::vector<double> query_norms = row_squared_norms(packed);
+        std::vector<double> dots(support_.rows());
+        for (std::size_t r = chunk.begin; r < chunk.end; ++r)
+          out[r] = decide(queries.row(r), query_norms[r - chunk.begin],
+                          dots.data());
+      });
   obs::metrics()
       .counter("ml.svm.decisions_total", {}, "SVM decision-function queries")
       .add(queries.rows());

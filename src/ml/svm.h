@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "kern/kern.h"
 #include "nn/matrix.h"
 #include "util/binary_io.h"
 #include "util/runtime.h"
@@ -67,19 +68,20 @@ class SvmClassifier {
   bool trained() const { return trained_; }
 
  private:
-  /// RBF between a support vector (by index) and a query with precomputed
-  /// squared norms: ‖x−y‖² = ‖x‖² + ‖y‖² − 2·x·y, clamped at 0 (the
-  /// expansion can go epsilon-negative where the direct difference
-  /// cannot).
-  double kernel_to_support(std::size_t sv, const double* query,
-                           double query_norm) const;
-  /// Rebuilds support_norms_ from support_ (after fit and load).
+  /// Decision value of one query with precomputed squared norm; `dots`
+  /// is scratch for support_vector_count() dot products. Each RBF term
+  /// uses ‖x−y‖² = ‖x‖² + ‖y‖² − 2·x·y, clamped at 0 (the expansion can
+  /// go epsilon-negative where the direct difference cannot), and the
+  /// terms add up in support-vector order.
+  double decide(const double* query, double query_norm, double* dots) const;
+  /// Packs support_ and rebuilds support_norms_ (after fit and load).
   void cache_support_norms();
 
   SvmConfig config_;
   double gamma_ = 1.0;
   double bias_ = 0.0;
   nn::Matrix support_;              // support vectors (rows)
+  kern::RowPanel support_panel_;    // support_ packed (derived, not saved)
   std::vector<double> support_norms_;  // ‖support row‖² (derived, not saved)
   std::vector<double> alpha_y_;     // alpha_i * y_i per support vector
   bool trained_ = false;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "kern/kern.h"
+#include "par/par.h"
 #include "par/pool.h"
 #include "util/aligned.h"
 #include "util/rng.h"
@@ -328,6 +329,75 @@ TEST(KernGemm, RejectsMalformedCalls) {
   EXPECT_THROW(gemm_nn(2, 2, 2, a.data(), 2, b.data(), 2, c.data(), 2,
                        false, Epilogue::kBias, nullptr),
                std::invalid_argument);
+}
+
+// Values spanning six decades with random signs, so every lane's
+// rounding sequence matters.
+std::vector<double> mixed_magnitudes(std::size_t count, util::Rng& rng) {
+  std::vector<double> values(count);
+  for (double& v : values)
+    v = rng.normal(0.0, 1.0) * std::pow(10.0, rng.uniform(-3.0, 3.0));
+  return values;
+}
+
+TEST(KernRows, EveryPathMatchesNaiveLoopBitForBit) {
+  // The naive loops below are the contract: any path, any thread count,
+  // memcmp-equal. Queries fan out over the pool and share one panel, the
+  // way the KNN and SVM sweeps use it.
+  constexpr std::size_t kQueries = 5;
+  util::Rng rng(2400144);
+  for (std::size_t n : {1u, 7u, 8u, 9u, 17u, 2400u})
+    for (std::size_t dim : {1u, 7u, 8u, 48u, 144u, 1380u}) {
+      const std::vector<double> rows = mixed_magnitudes(n * dim, rng);
+      const std::vector<double> queries =
+          mixed_magnitudes(kQueries * dim, rng);
+      std::vector<double> want_dist(kQueries * n), want_dot(kQueries * n);
+      for (std::size_t q = 0; q < kQueries; ++q)
+        for (std::size_t r = 0; r < n; ++r) {
+          double dist = 0.0, dot = 0.0;
+          for (std::size_t c = 0; c < dim; ++c) {
+            const double d = rows[r * dim + c] - queries[q * dim + c];
+            dist += d * d;
+            dot += rows[r * dim + c] * queries[q * dim + c];
+          }
+          want_dist[q * n + r] = dist;
+          want_dot[q * n + r] = dot;
+        }
+
+      const RowPanel panel(rows.data(), n, dim);
+      ASSERT_EQ(packed_rows_size(n, dim), (n + 7) / 8 * 8 * dim);
+      for (IsaPath path : supported_paths()) {
+        PathGuard guard(path);
+        for (std::size_t threads : {1u, 2u, 5u}) {
+          par::set_threads(threads);
+          std::vector<double> dist(kQueries * n), dot(kQueries * n);
+          par::ParallelOptions options;
+          options.grain = 1;
+          par::parallel_for(kQueries, options, [&](std::size_t q) {
+            panel.sq_dist(queries.data() + q * dim, dist.data() + q * n);
+            panel.dot(queries.data() + q * dim, dot.data() + q * n);
+          });
+          EXPECT_EQ(0, std::memcmp(dist.data(), want_dist.data(),
+                                   dist.size() * sizeof(double)))
+              << "sq_dist " << path_name(path) << " n=" << n
+              << " dim=" << dim << " threads=" << threads;
+          EXPECT_EQ(0, std::memcmp(dot.data(), want_dot.data(),
+                                   dot.size() * sizeof(double)))
+              << "dot " << path_name(path) << " n=" << n << " dim=" << dim
+              << " threads=" << threads;
+        }
+      }
+      // A sweep may start at any group: rows [8, n) of the same panel.
+      if (n > 8) {
+        PathGuard guard(supported_paths().back());
+        std::vector<double> tail(n - 8);
+        dot_rows(panel.from_row(8), n - 8, dim, queries.data(), tail.data());
+        EXPECT_EQ(0, std::memcmp(tail.data(), want_dot.data() + 8,
+                                 tail.size() * sizeof(double)))
+            << "sub-panel n=" << n << " dim=" << dim;
+      }
+    }
+  par::set_threads(1);
 }
 
 TEST(KernAligned, PackScratchAndAllocatorAre64ByteAligned) {

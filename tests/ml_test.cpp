@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <sstream>
+#include <string>
 
 #include "ml/knn.h"
 #include "ml/metrics.h"
 #include "ml/scaler.h"
 #include "ml/split.h"
 #include "ml/svm.h"
+#include "par/pool.h"
+#include "util/binary_io.h"
 #include "util/rng.h"
 
 namespace fs::ml {
@@ -168,6 +174,48 @@ TEST(Knn, KLargerThanTrainSetUsesAll) {
   EXPECT_NEAR(knn.predict_proba(query)[0], 0.5, 1e-12);
 }
 
+TEST(Knn, TiesResolveByTrainingOrder) {
+  // k = 4 with the query at 0: row 0 is the nearest, then seven rows at
+  // distance 1 whose labels alternate, starting in one 8-row group and
+  // ending past a distance block. Which three of them fill slots 2..4
+  // decides the answer: the earliest three (labels 0, 1, 0) give 1/4, any
+  // other choice gives 2/4 or 3/4. The far rows pad the reference set so
+  // the ties cross group and block boundaries.
+  const std::size_t n = 700;
+  const std::size_t tied[] = {6, 7, 8, 300, 301, 512, 699};
+  nn::Matrix train(n, 3);
+  std::vector<int> labels(n, 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    train(i, 0) = 50.0 + static_cast<double>(i);
+    train(i, 1) = -3.0;
+    train(i, 2) = 0.25;
+  }
+  train(0, 0) = 0.0;
+  train(0, 1) = 0.0;
+  train(0, 2) = 0.0;
+  labels[0] = 0;
+  for (std::size_t t = 0; t < std::size(tied); ++t) {
+    train(tied[t], 0) = 0.0;
+    train(tied[t], 1) = t % 2 == 0 ? 1.0 : -1.0;  // same distance either way
+    train(tied[t], 2) = 0.0;
+    labels[tied[t]] = static_cast<int>(t % 2);
+  }
+  const double query[3] = {0.0, 0.0, 0.0};
+  KnnClassifier knn(4);
+  knn.fit(train, labels);
+  EXPECT_DOUBLE_EQ(knn.predict_proba(query), 0.25);
+  const nn::Matrix queries = nn::Matrix::from_rows({{0.0, 0.0, 0.0}});
+  EXPECT_DOUBLE_EQ(knn.predict_proba(queries)[0], 0.25);
+
+  // Flipping the tied labels flips the answer: the earliest three now
+  // carry labels 1, 0, 1.
+  for (std::size_t t = 0; t < std::size(tied); ++t)
+    labels[tied[t]] = static_cast<int>(1 - t % 2);
+  KnnClassifier flipped(4);
+  flipped.fit(train, labels);
+  EXPECT_DOUBLE_EQ(flipped.predict_proba(query), 0.5);
+}
+
 TEST(Knn, Validation) {
   EXPECT_THROW(KnnClassifier(0), std::invalid_argument);
   KnnClassifier knn(3);
@@ -267,6 +315,61 @@ TEST(Svm, GammaAutoIsPositive) {
   SvmClassifier svm;
   svm.fit(x, y);
   EXPECT_GT(svm.gamma(), 0.0);
+}
+
+std::uint64_t fnv1a(const void* data, std::size_t bytes,
+                    std::uint64_t hash = 0xcbf29ce484222325ULL) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    hash ^= p[i];
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST(Svm, FitAndDecisionBytesArePinned) {
+  // A fixed seeded 300 x 24 training set with a non-linear, noisy label
+  // and 170 held-out queries. The digests pin the trained model (save()
+  // bytes: gamma, bias, support vectors, alpha*y) and the decision values
+  // bit for bit; they must hold on every kernel path and thread count.
+  util::Rng rng(300024);
+  const std::size_t n = 300, dim = 24, q = 170;
+  nn::Matrix x(n, dim), queries(q, dim);
+  std::vector<int> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double score = 0.0;
+    for (std::size_t c = 0; c < dim; ++c) {
+      x(i, c) = rng.normal(0.0, c % 3 == 0 ? 2.0 : 0.5);
+      score += (c % 2 == 0 ? 1.0 : -1.0) * x(i, c) * x(i, c);
+    }
+    y[i] = score + rng.normal(0.0, 1.0) > 0.0 ? 1 : 0;
+  }
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    queries.data()[i] = rng.normal(0.0, 1.0);
+
+  for (std::size_t threads : {1u, 3u}) {
+    par::set_threads(threads);
+    SvmClassifier svm;
+    svm.fit(x, y);
+    std::ostringstream bytes;
+    util::BinaryWriter writer(bytes);
+    svm.save(writer);
+    const std::string model = bytes.str();
+    const std::vector<double> decision = svm.decision(queries);
+    EXPECT_EQ(fnv1a(model.data(), model.size()), 0xd7bf863b705c6ff0ULL)
+        << std::hex << fnv1a(model.data(), model.size())
+        << " threads=" << std::dec << threads;
+    EXPECT_EQ(fnv1a(decision.data(), decision.size() * sizeof(double)),
+              0x249a23ec785fc1eeULL)
+        << std::hex
+        << fnv1a(decision.data(), decision.size() * sizeof(double))
+        << " threads=" << std::dec << threads;
+    for (std::size_t r = 0; r < q; r += 37) {
+      const double single = svm.decision(queries.row(r));
+      EXPECT_EQ(0, std::memcmp(&single, &decision[r], sizeof(double)));
+    }
+  }
+  par::set_threads(1);
 }
 
 // ---------- split ----------

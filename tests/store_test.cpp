@@ -1,8 +1,8 @@
 // fs::store subsystem tests: the SNAP -> store -> Dataset round-trip
 // property (byte-identical to loading the SNAP files directly, quarantine
 // census preserved), rejection of truncated and bit-flipped files with the
-// structured CorruptStore error, the atomic-conversion failpoints, and the
-// row-stripe / resident-page accessors the sharded path leans on.
+// structured CorruptStore error, the atomic-conversion failpoints, the
+// resident-page census and release, and the sort fingerprint.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -295,7 +295,7 @@ TEST(StoreConvert, KillFailpointLeavesTmpNeverFinal) {
   EXPECT_NO_THROW(store::MappedStore::open(path));
 }
 
-// ---------- accessors the sharded path uses ----------
+// ---------- residency and sort-order accessors ----------
 
 TEST(Store, ResidentBytesIsBoundedAndReleaseIsSafe) {
   const StoreFixture fx("fs_store_resident", 52);

@@ -1,8 +1,9 @@
 // kernel_bench — fs::kern micro-benchmark. Sweeps the GEMM macro-kernel
-// over every ISA path this host supports (pinned per measurement with
-// kern::force_path) and writes a machine-readable JSON report: GFLOP/s per
-// (path, variant, shape), so kernel regressions show up as a number diff
-// instead of a pipeline-level slowdown with no attribution.
+// and the row sweeps over every ISA path this host supports (pinned per
+// measurement with kern::force_path) and writes a machine-readable JSON
+// report: GFLOP/s per (path, variant, shape) and per (path, op, shape),
+// so kernel regressions show up as a number diff instead of a
+// pipeline-level slowdown with no attribution.
 //
 //   kernel_bench [--out kernel_bench.json] [--threads N] [--min-ms 80]
 //                [--quick]
@@ -11,15 +12,24 @@
 // mini-batch training GEMMs (m = batch 16, JOC width 1380, hidden 320) in
 // the nn/nt/tn variant each one actually runs, batch encoding (m = corpus
 // rows), and square stress shapes. Every GEMM is timed at --threads.
+//
+// The rows section times sq_dist_rows/dot_rows at the classifiers' shapes
+// (KNN reference set, SVM support vectors, SVM kernel-matrix fill): a batch
+// of queries fans out over --threads, all sharing one packed panel. Each
+// entry records whether its output memcmp-equals the scalar path's, which
+// the row-sweep contract requires.
 // --quick shrinks reps and the shape list for CI smoke.
 #include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "kern/kern.h"
 #include "nn/matrix.h"
 #include "obs/json.h"
+#include "par/par.h"
 #include "par/pool.h"
 #include "util/args.h"
 #include "util/rng.h"
@@ -97,6 +107,66 @@ json::Object bench_gemm(const Shape& shape, double min_ms, util::Rng& rng) {
   return entry;
 }
 
+struct RowShape {
+  std::size_t n, dim;
+  const char* what;
+};
+
+/// Queries per timed batch: enough chunks to spread over the pool.
+constexpr std::size_t kRowQueries = 64;
+
+/// Outputs of one (op, shape) on the scalar path, keyed "op:n:dim".
+using RowReference = std::map<std::string, std::vector<double>>;
+
+json::Object bench_rows(const char* op, const RowShape& shape, double min_ms,
+                        RowReference& reference) {
+  // Seeded by shape alone, so every path sweeps the same operands.
+  util::Rng rng(shape.n * 131 + shape.dim);
+  nn::Matrix rows(shape.n, shape.dim), queries(kRowQueries, shape.dim);
+  for (std::size_t i = 0; i < rows.size(); ++i) rows.data()[i] = rng.normal();
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    queries.data()[i] = rng.normal();
+  const kern::RowPanel panel(rows.data(), shape.n, shape.dim);
+  const bool dist = std::strcmp(op, "sq_dist") == 0;
+  std::vector<double> out(kRowQueries * shape.n);
+  par::ParallelOptions options;
+  options.grain = 1;
+  const auto sweep = [&] {
+    par::parallel_for(kRowQueries, options, [&](std::size_t q) {
+      double* slot = out.data() + q * shape.n;
+      if (dist)
+        panel.sq_dist(queries.row(q), slot);
+      else
+        panel.dot(queries.row(q), slot);
+    });
+  };
+  const auto [wall_ms, reps] = measure(min_ms, sweep);
+
+  const std::string key = std::string(op) + ":" + std::to_string(shape.n) +
+                          ":" + std::to_string(shape.dim);
+  if (kern::active_path() == kern::IsaPath::kScalar) reference[key] = out;
+  const std::vector<double>& want = reference.at(key);
+  const bool matches =
+      std::memcmp(want.data(), out.data(), out.size() * sizeof(double)) == 0;
+
+  // sq_dist is a subtract, a multiply and an add per element; dot is two.
+  const double flops = (dist ? 3.0 : 2.0) * static_cast<double>(shape.n) *
+                       static_cast<double>(shape.dim) *
+                       static_cast<double>(kRowQueries) *
+                       static_cast<double>(reps);
+  json::Object entry;
+  entry["what"] = std::string(shape.what);
+  entry["op"] = std::string(op);
+  entry["n"] = shape.n;
+  entry["dim"] = shape.dim;
+  entry["queries"] = kRowQueries;
+  entry["reps"] = reps;
+  entry["wall_ms"] = wall_ms;
+  entry["gflops"] = wall_ms > 0.0 ? flops / (wall_ms * 1e6) : 0.0;
+  entry["matches_scalar"] = matches;
+  return entry;
+}
+
 int run(const util::ArgParser& args) {
   par::set_threads(static_cast<std::size_t>(args.get_int("threads")));
   const bool quick = args.get_flag("quick");
@@ -115,7 +185,18 @@ int run(const util::ArgParser& args) {
   };
   if (!quick) shapes.push_back({"nn", 512, 512, 512, "square-large"});
 
+  // The classifiers' sweeps on the attack_full shapes: KNN over the
+  // 2400 x 48 reference set, SVM decisions over 800 x 144 support vectors,
+  // the SVM kernel-matrix fill over 1200 x 144 training rows.
+  const std::vector<RowShape> row_shapes = {
+      {2400, 48, "knn.reference"},
+      {800, 144, "svm.support_vectors"},
+      {1200, 144, "svm.kernel_fill"},
+  };
+
   json::Array paths;
+  bool rows_match = true;
+  RowReference reference;  // filled by the scalar path, which runs first
   for (const kern::IsaPath path : kern::supported_paths()) {
     kern::force_path(path);
     util::Rng rng(20260809);  // same operands for every path
@@ -125,11 +206,19 @@ int run(const util::ArgParser& args) {
     for (const Shape& shape : shapes)
       gemm.emplace_back(bench_gemm(shape, min_ms, rng));
     section["gemm"] = std::move(gemm);
+    json::Array rows;
+    for (const RowShape& shape : row_shapes)
+      for (const char* op : {"sq_dist", "dot"}) {
+        json::Object entry = bench_rows(op, shape, min_ms, reference);
+        rows_match = rows_match && entry["matches_scalar"].as_bool();
+        rows.emplace_back(std::move(entry));
+      }
+    section["rows"] = std::move(rows);
     paths.emplace_back(std::move(section));
   }
 
   json::Object root;
-  root["schema_version"] = 3;
+  root["schema_version"] = 4;
   root["threads"] = par::threads();
   root["paths"] = std::move(paths);
 
@@ -147,7 +236,23 @@ int run(const util::ArgParser& args) {
                   entry.at("k").as_number(), entry.at("gflops").as_number(),
                   entry.at("what").as_string().c_str());
   }
+  for (const json::Value& section : report.at("paths").as_array()) {
+    const char* path = section.at("path").as_string().c_str();
+    for (const json::Value& entry : section.at("rows").as_array())
+      std::printf("%-7s %-7s(%4.0f x %4.0f) %7.2f GFLOP/s  %s%s\n", path,
+                  entry.at("op").as_string().c_str(),
+                  entry.at("n").as_number(), entry.at("dim").as_number(),
+                  entry.at("gflops").as_number(),
+                  entry.at("what").as_string().c_str(),
+                  entry.at("matches_scalar").as_bool() ? ""
+                                                       : "  MISMATCH");
+  }
   std::printf("wrote %s\n", args.get("out").c_str());
+  if (!rows_match) {
+    std::fprintf(stderr,
+                 "kernel_bench: a row sweep differs from the scalar path\n");
+    return 1;
+  }
   return 0;
 }
 
@@ -157,7 +262,7 @@ int main(int argc, char** argv) {
   util::ArgParser args;
   args.add_option("out", "kernel_bench.json", "JSON report output file");
   args.add_option("threads", "1",
-                  "worker threads for the GEMM parallel region (1 gives "
+                  "worker threads for the GEMM and row-sweep regions (1 gives "
                   "clean per-ISA numbers; results are identical regardless)");
   args.add_option("min-ms", "80",
                   "minimum measured wall per (path, shape); reps double "
