@@ -508,33 +508,42 @@ FriendSeekerResult FriendSeeker::run(
         static_cast<std::size_t>(config_.k - 1) * d;
     const std::size_t composite_width = d + social_width;
 
-    EdgeFeatureFn edge_feature = [&](data::UserId a, data::UserId b,
-                                     std::vector<double>& out) {
-      const auto it =
-          universe.row_of.find(data::make_pair_ordered(a, b));
-      if (it == universe.row_of.end()) return false;
-      // Pruned rows never carry an edge, so this probe only rejects pairs
-      // outside the universe; it also keeps the cache's hit accounting
-      // clean of pairs that were never cached.
-      if (active_of_row[it->second] == kInactive) return false;
-      const double* h = cache->find_presence(it->first);
-      if (h == nullptr) return false;
-      out.assign(h, h + d);
-      return true;
+    // Phase 2 reads an edge's presence row through a table rebuilt once per
+    // graph: one pointer per adjacency slot, resolved universe row ->
+    // scored row -> cached presence row. An edge outside the universe or
+    // pruned by blocking resolves to null and contributes nothing.
+    const EdgeFeatureTable::RowFn edge_row = [&](data::UserId a,
+                                                 data::UserId b) {
+      const auto it = universe.row_of.find(data::make_pair_ordered(a, b));
+      if (it == universe.row_of.end() || active_of_row[it->second] == kInactive)
+        return static_cast<const double*>(nullptr);
+      return cache->find_presence(it->first);
     };
 
-    // The composite matrix is phase 2's dominant allocation; it and its
-    // budget charge are hoisted out of the refinement loop and reused every
-    // iteration. A failed charge degrades exactly like an in-iteration
-    // budget failure: keep the phase-1 graph.
+    // The composite matrix is phase 2's dominant allocation; it, the edge
+    // table and their budget charges are hoisted out of the refinement loop
+    // and reused every iteration. The table is sized for the largest graph
+    // phase 2 can build — every edge is a candidate scored row — so no
+    // rebuild outgrows its charge. A failed charge degrades exactly like an
+    // in-iteration budget failure: keep the phase-1 graph.
     std::optional<runtime::MemoryCharge> composite_charge;
+    std::optional<runtime::MemoryCharge> edge_table_charge;
     nn::Matrix composite;
+    EdgeFeatureTable edge_table;
     bool phase2_ready = true;
     try {
       composite_charge.emplace(
           ctx, active_count * composite_width * sizeof(double),
           "core.phase2.composite");
       composite = nn::Matrix(active_count, composite_width);
+      const std::size_t max_edges = static_cast<std::size_t>(
+          std::count_if(active_rows.begin(), active_rows.end(),
+                        [&](std::size_t row) { return candidate[row]; }));
+      edge_table_charge.emplace(
+          ctx, EdgeFeatureTable::bytes_for(current.node_count(), max_edges),
+          "core.phase2.edge_table");
+      edge_table.reserve(current.node_count(), max_edges);
+      edge_table.rebuild(current, d, edge_row);
     } catch (const Error& e) {
       if (e.code() != ErrorCode::kBudget) throw;
       phase2_ready = false;
@@ -545,6 +554,17 @@ FriendSeekerResult FriendSeeker::run(
       result.degradation.add("phase2.refine", "memory", e.what(),
                              start_iteration - 1, config_.max_iterations);
     }
+
+    // One k-hop scratch per pool participant (ChunkRange::worker indexes
+    // it), reused across pairs, chunks and iterations: its markers are
+    // epoch-stamped, so reuse is free. The path tallies are summed after
+    // each region, so their total does not depend on scheduling.
+    struct alignas(64) Phase2Worker {
+      graph::KHopScratch khop;
+      graph::KHopStats stats;
+      std::vector<double> social;  // heuristic ablation only
+    };
+    std::vector<Phase2Worker> workers(par::threads());
 
     // Hoisted per-iteration temporaries: capacity survives across
     // iterations instead of being reallocated each refinement pass.
@@ -577,40 +597,63 @@ FriendSeekerResult FriendSeeker::run(
       iter_span.arg("iteration", static_cast<double>(iteration));
       try {
       // Composite features v = h ⊕ s for every scored pair on the current
-      // graph. Pairs fan out over the pool in fixed chunks; each chunk
-      // reuses one social/edge scratch pair across its pairs, and the
-      // k-hop working set is covered by the per-worker scratch charge. The
-      // presence half comes from the feature cache — a guaranteed hit
-      // after the phase-1 fill, which is exactly what the cache's hit-rate
-      // accounting is meant to show.
+      // graph. Pairs fan out over the pool in fixed chunks; each worker
+      // reuses its own k-hop scratch, charged per worker below, and writes
+      // s straight into the pair's composite row. The presence half comes
+      // from the feature cache — a guaranteed hit after the phase-1 fill,
+      // which is exactly what the cache's hit-rate accounting is meant to
+      // show.
       obs::Span composite_span("core.phase2.composite");
       composite_span.arg("rows", static_cast<double>(active_count));
+      for (Phase2Worker& worker : workers) worker.stats = {};
       par::ParallelOptions copts;
       copts.context = ctx;
       copts.what = "core.phase2.composite";
       copts.grain = 8;
-      copts.scratch_bytes_per_worker = (social_width + d) * sizeof(double);
+      copts.scratch_bytes_per_worker =
+          social_width * sizeof(double) +
+          graph::KHopScratch::bytes_for(current.node_count());
       par::parallel_for_chunks(
           active_count, copts,
           [&](const par::ChunkRange& chunk) {
-            std::vector<double> social, edge_scratch;
-            social.reserve(social_width);
-            edge_scratch.reserve(d);
+            Phase2Worker& worker = workers[chunk.worker];
             for (std::size_t ai = chunk.begin; ai < chunk.end; ++ai) {
               const auto [a, b] = universe.pairs[active_rows[ai]];
               double* row = composite.row(ai);
               const double* h =
                   cache->find_presence(universe.pairs[active_rows[ai]]);
               std::copy(h, h + d, row);
-              if (config_.use_social_feature)
-                social_proximity_feature(current, a, b, social_cfg,
-                                         edge_feature, social, edge_scratch);
-              else
-                heuristic_social_feature(current, a, b, social_cfg, social);
-              std::copy(social.begin(), social.end(), row + d);
+              graph::KHopStats pair_stats;
+              if (config_.use_social_feature) {
+                pair_stats = social_proximity_feature(
+                    current, a, b, social_cfg, edge_table, worker.khop,
+                    std::span<double>(row + d, social_width));
+              } else {
+                pair_stats = heuristic_social_feature(
+                    current, a, b, social_cfg, worker.social);
+                std::copy(worker.social.begin(), worker.social.end(),
+                          row + d);
+              }
+              worker.stats.paths += pair_stats.paths;
+              worker.stats.capped += pair_stats.capped;
             }
           });
+      graph::KHopStats khop_total;
+      for (const Phase2Worker& worker : workers) {
+        khop_total.paths += worker.stats.paths;
+        khop_total.capped += worker.stats.capped;
+      }
+      composite_span.arg("paths", static_cast<double>(khop_total.paths));
+      composite_span.arg("capped", static_cast<double>(khop_total.capped));
       composite_span.end();
+      obs::metrics()
+          .counter("core.social.paths_total", {},
+                   "k-hop paths retained by phase-2 social features")
+          .add(static_cast<double>(khop_total.paths));
+      obs::metrics()
+          .counter("core.social.capped_total", {},
+                   "pair path lengths truncated by max_paths_per_length")
+          .add(static_cast<double>(khop_total.capped));
 
       // Train C' on the labeled pairs (subsampled under the kernel cap).
       // The RNG is derived from (seed, iteration) alone — never from how
@@ -635,10 +678,12 @@ FriendSeekerResult FriendSeeker::run(
         svm_labels.resize(order.size());
       }
 
+      obs::Span scale_span("core.phase2.scale");
       ml::StandardScaler scaler;
       const nn::Matrix svm_train =
           scaler.fit_transform(composite.gather_rows(svm_rows));
       const nn::Matrix all_scaled = scaler.transform(composite);
+      scale_span.end();
       if (config_.phase2_classifier ==
           FriendSeekerConfig::Phase2Classifier::kLogistic) {
         ml::LogisticClassifier clf(config_.logistic);
@@ -661,6 +706,7 @@ FriendSeekerResult FriendSeeker::run(
                              "iteration " +
                              std::to_string(iteration));
 
+      obs::Span update_span("core.phase2.update");
       const double cut = tune_on_train(decision);
       // Hysteresis: borderline pairs keep their previous state, so the
       // graph settles instead of oscillating around the cut. The decision
@@ -716,6 +762,8 @@ FriendSeekerResult FriendSeeker::run(
                                                  universe, predictions);
       const double change = graph::edge_change_ratio(current, next);
       current = std::move(next);
+      edge_table.rebuild(current, d, edge_row);
+      update_span.end();
       record_iteration(iteration, change, current);
       result.iterations_run = iteration;
       if (!after_first_iteration.has_value())

@@ -6,9 +6,16 @@
 // summed, and the per-length sums are concatenated — yielding a
 // (k-1) * d social-proximity vector s. The composite phase-2 feature is
 // v = h_(a,b) ⊕ s_(a,b).
+//
+// Both variants walk the paths with graph::enumerate_khop_paths and add a
+// path's edge features into its length slot the moment the path is found,
+// a→b in edge order — the same sequence of `+=` per element whichever way
+// the rows are supplied, so the two give byte-identical vectors.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "data/dataset.h"
@@ -26,6 +33,46 @@ struct SocialFeatureConfig {
   int k = 3;
   std::size_t feature_dim = 64;  // must equal the presence feature dim
   graph::KHopOptions khop;       // khop.k is overwritten with k
+};
+
+/// The presence row of every adjacency slot of one graph: row(u, j) is the
+/// feature of edge (u, neighbors(u)[j]), or null when that edge has none
+/// (it then contributes nothing to a sum). Both slots of an edge resolve
+/// to the same row. Valid until the graph changes; rebuild() reuses the
+/// table's storage.
+class EdgeFeatureTable {
+ public:
+  /// Resolves the row of edge (u, v), or null.
+  using RowFn = std::function<const double*(data::UserId, data::UserId)>;
+
+  /// Bytes a table over `node_count` nodes and `edge_count` edges holds.
+  static std::size_t bytes_for(std::size_t node_count,
+                               std::size_t edge_count);
+
+  /// Sizes the storage for graphs of up to that shape, so rebuilds within
+  /// it never allocate.
+  void reserve(std::size_t node_count, std::size_t edge_count);
+
+  /// Re-resolves every adjacency slot of `g` through `row_of` (once per
+  /// slot, in adjacency order); every row must be `width` doubles.
+  void rebuild(const graph::Graph& g, std::size_t width, const RowFn& row_of);
+
+  std::size_t width() const { return width_; }
+
+  /// True when the table was built over a graph of `g`'s shape.
+  bool matches(const graph::Graph& g) const {
+    return offset_.size() == g.node_count() + 1 &&
+           rows_.size() == 2 * g.edge_count();
+  }
+
+  const double* row(graph::NodeId u, std::uint32_t j) const {
+    return rows_[offset_[u] + j];
+  }
+
+ private:
+  std::size_t width_ = 0;
+  std::vector<std::size_t> offset_;  // node u's slots start at offset_[u]
+  std::vector<const double*> rows_;
 };
 
 /// Computes s_(a,b) on graph `g`. The returned vector has
@@ -46,6 +93,17 @@ void social_proximity_feature(const graph::Graph& g, data::UserId a,
                               std::vector<double>& out,
                               std::vector<double>& edge_scratch);
 
+/// Table-driven variant for the phase-2 hot loop: edge rows come from
+/// `table` (built over `g`, width config.feature_dim) and the search runs
+/// on the caller's `scratch`. Writes s_(a,b) into `out`, which must hold
+/// (k - 1) * feature_dim doubles, and returns the enumeration's tallies.
+graph::KHopStats social_proximity_feature(const graph::Graph& g,
+                                          data::UserId a, data::UserId b,
+                                          const SocialFeatureConfig& config,
+                                          const EdgeFeatureTable& table,
+                                          graph::KHopScratch& scratch,
+                                          std::span<double> out);
+
 /// Heuristic alternative for the ablation: [common neighbors, Jaccard,
 /// Adamic-Adar, Katz, path counts per length 2..k], zero-padded/truncated
 /// to the same width as the paper's feature for drop-in comparison.
@@ -53,10 +111,11 @@ std::vector<double> heuristic_social_feature(const graph::Graph& g,
                                              data::UserId a, data::UserId b,
                                              const SocialFeatureConfig& config);
 
-/// Scratch-reusing variant of heuristic_social_feature.
-void heuristic_social_feature(const graph::Graph& g, data::UserId a,
-                              data::UserId b,
-                              const SocialFeatureConfig& config,
-                              std::vector<double>& out);
+/// Scratch-reusing variant of heuristic_social_feature; returns the path
+/// census's enumeration tallies.
+graph::KHopStats heuristic_social_feature(const graph::Graph& g,
+                                          data::UserId a, data::UserId b,
+                                          const SocialFeatureConfig& config,
+                                          std::vector<double>& out);
 
 }  // namespace fs::core

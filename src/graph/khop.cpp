@@ -16,108 +16,178 @@ std::vector<Edge> KHopSubgraph::edges() const {
   return out;
 }
 
+std::size_t KHopScratch::bytes_for(std::size_t node_count) {
+  return 3 * node_count * sizeof(std::uint32_t);
+}
+
 namespace {
 
-/// Depth-first enumeration of simple a->b paths of exactly `target_len`
-/// edges, avoiding excluded vertices. `stack` carries the partial path.
-/// One instance is reused across target lengths so the node-count-sized
-/// marker buffer is allocated once per pair, not once per length.
-class PathEnumerator {
- public:
-  PathEnumerator(const Graph& g, NodeId b,
-                 const std::vector<char>& excluded, std::size_t cap,
-                 int max_len)
-      : g_(g), b_(b), excluded_(excluded), cap_(cap),
-        on_stack_(g.node_count(), 0) {
-    stack_.reserve(static_cast<std::size_t>(max_len) + 1);
+/// Depth-first search for simple a->b paths of exactly `target` edges that
+/// avoid blocked vertices. stack[0..depth] is the partial path and
+/// slots[i] the adjacency index of its edge i. b is blocked as an interior
+/// vertex; a path reaches it only through the N(b) stamp probe.
+struct PathSearch {
+  const Graph& g;
+  NodeId b;
+  std::uint32_t epoch;
+  std::uint32_t* blocked;
+  const std::uint32_t* near_b;
+  const std::uint32_t* b_slot;
+  NodeId* stack;
+  std::uint32_t* slots;
+  std::vector<NodeId>& interior;
+  KHopVisitor visit;
+  std::size_t cap;
+  int target = 0;
+  std::size_t found = 0;
+
+  void run(int length) {
+    target = length;
+    found = 0;
+    dfs(0);
   }
 
-  void run(NodeId a, int target_len, std::vector<Path>& out) {
-    target_len_ = target_len;
-    out_ = &out;
-    stack_.push_back(a);
-    on_stack_[a] = 1;
-    dfs(a, 0);
-    on_stack_[a] = 0;
-    stack_.pop_back();
+  void emit(int depth) {
+    ++found;
+    interior.insert(interior.end(), stack + 1, stack + depth + 1);
+    visit(KHopPath{target, stack, slots});
   }
 
- private:
-  void dfs(NodeId v, int depth) {
-    if (out_->size() >= cap_) return;
-    if (depth == target_len_ - 1) {
-      // One hop left: succeed iff v is adjacent to b (and b not already on
-      // the stack — b never is, because interior vertices skip it below).
-      if (g_.has_edge(v, b_)) {
-        Path path = stack_;
-        path.push_back(b_);
-        out_->push_back(std::move(path));
+  void dfs(int depth) {
+    if (found >= cap) return;
+    const std::vector<NodeId>& adj = g.neighbors(stack[depth]);
+    const auto degree = static_cast<std::uint32_t>(adj.size());
+    if (depth + 2 == target) {
+      // Last interior vertex: w completes a path iff it is adjacent to b.
+      for (std::uint32_t j = 0; j < degree; ++j) {
+        const NodeId w = adj[j];
+        if (blocked[w] == epoch || near_b[w] != epoch) continue;
+        stack[depth + 1] = w;
+        stack[depth + 2] = b;
+        slots[depth] = j;
+        slots[depth + 1] = b_slot[w];
+        emit(depth + 1);
+        if (found >= cap) return;
       }
       return;
     }
-    for (NodeId w : g_.neighbors(v)) {
-      if (w == b_) continue;  // b may only appear as the final vertex.
-      if (excluded_[w] || on_stack_[w]) continue;
-      stack_.push_back(w);
-      on_stack_[w] = 1;
-      dfs(w, depth + 1);
-      on_stack_[w] = 0;
-      stack_.pop_back();
-      if (out_->size() >= cap_) return;
+    for (std::uint32_t j = 0; j < degree; ++j) {
+      const NodeId w = adj[j];
+      if (blocked[w] == epoch) continue;
+      stack[depth + 1] = w;
+      slots[depth] = j;
+      blocked[w] = epoch;
+      dfs(depth + 1);
+      blocked[w] = 0;
+      if (found >= cap) return;
     }
   }
-
-  const Graph& g_;
-  NodeId b_;
-  int target_len_ = 0;
-  const std::vector<char>& excluded_;
-  std::size_t cap_;
-  std::vector<Path>* out_ = nullptr;
-  std::vector<char> on_stack_;
-  Path stack_;
 };
 
 }  // namespace
 
+KHopStats enumerate_khop_paths(const Graph& g, NodeId a, NodeId b,
+                               const KHopOptions& options,
+                               KHopScratch& scratch, KHopVisitor visit) {
+  if (options.k < 2)
+    throw std::invalid_argument("enumerate_khop_paths: k must be >= 2");
+  if (a >= g.node_count() || b >= g.node_count())
+    throw std::out_of_range("enumerate_khop_paths: node id out of range");
+  if (a == b) throw std::invalid_argument("enumerate_khop_paths: a == b");
+  if (scratch.busy_)
+    throw std::logic_error("enumerate_khop_paths: scratch already in use");
+
+  struct BusyGuard {
+    bool& busy;
+    explicit BusyGuard(bool& flag) : busy(flag) { busy = true; }
+    ~BusyGuard() { busy = false; }
+  } guard(scratch.busy_);
+
+  const std::size_t n = g.node_count();
+  if (scratch.blocked_.size() < n) {
+    scratch.blocked_.resize(n, 0);
+    scratch.near_b_.resize(n, 0);
+    scratch.b_slot_.resize(n, 0);
+  }
+  // Stamps of earlier pairs (and graphs) are all below the new epoch; 0 is
+  // never an epoch, so a wrap clears the markers once and restarts at 1.
+  if (++scratch.epoch_ == 0) {
+    std::fill(scratch.blocked_.begin(), scratch.blocked_.end(), 0);
+    std::fill(scratch.near_b_.begin(), scratch.near_b_.end(), 0);
+    scratch.epoch_ = 1;
+  }
+  const std::uint32_t epoch = scratch.epoch_;
+  const std::vector<NodeId>& nb = g.neighbors(b);
+  for (std::uint32_t j = 0; j < nb.size(); ++j) {
+    scratch.near_b_[nb[j]] = epoch;
+    scratch.b_slot_[nb[j]] = j;
+  }
+  // a heads every path and b only ever closes one: neither is an interior
+  // candidate.
+  scratch.blocked_[a] = epoch;
+  scratch.blocked_[b] = epoch;
+  scratch.stack_.resize(static_cast<std::size_t>(options.k) + 1);
+  scratch.slots_.resize(static_cast<std::size_t>(options.k));
+  scratch.stack_[0] = a;
+
+  PathSearch search{g,
+                    b,
+                    epoch,
+                    scratch.blocked_.data(),
+                    scratch.near_b_.data(),
+                    scratch.b_slot_.data(),
+                    scratch.stack_.data(),
+                    scratch.slots_.data(),
+                    scratch.interior_,
+                    visit,
+                    options.max_paths_per_length};
+  KHopStats stats;
+  for (int length = 2; length <= options.k; ++length) {
+    scratch.interior_.clear();
+    search.run(length);
+    stats.paths += search.found;
+    if (search.found >= options.max_paths_per_length) ++stats.capped;
+    // Exclude this round's interior vertices from longer rounds (a and b
+    // never are). Excluding a vertex removes all its incident edges from
+    // the working graph, which implements the paper's "exclude all nodes
+    // and edges" step without copying the graph.
+    for (NodeId v : scratch.interior_) scratch.blocked_[v] = epoch;
+  }
+  return stats;
+}
+
+KHopStats enumerate_khop_paths(const Graph& g, NodeId a, NodeId b,
+                               const KHopOptions& options, KHopVisitor visit) {
+  thread_local KHopScratch scratch;
+  if (scratch.busy()) {
+    KHopScratch fresh;
+    return enumerate_khop_paths(g, a, b, options, fresh, visit);
+  }
+  return enumerate_khop_paths(g, a, b, options, scratch, visit);
+}
+
 KHopSubgraph extract_khop_subgraph(const Graph& g, NodeId a, NodeId b,
                                    const KHopOptions& options) {
-  if (options.k < 2)
-    throw std::invalid_argument("extract_khop_subgraph: k must be >= 2");
-  if (a >= g.node_count() || b >= g.node_count())
-    throw std::out_of_range("extract_khop_subgraph: node id out of range");
-  if (a == b)
-    throw std::invalid_argument("extract_khop_subgraph: a == b");
-
   KHopSubgraph result;
   result.a = a;
   result.b = b;
   result.k = options.k;
-  result.paths_by_length.resize(static_cast<std::size_t>(options.k - 1));
-
-  // Vertices excluded from later rounds. Interior vertices of found paths
-  // are excluded (a and b never are); excluding a vertex removes all its
-  // incident edges from the working graph, which implements the paper's
-  // "exclude all nodes and edges" step without copying the graph.
-  std::vector<char> excluded(g.node_count(), 0);
-
-  PathEnumerator enumerator(g, b, excluded, options.max_paths_per_length,
-                            options.k);
-  for (int length = 2; length <= options.k; ++length) {
-    auto& bucket = result.paths_by_length[static_cast<std::size_t>(length - 2)];
-    enumerator.run(a, length, bucket);
-    for (const Path& path : bucket)
-      for (std::size_t i = 1; i + 1 < path.size(); ++i)
-        excluded[path[i]] = 1;
-  }
+  if (options.k >= 2)
+    result.paths_by_length.resize(static_cast<std::size_t>(options.k - 1));
+  enumerate_khop_paths(g, a, b, options, [&](const KHopPath& path) {
+    result.paths_by_length[static_cast<std::size_t>(path.length - 2)]
+        .emplace_back(path.nodes, path.nodes + path.length + 1);
+  });
   return result;
 }
 
 std::vector<std::size_t> khop_path_counts(const Graph& g, NodeId a, NodeId b,
                                           const KHopOptions& options) {
-  const KHopSubgraph sub = extract_khop_subgraph(g, a, b, options);
-  std::vector<std::size_t> counts;
-  counts.reserve(sub.paths_by_length.size());
-  for (const auto& bucket : sub.paths_by_length) counts.push_back(bucket.size());
+  std::vector<std::size_t> counts(
+      options.k >= 2 ? static_cast<std::size_t>(options.k - 1) : 0, 0);
+  enumerate_khop_paths(g, a, b, options, [&](const KHopPath& path) {
+    ++counts[static_cast<std::size_t>(path.length - 2)];
+  });
   return counts;
 }
 

@@ -45,9 +45,10 @@ void parallel_for_chunks(std::size_t n, const ParallelOptions& options,
       ctx->throw_if_cancelled(options.what);
   };
 
-  const auto make_chunk = [n, grain](std::size_t index) {
+  const auto make_chunk = [n, grain](std::size_t index, std::size_t worker) {
     ChunkRange chunk;
     chunk.index = index;
+    chunk.worker = worker;
     chunk.begin = index * grain;
     chunk.end = chunk.begin + grain < n ? chunk.begin + grain : n;
     return chunk;
@@ -60,7 +61,7 @@ void parallel_for_chunks(std::size_t n, const ParallelOptions& options,
   if (chunks == 1 || t_in_region || threads() == 1) {
     for (std::size_t index = 0; index < chunks; ++index) {
       probe();
-      body(make_chunk(index));
+      body(make_chunk(index, 0));
     }
     return;
   }
@@ -120,7 +121,7 @@ void parallel_for_chunks(std::size_t n, const ParallelOptions& options,
       try {
         probe();
         obs::Span span("par.chunk");
-        body(make_chunk(index));
+        body(make_chunk(index, slot));
         if (chunk_ms != nullptr) chunk_ms->observe(span.milliseconds());
       } catch (...) {
         record_error(index);

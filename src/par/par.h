@@ -75,6 +75,10 @@ struct ChunkRange {
   std::size_t index = 0;  // chunk index (stable across thread counts)
   std::size_t begin = 0;
   std::size_t end = 0;
+  /// Participant running the chunk, in [0, threads()): 0 is the calling
+  /// thread (and every chunk of an inline region). Only for indexing
+  /// per-worker scratch — output must never depend on it.
+  std::size_t worker = 0;
 };
 
 /// The chunk decomposition parallel_for_chunks will use: how many chunks

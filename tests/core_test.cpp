@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
 
 #include "core/joc.h"
 #include "core/pipeline.h"
@@ -8,6 +10,7 @@
 #include "core/social.h"
 #include "data/synthetic.h"
 #include "eval/pairs.h"
+#include "graph/generators.h"
 #include "ml/metrics.h"
 
 namespace fs::core {
@@ -290,6 +293,129 @@ TEST(Social, HeuristicFeatureHasSameWidth) {
   const auto s = heuristic_social_feature(g, 0, 1, cfg);
   EXPECT_EQ(s.size(), 32u);
   EXPECT_DOUBLE_EQ(s[0], 1.0);  // common neighbors
+}
+
+// Per-edge presence rows for the differential tests: seeded values with
+// mixed magnitudes (so a reordered sum would show in the low bits) and
+// roughly one edge in `missing_every` left without a row.
+std::map<data::UserPair, std::vector<double>> seeded_edge_rows(
+    const graph::Graph& g, std::size_t d, util::Rng& rng,
+    std::size_t missing_every) {
+  std::map<data::UserPair, std::vector<double>> rows;
+  for (const graph::Edge& e : g.edges()) {
+    if (missing_every != 0 && rng.index(missing_every) == 0) continue;
+    std::vector<double> row(d);
+    for (double& v : row)
+      v = (rng.uniform() - 0.5) * std::pow(10.0, rng.uniform(-3.0, 3.0));
+    rows.emplace(data::UserPair{e.a, e.b}, std::move(row));
+  }
+  return rows;
+}
+
+TEST(Social, TableSinkMatchesCallbackSinkBitForBit) {
+  util::Rng rng(4242);
+  std::vector<graph::Graph> graphs;
+  graphs.push_back(graph::barabasi_albert(150, 3, rng));
+  graphs.push_back(graph::watts_strogatz(90, 6, 0.3, rng));
+  graphs.push_back(graph::erdos_renyi(60, 0.12, rng));
+  {
+    // An explicit hub adjacent to half the graph.
+    graph::Graph hub = graph::barabasi_albert(80, 2, rng);
+    for (graph::NodeId v = 2; v < 80; v += 2) hub.add_edge(1, v);
+    graphs.push_back(std::move(hub));
+  }
+  constexpr std::size_t d = 5;
+  // One scratch and one table reused across every graph, k and pair.
+  graph::KHopScratch scratch;
+  EdgeFeatureTable table;
+  std::size_t pairs_checked = 0, capped_pairs = 0, null_edges = 0;
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    const graph::Graph& g = graphs[gi];
+    const auto rows = seeded_edge_rows(g, d, rng, 7);
+    const EdgeFeatureTable::RowFn row_of = [&](data::UserId u,
+                                               data::UserId v) {
+      const auto it = rows.find(data::make_pair_ordered(u, v));
+      if (it == rows.end()) return static_cast<const double*>(nullptr);
+      return it->second.data();
+    };
+    const EdgeFeatureFn edge_feature = [&](data::UserId u, data::UserId v,
+                                           std::vector<double>& out) {
+      const double* h = row_of(u, v);
+      if (h == nullptr) return false;
+      out.assign(h, h + d);
+      return true;
+    };
+    table.rebuild(g, d, row_of);
+    null_edges += g.edge_count() - rows.size();
+    const auto n = static_cast<data::UserId>(g.node_count());
+    for (int k = 2; k <= 5; ++k) {
+      for (std::size_t cap : {std::size_t{4096}, std::size_t{6}}) {
+        SocialFeatureConfig cfg;
+        cfg.k = k;
+        cfg.feature_dim = d;
+        cfg.khop.max_paths_per_length = cap;
+        for (int trial = 0; trial < 10; ++trial) {
+          // Every third pair starts at the hub-heavy low ids.
+          const data::UserId a =
+              trial % 3 == 0 ? 1 : static_cast<data::UserId>(rng.index(n));
+          const data::UserId b =
+              static_cast<data::UserId>((a + 1 + rng.index(n - 1)) % n);
+          const std::vector<double> want =
+              social_proximity_feature(g, a, b, cfg, edge_feature);
+          std::vector<double> got(want.size(), -1.0);
+          const graph::KHopStats stats =
+              social_proximity_feature(g, a, b, cfg, table, scratch, got);
+          ASSERT_EQ(got.size(), want.size());
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                want.size() * sizeof(double)),
+                    0)
+              << "graph " << gi << " k " << k << " cap " << cap << " pair "
+              << a << "-" << b;
+          // A fresh scratch gives the same bytes as the reused one.
+          graph::KHopScratch fresh;
+          std::vector<double> again(want.size());
+          social_proximity_feature(g, a, b, cfg, table, fresh, again);
+          EXPECT_EQ(std::memcmp(again.data(), want.data(),
+                                want.size() * sizeof(double)),
+                    0);
+          graph::KHopOptions khop = cfg.khop;
+          khop.k = k;
+          std::size_t paths = 0;
+          for (std::size_t c : graph::khop_path_counts(g, a, b, khop))
+            paths += c;
+          EXPECT_EQ(stats.paths, paths);
+          capped_pairs += stats.capped > 0;
+          ++pairs_checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(pairs_checked, 4u * 4u * 2u * 10u);
+  EXPECT_GT(capped_pairs, 0u);  // the small cap truncated some features
+  EXPECT_GT(null_edges, 0u);    // and some edges had no row
+}
+
+TEST(Social, TableSinkRejectsMismatchedInputs) {
+  graph::Graph g(3);
+  g.add_edge(0, 2);
+  g.add_edge(2, 1);
+  SocialFeatureConfig cfg;
+  cfg.k = 3;
+  cfg.feature_dim = 2;
+  const std::vector<double> row{1.0, 2.0};
+  EdgeFeatureTable table;
+  table.rebuild(g, 2, [&](data::UserId, data::UserId) { return row.data(); });
+  graph::KHopScratch scratch;
+  std::vector<double> out(4);
+  social_proximity_feature(g, 0, 1, cfg, table, scratch, out);
+  EXPECT_DOUBLE_EQ(out[0], 2.0);  // two edges of the one 2-path
+  EXPECT_DOUBLE_EQ(out[1], 4.0);
+  std::vector<double> narrow(3);
+  EXPECT_THROW(social_proximity_feature(g, 0, 1, cfg, table, scratch, narrow),
+               std::invalid_argument);
+  g.add_edge(0, 1);  // the table no longer describes g
+  EXPECT_THROW(social_proximity_feature(g, 0, 1, cfg, table, scratch, out),
+               std::logic_error);
 }
 
 // ---------- pipeline ----------

@@ -320,6 +320,8 @@ std::vector<std::vector<Path>> khop_reference(const Graph& g, NodeId a,
 
 TEST(KHop, MatchesBruteForceOracle) {
   util::Rng rng(113);
+  // The visitor path shares one scratch across every trial.
+  KHopScratch scratch;
   for (int trial = 0; trial < 15; ++trial) {
     const Graph g = erdos_renyi(24, 0.12, rng);
     const NodeId a = static_cast<NodeId>(rng.index(24));
@@ -335,7 +337,153 @@ TEST(KHop, MatchesBruteForceOracle) {
       EXPECT_EQ(mine, expected[bucket])
           << "trial " << trial << " length " << bucket + 2;
     }
+
+    std::vector<std::vector<Path>> visited(expected.size());
+    const KHopStats stats = enumerate_khop_paths(
+        g, a, b, options, scratch, [&](const KHopPath& path) {
+          visited[static_cast<std::size_t>(path.length - 2)].emplace_back(
+              path.nodes, path.nodes + path.length + 1);
+        });
+    std::size_t total = 0;
+    for (std::size_t bucket = 0; bucket < expected.size(); ++bucket) {
+      auto mine = visited[bucket];
+      std::sort(mine.begin(), mine.end());
+      EXPECT_EQ(mine, expected[bucket])
+          << "visitor, trial " << trial << " length " << bucket + 2;
+      total += expected[bucket].size();
+    }
+    EXPECT_EQ(stats.paths, total);
+    EXPECT_EQ(stats.capped, 0u);
   }
+}
+
+/// Every path a visitor sees on (g, a, b), flattened with its adjacency
+/// slots: length, vertices, then (u, j) per edge.
+std::vector<std::uint64_t> visit_trace(const Graph& g, NodeId a, NodeId b,
+                                       const KHopOptions& options,
+                                       KHopScratch& scratch,
+                                       KHopStats* stats = nullptr) {
+  std::vector<std::uint64_t> trace;
+  const KHopStats s = enumerate_khop_paths(
+      g, a, b, options, scratch, [&](const KHopPath& path) {
+        trace.push_back(static_cast<std::uint64_t>(path.length));
+        for (int i = 0; i <= path.length; ++i) trace.push_back(path.nodes[i]);
+        for (int i = 0; i < path.length; ++i) {
+          const auto [u, j] = path.slot(i);
+          trace.push_back(u);
+          trace.push_back(j);
+        }
+      });
+  if (stats != nullptr) *stats = s;
+  return trace;
+}
+
+TEST(KHop, VisitorSlotsLocateEveryPathEdge) {
+  util::Rng rng(127);
+  const Graph g = barabasi_albert(90, 3, rng);
+  KHopOptions options;
+  options.k = 5;
+  KHopScratch scratch;
+  std::size_t edges_checked = 0;
+  for (NodeId b = 1; b < 30; ++b) {
+    enumerate_khop_paths(g, 0, b, options, scratch,
+                         [&](const KHopPath& path) {
+      ASSERT_EQ(path.nodes[0], 0u);
+      ASSERT_EQ(path.nodes[path.length], b);
+      for (int i = 0; i < path.length; ++i) {
+        const auto [u, j] = path.slot(i);
+        const NodeId x = path.nodes[i], y = path.nodes[i + 1];
+        ASSERT_TRUE(u == x || u == y);
+        ASSERT_LT(j, g.degree(u));
+        EXPECT_EQ(g.neighbors(u)[j], u == x ? y : x);
+        ++edges_checked;
+      }
+    });
+  }
+  EXPECT_GT(edges_checked, 0u);
+}
+
+TEST(KHop, ReusedScratchMatchesFreshAcrossGraphs) {
+  // Graphs of growing and shrinking node counts, hubs included; one
+  // scratch carried through all of them must see exactly what a fresh
+  // scratch per pair sees — paths, order, slots and tallies.
+  util::Rng rng(131);
+  std::vector<Graph> graphs;
+  graphs.push_back(barabasi_albert(120, 4, rng));
+  graphs.push_back(watts_strogatz(40, 6, 0.25, rng));
+  graphs.push_back(erdos_renyi(200, 0.04, rng));
+  graphs.push_back(barabasi_albert(30, 2, rng));
+  KHopScratch reused;
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    const Graph& g = graphs[gi];
+    const auto n = static_cast<NodeId>(g.node_count());
+    for (int k = 2; k <= 5; ++k) {
+      KHopOptions options;
+      options.k = k;
+      for (int trial = 0; trial < 12; ++trial) {
+        const NodeId a = static_cast<NodeId>(rng.index(n));
+        const NodeId b = static_cast<NodeId>((a + 1 + rng.index(n - 1)) % n);
+        KHopScratch fresh;
+        KHopStats want, got;
+        const auto expected = visit_trace(g, a, b, options, fresh, &want);
+        EXPECT_EQ(visit_trace(g, a, b, options, reused, &got), expected)
+            << "graph " << gi << " k " << k << " pair " << a << "-" << b;
+        EXPECT_EQ(got.paths, want.paths);
+        EXPECT_EQ(got.capped, want.capped);
+      }
+    }
+  }
+}
+
+TEST(KHop, CapIsCountedAndKeepsDiscoveryPrefix) {
+  // A hub pair in a dense graph: the capped run must report exactly the
+  // first `cap` paths of each length the uncapped run finds — as long as
+  // no earlier length was cut (a cut changes the exclusion set).
+  util::Rng rng(137);
+  const Graph g = erdos_renyi(40, 0.6, rng);
+  KHopOptions full;
+  full.k = 2;
+  KHopOptions capped = full;
+  capped.max_paths_per_length = 3;
+  KHopScratch scratch;
+  std::vector<Path> all, some;
+  const KHopStats full_stats = enumerate_khop_paths(
+      g, 0, 1, full, scratch, [&](const KHopPath& p) {
+        all.emplace_back(p.nodes, p.nodes + p.length + 1);
+      });
+  const KHopStats cap_stats = enumerate_khop_paths(
+      g, 0, 1, capped, scratch, [&](const KHopPath& p) {
+        some.emplace_back(p.nodes, p.nodes + p.length + 1);
+      });
+  ASSERT_GT(all.size(), 3u);
+  EXPECT_EQ(full_stats.capped, 0u);
+  EXPECT_EQ(cap_stats.capped, 1u);
+  EXPECT_EQ(cap_stats.paths, 3u);
+  EXPECT_EQ(some, std::vector<Path>(all.begin(), all.begin() + 3));
+}
+
+TEST(KHop, ReenteringTheSameScratchThrows) {
+  Graph g(3);
+  g.add_edge(0, 2);
+  g.add_edge(2, 1);
+  KHopScratch scratch;
+  enumerate_khop_paths(g, 0, 1, {}, scratch, [&](const KHopPath&) {
+    EXPECT_THROW(enumerate_khop_paths(g, 0, 1, {}, scratch,
+                                      [](const KHopPath&) {}),
+                 std::logic_error);
+  });
+  // The scratch-less entry points nest: the inner call runs on a fresh
+  // scratch while the thread's own is busy.
+  std::size_t inner_paths = 0;
+  enumerate_khop_paths(g, 0, 1, {}, [&](const KHopPath&) {
+    inner_paths += khop_path_counts(g, 0, 1)[0];
+  });
+  EXPECT_EQ(inner_paths, 1u);
+  // The failed re-entry left the scratch usable.
+  EXPECT_EQ(enumerate_khop_paths(g, 0, 1, {}, scratch,
+                                 [](const KHopPath&) {})
+                .paths,
+            1u);
 }
 
 TEST(KHop, PathCountsHelperMatchesSubgraph) {

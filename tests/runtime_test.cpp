@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 
@@ -364,6 +365,54 @@ TEST_F(RuntimeTest, PipelineDegradesGracefullyOnPhase2MemoryBudget) {
   ASSERT_TRUE(result.degradation.degraded());
   EXPECT_EQ(result.degradation.phases.front().reason, "memory");
   EXPECT_TRUE(result.fell_back_to_phase1);
+}
+
+TEST_F(RuntimeTest, PipelineDegradesWhenPhase2EdgeTableExceedsBudget) {
+  TinyExperiment exp = make_tiny_experiment();
+  // A limit just above phase 1 fails at the composite charge; its message
+  // carries the bytes already charged and the composite's size.
+  runtime::ExecutionContext probe;
+  core::FriendSeekerConfig probe_cfg = exp.config;
+  probe_cfg.context = &probe;
+  probe_cfg.iterate = false;
+  core::FriendSeeker probe_seeker(probe_cfg);
+  (void)probe_seeker.run(exp.dataset, exp.split.train_pairs,
+                         exp.split.train_labels, exp.split.test_pairs);
+  runtime::ExecutionContext tight;
+  tight.set_memory_limit(probe.peak_charged() + 1);
+  exp.config.context = &tight;
+  const auto composite_fail =
+      core::FriendSeeker(exp.config)
+          .run(exp.dataset, exp.split.train_pairs, exp.split.train_labels,
+               exp.split.test_pairs);
+  ASSERT_TRUE(composite_fail.degradation.degraded());
+  const std::string& detail = composite_fail.degradation.phases.front().detail;
+  ASSERT_NE(detail.find("core.phase2.composite"), std::string::npos) << detail;
+  unsigned long long charged = 0, composite = 0;
+  ASSERT_EQ(std::sscanf(detail.c_str() + detail.find('('), "(%llu + %llu",
+                        &charged, &composite),
+            2)
+      << detail;
+
+  // Room for the composite and not one byte more: the edge table's charge
+  // is the one that fails, and it degrades the same way.
+  runtime::ExecutionContext ctx;
+  ctx.set_memory_limit(static_cast<std::size_t>(charged + composite));
+  exp.config.context = &ctx;
+  const auto result =
+      core::FriendSeeker(exp.config)
+          .run(exp.dataset, exp.split.train_pairs, exp.split.train_labels,
+               exp.split.test_pairs);
+  EXPECT_EQ(result.test_predictions.size(), exp.split.test_pairs.size());
+  ASSERT_TRUE(result.degradation.degraded());
+  const runtime::PhaseDegradation& entry = result.degradation.phases.front();
+  EXPECT_EQ(entry.phase, "phase2.refine");
+  EXPECT_EQ(entry.reason, "memory");
+  EXPECT_NE(entry.detail.find("core.phase2.edge_table"), std::string::npos)
+      << entry.detail;
+  EXPECT_EQ(result.iterations_run, 0);
+  EXPECT_TRUE(result.fell_back_to_phase1);
+  EXPECT_EQ(ctx.charged(), 0u);  // every charge released
 }
 
 TEST_F(RuntimeTest, PipelineAbortsHardWhenCancelledBeforeJocBuild) {
