@@ -6,18 +6,14 @@
 // deterministic parts (spatial division, JOCs) and continues from the last
 // completed iteration.
 //
-// File format (see DESIGN.md "Error handling & fault injection"):
+// File format: a sealed envelope (util/durable.h; DESIGN.md "Error
+// handling & fault injection") tagged "FSCP", whose CRC32 region holds
 //
-//   "FSCP"            4-byte magic
-//   u64               format version
-//   --- CRC32 region ---
 //   u64               config/dataset fingerprint
 //   i64               completed iteration
 //   i32_vector        predictions over the candidate-pair universe
 //   f64_vector        decision scores over the universe
 //   PresenceModel     trained phase-1 model (its own tagged records)
-//   --- end region ---
-//   u64               CRC32 of the region
 //
 // Any mismatch — magic, version, fingerprint, truncation, checksum —
 // throws fs::CorruptCheckpoint; the caller restarts cleanly instead of
@@ -45,7 +41,8 @@ struct PipelineCheckpoint {
   std::optional<PresenceModel> presence;
 };
 
-/// Writes atomically (temp file + rename). Throws fs::IoError on failure.
+/// Publishes atomically through util::atomic_publish. Throws fs::IoError on
+/// failure.
 void save_pipeline_checkpoint(const std::string& path,
                               const PipelineCheckpoint& checkpoint);
 

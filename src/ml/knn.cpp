@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "par/par.h"
+#include "util/error.h"
 
 namespace fs::ml {
 
@@ -114,7 +115,7 @@ KnnClassifier KnnClassifier::load(util::BinaryReader& reader) {
   const std::vector<double> flat = reader.f64_vector();
   std::vector<int> labels = reader.i32_vector();
   if (flat.size() != rows * cols || labels.size() != rows)
-    throw std::runtime_error("KnnClassifier::load: corrupted record");
+    throw CorruptCheckpoint("KnnClassifier::load: corrupted record");
   nn::Matrix features(rows, cols);
   std::copy(flat.begin(), flat.end(), features.data());
   knn.fit(std::move(features), std::move(labels));

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/error.h"
+
 namespace fs::ml {
 
 void StandardScaler::fit(const nn::Matrix& features) {
@@ -50,7 +52,7 @@ StandardScaler StandardScaler::load(util::BinaryReader& reader) {
   scaler.mean_ = reader.f64_vector();
   scaler.stddev_ = reader.f64_vector();
   if (scaler.mean_.size() != scaler.stddev_.size())
-    throw std::runtime_error("StandardScaler::load: corrupted record");
+    throw CorruptCheckpoint("StandardScaler::load: corrupted record");
   return scaler;
 }
 

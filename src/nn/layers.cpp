@@ -6,6 +6,7 @@
 
 #include "kern/kern.h"
 #include "par/par.h"
+#include "util/error.h"
 
 namespace fs::nn {
 
@@ -90,7 +91,7 @@ Dense Dense::load(util::BinaryReader& reader) {
   const std::vector<double> flat = reader.f64_vector();
   std::vector<double> bias = reader.f64_vector();
   if (flat.size() != rows * cols || bias.size() != rows)
-    throw std::runtime_error("Dense::load: corrupted record");
+    throw CorruptCheckpoint("Dense::load: corrupted record");
   Matrix weights(rows, cols);
   std::copy(flat.begin(), flat.end(), weights.data());
   return Dense(std::move(weights), std::move(bias), act);
@@ -203,7 +204,7 @@ Mlp Mlp::load(util::BinaryReader& reader) {
   reader.expect_tag("MLP0");
   const std::size_t count = reader.u64();
   if (count == 0 || count > 1024)
-    throw std::runtime_error("Mlp::load: implausible layer count");
+    throw CorruptCheckpoint("Mlp::load: implausible layer count");
   std::vector<Dense> layers;
   layers.reserve(count);
   for (std::size_t i = 0; i < count; ++i) layers.push_back(Dense::load(reader));

@@ -89,9 +89,9 @@ SupervisedAutoencoder SupervisedAutoencoder::load(
     util::BinaryReader& reader) {
   reader.expect_tag("SAE1");
   AutoencoderConfig cfg;
-  cfg.encoder_dims.resize(reader.u64());
+  cfg.encoder_dims.resize(reader.count(sizeof(std::uint64_t)));
   for (std::size_t& d : cfg.encoder_dims) d = reader.u64();
-  cfg.classifier_hidden.resize(reader.u64());
+  cfg.classifier_hidden.resize(reader.count(sizeof(std::uint64_t)));
   for (std::size_t& d : cfg.classifier_hidden) d = reader.u64();
   cfg.learning_rate = reader.f64();
   cfg.alpha = reader.f64();

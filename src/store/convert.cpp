@@ -1,9 +1,7 @@
 #include "store/convert.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <numeric>
 #include <vector>
 
@@ -11,8 +9,8 @@
 #include "store/format.h"
 #include "store/store.h"
 #include "util/binary_io.h"
+#include "util/durable.h"
 #include "util/error.h"
-#include "util/failpoint.h"
 
 namespace fs::store {
 
@@ -155,40 +153,17 @@ ConvertStats write_store(const data::Dataset& ds,
   ConvertStats stats;
   const std::vector<char> image = build_image(ds, report, options, stats);
 
-  // Same atomic discipline as checkpoints/snapshots: all-or-nothing via
-  // tmp + rename. The two failpoints bracket the rename: `io` simulates a
-  // failed write (clean up the tmp, surface IoError); `kill` simulates a
-  // crash after the payload hit disk but before the rename (leave the tmp
+  // The two failpoints bracket the commit: `io` simulates a failed write
+  // (the tmp is cleaned up, IoError surfaces); `kill` simulates a crash
+  // after the payload hit disk but before the rename, leaving the tmp
   // exactly as a dead process would — the invariant chaos_soak checks is
-  // that the *final* path never holds a store that validates).
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out || util::failpoint::fail("store.convert.io")) {
-      out.close();
-      std::remove(tmp.c_str());
-      throw IoError("store convert: cannot write '" + tmp + "'");
-    }
-    out.write(image.data(), static_cast<std::streamsize>(image.size()));
-    if (!out) {
-      out.close();
-      std::remove(tmp.c_str());
-      throw IoError("store convert: short write to '" + tmp + "'");
-    }
-  }
-  if (!util::fsync_path(tmp)) {
-    std::remove(tmp.c_str());
-    throw IoError("store convert: fsync '" + tmp + "' failed");
-  }
-  if (util::failpoint::fail("store.convert.kill"))
-    throw util::failpoint::InjectedKill(
-        "store.convert.kill: simulated crash before rename of '" + tmp + "'");
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw IoError("store convert: rename to '" + path + "' failed");
-  }
-  if (!util::fsync_parent_dir(path))
-    throw IoError("store convert: directory fsync failed for '" + path + "'");
+  // that the *final* path never holds a store that fails validation.
+  util::atomic_publish(
+      path,
+      [&](std::ostream& out) {
+        out.write(image.data(), static_cast<std::streamsize>(image.size()));
+      },
+      {.write = "store.convert.io", .kill = "store.convert.kill"});
   return stats;
 }
 

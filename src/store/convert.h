@@ -4,10 +4,9 @@
 // exact quarantine semantics of `--strict`/`--permissive` loading — same
 // densification, same activity floor, same census — and then bakes a
 // spatial-temporal assignment (quadtree cell, time slot) into every row,
-// sorts by (cell, slot), and writes the checksummed columnar file through
-// the repo's durability discipline: payload to `<path>.tmp`, fsync, atomic
-// rename, parent-dir fsync. A crash at any point leaves either the old
-// file or a stray `.tmp` — never a final path that fails validation.
+// sorts by (cell, slot), and publishes the checksummed columnar file
+// through util::atomic_publish. A crash at any point leaves either the old
+// file or a stray tmp — never a final path that fails validation.
 #pragma once
 
 #include <cstdint>

@@ -17,7 +17,7 @@
 //   4. SLO     — staleness (ticks since the oldest dirty pair was
 //                dirtied) is checked against the budget; violations are
 //                counted and reported, never fatal.
-//   5. durability — periodic snapshot (atomic tmp+rename) followed by
+//   5. durability — periodic snapshot (util::atomic_publish) followed by
 //                journal compaction; the stream.tick.abort failpoint
 //                fires here to simulate a kill between commit points.
 //

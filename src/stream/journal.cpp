@@ -6,9 +6,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "util/binary_io.h"
+#include "util/durable.h"
 #include "util/error.h"
 #include "util/failpoint.h"
 
@@ -19,43 +21,56 @@ namespace fp = util::failpoint;
 
 constexpr std::uint32_t kFrameMagic = 0x464A4C31;  // "1LJF" on disk
 constexpr char kJournalHeader[8] = {'F', 'S', 'J', 'R', 'N', 'L', '1', '\0'};
-constexpr std::size_t kFrameHeaderBytes = 3 * sizeof(std::uint32_t);
 
-std::string encode_payload(const JournalRecord& record) {
+/// The RawEvent field codec, shared by accepted journal frames and the
+/// snapshot's event list: eight 8-byte fields, then the wire line.
+constexpr std::size_t kMinEventBytes = 9 * sizeof(std::uint64_t);
+
+void write_event(util::BinaryWriter& w, const RawEvent& e) {
+  w.u64(e.seq);
+  w.u64(e.event_id);
+  w.u64(e.has_explicit_id ? 1 : 0);
+  w.i64(e.user);
+  w.i64(e.time);
+  w.f64(e.location.lat);
+  w.f64(e.location.lng);
+  w.i64(e.poi);
+  w.str(e.line);
+}
+
+RawEvent read_event(util::BinaryReader& r) {
+  RawEvent e;
+  e.seq = r.u64();
+  e.event_id = r.u64();
+  e.has_explicit_id = r.u64() != 0;
+  e.user = r.i64();
+  e.time = r.i64();
+  e.location.lat = r.f64();
+  e.location.lng = r.f64();
+  e.poi = r.i64();
+  e.line = r.str();
+  return e;
+}
+
+/// Encodes a frame payload: type, source index, then the disposition's
+/// own fields.
+std::string encode_payload(
+    FrameType type, std::uint64_t source_index,
+    const std::function<void(util::BinaryWriter&)>& fields) {
   std::ostringstream buffer(std::ios::binary);
   util::BinaryWriter w(buffer);
-  w.u64(static_cast<std::uint64_t>(record.type));
-  w.u64(record.source_index);
-  switch (record.type) {
-    case FrameType::kAccepted: {
-      const RawEvent& e = record.event;
-      w.u64(e.seq);
-      w.u64(e.event_id);
-      w.u64(e.has_explicit_id ? 1 : 0);
-      w.i64(e.user);
-      w.i64(e.time);
-      w.f64(e.location.lat);
-      w.f64(e.location.lng);
-      w.i64(e.poi);
-      w.str(e.line);
-      break;
-    }
-    case FrameType::kQuarantined:
-      w.u64(static_cast<std::uint64_t>(record.reason));
-      w.str(record.line);
-      break;
-    case FrameType::kShed:
-      w.str(record.line);
-      break;
-  }
+  w.u64(static_cast<std::uint64_t>(type));
+  w.u64(source_index);
+  fields(w);
   return std::move(buffer).str();
 }
 
-/// Decodes one payload; throws on any malformed field (the caller treats
-/// that like a CRC failure: the prefix before this frame is the valid one).
+/// Decodes one payload; throws CorruptCheckpoint on any malformed field
+/// (the caller treats that like a CRC failure: the prefix before this frame
+/// is the valid one).
 JournalRecord decode_payload(const std::string& payload) {
   std::istringstream buffer(payload, std::ios::binary);
-  util::BinaryReader r(buffer);
+  util::BinaryReader r(buffer, payload.size());
   JournalRecord record;
   const auto type = r.u64();
   if (type < 1 || type > 3)
@@ -64,19 +79,9 @@ JournalRecord decode_payload(const std::string& payload) {
   record.type = static_cast<FrameType>(type);
   record.source_index = r.u64();
   switch (record.type) {
-    case FrameType::kAccepted: {
-      RawEvent& e = record.event;
-      e.seq = r.u64();
-      e.event_id = r.u64();
-      e.has_explicit_id = r.u64() != 0;
-      e.user = r.i64();
-      e.time = r.i64();
-      e.location.lat = r.f64();
-      e.location.lng = r.f64();
-      e.poi = r.i64();
-      e.line = r.str();
+    case FrameType::kAccepted:
+      record.event = read_event(r);
       break;
-    }
     case FrameType::kQuarantined: {
       const auto reason = r.u64();
       if (reason >= kRejectReasonCount)
@@ -89,6 +94,8 @@ JournalRecord decode_payload(const std::string& payload) {
       record.line = r.str();
       break;
   }
+  if (r.remaining() != 0)
+    throw CorruptCheckpoint("journal frame with trailing payload bytes");
   return record;
 }
 
@@ -129,14 +136,10 @@ JournalWriter::~JournalWriter() {
 }
 
 void JournalWriter::append_frame(const std::string& payload) {
-  std::string frame;
-  frame.resize(kFrameHeaderBytes);
-  const std::uint32_t magic = kFrameMagic;
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = util::crc32(payload.data(), payload.size());
-  std::memcpy(frame.data(), &magic, sizeof(magic));
-  std::memcpy(frame.data() + 4, &len, sizeof(len));
-  std::memcpy(frame.data() + 8, &crc, sizeof(crc));
+  const std::uint32_t head[3] = {
+      kFrameMagic, static_cast<std::uint32_t>(payload.size()),
+      util::crc32(payload.data(), payload.size())};
+  std::string frame(reinterpret_cast<const char*>(head), sizeof head);
   frame += payload;
 
   const std::size_t writable =
@@ -152,36 +155,26 @@ void JournalWriter::append_frame(const std::string& payload) {
 
 void JournalWriter::append_accepted(std::uint64_t source_index,
                                     const RawEvent& event) {
-  JournalRecord record;
-  record.type = FrameType::kAccepted;
-  record.source_index = source_index;
-  record.event = event;
-  append_frame(encode_payload(record));
+  append_frame(encode_payload(
+      FrameType::kAccepted, source_index,
+      [&](util::BinaryWriter& w) { write_event(w, event); }));
 }
 
 void JournalWriter::append_quarantined(std::uint64_t source_index,
                                        RejectReason reason,
                                        std::string_view line) {
-  JournalRecord record;
-  record.type = FrameType::kQuarantined;
-  record.source_index = source_index;
-  record.reason = reason;
-  record.line.assign(line);
-  append_frame(encode_payload(record));
+  append_frame(encode_payload(FrameType::kQuarantined, source_index,
+                              [&](util::BinaryWriter& w) {
+                                w.u64(static_cast<std::uint64_t>(reason));
+                                w.str(line);
+                              }));
 }
 
 void JournalWriter::append_shed(std::uint64_t source_index,
                                 std::string_view line) {
-  JournalRecord record;
-  record.type = FrameType::kShed;
-  record.source_index = source_index;
-  record.line.assign(line);
-  append_frame(encode_payload(record));
-}
-
-void JournalWriter::flush() {
-  // Appends are unbuffered write(2) calls: nothing userspace-side to flush.
-  // Kept as the semantic point where a tick's frames are "handed off".
+  append_frame(encode_payload(
+      FrameType::kShed, source_index,
+      [&](util::BinaryWriter& w) { w.str(line); }));
 }
 
 void JournalWriter::sync() {
@@ -190,11 +183,13 @@ void JournalWriter::sync() {
 
 RecoveredJournal recover_journal(const std::string& path) {
   RecoveredJournal result;
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     result.missing = true;
     return result;
   }
+  const auto file_bytes = static_cast<std::uint64_t>(in.tellg());
+  in.seekg(0);
   char header[sizeof(kJournalHeader)];
   in.read(header, sizeof(header));
   if (in.gcount() != static_cast<std::streamsize>(sizeof(header)) ||
@@ -204,42 +199,37 @@ RecoveredJournal recover_journal(const std::string& path) {
     return result;
   }
   result.valid_bytes = sizeof(header);
-  while (true) {
-    char frame_header[kFrameHeaderBytes];
-    in.read(frame_header, sizeof(frame_header));
-    if (in.gcount() == 0) break;  // clean end of journal
-    if (in.gcount() != static_cast<std::streamsize>(sizeof(frame_header))) {
-      result.truncated_tail = true;
-      break;
-    }
-    std::uint32_t magic = 0, len = 0, crc = 0;
-    std::memcpy(&magic, frame_header, sizeof(magic));
-    std::memcpy(&len, frame_header + 4, sizeof(len));
-    std::memcpy(&crc, frame_header + 8, sizeof(crc));
-    if (magic != kFrameMagic) {
-      result.truncated_tail = true;
-      break;
-    }
-    std::string payload(len, '\0');
-    in.read(payload.data(), static_cast<std::streamsize>(len));
-    if (in.gcount() != static_cast<std::streamsize>(len)) {
-      result.truncated_tail = true;
-      break;
-    }
-    if (util::crc32(payload.data(), payload.size()) != crc) {
-      result.truncated_tail = true;
-      break;
-    }
+  // A frame counts whole or not at all. A short header, bad magic, a length
+  // past EOF (checked before the payload is allocated, so a corrupt length
+  // cannot ask for 4 GiB), a short payload, a CRC mismatch or an
+  // undecodable payload is a torn tail and ends the valid prefix.
+  std::uint64_t frame_end = result.valid_bytes;
+  const auto next_frame = [&]() -> std::optional<JournalRecord> {
+    std::uint32_t head[3] = {};  // magic, payload bytes, crc32(payload)
+    in.read(reinterpret_cast<char*>(head), sizeof head);
+    frame_end = result.valid_bytes + sizeof head + head[1];
+    if (in.gcount() != static_cast<std::streamsize>(sizeof head) ||
+        head[0] != kFrameMagic || frame_end > file_bytes)
+      return std::nullopt;
+    std::string payload(head[1], '\0');
+    in.read(payload.data(), head[1]);
+    if (in.gcount() != head[1] ||
+        util::crc32(payload.data(), payload.size()) != head[2])
+      return std::nullopt;
     try {
-      result.records.push_back(decode_payload(payload));
+      return decode_payload(payload);
     } catch (const Error&) {
-      result.truncated_tail = true;
-      break;
-    } catch (const std::runtime_error&) {  // BinaryReader short read
+      return std::nullopt;
+    }
+  };
+  while (in.peek() != std::ifstream::traits_type::eof()) {
+    auto record = next_frame();
+    if (!record) {
       result.truncated_tail = true;
       break;
     }
-    result.valid_bytes += kFrameHeaderBytes + len;
+    result.records.push_back(std::move(*record));
+    result.valid_bytes = frame_end;
   }
   return result;
 }
@@ -262,89 +252,48 @@ void reset_journal(const std::string& path) {
 
 // ---- snapshots ---------------------------------------------------------
 
+// Version 2 widened quarantine_counts for the transport-level reject reasons
+// (frame_corrupt/frame_malformed). v1 snapshots are refused by load_snapshot,
+// which falls back to a full journal replay.
+constexpr std::uint64_t kSnapshotVersion = 2;
+
 void save_snapshot(const std::string& path, const Snapshot& snapshot) {
-  const std::string tmp = path + ".tmp";
-  try {
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      if (!out) throw IoError("cannot open snapshot tmp: " + tmp);
-      util::BinaryWriter w(out);
-      w.tag("FSSN");
-      // Version 2 widened quarantine_counts for the transport-level reject
-      // reasons (frame_corrupt/frame_malformed). v1 snapshots are refused by
-      // load_snapshot, which falls back to a full journal replay.
-      w.u64(2);
-      w.crc_begin();
-      w.u64(snapshot.config_fingerprint);
-      w.u64(snapshot.consumed_lines);
-      w.u64(snapshot.shed_total);
-      for (const auto count : snapshot.quarantine_counts) w.u64(count);
-      w.u64(snapshot.events.size());
-      for (const auto& e : snapshot.events) {
-        w.u64(e.seq);
-        w.u64(e.event_id);
-        w.u64(e.has_explicit_id ? 1 : 0);
-        w.i64(e.user);
-        w.i64(e.time);
-        w.f64(e.location.lat);
-        w.f64(e.location.lng);
-        w.i64(e.poi);
-        w.str(e.line);
-      }
-      w.crc_end();
-      out.flush();
-      if (!out) throw IoError("snapshot write failed: " + tmp);
-    }
-    // Durability barrier: the tmp's bytes must be on disk before the rename
-    // publishes it, and the rename itself is only durable once the parent
-    // directory's entry is synced — otherwise a crash can leave a published
-    // name pointing at unwritten data, or silently revert to the old file.
-    if (!util::fsync_path(tmp)) throw IoError("snapshot fsync failed: " + tmp);
-    std::filesystem::rename(tmp, path);
-    if (!util::fsync_parent_dir(path))
-      throw IoError("snapshot directory fsync failed for: " + path);
-  } catch (...) {
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    throw;
-  }
+  util::atomic_publish(path, [&](std::ostream& out) {
+    util::write_sealed(out, "FSSN", kSnapshotVersion,
+                       [&](util::BinaryWriter& w) {
+                         w.u64(snapshot.config_fingerprint);
+                         w.u64(snapshot.consumed_lines);
+                         w.u64(snapshot.shed_total);
+                         for (const auto count : snapshot.quarantine_counts)
+                           w.u64(count);
+                         w.u64(snapshot.events.size());
+                         for (const auto& e : snapshot.events)
+                           write_event(w, e);
+                       });
+  });
 }
 
 std::optional<Snapshot> load_snapshot(const std::string& path,
                                       std::uint64_t expected_fingerprint) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
+  Snapshot snapshot;
   try {
-    util::BinaryReader r(in);
-    r.expect_tag("FSSN");
-    if (r.u64() != 2) return std::nullopt;
-    r.crc_begin();
-    Snapshot snapshot;
-    snapshot.config_fingerprint = r.u64();
-    snapshot.consumed_lines = r.u64();
-    snapshot.shed_total = r.u64();
-    for (auto& count : snapshot.quarantine_counts) count = r.u64();
-    const auto n = r.u64();
-    snapshot.events.resize(n);
-    for (auto& e : snapshot.events) {
-      e.seq = r.u64();
-      e.event_id = r.u64();
-      e.has_explicit_id = r.u64() != 0;
-      e.user = r.i64();
-      e.time = r.i64();
-      e.location.lat = r.f64();
-      e.location.lng = r.f64();
-      e.poi = r.i64();
-      e.line = r.str();
-    }
-    r.crc_end();
-    if (snapshot.config_fingerprint != expected_fingerprint)
-      return std::nullopt;
-    return snapshot;
-  } catch (const std::runtime_error&) {
-    // Torn, corrupt, or wrong-format snapshot: recovery replays the journal.
+    util::read_sealed(util::read_file(path), "FSSN", kSnapshotVersion,
+                      [&](util::BinaryReader& r) {
+                        snapshot.config_fingerprint = r.u64();
+                        snapshot.consumed_lines = r.u64();
+                        snapshot.shed_total = r.u64();
+                        for (auto& count : snapshot.quarantine_counts)
+                          count = r.u64();
+                        snapshot.events.resize(r.count(kMinEventBytes));
+                        for (auto& e : snapshot.events) e = read_event(r);
+                      });
+  } catch (const Error&) {
+    // Missing, torn, corrupt, or wrong-format snapshot: recovery replays
+    // the journal.
     return std::nullopt;
   }
+  if (snapshot.config_fingerprint != expected_fingerprint) return std::nullopt;
+  return snapshot;
 }
 
 }  // namespace fs::stream

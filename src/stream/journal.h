@@ -14,7 +14,8 @@
 //   [u32 frame-magic][u32 payload-bytes][u32 crc32(payload)][payload]
 //
 // A torn tail (crash or injected stream.journal.torn_write mid-frame) is
-// detected by the magic/length/CRC checks; recovery keeps the longest valid
+// detected by the magic/length/CRC checks — a frame whose length runs past
+// EOF is torn, and is never allocated; recovery keeps the longest valid
 // prefix and reports the cut so the caller can truncate before appending.
 //
 // Snapshots compact the prefix: a snapshot atomically persists the accepted
@@ -73,7 +74,6 @@ class JournalWriter {
   void append_quarantined(std::uint64_t source_index, RejectReason reason,
                           std::string_view line);
   void append_shed(std::uint64_t source_index, std::string_view line);
-  void flush();
   /// fsync(2) barrier: everything appended so far survives power loss.
   void sync();
   /// Truncates the open journal back to its header — post-snapshot
@@ -122,13 +122,14 @@ struct Snapshot {
   std::vector<RawEvent> events;          // accepted prefix, in order
 };
 
-/// Atomically writes the snapshot (tmp + rename; the tmp is removed on any
-/// failure). The payload is CRC32-checksummed end to end.
+/// Publishes the snapshot through util::atomic_publish as a sealed
+/// envelope tagged "FSSN". Throws fs::IoError on failure.
 void save_snapshot(const std::string& path, const Snapshot& snapshot);
 
 /// Loads and validates a snapshot. Returns std::nullopt when the file is
-/// missing, corrupt, or carries a different config fingerprint — recovery
-/// then falls back to a full journal replay.
+/// missing, corrupt (any defect util::read_sealed reports, including an
+/// event count larger than the file could hold), or carries a different
+/// config fingerprint — recovery then falls back to a full journal replay.
 std::optional<Snapshot> load_snapshot(const std::string& path,
                                       std::uint64_t expected_fingerprint);
 

@@ -1,13 +1,10 @@
 #include "util/binary_io.h"
 
 #include <errno.h>
-#include <fcntl.h>
-#include <libgen.h>
 #include <unistd.h>
 
 #include <array>
 #include <cstring>
-#include <stdexcept>
 
 #include "util/error.h"
 
@@ -51,25 +48,6 @@ bool fsync_eintr(int fd) {
     if (::fsync(fd) == 0) return true;
     if (errno != EINTR) return false;
   }
-}
-
-bool fsync_path(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return false;
-  const bool ok = fsync_eintr(fd);
-  ::close(fd);
-  return ok;
-}
-
-bool fsync_parent_dir(const std::string& path) {
-  // dirname may modify its argument; give it a scratch copy.
-  std::string scratch = path;
-  const char* dir = ::dirname(scratch.data());
-  const int fd = ::open(dir, O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return false;
-  const bool ok = fsync_eintr(fd);
-  ::close(fd);
-  return ok;
 }
 
 namespace {
@@ -121,7 +99,7 @@ void BinaryWriter::u64(std::uint64_t value) { raw(&value, sizeof value); }
 void BinaryWriter::i64(std::int64_t value) { raw(&value, sizeof value); }
 void BinaryWriter::f64(double value) { raw(&value, sizeof value); }
 
-void BinaryWriter::str(const std::string& value) {
+void BinaryWriter::str(std::string_view value) {
   u64(value.size());
   if (!value.empty()) raw(value.data(), value.size());
 }
@@ -137,77 +115,48 @@ void BinaryWriter::i32_vector(const std::vector<int>& values) {
 }
 
 void BinaryReader::raw(void* data, std::size_t bytes) {
+  if (bytes > remaining_)
+    throw CorruptCheckpoint("BinaryReader: read of " + std::to_string(bytes) +
+                            " bytes past the end of the record");
   in_.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
   if (static_cast<std::size_t>(in_.gcount()) != bytes)
-    throw std::runtime_error("BinaryReader: truncated stream");
-  if (crc_active_) crc_.update(data, bytes);
+    throw CorruptCheckpoint("BinaryReader: truncated stream");
+  remaining_ -= bytes;
 }
 
-void BinaryReader::crc_begin() {
-  crc_.reset();
-  crc_active_ = true;
-}
-
-std::uint32_t BinaryReader::crc_end() {
-  crc_active_ = false;
-  const std::uint32_t computed = crc_.value();
-  const std::uint64_t stored = u64();
-  if (stored != computed)
-    throw CorruptCheckpoint(
-        "BinaryReader: CRC mismatch (stored " + std::to_string(stored) +
-        ", computed " + std::to_string(computed) + ")");
-  return computed;
+std::uint64_t BinaryReader::count(std::size_t min_item_bytes) {
+  const std::uint64_t n = u64();
+  if (n > (1ull << 32) || n > remaining_ / min_item_bytes)
+    throw CorruptCheckpoint("BinaryReader: implausible count " +
+                            std::to_string(n));
+  return n;
 }
 
 void BinaryReader::expect_tag(const char (&name)[5]) {
   char found[4];
   raw(found, 4);
   if (std::memcmp(found, name, 4) != 0)
-    throw std::runtime_error(std::string("BinaryReader: expected tag '") +
-                             name + "', found '" +
-                             std::string(found, 4) + "'");
-}
-
-std::uint64_t BinaryReader::u64() {
-  std::uint64_t value;
-  raw(&value, sizeof value);
-  return value;
-}
-
-std::int64_t BinaryReader::i64() {
-  std::int64_t value;
-  raw(&value, sizeof value);
-  return value;
-}
-
-double BinaryReader::f64() {
-  double value;
-  raw(&value, sizeof value);
-  return value;
+    throw CorruptCheckpoint(std::string("BinaryReader: expected tag '") +
+                            name + "', found '" + std::string(found, 4) +
+                            "'");
 }
 
 std::string BinaryReader::str() {
-  const std::uint64_t size = u64();
-  if (size > (1ull << 32))
-    throw std::runtime_error("BinaryReader: implausible string size");
+  const std::uint64_t size = count(1);
   std::string value(size, '\0');
   if (size) raw(value.data(), size);
   return value;
 }
 
 std::vector<double> BinaryReader::f64_vector() {
-  const std::uint64_t size = u64();
-  if (size > (1ull << 32))
-    throw std::runtime_error("BinaryReader: implausible vector size");
+  const std::uint64_t size = count(sizeof(double));
   std::vector<double> values(size);
   if (size) raw(values.data(), size * sizeof(double));
   return values;
 }
 
 std::vector<int> BinaryReader::i32_vector() {
-  const std::uint64_t size = u64();
-  if (size > (1ull << 32))
-    throw std::runtime_error("BinaryReader: implausible vector size");
+  const std::uint64_t size = count(sizeof(int));
   std::vector<int> values(size);
   if (size) raw(values.data(), size * sizeof(int));
   return values;

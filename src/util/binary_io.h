@@ -5,11 +5,11 @@
 // corrupted numbers downstream. Host endianness is assumed (the project
 // targets a single machine; files are a cache, not an interchange format).
 //
-// For durable artifacts (checkpoints), both ends support CRC32 regions:
-// the writer accumulates a checksum over every byte between crc_begin()
-// and crc_end() and appends it; the reader recomputes it over the same
-// span and verifies — so truncation and bit rot fail loudly instead of
-// deserializing garbage.
+// Durable artifacts wrap these records in the sealed envelope of
+// util/durable.h, whose writer checksums its region through crc_begin() /
+// crc_end() and whose reader verifies that CRC before decoding. Every
+// defect the reader meets — a wrong tag, a short stream, a length or count
+// past the bytes left — throws fs::CorruptCheckpoint.
 #pragma once
 
 #include <sys/socket.h>
@@ -19,6 +19,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fs::util {
@@ -50,15 +51,6 @@ int accept_eintr(int fd, struct sockaddr* addr, socklen_t* addr_len);
 /// fsync(2), retried on EINTR. Returns false (errno set) on hard error.
 bool fsync_eintr(int fd);
 
-/// Opens `path` read-only, fsyncs it, closes it. For durability barriers on
-/// files written through buffered streams (e.g. a snapshot tmp before its
-/// atomic rename).
-bool fsync_path(const std::string& path);
-
-/// fsyncs the directory containing `path`, making a just-renamed entry
-/// durable (rename alone only updates the in-memory dirent).
-bool fsync_parent_dir(const std::string& path);
-
 /// CRC-32 (IEEE 802.3, the zlib polynomial), one-shot over a buffer.
 std::uint32_t crc32(const void* data, std::size_t bytes,
                     std::uint32_t seed = 0);
@@ -84,7 +76,7 @@ class BinaryWriter {
   void u64(std::uint64_t value);
   void i64(std::int64_t value);
   void f64(double value);
-  void str(const std::string& value);
+  void str(std::string_view value);
   void f64_vector(const std::vector<double>& values);
   void i32_vector(const std::vector<int>& values);
 
@@ -102,29 +94,40 @@ class BinaryWriter {
 
 class BinaryReader {
  public:
-  explicit BinaryReader(std::istream& in) : in_(in) {}
+  /// Reads from `in`. A caller that knows how many bytes are left passes
+  /// them as `limit`, and no read may then go past it.
+  explicit BinaryReader(std::istream& in, std::uint64_t limit = kUnbounded)
+      : in_(in), remaining_(limit) {}
 
-  /// Reads 4 bytes and throws std::runtime_error on mismatch.
+  static constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
+
+  /// Reads 4 bytes and throws on mismatch.
   void expect_tag(const char (&name)[5]);
 
-  std::uint64_t u64();
-  std::int64_t i64();
-  double f64();
+  std::uint64_t u64() { return scalar<std::uint64_t>(); }
+  std::int64_t i64() { return scalar<std::int64_t>(); }
+  double f64() { return scalar<double>(); }
   std::string str();
   std::vector<double> f64_vector();
   std::vector<int> i32_vector();
 
-  /// Starts checksumming subsequent reads.
-  void crc_begin();
-  /// Stops checksumming, reads the stored CRC32 and throws
-  /// fs::CorruptCheckpoint on mismatch. Returns the verified value.
-  std::uint32_t crc_end();
+  /// Reads a u64 count of items that take at least `min_item_bytes` each,
+  /// and throws if it exceeds 2^32 or what the bytes left could hold. Call
+  /// before sizing a container by it.
+  std::uint64_t count(std::size_t min_item_bytes);
+
+  std::uint64_t remaining() const { return remaining_; }
 
  private:
+  template <typename T>
+  T scalar() {
+    T value;
+    raw(&value, sizeof value);
+    return value;
+  }
   void raw(void* data, std::size_t bytes);
   std::istream& in_;
-  Crc32 crc_;
-  bool crc_active_ = false;
+  std::uint64_t remaining_;
 };
 
 }  // namespace fs::util

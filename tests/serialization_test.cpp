@@ -11,6 +11,7 @@
 #include "nn/layers.h"
 #include "nn/supervised_autoencoder.h"
 #include "util/binary_io.h"
+#include "util/durable.h"
 #include "util/error.h"
 
 namespace fs {
@@ -52,44 +53,57 @@ TEST(BinaryIo, Crc32KnownVector) {
   EXPECT_EQ(incremental.value(), 0xCBF43926u);
 }
 
-TEST(BinaryIo, CrcRegionRoundTrip) {
+TEST(BinaryIo, SealedEnvelopeRoundTrip) {
   std::stringstream stream;
-  util::BinaryWriter writer(stream);
-  writer.tag("HDRX");
-  writer.crc_begin();
-  writer.u64(77);
-  writer.str("payload");
-  writer.f64_vector({1.5, -2.5});
-  const std::uint32_t written = writer.crc_end();
-
-  util::BinaryReader reader(stream);
-  reader.expect_tag("HDRX");
-  reader.crc_begin();
-  EXPECT_EQ(reader.u64(), 77u);
-  EXPECT_EQ(reader.str(), "payload");
-  EXPECT_EQ(reader.f64_vector(), (std::vector<double>{1.5, -2.5}));
-  EXPECT_EQ(reader.crc_end(), written);
-}
-
-TEST(BinaryIo, CrcRegionDetectsBitFlip) {
-  std::stringstream stream;
-  {
-    util::BinaryWriter writer(stream);
-    writer.crc_begin();
+  util::write_sealed(stream, "HDRX", 3, [](util::BinaryWriter& writer) {
     writer.u64(77);
     writer.str("payload");
-    writer.crc_end();
-  }
+    writer.f64_vector({1.5, -2.5});
+  });
+
+  util::read_sealed(stream.str(), "HDRX", 3, [](util::BinaryReader& reader) {
+    EXPECT_EQ(reader.u64(), 77u);
+    EXPECT_EQ(reader.str(), "payload");
+    EXPECT_EQ(reader.f64_vector(), (std::vector<double>{1.5, -2.5}));
+  });
+}
+
+TEST(BinaryIo, SealedEnvelopeDetectsBitFlip) {
+  std::stringstream stream;
+  util::write_sealed(stream, "HDRX", 3, [](util::BinaryWriter& writer) {
+    writer.u64(77);
+    writer.str("payload");
+  });
   std::string bytes = stream.str();
-  // Layout: u64 value (8 bytes), string length (8 bytes), then the chars;
-  // flip a bit inside the character payload so every field still parses.
-  bytes[17] ^= 0x40;
-  std::istringstream corrupted(bytes);
-  util::BinaryReader reader(corrupted);
-  reader.crc_begin();
-  reader.u64();
-  reader.str();
-  EXPECT_THROW(reader.crc_end(), CorruptCheckpoint);
+  // Layout: tag (4) + version (8), then the region: u64 value (8 bytes),
+  // string length (8 bytes), then the chars; flip a bit inside the
+  // character payload so every field still parses.
+  bytes[12 + 17] ^= 0x40;
+  const auto decode = [](util::BinaryReader& reader) {
+    reader.u64();
+    reader.str();
+  };
+  EXPECT_THROW(util::read_sealed(bytes, "HDRX", 3, decode), CorruptCheckpoint);
+  EXPECT_THROW(util::read_sealed(stream.str(), "HDRY", 3, decode),
+               CorruptCheckpoint);
+  EXPECT_THROW(util::read_sealed(stream.str(), "HDRX", 4, decode),
+               CorruptCheckpoint);
+  // A body that leaves region bytes unread is a format mismatch too.
+  EXPECT_THROW(util::read_sealed(stream.str(), "HDRX", 3,
+                                 [](util::BinaryReader& reader) {
+                                   reader.u64();
+                                 }),
+               CorruptCheckpoint);
+}
+
+TEST(BinaryIo, BoundedReaderRefusesCountsPastTheEnd) {
+  std::stringstream stream;
+  util::BinaryWriter writer(stream);
+  writer.u64(3);  // claims three doubles; only two follow
+  writer.f64(1.0);
+  writer.f64(2.0);
+  util::BinaryReader reader(stream, 24);
+  EXPECT_THROW(reader.f64_vector(), CorruptCheckpoint);
 }
 
 TEST(BinaryIo, TagMismatchThrows) {

@@ -5,6 +5,7 @@
 // serve finalize path relies on.
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -23,6 +24,8 @@
 #include "stream/quarantine.h"
 #include "stream/ring.h"
 #include "stream/source.h"
+#include "util/binary_io.h"
+#include "util/durable.h"
 #include "util/error.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
@@ -317,6 +320,58 @@ TEST(Snapshot, RoundTripsAndRefusesForeignFingerprint) {
   EXPECT_FALSE(stream::load_snapshot(dir + "/absent.fss", 1).has_value());
 }
 
+/// Overwrites the event count of the snapshot at `path` and re-seals its
+/// CRC, so only the count's bounds check stands between the loader and a
+/// `count`-element allocation.
+void forge_snapshot_event_count(const std::string& path, std::uint64_t count) {
+  std::string bytes = util::read_file(path);
+  const std::size_t count_at = 12 + 8 * (3 + stream::kRejectReasonCount);
+  std::memcpy(bytes.data() + count_at, &count, sizeof count);
+  const std::uint64_t crc =
+      util::crc32(bytes.data() + 12, bytes.size() - 12 - 8);
+  std::memcpy(bytes.data() + bytes.size() - 8, &crc, sizeof crc);
+  write_file(path, bytes);
+}
+
+TEST(Snapshot, FalseEventCountIsRefusedBeforeAllocating) {
+  const std::string dir = temp_dir("snapshot_event_count");
+  const std::string path = dir + "/snapshot.fss";
+  for (const std::uint64_t count : {std::uint64_t{1} << 62,
+                                    std::uint64_t{100000000}}) {
+    stream::Snapshot snapshot;
+    snapshot.config_fingerprint = 0xfeedULL;
+    snapshot.events.push_back(
+        must_parse("9\t2010-10-19T10:00:00Z\t30.0\t-97.0\t4"));
+    stream::save_snapshot(path, snapshot);
+    forge_snapshot_event_count(path, count);
+    EXPECT_FALSE(stream::load_snapshot(path, 0xfeedULL).has_value()) << count;
+  }
+}
+
+TEST(Journal, FrameLengthPastEofIsATornTail) {
+  const std::string dir = temp_dir("journal_false_length");
+  const std::string path = dir + "/journal.fsj";
+  std::uint64_t first_frame_end = 0;
+  {
+    stream::JournalWriter writer(path);
+    writer.append_quarantined(0, stream::RejectReason::kShortLine, "first");
+    first_frame_end = writer.bytes();
+    writer.append_quarantined(1, stream::RejectReason::kShortLine, "second");
+  }
+  // The second frame claims ~4 GiB: recovery must not allocate it.
+  std::string bytes = util::read_file(path);
+  const std::uint32_t false_length = 0xfffffff0u;
+  std::memcpy(bytes.data() + first_frame_end + 4, &false_length,
+              sizeof false_length);
+  write_file(path, bytes);
+
+  const auto recovered = stream::recover_journal(path);
+  EXPECT_TRUE(recovered.truncated_tail);
+  ASSERT_EQ(recovered.records.size(), 1u);
+  EXPECT_EQ(recovered.records[0].line, "first");
+  EXPECT_EQ(recovered.valid_bytes, first_frame_end);
+}
+
 // ---------- sources ----------
 
 TEST(Source, FileTailHoldsBackTornLines) {
@@ -504,6 +559,55 @@ TEST(Daemon, FramesJournaledAfterASnapshotSurviveAKill) {
   resumed.engine().drain();
   EXPECT_EQ(resumed.engine().state_digest(),
             baseline.engine().state_digest());
+}
+
+TEST(Daemon, SnapshotWithAFalseEventCountFallsBackToTheJournal) {
+  const StreamWorld world = make_stream_world("daemon_false_count");
+  fp::clear();
+  constexpr std::uint64_t kTicks = 4;
+
+  stream::ServeConfig baseline_cfg = serve_config("");
+  baseline_cfg.max_ticks = kTicks;
+  stream::ServeDaemon baseline(
+      baseline_cfg, std::make_unique<stream::ReplaySource>(world.stream_path));
+  baseline.run();
+  baseline.engine().drain();
+
+  // A run that never snapshots: the journal holds every consumed line.
+  const std::string durable_dir = world.dir + "/journal";
+  std::filesystem::create_directories(durable_dir);
+  stream::ServeConfig cfg = serve_config(durable_dir);
+  cfg.snapshot_every = 0;
+  cfg.max_ticks = kTicks;
+  std::uint64_t journaled = 0;
+  stream::Snapshot forged;
+  {
+    stream::ServeDaemon killed(
+        cfg, std::make_unique<stream::ReplaySource>(world.stream_path));
+    ASSERT_EQ(killed.run().snapshots_written, 0u);
+    journaled = killed.journaled_watermark();
+    forged.config_fingerprint = killed.engine().config_fingerprint();
+    forged.consumed_lines = journaled;
+  }
+
+  for (const std::uint64_t count : {std::uint64_t{1} << 62,
+                                    std::uint64_t{100000000}}) {
+    const std::string snapshot_path = durable_dir + "/snapshot.fss";
+    stream::save_snapshot(snapshot_path, forged);
+    forge_snapshot_event_count(snapshot_path, count);
+
+    stream::ServeDaemon resumed(
+        serve_config(durable_dir),
+        std::make_unique<stream::ReplaySource>(world.stream_path));
+    const auto info = resumed.recover();
+    EXPECT_FALSE(info.snapshot_used) << count;
+    EXPECT_GT(info.journal_frames_replayed, 0u) << count;
+    EXPECT_EQ(info.consumed_lines, journaled) << count;
+    resumed.engine().drain();
+    EXPECT_EQ(resumed.engine().state_digest(),
+              baseline.engine().state_digest())
+        << count;
+  }
 }
 
 TEST(Daemon, ShedModeAccountsEveryDroppedLine) {
