@@ -4,6 +4,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace fs::core {
@@ -54,6 +55,8 @@ void PresenceModel::train(const nn::Matrix& jocs,
   // "A small number of raw JOC samples" trains the autoencoder; subsample
   // deterministically and stratified if the corpus is larger.
   obs::Span ae_span("core.presence.autoencoder");
+  std::size_t ae_rows = jocs.rows();
+  std::size_t epochs = 0;
   if (jocs.rows() > config_.max_autoencoder_rows) {
     util::Rng rng(config_.seed ^ 0xfeedULL);
     std::vector<std::size_t> pos, neg;
@@ -71,10 +74,23 @@ void PresenceModel::train(const nn::Matrix& jocs,
     std::vector<int> sub_labels;
     sub_labels.reserve(chosen.size());
     for (std::size_t i : chosen) sub_labels.push_back(labels[i]);
-    autoencoder_->train(jocs.gather_rows(chosen), sub_labels);
+    ae_rows = chosen.size();
+    epochs = autoencoder_->train(jocs.gather_rows(chosen), sub_labels).size();
   } else {
-    autoencoder_->train(jocs, labels);
+    epochs = autoencoder_->train(jocs, labels).size();
   }
+  // Throughput in the span tree: GEMM FLOPs over the epochs actually
+  // trained (a deadline may truncate them).
+  const double flop = autoencoder_->train_flop_per_row() *
+                      static_cast<double>(ae_rows) *
+                      static_cast<double>(epochs);
+  ae_span.arg("rows", static_cast<double>(ae_rows));
+  ae_span.arg("epochs", static_cast<double>(epochs));
+  ae_span.arg("flop", flop);
+  obs::metrics()
+      .counter("nn.ae.flops_total", {},
+               "autoencoder training GEMM FLOPs (computed from the widths)")
+      .add(static_cast<std::uint64_t>(flop));
   ae_span.end();
 
   // KNN stage over the code of the training corpus (capped: query cost is

@@ -23,12 +23,16 @@
 // Both axes keep each C element's micro-kernel inputs and its ascending
 // pc accumulation order, so with the fs::par determinism contract (chunks
 // independent of thread count) the output bits are thread-count-invariant
-// for a fixed Arch. Edge tiles are zero-padded during packing, so the
-// micro-kernel always runs a full MR x NR tile and writeback clips.
+// for a fixed Arch. Full panels pack with plain strided copies; edge
+// panels are zero-padded, so the micro-kernel always runs a full MR x NR
+// tile and writeback clips.
 //
 // Epilogues fuse into tile writeback on the LAST pc block: by then the
 // tile holds its complete k-accumulation (the pc loop is outer to the
-// tile loops), so bias+activation costs no extra pass over C.
+// tile loops), so bias+activation costs no extra pass over C. The step
+// epilogue (kStep) writes C = C - lr * product instead; when k spans
+// several pc blocks, the earlier blocks chain their partial sums through
+// a scratch gradient, since C holds the weights rather than the sum.
 #pragma once
 
 #include <algorithm>
@@ -60,32 +64,73 @@ inline double load_b(const GemmCall& call, std::size_t p, std::size_t j) {
   return call.b_trans ? call.b[j * call.ldb + p] : call.b[p * call.ldb + j];
 }
 
+/// Packs logical A rows [ic, ic + mc), columns [pc, pc + kc) into MR-tall
+/// panels: dst[p * MR + ii] = A(ir + ii, p). Full panels are plain strided
+/// copies, one loop per storage order with no per-element branch; only a
+/// trailing partial panel goes through load_a and zero-pads its rows.
 template <std::size_t MR>
 inline void pack_a_block(const GemmCall& call, std::size_t ic, std::size_t mc,
                          std::size_t pc, std::size_t kc, double* ap) {
-  std::size_t panel = 0;
-  for (std::size_t ir = 0; ir < mc; ir += MR, ++panel) {
-    double* dst = ap + panel * kc * MR;
-    const std::size_t mr = std::min(MR, mc - ir);
-    for (std::size_t p = 0; p < kc; ++p)
+  const std::size_t full = mc / MR * MR;
+  const std::size_t lda = call.lda;
+  if (call.a_trans) {
+    // A^T is stored: each panel row is MR contiguous doubles.
+    for (std::size_t ir = 0; ir < full; ir += MR) {
+      double* dst = ap + ir * kc;
+      const double* src = call.a + pc * lda + ic + ir;
+      for (std::size_t p = 0; p < kc; ++p)
+        for (std::size_t ii = 0; ii < MR; ++ii)
+          dst[p * MR + ii] = src[p * lda + ii];
+    }
+  } else {
+    for (std::size_t ir = 0; ir < full; ir += MR) {
+      double* dst = ap + ir * kc;
+      const double* src = call.a + (ic + ir) * lda + pc;
       for (std::size_t ii = 0; ii < MR; ++ii)
-        dst[p * MR + ii] =
-            ii < mr ? load_a(call, ic + ir + ii, pc + p) : 0.0;
+        for (std::size_t p = 0; p < kc; ++p)
+          dst[p * MR + ii] = src[ii * lda + p];
+    }
   }
+  if (full == mc) return;
+  double* dst = ap + full * kc;
+  const std::size_t mr = mc - full;
+  for (std::size_t p = 0; p < kc; ++p)
+    for (std::size_t ii = 0; ii < MR; ++ii)
+      dst[p * MR + ii] = ii < mr ? load_a(call, ic + full + ii, pc + p) : 0.0;
 }
 
+/// Packs logical B rows [pc, pc + kc), columns [jc, jc + nc) into NR-wide
+/// panels: dst[p * NR + jj] = B(p, jr + jj), full panels branch-free as in
+/// pack_a_block.
 template <std::size_t NR>
 inline void pack_b_block(const GemmCall& call, std::size_t jc, std::size_t nc,
                          std::size_t pc, std::size_t kc, double* bp) {
-  std::size_t panel = 0;
-  for (std::size_t jr = 0; jr < nc; jr += NR, ++panel) {
-    double* dst = bp + panel * kc * NR;
-    const std::size_t nr = std::min(NR, nc - jr);
-    for (std::size_t p = 0; p < kc; ++p)
+  const std::size_t full = nc / NR * NR;
+  const std::size_t ldb = call.ldb;
+  if (call.b_trans) {
+    for (std::size_t jr = 0; jr < full; jr += NR) {
+      double* dst = bp + jr * kc;
+      const double* src = call.b + (jc + jr) * ldb + pc;
       for (std::size_t jj = 0; jj < NR; ++jj)
-        dst[p * NR + jj] =
-            jj < nr ? load_b(call, pc + p, jc + jr + jj) : 0.0;
+        for (std::size_t p = 0; p < kc; ++p)
+          dst[p * NR + jj] = src[jj * ldb + p];
+    }
+  } else {
+    // B is stored row-major: each panel row is NR contiguous doubles.
+    for (std::size_t jr = 0; jr < full; jr += NR) {
+      double* dst = bp + jr * kc;
+      const double* src = call.b + pc * ldb + jc + jr;
+      for (std::size_t p = 0; p < kc; ++p)
+        for (std::size_t jj = 0; jj < NR; ++jj)
+          dst[p * NR + jj] = src[p * ldb + jj];
+    }
   }
+  if (full == nc) return;
+  double* dst = bp + full * kc;
+  const std::size_t nr = nc - full;
+  for (std::size_t p = 0; p < kc; ++p)
+    for (std::size_t jj = 0; jj < NR; ++jj)
+      dst[p * NR + jj] = jj < nr ? load_b(call, pc + p, jc + full + jj) : 0.0;
 }
 
 /// Bias + activation on one finished accumulator value. Sigmoid/tanh go
@@ -105,14 +150,57 @@ inline double apply_epilogue(Epilogue epilogue, double v, double bias) {
     case Epilogue::kBiasTanh:
       v += bias;
       return std::tanh(v);
+    case Epilogue::kStep:  // written back by step_tile
+      break;
   }
   return v;
 }
 
+/// One tile row of the step: w[j] = w[j] - lr * (g[j] + prev[j]). A full
+/// row has a compile-time width, so the compiler can vectorize it.
+template <std::size_t NR>
+inline void step_row(double* __restrict w, const double* __restrict g,
+                     const double* __restrict prev, double lr,
+                     std::size_t nr) {
+  if (nr == NR) {
+    for (std::size_t j = 0; j < NR; ++j) w[j] = w[j] - lr * (g[j] + prev[j]);
+    return;
+  }
+  for (std::size_t j = 0; j < nr; ++j) w[j] = w[j] - lr * (g[j] + prev[j]);
+}
+
+/// kStep writeback of one tile. A product spanning several KC blocks
+/// carries its partial sums in `partial` (m x n, ld n) until the last
+/// block; `chained` says an earlier block left a sum there. Each weight
+/// therefore sees exactly the unfused sequence: g = 0.0, g = acc + g per
+/// block, w = w - lr * g (two roundings: -ffp-contract=off keeps the
+/// compiler from fusing them).
+template <std::size_t NR>
+inline void step_tile(const GemmCall& call, double* partial, std::size_t i0,
+                      std::size_t mr, std::size_t j0, std::size_t nr,
+                      const double* acc, bool chained, bool finish) {
+  static constexpr double kNoSum[NR] = {};
+  for (std::size_t i = 0; i < mr; ++i) {
+    const double* g = acc + i * NR;
+    double* sum =
+        partial == nullptr ? nullptr : partial + (i0 + i) * call.n + j0;
+    const double* prev = chained ? sum : kNoSum;
+    if (finish)
+      step_row<NR>(call.c + (i0 + i) * call.ldc + j0, g, prev, call.scale,
+                   nr);
+    else
+      for (std::size_t j = 0; j < nr; ++j) sum[j] = g[j] + prev[j];
+  }
+}
+
 template <std::size_t MR, std::size_t NR>
-inline void write_tile(const GemmCall& call, std::size_t i0, std::size_t mr,
-                       std::size_t j0, std::size_t nr, const double* acc,
-                       bool accumulate, bool finish) {
+inline void write_tile(const GemmCall& call, double* partial, std::size_t i0,
+                       std::size_t mr, std::size_t j0, std::size_t nr,
+                       const double* acc, bool accumulate, bool finish) {
+  if (call.epilogue == Epilogue::kStep) {
+    step_tile<NR>(call, partial, i0, mr, j0, nr, acc, accumulate, finish);
+    return;
+  }
   const bool epi = finish && call.epilogue != Epilogue::kNone;
   for (std::size_t i = 0; i < mr; ++i) {
     double* crow = call.c + (i0 + i) * call.ldc + j0;
@@ -125,11 +213,16 @@ inline void write_tile(const GemmCall& call, std::size_t i0, std::size_t mr,
   }
 }
 
-/// k == 0 degenerates to an epilogue-only sweep: C = epilogue(C or 0).
+/// k == 0 degenerates to an epilogue-only sweep: C = epilogue(C or 0), and
+/// a step by a zero gradient.
 inline void epilogue_only(const GemmCall& call) {
   for (std::size_t i = 0; i < call.m; ++i) {
     double* crow = call.c + i * call.ldc;
     for (std::size_t j = 0; j < call.n; ++j) {
+      if (call.epilogue == Epilogue::kStep) {
+        crow[j] = crow[j] - call.scale * 0.0;
+        continue;
+      }
       double v = call.accumulate ? crow[j] : 0.0;
       if (call.epilogue != Epilogue::kNone)
         v = apply_epilogue(call.epilogue, v, call.bias[j]);
@@ -142,7 +235,7 @@ inline void epilogue_only(const GemmCall& call) {
 /// block by the calling thread and shared; each chunk packs its own
 /// MC x KC A block.
 template <typename Arch>
-void run_row_blocks(const GemmCall& call) {
+void run_row_blocks(const GemmCall& call, double* partial) {
   constexpr std::size_t MR = Arch::kMr;
   constexpr std::size_t NR = Arch::kNr;
   const std::size_t num_ic = (call.m + kMc - 1) / kMc;
@@ -171,8 +264,8 @@ void run_row_blocks(const GemmCall& call) {
           const std::size_t nr = std::min(NR, nc - jr);
           for (std::size_t ir = 0; ir < mc; ir += MR) {
             Arch::micro_kernel(kc, ap + (ir / MR) * kc * MR, bpanel, acc);
-            write_tile<MR, NR>(call, ic + ir, std::min(MR, mc - ir), jc + jr,
-                               nr, acc, acc_c, last_pc);
+            write_tile<MR, NR>(call, partial, ic + ir, std::min(MR, mc - ir),
+                               jc + jr, nr, acc, acc_c, last_pc);
           }
         }
       });
@@ -188,7 +281,7 @@ void run_row_blocks(const GemmCall& call) {
 /// in ascending order. A C element therefore gets bit-for-bit what
 /// run_row_blocks would give it.
 template <typename Arch>
-void run_column_panels(const GemmCall& call) {
+void run_column_panels(const GemmCall& call, double* partial) {
   constexpr std::size_t MR = Arch::kMr;
   constexpr std::size_t NR = Arch::kNr;
   const std::size_t m_padded = (call.m + MR - 1) / MR * MR;
@@ -213,8 +306,8 @@ void run_column_panels(const GemmCall& call) {
         const std::size_t nr = std::min(NR, nc - jr);
         for (std::size_t ir = 0; ir < call.m; ir += MR) {
           Arch::micro_kernel(kc, apc + (ir / MR) * kc * MR, bpanel, acc);
-          write_tile<MR, NR>(call, ir, std::min(MR, call.m - ir), j0 + jr,
-                             nr, acc, acc_c, last_pc);
+          write_tile<MR, NR>(call, partial, ir, std::min(MR, call.m - ir),
+                             j0 + jr, nr, acc, acc_c, last_pc);
         }
       }
     }
@@ -232,10 +325,15 @@ void run_gemm(const GemmCall& call) {
     epilogue_only(call);
     return;
   }
+  // A step whose product spans several KC blocks chains the block sums
+  // through a scratch gradient; with one block there is nothing to carry.
+  double* partial = call.epilogue == Epilogue::kStep && call.k > kKc
+                        ? step_scratch(call.m * call.n)
+                        : nullptr;
   if (call.m <= kMc)
-    run_column_panels<Arch>(call);
+    run_column_panels<Arch>(call, partial);
   else
-    run_row_blocks<Arch>(call);
+    run_row_blocks<Arch>(call, partial);
 }
 
 }  // namespace fs::kern::detail

@@ -1,6 +1,7 @@
 #include "kern/kern.h"
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
@@ -157,7 +158,25 @@ double* pack_scratch_b(std::size_t count) {
   return buffer.data();
 }
 
+double* step_scratch(std::size_t count) {
+  thread_local std::vector<double, util::AlignedAllocator<double>> buffer;
+  if (buffer.size() < count) buffer.resize(count);
+  return buffer.data();
+}
+
 }  // namespace detail
+
+namespace {
+
+/// True when the doubles [a, a + a_len) and [b, b + b_len) share an address.
+bool overlaps(const double* a, std::size_t a_len, const double* b,
+              std::size_t b_len) {
+  const auto a0 = reinterpret_cast<std::uintptr_t>(a);
+  const auto b0 = reinterpret_cast<std::uintptr_t>(b);
+  return a0 < b0 + b_len * sizeof(double) && b0 < a0 + a_len * sizeof(double);
+}
+
+}  // namespace
 
 void gemm(const GemmCall& call) {
   if (call.m == 0 || call.n == 0) return;
@@ -165,10 +184,31 @@ void gemm(const GemmCall& call) {
     throw std::invalid_argument("kern::gemm: null output");
   if (call.k != 0 && (call.a == nullptr || call.b == nullptr))
     throw std::invalid_argument("kern::gemm: null operand");
-  if (call.epilogue != Epilogue::kNone && call.bias == nullptr)
+  const bool step = call.epilogue == Epilogue::kStep;
+  if (call.epilogue != Epilogue::kNone && !step && call.bias == nullptr)
     throw std::invalid_argument("kern::gemm: epilogue without bias");
   if (call.ldc < call.n)
     throw std::invalid_argument("kern::gemm: ldc < n");
+  // Stored operand shapes: A is m x k (k x m transposed), B is k x n
+  // (n x k transposed). A leading dimension shorter than a stored row
+  // would read the next row's elements.
+  const std::size_t a_rows = call.a_trans ? call.k : call.m;
+  const std::size_t a_cols = call.a_trans ? call.m : call.k;
+  const std::size_t b_rows = call.b_trans ? call.n : call.k;
+  const std::size_t b_cols = call.b_trans ? call.k : call.n;
+  if (call.k != 0 && call.lda < a_cols)
+    throw std::invalid_argument("kern::gemm: lda shorter than a row of A");
+  if (call.k != 0 && call.ldb < b_cols)
+    throw std::invalid_argument("kern::gemm: ldb shorter than a row of B");
+  if (step && call.accumulate)
+    throw std::invalid_argument("kern::gemm: a step call cannot accumulate");
+  if (step && call.k != 0) {
+    const std::size_t c_len = (call.m - 1) * call.ldc + call.n;
+    if (overlaps(call.c, c_len, call.a, (a_rows - 1) * call.lda + a_cols) ||
+        overlaps(call.c, c_len, call.b, (b_rows - 1) * call.ldb + b_cols))
+      throw std::invalid_argument(
+          "kern::gemm: step output overlaps an operand");
+  }
   active_kernels()->gemm->gemm(call);
 }
 
@@ -221,6 +261,16 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
              const double* bias) {
   gemm(make_call(m, n, k, a, lda, /*a_trans=*/true, b, ldb,
                  /*b_trans=*/false, c, ldc, accumulate, epilogue, bias));
+}
+
+void gemm_tn_step(std::size_t m, std::size_t n, std::size_t k,
+                  const double* a, std::size_t lda, const double* b,
+                  std::size_t ldb, double* w, std::size_t ldw, double lr) {
+  GemmCall call = make_call(m, n, k, a, lda, /*a_trans=*/true, b, ldb,
+                            /*b_trans=*/false, w, ldw, /*accumulate=*/false,
+                            Epilogue::kStep, /*bias=*/nullptr);
+  call.scale = lr;
+  gemm(call);
 }
 
 std::size_t packed_rows_size(std::size_t n, std::size_t dim) {

@@ -14,9 +14,10 @@
 //     micro-kernel of FMA accumulators per ISA path. The three logical
 //     variants (NN, NT, TN) differ only in how the pack routines read the
 //     operands, so all of them share one macro kernel.
-//   * Epilogues (bias add, bias+ReLU/sigmoid/tanh) are fused into the
-//     C-tile writeback, so callers get activated layer outputs in a single
-//     pass instead of re-sweeping the matrix.
+//   * Epilogues (bias add, bias+ReLU/sigmoid/tanh, and the SGD step
+//     w -= lr * g) are fused into the C-tile writeback, so callers get
+//     activated layer outputs, or stepped weights, in a single pass
+//     instead of re-sweeping the matrix.
 //
 // Dispatch model: the ISA path (scalar, AVX2, AVX-512) is chosen once, at
 // first use, from CPU capabilities, and can be pinned with FS_KERNEL=
@@ -28,7 +29,11 @@
 // byte-identical to a 1-thread run on the same path. Different paths
 // legitimately differ in low-order bits (FMA vs separate multiply-add,
 // vector-lane epilogue order); the scalar path is the golden reference the
-// parity suite measures the vector paths against.
+// parity suite measures the vector paths against. Epilogues add no
+// divergence of their own: the GEMM translation units are compiled with
+// -ffp-contract=off, so an epilogue's multiply and add stay two rounded
+// operations on every path (only the micro-kernels' explicit FMA
+// intrinsics fuse).
 //
 // Row sweeps have a stronger contract: their bits are PATH-independent.
 // Each output element runs the plain scalar loop's own operation sequence
@@ -82,15 +87,22 @@ void force_path(IsaPath path);
 // ---------------------------------------------------------------------------
 
 /// Fused epilogue applied to C during tile writeback, after the full k
-/// accumulation. Bias is indexed by output column and may be null only for
-/// kNone. Sigmoid/tanh call the same libm routines on every path, so the
-/// epilogue itself never contributes cross-path divergence.
+/// accumulation. Bias is indexed by output column and may be null for kNone
+/// and kStep. Sigmoid/tanh call the same libm routines on every path, so
+/// the epilogue itself never contributes cross-path divergence.
+///
+/// kStep makes C the weights of an SGD step whose gradient is the product.
+/// Its bits equal "GEMM into a zeroed gradient, then c -= scale * grad":
+/// with k > KC the product's block partial sums chain exactly as that
+/// accumulation chains them, and the step is taken once, on the finished
+/// sum. A step call may not accumulate, and C may not overlap A or B.
 enum class Epilogue {
   kNone = 0,
   kBias,         // c += bias[j]
   kBiasRelu,     // c = max(c + bias[j], 0)
   kBiasSigmoid,  // c = 1 / (1 + exp(-(c + bias[j])))
   kBiasTanh,     // c = tanh(c + bias[j])
+  kStep,         // c = c - scale * ((A.B)[i][j] + 0.0)
 };
 
 /// One GEMM invocation: C (m x n, row-major, leading dimension ldc) gets
@@ -111,6 +123,7 @@ struct GemmCall {
   bool accumulate = false;
   Epilogue epilogue = Epilogue::kNone;
   const double* bias = nullptr;
+  double scale = 0.0;  // kStep's learning rate
 };
 
 /// C = A.B (+C): a is m x k (lda), b is k x n (ldb).
@@ -131,7 +144,17 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t ldc, bool accumulate = false,
              Epilogue epilogue = Epilogue::kNone, const double* bias = nullptr);
 
-/// Raw entry point behind the three wrappers (kernel_bench uses it).
+/// W -= lr * A^T.B, the SGD step of a dense layer's weight gradient
+/// (kStep): a is k x m (lda), b is k x n (ldb), w is m x n (ldw).
+void gemm_tn_step(std::size_t m, std::size_t n, std::size_t k,
+                  const double* a, std::size_t lda, const double* b,
+                  std::size_t ldb, double* w, std::size_t ldw, double lr);
+
+/// Raw entry point behind the wrappers (kernel_bench uses it). Throws
+/// std::invalid_argument on a malformed call: a null pointer, a leading
+/// dimension shorter than its operand's row (when k > 0), an epilogue
+/// without its bias, or a step call that accumulates or whose C overlaps
+/// A or B.
 void gemm(const GemmCall& call);
 
 // ---------------------------------------------------------------------------

@@ -40,5 +40,8 @@ const RowKernels* rows_avx512();
 /// separate arenas because one GEMM holds both an A block and a B block.
 double* pack_scratch_a(std::size_t count);
 double* pack_scratch_b(std::size_t count);
+/// The calling thread's scratch gradient for a step whose product spans
+/// several KC blocks (the block partial sums, shared by the workers).
+double* step_scratch(std::size_t count);
 
 }  // namespace fs::kern::detail

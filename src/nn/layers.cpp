@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "kern/kern.h"
-#include "par/par.h"
 #include "util/error.h"
 
 namespace fs::nn {
@@ -54,7 +53,6 @@ Dense::Dense(std::size_t in_dim, std::size_t out_dim, Activation act,
     : weights_(Matrix::he_init(out_dim, in_dim, rng)),
       bias_(out_dim, 0.0),
       activation_(act),
-      grad_weights_(out_dim, in_dim),
       grad_bias_(out_dim, 0.0) {
   if (in_dim == 0 || out_dim == 0)
     throw std::invalid_argument("Dense: zero dimension");
@@ -64,7 +62,6 @@ Dense::Dense(Matrix weights, std::vector<double> bias, Activation act)
     : weights_(std::move(weights)),
       bias_(std::move(bias)),
       activation_(act),
-      grad_weights_(weights_.rows(), weights_.cols()),
       grad_bias_(bias_.size(), 0.0) {
   if (weights_.rows() != bias_.size())
     throw std::invalid_argument("Dense: weights/bias shape mismatch");
@@ -100,6 +97,8 @@ Dense Dense::load(util::BinaryReader& reader) {
 const Matrix& Dense::forward(const Matrix& input) {
   if (input.cols() != in_dim())
     throw std::invalid_argument("Dense::forward: input width mismatch");
+  if (step_pending_)
+    throw std::logic_error("Dense::forward: a weight step is still pending");
   cached_input_ = input;  // capacity-reusing copy
   cached_output_.resize(input.rows(), out_dim());
   // One fused kernel: GEMM against W^T with bias+activation applied during
@@ -126,14 +125,16 @@ void Dense::backward_into(const Matrix& d_output, Matrix* d_input) {
   if (cached_output_.rows() != d_output.rows() ||
       cached_output_.cols() != d_output.cols())
     throw std::logic_error("Dense::backward: no matching forward cache");
+  if (step_pending_)
+    throw std::logic_error("Dense::backward: a weight step is still pending");
   // dPre = dOut ∘ act'(out)
   d_pre_ = d_output;
   for (std::size_t i = 0; i < d_pre_.size(); ++i)
     d_pre_.data()[i] *=
         activation_grad_from_output(activation_, cached_output_.data()[i]);
-  // Parameter gradients accumulate directly inside the kernel (C += A^T B)
-  // — no temporary gradient matrix, no second pass.
-  matmul_tn_into(d_pre_, cached_input_, grad_weights_, /*accumulate=*/true);
+  // The weight gradient dPre^T . input is left to apply_gradients, which
+  // steps the weights by it inside the GEMM writeback.
+  step_pending_ = true;
   for (std::size_t r = 0; r < d_pre_.rows(); ++r)
     for (std::size_t c = 0; c < d_pre_.cols(); ++c)
       grad_bias_[c] += d_pre_(r, c);
@@ -148,21 +149,11 @@ Matrix Dense::backward(const Matrix& d_output) {
 }
 
 void Dense::apply_gradients(double learning_rate) {
-  // One fused pass over the weights: step, then zero the gradient.
-  // Element-wise, so the chunking (a function of the shape alone) cannot
-  // change a bit.
-  double* const w = weights_.data();
-  double* const g = grad_weights_.data();
-  const auto step = [=](const par::ChunkRange& chunk) {
-    for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-      w[i] -= learning_rate * g[i];
-      g[i] = 0.0;
-    }
-  };
-  par::ParallelOptions options;
-  options.what = "nn.dense.sgd";
-  options.grain = par::grain_for(/*per_item_ops=*/2);
-  par::parallel_for_chunks(weights_.size(), options, step);
+  if (!step_pending_) return;
+  kern::gemm_tn_step(out_dim(), in_dim(), d_pre_.rows(), d_pre_.data(),
+                     d_pre_.cols(), cached_input_.data(), cached_input_.cols(),
+                     weights_.data(), weights_.cols(), learning_rate);
+  step_pending_ = false;
   for (std::size_t c = 0; c < bias_.size(); ++c) {
     bias_[c] -= learning_rate * grad_bias_[c];
     grad_bias_[c] = 0.0;
@@ -170,7 +161,7 @@ void Dense::apply_gradients(double learning_rate) {
 }
 
 void Dense::clear_gradients() {
-  grad_weights_.fill(0.0);
+  step_pending_ = false;
   grad_bias_.assign(grad_bias_.size(), 0.0);
 }
 

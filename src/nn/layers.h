@@ -1,15 +1,18 @@
-// Fully-connected layers and multi-layer perceptrons with explicit
-// gradient accumulation, so Algorithm 1's sequential two-loss update can be
-// expressed faithfully (compute both gradient sets at the forward point,
-// then apply).
+// Fully-connected layers and multi-layer perceptrons with an explicit
+// backward / apply split, so Algorithm 1's sequential two-loss update can
+// be expressed faithfully (compute the gradients at the forward point, then
+// apply).
 //
 // Hot-path shape: forward runs one fused GEMM (bias + activation applied
 // in the kernel's tile writeback — no second pass over the batch), caches
 // the layer *output*, and derives the activation gradient from it in
 // backward (ReLU: out > 0; sigmoid: s(1-s); tanh: 1-t² — identical values
-// to the pre-activation forms, one cached matrix instead of two). All
-// per-batch buffers are reused members, so steady-state training allocates
-// nothing.
+// to the pre-activation forms, one cached matrix instead of two). The
+// weight gradient is never stored: backward keeps dL/d(pre-activation),
+// and apply_gradients runs the GEMM dPre^T . input with the SGD step fused
+// into its writeback (kern's kStep epilogue), bit-identical to "gradient
+// into a zeroed matrix, then w -= lr * g". All per-batch buffers are
+// reused members, so steady-state training allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -41,13 +44,17 @@ class Dense {
 
   /// Forward pass; caches input and output for backward(). The returned
   /// reference is into this layer and stays valid until the next forward.
+  /// Throws std::logic_error while a backward() step is still pending: the
+  /// step reads the cached input.
   const Matrix& forward(const Matrix& input);
 
   /// Forward without caching (inference).
   Matrix infer(const Matrix& input) const;
 
-  /// Accumulates weight/bias gradients from dL/d(output) and returns
-  /// dL/d(input). Requires a preceding forward() on the same batch.
+  /// Computes the weight/bias gradients of dL/d(output), pending until
+  /// apply_gradients() or clear_gradients(), and returns dL/d(input).
+  /// Requires a preceding forward() on the same batch and no pending step
+  /// (std::logic_error otherwise).
   Matrix backward(const Matrix& d_output);
 
   /// backward() with the input gradient written to *d_input (reusing its
@@ -55,10 +62,11 @@ class Dense {
   /// layer of a network whose input gradient nobody reads saves a GEMM.
   void backward_into(const Matrix& d_output, Matrix* d_input);
 
-  /// SGD step with the accumulated gradients, then clears them.
+  /// SGD step with the pending gradients, which it consumes; with none
+  /// pending it leaves the parameters untouched.
   void apply_gradients(double learning_rate);
 
-  /// Drops accumulated gradients without applying (used when a loss term
+  /// Drops the pending gradients without applying (used when a loss term
   /// must not touch this layer).
   void clear_gradients();
 
@@ -74,10 +82,12 @@ class Dense {
   std::vector<double> bias_;
   Activation activation_;
 
-  Matrix grad_weights_;
   std::vector<double> grad_bias_;
+  // backward() ran and its step is still to be applied or cleared.
+  bool step_pending_ = false;
 
-  // Forward caches and backward scratch (all capacity-reusing).
+  // Forward caches and backward scratch (all capacity-reusing). The
+  // pending weight step is dPre^T . cached input.
   Matrix cached_input_;
   Matrix cached_output_;  // post-activation
   Matrix d_pre_;
@@ -99,7 +109,7 @@ class Mlp {
   const Matrix& forward(const Matrix& input);
   Matrix infer(const Matrix& input) const;
 
-  /// Backpropagates dL/d(output), accumulating gradients; returns
+  /// Backpropagates dL/d(output), leaving each layer's step pending; returns
   /// dL/d(input) (a reference into this network, valid until the next
   /// backward). With need_input_grad false the bottom layer's input
   /// gradient is never computed and the returned matrix is empty.

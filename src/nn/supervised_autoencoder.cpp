@@ -312,6 +312,23 @@ std::vector<EpochStats> SupervisedAutoencoder::train_once(
   return history;
 }
 
+double SupervisedAutoencoder::train_flop_per_row() const {
+  const auto weights = [](const Mlp& mlp) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < mlp.layer_count(); ++i) {
+      const Dense& layer = mlp.layer(i);
+      sum += static_cast<double>(layer.in_dim() * layer.out_dim());
+    }
+    return sum;
+  };
+  const Dense& bottom = encoder_.layer(0);
+  // The decoder mirrors the encoder, so one weight sum serves both: 10
+  // FLOPs per encoder weight (forward, two weight gradients, two input
+  // gradients) plus 6 per decoder weight.
+  return 16.0 * weights(encoder_) + 6.0 * weights(classifier_) -
+         4.0 * static_cast<double>(bottom.in_dim() * bottom.out_dim());
+}
+
 Matrix SupervisedAutoencoder::encode(const Matrix& inputs) const {
   return encoder_.infer(inputs);
 }

@@ -103,6 +103,15 @@ class SupervisedAutoencoder {
   std::size_t input_dim() const { return encoder_.in_dim(); }
   std::size_t code_dim() const { return encoder_.out_dim(); }
 
+  /// GEMM FLOPs (a multiply-add counts 2) one row costs per training
+  /// epoch: a forward pass through encoder, decoder and head, the decoder
+  /// and head backward with input gradients, and two encoder backward
+  /// passes (L_auto, then alpha * L_cla) that skip the bottom layer's input
+  /// gradient. With enc and head the summed weight counts of encoder and
+  /// head, and bottom the first encoder layer's: 16 enc + 6 head - 4 bottom.
+  /// Bias, activation and loss work is left out.
+  double train_flop_per_row() const;
+
   const AutoencoderConfig& config() const { return config_; }
 
   /// Serializes the trained networks and config.

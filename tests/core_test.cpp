@@ -12,6 +12,8 @@
 #include "eval/pairs.h"
 #include "graph/generators.h"
 #include "ml/metrics.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace fs::core {
 namespace {
@@ -195,6 +197,43 @@ TEST(Presence, TrainsAndPredictsOnSyntheticJocs) {
   std::size_t correct = 0;
   for (std::size_t i = 0; i < pred.size(); ++i) correct += pred[i] == y[i];
   EXPECT_GT(correct, 100u);
+}
+
+TEST(Presence, AutoencoderSpanCarriesRowsEpochsAndFlop) {
+  // 48 -> 24 -> 8 encoder, 8 -> 32 -> 1 head: per row and epoch
+  // 16 * (48*24 + 24*8) + 6 * (8*32 + 32*1) - 4 * (48*24) = 18624 FLOPs.
+  // The cap keeps 40 of the 60 rows (20 per class).
+  util::Rng rng(11);
+  nn::Matrix x(60, 48);
+  std::vector<int> y(60);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x.data()[i] = rng.uniform() < 0.2 ? 1.0 : 0.0;
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] = static_cast<int>(i % 2);
+  PresenceModelConfig cfg;
+  cfg.feature_dim = 8;
+  cfg.epochs = 2;
+  cfg.max_autoencoder_rows = 40;
+  PresenceModel model(cfg);
+  obs::Counter& flops = obs::metrics().counter("nn.ae.flops_total");
+  const std::uint64_t flops_before = flops.value();
+  obs::tracer().clear();
+  obs::tracer().enable();
+  model.train(x, y);
+  obs::tracer().disable();
+  const std::vector<obs::TraceEvent> events = obs::tracer().events();
+  obs::tracer().clear();
+
+  const double want_flop = 18624.0 * 40.0 * 2.0;
+  EXPECT_DOUBLE_EQ(model.autoencoder()->train_flop_per_row(), 18624.0);
+  EXPECT_EQ(flops.value() - flops_before,
+            static_cast<std::uint64_t>(want_flop));
+  std::map<std::string, double> args;
+  for (const obs::TraceEvent& event : events)
+    if (event.name == "core.presence.autoencoder")
+      for (const auto& [key, value] : event.args) args[key] = value;
+  EXPECT_DOUBLE_EQ(args["rows"], 40.0);
+  EXPECT_DOUBLE_EQ(args["epochs"], 2.0);
+  EXPECT_DOUBLE_EQ(args["flop"], want_flop);
 }
 
 TEST(Presence, PredictBeforeTrainThrows) {

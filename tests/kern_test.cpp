@@ -44,6 +44,8 @@ double ref_epilogue(Epilogue epilogue, double v, double bias) {
     case Epilogue::kBiasTanh:
       v += bias;
       return std::tanh(v);
+    case Epilogue::kStep:  // not a function of one value; see the step test
+      break;
   }
   return v;
 }
@@ -141,31 +143,39 @@ TEST(KernDispatch, PathNamesRoundTrip) {
 }
 
 TEST(KernGemm, EveryPathMatchesNaiveReferenceOnEdgeShapes) {
+  // A nonzero pad stores the operands with lda/ldb wider than their rows:
+  // the pack loops' full-panel strides and edge panels must read only the
+  // logical matrix.
   util::Rng rng(20260809);
-  for (const Shape& shape : kShapes) {
-    const std::vector<double> a = random_values(shape.m * shape.k, rng);
-    const std::vector<double> b = random_values(shape.k * shape.n, rng);
-    const std::vector<double> c0 = random_values(shape.m * shape.n, rng);
-    for (const Variant& variant : kVariants) {
-      for (bool accumulate : {false, true}) {
-        std::vector<double> c_ref = c0;
-        const GemmCall probe =
-            build_call(shape, variant, a, b, c_ref, accumulate);
-        const std::vector<double> expected = reference_gemm(probe, c0);
-        for (IsaPath path : supported_paths()) {
-          PathGuard guard(path);
-          std::vector<double> c = c0;
-          gemm(build_call(shape, variant, a, b, c, accumulate));
-          for (std::size_t v = 0; v < c.size(); ++v)
-            EXPECT_NEAR(c[v], expected[v],
-                        1e-12 * (1.0 + std::fabs(expected[v])))
-                << path_name(path) << " " << variant.name << " m=" << shape.m
-                << " n=" << shape.n << " k=" << shape.k << " acc="
-                << accumulate << " elem=" << v;
+  for (const Shape& shape : kShapes)
+    for (std::size_t pad : {0u, 5u}) {
+      const std::vector<double> a =
+          random_values((shape.m + pad) * (shape.k + pad), rng);
+      const std::vector<double> b =
+          random_values((shape.k + pad) * (shape.n + pad), rng);
+      const std::vector<double> c0 = random_values(shape.m * shape.n, rng);
+      for (const Variant& variant : kVariants) {
+        for (bool accumulate : {false, true}) {
+          std::vector<double> c_ref = c0;
+          GemmCall call = build_call(shape, variant, a, b, c_ref, accumulate);
+          call.lda += pad;
+          call.ldb += pad;
+          const std::vector<double> expected = reference_gemm(call, c0);
+          for (IsaPath path : supported_paths()) {
+            PathGuard guard(path);
+            std::vector<double> c = c0;
+            call.c = c.data();
+            gemm(call);
+            for (std::size_t v = 0; v < c.size(); ++v)
+              EXPECT_NEAR(c[v], expected[v],
+                          1e-12 * (1.0 + std::fabs(expected[v])))
+                  << path_name(path) << " " << variant.name
+                  << " m=" << shape.m << " n=" << shape.n << " k=" << shape.k
+                  << " pad=" << pad << " acc=" << accumulate << " elem=" << v;
+          }
         }
       }
     }
-  }
 }
 
 TEST(KernGemm, IntegerInputsAreBitExactAcrossAllPaths) {
@@ -320,8 +330,58 @@ TEST(KernGemm, SingleRowBlockColumnSplitIsExactAndThreadInvariant) {
   par::set_threads(1);
 }
 
+TEST(KernGemm, StepEpilogueEqualsGradientThenSeparateStep) {
+  // The fused SGD step against what it replaces: W^T-shaped gradient
+  // G = A^T.B accumulated into a zeroed matrix by the same path, then a
+  // separate w -= lr * g loop. m covers the column-panel split (16, 48)
+  // and the row-block split (97, 320, 1380); n = 7 and 65 leave edge tiles;
+  // k = 300 > KC chains two block partial sums before the step. The pad
+  // widens lda/ldb on half the shapes.
+  constexpr double kLr = 0.0375;
+  util::Rng rng(1380320);
+  std::size_t case_index = 0;
+  for (std::size_t m : {16u, 48u, 97u, 320u, 1380u})
+    for (std::size_t n : {7u, 65u, 1380u})
+      for (std::size_t k : {16u, 300u}) {
+        const std::size_t pad = case_index++ % 2 == 0 ? 0 : 3;
+        const std::size_t lda = m + pad, ldb = n + pad;
+        const std::vector<double> a = random_values(k * lda, rng);
+        std::vector<double> b = random_values(k * ldb, rng);
+        for (std::size_t p = 0; p < k; ++p) b[p * ldb] = 0.0;  // g(:, 0) = 0
+        std::vector<double> w0 = random_values(m * n, rng);
+        w0[0] = -0.0;  // a zero step keeps the sign of a zero weight
+        for (IsaPath path : supported_paths()) {
+          PathGuard guard(path);
+          par::set_threads(1);
+          std::vector<double> grad(m * n, 0.0);
+          gemm_tn(m, n, k, a.data(), lda, b.data(), ldb, grad.data(), n,
+                  /*accumulate=*/true);
+          std::vector<double> want = w0;
+          for (std::size_t v = 0; v < want.size(); ++v)
+            want[v] -= kLr * grad[v];
+          for (std::size_t threads : {1u, 2u, 5u}) {
+            par::set_threads(threads);
+            std::vector<double> w = w0;
+            gemm_tn_step(m, n, k, a.data(), lda, b.data(), ldb, w.data(), n,
+                         kLr);
+            EXPECT_EQ(0, std::memcmp(w.data(), want.data(),
+                                     w.size() * sizeof(double)))
+                << path_name(path) << " m=" << m << " n=" << n << " k=" << k
+                << " pad=" << pad << " threads=" << threads;
+          }
+        }
+      }
+  par::set_threads(1);
+  // k == 0 steps by a zero gradient: the weights keep their bits.
+  std::vector<double> w = {1.5, -0.0, 0.0, -2.0};
+  const std::vector<double> w_before = w;
+  gemm_tn_step(2, 2, 0, nullptr, 2, nullptr, 2, w.data(), 2, kLr);
+  EXPECT_EQ(0, std::memcmp(w.data(), w_before.data(),
+                           w.size() * sizeof(double)));
+}
+
 TEST(KernGemm, RejectsMalformedCalls) {
-  std::vector<double> a(4), b(4), c(4);
+  std::vector<double> a(6), b(6), c(6);
   EXPECT_THROW(gemm_nn(2, 2, 2, nullptr, 2, b.data(), 2, c.data(), 2),
                std::invalid_argument);
   EXPECT_THROW(gemm_nn(2, 2, 2, a.data(), 2, b.data(), 2, c.data(), 1),
@@ -329,6 +389,46 @@ TEST(KernGemm, RejectsMalformedCalls) {
   EXPECT_THROW(gemm_nn(2, 2, 2, a.data(), 2, b.data(), 2, c.data(), 2,
                        false, Epilogue::kBias, nullptr),
                std::invalid_argument);
+  // Leading dimensions shorter than a stored row: A is m x k (k x m
+  // transposed), B is k x n (n x k transposed).
+  EXPECT_THROW(gemm_nn(2, 2, 2, a.data(), 1, b.data(), 2, c.data(), 2),
+               std::invalid_argument);
+  EXPECT_THROW(gemm_nn(2, 2, 2, a.data(), 2, b.data(), 1, c.data(), 2),
+               std::invalid_argument);
+  EXPECT_THROW(gemm_tn(3, 2, 2, a.data(), 2, b.data(), 2, c.data(), 2),
+               std::invalid_argument);
+  EXPECT_THROW(gemm_nt(2, 2, 3, a.data(), 3, b.data(), 2, c.data(), 2),
+               std::invalid_argument);
+  EXPECT_NO_THROW(gemm_tn(3, 2, 2, a.data(), 3, b.data(), 2, c.data(), 2));
+  EXPECT_NO_THROW(gemm_nn(2, 2, 0, nullptr, 0, nullptr, 0, c.data(), 2));
+  // A step may not accumulate, and its output may not overlap an operand.
+  GemmCall step;
+  step.m = step.n = step.k = 2;
+  step.a = a.data();
+  step.lda = 2;
+  step.a_trans = true;
+  step.b = b.data();
+  step.ldb = 2;
+  step.c = c.data();
+  step.ldc = 2;
+  step.epilogue = Epilogue::kStep;
+  step.scale = 0.1;
+  EXPECT_NO_THROW(gemm(step));
+  step.accumulate = true;
+  EXPECT_THROW(gemm(step), std::invalid_argument);
+  step.accumulate = false;
+  EXPECT_THROW(gemm_tn_step(2, 2, 2, c.data(), 2, b.data(), 2, c.data(), 2,
+                            0.1),
+               std::invalid_argument);
+  EXPECT_THROW(gemm_tn_step(2, 2, 2, a.data(), 2, c.data(), 2, c.data(), 2,
+                            0.1),
+               std::invalid_argument);
+  // Partial overlap: W's last element is B's first.
+  EXPECT_THROW(gemm_tn_step(2, 2, 2, a.data(), 2, c.data() + 3, 2, c.data(),
+                            2, 0.1),
+               std::invalid_argument);
+  EXPECT_NO_THROW(gemm_tn_step(2, 2, 1, a.data(), 2, c.data() + 4, 2,
+                               c.data(), 2, 0.1));
 }
 
 // Values spanning six decades with random signs, so every lane's

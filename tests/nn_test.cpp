@@ -5,6 +5,8 @@
 #include <sstream>
 #include <string>
 
+#include "eval/digest.h"
+#include "kern/kern.h"
 #include "nn/layers.h"
 #include "nn/matrix.h"
 #include "nn/supervised_autoencoder.h"
@@ -217,8 +219,8 @@ INSTANTIATE_TEST_SUITE_P(AllActivations, DenseGradCheck,
                                            Activation::kTanh,
                                            Activation::kSigmoid));
 
-TEST(Dense, ApplyGradientsLeavesTheGradientsZeroed) {
-  // 700 x 160 weights span several chunks of the fused SGD pass.
+TEST(Dense, ApplyGradientsConsumesThePendingStep) {
+  // 700 x 160 weights span several row blocks of the fused step GEMM.
   util::Rng rng(61);
   Dense layer(700, 160, Activation::kRelu, rng);
   Matrix x(16, 700);
@@ -237,6 +239,32 @@ TEST(Dense, ApplyGradientsLeavesTheGradientsZeroed) {
   EXPECT_EQ(0, std::memcmp(stepped.data(), layer.weights().data(),
                            stepped.size() * sizeof(double)));
   EXPECT_EQ(stepped_bias, layer.bias());
+}
+
+TEST(Dense, PendingStepMustBeAppliedOrCleared) {
+  // The step reads the cached input and dL/d(pre-activation), so neither
+  // a second backward nor a forward may replace them before it is taken.
+  util::Rng rng(63);
+  Dense layer(5, 3, Activation::kTanh, rng);
+  Matrix x(4, 5);
+  for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.normal();
+  const Matrix d_out(4, 3, 0.5);
+  layer.forward(x);
+  layer.backward(d_out);
+  EXPECT_THROW(layer.backward(d_out), std::logic_error);
+  EXPECT_THROW(layer.forward(x), std::logic_error);
+  // Cleared, the step is dropped: applying changes nothing.
+  layer.clear_gradients();
+  const Matrix weights = layer.weights();
+  const std::vector<double> bias = layer.bias();
+  layer.apply_gradients(0.1);
+  EXPECT_EQ(0, std::memcmp(weights.data(), layer.weights().data(),
+                           weights.size() * sizeof(double)));
+  EXPECT_EQ(bias, layer.bias());
+  layer.forward(x);
+  layer.backward(d_out);
+  layer.apply_gradients(0.1);
+  EXPECT_NO_THROW(layer.forward(x));
 }
 
 TEST(Dense, BackwardWithoutForwardThrows) {
@@ -456,7 +484,7 @@ TEST(SupervisedAutoencoder, DeterministicGivenSeed) {
 
 TEST(SupervisedAutoencoder, ThreadCountNeverChangesTheBits) {
   // A 700-wide input spans several column-panel chunks in the mini-batch
-  // GEMMs and several chunks of the fused SGD pass.
+  // GEMMs and several row blocks of the fused step GEMM.
   util::Rng rng(67);
   Matrix x(48, 700);
   std::vector<int> y(48);
@@ -486,6 +514,68 @@ TEST(SupervisedAutoencoder, ThreadCountNeverChangesTheBits) {
   ASSERT_EQ(code1.size(), code4.size());
   EXPECT_EQ(0, std::memcmp(code1.data(), code4.data(),
                            code1.size() * sizeof(double)));
+}
+
+/// FNV digest of save() after a small fixed training run at the gowalla
+/// JOC width (1380 -> 320 -> 48): one epoch whose first batch of 280 rows
+/// spans two KC blocks of the weight-gradient GEMMs and whose second batch
+/// of 20 rows fits in one.
+std::string trained_model_digest() {
+  util::Rng rng(1380);
+  Matrix x(300, 1380);
+  std::vector<int> y(300);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x.data()[i] = rng.uniform() < 0.05 ? std::log1p(rng.uniform(0.0, 3.0))
+                                       : 0.0;
+  for (std::size_t i = 0; i < y.size(); ++i)
+    y[i] = static_cast<int>(i % 3 == 0);
+  AutoencoderConfig cfg;
+  cfg.encoder_dims = {1380, 320, 48};
+  cfg.epochs = 1;
+  cfg.batch_size = 280;
+  cfg.seed = 1380;
+  SupervisedAutoencoder ae(cfg);
+  ae.train(x, y);
+  std::ostringstream bytes(std::ios::binary);
+  util::BinaryWriter writer(bytes);
+  ae.save(writer);
+  return eval::text_digest(std::move(bytes).str());
+}
+
+TEST(SupervisedAutoencoder, TrainedModelDigestIsPinned) {
+  // Bits are only comparable on the toolchain that pinned them (see
+  // eval::toolchain_fingerprint); elsewhere only thread invariance is
+  // checked. The AVX2 and AVX-512 micro-kernels run the same FMA chain per
+  // element, so the two FMA paths share one digest.
+  struct Pin {
+    const char* toolchain;
+    const char* digest;
+  };
+  const Pin kPins[] = {
+      {"12.2.0 glibc-2.36 kern-scalar", "2d3e2ece3c9cffb5"},
+      {"12.2.0 glibc-2.36 kern-avx2", "8f169bd893205e87"},
+      {"12.2.0 glibc-2.36 kern-avx512", "8f169bd893205e87"},
+  };
+  const kern::IsaPath previous = kern::active_path();
+  for (kern::IsaPath path : kern::supported_paths()) {
+    kern::force_path(path);
+    par::set_threads(1);
+    const std::string digest = trained_model_digest();
+    par::set_threads(4);
+    EXPECT_EQ(digest, trained_model_digest()) << kern::path_name(path);
+    const std::string toolchain = eval::toolchain_fingerprint();
+    const Pin* pin = nullptr;
+    for (const Pin& candidate : kPins)
+      if (toolchain == candidate.toolchain) pin = &candidate;
+    if (pin == nullptr) {
+      GTEST_LOG_(INFO) << "no pinned digest for " << toolchain << " (got "
+                       << digest << ")";
+      continue;
+    }
+    EXPECT_EQ(digest, pin->digest) << toolchain;
+  }
+  par::set_threads(0);
+  kern::force_path(previous);
 }
 
 }  // namespace

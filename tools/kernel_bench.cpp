@@ -13,6 +13,13 @@
 // the nn/nt/tn variant each one actually runs, batch encoding (m = corpus
 // rows), and square stress shapes. Every GEMM is timed at --threads.
 //
+// The step section times the fused SGD step (gemm_tn_step: W -= lr * A^T B
+// in the GEMM writeback) at the gowalla autoencoder's two big weight
+// gradients, next to the unfused sequence it replaces (tn GEMM into a
+// zeroed gradient, then a separate w -= lr * g loop). Each entry records
+// whether the two give memcmp-equal weights, which the step contract
+// requires; a mismatch on any path exits 1.
+//
 // The rows section times sq_dist_rows/dot_rows at the classifiers' shapes
 // (KNN reference set, SVM support vectors, SVM kernel-matrix fill): a batch
 // of queries fans out over --threads, all sharing one packed panel. Each
@@ -107,6 +114,60 @@ json::Object bench_gemm(const Shape& shape, double min_ms, util::Rng& rng) {
   return entry;
 }
 
+/// The fused step and its unfused twin on one tn shape (m x n weights, k
+/// batch rows): timings, and whether both leave the same weight bits.
+json::Object bench_step(const Shape& shape, double min_ms, util::Rng& rng) {
+  constexpr double kLr = 1e-3;
+  nn::Matrix a(shape.k, shape.m), b(shape.k, shape.n);
+  nn::Matrix w0(shape.m, shape.n);
+  for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = rng.normal();
+  for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] = rng.normal();
+  for (std::size_t i = 0; i < w0.size(); ++i) w0.data()[i] = rng.normal();
+  nn::Matrix grad(shape.m, shape.n);
+  const auto fused = [&](nn::Matrix& w) {
+    kern::gemm_tn_step(shape.m, shape.n, shape.k, a.data(), shape.m,
+                       b.data(), shape.n, w.data(), shape.n, kLr);
+  };
+  const auto unfused = [&](nn::Matrix& w) {
+    grad.fill(0.0);
+    kern::gemm_tn(shape.m, shape.n, shape.k, a.data(), shape.m, b.data(),
+                  shape.n, grad.data(), shape.n, /*accumulate=*/true);
+    for (std::size_t i = 0; i < w.size(); ++i)
+      w.data()[i] -= kLr * grad.data()[i];
+  };
+
+  nn::Matrix w_fused = w0, w_unfused = w0;
+  fused(w_fused);
+  unfused(w_unfused);
+  const bool matches = std::memcmp(w_fused.data(), w_unfused.data(),
+                                   w0.size() * sizeof(double)) == 0;
+
+  const auto [wall_ms, reps] = measure(min_ms, [&] { fused(w_fused); });
+  const auto [unfused_ms, unfused_reps] =
+      measure(min_ms, [&] { unfused(w_unfused); });
+  const double flops_per_call = 2.0 * static_cast<double>(shape.m) *
+                                static_cast<double>(shape.n) *
+                                static_cast<double>(shape.k);
+  const auto gflops = [&](double ms, std::size_t count) {
+    return ms > 0.0 ? flops_per_call * static_cast<double>(count) / (ms * 1e6)
+                    : 0.0;
+  };
+  json::Object entry;
+  entry["what"] = std::string(shape.what);
+  entry["variant"] = std::string(shape.variant);
+  entry["m"] = shape.m;
+  entry["n"] = shape.n;
+  entry["k"] = shape.k;
+  entry["reps"] = reps;
+  entry["wall_ms"] = wall_ms;
+  entry["gflops"] = gflops(wall_ms, reps);
+  entry["unfused_reps"] = unfused_reps;
+  entry["unfused_wall_ms"] = unfused_ms;
+  entry["unfused_gflops"] = gflops(unfused_ms, unfused_reps);
+  entry["matches_unfused"] = matches;
+  return entry;
+}
+
 struct RowShape {
   std::size_t n, dim;
   const char* what;
@@ -185,6 +246,13 @@ int run(const util::ArgParser& args) {
   };
   if (!quick) shapes.push_back({"nn", 512, 512, 512, "square-large"});
 
+  // The autoencoder's two big weight steps: encoder layer 1 (320 x 1380)
+  // and decoder layer 2 (1380 x 320), a mini-batch of 16 rows each.
+  const std::vector<Shape> step_shapes = {
+      {"tn", 320, 1380, 16, "encoder.l1.step"},
+      {"tn", 1380, 320, 16, "decoder.l2.step"},
+  };
+
   // The classifiers' sweeps on the attack_full shapes: KNN over the
   // 2400 x 48 reference set, SVM decisions over 800 x 144 support vectors,
   // the SVM kernel-matrix fill over 1200 x 144 training rows.
@@ -196,6 +264,7 @@ int run(const util::ArgParser& args) {
 
   json::Array paths;
   bool rows_match = true;
+  bool steps_match = true;
   RowReference reference;  // filled by the scalar path, which runs first
   for (const kern::IsaPath path : kern::supported_paths()) {
     kern::force_path(path);
@@ -206,6 +275,13 @@ int run(const util::ArgParser& args) {
     for (const Shape& shape : shapes)
       gemm.emplace_back(bench_gemm(shape, min_ms, rng));
     section["gemm"] = std::move(gemm);
+    json::Array step;
+    for (const Shape& shape : step_shapes) {
+      json::Object entry = bench_step(shape, min_ms, rng);
+      steps_match = steps_match && entry["matches_unfused"].as_bool();
+      step.emplace_back(std::move(entry));
+    }
+    section["step"] = std::move(step);
     json::Array rows;
     for (const RowShape& shape : row_shapes)
       for (const char* op : {"sq_dist", "dot"}) {
@@ -218,7 +294,7 @@ int run(const util::ArgParser& args) {
   }
 
   json::Object root;
-  root["schema_version"] = 4;
+  root["schema_version"] = 5;
   root["threads"] = par::threads();
   root["paths"] = std::move(paths);
 
@@ -238,6 +314,17 @@ int run(const util::ArgParser& args) {
   }
   for (const json::Value& section : report.at("paths").as_array()) {
     const char* path = section.at("path").as_string().c_str();
+    for (const json::Value& entry : section.at("step").as_array())
+      std::printf("%-7s step(%4.0f,%4.0f,%4.0f) %7.2f GFLOP/s  (unfused "
+                  "%.2f)  %s%s\n",
+                  path, entry.at("m").as_number(), entry.at("n").as_number(),
+                  entry.at("k").as_number(), entry.at("gflops").as_number(),
+                  entry.at("unfused_gflops").as_number(),
+                  entry.at("what").as_string().c_str(),
+                  entry.at("matches_unfused").as_bool() ? "" : "  MISMATCH");
+  }
+  for (const json::Value& section : report.at("paths").as_array()) {
+    const char* path = section.at("path").as_string().c_str();
     for (const json::Value& entry : section.at("rows").as_array())
       std::printf("%-7s %-7s(%4.0f x %4.0f) %7.2f GFLOP/s  %s%s\n", path,
                   entry.at("op").as_string().c_str(),
@@ -248,12 +335,13 @@ int run(const util::ArgParser& args) {
                                                        : "  MISMATCH");
   }
   std::printf("wrote %s\n", args.get("out").c_str());
-  if (!rows_match) {
+  if (!steps_match)
+    std::fprintf(stderr,
+                 "kernel_bench: a fused step differs from the unfused one\n");
+  if (!rows_match)
     std::fprintf(stderr,
                  "kernel_bench: a row sweep differs from the scalar path\n");
-    return 1;
-  }
-  return 0;
+  return rows_match && steps_match ? 0 : 1;
 }
 
 }  // namespace
