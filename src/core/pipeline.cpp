@@ -691,7 +691,6 @@ FriendSeekerResult FriendSeeker::run(
         decision = clf.decision(all_scaled);
       } else {
         ml::SvmConfig svm_cfg = config_.svm;
-        svm_cfg.seed ^= static_cast<std::uint64_t>(iteration);
         svm_cfg.context = ctx;
         ml::SvmClassifier svm(svm_cfg);
         svm.fit(svm_train, svm_labels);

@@ -114,7 +114,8 @@ KnnClassifier KnnClassifier::load(util::BinaryReader& reader) {
   const std::size_t cols = reader.u64();
   const std::vector<double> flat = reader.f64_vector();
   std::vector<int> labels = reader.i32_vector();
-  if (flat.size() != rows * cols || labels.size() != rows)
+  if (!util::flat_matches_shape(flat.size(), rows, cols) ||
+      labels.size() != rows)
     throw CorruptCheckpoint("KnnClassifier::load: corrupted record");
   nn::Matrix features(rows, cols);
   std::copy(flat.begin(), flat.end(), features.data());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "kern/kern.h"
@@ -10,7 +11,6 @@
 #include "par/par.h"
 #include "util/error.h"
 #include "util/failpoint.h"
-#include "util/rng.h"
 
 namespace fs::ml {
 
@@ -94,6 +94,7 @@ void SvmClassifier::fit(const nn::Matrix& features,
     vopts.context = config_.context;
     vopts.what = "ml.svm.gamma";
     vopts.grain = par::grain_for(2 * n);
+    vopts.hard_deadline = false;
     par::parallel_for(dim, vopts, [&](std::size_t c) {
       double mean = 0.0, sq = 0.0;
       for (std::size_t r = 0; r < n; ++r) mean += features(r, c);
@@ -116,6 +117,8 @@ void SvmClassifier::fit(const nn::Matrix& features,
   // norms turn each RBF entry into one dot product; rows fan out over the
   // pool, each sweeping the packed panel from the group that holds row
   // i + 1 to fill the upper triangle, then a mirror pass copies it down.
+  // Like the gamma pass, the fill ignores the deadline: a fit always
+  // returns a model, and an expired deadline only cuts the solver short.
   const runtime::MemoryCharge kernel_charge(
       config_.context, n * n * sizeof(double), "ml.svm.kernel");
   const kern::RowPanel panel(features.data(), n, dim);
@@ -125,6 +128,7 @@ void SvmClassifier::fit(const nn::Matrix& features,
   kopts.context = config_.context;
   kopts.what = "ml.svm.kernel";
   kopts.grain = par::grain_for(n * dim / 2 + 1);
+  kopts.hard_deadline = false;
   par::parallel_for_chunks(n, kopts, [&](const par::ChunkRange& chunk) {
     std::vector<double> dots(n);
     for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
@@ -142,153 +146,187 @@ void SvmClassifier::fit(const nn::Matrix& features,
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = i + 1; j < n; ++j) K(j, i) = K(i, j);
 
-  std::vector<double> alpha(n, 0.0);
-  double b = 0.0;
-  util::Rng rng(config_.seed);
-
-  // The non-zero alphas in ascending index order, each with alpha·y (exact:
-  // y is ±1). Error terms sum this list instead of scanning all n alphas;
-  // it is rebuilt after every alpha update.
-  struct Term {
-    std::size_t j;
-    double alpha_y;
-  };
-  std::vector<Term> terms;
-  const auto rebuild_terms = [&] {
-    terms.clear();
-    for (std::size_t j = 0; j < n; ++j)
-      if (alpha[j] != 0.0) terms.push_back({j, alpha[j] * y[j]});
-  };
-  auto decision_i = [&](std::size_t i) {
-    double f = b;
-    const double* krow = K.row(i);
-    for (const Term& t : terms) f += t.alpha_y * krow[t.j];
-    return f;
-  };
-  // decision_i for rows first..first+count-1 at once: each lane walks its
-  // own K row over the same term list, so it repeats decision_i's sum for
-  // that row exactly; the eight lanes only make independent sums run side
-  // by side. A short tail block (count < 8) falls back to decision_i.
-  constexpr std::size_t kLanes = 8;
-  const auto decision_block = [&](std::size_t first, std::size_t count,
-                                  double* f) {
-    if (count < kLanes) {
-      for (std::size_t l = 0; l < count; ++l) f[l] = decision_i(first + l);
-      return;
-    }
-    const double* k0 = K.row(first);
-    double f0 = b, f1 = b, f2 = b, f3 = b, f4 = b, f5 = b, f6 = b, f7 = b;
-    for (const Term& t : terms) {
-      const double* kc = k0 + t.j;  // column j of rows first..first+7
-      const double a = t.alpha_y;
-      f0 += a * kc[0];
-      f1 += a * kc[n];
-      f2 += a * kc[2 * n];
-      f3 += a * kc[3 * n];
-      f4 += a * kc[4 * n];
-      f5 += a * kc[5 * n];
-      f6 += a * kc[6 * n];
-      f7 += a * kc[7 * n];
-    }
-    const double lanes[kLanes] = {f0, f1, f2, f3, f4, f5, f6, f7};
-    std::copy(lanes, lanes + kLanes, f);
-  };
-
+  // LIBSVM's C-SVC solver without shrinking (Fan, Chen & Lin, JMLR 2005).
+  // The dual is min ½αᵀQα − eᵀα over 0 ≤ α ≤ C, yᵀα = 0, with
+  // Q_ij = y_i·y_j·K_ij; `grad` is its gradient G = Qα − e. Each step picks
+  // the maximal violator i and the second index j by second-order gain
+  // (WSS2), solves the two-variable subproblem in closed form and updates G
+  // from rows i and j of K. It stops on the KKT gap m(α) − M(α) < tolerance;
+  // every intermediate α is feasible, so a stop on the deadline or the step
+  // cap still leaves a valid (less converged) model.
   const double C = config_.c;
+  constexpr double kTau = 1e-12;  // curvature floor for q ≤ 0 (duplicate rows)
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<double> alpha(n, 0.0);
+  std::vector<double> grad(n, -1.0);
+  // I_up: α_t can move so that y_t·α_t grows; I_low: so that it shrinks.
+  const auto in_up = [&](std::size_t t) {
+    return y[t] > 0.0 ? alpha[t] < C : alpha[t] > 0.0;
+  };
+  const auto in_low = [&](std::size_t t) {
+    return y[t] > 0.0 ? alpha[t] > 0.0 : alpha[t] < C;
+  };
+  // q = K_ii + K_tt − 2K_it (K_ii = K_tt = 1 for RBF) from row i of K.
+  const auto curvature = [&](const double* ki, std::size_t t) {
+    const double q = 2.0 - 2.0 * ki[t];
+    return q > 0.0 ? q : kTau;
+  };
+
+  struct WorkingSet {
+    std::size_t i = kNone, j = kNone;
+    double gap = 0.0;  // m(α) − M(α)
+  };
+  // Ties go to the later index, as in LIBSVM.
+  const auto select = [&] {
+    WorkingSet ws;
+    double gmax = -std::numeric_limits<double>::infinity();
+    for (std::size_t t = 0; t < n; ++t) {
+      if (!in_up(t)) continue;
+      const double v = -y[t] * grad[t];
+      if (v >= gmax) {
+        gmax = v;
+        ws.i = t;
+      }
+    }
+    double gmax2 = -std::numeric_limits<double>::infinity();
+    double best = std::numeric_limits<double>::infinity();
+    const double* ki = ws.i == kNone ? nullptr : K.row(ws.i);
+    for (std::size_t t = 0; t < n; ++t) {
+      if (!in_low(t)) continue;
+      const double v = y[t] * grad[t];
+      if (v >= gmax2) gmax2 = v;
+      const double b = gmax + v;
+      if (b <= 0.0) continue;
+      const double gain = -(b * b) / curvature(ki, t);
+      if (gain <= best) {
+        best = gain;
+        ws.j = t;
+      }
+    }
+    ws.gap = gmax + gmax2;
+    return ws;
+  };
+
   const double tol = config_.tolerance;
-  int passes = 0;
-  int iterations = 0;
-  std::size_t total_alpha_updates = 0;
-  std::size_t total_sweeps = 0;
-  while (passes < config_.max_passes &&
-         iterations++ < config_.max_iterations) {
-    if (config_.context != nullptr) {
+  const std::size_t max_steps = 100 * n;
+  const std::size_t probe_every = std::min<std::size_t>(n, 1000);
+  std::size_t steps = 0;
+  WorkingSet ws = select();
+  while (!(ws.gap < tol) && ws.j != kNone && steps < max_steps) {
+    if (config_.context != nullptr && steps % probe_every == 0) {
       config_.context->throw_if_cancelled("ml.svm.fit");
-      // Past the deadline the current alphas are kept: SMO's intermediate
-      // state is a feasible (just less converged) dual solution.
       if (config_.context->deadline_expired()) break;
     }
-    obs::Span pass_span("ml.svm.pass");
-    int changed = 0;
-    // Error terms of rows [spec_begin, spec_end), computed ahead by
-    // decision_block; valid until the next alpha/b update.
-    double spec[kLanes];
-    std::size_t spec_begin = 0, spec_end = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i >= spec_end) {
-        spec_begin = i;
-        spec_end = std::min(i + kLanes, n);
-        decision_block(i, spec_end - i, spec);
+    const std::size_t i = ws.i, j = ws.j;
+    const double* ki = K.row(i);
+    const double* kj = K.row(j);
+    const double old_i = alpha[i], old_j = alpha[j];
+    const double q = curvature(ki, j);
+    // LIBSVM's clipped two-variable update (box [0, C] on both).
+    if (y[i] != y[j]) {
+      const double delta = (-grad[i] - grad[j]) / q;
+      const double diff = alpha[i] - alpha[j];
+      alpha[i] += delta;
+      alpha[j] += delta;
+      if (diff > 0.0) {
+        if (alpha[j] < 0.0) {
+          alpha[j] = 0.0;
+          alpha[i] = diff;
+        }
+      } else if (alpha[i] < 0.0) {
+        alpha[i] = 0.0;
+        alpha[j] = -diff;
       }
-      const double e_i = spec[i - spec_begin] - y[i];
-      const bool violates = (y[i] * e_i < -tol && alpha[i] < C) ||
-                            (y[i] * e_i > tol && alpha[i] > 0.0);
-      if (!violates) continue;
-
-      std::size_t j = rng.index(n - 1);
-      if (j >= i) ++j;  // j != i, uniform over the rest
-      const double e_j = decision_i(j) - y[j];
-
-      const double alpha_i_old = alpha[i];
-      const double alpha_j_old = alpha[j];
-
-      double lo, hi;
-      if (y[i] != y[j]) {
-        lo = std::max(0.0, alpha[j] - alpha[i]);
-        hi = std::min(C, C + alpha[j] - alpha[i]);
+      if (diff > 0.0) {
+        if (alpha[i] > C) {
+          alpha[i] = C;
+          alpha[j] = C - diff;
+        }
+      } else if (alpha[j] > C) {
+        alpha[j] = C;
+        alpha[i] = C + diff;
+      }
+    } else {
+      const double delta = (grad[i] - grad[j]) / q;
+      const double sum = alpha[i] + alpha[j];
+      alpha[i] -= delta;
+      alpha[j] += delta;
+      if (sum > C) {
+        if (alpha[i] > C) {
+          alpha[i] = C;
+          alpha[j] = sum - C;
+        }
+        if (alpha[j] > C) {
+          alpha[j] = C;
+          alpha[i] = sum - C;
+        }
       } else {
-        lo = std::max(0.0, alpha[i] + alpha[j] - C);
-        hi = std::min(C, alpha[i] + alpha[j]);
+        if (alpha[j] < 0.0) {
+          alpha[j] = 0.0;
+          alpha[i] = sum;
+        }
+        if (alpha[i] < 0.0) {
+          alpha[i] = 0.0;
+          alpha[j] = sum;
+        }
       }
-      if (lo >= hi) continue;
-
-      const double eta = 2.0 * K(i, j) - K(i, i) - K(j, j);
-      if (eta >= 0.0) continue;
-
-      double alpha_j_new = alpha_j_old - y[j] * (e_i - e_j) / eta;
-      alpha_j_new = std::clamp(alpha_j_new, lo, hi);
-      if (std::abs(alpha_j_new - alpha_j_old) < 1e-5) continue;
-
-      const double alpha_i_new =
-          alpha_i_old + y[i] * y[j] * (alpha_j_old - alpha_j_new);
-      alpha[i] = alpha_i_new;
-      alpha[j] = alpha_j_new;
-
-      const double b1 = b - e_i - y[i] * (alpha_i_new - alpha_i_old) * K(i, i) -
-                        y[j] * (alpha_j_new - alpha_j_old) * K(i, j);
-      const double b2 = b - e_j - y[i] * (alpha_i_new - alpha_i_old) * K(i, j) -
-                        y[j] * (alpha_j_new - alpha_j_old) * K(j, j);
-      if (alpha_i_new > 0.0 && alpha_i_new < C) b = b1;
-      else if (alpha_j_new > 0.0 && alpha_j_new < C) b = b2;
-      else b = (b1 + b2) / 2.0;
-      rebuild_terms();
-      spec_end = i + 1;  // later rows must see the new alphas and b
-
-      ++changed;
     }
-    passes = changed == 0 ? passes + 1 : 0;
-    pass_span.arg("changed", static_cast<double>(changed));
-    total_alpha_updates += static_cast<std::size_t>(changed);
-    ++total_sweeps;
+    const double step_i = y[i] * (alpha[i] - old_i);
+    const double step_j = y[j] * (alpha[j] - old_j);
+    for (std::size_t t = 0; t < n; ++t)
+      grad[t] += y[t] * (ki[t] * step_i + kj[t] * step_j);
+    ++steps;
+    ws = select();
   }
-  // Batched at fit exit: the sweep loop stays free of registry lookups.
+  const bool converged = ws.gap < tol;
+
+  // ρ: the mean of y·G over free α; with none free, the midpoint of the
+  // bounds the at-bound α put on it.
+  double ub = std::numeric_limits<double>::infinity();
+  double lb = -std::numeric_limits<double>::infinity();
+  double sum_free = 0.0;
+  std::size_t free_count = 0, bounded_count = 0;
+  for (std::size_t t = 0; t < n; ++t) {
+    const double yg = y[t] * grad[t];
+    if (alpha[t] >= C) {
+      ++bounded_count;
+      if (y[t] < 0.0) ub = std::min(ub, yg);
+      else lb = std::max(lb, yg);
+    } else if (alpha[t] <= 0.0) {
+      if (y[t] > 0.0) ub = std::min(ub, yg);
+      else lb = std::max(lb, yg);
+    } else {
+      ++free_count;
+      sum_free += yg;
+    }
+  }
+  const double rho = free_count > 0
+                         ? sum_free / static_cast<double>(free_count)
+                         : (ub + lb) / 2.0;
+
+  // Batched at fit exit: the solver loop stays free of registry lookups.
   obs::metrics()
-      .counter("ml.svm.passes_total", {}, "SMO sweeps over the training set")
-      .add(total_sweeps);
+      .counter("ml.svm.iterations_total", {}, "SMO working-set steps")
+      .add(steps);
   obs::metrics()
-      .counter("ml.svm.alpha_updates_total", {},
-               "SMO alpha-pair updates applied")
-      .add(total_alpha_updates);
+      .counter("ml.svm.unconverged_total", {},
+               "SVM fits stopped before the KKT gap reached tolerance")
+      .add(converged ? 0 : 1);
 
   // Keep only support vectors.
   std::vector<std::size_t> sv;
   for (std::size_t i = 0; i < n; ++i)
-    if (alpha[i] > 1e-8) sv.push_back(i);
+    if (alpha[i] > 0.0) sv.push_back(i);
   support_ = features.gather_rows(sv);
   alpha_y_.resize(sv.size());
   for (std::size_t s = 0; s < sv.size(); ++s)
     alpha_y_[s] = alpha[sv[s]] * y[sv[s]];
-  bias_ = b;
+  bias_ = -rho;
+  fit_span.arg("iterations", static_cast<double>(steps));
+  fit_span.arg("gap", ws.gap);
+  fit_span.arg("sv", static_cast<double>(sv.size()));
+  fit_span.arg("bounded_sv", static_cast<double>(bounded_count));
+  fit_span.arg("converged", converged ? 1.0 : 0.0);
   cache_support_norms();
   trained_ = true;
 }
@@ -435,8 +473,9 @@ SvmClassifier SvmClassifier::load(util::BinaryReader& reader) {
   const std::size_t cols = reader.u64();
   const std::vector<double> flat = reader.f64_vector();
   svm.alpha_y_ = reader.f64_vector();
-  if (flat.size() != rows * cols || svm.alpha_y_.size() != rows)
-    throw std::runtime_error("SvmClassifier::load: corrupted record");
+  if (!util::flat_matches_shape(flat.size(), rows, cols) ||
+      svm.alpha_y_.size() != rows)
+    throw CorruptCheckpoint("SvmClassifier::load: corrupted record");
   svm.support_ = nn::Matrix(rows, cols);
   std::copy(flat.begin(), flat.end(), svm.support_.data());
   svm.trained_ = reader.u64() != 0;

@@ -1,10 +1,16 @@
-// C-SVC with an RBF kernel trained by SMO — the paper's phase-2 classifier
-// C' ("We use ... SVM as the classifier C'. We use RBF as the kernel
-// function", Sec IV-B).
+// C-SVC with an RBF kernel — the paper's phase-2 classifier C' ("We use
+// ... SVM as the classifier C'. We use RBF as the kernel function",
+// Sec IV-B).
 //
-// The solver is Platt's SMO in its simplified two-heuristic form with a
-// precomputed kernel matrix; training sets in this repo stay in the low
-// thousands, where this is fast and exact enough.
+// fit() precomputes the kernel matrix K and runs LIBSVM's C-SVC solver
+// without shrinking (Fan, Chen & Lin, JMLR 2005): SMO whose working set is
+// the maximal violator i plus the j with the largest second-order gain
+// (WSS2), a clipped two-variable update, and a gradient kept from two K
+// rows per step. It is deterministic and stops when the KKT gap
+// m(α) − M(α) falls below `tolerance`, typically in about n steps on the
+// repo's training sets of a thousand-odd rows. A fixed cap of 100·n steps
+// (not a knob) keeps the α it reached and marks the fit unconverged in the
+// `ml.svm.fit` span and the `ml.svm.unconverged_total` counter.
 #pragma once
 
 #include <cstdint>
@@ -20,17 +26,17 @@ namespace fs::ml {
 struct SvmConfig {
   double c = 1.0;            // box constraint
   double gamma = 0.0;        // RBF width; 0 = auto "scale": 1/(dim*var)
-  double tolerance = 1e-3;   // KKT tolerance
-  int max_passes = 5;        // consecutive passes without alpha updates
-  int max_iterations = 200;  // hard cap on full sweeps
+  double tolerance = 1e-3;   // stop when the KKT gap m(α) − M(α) < this
+  /// Unread: the solver is deterministic. Kept for callers that still set
+  /// it.
   std::uint64_t seed = 11;
   /// Hard cap on training rows (kernel matrix memory guard). fit() throws
   /// if exceeded — callers subsample explicitly, never silently.
   std::size_t max_train_rows = 4000;
   /// Optional governance: the kernel matrix is charged against the memory
-  /// budget, cancellation is checked per SMO sweep, and an expired deadline
-  /// stops sweeping early (the current alphas are a valid, if less
-  /// converged, model). Not serialized.
+  /// budget, cancellation is checked every min(n, 1000) solver steps, and
+  /// an expired deadline stops the solver there (the current alphas are a
+  /// feasible, if less converged, dual). Not serialized.
   fs::runtime::ExecutionContext* context = nullptr;
 };
 
@@ -65,6 +71,9 @@ class SvmClassifier {
   static SvmClassifier load(util::BinaryReader& reader);
 
   double gamma() const { return gamma_; }
+  double bias() const { return bias_; }
+  /// alpha_i * y_i per support vector, in training-row order.
+  const std::vector<double>& alpha_y() const { return alpha_y_; }
   bool trained() const { return trained_; }
 
  private:

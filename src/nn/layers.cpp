@@ -87,7 +87,8 @@ Dense Dense::load(util::BinaryReader& reader) {
   const auto act = static_cast<Activation>(reader.u64());
   const std::vector<double> flat = reader.f64_vector();
   std::vector<double> bias = reader.f64_vector();
-  if (flat.size() != rows * cols || bias.size() != rows)
+  if (!util::flat_matches_shape(flat.size(), rows, cols) ||
+      bias.size() != rows)
     throw CorruptCheckpoint("Dense::load: corrupted record");
   Matrix weights(rows, cols);
   std::copy(flat.begin(), flat.end(), weights.data());

@@ -68,6 +68,14 @@ class Crc32 {
   std::uint32_t value_ = 0;
 };
 
+/// True when a decoded flat buffer of `size` values is exactly a
+/// rows x cols matrix. Never forms rows * cols, which a hostile record can
+/// make wrap to the buffer's size.
+inline bool flat_matches_shape(std::size_t size, std::uint64_t rows,
+                               std::uint64_t cols) {
+  return cols == 0 ? size == 0 : size % cols == 0 && size / cols == rows;
+}
+
 class BinaryWriter {
  public:
   explicit BinaryWriter(std::ostream& out) : out_(out) {}

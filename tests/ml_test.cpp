@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -11,6 +12,8 @@
 #include "ml/scaler.h"
 #include "ml/split.h"
 #include "ml/svm.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "par/pool.h"
 #include "util/binary_io.h"
 #include "util/rng.h"
@@ -255,7 +258,6 @@ TEST(Svm, RbfSolvesXor) {
   }
   SvmConfig cfg;
   cfg.c = 5.0;
-  cfg.max_iterations = 400;
   SvmClassifier svm(cfg);
   svm.fit(x, y);
   const auto pred = svm.predict(x);
@@ -317,6 +319,108 @@ TEST(Svm, GammaAutoIsPositive) {
   EXPECT_GT(svm.gamma(), 0.0);
 }
 
+TEST(Svm, TwoPointProblemMatchesClosedForm) {
+  // One point per class: the dual maximises 2α − α²(1 − K₁₂), so
+  // α = min(C, 1/(1 − K₁₂)), and by symmetry the bias is 0.
+  nn::Matrix x(2, 2);
+  x(1, 0) = 1.0;  // squared distance 1
+  const double k12 = std::exp(-0.5);
+  for (const double c : {10.0, 1.0}) {  // alpha free, then at the bound
+    SvmConfig cfg;
+    cfg.gamma = 0.5;
+    cfg.c = c;
+    SvmClassifier svm(cfg);
+    svm.fit(x, {1, 0});
+    const double alpha = std::min(c, 1.0 / (1.0 - k12));
+    ASSERT_EQ(svm.alpha_y().size(), 2u) << "C=" << c;
+    EXPECT_NEAR(svm.alpha_y()[0], alpha, 1e-12) << "C=" << c;
+    EXPECT_NEAR(svm.alpha_y()[1], -alpha, 1e-12) << "C=" << c;
+    EXPECT_NEAR(svm.bias(), 0.0, 1e-12) << "C=" << c;
+  }
+}
+
+TEST(Svm, DuplicateRowsWithOppositeLabelsStayFinite) {
+  // Rows 0/1 and 2/3 are identical with opposite labels: their curvature
+  // q = K_ii + K_jj − 2K_ij is 0, so the solver takes the τ floor.
+  nn::Matrix x(6, 2);
+  const double rows[6][2] = {{0, 0}, {0, 0}, {1, 1}, {1, 1}, {2, 0}, {0, 2}};
+  for (std::size_t i = 0; i < 6; ++i)
+    for (std::size_t c = 0; c < 2; ++c) x(i, c) = rows[i][c];
+  SvmClassifier svm;
+  svm.fit(x, {1, 0, 1, 0, 1, 0});
+  EXPECT_TRUE(std::isfinite(svm.bias()));
+  for (double a : svm.alpha_y()) {
+    EXPECT_TRUE(std::isfinite(a));
+    EXPECT_LE(std::abs(a), 1.0);
+  }
+  for (double d : svm.decision(x)) EXPECT_TRUE(std::isfinite(d));
+}
+
+/// The args of the last `ml.svm.fit` span recorded while fitting `svm`.
+std::map<std::string, double> traced_fit_args(SvmClassifier& svm,
+                                              const nn::Matrix& x,
+                                              const std::vector<int>& y) {
+  obs::tracer().clear();
+  obs::tracer().enable();
+  svm.fit(x, y);
+  obs::tracer().disable();
+  std::map<std::string, double> args;
+  for (const obs::TraceEvent& e : obs::tracer().events())
+    if (e.name == "ml.svm.fit") args = {e.args.begin(), e.args.end()};
+  obs::tracer().clear();
+  return args;
+}
+
+TEST(Svm, SolutionIsFeasibleAndConverged) {
+  util::Rng rng(89);
+  nn::Matrix x;
+  std::vector<int> y;
+  blobs_2d(x, y, 150, rng);
+  for (std::size_t i = 0; i < y.size(); i += 7) y[i] ^= 1;  // label noise
+  SvmConfig cfg;
+  cfg.c = 2.0;
+  SvmClassifier svm(cfg);
+  const auto args = traced_fit_args(svm, x, y);
+  double sum = 0.0;
+  for (double a : svm.alpha_y()) {
+    sum += a;
+    EXPECT_LE(std::abs(a), cfg.c);
+  }
+  EXPECT_LE(std::abs(sum), 1e-9);
+  ASSERT_TRUE(args.count("gap"));
+  EXPECT_LE(args.at("gap"), cfg.tolerance);
+  EXPECT_EQ(args.at("converged"), 1.0);
+}
+
+TEST(Svm, FitSpanAndCountersReportTheSolve) {
+  util::Rng rng(97);
+  nn::Matrix x;
+  std::vector<int> y;
+  blobs_2d(x, y, 40, rng);
+  for (std::size_t i = 0; i < y.size(); i += 5) y[i] ^= 1;  // some at C
+  obs::Counter& steps = obs::metrics().counter("ml.svm.iterations_total");
+  obs::Counter& unconverged =
+      obs::metrics().counter("ml.svm.unconverged_total");
+  const std::uint64_t steps_before = steps.value();
+  const std::uint64_t unconverged_before = unconverged.value();
+  SvmClassifier svm;
+  const auto args = traced_fit_args(svm, x, y);
+  for (const char* key :
+       {"n", "iterations", "gap", "sv", "bounded_sv", "converged"})
+    EXPECT_TRUE(args.count(key)) << key;
+  EXPECT_EQ(args.at("n"), 40.0);
+  EXPECT_EQ(args.at("sv"), static_cast<double>(svm.support_vector_count()));
+  std::size_t at_bound = 0;
+  for (double a : svm.alpha_y()) at_bound += std::abs(a) >= 1.0;
+  EXPECT_GT(at_bound, 0u);
+  EXPECT_EQ(args.at("bounded_sv"), static_cast<double>(at_bound));
+  EXPECT_EQ(args.at("converged"), 1.0);
+  EXPECT_GT(args.at("iterations"), 0.0);
+  EXPECT_EQ(steps.value() - steps_before,
+            static_cast<std::uint64_t>(args.at("iterations")));
+  EXPECT_EQ(unconverged.value(), unconverged_before);
+}
+
 std::uint64_t fnv1a(const void* data, std::size_t bytes,
                     std::uint64_t hash = 0xcbf29ce484222325ULL) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -356,11 +460,11 @@ TEST(Svm, FitAndDecisionBytesArePinned) {
     svm.save(writer);
     const std::string model = bytes.str();
     const std::vector<double> decision = svm.decision(queries);
-    EXPECT_EQ(fnv1a(model.data(), model.size()), 0xd7bf863b705c6ff0ULL)
+    EXPECT_EQ(fnv1a(model.data(), model.size()), 0x81e58940e073362bULL)
         << std::hex << fnv1a(model.data(), model.size())
         << " threads=" << std::dec << threads;
     EXPECT_EQ(fnv1a(decision.data(), decision.size() * sizeof(double)),
-              0x249a23ec785fc1eeULL)
+              0xc197bd154334eb8cULL)
         << std::hex
         << fnv1a(decision.data(), decision.size() * sizeof(double))
         << " threads=" << std::dec << threads;

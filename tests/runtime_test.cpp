@@ -324,6 +324,42 @@ TEST_F(RuntimeTest, SvmChargesKernelAgainstMemoryBudget) {
   EXPECT_EQ(ctx.charged(), 0u);  // the failed charge left no residue
 }
 
+TEST_F(RuntimeTest, SvmFitUnderExpiredDeadlineStillReturnsAModel) {
+  util::Rng rng(29);
+  nn::Matrix x(64, 4);
+  std::vector<int> y(64);
+  for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.normal();
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] = static_cast<int>(i % 2);
+
+  runtime::ExecutionContext ctx;
+  ctx.set_deadline_seconds(0.0);  // expired before the first solver step
+  ml::SvmConfig cfg;
+  cfg.context = &ctx;
+  ml::SvmClassifier svm(cfg);
+  ASSERT_NO_THROW(svm.fit(x, y));
+  EXPECT_TRUE(svm.trained());
+  for (std::size_t r = 0; r < x.rows(); ++r)
+    EXPECT_TRUE(std::isfinite(svm.decision(x.row(r))));
+}
+
+TEST_F(RuntimeTest, SvmFitThrowsWhenCancelled) {
+  util::Rng rng(31);
+  nn::Matrix x(64, 4);
+  std::vector<int> y(64);
+  for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.normal();
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] = static_cast<int>(i % 2);
+
+  runtime::CancellationToken token;
+  token.request();
+  runtime::ExecutionContext ctx;
+  ctx.set_cancellation(&token);
+  ml::SvmConfig cfg;
+  cfg.context = &ctx;
+  ml::SvmClassifier svm(cfg);
+  EXPECT_THROW(svm.fit(x, y), CancelledError);
+  EXPECT_EQ(ctx.charged(), 0u);
+}
+
 TEST_F(RuntimeTest, PipelineDegradesGracefullyOnPhase2Deadline) {
   TinyExperiment exp = make_tiny_experiment();
   runtime::ExecutionContext ctx;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "core/presence.h"
@@ -293,6 +294,52 @@ TEST(Serialization, UntrainedModelRefusesToSave) {
   std::stringstream stream;
   util::BinaryWriter writer(stream);
   EXPECT_THROW(model.save(writer), std::logic_error);
+}
+
+// ---------- hostile shapes ----------
+// rows = 2, cols = 2^63 and no data: rows * cols wraps to 0, the size of
+// the empty buffer, so a product-based shape check would accept it.
+
+constexpr std::uint64_t kWrappingCols = std::uint64_t{1} << 63;
+
+TEST(Serialization, DenseRefusesWrappingShape) {
+  std::stringstream stream;
+  util::BinaryWriter writer(stream);
+  writer.tag("DNSE");
+  writer.u64(2);
+  writer.u64(kWrappingCols);
+  writer.u64(0);  // activation
+  writer.f64_vector({});
+  writer.f64_vector({0.0, 0.0});  // bias: one per row
+  util::BinaryReader reader(stream);
+  EXPECT_THROW(nn::Dense::load(reader), CorruptCheckpoint);
+}
+
+TEST(Serialization, KnnRefusesWrappingShape) {
+  std::stringstream stream;
+  util::BinaryWriter writer(stream);
+  writer.tag("KNN0");
+  writer.u64(1);  // k
+  writer.u64(2);
+  writer.u64(kWrappingCols);
+  writer.f64_vector({});
+  writer.i32_vector({0, 1});  // labels: one per row
+  util::BinaryReader reader(stream);
+  EXPECT_THROW(ml::KnnClassifier::load(reader), CorruptCheckpoint);
+}
+
+TEST(Serialization, SvmRefusesWrappingShape) {
+  std::stringstream stream;
+  util::BinaryWriter writer(stream);
+  writer.tag("SVM0");
+  writer.f64(1.0);  // gamma
+  writer.f64(0.0);  // bias
+  writer.u64(2);
+  writer.u64(kWrappingCols);
+  writer.f64_vector({});
+  writer.f64_vector({1.0, -1.0});  // alpha*y: one per row
+  util::BinaryReader reader(stream);
+  EXPECT_THROW(ml::SvmClassifier::load(reader), CorruptCheckpoint);
 }
 
 }  // namespace
