@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -215,94 +214,33 @@ FriendSeekerResult FriendSeeker::run(
                   " scored=", active_count,
                   blocking_on ? " (blocking on)" : " (blocking off)");
 
-  // ---- Feature cache (run-local unless the caller shares one). ----
-  // The signature covers everything the cached rows are a function of: the
-  // binned dataset (cell-index content hash) for JOC rows, plus the
-  // presence recipe, seeds, and training set for encoded rows. One shared
-  // signature is conservative — a seed change also drops the still-valid
-  // JOC rows — but keeps invalidation impossible to get subtly wrong.
-  block::FeatureCache local_cache;
-  block::FeatureCache* const cache =
-      config_.feature_cache != nullptr ? config_.feature_cache : &local_cache;
-  std::uint64_t cache_signature = cell_index.signature();
-  {
-    const auto mix = [&cache_signature](std::uint64_t v) {
-      cache_signature ^= v;
-      cache_signature *= 0x100000001b3ULL;
-    };
-    const auto mix_double = [&](double v) {
-      std::uint64_t bits = 0;
-      std::memcpy(&bits, &v, sizeof(bits));
-      mix(bits);
-    };
-    mix(config_.seed);
-    mix(config_.presence.feature_dim);
-    mix(static_cast<std::uint64_t>(config_.presence.max_hidden_layers));
-    mix(config_.presence.max_hidden_width);
-    mix(static_cast<std::uint64_t>(config_.presence.epochs));
-    mix(config_.presence.batch_size);
-    mix(config_.presence.knn_k);
-    mix(config_.presence.max_autoencoder_rows);
-    mix(config_.presence.max_knn_rows);
-    mix(config_.presence.seed);
-    mix_double(config_.presence.learning_rate);
-    mix_double(config_.presence.alpha);
-    mix(train_pairs.size());
-    for (std::size_t i = 0; i < train_pairs.size(); ++i) {
-      mix((static_cast<std::uint64_t>(train_pairs[i].first) << 32) |
-          static_cast<std::uint64_t>(train_pairs[i].second));
-      mix(static_cast<std::uint64_t>(train_labels[i]));
-    }
-  }
-  cache->prepare(cache_signature, occupancy.joc_dim(),
-                 config_.presence.feature_dim, ctx);
-
-  // ---- JOC rows for the scored universe (cache-backed). ----
-  // The JOC matrix is the run's dominant allocation; charge its estimate
-  // against the memory budget up front so an over-budget configuration is
-  // rejected before the build instead of OOMing halfway through.
+  // ---- JOC rows for the scored universe. ----
+  // The JOC matrix is the run's dominant allocation and the only store of
+  // JOC rows; charge its estimate against the memory budget up front so an
+  // over-budget configuration is rejected before the build instead of
+  // OOMing halfway through. Each row is built straight into its own slot,
+  // so the matrix is byte-identical at any thread count.
   const runtime::MemoryCharge joc_charge(
       ctx, active_count * occupancy.joc_dim() * sizeof(double),
       "core.joc.matrix");
   nn::Matrix all_jocs(active_count, occupancy.joc_dim());
   {
     obs::Span joc_span("core.joc.fill");
-    // Slot allocation is sequential (insert mutates the arena); only the
-    // row fills fan out, each into a disjoint arena row, so the result is
-    // byte-identical at any thread count.
-    std::vector<const double*> rows(active_count);
-    std::vector<double*> fill;
-    std::vector<std::size_t> fill_ai;
-    for (std::size_t ai = 0; ai < active_count; ++ai) {
-      const data::UserPair& pair = universe.pairs[active_rows[ai]];
-      if (const double* hit = cache->find_joc(pair)) {
-        rows[ai] = hit;
-      } else {
-        double* slot = cache->insert_joc(pair);
-        rows[ai] = slot;
-        fill.push_back(slot);
-        fill_ai.push_back(ai);
-      }
-    }
     JocOptions joc_options;
     joc_options.context = ctx;
     par::ParallelOptions jopts;
     jopts.context = ctx;
     jopts.what = "core.joc.fill";
     jopts.grain = par::grain_for(occupancy.joc_dim() * 4);
-    const auto fill_one = [&](std::size_t i) {
-      const data::UserPair& pair = universe.pairs[active_rows[fill_ai[i]]];
-      build_joc(occupancy, pair.first, pair.second, fill[i], joc_options);
-    };
-    par::parallel_for(fill.size(), jopts, fill_one);
     par::parallel_for(active_count, jopts, [&](std::size_t ai) {
-      std::copy(rows[ai], rows[ai] + occupancy.joc_dim(), all_jocs.row(ai));
+      const data::UserPair& pair = universe.pairs[active_rows[ai]];
+      build_joc(occupancy, pair.first, pair.second, all_jocs.row(ai),
+                joc_options);
     });
     obs::metrics()
         .counter("core.joc.rows_total", {}, "JOC feature rows built")
-        .add(fill.size());
+        .add(active_count);
     joc_span.arg("rows", static_cast<double>(active_count));
-    joc_span.arg("built", static_cast<double>(fill.size()));
   }
 
   FriendSeekerResult result;
@@ -385,36 +323,14 @@ FriendSeekerResult FriendSeeker::run(
   PresenceModel& presence = *presence_storage;
   const std::size_t d = presence.feature_dim();
 
-  // ---- Presence features for the scored universe (cache-backed). ----
-  // Rows already in the cache (phase-2 re-entries, shared caches across
-  // runs) skip the encoder entirely; only the misses run a forward pass.
+  // ---- Presence features for the scored universe. ----
+  // `embeddings` is the only store of presence rows: phase 2 reads each
+  // scored pair's row from it by active index.
   const runtime::MemoryCharge embedding_charge(
       ctx, active_count * d * sizeof(double), "core.embeddings");
   obs::Span encode_span("core.pipeline.phase1.encode");
-  nn::Matrix embeddings(active_count, d);
-  {
-    std::vector<std::size_t> encode_ai;
-    for (std::size_t ai = 0; ai < active_count; ++ai) {
-      const data::UserPair& pair = universe.pairs[active_rows[ai]];
-      if (const double* hit = cache->find_presence(pair))
-        std::copy(hit, hit + d, embeddings.row(ai));
-      else
-        encode_ai.push_back(ai);
-    }
-    if (!encode_ai.empty()) {
-      const nn::Matrix fresh =
-          presence.encode(all_jocs.gather_rows(encode_ai));
-      for (std::size_t i = 0; i < encode_ai.size(); ++i) {
-        const std::size_t ai = encode_ai[i];
-        double* slot =
-            cache->insert_presence(universe.pairs[active_rows[ai]]);
-        std::copy(fresh.row(i), fresh.row(i) + d, slot);
-        std::copy(fresh.row(i), fresh.row(i) + d, embeddings.row(ai));
-      }
-    }
-    encode_span.arg("rows", static_cast<double>(active_count));
-    encode_span.arg("encoded", static_cast<double>(encode_ai.size()));
-  }
+  const nn::Matrix embeddings = presence.encode(all_jocs);
+  encode_span.arg("rows", static_cast<double>(active_count));
   const std::vector<double> phase1_proba =
       presence.predict_proba_encoded(embeddings);
   encode_span.end();
@@ -494,10 +410,6 @@ FriendSeekerResult FriendSeeker::run(
     }
   };
 
-  // Cache traffic of phase-2 iterations >= 2: the steady state the cache
-  // exists for, measured for the result and the perf bench.
-  std::optional<block::FeatureCache::Stats> after_first_iteration;
-
   if (config_.iterate) {
     // ---- Phase 2: iterative hidden-friends inference. ----
     SocialFeatureConfig social_cfg;
@@ -510,14 +422,14 @@ FriendSeekerResult FriendSeeker::run(
 
     // Phase 2 reads an edge's presence row through a table rebuilt once per
     // graph: one pointer per adjacency slot, resolved universe row ->
-    // scored row -> cached presence row. An edge outside the universe or
+    // scored row -> `embeddings` row. An edge outside the universe or
     // pruned by blocking resolves to null and contributes nothing.
     const EdgeFeatureTable::RowFn edge_row = [&](data::UserId a,
                                                  data::UserId b) {
       const auto it = universe.row_of.find(data::make_pair_ordered(a, b));
       if (it == universe.row_of.end() || active_of_row[it->second] == kInactive)
         return static_cast<const double*>(nullptr);
-      return cache->find_presence(it->first);
+      return embeddings.row(active_of_row[it->second]);
     };
 
     // The composite matrix is phase 2's dominant allocation; it, the edge
@@ -599,10 +511,8 @@ FriendSeekerResult FriendSeeker::run(
       // Composite features v = h ⊕ s for every scored pair on the current
       // graph. Pairs fan out over the pool in fixed chunks; each worker
       // reuses its own k-hop scratch, charged per worker below, and writes
-      // s straight into the pair's composite row. The presence half comes
-      // from the feature cache — a guaranteed hit after the phase-1 fill,
-      // which is exactly what the cache's hit-rate accounting is meant to
-      // show.
+      // s straight into the pair's composite row; the presence half h is
+      // the pair's own `embeddings` row.
       obs::Span composite_span("core.phase2.composite");
       composite_span.arg("rows", static_cast<double>(active_count));
       for (Phase2Worker& worker : workers) worker.stats = {};
@@ -620,8 +530,7 @@ FriendSeekerResult FriendSeeker::run(
             for (std::size_t ai = chunk.begin; ai < chunk.end; ++ai) {
               const auto [a, b] = universe.pairs[active_rows[ai]];
               double* row = composite.row(ai);
-              const double* h =
-                  cache->find_presence(universe.pairs[active_rows[ai]]);
+              const double* h = embeddings.row(ai);
               std::copy(h, h + d, row);
               graph::KHopStats pair_stats;
               if (config_.use_social_feature) {
@@ -765,8 +674,6 @@ FriendSeekerResult FriendSeeker::run(
       update_span.end();
       record_iteration(iteration, change, current);
       result.iterations_run = iteration;
-      if (!after_first_iteration.has_value())
-        after_first_iteration = cache->stats();
       const double edges = static_cast<double>(current.edge_count());
       iter_span.arg("edges", edges);
       iter_span.arg("change", change);
@@ -842,20 +749,9 @@ FriendSeekerResult FriendSeeker::run(
   result.final_graph = std::move(current);
   if (ctx != nullptr) result.peak_memory_estimate = ctx->peak_charged();
 
-  // ---- Blocking & cache accounting. ----
+  // ---- Blocking accounting. ----
   result.blocking_active = blocking_on;
   result.blocking = blocking_stats;
-  result.cache = cache->stats();
-  if (after_first_iteration.has_value()) {
-    const std::uint64_t late_hits =
-        result.cache.hits() - after_first_iteration->hits();
-    const std::uint64_t late_misses =
-        result.cache.misses() - after_first_iteration->misses();
-    if (late_hits + late_misses > 0)
-      result.phase2_cache_hit_rate =
-          static_cast<double>(late_hits) /
-          static_cast<double>(late_hits + late_misses);
-  }
   obs::metrics()
       .counter("block.candidates_pruned", {},
                "candidate pairs pruned from the scored universe by blocking")
@@ -868,20 +764,6 @@ FriendSeekerResult FriendSeeker::run(
       .gauge("block.scored_pairs", {},
              "pairs actually scored after blocking in the latest run")
       .set(static_cast<double>(blocking_stats.scored_pairs));
-  obs::metrics()
-      .gauge("block.cache.bytes", {}, "feature-cache arena bytes held")
-      .set(static_cast<double>(result.cache.bytes));
-  obs::metrics()
-      .gauge("block.cache.hits", {}, "feature-cache lookup hits (cumulative)")
-      .set(static_cast<double>(result.cache.hits()));
-  obs::metrics()
-      .gauge("block.cache.misses", {},
-             "feature-cache lookup misses (cumulative)")
-      .set(static_cast<double>(result.cache.misses()));
-  obs::metrics()
-      .gauge("block.cache.phase2_hit_rate", {},
-             "cache hit rate over phase-2 iterations >= 2 of the latest run")
-      .set(result.phase2_cache_hit_rate);
   // Mirror the run's sinks into gauges so --metrics-out captures them even
   // when the caller never inspects the result object.
   obs::bridge_diagnostics(diagnostics);

@@ -54,7 +54,7 @@ struct FriendSeekerConfig {
   /// pairs oscillating between iterations; 0 disables.
   double flip_margin = 0.3;
 
-  // ---- Candidate blocking & feature caching ----
+  // ---- Candidate blocking ----
   /// Spatial-temporal blocking over the candidate universe: pairs that never
   /// co-occur (shared grid cell within slot_tolerance slots) and sit outside
   /// hop_expansion strong-co-occurrence hops are pruned from scoring and
@@ -62,12 +62,6 @@ struct FriendSeekerConfig {
   /// their labels). kAuto (default) turns blocking on only above
   /// auto_min_pairs, so the balanced eval protocol stays dense.
   block::BlockingConfig blocking;
-  /// Optional externally owned feature cache. When set, JOC rows and
-  /// presence features are read from / written into it, surviving across
-  /// runs that share a cache signature (same binned dataset, presence
-  /// config, seed, and training set). Null = a run-local cache (phase-2
-  /// iterations still hit it; nothing outlives the run).
-  block::FeatureCache* feature_cache = nullptr;
 
   // ---- Ablations ----
   bool use_social_feature = true;  // false: heuristic structural features
@@ -134,12 +128,11 @@ struct FriendSeekerResult {
   /// Universe/scored/pruned tier counts for this run (universe_pairs ==
   /// scored_pairs when blocking was off).
   block::BlockingStats blocking;
-  /// Feature-cache counters at the end of the run. With an external cache
-  /// these accumulate across runs.
+  /// Always empty: the engine keeps each JOC and presence row once, in its
+  /// scored-row matrices, and has no feature cache. Read only by the
+  /// benchmark's layer drive (`benchmark/src/attack.cpp`), which reports
+  /// its hit rate and bytes; delete it together with `drive_layers`.
   block::FeatureCache::Stats cache;
-  /// JOC/presence cache hit rate over phase-2 iterations >= 2 (the steady
-  /// state the cache exists for); 0 when fewer than two iterations ran.
-  double phase2_cache_hit_rate = 0.0;
 };
 
 /// One trained attack instance. `run` trains on the labeled pairs and

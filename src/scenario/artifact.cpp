@@ -110,7 +110,6 @@ json::Value matrix_to_json(const MatrixResult& matrix) {
     cell["scored_pairs"] = result.scored_pairs;
     cell["pruned_pairs"] = result.pruned_pairs;
     cell["blocking_active"] = result.blocking_active;
-    cell["cache_hit_rate"] = result.cache_hit_rate;
     cells.emplace_back(std::move(cell));
   }
   doc["cells"] = std::move(cells);
@@ -176,7 +175,6 @@ void validate_matrix(const json::Value& doc) {
       invalid(context + ": scored + pruned != universe_pairs");
     if (!require(cell, "blocking_active", context).is_bool())
       invalid(context + ": 'blocking_active' must be a boolean");
-    require_metric(cell, "cache_hit_rate", context);
   }
 }
 

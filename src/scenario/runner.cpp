@@ -4,7 +4,6 @@
 #include <map>
 #include <utility>
 
-#include "block/feature_cache.h"
 #include "data/defense.h"
 #include "data/dynamics.h"
 #include "data/obfuscation.h"
@@ -158,8 +157,6 @@ MatrixResult run_scenario(const ScenarioConfig& config,
   // split — ground truth never changes, only the published check-ins.
   std::map<std::string, eval::Experiment> clean_cache;
   std::map<std::string, eval::Experiment> variant_cache;
-  block::FeatureCache feature_cache;
-  block::FeatureCache::Stats last_totals;
 
   const auto grid = expand_grid(config);
   const auto grid_start = std::chrono::steady_clock::now();
@@ -199,7 +196,6 @@ MatrixResult run_scenario(const ScenarioConfig& config,
 
     core::FriendSeekerConfig seeker =
         resolve_seeker(cell.world, cell.attack, cell.model, config.seed);
-    seeker.feature_cache = &feature_cache;
     runtime::ExecutionContext context;
     seeker.context = &context;
 
@@ -230,17 +226,6 @@ MatrixResult run_scenario(const ScenarioConfig& config,
     result.scored_pairs = run.blocking.scored_pairs;
     result.pruned_pairs = run.blocking.pruned_pairs;
     result.blocking_active = run.blocking_active;
-
-    // The shared cache's counters accumulate across cells; report the
-    // delta so each cell's hit rate reflects its own lookups.
-    const block::FeatureCache::Stats totals = run.cache;
-    const std::uint64_t hits = totals.hits() - last_totals.hits();
-    const std::uint64_t misses = totals.misses() - last_totals.misses();
-    result.cache_hit_rate =
-        hits + misses == 0
-            ? 0.0
-            : static_cast<double>(hits) / static_cast<double>(hits + misses);
-    last_totals = totals;
 
     if (options.on_cell) options.on_cell(result);
     matrix.cells.push_back(std::move(result));

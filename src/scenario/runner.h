@@ -1,7 +1,6 @@
 // Scenario grid execution: resolves each cell's coordinate into a concrete
 // (world, dataset, seeker config) through the existing pipeline facade and
-// runs the full attack, reusing worlds, perturbed datasets, and the
-// presence/JOC feature cache across cells wherever signatures allow.
+// runs the full attack, reusing worlds and perturbed datasets across cells.
 //
 // The resolution helpers are public on purpose: the differential tests and
 // the countermeasure benches rebuild a cell's exact dataset and seeker
@@ -46,9 +45,6 @@ struct CellResult {
   std::size_t scored_pairs = 0;
   std::size_t pruned_pairs = 0;
   bool blocking_active = false;
-  /// Feature-cache hit rate over THIS cell's lookups only (the shared
-  /// cache's counters are cumulative, so this is a per-cell delta).
-  double cache_hit_rate = 0.0;
 };
 
 struct MatrixResult {
@@ -110,10 +106,9 @@ struct RunOptions {
   std::function<void(const CellResult&)> on_cell;
 };
 
-/// Executes the full grid. Worlds are generated once per world label,
-/// perturbed datasets once per (world, dynamics, defense) coordinate, and
-/// one feature cache spans all cells (its signature check keeps reuse
-/// digest-safe). Restores the ambient thread count on return.
+/// Executes the full grid. Worlds are generated once per world label and
+/// perturbed datasets once per (world, dynamics, defense) coordinate.
+/// Restores the ambient thread count on return.
 MatrixResult run_scenario(const ScenarioConfig& config,
                           const RunOptions& options = {});
 

@@ -206,10 +206,7 @@ void StreamEngine::index_event(std::uint32_t user, const geo::LatLng& location,
     sorted_insert(occupants, user);
   }
 
-  if (changed && mark) {
-    touched_users_.insert(user_ids_[user]);
-    dirty_hop_frontier(user);
-  }
+  if (changed && mark) dirty_hop_frontier(user);
 }
 
 void StreamEngine::mark_dirty(std::uint32_t a, std::uint32_t b) {
@@ -382,12 +379,6 @@ std::uint64_t StreamEngine::config_fingerprint() const {
   fnv_f64(h, config_.decide_threshold);
   fnv_i64(h, config_.lateness_budget_sec);
   return h;
-}
-
-std::vector<long long> StreamEngine::take_touched_users() {
-  std::vector<long long> users(touched_users_.begin(), touched_users_.end());
-  touched_users_.clear();
-  return users;
 }
 
 data::Dataset StreamEngine::to_dataset(

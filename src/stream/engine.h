@@ -118,10 +118,6 @@ class StreamEngine {
   /// it so recovery refuses a snapshot from a differently-configured run.
   std::uint64_t config_fingerprint() const;
 
-  /// Raw ids of users whose index state changed since the last call
-  /// (feature-cache invalidation hook); clears the set.
-  std::vector<long long> take_touched_users();
-
   /// Assembles the accepted events into a batch-equivalent Dataset via
   /// data::assemble_from_records — the same selection semantics
   /// (min_checkins floor, max_users cap, ascending-raw-id densification,
@@ -192,8 +188,6 @@ class StreamEngine {
   std::set<Pair> live_edges_;
   std::map<Pair, std::uint64_t> dirty_;  // pair -> tick first dirtied
   std::uint64_t tick_counter_ = 0;
-
-  std::set<long long> touched_users_;
 };
 
 }  // namespace fs::stream

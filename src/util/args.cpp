@@ -63,6 +63,17 @@ long long ArgParser::get_int(const std::string& name) const {
   return parse_int(get(name));
 }
 
+long long ArgParser::get_int_in(const std::string& name, long long min,
+                                long long max) const {
+  const long long value = get_int(name);
+  if (value < min || value > max)
+    throw std::invalid_argument("option --" + name + " must be in [" +
+                                std::to_string(min) + ", " +
+                                std::to_string(max) + "], got " +
+                                std::to_string(value));
+  return value;
+}
+
 double ArgParser::get_double(const std::string& name) const {
   return parse_double(get(name));
 }

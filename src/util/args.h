@@ -25,6 +25,11 @@ class ArgParser {
 
   const std::string& get(const std::string& name) const;
   long long get_int(const std::string& name) const;
+  /// get_int, range-checked: throws std::invalid_argument naming the
+  /// option when the value lies outside [min, max], so a caller may cast it
+  /// to a narrower or unsigned type without wrapping.
+  long long get_int_in(const std::string& name, long long min,
+                       long long max) const;
   double get_double(const std::string& name) const;
   bool get_flag(const std::string& name) const;
 

@@ -249,7 +249,7 @@ TEST(BlockRecallLoss, NeverCoOccurringFriendIsPrunedAndCounted) {
   EXPECT_FALSE(result.final_graph.has_edge(0, 6));
 }
 
-// ---------- FeatureCache mechanics ----------
+// ---------- FeatureCache mechanics (benchmark layer drive only) ----------
 
 TEST(FeatureCache, InvalidatesOnSignatureChangeOnly) {
   block::FeatureCache cache;
@@ -281,34 +281,6 @@ TEST(FeatureCache, ChargesMemoryAgainstContext) {
   // Dropping the arenas releases the charges.
   cache.prepare(8, 64, 16, &context);
   EXPECT_EQ(cache.bytes(), 0u);
-}
-
-TEST(FeatureCache, ExternalCacheIsReusedAcrossRuns) {
-  const eval::BenchPreset preset = eval::bench_preset("tiny");
-  const eval::Experiment experiment = eval::make_experiment(preset.world);
-
-  block::FeatureCache cache;
-  core::FriendSeekerConfig cfg = preset.seeker;
-  cfg.feature_cache = &cache;
-  core::FriendSeeker seeker(cfg);
-  const core::FriendSeekerResult first =
-      seeker.run(experiment.dataset, experiment.split.train_pairs,
-                 experiment.split.train_labels, experiment.split.test_pairs);
-  const block::FeatureCache::Stats warm = cache.stats();
-  EXPECT_GT(warm.joc_rows, 0u);
-  // Phase-2 iterations >= 2 re-read every presence row from the cache.
-  EXPECT_GT(first.phase2_cache_hit_rate, 0.5);
-
-  // A second identical run must be all hits: same signature, warm arenas.
-  const core::FriendSeekerResult second =
-      seeker.run(experiment.dataset, experiment.split.train_pairs,
-                 experiment.split.train_labels, experiment.split.test_pairs);
-  const block::FeatureCache::Stats after = cache.stats();
-  EXPECT_EQ(after.joc_misses, warm.joc_misses);
-  EXPECT_EQ(after.presence_misses, warm.presence_misses);
-  EXPECT_GT(after.joc_hits, warm.joc_hits);
-  // And byte-identical outputs.
-  EXPECT_EQ(eval::result_digest(first), eval::result_digest(second));
 }
 
 }  // namespace

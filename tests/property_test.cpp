@@ -10,7 +10,6 @@
 
 #include "block/candidate_gen.h"
 #include "block/cell_index.h"
-#include "block/feature_cache.h"
 #include "core/joc.h"
 #include "core/pipeline.h"
 #include "eval/digest.h"
@@ -287,34 +286,29 @@ TEST(BlockingProperties, CandidatesAreSupersetOfCooccurringPairs) {
   }
 }
 
-// Cached features must be byte-identical to fresh builds: the same run
-// executed with a cold external cache at 1 thread and at 4 threads must
-// leave bit-equal JOC and presence rows behind (and bit-equal outputs),
-// and the rows must match an independently built JOC.
-TEST(BlockingProperties, CachedRowsAreByteIdenticalAcrossThreadCounts) {
+// A run's outputs and its JOC rows must not depend on the thread count: the
+// same attack at 1 and at 4 threads leaves bit-equal digests, and a
+// parallel JOC row fill (build_joc_matrix, the same one-row-per-task fan-out
+// the pipeline runs) matches a sequential per-pair build_joc at both counts.
+TEST(BlockingProperties,
+     RunDigestAndJocRowsAreByteIdenticalAcrossThreadCounts) {
   const eval::BenchPreset preset = eval::bench_preset("tiny");
   const eval::Experiment experiment = eval::make_experiment(preset.world);
 
-  auto run_cached = [&](block::FeatureCache& cache, std::size_t threads) {
+  auto run_at = [&](std::size_t threads) {
     par::set_threads(threads);
-    core::FriendSeekerConfig cfg = preset.seeker;
-    cfg.feature_cache = &cache;
-    core::FriendSeeker seeker(cfg);
+    core::FriendSeeker seeker(preset.seeker);
     return seeker.run(experiment.dataset, experiment.split.train_pairs,
                       experiment.split.train_labels,
                       experiment.split.test_pairs);
   };
-  block::FeatureCache cache1, cache4;
-  const core::FriendSeekerResult r1 = run_cached(cache1, 1);
-  const core::FriendSeekerResult r4 = run_cached(cache4, 4);
-  par::set_threads(1);
-
+  const core::FriendSeekerResult r1 = run_at(1);
+  const core::FriendSeekerResult r4 = run_at(4);
   EXPECT_EQ(eval::result_digest(r1), eval::result_digest(r4));
-  ASSERT_EQ(cache1.signature(), cache4.signature());
-  ASSERT_GT(cache1.stats().joc_rows, 0u);
+  EXPECT_EQ(eval::graph_digest(r1.final_graph),
+            eval::graph_digest(r4.final_graph));
 
-  // Independent JOC ground truth, built with the pipeline's division
-  // parameters but none of its code path.
+  // JOC rows built with the pipeline's division parameters.
   const geo::QuadtreeDivision quadtree(experiment.dataset.poi_coordinates(),
                                        preset.seeker.sigma);
   const geo::QuadtreeDivisionView view(quadtree);
@@ -323,38 +317,25 @@ TEST(BlockingProperties, CachedRowsAreByteIdenticalAcrossThreadCounts) {
       static_cast<geo::Timestamp>(preset.seeker.tau_days *
                                   geo::kSecondsPerDay));
   const core::OccupancyIndex occupancy(experiment.dataset, view, slots);
-  ASSERT_EQ(occupancy.joc_dim(), cache1.joc_width());
+  std::vector<data::UserPair> pairs;
+  for (const auto* list :
+       {&experiment.split.train_pairs, &experiment.split.test_pairs})
+    for (const data::UserPair& raw : *list)
+      pairs.push_back(data::make_pair_ordered(raw.first, raw.second));
+  par::set_threads(4);
+  const nn::Matrix parallel4 = core::build_joc_matrix(occupancy, pairs);
+  par::set_threads(1);
+  const nn::Matrix parallel1 = core::build_joc_matrix(occupancy, pairs);
+  ASSERT_EQ(parallel4.rows(), pairs.size());
+  const std::size_t row_bytes = occupancy.joc_dim() * sizeof(double);
   std::vector<double> fresh(occupancy.joc_dim());
-
-  std::vector<data::UserPair> pairs = experiment.split.train_pairs;
-  pairs.insert(pairs.end(), experiment.split.test_pairs.begin(),
-               experiment.split.test_pairs.end());
-  std::size_t compared = 0;
-  for (const data::UserPair& raw : pairs) {
-    const data::UserPair pair =
-        data::make_pair_ordered(raw.first, raw.second);
-    const double* a = cache1.find_joc(pair);
-    const double* b = cache4.find_joc(pair);
-    ASSERT_EQ(a == nullptr, b == nullptr);
-    if (a != nullptr) {
-      EXPECT_EQ(std::memcmp(a, b, cache1.joc_width() * sizeof(double)), 0)
-          << "JOC row differs across thread counts";
-      core::build_joc(occupancy, pair.first, pair.second, fresh.data());
-      EXPECT_EQ(std::memcmp(a, fresh.data(),
-                            cache1.joc_width() * sizeof(double)),
-                0)
-          << "cached JOC row differs from a fresh build";
-      ++compared;
-    }
-    const double* pa = cache1.find_presence(pair);
-    const double* pb = cache4.find_presence(pair);
-    ASSERT_EQ(pa == nullptr, pb == nullptr);
-    if (pa != nullptr)
-      EXPECT_EQ(
-          std::memcmp(pa, pb, cache1.presence_width() * sizeof(double)), 0)
-          << "presence row differs across thread counts";
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(std::memcmp(parallel1.row(i), parallel4.row(i), row_bytes), 0)
+        << "JOC row differs across thread counts";
+    core::build_joc(occupancy, pairs[i].first, pairs[i].second, fresh.data());
+    EXPECT_EQ(std::memcmp(parallel1.row(i), fresh.data(), row_bytes), 0)
+        << "JOC row differs from a sequential build";
   }
-  EXPECT_GT(compared, 0u);
 }
 
 // ---------- graph metric properties ----------

@@ -451,6 +451,33 @@ TEST_F(RuntimeTest, PipelineDegradesWhenPhase2EdgeTableExceedsBudget) {
   EXPECT_EQ(ctx.charged(), 0u);  // every charge released
 }
 
+TEST_F(RuntimeTest, ChargedPeakCountsEachJocRowOnce) {
+  // The scored JOC matrix is the only store of JOC rows: phase 1's charged
+  // peak holds it once plus the much narrower presence rows, never a
+  // second copy of the JOC rows.
+  TinyExperiment exp = make_tiny_experiment();
+  runtime::ExecutionContext ctx;
+  exp.config.context = &ctx;
+  exp.config.iterate = false;
+  const auto result =
+      core::FriendSeeker(exp.config)
+          .run(exp.dataset, exp.split.train_pairs, exp.split.train_labels,
+               exp.split.test_pairs);
+
+  const geo::QuadtreeDivision division(exp.dataset.poi_coordinates(),
+                                       exp.config.sigma);
+  const geo::QuadtreeDivisionView view(division);
+  const geo::TimeSlotting slots(
+      exp.dataset.window_begin(), exp.dataset.window_end(),
+      static_cast<geo::Timestamp>(exp.config.tau_days * geo::kSecondsPerDay));
+  const core::OccupancyIndex index(exp.dataset, view, slots);
+  const std::size_t joc_matrix =
+      result.blocking.scored_pairs * index.joc_dim() * sizeof(double);
+  EXPECT_GE(ctx.peak_charged(), joc_matrix);
+  EXPECT_LT(ctx.peak_charged(), 2 * joc_matrix)
+      << "peak " << ctx.peak_charged() << " vs JOC matrix " << joc_matrix;
+}
+
 TEST_F(RuntimeTest, PipelineAbortsHardWhenCancelledBeforeJocBuild) {
   TinyExperiment exp = make_tiny_experiment();
   runtime::CancellationToken token;

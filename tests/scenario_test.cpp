@@ -226,9 +226,8 @@ TEST(ScenarioRunner, FingerprintsAndResultsStableAcrossRunsAndThreads) {
 // ---- Differential: a grid cell == a direct attack invocation ----
 
 TEST(ScenarioRunner, DefenseNoneCellMatchesDirectInvocation) {
-  // The none cell runs SECOND, after hiding has warmed the shared feature
-  // cache — pinning that cross-cell cache reuse cannot leak stale features
-  // (the cache signature must invalidate on the dataset change).
+  // The none cell runs SECOND, after the hiding cell on a perturbed
+  // dataset — pinning that nothing one cell computes leaks into the next.
   const ScenarioConfig config = micro_config(
       R"([{"mechanism": "hiding", "rate": 0.3}, {"mechanism": "none"}])");
   const scenario::MatrixResult matrix = scenario::run_scenario(config);
@@ -236,7 +235,7 @@ TEST(ScenarioRunner, DefenseNoneCellMatchesDirectInvocation) {
   const scenario::CellResult& none_cell = matrix.cells[1];
   ASSERT_EQ(scenario::defense_label(none_cell.cell.defense), "none");
 
-  // Direct invocation: same resolution helpers, fresh run-local cache.
+  // Direct invocation: same resolution helpers, a fresh attack.
   const eval::Experiment experiment = eval::make_experiment(
       scenario::resolve_world(none_cell.cell.world, config.seed), {}, 0.7,
       scenario::split_seed(config.seed));

@@ -1,8 +1,7 @@
 // Streaming ingestion tests: wire-line validation and poison quarantine,
 // the backpressure ring, CRC-framed journal + snapshot durability with
-// kill-at-any-point recovery, engine convergence-to-batch, the stream
-// failpoint registry, and the FeatureCache delta-invalidation grain the
-// serve finalize path relies on.
+// kill-at-any-point recovery, engine convergence-to-batch, and the stream
+// failpoint registry.
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -14,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "block/feature_cache.h"
 #include "data/loader.h"
 #include "data/synthetic.h"
 #include "stream/daemon.h"
@@ -793,70 +791,6 @@ TEST(Failpoints, StreamEntriesRegisteredAndListSorted) {
   // The network fault surface: accept failure, connection drop, sender
   // stall, torn client send, torn server write.
   EXPECT_EQ(net_entries, 5u);
-}
-
-// ---------- FeatureCache delta invalidation ----------
-
-TEST(FeatureCacheDelta, EvictsExactlyTouchedUsersAndReusesSlots) {
-  block::FeatureCache cache;
-  cache.prepare(11, 4, 2, nullptr);
-  cache.insert_joc({1, 2})[0] = 12.0;
-  cache.insert_joc({2, 3})[0] = 23.0;
-  cache.insert_joc({3, 4})[0] = 34.0;
-  const std::size_t bytes_before = cache.bytes();
-
-  EXPECT_EQ(cache.invalidate_joc_touching({2}), 2u);  // {1,2} and {2,3}
-  EXPECT_EQ(cache.find_joc({1, 2}), nullptr);
-  EXPECT_EQ(cache.find_joc({2, 3}), nullptr);
-  ASSERT_NE(cache.find_joc({3, 4}), nullptr);
-  EXPECT_EQ(cache.find_joc({3, 4})[0], 34.0);
-  EXPECT_EQ(cache.stats().joc_rows, 1u);
-
-  // Freed slots are reused: re-inserting does not grow the arena.
-  cache.insert_joc({1, 2});
-  cache.insert_joc({2, 3});
-  EXPECT_EQ(cache.bytes(), bytes_before);
-  EXPECT_EQ(cache.stats().joc_rows, 3u);
-  EXPECT_EQ(cache.invalidate_joc_touching({99}), 0u);  // untouched user
-}
-
-TEST(FeatureCacheDelta, PresenceDropsWholesaleJocSurvives) {
-  block::FeatureCache cache;
-  cache.prepare(11, 4, 2, nullptr);
-  cache.insert_joc({1, 2})[0] = 1.0;
-  cache.insert_presence({1, 2})[0] = 2.0;
-  cache.insert_presence({2, 3})[0] = 3.0;
-  EXPECT_EQ(cache.invalidate_presence_all(), 2u);
-  EXPECT_EQ(cache.find_presence({1, 2}), nullptr);
-  EXPECT_EQ(cache.stats().presence_rows, 0u);
-  ASSERT_NE(cache.find_joc({1, 2}), nullptr);  // untouched grain
-}
-
-TEST(FeatureCacheDelta, CarryLetsJocSurviveASignatureChangeOnce) {
-  block::FeatureCache cache;
-  cache.prepare(11, 4, 2, nullptr);
-  cache.insert_joc({1, 2})[0] = 7.0;
-  cache.insert_presence({1, 2})[0] = 8.0;
-
-  cache.carry_joc_across_next_prepare();
-  cache.prepare(12, 4, 2, nullptr);  // new signature, same widths
-  ASSERT_NE(cache.find_joc({1, 2}), nullptr);  // carried
-  EXPECT_EQ(cache.find_joc({1, 2})[0], 7.0);
-  EXPECT_EQ(cache.find_presence({1, 2}), nullptr);  // presence never carried
-
-  // One-shot: the next signature change drops rows as usual.
-  cache.insert_joc({3, 4})[0] = 9.0;
-  cache.prepare(13, 4, 2, nullptr);
-  EXPECT_EQ(cache.find_joc({1, 2}), nullptr);
-  EXPECT_EQ(cache.find_joc({3, 4}), nullptr);
-
-  // A carried prepare with a *different* JOC width must still reset —
-  // width mismatch always wins over the carry flag.
-  cache.insert_joc({5, 6});
-  cache.carry_joc_across_next_prepare();
-  cache.prepare(14, 8, 2, nullptr);
-  EXPECT_EQ(cache.find_joc({5, 6}), nullptr);
-  EXPECT_EQ(cache.joc_width(), 8u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <set>
 
+#include "util/args.h"
 #include "util/error.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -249,6 +250,48 @@ TEST(Strings, StartsWith) {
 TEST(Strings, Format) {
   EXPECT_EQ(format("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(format("%.2f", 1.5), "1.50");
+}
+
+// ---------- ArgParser ----------
+
+TEST(ArgParser, GetIntInAcceptsTheClosedRange) {
+  ArgParser args;
+  args.add_option("threads", "0", "");
+  args.add_option("port", "0", "");
+  const char* argv[] = {"prog", "--threads", "1024", "--port=65535"};
+  args.parse(4, argv);
+  EXPECT_EQ(args.get_int_in("threads", 0, 1024), 1024);
+  EXPECT_EQ(args.get_int_in("port", 0, 65535), 65535);
+  ArgParser defaults;
+  defaults.add_option("threads", "0", "");
+  EXPECT_EQ(defaults.get_int_in("threads", 0, 1024), 0);
+}
+
+TEST(ArgParser, GetIntInRejectsOutOfRangeNamingTheOption) {
+  ArgParser args;
+  args.add_option("threads", "0", "");
+  args.add_option("max-memory-mb", "0", "");
+  const char* argv[] = {"prog", "--threads", "-1", "--max-memory-mb",
+                        "9223372036854775807"};
+  args.parse(5, argv);
+  EXPECT_EQ(args.get_int("threads"), -1);  // the unchecked accessor
+  try {
+    args.get_int_in("threads", 0, 1024);
+    FAIL() << "a negative thread count was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--threads"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("[0, 1024]"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(args.get_int_in("threads", 2, 1024), std::invalid_argument);
+  EXPECT_THROW(args.get_int_in("max-memory-mb", 0, 1LL << 44),
+               std::invalid_argument);
+  ArgParser over;
+  over.add_option("port", "0", "");
+  const char* over_argv[] = {"prog", "--port", "70000"};
+  over.parse(3, over_argv);
+  EXPECT_THROW(over.get_int_in("port", 0, 65535), std::invalid_argument);
 }
 
 // ---------- Table ----------

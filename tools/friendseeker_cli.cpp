@@ -23,7 +23,7 @@
 //                          [--events-per-tick N --ring-capacity N
 //                           --backpressure block|shed]
 //                          [--max-ticks N --lateness-budget-sec S]
-//                          [--finalize [--finalize-every N]]
+//                          [--finalize]
 //                          [--expect-digest HEX]
 //   friendseeker --list-failpoints
 //
@@ -37,9 +37,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "block/candidate_gen.h"
 #include "data/defense.h"
@@ -68,6 +68,15 @@
 namespace {
 
 using namespace fs;
+
+// Upper bounds for range-checked integer options (util::ArgParser::
+// get_int_in), so a value never wraps in the cast to its target type.
+constexpr long long kMaxInt = std::numeric_limits<int>::max();
+constexpr long long kMaxCount = std::numeric_limits<long long>::max();
+constexpr long long kMaxThreads = 1024;
+// --max-memory-mb is scaled by 2^20 into a std::size_t byte count.
+constexpr long long kMaxMemoryMb =
+    static_cast<long long>(std::numeric_limits<std::size_t>::max() >> 20);
 
 int usage() {
   std::fprintf(
@@ -126,14 +135,14 @@ int cmd_generate(int argc, char** argv) {
   data::SyntheticWorldConfig cfg = args.get("preset") == "brightkite"
                                        ? data::brightkite_like()
                                        : data::gowalla_like();
-  if (args.get_int("users") > 0)
-    cfg.user_count = static_cast<std::size_t>(args.get_int("users"));
-  if (args.get_int("pois") > 0)
-    cfg.poi_count = static_cast<std::size_t>(args.get_int("pois"));
-  if (args.get_int("weeks") > 0)
-    cfg.weeks = static_cast<int>(args.get_int("weeks"));
-  if (args.get_int("seed") > 0)
-    cfg.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  if (const long long users = args.get_int_in("users", 0, kMaxCount))
+    cfg.user_count = static_cast<std::size_t>(users);
+  if (const long long pois = args.get_int_in("pois", 0, kMaxCount))
+    cfg.poi_count = static_cast<std::size_t>(pois);
+  if (const long long weeks = args.get_int_in("weeks", 0, kMaxInt))
+    cfg.weeks = static_cast<int>(weeks);
+  if (const long long seed = args.get_int_in("seed", 0, kMaxCount))
+    cfg.seed = static_cast<std::uint64_t>(seed);
 
   const data::SyntheticWorld world = data::generate_world(cfg);
   const std::string dir = args.get("out");
@@ -268,15 +277,17 @@ int cmd_convert(int argc, char** argv) {
     context.set_deadline_seconds(args.get_double("deadline-sec"));
 
   store::ConvertOptions options;
-  options.sigma = static_cast<std::size_t>(args.get_int("sigma"));
+  options.sigma =
+      static_cast<std::size_t>(args.get_int_in("sigma", 0, kMaxCount));
   options.tau_seconds = static_cast<geo::Timestamp>(
       args.get_double("tau") * static_cast<double>(geo::kSecondsPerDay));
   options.load.strictness = args.get_flag("permissive")
                                 ? data::Strictness::kPermissive
                                 : data::Strictness::kStrict;
-  options.load.min_checkins = static_cast<int>(args.get_int("min-checkins"));
+  options.load.min_checkins =
+      static_cast<int>(args.get_int_in("min-checkins", 0, kMaxInt));
   options.load.max_users =
-      static_cast<std::size_t>(args.get_int("max-users"));
+      static_cast<std::size_t>(args.get_int_in("max-users", 0, kMaxCount));
   options.load.context = &context;
 
   data::LoadReport report;
@@ -355,7 +366,8 @@ int cmd_attack(int argc, char** argv) {
   if (args.get_flag("strict") && args.get_flag("permissive"))
     throw std::invalid_argument("--strict and --permissive are exclusive");
   util::set_log_level(util::LogLevel::kInfo);
-  par::set_threads(static_cast<std::size_t>(args.get_int("threads")));
+  par::set_threads(
+      static_cast<std::size_t>(args.get_int_in("threads", 0, kMaxThreads)));
 
   // Observability: the registry is live whenever a metrics file was asked
   // for; the tracer only when a trace file was (spans stay two clock reads
@@ -377,10 +389,8 @@ int cmd_attack(int argc, char** argv) {
   context.set_cancellation(&runtime::global_token());
   if (args.get_double("deadline-sec") > 0.0)
     context.set_deadline_seconds(args.get_double("deadline-sec"));
-  if (args.get_int("max-memory-mb") > 0)
-    context.set_memory_limit(
-        static_cast<std::size_t>(args.get_int("max-memory-mb")) * 1024 *
-        1024);
+  if (const long long mb = args.get_int_in("max-memory-mb", 0, kMaxMemoryMb))
+    context.set_memory_limit(static_cast<std::size_t>(mb) << 20);
 
   const std::string store_path = args.get("store");
   data::LoadReport load_report;
@@ -415,15 +425,19 @@ int cmd_attack(int argc, char** argv) {
       ds, store_path.empty() ? args.positional()[0] : store_path);
 
   core::FriendSeekerConfig cfg = eval::default_seeker_config();
-  cfg.sigma = args.get_int("sigma") > 0
-                  ? static_cast<std::size_t>(args.get_int("sigma"))
-                  : std::max<std::size_t>(40, ds.poi_count() / 8);
+  const long long sigma = args.get_int_in("sigma", 0, kMaxCount);
+  cfg.sigma = sigma > 0 ? static_cast<std::size_t>(sigma)
+                        : std::max<std::size_t>(40, ds.poi_count() / 8);
   cfg.tau_days = args.get_double("tau");
-  cfg.presence.feature_dim = static_cast<std::size_t>(args.get_int("dim"));
-  cfg.k = static_cast<int>(args.get_int("k"));
-  cfg.max_iterations = args.get_int("max-iterations") > 0
-                           ? static_cast<int>(args.get_int("max-iterations"))
-                           : static_cast<int>(args.get_int("iterations"));
+  cfg.presence.feature_dim =
+      static_cast<std::size_t>(args.get_int_in("dim", 0, kMaxCount));
+  cfg.k = static_cast<int>(args.get_int_in("k", 0, kMaxInt));
+  const long long max_iterations =
+      args.get_int_in("max-iterations", 0, kMaxInt);
+  cfg.max_iterations =
+      static_cast<int>(max_iterations > 0
+                           ? max_iterations
+                           : args.get_int_in("iterations", 0, kMaxInt));
   const std::string blocking = args.get("blocking");
   if (blocking == "on")
     cfg.blocking.mode = block::BlockingMode::kOn;
@@ -433,9 +447,10 @@ int cmd_attack(int argc, char** argv) {
     cfg.blocking.mode = block::BlockingMode::kAuto;
   else
     throw std::invalid_argument("--blocking must be on, off, or auto");
-  cfg.blocking.hop_expansion = static_cast<int>(args.get_int("block-hops"));
+  cfg.blocking.hop_expansion =
+      static_cast<int>(args.get_int_in("block-hops", 0, kMaxInt));
   cfg.blocking.slot_tolerance =
-      static_cast<int>(args.get_int("block-slot-tolerance"));
+      static_cast<int>(args.get_int_in("block-slot-tolerance", 0, kMaxInt));
   cfg.checkpoint_dir = args.get("checkpoint-dir");
   cfg.resume = args.get_flag("resume");
   cfg.context = &context;
@@ -477,16 +492,6 @@ int cmd_attack(int argc, char** argv) {
                  "via hop expansion, %zu forced train pairs)\n",
                  bs.scored_pairs, bs.universe_pairs, bs.pruned_pairs,
                  bs.hop_candidates, bs.forced_pairs);
-  }
-  {
-    const auto& cs = seeker.last_result().cache;
-    std::fprintf(stderr,
-                 "feature cache: %.1f%% hit rate (%llu hits / %llu misses), "
-                 "%.1f MB cached\n",
-                 cs.hit_rate() * 100.0,
-                 static_cast<unsigned long long>(cs.hits()),
-                 static_cast<unsigned long long>(cs.misses()),
-                 static_cast<double>(cs.bytes) / (1024.0 * 1024.0));
   }
 
   // Telemetry files are written on every exit path, interrupted included —
@@ -559,10 +564,6 @@ int cmd_serve(int argc, char** argv) {
   args.add_option("expect-digest", "",
                   "hex digest the drained engine state must match; "
                   "mismatch exits 3 (convergence differential)");
-  args.add_option("finalize-every", "0",
-                  "with --finalize: also run the pipeline every N ticks, "
-                  "delta-invalidating the shared feature cache (0 = only "
-                  "at the end)");
   args.add_option("metrics-out", "",
                   "write metrics here as JSON (plus a .prom twin)");
   args.add_flag("finalize",
@@ -593,13 +594,15 @@ int cmd_serve(int argc, char** argv) {
   context.set_cancellation(&runtime::global_token());
 
   stream::ServeConfig cfg;
-  cfg.engine.sigma = static_cast<std::size_t>(args.get_int("sigma"));
+  cfg.engine.sigma =
+      static_cast<std::size_t>(args.get_int_in("sigma", 0, kMaxCount));
   cfg.engine.tau_days = args.get_double("tau");
   cfg.engine.lateness_budget_sec =
       static_cast<geo::Timestamp>(args.get_int("lateness-budget-sec"));
-  cfg.ring_capacity = static_cast<std::size_t>(args.get_int("ring-capacity"));
-  cfg.events_per_tick =
-      static_cast<std::size_t>(args.get_int("events-per-tick"));
+  cfg.ring_capacity =
+      static_cast<std::size_t>(args.get_int_in("ring-capacity", 0, kMaxCount));
+  cfg.events_per_tick = static_cast<std::size_t>(
+      args.get_int_in("events-per-tick", 0, kMaxCount));
   cfg.tick_budget_ms = args.get_double("tick-ms");
   const double staleness_ms = args.get_double("staleness-budget-ms");
   cfg.staleness_budget_ticks =
@@ -608,9 +611,10 @@ int cmd_serve(int argc, char** argv) {
                 std::max(1.0, staleness_ms / cfg.tick_budget_ms))
           : 4;
   cfg.journal_dir = args.get("journal-dir");
-  cfg.snapshot_every =
-      static_cast<std::uint64_t>(args.get_int("snapshot-every"));
-  cfg.max_ticks = static_cast<std::uint64_t>(args.get_int("max-ticks"));
+  cfg.snapshot_every = static_cast<std::uint64_t>(
+      args.get_int_in("snapshot-every", 0, kMaxCount));
+  cfg.max_ticks =
+      static_cast<std::uint64_t>(args.get_int_in("max-ticks", 0, kMaxCount));
   const std::string backpressure = args.get("backpressure");
   if (backpressure == "block")
     cfg.backpressure = stream::Backpressure::kBlock;
@@ -627,10 +631,13 @@ int cmd_serve(int argc, char** argv) {
     if (colon == std::string::npos)
       throw std::invalid_argument("--listen expects HOST:PORT");
     net_cfg.bind_host = listen.substr(0, colon);
-    net_cfg.port =
-        static_cast<std::uint16_t>(util::parse_int(listen.substr(colon + 1)));
+    const long long port = util::parse_int(listen.substr(colon + 1));
+    if (port < 0 || port > 65535)  // 0 binds an ephemeral port
+      throw std::invalid_argument("--listen port must be in [0, 65535], got " +
+                                  std::to_string(port));
+    net_cfg.port = static_cast<std::uint16_t>(port);
     net_cfg.max_connections =
-        static_cast<std::size_t>(args.get_int("max-conns"));
+        static_cast<std::size_t>(args.get_int_in("max-conns", 0, kMaxCount));
     net_cfg.idle_timeout_ms = args.get_double("idle-timeout-ms");
     server = std::make_unique<net::NetServer>(net_cfg);
     source = std::make_unique<net::SocketSource>(*server);
@@ -682,88 +689,31 @@ int cmd_serve(int argc, char** argv) {
                  static_cast<unsigned>(server->port()));
   }
 
-  // The finalize path shares one feature cache across repeated pipeline
-  // runs: the engine reports which users each delta touched, the cache
-  // evicts exactly their JOC rows (presence drops wholesale — its model
-  // retrains), and carry_joc_across_next_prepare lets the rows of
-  // untouched pairs survive the signature change. The carry is only sound
-  // while the POI universe (hence the quadtree division) and the JOC
-  // width are unchanged; a POI-count change falls back to a full drop.
-  block::FeatureCache cache;
-  std::size_t finalized_poi_count = 0;
-  bool cache_primed = false;
   const bool finalize = args.get_flag("finalize");
   if (finalize && args.positional().size() < 2)
     throw std::invalid_argument("--finalize requires the EDGES positional");
-  auto run_finalize = [&](const char* label) {
+  const stream::ServeReport report = daemon.run();
+  if (finalize) {
     const auto raw_edges = data::read_edges_file(args.positional()[1]);
-    std::vector<long long> dense_to_raw;
-    data::LoadReport report;
-    const data::Dataset ds =
-        daemon.engine().to_dataset(raw_edges, {}, &report, &dense_to_raw);
+    const data::Dataset ds = daemon.engine().to_dataset(raw_edges);
     if (ds.user_count() < 4) {
       std::fprintf(stderr,
-                   "finalize(%s): only %zu active users, skipping pipeline\n",
-                   label, ds.user_count());
-      return;
+                   "finalize: only %zu active users, skipping pipeline\n",
+                   ds.user_count());
+    } else {
+      const eval::Experiment experiment =
+          eval::make_experiment(ds, args.positional()[0]);
+      core::FriendSeekerConfig seeker_cfg = eval::default_seeker_config();
+      seeker_cfg.sigma =
+          static_cast<std::size_t>(args.get_int_in("sigma", 0, kMaxCount));
+      seeker_cfg.tau_days = args.get_double("tau");
+      seeker_cfg.max_iterations =
+          static_cast<int>(args.get_int_in("iterations", 0, kMaxInt));
+      seeker_cfg.context = &context;
+      eval::FriendSeekerAttack seeker(seeker_cfg);
+      const ml::Prf prf = eval::run_attack(seeker, experiment);
+      std::fprintf(stderr, "finalize: F1 %.4f\n", prf.f1);
     }
-    const auto touched_raw = daemon.engine().take_touched_users();
-    if (cache_primed && ds.poi_count() == finalized_poi_count) {
-      std::unordered_map<long long, data::UserId> raw_to_dense;
-      for (std::size_t i = 0; i < dense_to_raw.size(); ++i)
-        raw_to_dense.emplace(dense_to_raw[i],
-                             static_cast<data::UserId>(i));
-      std::vector<data::UserId> touched_dense;
-      for (const auto raw : touched_raw) {
-        const auto it = raw_to_dense.find(raw);
-        if (it != raw_to_dense.end()) touched_dense.push_back(it->second);
-      }
-      const std::size_t evicted = cache.invalidate_joc_touching(touched_dense);
-      cache.invalidate_presence_all();
-      cache.carry_joc_across_next_prepare();
-      std::fprintf(stderr,
-                   "finalize(%s): delta-invalidated %zu JOC rows for %zu "
-                   "touched users (carrying the rest)\n",
-                   label, evicted, touched_dense.size());
-    }
-    finalized_poi_count = ds.poi_count();
-    cache_primed = true;
-
-    const eval::Experiment experiment =
-        eval::make_experiment(ds, args.positional()[0]);
-    core::FriendSeekerConfig seeker_cfg = eval::default_seeker_config();
-    seeker_cfg.sigma = static_cast<std::size_t>(args.get_int("sigma"));
-    seeker_cfg.tau_days = args.get_double("tau");
-    seeker_cfg.max_iterations = static_cast<int>(args.get_int("iterations"));
-    seeker_cfg.context = &context;
-    seeker_cfg.feature_cache = &cache;
-    eval::FriendSeekerAttack seeker(seeker_cfg);
-    const ml::Prf prf = eval::run_attack(seeker, experiment);
-    const auto& cs = seeker.last_result().cache;
-    std::fprintf(stderr,
-                 "finalize(%s): F1 %.4f | cache %.1f%% hit rate, %zu JOC + "
-                 "%zu presence rows\n",
-                 label, prf.f1, cs.hit_rate() * 100.0, cs.joc_rows,
-                 cs.presence_rows);
-  };
-
-  stream::ServeReport report;
-  const auto max_ticks_flag =
-      static_cast<std::uint64_t>(args.get_int("max-ticks"));
-  if (finalize && args.get_int("finalize-every") > 0) {
-    // Chunked run: serve N ticks, finalize with delta invalidation, repeat
-    // until the stream stops (exhaustion, max-ticks, or a signal).
-    const auto chunk = static_cast<std::uint64_t>(
-        args.get_int("finalize-every"));
-    while (true) {
-      report = daemon.run_for(chunk);
-      run_finalize("periodic");
-      if (report.exhausted || report.cancelled) break;
-      if (max_ticks_flag != 0 && report.ticks >= max_ticks_flag) break;
-    }
-  } else {
-    report = daemon.run();
-    if (finalize) run_finalize("final");
   }
 
   std::fprintf(stderr,
@@ -852,11 +802,13 @@ int cmd_obfuscate(int argc, char** argv) {
   }
   const data::Dataset ds = load_positional(args);
   const double ratio = args.get_double("ratio");
+  const long long sigma_arg = args.get_int_in("sigma", 0, kMaxCount);
   const std::size_t sigma =
-      args.get_int("sigma") > 0
-          ? static_cast<std::size_t>(args.get_int("sigma"))
-          : std::max<std::size_t>(40, ds.poi_count() / 8);
-  util::Rng rng(static_cast<std::uint64_t>(args.get_int("seed")));
+      sigma_arg > 0 ? static_cast<std::size_t>(sigma_arg)
+                    : std::max<std::size_t>(40, ds.poi_count() / 8);
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_in("seed", 0, kMaxCount));
+  util::Rng rng(seed);
 
   data::Dataset out = ds;
   const std::string mechanism = args.get("mechanism");
@@ -872,7 +824,7 @@ int cmd_obfuscate(int argc, char** argv) {
     const geo::QuadtreeDivision division(ds.poi_coordinates(), sigma);
     data::FriendGuardConfig guard;
     guard.budget = ratio;
-    guard.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+    guard.seed = seed;
     out = data::friend_guard(ds, division, guard);
   } else {
     throw std::invalid_argument("unknown mechanism '" + mechanism + "'");

@@ -31,8 +31,7 @@
 // pair, the population an attacker actually faces; quality is still scored
 // on the balanced subset (the extras have no labels to grade against).
 // This is the regime candidate blocking exists for — the "blocking"
-// section then shows the scored-universe shrinkage, and the "cache"
-// section the phase-2 feature-cache hit rate.
+// section then shows the scored-universe shrinkage.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -64,7 +63,7 @@ namespace {
 using namespace fs;
 namespace json = obs::json;
 
-constexpr double kSchemaVersion = 6.0;
+constexpr double kSchemaVersion = 7.0;
 
 /// Runs the attack and grades the balanced test subset. Under --universe
 /// full the test list carries unlabeled extension pairs after the labeled
@@ -133,7 +132,7 @@ std::vector<std::size_t> parse_scaling(const std::string& spec) {
 void validate_bench(const json::Value& root) {
   if (!root.is_object()) throw ParseError("root is not an object");
   if (root.at("schema_version").as_number() != kSchemaVersion)
-    throw ParseError("schema_version != 6");
+    throw ParseError("schema_version != 7");
   root.at("preset").as_string();
   root.at("seed").as_number();
   const double threads = root.at("threads").as_number();
@@ -162,16 +161,6 @@ void validate_bench(const json::Value& root) {
     throw ParseError("blocking.prune_ratio < 1");
   if (blocking.at("forced_train_pairs").as_number() < 0.0)
     throw ParseError("blocking.forced_train_pairs is negative");
-
-  const json::Value& cache = root.at("cache");
-  for (const char* key : {"hits", "misses", "bytes"})
-    if (cache.at(key).as_number() < 0.0)
-      throw ParseError(std::string("cache.") + key + " is negative");
-  for (const char* key : {"hit_rate", "phase2_hit_rate"}) {
-    const double v = cache.at(key).as_number();
-    if (v < 0.0 || v > 1.0)
-      throw ParseError(std::string("cache.") + key + " outside [0, 1]");
-  }
 
   const json::Value& quality = root.at("quality");
   for (const char* key : {"f1", "precision", "recall"}) {
@@ -398,13 +387,6 @@ int run_bench(const util::ArgParser& args) {
                 static_cast<double>(last.blocking.scored_pairs)
           : 1.0;
 
-  json::Object cache;
-  cache["hits"] = last.cache.hits();
-  cache["misses"] = last.cache.misses();
-  cache["hit_rate"] = last.cache.hit_rate();
-  cache["phase2_hit_rate"] = last.phase2_cache_hit_rate;
-  cache["bytes"] = last.cache.bytes;
-
   json::Object kernel;
   kernel["path"] = std::string(kern::path_name(kern::active_path()));
   kernel["requested"] = kern::requested_path().empty()
@@ -430,7 +412,6 @@ int run_bench(const util::ArgParser& args) {
   root["universe"] = universe_arg;
   root["kernel"] = std::move(kernel);
   root["blocking"] = std::move(blocking);
-  root["cache"] = std::move(cache);
   root["quality"] = std::move(quality);
   root["stages"] = std::move(stages);
   root["totals"] = std::move(totals);
