@@ -127,7 +127,7 @@ inline scenario::ScenarioConfig obfuscation_scenario(
 
 /// Shared driver for the three countermeasure benches (Figs 14-16), built
 /// on the scenario runner: one declarative grid produces every FriendSeeker
-/// row (with cross-cell world + feature-cache reuse), and the baselines are
+/// row (with cross-cell world reuse), and the baselines are
 /// graded on the IDENTICAL perturbed datasets, rebuilt through the runner's
 /// public resolution helpers (same defense seed, same pair split).
 inline void run_obfuscation_bench(const std::string& bench_name,

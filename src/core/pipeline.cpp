@@ -26,10 +26,7 @@ namespace fs::core {
 
 FriendSeeker::FriendSeeker(const FriendSeekerConfig& config)
     : config_(config) {
-  if (config.k < 2)
-    throw std::invalid_argument("FriendSeeker: k must be >= 2");
-  if (config.tau_days <= 0.0)
-    throw std::invalid_argument("FriendSeeker: tau must be > 0");
+  validate_config(config);
 }
 
 namespace {
@@ -305,17 +302,13 @@ FriendSeekerResult FriendSeeker::run(
     presence_cfg.context = ctx;
     presence_storage.emplace(presence_cfg);
     obs::Span phase1_timer("core.pipeline.phase1");
-    {
-      // Per-phase budget: tighten the deadline for phase 1 only. An expired
-      // deadline truncates autoencoder training at the next epoch boundary
-      // (a partially trained model is still usable), recorded below.
-      runtime::PhaseScope phase1_scope(ctx, config_.phase1_budget_sec);
-      presence_storage->train(all_jocs.gather_rows(train_active),
-                              train_labels);
-      if (ctx != nullptr && ctx->deadline_expired())
-        result.degradation.add("phase1.autoencoder", "deadline",
-                               "training truncated by wall-clock budget");
-    }
+    // An expired deadline truncates autoencoder training at the next epoch
+    // boundary (a partially trained model is still usable), recorded below.
+    presence_storage->train(all_jocs.gather_rows(train_active),
+                            train_labels);
+    if (ctx != nullptr && ctx->deadline_expired())
+      result.degradation.add("phase1.autoencoder", "deadline",
+                             "training truncated by wall-clock budget");
     phase1_timer.end();
     util::log_debug("FriendSeeker: phase-1 training ",
                     phase1_timer.seconds(), "s");

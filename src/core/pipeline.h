@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "block/candidate_gen.h"
@@ -18,6 +19,10 @@
 #include "ml/svm.h"
 #include "util/error.h"
 #include "util/runtime.h"
+
+namespace fs::util {
+class ArgParser;
+}  // namespace fs::util
 
 namespace fs::core {
 
@@ -81,15 +86,54 @@ struct FriendSeekerConfig {
   /// budget). Threaded through every heavy loop: the JOC build, autoencoder
   /// epochs, SMO passes, and the phase-2 refinement loop. Null = unlimited.
   runtime::ExecutionContext* context = nullptr;
-  /// Per-phase wall-clock budgets in seconds, applied as PhaseScope
-  /// tightening on top of the context deadline (0 = no per-phase budget).
-  /// Expiry truncates the phase at the next safe boundary and records the
-  /// loss in the result's DegradationReport instead of failing the run.
-  double phase1_budget_sec = 0.0;
+  /// Wall-clock budget in seconds for the phase-2 refinement loop, applied
+  /// as PhaseScope tightening on the context deadline (0 = none). Expiry
+  /// truncates the loop at an iteration boundary and records the loss in
+  /// the result's DegradationReport instead of failing the run.
   double phase2_budget_sec = 0.0;
 
   std::uint64_t seed = 99;
 };
+
+/// One settable hyper-parameter of FriendSeekerConfig. The `attack` flags
+/// (name with '_' -> '-'), the scenario model axis (name as key) and
+/// FriendSeeker's range check all read config_fields(), so a new
+/// hyper-parameter is one row. Values travel as doubles; a kChoice value
+/// is its spelling's index in `choices`.
+struct ConfigField {
+  enum class Type { kInt, kReal, kChoice };
+
+  const char* name;
+  Type type;
+  double lo, hi;  // closed range
+  std::vector<std::string> choices;
+  const char* doc;
+  double (*get)(const FriendSeekerConfig&);
+  void (*put)(FriendSeekerConfig&, double);  // takes a checked value
+
+  std::string flag() const;
+  /// Throws std::invalid_argument naming the field unless `value` is in
+  /// [lo, hi] (never NaN or infinite) and, unless kReal, integral.
+  void check(double value) const;
+  /// Reads what `format` writes; throws like check.
+  double parse(const std::string& text) const;
+  /// A choice's spelling, else text that parses back to exactly `value`.
+  std::string format(double value) const;
+  void set(FriendSeekerConfig& config, double value) const;  // check + put
+};
+
+const std::vector<ConfigField>& config_fields();
+/// Throws std::invalid_argument for a name no row has.
+const ConfigField& config_field(const std::string& name);
+/// Every row's check on `config`.
+void validate_config(const FriendSeekerConfig& config);
+/// One option per row, showing `defaults`' values as the defaults.
+void add_config_flags(util::ArgParser& args,
+                      const FriendSeekerConfig& defaults);
+/// Sets every row whose flag was given (checked); the rest keep their
+/// values.
+void apply_config_flags(const util::ArgParser& args,
+                        FriendSeekerConfig& config);
 
 /// Per-iteration trace for Fig 10 and convergence analysis. Iteration 0 is
 /// the phase-1 (presence-only) graph.

@@ -1,7 +1,9 @@
 #include "par/pool.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "obs/metrics.h"
@@ -77,13 +79,18 @@ std::size_t default_threads() {
     char* end = nullptr;
     const long n = std::strtol(env, &end, 10);
     if (end != env && *end == '\0' && n > 0)
-      return static_cast<std::size_t>(n);
+      return std::min(static_cast<std::size_t>(n), kMaxThreads);
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+  return std::clamp<std::size_t>(hw, 1, kMaxThreads);
 }
 
 void set_threads(std::size_t threads) {
+  if (threads > kMaxThreads)
+    throw std::invalid_argument("par::set_threads: " +
+                                std::to_string(threads) + " exceeds the " +
+                                std::to_string(kMaxThreads) +
+                                "-thread ceiling");
   if (threads == 0) threads = default_threads();
   std::lock_guard<std::mutex> lock(g_pool_mu);
   g_configured_threads = threads;

@@ -58,14 +58,20 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
+/// Ceiling on the process-wide pool size, for every caller: a thread count
+/// from a flag or the environment never asks for more workers than this.
+inline constexpr std::size_t kMaxThreads = 1024;
+
 /// Thread count from the environment: FS_THREADS when set to a positive
-/// integer, otherwise hardware_concurrency() (minimum 1).
+/// integer, otherwise hardware_concurrency() (minimum 1); either is capped
+/// at kMaxThreads.
 std::size_t default_threads();
 
 /// Configures the process-wide pool size. 0 means default_threads(). If a
 /// pool of a different size already exists it is torn down and lazily
 /// recreated on the next parallel region; must not be called from inside
-/// one.
+/// one. Throws std::invalid_argument above kMaxThreads, leaving the
+/// configured count unchanged.
 void set_threads(std::size_t threads);
 
 /// The currently configured thread count (without forcing pool creation).

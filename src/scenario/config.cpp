@@ -4,7 +4,9 @@
 #include <limits>
 #include <sstream>
 
+#include "core/pipeline.h"
 #include "eval/digest.h"
+#include "par/pool.h"
 #include "scenario/options.h"
 #include "util/error.h"
 
@@ -20,30 +22,12 @@ std::string fmt2(double v) {
   return buf;
 }
 
-std::string fmtg(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
-
 DefenseMechanism mechanism_from(const std::string& name) {
   if (name == "none") return DefenseMechanism::kNone;
   if (name == "hiding") return DefenseMechanism::kHiding;
   if (name == "blur-in") return DefenseMechanism::kBlurIn;
   if (name == "blur-cross") return DefenseMechanism::kBlurCross;
   return DefenseMechanism::kFriendGuard;
-}
-
-block::BlockingMode blocking_from(const std::string& name) {
-  if (name == "on") return block::BlockingMode::kOn;
-  if (name == "off") return block::BlockingMode::kOff;
-  return block::BlockingMode::kAuto;
-}
-
-CandidatePredicate predicate_from(const std::string& name) {
-  if (name == "cooccur") return CandidatePredicate::kCooccur;
-  if (name == "cooccur+hops") return CandidatePredicate::kCooccurHops;
-  return CandidatePredicate::kPreset;
 }
 
 WorldSpec parse_world(const json::Value& node, const std::string& context) {
@@ -82,28 +66,35 @@ DefenseSpec parse_defense(const json::Value& node,
 AttackSpec parse_attack(const json::Value& node, const std::string& context) {
   OptionReader reader(node, context);
   AttackSpec spec;
-  spec.blocking =
-      blocking_from(reader.get_enum("blocking", "auto", {"on", "off",
-                                                         "auto"}));
   spec.label = reader.get_string("label", "");
-  spec.threads =
-      static_cast<std::size_t>(reader.get_int("threads", 0, 0, 1024));
+  spec.threads = static_cast<std::size_t>(reader.get_int(
+      "threads", 0, 0, static_cast<long long>(par::kMaxThreads)));
   reader.finish();
   return spec;
 }
 
+/// Each key but "label" names a core::config_fields() row: a spelling for
+/// a choice row, a number in the row's range otherwise.
 ModelSpec parse_model(const json::Value& node, const std::string& context) {
   OptionReader reader(node, context);
   ModelSpec spec;
   spec.label = reader.get_string("label", "");
-  spec.tau_days = reader.get_number("tau_days", 0.0, 0.0, 365.0);
-  spec.sigma =
-      static_cast<std::size_t>(reader.get_int("sigma", 0, 0, 100'000));
-  spec.slot_tolerance =
-      static_cast<int>(reader.get_int("slot_tolerance", -1, -1, 64));
-  spec.predicate = predicate_from(reader.get_enum(
-      "predicate", "preset", {"preset", "cooccur", "cooccur+hops"}));
-  reader.finish();
+  for (const auto& [key, value] : node.as_object()) {
+    if (key == "label") continue;
+    try {
+      const core::ConfigField& field = core::config_field(key);
+      const bool choice = field.type == core::ConfigField::Type::kChoice;
+      if (!(choice ? value.is_string() : value.is_number()))
+        reader.fail("'" + key + "' must be a " +
+                    (choice ? "string" : "number"));
+      const double got =
+          choice ? field.parse(value.as_string()) : value.as_number();
+      field.check(got);
+      spec.overrides[key] = got;
+    } catch (const std::invalid_argument& e) {
+      reader.fail(e.what());
+    }
+  }
   return spec;
 }
 
@@ -174,7 +165,6 @@ json::Value defense_to_json(const DefenseSpec& spec) {
 
 json::Value attack_to_json(const AttackSpec& spec) {
   json::Object o;
-  o["blocking"] = blocking_name(spec.blocking);
   o["label"] = attack_label(spec);
   o["threads"] = spec.threads;
   return json::Value(std::move(o));
@@ -183,10 +173,13 @@ json::Value attack_to_json(const AttackSpec& spec) {
 json::Value model_to_json(const ModelSpec& spec) {
   json::Object o;
   o["label"] = model_label(spec);
-  o["tau_days"] = spec.tau_days;
-  o["sigma"] = spec.sigma;
-  o["slot_tolerance"] = spec.slot_tolerance;
-  o["predicate"] = predicate_name(spec.predicate);
+  for (const auto& [name, value] : spec.overrides) {
+    const core::ConfigField& field = core::config_field(name);
+    if (field.type == core::ConfigField::Type::kChoice)
+      o[name] = field.format(value);
+    else
+      o[name] = value;
+  }
   return json::Value(std::move(o));
 }
 
@@ -208,24 +201,6 @@ std::string mechanism_name(DefenseMechanism mechanism) {
     case DefenseMechanism::kFriendGuard: return "friendguard";
   }
   return "none";
-}
-
-std::string blocking_name(block::BlockingMode mode) {
-  switch (mode) {
-    case block::BlockingMode::kOn: return "on";
-    case block::BlockingMode::kOff: return "off";
-    case block::BlockingMode::kAuto: return "auto";
-  }
-  return "auto";
-}
-
-std::string predicate_name(CandidatePredicate predicate) {
-  switch (predicate) {
-    case CandidatePredicate::kPreset: return "preset";
-    case CandidatePredicate::kCooccur: return "cooccur";
-    case CandidatePredicate::kCooccurHops: return "cooccur+hops";
-  }
-  return "preset";
 }
 
 std::string world_label(const WorldSpec& spec) {
@@ -259,24 +234,16 @@ std::string defense_label(const DefenseSpec& spec) {
 
 std::string attack_label(const AttackSpec& spec) {
   if (!spec.label.empty()) return spec.label;
-  std::string label = "blk:" + blocking_name(spec.blocking);
-  label += ",thr:" + std::to_string(spec.threads);
-  return label;
+  return "thr:" + std::to_string(spec.threads);
 }
 
 std::string model_label(const ModelSpec& spec) {
   if (!spec.label.empty()) return spec.label;
-  std::string label =
-      "tau:" + (spec.tau_days > 0.0 ? fmtg(spec.tau_days) : "~");
-  label +=
-      ",sigma:" + (spec.sigma != 0 ? std::to_string(spec.sigma) : "~");
-  label += ",tol:" + (spec.slot_tolerance >= 0
-                          ? std::to_string(spec.slot_tolerance)
-                          : "~");
-  label += ",pred:" + (spec.predicate == CandidatePredicate::kPreset
-                           ? "~"
-                           : predicate_name(spec.predicate));
-  return label;
+  std::string label;
+  for (const auto& [name, value] : spec.overrides)
+    label += (label.empty() ? "" : ",") + name + ":" +
+             core::config_field(name).format(value);
+  return label.empty() ? "preset" : label;
 }
 
 std::string dynamics_label(const DynamicsSpec& spec) {

@@ -14,10 +14,10 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
-#include "block/candidate_gen.h"
 #include "obs/json.h"
 
 namespace fs::scenario {
@@ -49,26 +49,19 @@ struct DefenseSpec {
   std::size_t grid_sigma = 120;
 };
 
-/// Attack-execution variant: candidate blocking and the thread count
-/// (0 = inherit the runner's ambient thread setting).
+/// Attack-execution variant: the thread count (0 = inherit the runner's
+/// ambient thread setting).
 struct AttackSpec {
-  block::BlockingMode blocking = block::BlockingMode::kAuto;
   std::string label;
   std::size_t threads = 0;
 };
 
-/// Candidate-predicate variants: kPreset keeps the preset's blocking
-/// gate; kCooccur restricts candidates to co-occurring pairs only
-/// (hop_expansion = 0); kCooccurHops re-enables 2-hop expansion.
-enum class CandidatePredicate { kPreset, kCooccur, kCooccurHops };
-
-/// Model hyper-parameter overrides (0 / -1 = keep the preset's value).
+/// Model hyper-parameter overrides, keyed by core::config_fields() name (a
+/// kChoice value is the index of its spelling). A name that is absent
+/// keeps the world preset's value.
 struct ModelSpec {
   std::string label;
-  double tau_days = 0.0;    // 0 = preset
-  std::size_t sigma = 0;    // 0 = preset
-  int slot_tolerance = -1;  // -1 = preset
-  CandidatePredicate predicate = CandidatePredicate::kPreset;
+  std::map<std::string, double> overrides;
 };
 
 /// Temporal dynamics: fraction of friendships whose shared evidence is
@@ -113,7 +106,7 @@ struct ScenarioCell {
 
 /// The schema tag + version every scenario config carries.
 inline constexpr const char* kConfigSchema = "fs-scenario-config";
-inline constexpr int kConfigSchemaVersion = 1;
+inline constexpr int kConfigSchemaVersion = 2;
 
 /// Parses and validates a scenario config document. Unknown keys,
 /// type mismatches, out-of-range values, wrong schema tags and empty axes
@@ -147,9 +140,7 @@ std::string config_fingerprint(const ScenarioConfig& config);
 std::string cell_fingerprint(const ScenarioConfig& config,
                              const ScenarioCell& cell);
 
-/// Enum <-> string helpers shared by parser, labels, and the artifact.
+/// Enum -> string helper shared by parser, labels, and the artifact.
 std::string mechanism_name(DefenseMechanism mechanism);
-std::string blocking_name(block::BlockingMode mode);
-std::string predicate_name(CandidatePredicate predicate);
 
 }  // namespace fs::scenario

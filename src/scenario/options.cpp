@@ -1,6 +1,7 @@
 #include "scenario/options.h"
 
 #include <cmath>
+#include <iomanip>
 #include <sstream>
 
 #include "util/error.h"
@@ -77,14 +78,16 @@ long long OptionReader::get_int(const std::string& key,
   if (!v.is_number()) fail("'" + key + "' must be a number");
   const double got = v.as_number();
   if (got != std::floor(got)) fail("'" + key + "' must be an integer");
-  const auto i = static_cast<long long>(got);
-  if (i < lo || i > hi) {
+  // Range-check before the cast: a value beyond long long (an infinity
+  // included) has none.
+  if (!(got >= static_cast<double>(lo) && got <= static_cast<double>(hi) &&
+        std::abs(got) < 0x1p63)) {
     std::ostringstream oss;
-    oss << "'" << key << "' = " << i << " outside [" << lo << ", " << hi
-        << "]";
+    oss << std::setprecision(17) << "'" << key << "' = " << got
+        << " outside [" << lo << ", " << hi << "]";
     fail(oss.str());
   }
-  return i;
+  return static_cast<long long>(got);
 }
 
 bool OptionReader::get_bool(const std::string& key, bool default_value) {

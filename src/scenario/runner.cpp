@@ -49,28 +49,12 @@ data::SyntheticWorldConfig resolve_world(const WorldSpec& spec,
 }
 
 core::FriendSeekerConfig resolve_seeker(const WorldSpec& world,
-                                        const AttackSpec& attack,
                                         const ModelSpec& model,
                                         std::uint64_t config_seed) {
   core::FriendSeekerConfig seeker = eval::bench_preset(world.preset).seeker;
   seeker.seed += config_seed;
-
-  seeker.blocking.mode = attack.blocking;
-
-  if (model.tau_days > 0.0) seeker.tau_days = model.tau_days;
-  if (model.sigma != 0) seeker.sigma = model.sigma;
-  if (model.slot_tolerance >= 0)
-    seeker.blocking.slot_tolerance = model.slot_tolerance;
-  switch (model.predicate) {
-    case CandidatePredicate::kPreset:
-      break;
-    case CandidatePredicate::kCooccur:
-      seeker.blocking.hop_expansion = 0;
-      break;
-    case CandidatePredicate::kCooccurHops:
-      seeker.blocking.hop_expansion = 2;
-      break;
-  }
+  for (const auto& [name, value] : model.overrides)
+    core::config_field(name).set(seeker, value);
   return seeker;
 }
 
@@ -195,7 +179,7 @@ MatrixResult run_scenario(const ScenarioConfig& config,
     const eval::Experiment& experiment = variant_it->second;
 
     core::FriendSeekerConfig seeker =
-        resolve_seeker(cell.world, cell.attack, cell.model, config.seed);
+        resolve_seeker(cell.world, cell.model, config.seed);
     runtime::ExecutionContext context;
     seeker.context = &context;
 

@@ -63,11 +63,10 @@ struct MatrixResult {
 data::SyntheticWorldConfig resolve_world(const WorldSpec& spec,
                                          std::uint64_t config_seed);
 
-/// Seeker config for a cell: the world preset's seeker with the attack
-/// and model axes applied (blocking mode, tau, sigma, slot tolerance,
-/// candidate predicate) and seed += config seed.
+/// Seeker config for a cell: the world preset's seeker with the model
+/// axis's overrides set through core::config_fields() and seed += config
+/// seed.
 core::FriendSeekerConfig resolve_seeker(const WorldSpec& world,
-                                        const AttackSpec& attack,
                                         const ModelSpec& model,
                                         std::uint64_t config_seed);
 

@@ -49,6 +49,7 @@ void ArgParser::parse(int argc, const char* const* argv, int first) {
       value = argv[++i];
     }
     it->second.value = std::move(value);
+    options_given_.insert(arg);
   }
 }
 
@@ -57,6 +58,10 @@ const std::string& ArgParser::get(const std::string& name) const {
   if (it == options_.end())
     throw std::invalid_argument("undeclared option --" + name);
   return it->second.value;
+}
+
+bool ArgParser::given(const std::string& name) const {
+  return options_given_.count(name) > 0;
 }
 
 long long ArgParser::get_int(const std::string& name) const {

@@ -24,6 +24,9 @@ class ArgParser {
   void parse(int argc, const char* const* argv, int first = 1);
 
   const std::string& get(const std::string& name) const;
+  /// True when option `name` was set on the command line rather than left
+  /// at its declared default.
+  bool given(const std::string& name) const;
   long long get_int(const std::string& name) const;
   /// get_int, range-checked: throws std::invalid_argument naming the
   /// option when the value lies outside [min, max], so a caller may cast it
@@ -46,6 +49,7 @@ class ArgParser {
   std::map<std::string, Option> options_;
   std::set<std::string> flags_declared_;
   std::set<std::string> flags_set_;
+  std::set<std::string> options_given_;
   std::vector<std::string> positional_;
 };
 

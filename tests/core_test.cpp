@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <string>
 
 #include "core/joc.h"
 #include "core/pipeline.h"
@@ -575,9 +577,19 @@ TEST(Pipeline, ValidatesArguments) {
   FriendSeekerConfig bad = fast_seeker_config();
   bad.k = 1;
   EXPECT_THROW(FriendSeeker{bad}, std::invalid_argument);
-  bad = fast_seeker_config();
-  bad.tau_days = 0.0;
-  EXPECT_THROW(FriendSeeker{bad}, std::invalid_argument);
+  // Non-finite tau never reaches the slot-length cast.
+  for (const double tau : {0.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    bad = fast_seeker_config();
+    bad.tau_days = tau;
+    try {
+      FriendSeeker{bad};
+      ADD_FAILURE() << "tau " << tau << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("tau"), std::string::npos)
+          << e.what();
+    }
+  }
 
   FriendSeeker seeker(fast_seeker_config());
   EXPECT_THROW(seeker.run(fx.world.dataset, {}, {}, fx.split.test_pairs),

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -58,6 +60,27 @@ TEST_F(ParTest, SetThreadsReconfiguresTheProcessPool) {
   EXPECT_EQ(par::pool().threads(), 3u);
   par::set_threads(1);
   EXPECT_EQ(par::threads(), 1u);
+}
+
+// Neither test below starts a pool: set_threads is lazy, default_threads
+// only reads the environment.
+TEST_F(ParTest, SetThreadsRejectsCountsAboveTheCeiling) {
+  par::set_threads(2);
+  EXPECT_THROW(par::set_threads(par::kMaxThreads + 1), std::invalid_argument);
+  EXPECT_EQ(par::threads(), 2u);  // the configured count is unchanged
+}
+
+TEST_F(ParTest, DefaultThreadsCapsTheEnvironmentAtTheCeiling) {
+  const char* saved = std::getenv("FS_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  setenv("FS_THREADS", "100000", 1);
+  const std::size_t threads = par::default_threads();
+  if (saved != nullptr)
+    setenv("FS_THREADS", restore.c_str(), 1);
+  else
+    unsetenv("FS_THREADS");
+  EXPECT_GE(threads, 1u);
+  EXPECT_LE(threads, par::kMaxThreads);
 }
 
 TEST_F(ParTest, ParallelForComputesEveryIndexExactlyOnce) {

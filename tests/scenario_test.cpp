@@ -1,12 +1,18 @@
-// fs::scenario: config parsing/validation, grid expansion, runner
-// determinism, the defense=none differential against a direct attack
-// invocation, and the artifact validate/diff contracts.
+// fs::scenario: config parsing/validation, the config_fields() walk shared
+// with the attack CLI, grid expansion, runner determinism, the
+// defense=none differential against a direct attack invocation, and the
+// artifact validate/diff contracts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/pipeline.h"
 #include "eval/digest.h"
 #include "eval/harness.h"
 #include "obs/json.h"
@@ -14,6 +20,7 @@
 #include "scenario/config.h"
 #include "scenario/options.h"
 #include "scenario/runner.h"
+#include "util/args.h"
 #include "util/error.h"
 
 namespace fs {
@@ -55,11 +62,12 @@ TEST(ScenarioOptions, RejectsUnknownKeysNamingThem) {
 
 TEST(ScenarioOptions, TypeAndRangeChecked) {
   const json::Value doc =
-      json::parse(R"({"a": "x", "b": 1.5, "c": 2.25, "d": 1})");
+      json::parse(R"({"a": "x", "b": 1.5, "c": 2.25, "d": 1, "e": 1e999})");
   scenario::OptionReader reader(doc, "test");
   EXPECT_THROW(reader.get_number("a", 0, 0, 1), ParseError);
   EXPECT_THROW(reader.get_number("b", 0, 0, 1), ParseError);
   EXPECT_THROW(reader.get_int("c", 0, 0, 10), ParseError);
+  EXPECT_THROW(reader.get_int("e", 0, 0, 10), ParseError);  // infinite
   EXPECT_THROW(reader.get_bool("d", false), ParseError);
   EXPECT_THROW(reader.get_enum("a", "y", {"y", "z"}), ParseError);
 }
@@ -68,15 +76,15 @@ TEST(ScenarioOptions, TypeAndRangeChecked) {
 
 TEST(ScenarioConfigTest, ParsesAndRoundTrips) {
   const std::string text = R"({
-    "schema": "fs-scenario-config", "schema_version": 1,
+    "schema": "fs-scenario-config", "schema_version": 2,
     "name": "rt", "seed": 11,
     "axes": {
       "world": [{"preset": "gowalla", "users": 50, "cyber_fraction": 0.4}],
       "defense": [{"mechanism": "hiding", "rate": 0.25},
                   {"mechanism": "blur-cross", "rate": 0.3, "grid_sigma": 60}],
-      "attack": [{"blocking": "on"}],
-      "model": [{"tau_days": 3.5, "slot_tolerance": 1,
-                 "predicate": "cooccur"}],
+      "attack": [{"threads": 2}],
+      "model": [{"tau": 3.5, "block_slot_tolerance": 1, "block_hops": 0,
+                 "blocking": "on"}],
       "dynamics": [{"drift": 0.5}]
     },
     "tolerance": {"f1": 0.05}
@@ -89,10 +97,11 @@ TEST(ScenarioConfigTest, ParsesAndRoundTrips) {
             scenario::DefenseMechanism::kHiding);
   EXPECT_DOUBLE_EQ(config.defenses[0].rate, 0.25);
   EXPECT_EQ(config.defenses[1].grid_sigma, 60u);
-  EXPECT_EQ(config.attacks[0].blocking, block::BlockingMode::kOn);
+  EXPECT_EQ(config.attacks[0].threads, 2u);
   // Quantized-KNN and shard keys are not part of the attack schema (the
-  // first name is split so a code search for it finds no live use).
-  for (const char* removed : {"knn_" "quantize", "shards"}) {
+  // first name is split so a code search for it finds no live use), and
+  // blocking moved to the model axis.
+  for (const char* removed : {"knn_" "quantize", "shards", "blocking"}) {
     const std::string attack = std::string(R"({"axes": {"attack": [{")") +
                                removed + R"(": 1}]}})";
     try {
@@ -105,8 +114,21 @@ TEST(ScenarioConfigTest, ParsesAndRoundTrips) {
           << e.what();
     }
   }
-  EXPECT_EQ(config.models[0].predicate,
-            scenario::CandidatePredicate::kCooccur);
+  const std::map<std::string, double> overrides = {
+      {"tau", 3.5},
+      {"block_slot_tolerance", 1},
+      {"block_hops", 0},
+      {"blocking", static_cast<double>(block::BlockingMode::kOn)}};
+  EXPECT_EQ(config.models[0].overrides, overrides);
+  EXPECT_EQ(scenario::model_label(config.models[0]),
+            "block_hops:0,block_slot_tolerance:1,blocking:on,tau:3.5");
+  // The version-1 spellings are gone from the model axis.
+  for (const char* removed : {"tau_days", "slot_tolerance", "predicate"}) {
+    const std::string model = std::string(R"({"axes": {"model": [{")") +
+                              removed + R"(": 1}]}})";
+    EXPECT_THROW(scenario::parse_scenario_config_text(model), ParseError)
+        << removed;
+  }
   EXPECT_DOUBLE_EQ(config.dynamics[0].drift, 0.5);
   EXPECT_DOUBLE_EQ(config.tolerance.f1, 0.05);
   EXPECT_DOUBLE_EQ(config.tolerance.auc, 0.08);  // untouched default
@@ -153,8 +175,11 @@ TEST(ScenarioConfigTest, RejectsOutOfRangeAndBadEnums) {
                    R"({"axes": {"world": [{"preset": "foursquare"}]}})"),
                ParseError);
   EXPECT_THROW(scenario::parse_scenario_config_text(
-                   R"({"axes": {"attack": [{"blocking": "maybe"}]}})"),
+                   R"({"axes": {"model": [{"blocking": "maybe"}]}})"),
                ParseError);
+  EXPECT_THROW(
+      scenario::parse_scenario_config_text(R"({"schema_version": 1})"),
+      ParseError);
   EXPECT_THROW(
       scenario::parse_scenario_config_text(R"({"schema": "fs-other"})"),
       ParseError);
@@ -169,8 +194,8 @@ TEST(ScenarioConfigTest, GridIsAxisCardinalityProduct) {
       "world": [{"preset": "tiny"}, {"preset": "gowalla"}],
       "defense": [{"mechanism": "none"}, {"mechanism": "hiding", "rate": 0.2},
                   {"mechanism": "hiding", "rate": 0.4}],
-      "attack": [{"blocking": "on"}, {"blocking": "off"}],
-      "model": [{}, {"tau_days": 3.5}]
+      "attack": [{"threads": 1}, {"threads": 2}],
+      "model": [{}, {"tau": 3.5}]
     }
   })");
   const auto cells = scenario::expand_grid(config);
@@ -187,6 +212,136 @@ TEST(ScenarioConfigTest, GridIsAxisCardinalityProduct) {
   }
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
+}
+
+// ---- One field table: CLI flags, the model axis and the constructor ----
+//
+// Walks core::config_fields() with no per-field code: every row is reached
+// through `friendseeker attack`'s flag path and the scenario model axis, and
+// both agree on the row's closed range.
+
+/// `text` for `field` through the attack CLI's path: the table's flags
+/// declared on an ArgParser, parsed, and applied to a config.
+core::FriendSeekerConfig apply_flag(const core::ConfigField& field,
+                                    const std::string& text) {
+  util::ArgParser args;
+  core::FriendSeekerConfig config = eval::default_seeker_config();
+  core::add_config_flags(args, config);
+  const std::string flag = "--" + field.flag();
+  const char* argv[] = {"friendseeker", "attack", flag.c_str(), text.c_str()};
+  args.parse(4, argv, 2);
+  core::apply_config_flags(args, config);
+  return config;
+}
+
+/// A row's value as a model-axis JSON value: a spelling for a choice row.
+json::Value model_value(const core::ConfigField& field, double value) {
+  if (field.type == core::ConfigField::Type::kChoice)
+    return json::Value(field.format(value));
+  return json::Value(value);
+}
+
+/// A config whose only model-axis element sets `field` to `value`.
+ScenarioConfig parse_model_element(const core::ConfigField& field,
+                                   const json::Value& value) {
+  json::Object element;
+  element[field.name] = value;
+  json::Object axes;
+  axes["model"] = json::Array{json::Value(std::move(element))};
+  json::Object doc;
+  doc["axes"] = json::Value(std::move(axes));
+  return scenario::parse_scenario_config(json::Value(std::move(doc)));
+}
+
+std::vector<double> just_outside(const core::ConfigField& field) {
+  if (field.type == core::ConfigField::Type::kReal)
+    return {std::nextafter(field.lo, -HUGE_VAL),
+            std::nextafter(field.hi, HUGE_VAL)};
+  return {field.lo - 1, field.hi + 1};
+}
+
+bool names_field(const std::exception& e, const core::ConfigField& field) {
+  return std::string(e.what()).find(field.name) != std::string::npos;
+}
+
+TEST(ConfigFields, CliAndModelAxisAcceptEachRowsClosedRange) {
+  ASSERT_FALSE(core::config_fields().empty());
+  for (const core::ConfigField& field : core::config_fields()) {
+    for (const double bound : {field.lo, field.hi}) {
+      SCOPED_TRACE(std::string(field.name) + " = " + field.format(bound));
+      const core::FriendSeekerConfig cli =
+          apply_flag(field, field.format(bound));
+      EXPECT_EQ(field.get(cli), bound);
+      EXPECT_NO_THROW(core::validate_config(cli));
+
+      const ScenarioConfig config =
+          parse_model_element(field, model_value(field, bound));
+      ASSERT_EQ(config.models[0].overrides.count(field.name), 1u);
+      EXPECT_EQ(config.models[0].overrides.at(field.name), bound);
+      const core::FriendSeekerConfig seeker = scenario::resolve_seeker(
+          config.worlds[0], config.models[0], config.seed);
+      EXPECT_EQ(field.get(seeker), bound);
+    }
+  }
+}
+
+TEST(ConfigFields, CliAndModelAxisRejectValuesOutsideEachRowNamingIt) {
+  for (const core::ConfigField& field : core::config_fields()) {
+    std::vector<std::string> texts;
+    for (const double outside : just_outside(field))
+      texts.push_back(field.format(outside));
+    if (field.type == core::ConfigField::Type::kReal)
+      for (const char* text : {"nan", "inf", "-inf"}) texts.push_back(text);
+
+    for (const std::string& text : texts) {
+      SCOPED_TRACE(std::string(field.name) + " = " + text);
+      try {
+        apply_flag(field, text);
+        ADD_FAILURE() << "the CLI accepted it";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_TRUE(names_field(e, field)) << e.what();
+      }
+
+      const json::Value value =
+          field.type == core::ConfigField::Type::kChoice
+              ? json::Value(text)
+              : json::Value(std::strtod(text.c_str(), nullptr));
+      try {
+        parse_model_element(field, value);
+        ADD_FAILURE() << "the model axis accepted it";
+      } catch (const ParseError& e) {
+        EXPECT_TRUE(names_field(e, field)) << e.what();
+      }
+
+      // The constructor's check reads the same range.
+      core::FriendSeekerConfig config = eval::default_seeker_config();
+      field.put(config, std::strtod(text.c_str(), nullptr));
+      try {
+        core::FriendSeeker seeker(config);
+        ADD_FAILURE() << "FriendSeeker accepted it";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_TRUE(names_field(e, field)) << e.what();
+      }
+    }
+  }
+}
+
+TEST(ConfigFields, ModelAxisRoundTripsEveryRow) {
+  ScenarioConfig config = scenario::parse_scenario_config_text("{}");
+  config.models.clear();
+  for (const bool high : {false, true}) {
+    scenario::ModelSpec spec;
+    for (const core::ConfigField& field : core::config_fields())
+      spec.overrides[field.name] = high ? field.hi : field.lo;
+    config.models.push_back(spec);
+  }
+  const std::string once = scenario::scenario_config_to_json(config).dump(2);
+  const ScenarioConfig reparsed =
+      scenario::parse_scenario_config(json::parse(once));
+  ASSERT_EQ(reparsed.models.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_EQ(reparsed.models[i].overrides, config.models[i].overrides);
+  EXPECT_EQ(scenario::scenario_config_to_json(reparsed).dump(2), once);
 }
 
 // ---- Runner determinism ----
@@ -240,8 +395,7 @@ TEST(ScenarioRunner, DefenseNoneCellMatchesDirectInvocation) {
       scenario::resolve_world(none_cell.cell.world, config.seed), {}, 0.7,
       scenario::split_seed(config.seed));
   const core::FriendSeekerConfig seeker = scenario::resolve_seeker(
-      none_cell.cell.world, none_cell.cell.attack, none_cell.cell.model,
-      config.seed);
+      none_cell.cell.world, none_cell.cell.model, config.seed);
   eval::FriendSeekerAttack attack(seeker);
   const std::vector<int> predictions = attack.infer(
       experiment.dataset, experiment.split.train_pairs,

@@ -262,9 +262,12 @@ TEST(ArgParser, GetIntInAcceptsTheClosedRange) {
   args.parse(4, argv);
   EXPECT_EQ(args.get_int_in("threads", 0, 1024), 1024);
   EXPECT_EQ(args.get_int_in("port", 0, 65535), 65535);
+  EXPECT_TRUE(args.given("threads"));
+  EXPECT_TRUE(args.given("port"));  // the --name=value spelling counts too
   ArgParser defaults;
   defaults.add_option("threads", "0", "");
   EXPECT_EQ(defaults.get_int_in("threads", 0, 1024), 0);
+  EXPECT_FALSE(defaults.given("threads"));  // left at its default
 }
 
 TEST(ArgParser, GetIntInRejectsOutOfRangeNamingTheOption) {

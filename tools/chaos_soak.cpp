@@ -64,6 +64,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -1182,11 +1183,15 @@ int main(int argc, char** argv) {
                    args.help().c_str());
       return 0;
     }
-    par::set_threads(static_cast<std::size_t>(args.get_int("threads")));
+    par::set_threads(static_cast<std::size_t>(args.get_int_in(
+        "threads", 0, static_cast<long long>(par::kMaxThreads))));
     SoakOptions options;
-    options.runs = static_cast<int>(args.get_int("runs"));
-    options.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-    options.users = static_cast<std::size_t>(args.get_int("users"));
+    options.runs = static_cast<int>(
+        args.get_int_in("runs", 0, std::numeric_limits<int>::max()));
+    options.seed = static_cast<std::uint64_t>(
+        args.get_int_in("seed", 0, std::numeric_limits<long long>::max()));
+    options.users = static_cast<std::size_t>(
+        args.get_int_in("users", 0, std::numeric_limits<long long>::max()));
     options.work_dir = args.get("work-dir");
     if (options.work_dir.empty())
       options.work_dir =

@@ -6,12 +6,11 @@
 //                          [--sigma S --tau D] [--permissive]
 //                          [--min-checkins N --max-users N]
 //   friendseeker attack    CHECKINS EDGES | --store STORE.fsst
-//                          [--sigma S --tau D --dim D --k K]
-//                          [--blocking on|off|auto --block-hops H
-//                           --block-slot-tolerance T]
+//                          [--sigma S --tau D --dim D --k K
+//                           --max-iterations N --blocking off|on|auto
+//                           --block-hops H --block-slot-tolerance T]
 //                          [--permissive] [--checkpoint-dir DIR [--resume]]
-//                          [--deadline-sec S --max-memory-mb M
-//                           --max-iterations N]
+//                          [--deadline-sec S --max-memory-mb M]
 //                          [--metrics-out M.json --trace-out T.json
 //                           --metrics-interval-sec S]
 //   friendseeker obfuscate CHECKINS EDGES --mechanism M --ratio R --out DIR
@@ -23,7 +22,8 @@
 //                          [--events-per-tick N --ring-capacity N
 //                           --backpressure block|shed]
 //                          [--max-ticks N --lateness-budget-sec S]
-//                          [--finalize]
+//                          [--sigma S --tau D]
+//                          [--finalize [--max-iterations N]]
 //                          [--expect-digest HEX]
 //   friendseeker --list-failpoints
 //
@@ -41,7 +41,7 @@
 #include <memory>
 #include <string>
 
-#include "block/candidate_gen.h"
+#include "core/pipeline.h"
 #include "data/defense.h"
 #include "data/loader.h"
 #include "data/obfuscation.h"
@@ -73,7 +73,6 @@ using namespace fs;
 // get_int_in), so a value never wraps in the cast to its target type.
 constexpr long long kMaxInt = std::numeric_limits<int>::max();
 constexpr long long kMaxCount = std::numeric_limits<long long>::max();
-constexpr long long kMaxThreads = 1024;
 // --max-memory-mb is scaled by 2^20 into a std::size_t byte count.
 constexpr long long kMaxMemoryMb =
     static_cast<long long>(std::numeric_limits<std::size_t>::max() >> 20);
@@ -106,6 +105,13 @@ int list_failpoints() {
               "entry also\naccepts the latency action (delay without "
               "failing).\n");
   return 0;
+}
+
+/// A flag that shares a core::config_fields() row (spelled as its flag),
+/// read and range-checked by that row.
+double field_flag(const util::ArgParser& args, const char* name) {
+  const core::ConfigField& field = core::config_field(name);
+  return field.parse(args.get(field.flag()));
 }
 
 data::Dataset load_positional(const util::ArgParser& args,
@@ -277,10 +283,9 @@ int cmd_convert(int argc, char** argv) {
     context.set_deadline_seconds(args.get_double("deadline-sec"));
 
   store::ConvertOptions options;
-  options.sigma =
-      static_cast<std::size_t>(args.get_int_in("sigma", 0, kMaxCount));
+  options.sigma = static_cast<std::size_t>(field_flag(args, "sigma"));
   options.tau_seconds = static_cast<geo::Timestamp>(
-      args.get_double("tau") * static_cast<double>(geo::kSecondsPerDay));
+      field_flag(args, "tau") * static_cast<double>(geo::kSecondsPerDay));
   options.load.strictness = args.get_flag("permissive")
                                 ? data::Strictness::kPermissive
                                 : data::Strictness::kStrict;
@@ -307,28 +312,20 @@ int cmd_convert(int argc, char** argv) {
 
 int cmd_attack(int argc, char** argv) {
   util::ArgParser args;
-  args.add_option("sigma", "0", "max POIs per grid (0 = poi_count / 8)");
-  args.add_option("tau", "7", "time-slot length in days");
-  args.add_option("dim", "64", "presence feature dimension d");
-  args.add_option("k", "3", "k-hop subgraph depth");
-  args.add_option("iterations", "6", "max refinement iterations");
-  args.add_option("blocking", "auto",
-                  "candidate blocking: on | off | auto (auto prunes only "
-                  "when the pair universe is large); pruned pairs are "
-                  "predicted non-friend without scoring");
-  args.add_option("block-hops", "2",
-                  "keep pairs within this many hops of the strong "
-                  "co-occurrence graph even without direct co-occurrence");
-  args.add_option("block-slot-tolerance", "1",
-                  "time-slot tolerance for cell co-occurrence blocking");
+  // One option per core::config_fields() row, defaulting to the harness
+  // defaults with 2-hop expansion. Only --sigma's default follows the data
+  // (set once the dataset is loaded).
+  core::FriendSeekerConfig cfg = eval::default_seeker_config();
+  cfg.blocking.hop_expansion = 2;
+  core::add_config_flags(args, cfg);
+  args.add_option("sigma", "poi_count / 8, floor 40",
+                  core::config_field("sigma").doc);
   args.add_option("store", "",
                   "read the dataset from a columnar store (.fsst, see "
                   "'convert') instead of CHECKINS EDGES positionals; the "
                   "store is fully verified, materialized, and its pages "
                   "dropped — memory accounting charges the resident "
                   "estimate, not the file size");
-  args.add_option("max-iterations", "0",
-                  "alias for --iterations (overrides it when > 0)");
   args.add_option("deadline-sec", "0",
                   "wall-clock budget for the whole run (0 = unlimited)");
   args.add_option("max-memory-mb", "0",
@@ -366,8 +363,8 @@ int cmd_attack(int argc, char** argv) {
   if (args.get_flag("strict") && args.get_flag("permissive"))
     throw std::invalid_argument("--strict and --permissive are exclusive");
   util::set_log_level(util::LogLevel::kInfo);
-  par::set_threads(
-      static_cast<std::size_t>(args.get_int_in("threads", 0, kMaxThreads)));
+  par::set_threads(static_cast<std::size_t>(args.get_int_in(
+      "threads", 0, static_cast<long long>(par::kMaxThreads))));
 
   // Observability: the registry is live whenever a metrics file was asked
   // for; the tracer only when a trace file was (spans stay two clock reads
@@ -424,33 +421,8 @@ int cmd_attack(int argc, char** argv) {
   const eval::Experiment experiment = eval::make_experiment(
       ds, store_path.empty() ? args.positional()[0] : store_path);
 
-  core::FriendSeekerConfig cfg = eval::default_seeker_config();
-  const long long sigma = args.get_int_in("sigma", 0, kMaxCount);
-  cfg.sigma = sigma > 0 ? static_cast<std::size_t>(sigma)
-                        : std::max<std::size_t>(40, ds.poi_count() / 8);
-  cfg.tau_days = args.get_double("tau");
-  cfg.presence.feature_dim =
-      static_cast<std::size_t>(args.get_int_in("dim", 0, kMaxCount));
-  cfg.k = static_cast<int>(args.get_int_in("k", 0, kMaxInt));
-  const long long max_iterations =
-      args.get_int_in("max-iterations", 0, kMaxInt);
-  cfg.max_iterations =
-      static_cast<int>(max_iterations > 0
-                           ? max_iterations
-                           : args.get_int_in("iterations", 0, kMaxInt));
-  const std::string blocking = args.get("blocking");
-  if (blocking == "on")
-    cfg.blocking.mode = block::BlockingMode::kOn;
-  else if (blocking == "off")
-    cfg.blocking.mode = block::BlockingMode::kOff;
-  else if (blocking == "auto")
-    cfg.blocking.mode = block::BlockingMode::kAuto;
-  else
-    throw std::invalid_argument("--blocking must be on, off, or auto");
-  cfg.blocking.hop_expansion =
-      static_cast<int>(args.get_int_in("block-hops", 0, kMaxInt));
-  cfg.blocking.slot_tolerance =
-      static_cast<int>(args.get_int_in("block-slot-tolerance", 0, kMaxInt));
+  cfg.sigma = std::max<std::size_t>(40, ds.poi_count() / 8);
+  core::apply_config_flags(args, cfg);
   cfg.checkpoint_dir = args.get("checkpoint-dir");
   cfg.resume = args.get_flag("resume");
   cfg.context = &context;
@@ -559,8 +531,9 @@ int cmd_serve(int argc, char** argv) {
                   "budget (0 = accept any order, like the batch loader)");
   args.add_option("sigma", "16", "quadtree leaf capacity for the live index");
   args.add_option("tau", "1", "time-slot length in days for the live index");
-  args.add_option("iterations", "6",
-                  "max refinement iterations for --finalize pipeline runs");
+  args.add_option("max-iterations", "6",
+                  "cap on phase-2 refinement iterations for --finalize "
+                  "pipeline runs");
   args.add_option("expect-digest", "",
                   "hex digest the drained engine state must match; "
                   "mismatch exits 3 (convergence differential)");
@@ -594,11 +567,10 @@ int cmd_serve(int argc, char** argv) {
   context.set_cancellation(&runtime::global_token());
 
   stream::ServeConfig cfg;
-  cfg.engine.sigma =
-      static_cast<std::size_t>(args.get_int_in("sigma", 0, kMaxCount));
-  cfg.engine.tau_days = args.get_double("tau");
-  cfg.engine.lateness_budget_sec =
-      static_cast<geo::Timestamp>(args.get_int("lateness-budget-sec"));
+  cfg.engine.sigma = static_cast<std::size_t>(field_flag(args, "sigma"));
+  cfg.engine.tau_days = field_flag(args, "tau");
+  cfg.engine.lateness_budget_sec = static_cast<geo::Timestamp>(
+      args.get_int_in("lateness-budget-sec", 0, kMaxCount));
   cfg.ring_capacity =
       static_cast<std::size_t>(args.get_int_in("ring-capacity", 0, kMaxCount));
   cfg.events_per_tick = static_cast<std::size_t>(
@@ -704,11 +676,9 @@ int cmd_serve(int argc, char** argv) {
       const eval::Experiment experiment =
           eval::make_experiment(ds, args.positional()[0]);
       core::FriendSeekerConfig seeker_cfg = eval::default_seeker_config();
-      seeker_cfg.sigma =
-          static_cast<std::size_t>(args.get_int_in("sigma", 0, kMaxCount));
-      seeker_cfg.tau_days = args.get_double("tau");
-      seeker_cfg.max_iterations =
-          static_cast<int>(args.get_int_in("iterations", 0, kMaxInt));
+      // The live index's --sigma and --tau, plus --max-iterations.
+      for (const char* name : {"sigma", "tau", "max_iterations"})
+        core::config_field(name).set(seeker_cfg, field_flag(args, name));
       seeker_cfg.context = &context;
       eval::FriendSeekerAttack seeker(seeker_cfg);
       const ml::Prf prf = eval::run_attack(seeker, experiment);

@@ -229,7 +229,8 @@ json::Object bench_rows(const char* op, const RowShape& shape, double min_ms,
 }
 
 int run(const util::ArgParser& args) {
-  par::set_threads(static_cast<std::size_t>(args.get_int("threads")));
+  par::set_threads(static_cast<std::size_t>(args.get_int_in(
+      "threads", 0, static_cast<long long>(par::kMaxThreads))));
   const bool quick = args.get_flag("quick");
   const double min_ms = quick ? 5.0 : args.get_double("min-ms");
 

@@ -38,11 +38,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/pipeline.h"
 #include "data/loader.h"
 #include "eval/digest.h"
 #include "eval/harness.h"
@@ -146,9 +149,11 @@ void validate_bench(const json::Value& root) {
     throw ParseError("universe must be 'sampled' or 'full'");
 
   const json::Value& blocking = root.at("blocking");
-  const std::string mode = blocking.at("mode").as_string();
-  if (mode != "on" && mode != "off" && mode != "auto")
-    throw ParseError("blocking.mode must be on, off, or auto");
+  try {
+    core::config_field("blocking").parse(blocking.at("mode").as_string());
+  } catch (const std::invalid_argument& e) {
+    throw ParseError(std::string("blocking.mode: ") + e.what());
+  }
   blocking.at("active").as_bool();
   const double universe_pairs = blocking.at("universe_pairs").as_number();
   const double scored_pairs = blocking.at("scored_pairs").as_number();
@@ -309,21 +314,17 @@ int run_bench(const util::ArgParser& args) {
 
   const std::string preset_name = args.get("preset");
   eval::BenchPreset preset = eval::bench_preset(preset_name);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  const auto seed = static_cast<std::uint64_t>(
+      args.get_int_in("seed", 0, std::numeric_limits<long long>::max()));
   preset.world.seed += seed;
   preset.seeker.seed += seed;
-  par::set_threads(static_cast<std::size_t>(args.get_int("threads")));
+  par::set_threads(static_cast<std::size_t>(args.get_int_in(
+      "threads", 0, static_cast<long long>(par::kMaxThreads))));
   const std::size_t main_threads = par::threads();
 
   const std::string blocking_arg = args.get("blocking");
-  if (blocking_arg == "on")
-    preset.seeker.blocking.mode = block::BlockingMode::kOn;
-  else if (blocking_arg == "off")
-    preset.seeker.blocking.mode = block::BlockingMode::kOff;
-  else if (blocking_arg == "auto")
-    preset.seeker.blocking.mode = block::BlockingMode::kAuto;
-  else
-    throw std::invalid_argument("--blocking must be on, off, or auto");
+  const core::ConfigField& blocking_field = core::config_field("blocking");
+  blocking_field.set(preset.seeker, blocking_field.parse(blocking_arg));
   const std::string universe_arg = args.get("universe");
   if (universe_arg != "sampled" && universe_arg != "full")
     throw std::invalid_argument("--universe must be sampled or full");

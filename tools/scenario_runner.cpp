@@ -78,7 +78,8 @@ int run_matrix(const fs::util::ArgParser& args) {
   }
 
   fs::scenario::RunOptions options;
-  options.threads = static_cast<std::size_t>(args.get_int("threads"));
+  options.threads = static_cast<std::size_t>(args.get_int_in(
+      "threads", 0, static_cast<long long>(fs::par::kMaxThreads)));
   options.on_cell = [&](const fs::scenario::CellResult& cell) {
     std::printf(
         "[%3zu/%3zu] %s  f1=%.4f auc=%.4f p@k=%.4f  wall=%.0fms  graph=%s\n",
