@@ -212,32 +212,20 @@ FriendSeekerResult FriendSeeker::run(
                   blocking_on ? " (blocking on)" : " (blocking off)");
 
   // ---- JOC rows for the scored universe. ----
-  // The JOC matrix is the run's dominant allocation and the only store of
-  // JOC rows; charge its estimate against the memory budget up front so an
-  // over-budget configuration is rejected before the build instead of
-  // OOMing halfway through. Each row is built straight into its own slot,
-  // so the matrix is byte-identical at any thread count.
-  const runtime::MemoryCharge joc_charge(
-      ctx, active_count * occupancy.joc_dim() * sizeof(double),
-      "core.joc.matrix");
-  nn::Matrix all_jocs(active_count, occupancy.joc_dim());
+  // The JOC store is the only store of JOC rows. Its exact bytes are
+  // charged against the memory budget once the rows are counted and
+  // before they are allocated; each row is built straight into its own
+  // slot, so the store is byte-identical at any thread count.
+  runtime::MemoryCharge joc_charge;
+  nn::SparseRows jocs;
   {
-    obs::Span joc_span("core.joc.fill");
+    std::vector<data::UserPair> active_pairs;
+    active_pairs.reserve(active_count);
+    for (std::size_t row : active_rows)
+      active_pairs.push_back(universe.pairs[row]);
     JocOptions joc_options;
     joc_options.context = ctx;
-    par::ParallelOptions jopts;
-    jopts.context = ctx;
-    jopts.what = "core.joc.fill";
-    jopts.grain = par::grain_for(occupancy.joc_dim() * 4);
-    par::parallel_for(active_count, jopts, [&](std::size_t ai) {
-      const data::UserPair& pair = universe.pairs[active_rows[ai]];
-      build_joc(occupancy, pair.first, pair.second, all_jocs.row(ai),
-                joc_options);
-    });
-    obs::metrics()
-        .counter("core.joc.rows_total", {}, "JOC feature rows built")
-        .add(active_count);
-    joc_span.arg("rows", static_cast<double>(active_count));
+    jocs = build_joc_matrix(occupancy, active_pairs, joc_options, &joc_charge);
   }
 
   FriendSeekerResult result;
@@ -304,8 +292,7 @@ FriendSeekerResult FriendSeeker::run(
     obs::Span phase1_timer("core.pipeline.phase1");
     // An expired deadline truncates autoencoder training at the next epoch
     // boundary (a partially trained model is still usable), recorded below.
-    presence_storage->train(all_jocs.gather_rows(train_active),
-                            train_labels);
+    presence_storage->train(jocs, train_active, train_labels);
     if (ctx != nullptr && ctx->deadline_expired())
       result.degradation.add("phase1.autoencoder", "deadline",
                              "training truncated by wall-clock budget");
@@ -322,7 +309,7 @@ FriendSeekerResult FriendSeeker::run(
   const runtime::MemoryCharge embedding_charge(
       ctx, active_count * d * sizeof(double), "core.embeddings");
   obs::Span encode_span("core.pipeline.phase1.encode");
-  const nn::Matrix embeddings = presence.encode(all_jocs);
+  const nn::Matrix embeddings = presence.encode(jocs);
   encode_span.arg("rows", static_cast<double>(active_count));
   const std::vector<double> phase1_proba =
       presence.predict_proba_encoded(embeddings);

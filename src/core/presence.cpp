@@ -1,6 +1,7 @@
 #include "core/presence.h"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 
@@ -33,11 +34,31 @@ PresenceModel::PresenceModel(const PresenceModelConfig& config)
     throw std::invalid_argument("PresenceModel: feature_dim must be > 0");
 }
 
+namespace {
+
+/// Bytes of the encoder's and the mirrored decoder's weights and biases.
+std::size_t autoencoder_bytes(const std::vector<std::size_t>& dims) {
+  std::size_t doubles = 0;
+  for (std::size_t i = 0; i + 1 < dims.size(); ++i)
+    doubles += 2 * dims[i] * dims[i + 1] + dims[i] + dims[i + 1];
+  return doubles * sizeof(double);
+}
+
+}  // namespace
+
 void PresenceModel::train(const nn::Matrix& jocs,
                           const std::vector<int>& labels) {
-  if (jocs.rows() != labels.size())
+  std::vector<std::size_t> rows(jocs.rows());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  train(nn::SparseRows::from_dense(jocs), rows, labels);
+}
+
+void PresenceModel::train(const nn::SparseRows& jocs,
+                          const std::vector<std::size_t>& rows,
+                          const std::vector<int>& labels) {
+  if (rows.size() != labels.size())
     throw std::invalid_argument("PresenceModel::train: size mismatch");
-  if (jocs.rows() == 0)
+  if (rows.empty())
     throw std::invalid_argument("PresenceModel::train: empty training set");
   FS_SPAN("core.presence.train");
 
@@ -50,14 +71,21 @@ void PresenceModel::train(const nn::Matrix& jocs,
   ae.seed = config_.seed;
   ae.diagnostics = config_.diagnostics;
   ae.context = config_.context;
+  // The weights grow with the JOC width (I * J * 3): a tiny tau makes
+  // them the run's largest allocation, so they are charged before they
+  // exist (after releasing an earlier training's charge).
+  weight_charge_.reset();
+  weight_charge_ = std::make_shared<runtime::MemoryCharge>(
+      config_.context, autoencoder_bytes(ae.encoder_dims),
+      "core.presence.weights");
   autoencoder_.emplace(ae);
 
   // "A small number of raw JOC samples" trains the autoencoder; subsample
   // deterministically and stratified if the corpus is larger.
   obs::Span ae_span("core.presence.autoencoder");
-  std::size_t ae_rows = jocs.rows();
-  std::size_t epochs = 0;
-  if (jocs.rows() > config_.max_autoencoder_rows) {
+  std::vector<std::size_t> ae_rows = rows;
+  std::vector<int> ae_labels = labels;
+  if (rows.size() > config_.max_autoencoder_rows) {
     util::Rng rng(config_.seed ^ 0xfeedULL);
     std::vector<std::size_t> pos, neg;
     for (std::size_t i = 0; i < labels.size(); ++i)
@@ -71,53 +99,61 @@ void PresenceModel::train(const nn::Matrix& jocs,
     for (std::size_t i = 0; i < std::min(half, neg.size()); ++i)
       chosen.push_back(neg[i]);
     rng.shuffle(chosen);
-    std::vector<int> sub_labels;
-    sub_labels.reserve(chosen.size());
-    for (std::size_t i : chosen) sub_labels.push_back(labels[i]);
-    ae_rows = chosen.size();
-    epochs = autoencoder_->train(jocs.gather_rows(chosen), sub_labels).size();
-  } else {
-    epochs = autoencoder_->train(jocs, labels).size();
+    ae_rows.clear();
+    ae_labels.clear();
+    for (std::size_t i : chosen) {
+      ae_rows.push_back(rows[i]);
+      ae_labels.push_back(labels[i]);
+    }
   }
+  const std::size_t epochs =
+      autoencoder_->train(jocs, ae_rows, ae_labels).size();
   // Throughput in the span tree: GEMM FLOPs over the epochs actually
-  // trained (a deadline may truncate them).
-  const double flop = autoencoder_->train_flop_per_row() *
-                      static_cast<double>(ae_rows) *
-                      static_cast<double>(epochs);
-  ae_span.arg("rows", static_cast<double>(ae_rows));
+  // trained (a deadline may truncate them), the bottom layer counted by
+  // the non-zeros it multiplies.
+  std::size_t nnz = 0;
+  for (std::size_t r : ae_rows) nnz += jocs.row_nnz(r);
+  const double flop =
+      autoencoder_->train_flop_per_epoch(ae_rows.size(), nnz) *
+      static_cast<double>(epochs);
+  ae_span.arg("rows", static_cast<double>(ae_rows.size()));
   ae_span.arg("epochs", static_cast<double>(epochs));
   ae_span.arg("flop", flop);
   obs::metrics()
       .counter("nn.ae.flops_total", {},
-               "autoencoder training GEMM FLOPs (computed from the widths)")
+               "autoencoder training GEMM FLOPs (widths and non-zeros)")
       .add(static_cast<std::uint64_t>(flop));
   ae_span.end();
 
   // KNN stage over the code of the training corpus (capped: query cost is
   // linear in the reference-set size).
   obs::Span knn_span("core.presence.knn_fit");
-  const nn::Matrix code = autoencoder_->encode(jocs);
+  const nn::Matrix code = autoencoder_->encode(jocs, rows);
   const nn::Matrix scaled = code_scaler_.fit_transform(code);
   if (scaled.rows() > config_.max_knn_rows) {
     util::Rng rng(config_.seed ^ 0x6b6eULL);
-    std::vector<std::size_t> rows(scaled.rows());
-    for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
-    rng.shuffle(rows);
-    rows.resize(config_.max_knn_rows);
+    std::vector<std::size_t> picks(scaled.rows());
+    for (std::size_t i = 0; i < picks.size(); ++i) picks[i] = i;
+    rng.shuffle(picks);
+    picks.resize(config_.max_knn_rows);
     std::vector<int> sub_labels;
-    sub_labels.reserve(rows.size());
-    for (std::size_t i : rows) sub_labels.push_back(labels[i]);
-    knn_.fit(scaled.gather_rows(rows), std::move(sub_labels));
+    sub_labels.reserve(picks.size());
+    for (std::size_t i : picks) sub_labels.push_back(labels[i]);
+    knn_.fit(scaled.gather_rows(picks), std::move(sub_labels));
   } else {
     knn_.fit(scaled, labels);
   }
   trained_ = true;
 }
 
-nn::Matrix PresenceModel::encode(const nn::Matrix& jocs) const {
+nn::Matrix PresenceModel::encode(const nn::SparseRows& jocs) const {
   if (!trained_) throw std::logic_error("PresenceModel: encode before train");
   FS_SPAN("core.presence.encode");
   return autoencoder_->encode(jocs);
+}
+
+nn::Matrix PresenceModel::encode(const nn::Matrix& jocs) const {
+  return encode(nn::SparseRows::from_dense(jocs));
 }
 
 std::vector<double> PresenceModel::predict_proba(

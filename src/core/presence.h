@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -54,11 +55,21 @@ class PresenceModel {
  public:
   explicit PresenceModel(const PresenceModelConfig& config);
 
-  /// Trains autoencoder + classifier on labeled JOC rows, then fits the KNN
-  /// stage over the learned code of ALL training rows.
+  /// Trains autoencoder + classifier on the rows `rows` of the JOC store,
+  /// labels[i] belonging to rows[i], then fits the KNN stage over the
+  /// learned code of ALL those rows. The encoder and decoder weights are
+  /// charged against config.context's memory budget
+  /// (`core.presence.weights`) before they are allocated, and stay charged
+  /// while the model (or a copy of it) lives, so the context must outlive
+  /// the model.
+  void train(const nn::SparseRows& jocs, const std::vector<std::size_t>& rows,
+             const std::vector<int>& labels);
+  /// Dense adapter: compresses `jocs` and trains on every row.
   void train(const nn::Matrix& jocs, const std::vector<int>& labels);
 
-  /// Presence-proximity features h^(R) per JOC row.
+  /// Presence-proximity features h^(R) per JOC row of the store.
+  nn::Matrix encode(const nn::SparseRows& jocs) const;
+  /// Dense adapter onto the sparse encode.
   nn::Matrix encode(const nn::Matrix& jocs) const;
 
   /// Real-world friendship probability per JOC row (KNN over the code).
@@ -81,6 +92,8 @@ class PresenceModel {
 
  private:
   PresenceModelConfig config_;
+  /// The weights' budget charge, shared by copies of the model.
+  std::shared_ptr<runtime::MemoryCharge> weight_charge_;
   std::optional<nn::SupervisedAutoencoder> autoencoder_;
   ml::StandardScaler code_scaler_;
   ml::KnnClassifier knn_;

@@ -2,6 +2,7 @@
 // columns, 8 ymm accumulators), FMA accumulation in ascending-k order.
 // Compiled with -mavx2 -mfma on x86-64 builds; on any other toolchain the
 // TU degrades to a null vtable and dispatch never selects it.
+#include <cmath>
 #include <cstddef>
 
 #include "kern/kern_internal.h"
@@ -11,6 +12,7 @@
 #include <immintrin.h>
 
 #include "kern/gemm_body.h"
+#include "kern/sparse_body.h"
 
 namespace fs::kern::detail {
 
@@ -57,12 +59,32 @@ struct Avx2Arch {
 
 };
 
+/// Four doubles per ymm; FMA like the micro-kernel.
+struct Avx2Lanes {
+  using V = __m256d;
+  static constexpr std::size_t kLanes = 4;
+  static V zero() { return _mm256_setzero_pd(); }
+  static V load(const double* p) { return _mm256_loadu_pd(p); }
+  static void store(double* p, V v) { _mm256_storeu_pd(p, v); }
+  static V fmadd(double a, V b, V acc) {
+    return _mm256_fmadd_pd(_mm256_set1_pd(a), b, acc);
+  }
+  static double fmadd1(double a, double b, double acc) {
+    return std::fma(a, b, acc);
+  }
+  static V add(V a, V b) { return _mm256_add_pd(a, b); }
+  static V step(V w, double lr, V g) {
+    return _mm256_sub_pd(w, _mm256_mul_pd(_mm256_set1_pd(lr), g));
+  }
+};
+
 void gemm_entry(const GemmCall& call) { run_gemm<Avx2Arch>(call); }
 
 }  // namespace
 
 const VTable* vtable_avx2() {
-  static const VTable table{&gemm_entry};
+  static const VTable table{&gemm_entry, &sparse_rows<Avx2Lanes>,
+                            &sparse_step_cols<Avx2Lanes>};
   return &table;
 }
 

@@ -2,6 +2,7 @@
 // per tile column block, eight zmm accumulators, FMA accumulation in
 // ascending-k order. Compiled with -mavx512f -mfma on x86-64 builds; on
 // any other toolchain the TU degrades to a null vtable.
+#include <cmath>
 #include <cstddef>
 
 #include "kern/kern_internal.h"
@@ -11,6 +12,7 @@
 #include <immintrin.h>
 
 #include "kern/gemm_body.h"
+#include "kern/sparse_body.h"
 
 namespace fs::kern::detail {
 
@@ -51,12 +53,32 @@ struct Avx512Arch {
 
 };
 
+/// Eight doubles per zmm; FMA like the micro-kernel.
+struct Avx512Lanes {
+  using V = __m512d;
+  static constexpr std::size_t kLanes = 8;
+  static V zero() { return _mm512_setzero_pd(); }
+  static V load(const double* p) { return _mm512_loadu_pd(p); }
+  static void store(double* p, V v) { _mm512_storeu_pd(p, v); }
+  static V fmadd(double a, V b, V acc) {
+    return _mm512_fmadd_pd(_mm512_set1_pd(a), b, acc);
+  }
+  static double fmadd1(double a, double b, double acc) {
+    return std::fma(a, b, acc);
+  }
+  static V add(V a, V b) { return _mm512_add_pd(a, b); }
+  static V step(V w, double lr, V g) {
+    return _mm512_sub_pd(w, _mm512_mul_pd(_mm512_set1_pd(lr), g));
+  }
+};
+
 void gemm_entry(const GemmCall& call) { run_gemm<Avx512Arch>(call); }
 
 }  // namespace
 
 const VTable* vtable_avx512() {
-  static const VTable table{&gemm_entry};
+  static const VTable table{&gemm_entry, &sparse_rows<Avx512Lanes>,
+                            &sparse_step_cols<Avx512Lanes>};
   return &table;
 }
 

@@ -7,6 +7,7 @@
 
 #include "kern/gemm_body.h"
 #include "kern/kern_internal.h"
+#include "kern/sparse_body.h"
 
 namespace fs::kern::detail {
 
@@ -33,12 +34,26 @@ struct ScalarArch {
 
 };
 
+/// One lane per "vector": multiply, then add, each rounded.
+struct ScalarLanes {
+  using V = double;
+  static constexpr std::size_t kLanes = 1;
+  static V zero() { return 0.0; }
+  static V load(const double* p) { return *p; }
+  static void store(double* p, V v) { *p = v; }
+  static V fmadd(double a, V b, V acc) { return acc + a * b; }
+  static double fmadd1(double a, double b, double acc) { return acc + a * b; }
+  static V add(V a, V b) { return a + b; }
+  static V step(V w, double lr, V g) { return w - lr * g; }
+};
+
 void gemm_entry(const GemmCall& call) { run_gemm<ScalarArch>(call); }
 
 }  // namespace
 
 const VTable* vtable_scalar() {
-  static const VTable table{&gemm_entry};
+  static const VTable table{&gemm_entry, &sparse_rows<ScalarLanes>,
+                            &sparse_step_cols<ScalarLanes>};
   return &table;
 }
 

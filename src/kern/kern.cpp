@@ -1,14 +1,17 @@
 #include "kern/kern.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kern/kern_internal.h"
+#include "par/par.h"
 #include "util/aligned.h"
 
 namespace fs::kern {
@@ -271,6 +274,129 @@ void gemm_tn_step(std::size_t m, std::size_t n, std::size_t k,
                             Epilogue::kStep, /*bias=*/nullptr);
   call.scale = lr;
   gemm(call);
+}
+
+namespace {
+
+/// Throws std::invalid_argument unless every row's columns ascend strictly
+/// and stay below a.cols: the kernels index the dense operand by them.
+void check_csr(const CsrView& a, const char* who) {
+  if (a.rows == 0) return;
+  if (a.offsets == nullptr)
+    throw std::invalid_argument(std::string(who) + ": null offsets");
+  if (a.offsets[a.rows] != 0 && (a.index == nullptr || a.values == nullptr))
+    throw std::invalid_argument(std::string(who) + ": null entries");
+  for (std::size_t r = 0; r < a.rows; ++r) {
+    if (a.offsets[r + 1] < a.offsets[r])
+      throw std::invalid_argument(std::string(who) + ": offsets descend");
+    for (std::uint64_t p = a.offsets[r]; p < a.offsets[r + 1]; ++p)
+      if (a.index[p] >= a.cols ||
+          (p > a.offsets[r] && a.index[p] <= a.index[p - 1]))
+        throw std::invalid_argument(
+            std::string(who) + ": row columns must ascend below cols");
+  }
+}
+
+/// Items per parallel chunk so a chunk holds about 2^15 multiply-adds of
+/// `entries` non-zeros spread over `items`, each n wide: a function of
+/// the operands alone.
+std::size_t sparse_grain(std::uint64_t entries, std::size_t items,
+                         std::size_t n) {
+  const std::size_t per_item =
+      static_cast<std::size_t>(entries / std::max<std::size_t>(items, 1)) + 1;
+  return par::grain_for(per_item * n);
+}
+
+/// sparse_tn_step's column-wise view of its operand, rebuilt per call in
+/// thread-local buffers.
+struct StepScratch {
+  std::vector<std::pair<std::uint64_t, double>> entries;  // (col << 32 | row)
+  std::vector<std::uint32_t> col;
+  std::vector<std::uint64_t> start;
+  std::vector<std::uint32_t> row;
+  std::vector<double> value;
+};
+
+detail::CscView transpose(const CsrView& a, StepScratch& s) {
+  s.entries.clear();
+  for (std::size_t r = 0; r < a.rows; ++r)
+    for (std::uint64_t p = a.offsets[r]; p < a.offsets[r + 1]; ++p)
+      s.entries.emplace_back(std::uint64_t{a.index[p]} << 32 | r,
+                             a.values[p]);
+  // Keys are unique (one entry per row and column): the order is total.
+  std::sort(s.entries.begin(), s.entries.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  s.col.clear();
+  s.start.clear();
+  s.row.clear();
+  s.value.clear();
+  for (const auto& [key, value] : s.entries) {
+    const auto column = static_cast<std::uint32_t>(key >> 32);
+    if (s.col.empty() || s.col.back() != column) {
+      s.col.push_back(column);
+      s.start.push_back(s.row.size());
+    }
+    s.row.push_back(static_cast<std::uint32_t>(key));
+    s.value.push_back(value);
+  }
+  s.start.push_back(s.row.size());
+  detail::CscView view;
+  view.count = s.col.size();
+  view.col = s.col.data();
+  view.start = s.start.data();
+  view.row = s.row.data();
+  view.value = s.value.data();
+  return view;
+}
+
+}  // namespace
+
+void sparse_gemm_nn(const CsrView& a, const double* w, std::size_t ldw,
+                    std::size_t n, double* c, std::size_t ldc,
+                    Epilogue epilogue, const double* bias) {
+  if (a.rows == 0 || n == 0) return;
+  if (c == nullptr || w == nullptr)
+    throw std::invalid_argument("kern::sparse_gemm_nn: null operand");
+  if (ldw < n || ldc < n)
+    throw std::invalid_argument("kern::sparse_gemm_nn: ldw or ldc < n");
+  if (epilogue == Epilogue::kStep)
+    throw std::invalid_argument("kern::sparse_gemm_nn: kStep is a step");
+  if (epilogue != Epilogue::kNone && bias == nullptr)
+    throw std::invalid_argument("kern::sparse_gemm_nn: epilogue without bias");
+  check_csr(a, "kern::sparse_gemm_nn");
+  const detail::VTable* table = active_kernels()->gemm;
+  par::ParallelOptions options;
+  options.what = "kern.sparse_gemm";
+  options.grain = sparse_grain(a.offsets[a.rows], a.rows, n);
+  par::parallel_for_chunks(a.rows, options, [&](const par::ChunkRange& ch) {
+    table->sparse_rows(a, ch.begin, ch.end, w, ldw, n, c, ldc, epilogue,
+                       bias);
+  });
+}
+
+void sparse_tn_step(const CsrView& a, const double* g, std::size_t ldg,
+                    std::size_t n, double* w, std::size_t ldw, double lr) {
+  if (a.rows == 0 || n == 0) return;
+  if (g == nullptr || w == nullptr)
+    throw std::invalid_argument("kern::sparse_tn_step: null operand");
+  if (ldg < n || ldw < n)
+    throw std::invalid_argument("kern::sparse_tn_step: ldg or ldw < n");
+  if (a.rows > std::uint64_t{0xffffffff})
+    throw std::invalid_argument("kern::sparse_tn_step: too many rows");
+  if (a.cols != 0 &&
+      overlaps(w, (a.cols - 1) * ldw + n, g, (a.rows - 1) * ldg + n))
+    throw std::invalid_argument(
+        "kern::sparse_tn_step: weights overlap the gradient");
+  check_csr(a, "kern::sparse_tn_step");
+  thread_local StepScratch scratch;
+  const detail::CscView t = transpose(a, scratch);
+  const detail::VTable* table = active_kernels()->gemm;
+  par::ParallelOptions options;
+  options.what = "kern.sparse_step";
+  options.grain = sparse_grain(a.offsets[a.rows], t.count, n);
+  par::parallel_for_chunks(t.count, options, [&](const par::ChunkRange& ch) {
+    table->sparse_step_cols(t, ch.begin, ch.end, g, ldg, n, w, ldw, lr);
+  });
 }
 
 std::size_t packed_rows_size(std::size_t n, std::size_t dim) {

@@ -3,7 +3,9 @@
 // Two kernel families live here, behind one runtime ISA dispatch:
 //
 //   * GEMM, the autoencoder's dense primitive (forward/backward products,
-//     batch encoding), as a cache-blocked, register-tiled kernel;
+//     batch encoding), as a cache-blocked, register-tiled kernel, plus its
+//     sparse-input twins for the bottom layer (forward and weight step
+//     over compressed-sparse-row input, at the dense kernel's bits);
 //   * row sweeps, the classifiers' primitive: one query against every row
 //     of a packed reference panel (KNN distances, RBF dot products).
 //
@@ -46,6 +48,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -156,6 +159,47 @@ void gemm_tn_step(std::size_t m, std::size_t n, std::size_t k,
 /// without its bias, or a step call that accumulates or whose C overlaps
 /// A or B.
 void gemm(const GemmCall& call);
+
+// ---------------------------------------------------------------------------
+// Sparse-input products
+// ---------------------------------------------------------------------------
+//
+// The autoencoder's bottom layer reads JOC rows, ~1.5 % non-zero. These two
+// kernels take such an operand in compressed-sparse-row form and skip its
+// zeros, yet return the dense GEMM's bits on the same path: each output
+// element accumulates its non-zero products in ascending k inside each
+// KC block from an accumulator seeded at +0.0, and chains the block
+// partials exactly as the GEMM's tile writeback does. Skipping a zero
+// changes nothing, because a sum seeded at +0.0 never becomes -0.0, adding
+// a +-0 product to a finite value returns that value, an all-zero block
+// adds +0.0, and w - lr * (0 + 0.0) is w. (Non-finite weights are the
+// exception: the dense product spreads a NaN through a zero input, the
+// sparse one does not.)
+
+/// Compressed sparse rows: row r holds entries [offsets[r], offsets[r + 1])
+/// of `index` (its columns, strictly ascending, each < cols) and `values`.
+/// Absent entries are zero.
+struct CsrView {
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  const std::uint64_t* offsets = nullptr;  // rows + 1 entries
+  const std::uint32_t* index = nullptr;
+  const double* values = nullptr;
+};
+
+/// C = epilogue(A.W) for sparse A (a.rows x a.cols) and dense W (a.cols x n,
+/// ldw): bit for bit gemm_nn on the densified A (and gemm_nt on W stored
+/// transposed). Rows fan out over fs::par. kStep is not a forward epilogue.
+void sparse_gemm_nn(const CsrView& a, const double* w, std::size_t ldw,
+                    std::size_t n, double* c, std::size_t ldc,
+                    Epilogue epilogue, const double* bias);
+
+/// W -= lr * A^T.G for sparse A (m x k) and dense G (m x n, ldg), W k x n
+/// (ldw): bit for bit gemm_tn_step(k, n, m, densified A, ...), including
+/// its block chaining when m > 256. Only the rows of W whose column occurs
+/// in A are read or written; the others would step by exactly zero.
+void sparse_tn_step(const CsrView& a, const double* g, std::size_t ldg,
+                    std::size_t n, double* w, std::size_t ldw, double lr);
 
 // ---------------------------------------------------------------------------
 // Row sweeps

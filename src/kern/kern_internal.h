@@ -8,13 +8,34 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "kern/kern.h"
 
 namespace fs::kern::detail {
 
+/// The sparse step's operand read column-wise: the `count` columns of A
+/// that hold a non-zero, ascending, column ci's entries at
+/// [start[ci], start[ci + 1]) of `row` (ascending) and `value`.
+struct CscView {
+  std::size_t count = 0;
+  const std::uint32_t* col = nullptr;
+  const std::uint64_t* start = nullptr;
+  const std::uint32_t* row = nullptr;
+  const double* value = nullptr;
+};
+
 struct VTable {
   void (*gemm)(const GemmCall& call);
+  /// Rows [r0, r1) of a sparse_gemm_nn call.
+  void (*sparse_rows)(const CsrView& a, std::size_t r0, std::size_t r1,
+                      const double* w, std::size_t ldw, std::size_t n,
+                      double* c, std::size_t ldc, Epilogue epilogue,
+                      const double* bias);
+  /// Touched columns [c0, c1) of a sparse_tn_step call.
+  void (*sparse_step_cols)(const CscView& a, std::size_t c0, std::size_t c1,
+                           const double* g, std::size_t ldg, std::size_t n,
+                           double* w, std::size_t ldw, double lr);
 };
 
 /// Always available; the golden reference.

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "kern/kern.h"
+#include "par/par.h"
 #include "util/error.h"
 
 namespace fs::nn {
@@ -46,11 +50,24 @@ double activation_grad_from_output(Activation act, double out) {
   throw std::logic_error("activation_grad_from_output: unknown activation");
 }
 
+Matrix transposed(const Matrix& m) {
+  Matrix t(m.cols(), m.rows());
+  for (std::size_t r = 0; r < m.rows(); ++r)
+    for (std::size_t c = 0; c < m.cols(); ++c) t(c, r) = m(r, c);
+  return t;
+}
+
+/// Rows per chunk of Mlp's sparse inference: a function of nothing but
+/// this constant, so the chunks are the same at every thread count.
+constexpr std::size_t kInferChunkRows = 128;
+
 }  // namespace
 
+// he_init draws the out x in matrix row-major; storing its transpose keeps
+// every seed's weights, whatever the storage layout.
 Dense::Dense(std::size_t in_dim, std::size_t out_dim, Activation act,
              util::Rng& rng)
-    : weights_(Matrix::he_init(out_dim, in_dim, rng)),
+    : weights_(transposed(Matrix::he_init(out_dim, in_dim, rng))),
       bias_(out_dim, 0.0),
       activation_(act),
       grad_bias_(out_dim, 0.0) {
@@ -63,19 +80,21 @@ Dense::Dense(Matrix weights, std::vector<double> bias, Activation act)
       bias_(std::move(bias)),
       activation_(act),
       grad_bias_(bias_.size(), 0.0) {
-  if (weights_.rows() != bias_.size())
+  if (weights_.cols() != bias_.size())
     throw std::invalid_argument("Dense: weights/bias shape mismatch");
   if (weights_.rows() == 0 || weights_.cols() == 0)
     throw std::invalid_argument("Dense: zero dimension");
 }
 
+// The DNSE record is out x in: that byte order is the checkpoint format
+// and what the model digests hash.
 void Dense::save(util::BinaryWriter& writer) const {
   writer.tag("DNSE");
-  writer.u64(weights_.rows());
-  writer.u64(weights_.cols());
+  writer.u64(out_dim());
+  writer.u64(in_dim());
   writer.u64(static_cast<std::uint64_t>(activation_));
-  std::vector<double> flat(weights_.data(),
-                           weights_.data() + weights_.size());
+  const Matrix record = transposed(weights_);
+  std::vector<double> flat(record.data(), record.data() + record.size());
   writer.f64_vector(flat);
   writer.f64_vector(bias_);
 }
@@ -90,35 +109,64 @@ Dense Dense::load(util::BinaryReader& reader) {
   if (!util::flat_matches_shape(flat.size(), rows, cols) ||
       bias.size() != rows)
     throw CorruptCheckpoint("Dense::load: corrupted record");
-  Matrix weights(rows, cols);
-  std::copy(flat.begin(), flat.end(), weights.data());
-  return Dense(std::move(weights), std::move(bias), act);
+  Matrix record(rows, cols);  // out x in
+  std::copy(flat.begin(), flat.end(), record.data());
+  return Dense(transposed(record), std::move(bias), act);
 }
 
-const Matrix& Dense::forward(const Matrix& input) {
-  if (input.cols() != in_dim())
+void Dense::begin_forward(std::size_t rows, std::size_t cols) {
+  if (cols != in_dim())
     throw std::invalid_argument("Dense::forward: input width mismatch");
   if (step_pending_)
     throw std::logic_error("Dense::forward: a weight step is still pending");
+  cached_output_.resize(rows, out_dim());
+}
+
+// Both forwards are one fused kernel: the product with bias+activation
+// applied during writeback — no second pass over the batch.
+const Matrix& Dense::forward(const Matrix& input) {
+  begin_forward(input.rows(), input.cols());
   cached_input_ = input;  // capacity-reusing copy
-  cached_output_.resize(input.rows(), out_dim());
-  // One fused kernel: GEMM against W^T with bias+activation applied during
-  // tile writeback — no second pass over the batch.
-  kern::gemm_nt(input.rows(), out_dim(), in_dim(), input.data(),
-                input.cols(), weights_.data(), weights_.cols(),
-                cached_output_.data(), out_dim(), /*accumulate=*/false,
-                epilogue_for(activation_), bias_.data());
+  sparse_input_ = false;
+  kern::gemm_nn(input.rows(), out_dim(), in_dim(), input.data(), in_dim(),
+                weights_.data(), out_dim(), cached_output_.data(), out_dim(),
+                /*accumulate=*/false, epilogue_for(activation_),
+                bias_.data());
   return cached_output_;
 }
 
-Matrix Dense::infer(const Matrix& input) const {
+const Matrix& Dense::forward(const SparseRows& input) {
+  begin_forward(input.rows(), input.cols());
+  cached_sparse_input_ = input;  // capacity-reusing copy
+  sparse_input_ = true;
+  kern::sparse_gemm_nn(input.view(), weights_.data(), out_dim(), out_dim(),
+                       cached_output_.data(), out_dim(),
+                       epilogue_for(activation_), bias_.data());
+  return cached_output_;
+}
+
+void Dense::infer_into(const Matrix& input, Matrix& out) const {
   if (input.cols() != in_dim())
     throw std::invalid_argument("Dense::infer: input width mismatch");
-  Matrix out(input.rows(), out_dim());
-  kern::gemm_nt(input.rows(), out_dim(), in_dim(), input.data(),
-                input.cols(), weights_.data(), weights_.cols(), out.data(),
-                out_dim(), /*accumulate=*/false, epilogue_for(activation_),
+  out.resize(input.rows(), out_dim());
+  kern::gemm_nn(input.rows(), out_dim(), in_dim(), input.data(), in_dim(),
+                weights_.data(), out_dim(), out.data(), out_dim(),
+                /*accumulate=*/false, epilogue_for(activation_),
                 bias_.data());
+}
+
+void Dense::infer_into(const SparseRows& input, Matrix& out) const {
+  if (input.cols() != in_dim())
+    throw std::invalid_argument("Dense::infer: input width mismatch");
+  out.resize(input.rows(), out_dim());
+  kern::sparse_gemm_nn(input.view(), weights_.data(), out_dim(), out_dim(),
+                       out.data(), out_dim(), epilogue_for(activation_),
+                       bias_.data());
+}
+
+Matrix Dense::infer(const Matrix& input) const {
+  Matrix out;
+  infer_into(input, out);
   return out;
 }
 
@@ -139,8 +187,8 @@ void Dense::backward_into(const Matrix& d_output, Matrix* d_input) {
   for (std::size_t r = 0; r < d_pre_.rows(); ++r)
     for (std::size_t c = 0; c < d_pre_.cols(); ++c)
       grad_bias_[c] += d_pre_(r, c);
-  // dInput = dPre * W — skipped when nobody reads it (bottom layers).
-  if (d_input != nullptr) matmul_nn_into(d_pre_, weights_, *d_input);
+  // dInput = dPre * W^T — skipped when nobody reads it (bottom layers).
+  if (d_input != nullptr) matmul_nt_into(d_pre_, weights_, *d_input);
 }
 
 Matrix Dense::backward(const Matrix& d_output) {
@@ -151,9 +199,16 @@ Matrix Dense::backward(const Matrix& d_output) {
 
 void Dense::apply_gradients(double learning_rate) {
   if (!step_pending_) return;
-  kern::gemm_tn_step(out_dim(), in_dim(), d_pre_.rows(), d_pre_.data(),
-                     d_pre_.cols(), cached_input_.data(), cached_input_.cols(),
-                     weights_.data(), weights_.cols(), learning_rate);
+  // W -= lr * input^T . dPre; the sparse step touches only the weight rows
+  // of inputs present in the batch (the others would step by zero).
+  if (sparse_input_)
+    kern::sparse_tn_step(cached_sparse_input_.view(), d_pre_.data(),
+                         out_dim(), out_dim(), weights_.data(), out_dim(),
+                         learning_rate);
+  else
+    kern::gemm_tn_step(in_dim(), out_dim(), d_pre_.rows(),
+                       cached_input_.data(), in_dim(), d_pre_.data(),
+                       out_dim(), weights_.data(), out_dim(), learning_rate);
   step_pending_ = false;
   for (std::size_t c = 0; c < bias_.size(); ++c) {
     bias_[c] -= learning_rate * grad_bias_[c];
@@ -211,10 +266,49 @@ const Matrix& Mlp::forward(const Matrix& input) {
   return *current;
 }
 
+const Matrix& Mlp::forward(const SparseRows& input) {
+  const Matrix* current = &layers_.front().forward(input);
+  for (std::size_t i = 1; i < layers_.size(); ++i)
+    current = &layers_[i].forward(*current);
+  return *current;
+}
+
 Matrix Mlp::infer(const Matrix& input) const {
-  Matrix current = input;
-  for (const Dense& layer : layers_) current = layer.infer(current);
+  Matrix current = layers_.front().infer(input);
+  for (std::size_t i = 1; i < layers_.size(); ++i)
+    current = layers_[i].infer(current);
   return current;
+}
+
+Matrix Mlp::infer(const SparseRows& input) const {
+  std::vector<std::size_t> rows(input.rows());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  return infer(input, rows);
+}
+
+// A GEMM's output bits do not depend on how many rows it is given, so
+// chunking the rows returns what one whole-input pass would.
+Matrix Mlp::infer(const SparseRows& input,
+                  std::span<const std::size_t> rows) const {
+  Matrix out(rows.size(), out_dim());
+  par::ParallelOptions options;
+  options.what = "nn.mlp.infer";
+  options.grain = kInferChunkRows;
+  const auto body = [&](const par::ChunkRange& chunk) {
+    SparseRows batch;
+    input.gather_rows_into(rows.subspan(chunk.begin, chunk.end - chunk.begin),
+                           batch);
+    Matrix current, next;
+    layers_.front().infer_into(batch, current);
+    for (std::size_t i = 1; i < layers_.size(); ++i) {
+      layers_[i].infer_into(current, next);
+      std::swap(current, next);
+    }
+    std::memcpy(out.row(chunk.begin), current.data(),
+                current.size() * sizeof(double));
+  };
+  par::parallel_for_chunks(rows.size(), options, body);
+  return out;
 }
 
 const Matrix& Mlp::backward(const Matrix& d_output, bool need_input_grad) {

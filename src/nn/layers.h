@@ -13,12 +13,21 @@
 // into its writeback (kern's kStep epilogue), bit-identical to "gradient
 // into a zeroed matrix, then w -= lr * g". All per-batch buffers are
 // reused members, so steady-state training allocates nothing.
+//
+// Weights are stored input-major (in_dim x out_dim) in every layer, so
+// the weights one input feeds are one contiguous row. The autoencoder's
+// bottom layer reads sparse JOC rows (nn::SparseRows): its forward and
+// both weight steps run the sparse kernels, which touch only the weight
+// rows of inputs present in the batch and return the dense GEMM's bits.
+// The serialized DNSE record keeps the out x in order.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nn/matrix.h"
+#include "nn/sparse.h"
 #include "util/binary_io.h"
 
 namespace fs::nn {
@@ -35,11 +44,12 @@ class Dense {
   Dense(std::size_t in_dim, std::size_t out_dim, Activation act,
         util::Rng& rng);
 
-  /// Reconstructs a layer from trained parameters (deserialization).
+  /// Reconstructs a layer from trained parameters: `weights` is
+  /// in_dim x out_dim (input-major), `bias` out_dim long.
   Dense(Matrix weights, std::vector<double> bias, Activation act);
 
-  std::size_t in_dim() const { return weights_.cols(); }
-  std::size_t out_dim() const { return weights_.rows(); }
+  std::size_t in_dim() const { return weights_.rows(); }
+  std::size_t out_dim() const { return weights_.cols(); }
   Activation activation() const { return activation_; }
 
   /// Forward pass; caches input and output for backward(). The returned
@@ -47,8 +57,12 @@ class Dense {
   /// Throws std::logic_error while a backward() step is still pending: the
   /// step reads the cached input.
   const Matrix& forward(const Matrix& input);
+  /// forward() on sparse input rows; the pending step is then sparse too.
+  const Matrix& forward(const SparseRows& input);
 
-  /// Forward without caching (inference).
+  /// Forward without caching (inference), into `out` (capacity reused).
+  void infer_into(const Matrix& input, Matrix& out) const;
+  void infer_into(const SparseRows& input, Matrix& out) const;
   Matrix infer(const Matrix& input) const;
 
   /// Computes the weight/bias gradients of dL/d(output), pending until
@@ -73,12 +87,17 @@ class Dense {
   void save(util::BinaryWriter& writer) const;
   static Dense load(util::BinaryReader& reader);
 
+  /// in_dim x out_dim: weights()(i, o) connects input i to output o.
   const Matrix& weights() const { return weights_; }
   Matrix& mutable_weights() { return weights_; }
   const std::vector<double>& bias() const { return bias_; }
 
  private:
-  Matrix weights_;  // out_dim x in_dim
+  /// Checks the input width and that no step is pending; sizes the
+  /// output cache.
+  void begin_forward(std::size_t rows, std::size_t cols);
+
+  Matrix weights_;  // in_dim x out_dim
   std::vector<double> bias_;
   Activation activation_;
 
@@ -87,8 +106,11 @@ class Dense {
   bool step_pending_ = false;
 
   // Forward caches and backward scratch (all capacity-reusing). The
-  // pending weight step is dPre^T . cached input.
+  // pending weight step is cached input^T . dPre, read from the sparse
+  // cache when the last forward was sparse.
   Matrix cached_input_;
+  SparseRows cached_sparse_input_;
+  bool sparse_input_ = false;
   Matrix cached_output_;  // post-activation
   Matrix d_pre_;
 };
@@ -107,7 +129,16 @@ class Mlp {
   /// Returns a reference into the last layer's cache, valid until the
   /// next forward — activations chain layer to layer without copies.
   const Matrix& forward(const Matrix& input);
+  /// forward() with the bottom layer reading sparse rows.
+  const Matrix& forward(const SparseRows& input);
   Matrix infer(const Matrix& input) const;
+  /// Inference on the given rows of a sparse store (every row without
+  /// `rows`), one output row each. Runs in fixed chunks of rows over
+  /// fs::par, so no dense copy of the input ever exists and the bits do
+  /// not depend on the thread count.
+  Matrix infer(const SparseRows& input) const;
+  Matrix infer(const SparseRows& input,
+               std::span<const std::size_t> rows) const;
 
   /// Backpropagates dL/d(output), leaving each layer's step pending; returns
   /// dL/d(input) (a reference into this network, valid until the next

@@ -76,12 +76,8 @@ class Matrix {
   /// Copies row `src_row` of `src` into row `dst_row` of *this.
   void set_row(std::size_t dst_row, const Matrix& src, std::size_t src_row);
 
-  /// Extracts the given rows into a new matrix (mini-batch assembly).
+  /// Extracts the given rows into a new matrix.
   Matrix gather_rows(const std::vector<std::size_t>& indices) const;
-
-  /// gather_rows into a caller-owned matrix, reusing its capacity.
-  void gather_rows_into(const std::vector<std::size_t>& indices,
-                        Matrix& out) const;
 
   /// Frobenius-norm squared of the difference (reconstruction loss).
   static double squared_difference(const Matrix& x, const Matrix& y);

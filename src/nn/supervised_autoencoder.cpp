@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -129,18 +130,29 @@ void SupervisedAutoencoder::reinitialize(std::uint64_t salt) {
 
 std::vector<EpochStats> SupervisedAutoencoder::train(
     const Matrix& inputs, const std::vector<int>& labels) {
-  if (inputs.rows() != labels.size())
+  std::vector<std::size_t> rows(inputs.rows());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  return train(SparseRows::from_dense(inputs), rows, labels);
+}
+
+std::vector<EpochStats> SupervisedAutoencoder::train(
+    const SparseRows& inputs, const std::vector<std::size_t>& rows,
+    const std::vector<int>& labels) {
+  if (rows.size() != labels.size())
     throw std::invalid_argument("train: inputs/labels size mismatch");
   if (inputs.cols() != encoder_.in_dim())
     throw std::invalid_argument("train: input width != encoder input dim");
-  if (inputs.rows() == 0)
+  if (rows.empty())
     throw std::invalid_argument("train: empty training set");
+  for (std::size_t r : rows)
+    if (r >= inputs.rows())
+      throw std::invalid_argument("train: row index past the input");
 
   double learning_rate = config_.learning_rate;
   runtime::Retrier retrier(config_.retry);
   while (true) {
     try {
-      return train_once(inputs, labels, learning_rate);
+      return train_once(inputs, rows, labels, learning_rate);
     } catch (const NumericError& e) {
       obs::metrics()
           .counter("nn.ae.divergence_retries_total", {},
@@ -166,10 +178,10 @@ std::vector<EpochStats> SupervisedAutoencoder::train(
 }
 
 std::vector<EpochStats> SupervisedAutoencoder::train_once(
-    const Matrix& inputs, const std::vector<int>& labels,
-    double learning_rate) {
+    const SparseRows& inputs, const std::vector<std::size_t>& rows,
+    const std::vector<int>& labels, double learning_rate) {
   util::Rng shuffle_rng(config_.seed ^ 0xa5a5a5a5ULL);
-  std::vector<std::size_t> order(inputs.rows());
+  std::vector<std::size_t> order(rows.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
   std::vector<EpochStats> history;
@@ -179,9 +191,12 @@ std::vector<EpochStats> SupervisedAutoencoder::train_once(
           : 1.0;
 
   // Per-batch scratch, hoisted so steady-state iterations reuse capacity
-  // instead of allocating: batch index list, gathered inputs, and the two
-  // loss gradients. Forward/backward activations live inside the Mlps.
+  // instead of allocating: batch index lists, the sparse batch and its
+  // dense reconstruction target, and the two loss gradients.
+  // Forward/backward activations live inside the Mlps.
   std::vector<std::size_t> batch;
+  std::vector<std::size_t> batch_rows;
+  SparseRows x_sparse;
   Matrix x;
   Matrix d_recon;
   Matrix d_logit;
@@ -223,12 +238,15 @@ std::vector<EpochStats> SupervisedAutoencoder::train_once(
       batch.assign(order.begin() + start, order.begin() + end);
       const auto n = static_cast<double>(batch.size());
 
-      inputs.gather_rows_into(batch, x);
+      batch_rows.clear();
+      for (std::size_t i : batch) batch_rows.push_back(rows[i]);
+      inputs.gather_rows_into(batch_rows, x_sparse);
+      x_sparse.densify_into(x);
 
       // ---- Forward through all three networks. ----
       // References into the networks' layer caches; valid until the next
       // forward on the same network.
-      const Matrix& code = encoder_.forward(x);
+      const Matrix& code = encoder_.forward(x_sparse);
       const Matrix& recon = decoder_.forward(code);
       const Matrix& logit = classifier_.forward(code);
 
@@ -312,7 +330,8 @@ std::vector<EpochStats> SupervisedAutoencoder::train_once(
   return history;
 }
 
-double SupervisedAutoencoder::train_flop_per_row() const {
+double SupervisedAutoencoder::train_flop_per_epoch(std::size_t rows,
+                                                   std::size_t nnz) const {
   const auto weights = [](const Mlp& mlp) {
     double sum = 0.0;
     for (std::size_t i = 0; i < mlp.layer_count(); ++i) {
@@ -324,18 +343,32 @@ double SupervisedAutoencoder::train_flop_per_row() const {
   const Dense& bottom = encoder_.layer(0);
   // The decoder mirrors the encoder, so one weight sum serves both: 10
   // FLOPs per encoder weight (forward, two weight gradients, two input
-  // gradients) plus 6 per decoder weight.
-  return 16.0 * weights(encoder_) + 6.0 * weights(classifier_) -
-         4.0 * static_cast<double>(bottom.in_dim() * bottom.out_dim());
+  // gradients) plus 6 per decoder weight. The bottom layer skips both
+  // input gradients and pays its other 6 per non-zero input instead.
+  const double dense_per_row =
+      16.0 * weights(encoder_) + 6.0 * weights(classifier_) -
+      10.0 * static_cast<double>(bottom.in_dim() * bottom.out_dim());
+  return dense_per_row * static_cast<double>(rows) +
+         6.0 * static_cast<double>(nnz) *
+             static_cast<double>(bottom.out_dim());
+}
+
+Matrix SupervisedAutoencoder::encode(const SparseRows& inputs) const {
+  return encoder_.infer(inputs);
+}
+
+Matrix SupervisedAutoencoder::encode(
+    const SparseRows& inputs, const std::vector<std::size_t>& rows) const {
+  return encoder_.infer(inputs, rows);
 }
 
 Matrix SupervisedAutoencoder::encode(const Matrix& inputs) const {
-  return encoder_.infer(inputs);
+  return encode(SparseRows::from_dense(inputs));
 }
 
 std::vector<double> SupervisedAutoencoder::predict_proba(
     const Matrix& inputs) const {
-  const Matrix logits = classifier_.infer(encoder_.infer(inputs));
+  const Matrix logits = classifier_.infer(encode(inputs));
   std::vector<double> probs(logits.rows());
   for (std::size_t r = 0; r < logits.rows(); ++r)
     probs[r] = 1.0 / (1.0 + std::exp(-logits(r, 0)));
@@ -343,7 +376,7 @@ std::vector<double> SupervisedAutoencoder::predict_proba(
 }
 
 Matrix SupervisedAutoencoder::reconstruct(const Matrix& inputs) const {
-  return decoder_.infer(encoder_.infer(inputs));
+  return decoder_.infer(encode(inputs));
 }
 
 }  // namespace fs::nn

@@ -75,8 +75,10 @@ class SupervisedAutoencoder {
  public:
   explicit SupervisedAutoencoder(const AutoencoderConfig& config);
 
-  /// Trains on JOC rows `inputs` (one flattened cuboid per row) with binary
-  /// labels. Returns per-epoch losses.
+  /// Trains on the rows `rows` of the JOC store `inputs` (one flattened
+  /// cuboid per row), labels[i] belonging to rows[i]. Returns per-epoch
+  /// losses. The bottom encoder layer reads each mini-batch sparse; only
+  /// the reconstruction target is densified, one batch at a time.
   ///
   /// Numeric robustness: gradients are clipped per element; a NaN/Inf loss
   /// aborts the attempt, and training restarts with fresh weights and a
@@ -88,10 +90,19 @@ class SupervisedAutoencoder {
   /// the next epoch boundary; an expired deadline truncates training there
   /// instead — the partially trained model is kept (graceful degradation)
   /// and the truncation is reported into config.diagnostics.
+  std::vector<EpochStats> train(const SparseRows& inputs,
+                                const std::vector<std::size_t>& rows,
+                                const std::vector<int>& labels);
+  /// Dense adapter: compresses `inputs` and trains on every row.
   std::vector<EpochStats> train(const Matrix& inputs,
                                 const std::vector<int>& labels);
 
-  /// Presence-proximity features: the code-layer output h^(R).
+  /// Presence-proximity features: the code-layer output h^(R), of the
+  /// given rows of a JOC store (every row without `rows`), read sparse.
+  Matrix encode(const SparseRows& inputs) const;
+  Matrix encode(const SparseRows& inputs,
+                const std::vector<std::size_t>& rows) const;
+  /// Dense adapter onto the sparse encode.
   Matrix encode(const Matrix& inputs) const;
 
   /// Classifier probability per row (sigmoid of the head's logit).
@@ -103,14 +114,18 @@ class SupervisedAutoencoder {
   std::size_t input_dim() const { return encoder_.in_dim(); }
   std::size_t code_dim() const { return encoder_.out_dim(); }
 
-  /// GEMM FLOPs (a multiply-add counts 2) one row costs per training
-  /// epoch: a forward pass through encoder, decoder and head, the decoder
-  /// and head backward with input gradients, and two encoder backward
-  /// passes (L_auto, then alpha * L_cla) that skip the bottom layer's input
-  /// gradient. With enc and head the summed weight counts of encoder and
-  /// head, and bottom the first encoder layer's: 16 enc + 6 head - 4 bottom.
-  /// Bias, activation and loss work is left out.
-  double train_flop_per_row() const;
+  /// GEMM FLOPs (a multiply-add counts 2) one training epoch costs over
+  /// `rows` rows whose inputs hold `nnz` non-zeros in all: a forward pass
+  /// through encoder, decoder and head, the decoder and head backward with
+  /// input gradients, and two encoder backward passes (L_auto, then
+  /// alpha * L_cla) that skip the bottom layer's input gradient. Per row,
+  /// with enc and head the summed weight counts of encoder and head,
+  /// bottom the first encoder layer's and width its output width:
+  /// 16 enc + 6 head - 10 bottom dense FLOPs, plus the bottom layer's
+  /// sparse forward and two weight steps at 6 FLOPs per non-zero input
+  /// and output unit (6 nnz width over the epoch). Bias, activation and
+  /// loss work is left out.
+  double train_flop_per_epoch(std::size_t rows, std::size_t nnz) const;
 
   const AutoencoderConfig& config() const { return config_; }
 
@@ -124,7 +139,8 @@ class SupervisedAutoencoder {
 
   /// One full training attempt; throws fs::NumericError on a non-finite
   /// loss.
-  std::vector<EpochStats> train_once(const Matrix& inputs,
+  std::vector<EpochStats> train_once(const SparseRows& inputs,
+                                     const std::vector<std::size_t>& rows,
                                      const std::vector<int>& labels,
                                      double learning_rate);
 

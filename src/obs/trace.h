@@ -1,7 +1,7 @@
 // Hierarchical RAII trace spans with Chrome trace_event export.
 //
 //   FS_SPAN("phase2.iteration");            // records the enclosing scope
-//   fs::obs::Span span("core.joc.build");   // named handle: args, seconds()
+//   fs::obs::Span span("core.joc.fill");    // named handle: args, seconds()
 //
 // A Span measures wall time always (it doubles as the repo's stopwatch — one
 // timing idiom) and, when the global Tracer is enabled, also thread CPU time

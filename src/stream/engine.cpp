@@ -4,6 +4,11 @@
 #include <bit>
 #include <cmath>
 #include <deque>
+#include <stdexcept>
+#include <string>
+
+#include "core/pipeline.h"
+#include "util/error.h"
 
 namespace fs::stream {
 namespace {
@@ -62,8 +67,15 @@ std::size_t StreamEngine::CellPoiHash::operator()(
 }
 
 StreamEngine::StreamEngine(const EngineConfig& config) : config_(config) {
+  // The attack's `tau` row bounds the slot length to [86 s, 10 years];
+  // outside it (NaN and +inf included) the cast below would be undefined.
+  try {
+    core::config_field("tau").check(config_.tau_days);
+  } catch (const std::invalid_argument& e) {
+    throw ParseError(std::string("stream::EngineConfig: ") + e.what());
+  }
   tau_sec_ = static_cast<geo::Timestamp>(
-      std::max(1.0, config_.tau_days * static_cast<double>(geo::kSecondsPerDay)));
+      config_.tau_days * static_cast<double>(geo::kSecondsPerDay));
 }
 
 StreamEngine::~StreamEngine() = default;

@@ -128,13 +128,93 @@ TEST(Joc, MatrixBuilderMatchesSingle) {
   const geo::UniformGridDivisionView view(w.division);
   const OccupancyIndex index(w.dataset, view, w.slots);
   const std::vector<data::UserPair> pairs{{0, 1}, {0, 2}};
-  const nn::Matrix m = build_joc_matrix(index, pairs);
+  const nn::SparseRows m = build_joc_matrix(index, pairs);
   EXPECT_EQ(m.rows(), 2u);
   EXPECT_EQ(m.cols(), index.joc_dim());
-  std::vector<double> single(index.joc_dim());
+  std::vector<double> single(index.joc_dim()), row(index.joc_dim());
   build_joc(index, 0, 1, single.data());
+  m.densify_row(0, row.data());
   for (std::size_t c = 0; c < single.size(); ++c)
-    EXPECT_DOUBLE_EQ(m(0, c), single[c]);
+    EXPECT_DOUBLE_EQ(row[c], single[c]);
+}
+
+/// The dense JOC as the engine built it before the sparse store: zeroed
+/// cells, per-entry += of the counts and shared POIs, then log1p over
+/// every cell. The oracle for the store's bytes.
+std::vector<double> dense_joc_reference(const OccupancyIndex& index,
+                                        data::UserId a, data::UserId b) {
+  const std::size_t cells = index.grid_count() * index.slot_count();
+  std::vector<double> out(cells * 3, 0.0);
+  const auto& ea = index.user_entries(a);
+  const auto& eb = index.user_entries(b);
+  for (const auto& e : ea) out[e.cellslot] += e.count;
+  for (const auto& e : eb) out[cells + e.cellslot] += e.count;
+  std::size_t ia = 0, ib = 0;
+  while (ia < ea.size() && ib < eb.size()) {
+    const auto ka = std::make_pair(ea[ia].cellslot, ea[ia].poi);
+    const auto kb = std::make_pair(eb[ib].cellslot, eb[ib].poi);
+    if (ka < kb) {
+      ++ia;
+    } else if (kb < ka) {
+      ++ib;
+    } else {
+      out[2 * cells + ea[ia].cellslot] += 1.0;
+      ++ia;
+      ++ib;
+    }
+  }
+  for (double& v : out) v = std::log1p(v);
+  return out;
+}
+
+TEST(Joc, StoreRowsEqualTheDenseCuboidBytes) {
+  // Every pair of a synthetic world: a densified store row (and the dense
+  // adapter) is byte-equal to the dense cuboid, its columns ascend
+  // strictly and hold no zero, and the charge is the store's bytes.
+  data::SyntheticWorldConfig world;
+  world.user_count = 40;
+  world.poi_count = 90;
+  world.weeks = 6;
+  world.seed = 5;
+  const data::Dataset dataset = data::generate_world(world).dataset;
+  const geo::QuadtreeDivision quadtree(dataset.poi_coordinates(), 12);
+  const geo::QuadtreeDivisionView view(quadtree);
+  const geo::TimeSlotting slots(dataset.window_begin(), dataset.window_end(),
+                                3 * geo::kSecondsPerDay);
+  const OccupancyIndex index(dataset, view, slots);
+  std::vector<data::UserPair> pairs;
+  for (data::UserId a = 0; a < dataset.user_count(); ++a)
+    for (data::UserId b = a + 1; b < dataset.user_count(); ++b)
+      pairs.emplace_back(a, b);
+  runtime::ExecutionContext ctx;
+  JocOptions options;
+  options.context = &ctx;
+  runtime::MemoryCharge charge;
+  const nn::SparseRows store =
+      build_joc_matrix(index, pairs, options, &charge);
+  ASSERT_EQ(store.rows(), pairs.size());
+  EXPECT_EQ(charge.bytes(), store.bytes());
+  EXPECT_EQ(ctx.charged(), store.bytes());
+  EXPECT_GT(store.nnz(), 0u);
+  EXPECT_LT(store.nnz(), pairs.size() * index.joc_dim() / 10);
+  const std::size_t row_bytes = index.joc_dim() * sizeof(double);
+  std::vector<double> row(index.joc_dim()), adapter(index.joc_dim());
+  for (std::size_t r = 0; r < pairs.size(); ++r) {
+    const std::vector<double> want =
+        dense_joc_reference(index, pairs[r].first, pairs[r].second);
+    store.densify_row(r, row.data());
+    ASSERT_EQ(0, std::memcmp(row.data(), want.data(), row_bytes)) << r;
+    build_joc(index, pairs[r].first, pairs[r].second, adapter.data());
+    ASSERT_EQ(0, std::memcmp(adapter.data(), want.data(), row_bytes)) << r;
+    EXPECT_EQ(store.row_nnz(r),
+              joc_nnz(index, pairs[r].first, pairs[r].second));
+    for (std::size_t p = 0; p < store.row_nnz(r); ++p) {
+      EXPECT_NE(store.row_values(r)[p], 0.0);
+      if (p > 0) {
+        EXPECT_LT(store.row_index(r)[p - 1], store.row_index(r)[p]) << r;
+      }
+    }
+  }
 }
 
 // ---------- encoder dims ----------
@@ -202,14 +282,22 @@ TEST(Presence, TrainsAndPredictsOnSyntheticJocs) {
 }
 
 TEST(Presence, AutoencoderSpanCarriesRowsEpochsAndFlop) {
-  // 48 -> 24 -> 8 encoder, 8 -> 32 -> 1 head: per row and epoch
-  // 16 * (48*24 + 24*8) + 6 * (8*32 + 32*1) - 4 * (48*24) = 18624 FLOPs.
-  // The cap keeps 40 of the 60 rows (20 per class).
+  // 48 -> 24 -> 8 encoder, 8 -> 32 -> 1 head, every row with exactly 10
+  // non-zero inputs: per row and epoch the dense layers cost
+  // 16 * (48*24 + 24*8) + 6 * (8*32 + 32*1) - 10 * (48*24) = 11712 FLOPs
+  // and the sparse bottom layer 6 * 10 * 24 = 1440. The cap keeps 40 of
+  // the 60 rows (20 per class).
   util::Rng rng(11);
   nn::Matrix x(60, 48);
   std::vector<int> y(60);
-  for (std::size_t i = 0; i < x.size(); ++i)
-    x.data()[i] = rng.uniform() < 0.2 ? 1.0 : 0.0;
+  for (std::size_t r = 0; r < x.rows(); ++r)
+    for (std::size_t set = 0; set < 10;) {
+      double& cell = x(r, rng.index(48));
+      if (cell == 0.0) {
+        cell = 1.0;
+        ++set;
+      }
+    }
   for (std::size_t i = 0; i < y.size(); ++i) y[i] = static_cast<int>(i % 2);
   PresenceModelConfig cfg;
   cfg.feature_dim = 8;
@@ -225,8 +313,9 @@ TEST(Presence, AutoencoderSpanCarriesRowsEpochsAndFlop) {
   const std::vector<obs::TraceEvent> events = obs::tracer().events();
   obs::tracer().clear();
 
-  const double want_flop = 18624.0 * 40.0 * 2.0;
-  EXPECT_DOUBLE_EQ(model.autoencoder()->train_flop_per_row(), 18624.0);
+  const double want_flop = (11712.0 + 1440.0) * 40.0 * 2.0;
+  EXPECT_DOUBLE_EQ(model.autoencoder()->train_flop_per_epoch(40, 400),
+                   (11712.0 + 1440.0) * 40.0);
   EXPECT_EQ(flops.value() - flops_before,
             static_cast<std::uint64_t>(want_flop));
   std::map<std::string, double> args;

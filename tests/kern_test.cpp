@@ -431,6 +431,189 @@ TEST(KernGemm, RejectsMalformedCalls) {
                                c.data(), 2, 0.1));
 }
 
+// ---------- sparse-input products ----------
+
+/// A dense m x k operand with its CSR twin. Row r's layout is picked by
+/// r % 5: a sparse row (~6 % non-zero), an empty row, a row whose entries
+/// skip a whole KC block (columns < 64 and >= 512 only), a dense row, and
+/// a row of one entry in the last column.
+struct SparseOperand {
+  std::vector<double> dense;
+  std::vector<std::uint64_t> offsets{0};
+  std::vector<std::uint32_t> index;
+  std::vector<double> values;
+  CsrView view(std::size_t k) const {
+    CsrView v;
+    v.rows = offsets.size() - 1;
+    v.cols = k;
+    v.offsets = offsets.data();
+    v.index = index.data();
+    v.values = values.data();
+    return v;
+  }
+};
+
+SparseOperand sparse_operand(std::size_t m, std::size_t k, util::Rng& rng,
+                             bool all_zero = false) {
+  SparseOperand op;
+  op.dense.assign(m * k, 0.0);
+  for (std::size_t r = 0; r < m && !all_zero; ++r)
+    for (std::size_t c = 0; c < k; ++c) {
+      bool set = false;
+      switch (r % 5) {
+        case 0: set = rng.uniform() < 0.06; break;
+        case 1: break;
+        case 2: set = (c < 64 || c >= 512) && rng.uniform() < 0.2; break;
+        case 3: set = true; break;
+        case 4: set = c + 1 == k; break;
+      }
+      if (set) op.dense[r * k + c] = std::log1p(rng.uniform(0.0, 5.0));
+    }
+  for (std::size_t r = 0; r < m; ++r) {
+    for (std::size_t c = 0; c < k; ++c)
+      if (op.dense[r * k + c] != 0.0) {
+        op.index.push_back(static_cast<std::uint32_t>(c));
+        op.values.push_back(op.dense[r * k + c]);
+      }
+    op.offsets.push_back(op.index.size());
+  }
+  return op;
+}
+
+TEST(KernSparse, ForwardEqualsDenseGemmBitForBit) {
+  // k = 1380 spans six KC blocks (rows of layout 2 leave blocks 1 empty);
+  // n = 5 and 45 leave vector tails, 320 is the bottom layer's width.
+  const Epilogue kEpilogues[] = {Epilogue::kNone, Epilogue::kBias,
+                                 Epilogue::kBiasRelu, Epilogue::kBiasSigmoid,
+                                 Epilogue::kBiasTanh};
+  util::Rng rng(2100);
+  std::size_t case_index = 0;
+  for (std::size_t m : {1u, 16u, 97u})
+    for (std::size_t k : {7u, 300u, 1380u})
+      for (std::size_t n : {5u, 45u, 320u})
+        for (bool all_zero : {false, true}) {
+          const SparseOperand a = sparse_operand(m, k, rng, all_zero);
+          const std::vector<double> w = random_values(k * n, rng);  // k x n
+          std::vector<double> wt(n * k);                            // n x k
+          for (std::size_t p = 0; p < k; ++p)
+            for (std::size_t j = 0; j < n; ++j) wt[j * k + p] = w[p * n + j];
+          const std::vector<double> bias = random_values(n, rng);
+          const Epilogue epilogue = kEpilogues[case_index++ % 5];
+          for (IsaPath path : supported_paths()) {
+            PathGuard guard(path);
+            par::set_threads(1);
+            std::vector<double> want_nn(m * n), want_nt(m * n);
+            gemm_nn(m, n, k, a.dense.data(), k, w.data(), n, want_nn.data(),
+                    n, false, epilogue, bias.data());
+            gemm_nt(m, n, k, a.dense.data(), k, wt.data(), k, want_nt.data(),
+                    n, false, epilogue, bias.data());
+            ASSERT_EQ(0, std::memcmp(want_nn.data(), want_nt.data(),
+                                     want_nn.size() * sizeof(double)));
+            for (std::size_t threads : {1u, 4u}) {
+              par::set_threads(threads);
+              std::vector<double> c(m * n, -1.0);
+              sparse_gemm_nn(a.view(k), w.data(), n, n, c.data(), n,
+                             epilogue, bias.data());
+              EXPECT_EQ(0, std::memcmp(c.data(), want_nt.data(),
+                                       c.size() * sizeof(double)))
+                  << path_name(path) << " m=" << m << " k=" << k
+                  << " n=" << n << " zero=" << all_zero
+                  << " threads=" << threads;
+            }
+          }
+        }
+  par::set_threads(1);
+}
+
+TEST(KernSparse, StepEqualsDenseStepBitForBit) {
+  // Batches of 16, 280 (two KC blocks of rows) and 600 (three, the middle
+  // one empty for every column but 0-7), against gemm_tn_step on the
+  // densified batch. An all-zero batch touches no weight, the -0.0 among
+  // them included, and must leave every bit as it was.
+  constexpr double kLr = 0.0375;
+  util::Rng rng(1380280);
+  for (std::size_t m : {16u, 280u, 600u})
+    for (std::size_t k : {300u, 1380u})
+      for (std::size_t n : {5u, 45u, 320u})
+        for (bool all_zero : {false, true}) {
+          SparseOperand a = sparse_operand(m, k, rng, all_zero);
+          if (m == 600 && !all_zero) {
+            // Rows 256-511 keep only their entries in columns < 8.
+            SparseOperand b;
+            b.dense = a.dense;
+            for (std::size_t r = 256; r < 512; ++r)
+              for (std::size_t c = 8; c < k; ++c) b.dense[r * k + c] = 0.0;
+            for (std::size_t r = 0; r < m; ++r) {
+              for (std::size_t c = 0; c < k; ++c)
+                if (b.dense[r * k + c] != 0.0) {
+                  b.index.push_back(static_cast<std::uint32_t>(c));
+                  b.values.push_back(b.dense[r * k + c]);
+                }
+              b.offsets.push_back(b.index.size());
+            }
+            a = std::move(b);
+          }
+          const std::vector<double> g = random_values(m * n, rng);
+          std::vector<double> w0 = random_values(k * n, rng);
+          w0[1 * n] = -0.0;
+          for (IsaPath path : supported_paths()) {
+            PathGuard guard(path);
+            par::set_threads(1);
+            std::vector<double> want = w0;
+            gemm_tn_step(k, n, m, a.dense.data(), k, g.data(), n, want.data(),
+                         n, kLr);
+            if (all_zero) {
+              ASSERT_EQ(0, std::memcmp(want.data(), w0.data(),
+                                       w0.size() * sizeof(double)));
+            }
+            for (std::size_t threads : {1u, 4u}) {
+              par::set_threads(threads);
+              std::vector<double> w = w0;
+              sparse_tn_step(a.view(k), g.data(), n, n, w.data(), n, kLr);
+              EXPECT_EQ(0, std::memcmp(w.data(), want.data(),
+                                       w.size() * sizeof(double)))
+                  << path_name(path) << " m=" << m << " k=" << k
+                  << " n=" << n << " zero=" << all_zero
+                  << " threads=" << threads;
+            }
+          }
+        }
+  par::set_threads(1);
+}
+
+TEST(KernSparse, RejectsMalformedCalls) {
+  const std::vector<std::uint64_t> offsets = {0, 2};
+  std::vector<std::uint32_t> index = {1, 3};
+  const std::vector<double> values = {1.0, 2.0};
+  CsrView a;
+  a.rows = 1;
+  a.cols = 4;
+  a.offsets = offsets.data();
+  a.index = index.data();
+  a.values = values.data();
+  std::vector<double> w(4 * 2), c(2), bias(2);
+  EXPECT_NO_THROW(sparse_gemm_nn(a, w.data(), 2, 2, c.data(), 2,
+                                 Epilogue::kBias, bias.data()));
+  EXPECT_THROW(sparse_gemm_nn(a, w.data(), 2, 2, c.data(), 2,
+                              Epilogue::kBias, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(sparse_gemm_nn(a, w.data(), 2, 2, c.data(), 2,
+                              Epilogue::kStep, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(sparse_gemm_nn(a, w.data(), 1, 2, c.data(), 2,
+                              Epilogue::kNone, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(sparse_tn_step(a, w.data(), 2, 2, w.data(), 2, 0.1),
+               std::invalid_argument);  // gradient inside the weights
+  index = {3, 1};  // descending columns
+  EXPECT_THROW(sparse_gemm_nn(a, w.data(), 2, 2, c.data(), 2,
+                              Epilogue::kNone, nullptr),
+               std::invalid_argument);
+  index = {1, 4};  // past the last column
+  EXPECT_THROW(sparse_tn_step(a, c.data(), 2, 2, w.data(), 2, 0.1),
+               std::invalid_argument);
+}
+
 // Values spanning six decades with random signs, so every lane's
 // rounding sequence matters.
 std::vector<double> mixed_magnitudes(std::size_t count, util::Rng& rng) {

@@ -287,9 +287,9 @@ TEST(BlockingProperties, CandidatesAreSupersetOfCooccurringPairs) {
 }
 
 // A run's outputs and its JOC rows must not depend on the thread count: the
-// same attack at 1 and at 4 threads leaves bit-equal digests, and a
-// parallel JOC row fill (build_joc_matrix, the same one-row-per-task fan-out
-// the pipeline runs) matches a sequential per-pair build_joc at both counts.
+// same attack at 1 and at 4 threads leaves bit-equal digests, and the JOC
+// store the pipeline builds (build_joc_matrix) holds the same entries at
+// both counts, each row densifying to a sequential per-pair build_joc.
 TEST(BlockingProperties,
      RunDigestAndJocRowsAreByteIdenticalAcrossThreadCounts) {
   const eval::BenchPreset preset = eval::bench_preset("tiny");
@@ -323,17 +323,26 @@ TEST(BlockingProperties,
     for (const data::UserPair& raw : *list)
       pairs.push_back(data::make_pair_ordered(raw.first, raw.second));
   par::set_threads(4);
-  const nn::Matrix parallel4 = core::build_joc_matrix(occupancy, pairs);
+  const nn::SparseRows parallel4 = core::build_joc_matrix(occupancy, pairs);
   par::set_threads(1);
-  const nn::Matrix parallel1 = core::build_joc_matrix(occupancy, pairs);
+  const nn::SparseRows parallel1 = core::build_joc_matrix(occupancy, pairs);
   ASSERT_EQ(parallel4.rows(), pairs.size());
+  ASSERT_EQ(parallel1.nnz(), parallel4.nnz());
   const std::size_t row_bytes = occupancy.joc_dim() * sizeof(double);
+  std::vector<double> row1(occupancy.joc_dim()), row4(occupancy.joc_dim());
   std::vector<double> fresh(occupancy.joc_dim());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(std::memcmp(parallel1.row(i), parallel4.row(i), row_bytes), 0)
+    parallel1.densify_row(i, row1.data());
+    parallel4.densify_row(i, row4.data());
+    ASSERT_EQ(parallel1.row_nnz(i), parallel4.row_nnz(i));
+    EXPECT_EQ(std::memcmp(parallel1.row_index(i), parallel4.row_index(i),
+                          parallel1.row_nnz(i) * sizeof(std::uint32_t)),
+              0)
+        << "JOC row columns differ across thread counts";
+    EXPECT_EQ(std::memcmp(row1.data(), row4.data(), row_bytes), 0)
         << "JOC row differs across thread counts";
     core::build_joc(occupancy, pairs[i].first, pairs[i].second, fresh.data());
-    EXPECT_EQ(std::memcmp(parallel1.row(i), fresh.data(), row_bytes), 0)
+    EXPECT_EQ(std::memcmp(row1.data(), fresh.data(), row_bytes), 0)
         << "JOC row differs from a sequential build";
   }
 }

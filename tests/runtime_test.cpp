@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <set>
 
 #include "core/joc.h"
 #include "core/pipeline.h"
@@ -452,18 +453,12 @@ TEST_F(RuntimeTest, PipelineDegradesWhenPhase2EdgeTableExceedsBudget) {
 }
 
 TEST_F(RuntimeTest, ChargedPeakCountsEachJocRowOnce) {
-  // The scored JOC matrix is the only store of JOC rows: phase 1's charged
-  // peak holds it once plus the much narrower presence rows, never a
-  // second copy of the JOC rows.
+  // The scored JOC store is the only store of JOC rows: its charge is the
+  // store's exact CSR bytes (one offset per row, one column and value per
+  // non-zero), and phase 1's charged peak holds it once, beside the
+  // autoencoder's weights and the presence rows, never a second copy.
   TinyExperiment exp = make_tiny_experiment();
-  runtime::ExecutionContext ctx;
-  exp.config.context = &ctx;
   exp.config.iterate = false;
-  const auto result =
-      core::FriendSeeker(exp.config)
-          .run(exp.dataset, exp.split.train_pairs, exp.split.train_labels,
-               exp.split.test_pairs);
-
   const geo::QuadtreeDivision division(exp.dataset.poi_coordinates(),
                                        exp.config.sigma);
   const geo::QuadtreeDivisionView view(division);
@@ -471,11 +466,83 @@ TEST_F(RuntimeTest, ChargedPeakCountsEachJocRowOnce) {
       exp.dataset.window_begin(), exp.dataset.window_end(),
       static_cast<geo::Timestamp>(exp.config.tau_days * geo::kSecondsPerDay));
   const core::OccupancyIndex index(exp.dataset, view, slots);
-  const std::size_t joc_matrix =
-      result.blocking.scored_pairs * index.joc_dim() * sizeof(double);
-  EXPECT_GE(ctx.peak_charged(), joc_matrix);
-  EXPECT_LT(ctx.peak_charged(), 2 * joc_matrix)
-      << "peak " << ctx.peak_charged() << " vs JOC matrix " << joc_matrix;
+  // Blocking is off at this size: the scored rows are the distinct train
+  // and test pairs.
+  std::set<data::UserPair> scored;
+  for (const auto* list : {&exp.split.train_pairs, &exp.split.test_pairs})
+    for (const data::UserPair& p : *list)
+      scored.insert(data::make_pair_ordered(p.first, p.second));
+  std::size_t nnz = 0;
+  for (const data::UserPair& p : scored)
+    nnz += core::joc_nnz(index, p.first, p.second);
+  const std::size_t store = (scored.size() + 1) * sizeof(std::uint64_t) +
+                            nnz * (sizeof(std::uint32_t) + sizeof(double));
+
+  // One byte short of the store: its charge, the run's first, fails and
+  // names its bytes.
+  runtime::ExecutionContext tight;
+  tight.set_memory_limit(store - 1);
+  exp.config.context = &tight;
+  try {
+    (void)core::FriendSeeker(exp.config)
+        .run(exp.dataset, exp.split.train_pairs, exp.split.train_labels,
+             exp.split.test_pairs);
+    FAIL() << "the JOC store's charge did not fail";
+  } catch (const BudgetError& e) {
+    const std::string what = e.what();
+    ASSERT_NE(what.find("core.joc.matrix"), std::string::npos) << what;
+    unsigned long long before = 1, bytes = 0;
+    ASSERT_EQ(std::sscanf(what.c_str() + what.find('('), "(%llu + %llu",
+                          &before, &bytes),
+              2)
+        << what;
+    EXPECT_EQ(before, 0u);
+    EXPECT_EQ(bytes, store);
+  }
+
+  runtime::ExecutionContext ctx;
+  exp.config.context = &ctx;
+  const auto result =
+      core::FriendSeeker(exp.config)
+          .run(exp.dataset, exp.split.train_pairs, exp.split.train_labels,
+               exp.split.test_pairs);
+  ASSERT_EQ(result.blocking.scored_pairs, scored.size());
+  const std::vector<std::size_t> dims =
+      core::make_encoder_dims(index.joc_dim(), exp.config.presence);
+  std::size_t weights = 0;  // encoder and mirrored decoder
+  for (std::size_t i = 0; i + 1 < dims.size(); ++i)
+    weights += (2 * dims[i] * dims[i + 1] + dims[i] + dims[i + 1]) *
+               sizeof(double);
+  const std::size_t embeddings =
+      scored.size() * exp.config.presence.feature_dim * sizeof(double);
+  EXPECT_EQ(ctx.peak_charged(), store + weights + embeddings)
+      << "store " << store << ", weights " << weights << ", embeddings "
+      << embeddings;
+  EXPECT_EQ(ctx.charged(), 0u);
+}
+
+TEST_F(RuntimeTest, TinyTauRunEndsInTheTypedBudgetError) {
+  // At tau = 0.001 days the JOC is ~40k slots x the grids x 3 columns
+  // wide. The sparse store stays small, so the budget must stop the
+  // autoencoder's weights (that width x 320 doubles, for the encoder and
+  // again for the decoder): their charge fails before they are
+  // allocated, and the run ends in BudgetError, not in bad_alloc.
+  TinyExperiment exp = make_tiny_experiment();
+  exp.config.tau_days = 0.001;
+  runtime::ExecutionContext ctx;
+  ctx.set_memory_limit(std::size_t{64} << 20);
+  exp.config.context = &ctx;
+  try {
+    (void)core::FriendSeeker(exp.config)
+        .run(exp.dataset, exp.split.train_pairs, exp.split.train_labels,
+             exp.split.test_pairs);
+    FAIL() << "a tiny-tau run fit a 64 MB budget";
+  } catch (const BudgetError& e) {
+    EXPECT_NE(std::string(e.what()).find("core.presence.weights"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(ctx.charged(), 0u);
 }
 
 TEST_F(RuntimeTest, PipelineAbortsHardWhenCancelledBeforeJocBuild) {

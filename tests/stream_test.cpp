@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -145,6 +146,28 @@ TEST(Engine, LatenessBudgetQuarantinesStaleEvents) {
   ASSERT_TRUE(stale.has_value());
   EXPECT_EQ(*stale, stream::RejectReason::kStaleTimestamp);
   EXPECT_EQ(engine.state_digest(), digest);
+}
+
+TEST(Engine, RejectsTauOutsideTheConfigTableRange) {
+  // The engine's slot length is checked against the attack's `tau` row
+  // before it is cast to whole seconds: +inf, NaN, 0 and a negative value
+  // each throw a typed error that names the field.
+  for (const double tau :
+       {std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(), 0.0, -1.0}) {
+    stream::EngineConfig cfg;
+    cfg.tau_days = tau;
+    try {
+      stream::StreamEngine engine{cfg};
+      ADD_FAILURE() << "tau " << tau << " accepted";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("tau"), std::string::npos)
+          << e.what();
+    }
+  }
+  stream::EngineConfig edge;
+  edge.tau_days = 1e-3;  // the row's lower bound is in range
+  EXPECT_NO_THROW(stream::StreamEngine{edge});
 }
 
 // ---------- quarantine census ----------
