@@ -106,22 +106,30 @@ void PresenceModel::train(const nn::SparseRows& jocs,
       ae_labels.push_back(labels[i]);
     }
   }
-  const std::size_t epochs =
-      autoencoder_->train(jocs, ae_rows, ae_labels).size();
+  const std::vector<nn::EpochStats> history =
+      autoencoder_->train(jocs, ae_rows, ae_labels);
   // Throughput in the span tree: GEMM FLOPs over the epochs actually
   // trained (a deadline may truncate them), the bottom layer counted by
-  // the non-zeros it multiplies.
+  // the non-zeros it multiplies and the decoder's output layer by the
+  // cells each epoch's reconstruction sampling kept.
   std::size_t nnz = 0;
   for (std::size_t r : ae_rows) nnz += jocs.row_nnz(r);
-  const double flop =
-      autoencoder_->train_flop_per_epoch(ae_rows.size(), nnz) *
-      static_cast<double>(epochs);
+  double flop = 0.0;
+  double recon_cols = 0.0;
+  for (const nn::EpochStats& epoch : history) {
+    flop += autoencoder_->train_flop_per_epoch(ae_rows.size(), nnz,
+                                               epoch.recon_cells);
+    recon_cols += epoch.recon_cols;
+  }
+  if (!history.empty()) recon_cols /= static_cast<double>(history.size());
   ae_span.arg("rows", static_cast<double>(ae_rows.size()));
-  ae_span.arg("epochs", static_cast<double>(epochs));
+  ae_span.arg("epochs", static_cast<double>(history.size()));
   ae_span.arg("flop", flop);
+  ae_span.arg("recon_cols", recon_cols);
   obs::metrics()
       .counter("nn.ae.flops_total", {},
-               "autoencoder training GEMM FLOPs (widths and non-zeros)")
+               "autoencoder training GEMM FLOPs (widths, non-zeros and "
+               "sampled output columns)")
       .add(static_cast<std::uint64_t>(flop));
   ae_span.end();
 

@@ -16,9 +16,13 @@
 //     panels per MC block by whichever worker owns that block. The
 //     parallel axis is the MC row-block index, a pure function of m.
 //   * m <= kMc (mini-batch products) — run_column_panels: one row block,
-//     so the calling thread packs A once and the parallel axis is fixed
-//     groups of kPanelsPerChunk column panels, a pure function of n; each
-//     chunk packs its own B panels.
+//     so the calling thread packs A once and the parallel axis is groups
+//     of NR-wide column panels, a pure function of n; each chunk packs its
+//     own B panels.
+//
+// A chunk holds at least kMinChunkFlop FLOPs of the product (the grain
+// comes from m, n and k alone), so a product below that floor runs as one
+// inline chunk instead of forking onto the pool for microseconds of work.
 //
 // Both axes keep each C element's micro-kernel inputs and its ascending
 // pc accumulation order, so with the fs::par determinism contract (chunks
@@ -51,17 +55,25 @@ namespace fs::kern::detail {
 inline constexpr std::size_t kKc = 256;
 inline constexpr std::size_t kMc = 96;
 inline constexpr std::size_t kNc = 512;
-/// Column panels per chunk in run_column_panels (64 columns at NR = 8).
-inline constexpr std::size_t kPanelsPerChunk = 8;
 
 /// Logical A(i, p) of the m x k operand, whichever way it is stored.
 inline double load_a(const GemmCall& call, std::size_t i, std::size_t p) {
   return call.a_trans ? call.a[p * call.lda + i] : call.a[i * call.lda + p];
 }
 
+/// Stored row r of B, through the b_rows map.
+inline const double* b_row(const GemmCall& call, std::size_t r) {
+  return call.b + (call.b_rows != nullptr ? call.b_rows[r] : r) * call.ldb;
+}
+
+/// Row i of C, through the c_rows map.
+inline double* c_row(const GemmCall& call, std::size_t i) {
+  return call.c + (call.c_rows != nullptr ? call.c_rows[i] : i) * call.ldc;
+}
+
 /// Logical B(p, j) of the k x n operand.
 inline double load_b(const GemmCall& call, std::size_t p, std::size_t j) {
-  return call.b_trans ? call.b[j * call.ldb + p] : call.b[p * call.ldb + j];
+  return call.b_trans ? b_row(call, j)[p] : b_row(call, p)[j];
 }
 
 /// Packs logical A rows [ic, ic + mc), columns [pc, pc + kc) into MR-tall
@@ -106,23 +118,22 @@ template <std::size_t NR>
 inline void pack_b_block(const GemmCall& call, std::size_t jc, std::size_t nc,
                          std::size_t pc, std::size_t kc, double* bp) {
   const std::size_t full = nc / NR * NR;
-  const std::size_t ldb = call.ldb;
   if (call.b_trans) {
     for (std::size_t jr = 0; jr < full; jr += NR) {
       double* dst = bp + jr * kc;
-      const double* src = call.b + (jc + jr) * ldb + pc;
-      for (std::size_t jj = 0; jj < NR; ++jj)
-        for (std::size_t p = 0; p < kc; ++p)
-          dst[p * NR + jj] = src[jj * ldb + p];
+      for (std::size_t jj = 0; jj < NR; ++jj) {
+        const double* src = b_row(call, jc + jr + jj) + pc;
+        for (std::size_t p = 0; p < kc; ++p) dst[p * NR + jj] = src[p];
+      }
     }
   } else {
     // B is stored row-major: each panel row is NR contiguous doubles.
     for (std::size_t jr = 0; jr < full; jr += NR) {
       double* dst = bp + jr * kc;
-      const double* src = call.b + pc * ldb + jc + jr;
-      for (std::size_t p = 0; p < kc; ++p)
-        for (std::size_t jj = 0; jj < NR; ++jj)
-          dst[p * NR + jj] = src[p * ldb + jj];
+      for (std::size_t p = 0; p < kc; ++p) {
+        const double* src = b_row(call, pc + p) + jc + jr;
+        for (std::size_t jj = 0; jj < NR; ++jj) dst[p * NR + jj] = src[jj];
+      }
     }
   }
   if (full == nc) return;
@@ -186,8 +197,7 @@ inline void step_tile(const GemmCall& call, double* partial, std::size_t i0,
         partial == nullptr ? nullptr : partial + (i0 + i) * call.n + j0;
     const double* prev = chained ? sum : kNoSum;
     if (finish)
-      step_row<NR>(call.c + (i0 + i) * call.ldc + j0, g, prev, call.scale,
-                   nr);
+      step_row<NR>(c_row(call, i0 + i) + j0, g, prev, call.scale, nr);
     else
       for (std::size_t j = 0; j < nr; ++j) sum[j] = g[j] + prev[j];
   }
@@ -203,7 +213,7 @@ inline void write_tile(const GemmCall& call, double* partial, std::size_t i0,
   }
   const bool epi = finish && call.epilogue != Epilogue::kNone;
   for (std::size_t i = 0; i < mr; ++i) {
-    double* crow = call.c + (i0 + i) * call.ldc + j0;
+    double* crow = c_row(call, i0 + i) + j0;
     for (std::size_t j = 0; j < nr; ++j) {
       double v = acc[i * NR + j];
       if (accumulate) v += crow[j];
@@ -217,7 +227,7 @@ inline void write_tile(const GemmCall& call, double* partial, std::size_t i0,
 /// a step by a zero gradient.
 inline void epilogue_only(const GemmCall& call) {
   for (std::size_t i = 0; i < call.m; ++i) {
-    double* crow = call.c + i * call.ldc;
+    double* crow = c_row(call, i);
     for (std::size_t j = 0; j < call.n; ++j) {
       if (call.epilogue == Epilogue::kStep) {
         crow[j] = crow[j] - call.scale * 0.0;
@@ -241,7 +251,6 @@ void run_row_blocks(const GemmCall& call, double* partial) {
   const std::size_t num_ic = (call.m + kMc - 1) / kMc;
   par::ParallelOptions options;
   options.what = "kern.gemm";
-  options.grain = 1;  // one chunk per MC row block — never thread-derived
 
   for (std::size_t jc = 0; jc < call.n; jc += kNc) {
     const std::size_t nc = std::min(kNc, call.n - jc);
@@ -250,6 +259,7 @@ void run_row_blocks(const GemmCall& call, double* partial) {
       const std::size_t kc = std::min(kKc, call.k - pc);
       const bool last_pc = pc + kc == call.k;
       const bool acc_c = call.accumulate || pc != 0;
+      options.grain = flop_grain(2 * kMc * nc * kc);  // MC blocks per chunk
       double* bp = pack_scratch_b(nc_padded * kc);
       pack_b_block<NR>(call, jc, nc, pc, kc, bp);
       par::parallel_for(num_ic, options, [&, bp](std::size_t blk) {
@@ -274,7 +284,7 @@ void run_row_blocks(const GemmCall& call, double* partial) {
 }
 
 /// m <= kMc (mini-batch products): a single row block, so the parallel
-/// axis is groups of kPanelsPerChunk column panels. The calling thread
+/// axis is groups of column panels. The calling thread
 /// packs the whole A strip once (one MR x KC panel set per KC block, about
 /// the size of A itself) before the one parallel region; each chunk packs
 /// only its own B panels into its thread's scratch and walks the KC blocks
@@ -293,7 +303,8 @@ void run_column_panels(const GemmCall& call, double* partial) {
   const auto chunk_body = [&](const par::ChunkRange& chunk) {
     const std::size_t j0 = chunk.begin * NR;
     const std::size_t nc = std::min(chunk.end * NR, call.n) - j0;
-    double* bp = pack_scratch_b((chunk.end - chunk.begin) * NR * kKc);
+    double* bp =
+        pack_scratch_b((chunk.end - chunk.begin) * NR * std::min(kKc, call.k));
     alignas(64) double acc[MR * NR];
     for (std::size_t pc = 0; pc < call.k; pc += kKc) {
       const std::size_t kc = std::min(kKc, call.k - pc);
@@ -314,7 +325,10 @@ void run_column_panels(const GemmCall& call, double* partial) {
   };
   par::ParallelOptions options;
   options.what = "kern.gemm";
-  options.grain = kPanelsPerChunk;  // chunks are a function of n alone
+  // Panels per chunk: enough FLOPs to be worth a fork, but at most NC
+  // columns, so a chunk's packed B never outgrows the KC x NC block the
+  // blocking sizes for L3 (a one-row product would otherwise pack all of B).
+  options.grain = std::min(kNc / NR, flop_grain(2 * call.m * call.k * NR));
   par::parallel_for_chunks((call.n + NR - 1) / NR, options, chunk_body);
 }
 

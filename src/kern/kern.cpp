@@ -179,6 +179,12 @@ bool overlaps(const double* a, std::size_t a_len, const double* b,
   return a0 < b0 + b_len * sizeof(double) && b0 < a0 + a_len * sizeof(double);
 }
 
+/// The highest buffer row a `rows`-row operand reaches through `map`.
+std::size_t last_row(const std::uint32_t* map, std::size_t rows) {
+  if (map == nullptr) return rows - 1;
+  return *std::max_element(map, map + rows);
+}
+
 }  // namespace
 
 void gemm(const GemmCall& call) {
@@ -205,10 +211,18 @@ void gemm(const GemmCall& call) {
     throw std::invalid_argument("kern::gemm: ldb shorter than a row of B");
   if (step && call.accumulate)
     throw std::invalid_argument("kern::gemm: a step call cannot accumulate");
+  // Two C rows mapped to one buffer row would race between chunks.
+  if (call.c_rows != nullptr)
+    for (std::size_t i = 1; i < call.m; ++i)
+      if (call.c_rows[i] <= call.c_rows[i - 1])
+        throw std::invalid_argument("kern::gemm: c_rows must ascend");
   if (step && call.k != 0) {
-    const std::size_t c_len = (call.m - 1) * call.ldc + call.n;
+    const std::size_t c_len =
+        last_row(call.c_rows, call.m) * call.ldc + call.n;
+    const std::size_t b_len =
+        last_row(call.b_rows, b_rows) * call.ldb + b_cols;
     if (overlaps(call.c, c_len, call.a, (a_rows - 1) * call.lda + a_cols) ||
-        overlaps(call.c, c_len, call.b, (b_rows - 1) * call.ldb + b_cols))
+        overlaps(call.c, c_len, call.b, b_len))
       throw std::invalid_argument(
           "kern::gemm: step output overlaps an operand");
   }
@@ -297,14 +311,14 @@ void check_csr(const CsrView& a, const char* who) {
   }
 }
 
-/// Items per parallel chunk so a chunk holds about 2^15 multiply-adds of
+/// Items per parallel chunk so a chunk holds kMinChunkFlop FLOPs of
 /// `entries` non-zeros spread over `items`, each n wide: a function of
 /// the operands alone.
 std::size_t sparse_grain(std::uint64_t entries, std::size_t items,
                          std::size_t n) {
   const std::size_t per_item =
       static_cast<std::size_t>(entries / std::max<std::size_t>(items, 1)) + 1;
-  return par::grain_for(per_item * n);
+  return detail::flop_grain(2 * per_item * n);
 }
 
 /// sparse_tn_step's column-wise view of its operand, rebuilt per call in

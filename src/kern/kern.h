@@ -113,6 +113,15 @@ enum class Epilogue {
 /// stored, not what it means: logical A is always m x k and logical B is
 /// always k x n; with a_trans the buffer holds A^T (k x m, lda >= m), with
 /// b_trans it holds B^T (n x k, ldb >= k).
+///
+/// Row maps (null: the identity) let a call read B's and read/write C's
+/// rows in place out of a larger matrix: stored row r of B sits at row
+/// b_rows[r] of `b` (r < n with b_trans, else r < k), and row i of C at
+/// row c_rows[i] of `c`, which must ascend strictly. The decoder's sampled
+/// output layer runs its forward, input gradient and step this way on the
+/// weight rows of the sampled outputs, with no gathered copy. A map only
+/// moves where a row is read or written, so the bits are those of the
+/// same call on gathered rows.
 struct GemmCall {
   std::size_t m = 0, n = 0, k = 0;
   const double* a = nullptr;
@@ -127,6 +136,8 @@ struct GemmCall {
   Epilogue epilogue = Epilogue::kNone;
   const double* bias = nullptr;
   double scale = 0.0;  // kStep's learning rate
+  const std::uint32_t* b_rows = nullptr;
+  const std::uint32_t* c_rows = nullptr;
 };
 
 /// C = A.B (+C): a is m x k (lda), b is k x n (ldb).
@@ -153,11 +164,11 @@ void gemm_tn_step(std::size_t m, std::size_t n, std::size_t k,
                   const double* a, std::size_t lda, const double* b,
                   std::size_t ldb, double* w, std::size_t ldw, double lr);
 
-/// Raw entry point behind the wrappers (kernel_bench uses it). Throws
-/// std::invalid_argument on a malformed call: a null pointer, a leading
-/// dimension shorter than its operand's row (when k > 0), an epilogue
-/// without its bias, or a step call that accumulates or whose C overlaps
-/// A or B.
+/// Raw entry point behind the wrappers (kernel_bench and the row-mapped
+/// calls use it). Throws std::invalid_argument on a malformed call: a null
+/// pointer, a leading dimension shorter than its operand's row (when
+/// k > 0), an epilogue without its bias, a c_rows map that does not ascend
+/// strictly, or a step call that accumulates or whose C overlaps A or B.
 void gemm(const GemmCall& call);
 
 // ---------------------------------------------------------------------------

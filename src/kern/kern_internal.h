@@ -57,6 +57,19 @@ const RowKernels* rows_scalar();
 const RowKernels* rows_avx2();
 const RowKernels* rows_avx512();
 
+/// The least work one parallel chunk of a kernel carries, in FLOPs (a
+/// multiply-add counts 2): about 30 us on one AVX-512 core, where handing
+/// a chunk to a pool worker costs 10-15 us (4-vCPU host). A smaller
+/// product runs as one inline chunk.
+inline constexpr std::size_t kMinChunkFlop = std::size_t{1} << 20;
+
+/// Items per chunk so that a chunk of items costing `item_flop` each
+/// reaches kMinChunkFlop: a function of the operands' shape alone.
+inline std::size_t flop_grain(std::size_t item_flop) {
+  if (item_flop == 0) item_flop = 1;
+  return (kMinChunkFlop + item_flop - 1) / item_flop;
+}
+
 /// 64-byte-aligned thread-local pack scratch, grown monotonically. Two
 /// separate arenas because one GEMM holds both an A block and a B block.
 double* pack_scratch_a(std::size_t count);

@@ -63,13 +63,15 @@ constexpr std::size_t kInferChunkRows = 128;
 
 }  // namespace
 
-// he_init draws the out x in matrix row-major; storing its transpose keeps
-// every seed's weights, whatever the storage layout.
+// he_init draws the out x in matrix row-major, the output-major layout;
+// storing its transpose input-major keeps every seed's weights.
 Dense::Dense(std::size_t in_dim, std::size_t out_dim, Activation act,
-             util::Rng& rng)
-    : weights_(transposed(Matrix::he_init(out_dim, in_dim, rng))),
+             util::Rng& rng, bool output_major)
+    : weights_(output_major ? Matrix::he_init(out_dim, in_dim, rng)
+                            : transposed(Matrix::he_init(out_dim, in_dim, rng))),
       bias_(out_dim, 0.0),
       activation_(act),
+      output_major_(output_major),
       grad_bias_(out_dim, 0.0) {
   if (in_dim == 0 || out_dim == 0)
     throw std::invalid_argument("Dense: zero dimension");
@@ -86,6 +88,12 @@ Dense::Dense(Matrix weights, std::vector<double> bias, Activation act)
     throw std::invalid_argument("Dense: zero dimension");
 }
 
+void Dense::make_output_major() {
+  if (output_major_) return;
+  weights_ = transposed(weights_);
+  output_major_ = true;
+}
+
 // The DNSE record is out x in: that byte order is the checkpoint format
 // and what the model digests hash.
 void Dense::save(util::BinaryWriter& writer) const {
@@ -93,7 +101,7 @@ void Dense::save(util::BinaryWriter& writer) const {
   writer.u64(out_dim());
   writer.u64(in_dim());
   writer.u64(static_cast<std::uint64_t>(activation_));
-  const Matrix record = transposed(weights_);
+  const Matrix record = output_major_ ? weights_ : transposed(weights_);
   std::vector<double> flat(record.data(), record.data() + record.size());
   writer.f64_vector(flat);
   writer.f64_vector(bias_);
@@ -114,29 +122,50 @@ Dense Dense::load(util::BinaryReader& reader) {
   return Dense(transposed(record), std::move(bias), act);
 }
 
-void Dense::begin_forward(std::size_t rows, std::size_t cols) {
+void Dense::begin_forward(std::size_t rows, std::size_t cols,
+                          std::size_t width) {
   if (cols != in_dim())
     throw std::invalid_argument("Dense::forward: input width mismatch");
   if (step_pending_)
     throw std::logic_error("Dense::forward: a weight step is still pending");
-  cached_output_.resize(rows, out_dim());
+  cached_output_.resize(rows, width);
+  sampled_ = false;
 }
 
-// Both forwards are one fused kernel: the product with bias+activation
-// applied during writeback — no second pass over the batch.
+namespace {
+
+/// out = epilogue(input . W + bias) over every output of a dense layer,
+/// W stored in x out or, output-major, out x in: one fused kernel, with
+/// bias+activation applied during writeback.
+void dense_forward(const Matrix& input, const Matrix& weights,
+                   bool output_major, std::size_t out_dim, Activation act,
+                   const double* bias, double* out) {
+  const std::size_t in_dim = input.cols();
+  if (output_major)
+    kern::gemm_nt(input.rows(), out_dim, in_dim, input.data(), in_dim,
+                  weights.data(), in_dim, out, out_dim,
+                  /*accumulate=*/false, epilogue_for(act), bias);
+  else
+    kern::gemm_nn(input.rows(), out_dim, in_dim, input.data(), in_dim,
+                  weights.data(), out_dim, out, out_dim,
+                  /*accumulate=*/false, epilogue_for(act), bias);
+}
+
+}  // namespace
+
 const Matrix& Dense::forward(const Matrix& input) {
-  begin_forward(input.rows(), input.cols());
+  begin_forward(input.rows(), input.cols(), out_dim());
   cached_input_ = input;  // capacity-reusing copy
   sparse_input_ = false;
-  kern::gemm_nn(input.rows(), out_dim(), in_dim(), input.data(), in_dim(),
-                weights_.data(), out_dim(), cached_output_.data(), out_dim(),
-                /*accumulate=*/false, epilogue_for(activation_),
-                bias_.data());
+  dense_forward(input, weights_, output_major_, out_dim(), activation_,
+                bias_.data(), cached_output_.data());
   return cached_output_;
 }
 
 const Matrix& Dense::forward(const SparseRows& input) {
-  begin_forward(input.rows(), input.cols());
+  if (output_major_)
+    throw std::logic_error("Dense::forward: sparse input needs input-major");
+  begin_forward(input.rows(), input.cols(), out_dim());
   cached_sparse_input_ = input;  // capacity-reusing copy
   sparse_input_ = true;
   kern::sparse_gemm_nn(input.view(), weights_.data(), out_dim(), out_dim(),
@@ -145,19 +174,61 @@ const Matrix& Dense::forward(const SparseRows& input) {
   return cached_output_;
 }
 
+// The sampled outputs' weight rows are an output-major layer of their
+// own, read and stepped in place through the GEMM's row maps, so the
+// product, its input gradient and its step are the full layer's kernels
+// on fewer output columns.
+const Matrix& Dense::forward_sampled(const Matrix& input,
+                                     std::span<const std::uint32_t> cols) {
+  if (!output_major_)
+    throw std::logic_error("Dense::forward_sampled: needs output-major");
+  for (std::size_t j = 0; j < cols.size(); ++j)
+    if (cols[j] >= out_dim() || (j > 0 && cols[j] <= cols[j - 1]))
+      throw std::invalid_argument(
+          "Dense::forward_sampled: columns must ascend below out_dim");
+  // The sample's width changes every batch: room for every column, made
+  // once, keeps the batch buffers from reallocating in steps.
+  cached_output_.reserve(input.rows() * out_dim());
+  d_pre_.reserve(input.rows() * out_dim());
+  begin_forward(input.rows(), input.cols(), cols.size());
+  cached_input_ = input;  // capacity-reusing copy
+  sparse_input_ = false;
+  sampled_cols_.assign(cols.begin(), cols.end());
+  sampled_bias_.resize(cols.size());
+  for (std::size_t j = 0; j < cols.size(); ++j)
+    sampled_bias_[j] = bias_[cols[j]];
+  sampled_ = true;
+  kern::GemmCall call;
+  call.m = input.rows();
+  call.n = cols.size();
+  call.k = in_dim();
+  call.a = input.data();
+  call.lda = in_dim();
+  call.b = weights_.data();
+  call.ldb = in_dim();
+  call.b_trans = true;
+  call.b_rows = sampled_cols_.data();
+  call.c = cached_output_.data();
+  call.ldc = cols.size();
+  call.epilogue = epilogue_for(activation_);
+  call.bias = sampled_bias_.data();
+  kern::gemm(call);
+  return cached_output_;
+}
+
 void Dense::infer_into(const Matrix& input, Matrix& out) const {
   if (input.cols() != in_dim())
     throw std::invalid_argument("Dense::infer: input width mismatch");
   out.resize(input.rows(), out_dim());
-  kern::gemm_nn(input.rows(), out_dim(), in_dim(), input.data(), in_dim(),
-                weights_.data(), out_dim(), out.data(), out_dim(),
-                /*accumulate=*/false, epilogue_for(activation_),
-                bias_.data());
+  dense_forward(input, weights_, output_major_, out_dim(), activation_,
+                bias_.data(), out.data());
 }
 
 void Dense::infer_into(const SparseRows& input, Matrix& out) const {
   if (input.cols() != in_dim())
     throw std::invalid_argument("Dense::infer: input width mismatch");
+  if (output_major_)
+    throw std::logic_error("Dense::infer: sparse input needs input-major");
   out.resize(input.rows(), out_dim());
   kern::sparse_gemm_nn(input.view(), weights_.data(), out_dim(), out_dim(),
                        out.data(), out_dim(), epilogue_for(activation_),
@@ -184,11 +255,30 @@ void Dense::backward_into(const Matrix& d_output, Matrix* d_input) {
   // The weight gradient dPre^T . input is left to apply_gradients, which
   // steps the weights by it inside the GEMM writeback.
   step_pending_ = true;
+  // A sampled step indexes grad_bias_ by position in sampled_cols_.
   for (std::size_t r = 0; r < d_pre_.rows(); ++r)
     for (std::size_t c = 0; c < d_pre_.cols(); ++c)
       grad_bias_[c] += d_pre_(r, c);
   // dInput = dPre * W^T — skipped when nobody reads it (bottom layers).
-  if (d_input != nullptr) matmul_nt_into(d_pre_, weights_, *d_input);
+  if (d_input == nullptr) return;
+  if (!output_major_) {
+    matmul_nt_into(d_pre_, weights_, *d_input);
+    return;
+  }
+  // dInput = dPre . W over the layer's (or the sampled) output rows.
+  d_input->resize(d_pre_.rows(), in_dim());
+  kern::GemmCall call;
+  call.m = d_pre_.rows();
+  call.n = in_dim();
+  call.k = d_pre_.cols();
+  call.a = d_pre_.data();
+  call.lda = d_pre_.cols();
+  call.b = weights_.data();
+  call.ldb = in_dim();
+  call.b_rows = sampled_ ? sampled_cols_.data() : nullptr;
+  call.c = d_input->data();
+  call.ldc = in_dim();
+  kern::gemm(call);
 }
 
 Matrix Dense::backward(const Matrix& d_output) {
@@ -201,15 +291,42 @@ void Dense::apply_gradients(double learning_rate) {
   if (!step_pending_) return;
   // W -= lr * input^T . dPre; the sparse step touches only the weight rows
   // of inputs present in the batch (the others would step by zero).
+  step_pending_ = false;
+  if (sampled_) {
+    // W_S -= lr * dPre^T . input, in place on the sampled outputs' rows.
+    kern::GemmCall call;
+    call.m = sampled_cols_.size();
+    call.n = in_dim();
+    call.k = d_pre_.rows();
+    call.a = d_pre_.data();
+    call.lda = d_pre_.cols();
+    call.a_trans = true;
+    call.b = cached_input_.data();
+    call.ldb = in_dim();
+    call.c = weights_.data();
+    call.c_rows = sampled_cols_.data();
+    call.ldc = in_dim();
+    call.epilogue = kern::Epilogue::kStep;
+    call.scale = learning_rate;
+    kern::gemm(call);
+    for (std::size_t j = 0; j < sampled_cols_.size(); ++j) {
+      bias_[sampled_cols_[j]] -= learning_rate * grad_bias_[j];
+      grad_bias_[j] = 0.0;
+    }
+    return;
+  }
   if (sparse_input_)
     kern::sparse_tn_step(cached_sparse_input_.view(), d_pre_.data(),
                          out_dim(), out_dim(), weights_.data(), out_dim(),
                          learning_rate);
+  else if (output_major_)
+    kern::gemm_tn_step(out_dim(), in_dim(), d_pre_.rows(), d_pre_.data(),
+                       out_dim(), cached_input_.data(), in_dim(),
+                       weights_.data(), in_dim(), learning_rate);
   else
     kern::gemm_tn_step(in_dim(), out_dim(), d_pre_.rows(),
                        cached_input_.data(), in_dim(), d_pre_.data(),
                        out_dim(), weights_.data(), out_dim(), learning_rate);
-  step_pending_ = false;
   for (std::size_t c = 0; c < bias_.size(); ++c) {
     bias_[c] -= learning_rate * grad_bias_[c];
     grad_bias_[c] = 0.0;
@@ -222,12 +339,13 @@ void Dense::clear_gradients() {
 }
 
 Mlp::Mlp(const std::vector<std::size_t>& dims, Activation hidden,
-         Activation output, util::Rng& rng) {
+         Activation output, util::Rng& rng, bool output_major_top) {
   if (dims.size() < 2)
     throw std::invalid_argument("Mlp: need at least input and output dims");
   for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
     const bool last = (i + 2 == dims.size());
-    layers_.emplace_back(dims[i], dims[i + 1], last ? output : hidden, rng);
+    layers_.emplace_back(dims[i], dims[i + 1], last ? output : hidden, rng,
+                         last && output_major_top);
   }
   d_input_.resize(layers_.size());
 }
@@ -271,6 +389,14 @@ const Matrix& Mlp::forward(const SparseRows& input) {
   for (std::size_t i = 1; i < layers_.size(); ++i)
     current = &layers_[i].forward(*current);
   return *current;
+}
+
+const Matrix& Mlp::forward_sampled(const Matrix& input,
+                                   std::span<const std::uint32_t> cols) {
+  const Matrix* current = &input;
+  for (std::size_t i = 0; i + 1 < layers_.size(); ++i)
+    current = &layers_[i].forward(*current);
+  return layers_.back().forward_sampled(*current, cols);
 }
 
 Matrix Mlp::infer(const Matrix& input) const {

@@ -14,12 +14,18 @@
 // into a zeroed matrix, then w -= lr * g". All per-batch buffers are
 // reused members, so steady-state training allocates nothing.
 //
-// Weights are stored input-major (in_dim x out_dim) in every layer, so
-// the weights one input feeds are one contiguous row. The autoencoder's
+// Weights are stored input-major (in_dim x out_dim) by default, so the
+// weights one input feeds are one contiguous row. The autoencoder's
 // bottom layer reads sparse JOC rows (nn::SparseRows): its forward and
 // both weight steps run the sparse kernels, which touch only the weight
 // rows of inputs present in the batch and return the dense GEMM's bits.
-// The serialized DNSE record keeps the out x in order.
+// The decoder's output layer is held output-major instead (out_dim x
+// in_dim, the serialized DNSE record's own order), so the weights of one
+// output are one contiguous row: its sampled forward, input gradient and
+// step read and write only the rows of the outputs a batch reconstructs,
+// in place, through the GEMM's row maps.
+// The GEMM variants return the same bits whichever way an operand is
+// stored, so the layout never changes a result.
 #pragma once
 
 #include <cstdint>
@@ -41,16 +47,27 @@ double activate(Activation act, double x);
 /// One dense layer: y = act(W x + b), batched over matrix rows.
 class Dense {
  public:
+  /// He-initialized weights, held output-major when `output_major`.
   Dense(std::size_t in_dim, std::size_t out_dim, Activation act,
-        util::Rng& rng);
+        util::Rng& rng, bool output_major = false);
 
   /// Reconstructs a layer from trained parameters: `weights` is
   /// in_dim x out_dim (input-major), `bias` out_dim long.
   Dense(Matrix weights, std::vector<double> bias, Activation act);
 
-  std::size_t in_dim() const { return weights_.rows(); }
-  std::size_t out_dim() const { return weights_.cols(); }
+  std::size_t in_dim() const {
+    return output_major_ ? weights_.cols() : weights_.rows();
+  }
+  std::size_t out_dim() const {
+    return output_major_ ? weights_.rows() : weights_.cols();
+  }
   Activation activation() const { return activation_; }
+
+  /// Re-lays the weights out out_dim x in_dim (output-major), which
+  /// forward_sampled needs; sparse input then is no longer accepted.
+  /// Every other call returns the same bits in either layout, and the
+  /// DNSE record is the same bytes.
+  void make_output_major();
 
   /// Forward pass; caches input and output for backward(). The returned
   /// reference is into this layer and stays valid until the next forward.
@@ -58,7 +75,16 @@ class Dense {
   /// step reads the cached input.
   const Matrix& forward(const Matrix& input);
   /// forward() on sparse input rows; the pending step is then sparse too.
+  /// Needs an input-major layer.
   const Matrix& forward(const SparseRows& input);
+  /// forward() of only the output columns `cols` (strictly ascending, each
+  /// below out_dim), returning rows x cols.size(). The pending backward and
+  /// step then cover exactly those outputs: backward takes dL/d(those
+  /// outputs), and the step reads and writes only their weights and
+  /// biases. Needs an output-major layer. With every column listed, the
+  /// output, the input gradient and the step are forward()'s bits.
+  const Matrix& forward_sampled(const Matrix& input,
+                                std::span<const std::uint32_t> cols);
 
   /// Forward without caching (inference), into `out` (capacity reused).
   void infer_into(const Matrix& input, Matrix& out) const;
@@ -87,19 +113,21 @@ class Dense {
   void save(util::BinaryWriter& writer) const;
   static Dense load(util::BinaryReader& reader);
 
-  /// in_dim x out_dim: weights()(i, o) connects input i to output o.
+  /// The stored weights: in_dim x out_dim, weights()(i, o) connecting
+  /// input i to output o (out_dim x in_dim when output-major).
   const Matrix& weights() const { return weights_; }
   Matrix& mutable_weights() { return weights_; }
   const std::vector<double>& bias() const { return bias_; }
 
  private:
   /// Checks the input width and that no step is pending; sizes the
-  /// output cache.
-  void begin_forward(std::size_t rows, std::size_t cols);
+  /// output cache rows x width.
+  void begin_forward(std::size_t rows, std::size_t cols, std::size_t width);
 
-  Matrix weights_;  // in_dim x out_dim
+  Matrix weights_;  // in_dim x out_dim, or out_dim x in_dim output-major
   std::vector<double> bias_;
   Activation activation_;
+  bool output_major_ = false;
 
   std::vector<double> grad_bias_;
   // backward() ran and its step is still to be applied or cleared.
@@ -113,15 +141,22 @@ class Dense {
   bool sparse_input_ = false;
   Matrix cached_output_;  // post-activation
   Matrix d_pre_;
+  // The last forward was forward_sampled: its output columns (the weight
+  // rows the GEMMs read and step in place) and their biases gathered;
+  // grad_bias_ is then indexed by position in sampled_cols_.
+  bool sampled_ = false;
+  std::vector<std::uint32_t> sampled_cols_;
+  std::vector<double> sampled_bias_;
 };
 
 /// A plain MLP: a stack of Dense layers trained with SGD.
 class Mlp {
  public:
   /// dims = {in, h1, ..., out}; `hidden` activation on all but the last
-  /// layer, `output` activation on the last.
+  /// layer, `output` activation on the last, which is held output-major
+  /// when `output_major_top` (forward_sampled needs it).
   Mlp(const std::vector<std::size_t>& dims, Activation hidden,
-      Activation output, util::Rng& rng);
+      Activation output, util::Rng& rng, bool output_major_top = false);
 
   /// Reconstructs a network from trained layers (deserialization).
   explicit Mlp(std::vector<Dense> layers);
@@ -131,6 +166,10 @@ class Mlp {
   const Matrix& forward(const Matrix& input);
   /// forward() with the bottom layer reading sparse rows.
   const Matrix& forward(const SparseRows& input);
+  /// forward() with the top layer computing only the output columns
+  /// `cols` (Dense::forward_sampled).
+  const Matrix& forward_sampled(const Matrix& input,
+                                std::span<const std::uint32_t> cols);
   Matrix infer(const Matrix& input) const;
   /// Inference on the given rows of a sparse store (every row without
   /// `rows`), one output row each. Runs in fixed chunks of rows over

@@ -64,6 +64,10 @@ class Matrix {
     data_.assign(rows * cols, 0.0);
   }
 
+  /// Makes room for `count` elements, so a later resize to at most that
+  /// size never reallocates.
+  void reserve(std::size_t count) { data_.reserve(count); }
+
   /// Element-wise in-place operations.
   Matrix& operator+=(const Matrix& other);
   Matrix& operator-=(const Matrix& other);

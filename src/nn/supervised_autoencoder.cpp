@@ -37,7 +37,50 @@ Mlp make_mlp(const std::vector<std::size_t>& dims, Activation output,
   return Mlp(dims, Activation::kRelu, output, rng);
 }
 
+/// The decoder's output layer is held output-major, which the sampled
+/// reconstruction steps need (the bits do not depend on the layout).
+Mlp make_decoder(const std::vector<std::size_t>& encoder_dims,
+                 util::Rng& rng) {
+  return Mlp(decoder_dims(encoder_dims), Activation::kRelu,
+             Activation::kIdentity, rng, /*output_major_top=*/true);
+}
+
+Mlp with_output_major_top(Mlp decoder) {
+  decoder.mutable_layer(decoder.layer_count() - 1).make_output_major();
+  return decoder;
+}
+
 }  // namespace
+
+void sample_recon_columns(const SparseRows& batch, util::Rng& rng,
+                          ReconSample& out) {
+  const std::size_t width = batch.cols();
+  out.covered.assign(width, 0);
+  out.slot.resize(width);
+  const kern::CsrView view = batch.view();
+  for (std::uint64_t p = 0; p < view.offsets[view.rows]; ++p)
+    out.covered[view.index[p]] = 1;
+  out.cols.clear();
+  out.weight.clear();
+  for (std::size_t c = 0; c < width; ++c) {
+    if (out.covered[c] == 0 && !(rng.uniform() < kReconSampleRate)) continue;
+    out.slot[c] = static_cast<std::uint32_t>(out.cols.size());
+    out.cols.push_back(static_cast<std::uint32_t>(c));
+    out.weight.push_back(out.covered[c] != 0 ? 1.0
+                                             : 1.0 / kReconSampleRate);
+  }
+}
+
+void ReconSample::gather_target(const SparseRows& batch, Matrix& x) const {
+  x.resize(batch.rows(), cols.size());
+  x.fill(0.0);
+  for (std::size_t r = 0; r < batch.rows(); ++r) {
+    const std::uint32_t* index = batch.row_index(r);
+    const double* values = batch.row_values(r);
+    for (std::size_t e = 0; e < batch.row_nnz(r); ++e)
+      x(r, slot[index[e]]) = values[e];
+  }
+}
 
 SupervisedAutoencoder::SupervisedAutoencoder(const AutoencoderConfig& config)
     : config_(config),
@@ -50,8 +93,7 @@ SupervisedAutoencoder::SupervisedAutoencoder(const AutoencoderConfig& config)
       }()),
       decoder_([&] {
         util::Rng rng(config.seed ^ 0x9e3779b97f4a7c15ULL);
-        return make_mlp(decoder_dims(config.encoder_dims),
-                        Activation::kIdentity, rng);
+        return make_decoder(config.encoder_dims, rng);
       }()),
       classifier_([&] {
         util::Rng rng(config.seed ^ 0xc2b2ae3d27d4eb4fULL);
@@ -63,7 +105,7 @@ SupervisedAutoencoder::SupervisedAutoencoder(AutoencoderConfig config,
                                              Mlp classifier)
     : config_(std::move(config)),
       encoder_(std::move(encoder)),
-      decoder_(std::move(decoder)),
+      decoder_(with_output_major_top(std::move(decoder))),
       classifier_(std::move(classifier)) {}
 
 void SupervisedAutoencoder::save(util::BinaryWriter& writer) const {
@@ -118,8 +160,7 @@ void SupervisedAutoencoder::reinitialize(std::uint64_t salt) {
   }
   {
     util::Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
-    decoder_ = make_mlp(decoder_dims(config_.encoder_dims),
-                        Activation::kIdentity, rng);
+    decoder_ = make_decoder(config_.encoder_dims, rng);
   }
   {
     util::Rng rng(seed ^ 0xc2b2ae3d27d4eb4fULL);
@@ -180,7 +221,10 @@ std::vector<EpochStats> SupervisedAutoencoder::train(
 std::vector<EpochStats> SupervisedAutoencoder::train_once(
     const SparseRows& inputs, const std::vector<std::size_t>& rows,
     const std::vector<int>& labels, double learning_rate) {
+  // Both streams restart with every attempt, so a retry's draws do not
+  // depend on how far the diverged attempt got.
   util::Rng shuffle_rng(config_.seed ^ 0xa5a5a5a5ULL);
+  util::Rng sample_rng(config_.seed ^ 0x5a3c96e1d2b4f087ULL);
   std::vector<std::size_t> order(rows.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
@@ -191,15 +235,21 @@ std::vector<EpochStats> SupervisedAutoencoder::train_once(
           : 1.0;
 
   // Per-batch scratch, hoisted so steady-state iterations reuse capacity
-  // instead of allocating: batch index lists, the sparse batch and its
-  // dense reconstruction target, and the two loss gradients.
-  // Forward/backward activations live inside the Mlps.
+  // instead of allocating: batch index lists, the sparse batch, its
+  // sampled output columns and their dense reconstruction target, and the
+  // two loss gradients. Forward/backward activations live inside the Mlps.
   std::vector<std::size_t> batch;
   std::vector<std::size_t> batch_rows;
   SparseRows x_sparse;
+  ReconSample sample;
   Matrix x;
   Matrix d_recon;
   Matrix d_logit;
+  // The sampled width changes every batch: room for the widest batch,
+  // made once, keeps the target and its gradient from reallocating.
+  const std::size_t widest = config_.batch_size * inputs.cols();
+  x.reserve(widest);
+  d_recon.reserve(widest);
 
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     if (config_.context != nullptr) {
@@ -241,23 +291,35 @@ std::vector<EpochStats> SupervisedAutoencoder::train_once(
       batch_rows.clear();
       for (std::size_t i : batch) batch_rows.push_back(rows[i]);
       inputs.gather_rows_into(batch_rows, x_sparse);
-      x_sparse.densify_into(x);
+      sample_recon_columns(x_sparse, sample_rng, sample);
+      sample.gather_target(x_sparse, x);
+      stats.recon_cells += n * static_cast<double>(sample.cols.size());
+      stats.recon_cols += static_cast<double>(sample.cols.size());
 
       // ---- Forward through all three networks. ----
       // References into the networks' layer caches; valid until the next
-      // forward on the same network.
+      // forward on the same network. The decoder computes only the
+      // sampled output columns.
       const Matrix& code = encoder_.forward(x_sparse);
-      const Matrix& recon = decoder_.forward(code);
+      const Matrix& recon = decoder_.forward_sampled(code, sample.cols);
       const Matrix& logit = classifier_.forward(code);
 
       // ---- L_auto step (Algorithm 1 lines 11-14): update A with beta. ----
+      // The sampled columns' squared errors and gradients carry their
+      // weights (exactly 1 for every column some row covers).
       d_recon = recon;
       d_recon -= x;
+      const double grad_scale = 2.0 / n * elem_norm;
+      double squared_error = 0.0;
+      for (std::size_t r = 0; r < d_recon.rows(); ++r)
+        for (std::size_t j = 0; j < d_recon.cols(); ++j) {
+          double& d = d_recon(r, j);
+          squared_error += sample.weight[j] * (d * d);
+          d = d * grad_scale * sample.weight[j];
+        }
       const double batch_recon_loss = util::failpoint::corrupt(
-          "nn.train.nan", Matrix::squared_difference(recon, x) / n *
-                              elem_norm);
+          "nn.train.nan", squared_error / n * elem_norm);
       stats.reconstruction_loss += batch_recon_loss;
-      d_recon *= 2.0 / n * elem_norm;
       if (want_grad_norm) grad_sq += squared_sum(d_recon);
       clip_elements(d_recon, config_.gradient_clip);
       const Matrix& d_code_auto = decoder_.backward(d_recon);
@@ -301,6 +363,7 @@ std::vector<EpochStats> SupervisedAutoencoder::train_once(
     if (batches > 0) {
       stats.reconstruction_loss /= static_cast<double>(batches);
       stats.classification_loss /= static_cast<double>(batches);
+      stats.recon_cols /= static_cast<double>(batches);
     }
     epoch_span.arg("recon_loss", stats.reconstruction_loss);
     epoch_span.arg("cla_loss", stats.classification_loss);
@@ -330,8 +393,8 @@ std::vector<EpochStats> SupervisedAutoencoder::train_once(
   return history;
 }
 
-double SupervisedAutoencoder::train_flop_per_epoch(std::size_t rows,
-                                                   std::size_t nnz) const {
+double SupervisedAutoencoder::train_flop_per_epoch(
+    std::size_t rows, std::size_t nnz, double recon_cells) const {
   const auto weights = [](const Mlp& mlp) {
     double sum = 0.0;
     for (std::size_t i = 0; i < mlp.layer_count(); ++i) {
@@ -344,13 +407,16 @@ double SupervisedAutoencoder::train_flop_per_epoch(std::size_t rows,
   // The decoder mirrors the encoder, so one weight sum serves both: 10
   // FLOPs per encoder weight (forward, two weight gradients, two input
   // gradients) plus 6 per decoder weight. The bottom layer skips both
-  // input gradients and pays its other 6 per non-zero input instead.
+  // input gradients and pays its other 6 per non-zero input instead; the
+  // decoder's output layer, as wide as the bottom layer, pays its 6 per
+  // reconstructed cell.
+  const double width = static_cast<double>(bottom.out_dim());
   const double dense_per_row =
       16.0 * weights(encoder_) + 6.0 * weights(classifier_) -
-      10.0 * static_cast<double>(bottom.in_dim() * bottom.out_dim());
+      16.0 * static_cast<double>(bottom.in_dim()) * width;
   return dense_per_row * static_cast<double>(rows) +
-         6.0 * static_cast<double>(nnz) *
-             static_cast<double>(bottom.out_dim());
+         6.0 * static_cast<double>(nnz) * width +
+         6.0 * recon_cells * width;
 }
 
 Matrix SupervisedAutoencoder::encode(const SparseRows& inputs) const {

@@ -7,6 +7,16 @@
 // on L_auto, the classifier head takes a step on L_cla, and the encoder
 // takes an additional alpha-scaled step on L_cla — so the code stays both
 // reconstructive and discriminative.
+//
+// L_auto is trained by reconstruction sampling (Dauphin, Glorot & Bengio,
+// "Large-Scale Learning of Embeddings with Reconstruction Sampling", ICML
+// 2011). A JOC row is ~1 % non-zero, so reconstructing every cell made the
+// decoder's output layer most of the training cost. Each mini-batch's loss
+// and gradient instead cover every output column that is non-zero in some
+// row of the batch, at weight 1, and each other column with probability
+// kReconSampleRate, at weight 1 / kReconSampleRate: an unbiased estimate
+// of the full loss and gradient. A batch whose rows cover every column
+// trains exactly as the full loss would.
 #pragma once
 
 #include <cstdint>
@@ -14,9 +24,35 @@
 
 #include "nn/layers.h"
 #include "util/error.h"
+#include "util/rng.h"
 #include "util/runtime.h"
 
 namespace fs::nn {
+
+/// The probability with which a mini-batch's reconstruction loss keeps an
+/// output column that is zero in every row of the batch.
+inline constexpr double kReconSampleRate = 0.02;
+
+/// The output columns one mini-batch reconstructs, with their loss weights.
+struct ReconSample {
+  std::vector<std::uint32_t> cols;  // strictly ascending
+  std::vector<double> weight;       // 1, or 1 / kReconSampleRate
+  /// slot[c] is c's position in cols, for every c in cols (scratch
+  /// otherwise), and covered[c] is 1 when some batch row holds c.
+  std::vector<std::uint32_t> slot;
+  std::vector<std::uint8_t> covered;
+
+  /// The batch's values at the sampled columns: x is rows x cols.size().
+  void gather_target(const SparseRows& batch, Matrix& x) const;
+};
+
+/// Fills `out` for one mini-batch: every column non-zero in some row of
+/// `batch` at weight 1, and each other column, tested in ascending order
+/// with one rng.uniform() draw, at weight 1 / kReconSampleRate when the
+/// draw falls below kReconSampleRate. The draws are serial, so the sample
+/// depends only on the batch and the stream.
+void sample_recon_columns(const SparseRows& batch, util::Rng& rng,
+                          ReconSample& out);
 
 struct AutoencoderConfig {
   /// Encoder layer widths: {input, ..., d}. The decoder mirrors this in the
@@ -66,8 +102,14 @@ struct AutoencoderConfig {
 };
 
 struct EpochStats {
-  double reconstruction_loss = 0.0;  // mean over batches
+  /// Mean over batches of the sampled estimate of L_auto.
+  double reconstruction_loss = 0.0;
   double classification_loss = 0.0;
+  /// Output cells reconstructed: the sum over batches of rows times
+  /// sampled columns.
+  double recon_cells = 0.0;
+  /// Mean sampled output columns per batch.
+  double recon_cols = 0.0;
 };
 
 /// Joint autoencoder + classifier (the paper's A and C).
@@ -115,17 +157,22 @@ class SupervisedAutoencoder {
   std::size_t code_dim() const { return encoder_.out_dim(); }
 
   /// GEMM FLOPs (a multiply-add counts 2) one training epoch costs over
-  /// `rows` rows whose inputs hold `nnz` non-zeros in all: a forward pass
-  /// through encoder, decoder and head, the decoder and head backward with
-  /// input gradients, and two encoder backward passes (L_auto, then
-  /// alpha * L_cla) that skip the bottom layer's input gradient. Per row,
-  /// with enc and head the summed weight counts of encoder and head,
-  /// bottom the first encoder layer's and width its output width:
-  /// 16 enc + 6 head - 10 bottom dense FLOPs, plus the bottom layer's
-  /// sparse forward and two weight steps at 6 FLOPs per non-zero input
-  /// and output unit (6 nnz width over the epoch). Bias, activation and
-  /// loss work is left out.
-  double train_flop_per_epoch(std::size_t rows, std::size_t nnz) const;
+  /// `rows` rows whose inputs hold `nnz` non-zeros in all and whose
+  /// batches reconstruct `recon_cells` output cells (EpochStats): a
+  /// forward pass through encoder, decoder and head, the decoder and head
+  /// backward with input gradients, and two encoder backward passes
+  /// (L_auto, then alpha * L_cla) that skip the bottom layer's input
+  /// gradient. Per row, with enc and head the summed weight counts of
+  /// encoder and head, bottom the first encoder layer's and width its
+  /// output width: 16 enc + 6 head - 16 bottom dense FLOPs; plus the
+  /// bottom layer's sparse forward and two weight steps at 6 FLOPs per
+  /// non-zero input and output unit (6 nnz width over the epoch); plus the
+  /// decoder's output layer at 6 FLOPs per reconstructed cell and input
+  /// unit (6 recon_cells width). With every cell reconstructed
+  /// (recon_cells = rows x input width) that term is 6 bottom per row.
+  /// Bias, activation and loss work is left out.
+  double train_flop_per_epoch(std::size_t rows, std::size_t nnz,
+                              double recon_cells) const;
 
   const AutoencoderConfig& config() const { return config_; }
 

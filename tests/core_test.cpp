@@ -283,10 +283,14 @@ TEST(Presence, TrainsAndPredictsOnSyntheticJocs) {
 
 TEST(Presence, AutoencoderSpanCarriesRowsEpochsAndFlop) {
   // 48 -> 24 -> 8 encoder, 8 -> 32 -> 1 head, every row with exactly 10
-  // non-zero inputs: per row and epoch the dense layers cost
-  // 16 * (48*24 + 24*8) + 6 * (8*32 + 32*1) - 10 * (48*24) = 11712 FLOPs
-  // and the sparse bottom layer 6 * 10 * 24 = 1440. The cap keeps 40 of
-  // the 60 rows (20 per class).
+  // non-zero inputs: per row and epoch the dense layers below the
+  // decoder's output layer cost
+  // 16 * (48*24 + 24*8) + 6 * (8*32 + 32*1) - 16 * (48*24) = 4800 FLOPs,
+  // the sparse bottom layer 6 * 10 * 24 = 1440 and the output layer
+  // 6 * 24 = 144 per reconstructed cell (6 * 48 * 24 = 6912 per row when
+  // every column is kept). The cap keeps 40 of the 60 rows (20 per
+  // class), in two batches of 20, so the cells of both epochs are
+  // 20 * (sampled columns summed over the 4 batches) = 80 * recon_cols.
   util::Rng rng(11);
   nn::Matrix x(60, 48);
   std::vector<int> y(60);
@@ -303,6 +307,7 @@ TEST(Presence, AutoencoderSpanCarriesRowsEpochsAndFlop) {
   cfg.feature_dim = 8;
   cfg.epochs = 2;
   cfg.max_autoencoder_rows = 40;
+  cfg.batch_size = 20;
   PresenceModel model(cfg);
   obs::Counter& flops = obs::metrics().counter("nn.ae.flops_total");
   const std::uint64_t flops_before = flops.value();
@@ -313,18 +318,26 @@ TEST(Presence, AutoencoderSpanCarriesRowsEpochsAndFlop) {
   const std::vector<obs::TraceEvent> events = obs::tracer().events();
   obs::tracer().clear();
 
-  const double want_flop = (11712.0 + 1440.0) * 40.0 * 2.0;
-  EXPECT_DOUBLE_EQ(model.autoencoder()->train_flop_per_epoch(40, 400),
-                   (11712.0 + 1440.0) * 40.0);
-  EXPECT_EQ(flops.value() - flops_before,
-            static_cast<std::uint64_t>(want_flop));
+  // Every cell reconstructed: the dense formula of the unsampled loss.
+  EXPECT_DOUBLE_EQ(
+      model.autoencoder()->train_flop_per_epoch(40, 400, 40.0 * 48.0),
+      (4800.0 + 6912.0 + 1440.0) * 40.0);
   std::map<std::string, double> args;
   for (const obs::TraceEvent& event : events)
     if (event.name == "core.presence.autoencoder")
       for (const auto& [key, value] : event.args) args[key] = value;
   EXPECT_DOUBLE_EQ(args["rows"], 40.0);
   EXPECT_DOUBLE_EQ(args["epochs"], 2.0);
+  // A batch of 20 rows holds 200 non-zeros over 48 columns: nearly all of
+  // them are covered, and the sample never exceeds the width.
+  const double recon_cols = args["recon_cols"];
+  EXPECT_GT(recon_cols, 40.0);
+  EXPECT_LE(recon_cols, 48.0);
+  const double want_flop =
+      (4800.0 + 1440.0) * 40.0 * 2.0 + 144.0 * 80.0 * recon_cols;
   EXPECT_DOUBLE_EQ(args["flop"], want_flop);
+  EXPECT_EQ(flops.value() - flops_before,
+            static_cast<std::uint64_t>(want_flop));
 }
 
 TEST(Presence, PredictBeforeTrainThrows) {

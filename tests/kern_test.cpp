@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "kern/kern.h"
@@ -378,6 +379,87 @@ TEST(KernGemm, StepEpilogueEqualsGradientThenSeparateStep) {
   gemm_tn_step(2, 2, 0, nullptr, 2, nullptr, 2, w.data(), 2, kLr);
   EXPECT_EQ(0, std::memcmp(w.data(), w_before.data(),
                            w.size() * sizeof(double)));
+}
+
+TEST(KernGemm, RowMapsReadAndWriteRowsInPlaceBitForBit) {
+  // A call whose B rows and C rows sit at mapped rows of larger buffers
+  // returns, on every path and thread count, the bits of the same call on
+  // the rows gathered into dense operands; a mapped step leaves every
+  // unmapped row of its buffer untouched. m = 16 takes the column-panel
+  // split, m = 300 the row-block split, k = 300 chains two KC blocks.
+  constexpr std::size_t kPool = 700;  // buffer rows the maps pick from
+  constexpr double kLr = 0.05;
+  util::Rng rng(9);
+  const auto pick = [&](std::size_t count) {
+    std::vector<std::uint32_t> rows;
+    for (std::uint32_t r = 0; r < kPool && rows.size() < count; ++r)
+      if (rng.uniform() < 0.5 || kPool - r <= count - rows.size())
+        rows.push_back(r);
+    return rows;
+  };
+  const IsaPath previous = active_path();
+  for (std::size_t m : {16u, 300u})
+    for (std::size_t k : {40u, 300u})
+      for (const Variant& variant : kVariants) {
+        const std::size_t n = 72;
+        const Shape shape{m, n, k};
+        const std::size_t b_stored = variant.b_trans ? n : k;
+        const std::size_t b_cols = variant.b_trans ? k : n;
+        const std::vector<double> a = random_values(m * k, rng);
+        const std::vector<double> b_pool = random_values(kPool * b_cols, rng);
+        const std::vector<double> c_pool = random_values(kPool * n, rng);
+        const std::vector<std::uint32_t> b_rows = pick(b_stored);
+        const std::vector<std::uint32_t> c_rows = pick(m);
+        std::vector<double> b_dense(b_stored * b_cols), c_dense(m * n);
+        for (std::size_t r = 0; r < b_stored; ++r)
+          std::copy_n(b_pool.begin() + b_rows[r] * b_cols, b_cols,
+                      b_dense.begin() + r * b_cols);
+        for (std::size_t i = 0; i < m; ++i)
+          std::copy_n(c_pool.begin() + c_rows[i] * n, n,
+                      c_dense.begin() + i * n);
+        for (bool step : {false, true}) {
+          if (step && variant.name != std::string("tn")) continue;
+          for (IsaPath path : supported_paths()) {
+            force_path(path);
+            for (std::size_t threads : {1u, 4u}) {
+              par::set_threads(threads);
+              std::vector<double> want = c_dense;
+              GemmCall dense = build_call(shape, variant, a, b_dense, want,
+                                          /*accumulate=*/!step);
+              if (step) {
+                dense.epilogue = Epilogue::kStep;
+                dense.scale = kLr;
+              }
+              gemm(dense);
+              std::vector<double> got = c_pool;
+              GemmCall mapped = dense;
+              mapped.b = b_pool.data();
+              mapped.b_rows = b_rows.data();
+              mapped.c = got.data();
+              mapped.c_rows = c_rows.data();
+              gemm(mapped);
+              std::vector<double> expect = c_pool;
+              for (std::size_t i = 0; i < m; ++i)
+                std::copy_n(want.begin() + i * n, n,
+                            expect.begin() + c_rows[i] * n);
+              EXPECT_EQ(0, std::memcmp(got.data(), expect.data(),
+                                       got.size() * sizeof(double)))
+                  << path_name(path) << " " << variant.name << " m=" << m
+                  << " k=" << k << " step=" << step
+                  << " threads=" << threads;
+            }
+          }
+        }
+      }
+  force_path(previous);
+  par::set_threads(1);
+
+  // C rows that do not ascend strictly would let two chunks write one row.
+  std::vector<double> a(4, 1.0), b(4, 1.0), c(8, 0.0);
+  const std::vector<std::uint32_t> repeated = {1, 1};
+  GemmCall call = build_call({2, 2, 2}, kVariants[0], a, b, c, false);
+  call.c_rows = repeated.data();
+  EXPECT_THROW(gemm(call), std::invalid_argument);
 }
 
 TEST(KernGemm, RejectsMalformedCalls) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -9,6 +10,7 @@
 #include "kern/kern.h"
 #include "nn/layers.h"
 #include "nn/matrix.h"
+#include "nn/sparse.h"
 #include "nn/supervised_autoencoder.h"
 #include "par/pool.h"
 #include "util/binary_io.h"
@@ -279,6 +281,249 @@ TEST(Dense, RejectsZeroDims) {
   EXPECT_THROW(Dense(0, 2, Activation::kRelu, rng), std::invalid_argument);
 }
 
+// ---------- Reconstruction sampling ----------
+
+Matrix transposed_copy(const Matrix& m) {
+  Matrix t(m.cols(), m.rows());
+  for (std::size_t r = 0; r < m.rows(); ++r)
+    for (std::size_t c = 0; c < m.cols(); ++c) t(c, r) = m(r, c);
+  return t;
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// A rows x width batch whose cells are non-zero with probability density.
+SparseRows random_batch(std::size_t rows, std::size_t width, double density,
+                        util::Rng& rng) {
+  Matrix dense(rows, width);
+  for (std::size_t i = 0; i < dense.size(); ++i)
+    dense.data()[i] = rng.uniform() < density ? rng.uniform(0.5, 2.0) : 0.0;
+  return SparseRows::from_dense(dense);
+}
+
+TEST(ReconSampling, KeepsEveryCoveredColumnAndSamplesTheRest) {
+  util::Rng data_rng(2100);
+  const SparseRows batch = random_batch(16, 2100, 0.01, data_rng);
+  Matrix dense;
+  batch.densify_into(dense);
+  std::vector<bool> covered(2100, false);
+  for (std::size_t i = 0; i < dense.size(); ++i)
+    if (dense.data()[i] != 0.0) covered[i % 2100] = true;
+  const std::size_t n_covered =
+      static_cast<std::size_t>(std::count(covered.begin(), covered.end(), true));
+  ASSERT_GT(n_covered, 100u);
+
+  std::size_t drawn_total = 0;
+  constexpr std::size_t kSeeds = 200;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    util::Rng rng(seed);
+    ReconSample sample;
+    sample_recon_columns(batch, rng, sample);
+    ASSERT_EQ(sample.cols.size(), sample.weight.size());
+    std::size_t kept_covered = 0;
+    for (std::size_t j = 0; j < sample.cols.size(); ++j) {
+      if (j > 0) {
+        ASSERT_LT(sample.cols[j - 1], sample.cols[j]);
+      }
+      const bool cov = covered[sample.cols[j]];
+      EXPECT_EQ(sample.weight[j], cov ? 1.0 : 1.0 / kReconSampleRate);
+      kept_covered += cov;
+    }
+    EXPECT_EQ(kept_covered, n_covered) << "seed " << seed;
+    drawn_total += sample.cols.size() - kept_covered;
+
+    // The target holds the batch's values at the kept columns.
+    Matrix x;
+    sample.gather_target(batch, x);
+    ASSERT_EQ(x.rows(), 16u);
+    ASSERT_EQ(x.cols(), sample.cols.size());
+    for (std::size_t r = 0; r < x.rows(); ++r)
+      for (std::size_t j = 0; j < x.cols(); ++j)
+        EXPECT_EQ(x(r, j), dense(r, sample.cols[j]));
+
+    // Same seed, same draws, whatever the thread count.
+    par::set_threads(seed % 2 == 0 ? 4 : 1);
+    util::Rng again(seed);
+    ReconSample repeat;
+    sample_recon_columns(batch, again, repeat);
+    EXPECT_EQ(repeat.cols, sample.cols);
+    EXPECT_EQ(repeat.weight, sample.weight);
+  }
+  par::set_threads(0);
+  // Each uncovered column is kept with probability q: over 200 seeds the
+  // kept count is Binomial(200 * uncovered, q); allow 5 standard errors.
+  const double trials =
+      static_cast<double>(kSeeds * (2100 - n_covered));
+  const double mean = trials * kReconSampleRate;
+  const double sd = std::sqrt(mean * (1.0 - kReconSampleRate));
+  EXPECT_NEAR(static_cast<double>(drawn_total), mean, 5.0 * sd);
+}
+
+TEST(ReconSampling, AllCoveredSampleStepsLikeTheDenseLayerBitForBit) {
+  // One layer held both ways: input-major through forward(), output-major
+  // through forward_sampled() with every column listed. Outputs, input
+  // gradients and stepped weights must agree bit for bit on every path
+  // and thread count; 280 rows chain two KC blocks in the step.
+  const kern::IsaPath previous = kern::active_path();
+  for (kern::IsaPath path : kern::supported_paths()) {
+    kern::force_path(path);
+    for (std::size_t rows : {16u, 280u})
+      for (std::size_t threads : {1u, 4u}) {
+        par::set_threads(threads);
+        util::Rng rng(320 + rows);
+        Dense dense(40, 700, Activation::kIdentity, rng);
+        Dense sampled = dense;
+        sampled.make_output_major();
+        Matrix h(rows, 40), d(rows, 700);
+        for (std::size_t i = 0; i < h.size(); ++i) h.data()[i] = rng.normal();
+        for (std::size_t i = 0; i < d.size(); ++i) d.data()[i] = rng.normal();
+        std::vector<std::uint32_t> all(700);
+        for (std::uint32_t c = 0; c < 700; ++c) all[c] = c;
+
+        const Matrix out_dense = dense.forward(h);
+        const Matrix out_sampled = sampled.forward_sampled(h, all);
+        EXPECT_TRUE(same_bits(out_dense, out_sampled))
+            << kern::path_name(path) << " rows=" << rows;
+        const Matrix dx_dense = dense.backward(d);
+        const Matrix dx_sampled = sampled.backward(d);
+        EXPECT_TRUE(same_bits(dx_dense, dx_sampled))
+            << kern::path_name(path) << " rows=" << rows;
+        dense.apply_gradients(0.05);
+        sampled.apply_gradients(0.05);
+        EXPECT_TRUE(same_bits(transposed_copy(dense.weights()),
+                              sampled.weights()))
+            << kern::path_name(path) << " rows=" << rows;
+        EXPECT_EQ(dense.bias(), sampled.bias());
+      }
+  }
+  par::set_threads(0);
+  kern::force_path(previous);
+}
+
+TEST(ReconSampling, SampledStepTouchesOnlyTheSampledColumns) {
+  // A sample of the outputs computes exactly those columns of the full
+  // forward, and its step equals the dense step of a gradient that is
+  // zero off the sample: the kept columns' weights and biases take the
+  // same bits, every other one keeps its own.
+  util::Rng rng(97);
+  Dense dense(24, 300, Activation::kIdentity, rng);
+  dense.make_output_major();
+  Dense sampled = dense;
+  Matrix h(16, 24);
+  for (std::size_t i = 0; i < h.size(); ++i) h.data()[i] = rng.normal();
+  std::vector<std::uint32_t> cols;
+  for (std::uint32_t c = 0; c < 300; ++c)
+    if (rng.uniform() < 0.2) cols.push_back(c);
+  Matrix d_full(16, 300), d_sampled(16, cols.size());
+  for (std::size_t r = 0; r < 16; ++r)
+    for (std::size_t j = 0; j < cols.size(); ++j)
+      d_full(r, cols[j]) = d_sampled(r, j) = rng.normal();
+
+  const Matrix full = dense.forward(h);
+  const Matrix part = sampled.forward_sampled(h, cols);
+  for (std::size_t r = 0; r < 16; ++r)
+    for (std::size_t j = 0; j < cols.size(); ++j)
+      ASSERT_EQ(std::memcmp(part.row(r) + j, full.row(r) + cols[j],
+                            sizeof(double)),
+                0);
+  dense.backward_into(d_full, nullptr);
+  sampled.backward_into(d_sampled, nullptr);
+  dense.apply_gradients(0.1);
+  sampled.apply_gradients(0.1);
+  EXPECT_TRUE(same_bits(dense.weights(), sampled.weights()));
+  EXPECT_EQ(dense.bias(), sampled.bias());
+
+  // Malformed samples are rejected before anything is cached.
+  const std::vector<std::uint32_t> descending = {5, 3};
+  const std::vector<std::uint32_t> too_wide = {299, 300};
+  EXPECT_THROW(sampled.forward_sampled(h, descending), std::invalid_argument);
+  EXPECT_THROW(sampled.forward_sampled(h, too_wide), std::invalid_argument);
+  Dense input_major(24, 300, Activation::kIdentity, rng);
+  EXPECT_THROW(input_major.forward_sampled(h, cols), std::logic_error);
+}
+
+TEST(ReconSampling, OutputLayerGradientIsUnbiased) {
+  // L_auto's gradient at the decoder's output layer, averaged over many
+  // sampling seeds, against the full gradient. A kept uncovered column
+  // carries weight 1/q, so the average scales column c's gradient by
+  // K_c / (N q), K_c ~ Binomial(N, q): its relative error has standard
+  // error se = sqrt((1 - q) / (N q)) (~0.05 here), and the error over all
+  // columns, covered ones exact, stays below 2 se.
+  constexpr std::size_t kRows = 8, kIn = 6, kOut = 120, kSeeds = 20000;
+  const double q = kReconSampleRate;
+  util::Rng rng(5);
+  Dense layer(kIn, kOut, Activation::kIdentity, rng);
+  layer.make_output_major();
+  Matrix h(kRows, kIn);
+  for (std::size_t i = 0; i < h.size(); ++i) h.data()[i] = rng.normal();
+  const SparseRows batch = random_batch(kRows, kOut, 0.05, rng);
+  const double scale = 2.0 / kRows / kOut;  // mean loss over the batch
+
+  // Gradients read off a unit step: the weights move by -grad.
+  const auto gradient = [&](const std::vector<std::uint32_t>& cols,
+                            const std::vector<double>& weight,
+                            const Matrix& x, std::vector<double>& out,
+                            Matrix& d_input) {
+    Dense probe = layer;
+    const Matrix& recon = probe.forward_sampled(h, cols);
+    Matrix d = recon;
+    d -= x;
+    for (std::size_t r = 0; r < d.rows(); ++r)
+      for (std::size_t j = 0; j < d.cols(); ++j) d(r, j) *= scale * weight[j];
+    probe.backward_into(d, &d_input);
+    probe.apply_gradients(1.0);
+    out.assign(kOut * (kIn + 1), 0.0);
+    for (std::size_t o = 0; o < kOut; ++o) {
+      for (std::size_t i = 0; i < kIn; ++i)
+        out[o * (kIn + 1) + i] =
+            layer.weights()(o, i) - probe.weights()(o, i);
+      out[o * (kIn + 1) + kIn] = layer.bias()[o] - probe.bias()[o];
+    }
+  };
+
+  std::vector<std::uint32_t> all(kOut);
+  for (std::uint32_t c = 0; c < kOut; ++c) all[c] = c;
+  Matrix x_full;
+  batch.densify_into(x_full);
+  std::vector<double> full, one;
+  Matrix dx_full, dx_one;
+  gradient(all, std::vector<double>(kOut, 1.0), x_full, full, dx_full);
+
+  std::vector<double> mean(full.size(), 0.0);
+  Matrix dx_mean(kRows, kIn);
+  ReconSample sample;
+  Matrix x;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    util::Rng draw(seed);
+    sample_recon_columns(batch, draw, sample);
+    sample.gather_target(batch, x);
+    gradient(sample.cols, sample.weight, x, one, dx_one);
+    for (std::size_t i = 0; i < one.size(); ++i) mean[i] += one[i] / kSeeds;
+    for (std::size_t i = 0; i < dx_one.size(); ++i)
+      dx_mean.data()[i] += dx_one.data()[i] / kSeeds;
+  }
+  const auto rel_error = [](const double* got, const double* want,
+                            std::size_t n) {
+    double err = 0.0, norm = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      err += (got[i] - want[i]) * (got[i] - want[i]);
+      norm += want[i] * want[i];
+    }
+    return std::sqrt(err / norm);
+  };
+  const double se = std::sqrt((1.0 - q) / (kSeeds * q));
+  const double weight_error = rel_error(mean.data(), full.data(), full.size());
+  const double input_error =
+      rel_error(dx_mean.data(), dx_full.data(), dx_full.size());
+  EXPECT_LT(weight_error, 2.0 * se);
+  EXPECT_LT(input_error, 2.0 * se);
+  // The estimate is not the full gradient seed by seed.
+  EXPECT_GT(rel_error(one.data(), full.data(), full.size()), 2.0 * se);
+}
+
 // ---------- Mlp ----------
 
 TEST(Mlp, ShapesAndInferForwardAgree) {
@@ -518,8 +763,9 @@ TEST(SupervisedAutoencoder, ThreadCountNeverChangesTheBits) {
 
 /// FNV digest of save() after a small fixed training run at the gowalla
 /// JOC width (1380 -> 320 -> 48): one epoch whose first batch of 280 rows
-/// spans two KC blocks of the weight-gradient GEMMs and whose second batch
-/// of 20 rows fits in one.
+/// spans two KC blocks of the weight-gradient GEMMs and, at 5 % density,
+/// covers every output column, and whose second batch of 20 rows fits in
+/// one KC block and reconstructs a sample of the columns.
 std::string trained_model_digest() {
   util::Rng rng(1380);
   Matrix x(300, 1380);
@@ -552,9 +798,9 @@ TEST(SupervisedAutoencoder, TrainedModelDigestIsPinned) {
     const char* digest;
   };
   const Pin kPins[] = {
-      {"12.2.0 glibc-2.36 kern-scalar", "2d3e2ece3c9cffb5"},
-      {"12.2.0 glibc-2.36 kern-avx2", "8f169bd893205e87"},
-      {"12.2.0 glibc-2.36 kern-avx512", "8f169bd893205e87"},
+      {"12.2.0 glibc-2.36 kern-scalar", "3299c1da167f8097"},
+      {"12.2.0 glibc-2.36 kern-avx2", "56f6808fc288a7cf"},
+      {"12.2.0 glibc-2.36 kern-avx512", "56f6808fc288a7cf"},
   };
   const kern::IsaPath previous = kern::active_path();
   for (kern::IsaPath path : kern::supported_paths()) {

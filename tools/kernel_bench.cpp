@@ -1,24 +1,36 @@
-// kernel_bench — fs::kern micro-benchmark. Sweeps the GEMM macro-kernel
-// and the row sweeps over every ISA path this host supports (pinned per
-// measurement with kern::force_path) and writes a machine-readable JSON
-// report: GFLOP/s per (path, variant, shape) and per (path, op, shape),
-// so kernel regressions show up as a number diff instead of a
-// pipeline-level slowdown with no attribution.
+// kernel_bench — fs::kern micro-benchmark. Sweeps the GEMM macro-kernel,
+// the sparse-input kernels and the row sweeps over every ISA path this
+// host supports (pinned per measurement with kern::force_path) and writes
+// a machine-readable JSON report: GFLOP/s per (path, variant, shape) and
+// per (path, op, shape), so kernel regressions show up as a number diff
+// instead of a pipeline-level slowdown with no attribution.
 //
 //   kernel_bench [--out kernel_bench.json] [--threads N] [--min-ms 80]
 //                [--quick]
 //
-// Shapes mirror the pipeline's real products: the gowalla autoencoder's
-// mini-batch training GEMMs (m = batch 16, JOC width 1380, hidden 320) in
-// the nn/nt/tn variant each one actually runs, batch encoding (m = corpus
-// rows), and square stress shapes. Every GEMM is timed at --threads.
+// Shapes are the calls autoencoder training makes on the gowalla bench
+// world (JOC width 2100, encoder 2100 -> 320 -> 48, head 48 -> 32 -> 1,
+// mini-batches of 16 rows): the decoder's output layer on a sampled batch
+// of about 300 of its 2100 columns (forward, input gradient, step), the
+// lower layers, the 128-row chunks of batch encoding, plus square stress
+// shapes. Training runs the sampled products through GemmCall row maps on
+// the full weight matrix; they are timed here on dense operands of the
+// same shape, since a row map moves only the pack and writeback
+// addresses. Every GEMM is timed at --threads.
 //
 // The step section times the fused SGD step (gemm_tn_step: W -= lr * A^T B
-// in the GEMM writeback) at the gowalla autoencoder's two big weight
-// gradients, next to the unfused sequence it replaces (tn GEMM into a
-// zeroed gradient, then a separate w -= lr * g loop). Each entry records
-// whether the two give memcmp-equal weights, which the step contract
-// requires; a mismatch on any path exits 1.
+// in the GEMM writeback) at those layers' weight gradients, next to the
+// unfused sequence it replaces (tn GEMM into a zeroed gradient, then a
+// separate w -= lr * g loop). Each entry records whether the two give
+// memcmp-equal weights, which the step contract requires; a mismatch on
+// any path exits 1.
+//
+// The sparse section times the encoder's bottom layer, which reads JOC
+// rows of about 21 non-zeros in 2100 (1 %): kern::sparse_gemm_nn (the
+// forward, a training batch and an encode chunk) and kern::sparse_tn_step
+// (its weight step). Each entry records whether its output memcmp-equals
+// the dense kernel's on the densified batch, which the sparse contract
+// requires; a mismatch exits 1.
 //
 // The rows section times sq_dist_rows/dot_rows at the classifiers' shapes
 // (KNN reference set, SVM support vectors, SVM kernel-matrix fill): a batch
@@ -35,6 +47,7 @@
 
 #include "kern/kern.h"
 #include "nn/matrix.h"
+#include "nn/sparse.h"
 #include "obs/json.h"
 #include "par/par.h"
 #include "par/pool.h"
@@ -168,6 +181,71 @@ json::Object bench_step(const Shape& shape, double min_ms, util::Rng& rng) {
   return entry;
 }
 
+/// One sparse-input call: `rows` JOC rows `width` wide with `nnz` non-zeros
+/// each, against `n` output units.
+struct SparseShape {
+  const char* op;  // "forward" (sparse_gemm_nn) or "step" (sparse_tn_step)
+  std::size_t rows, width, nnz, n;
+  const char* what;
+};
+
+json::Object bench_sparse(const SparseShape& shape, double min_ms,
+                          util::Rng& rng) {
+  constexpr double kLr = 1e-3;
+  nn::Matrix dense(shape.rows, shape.width);
+  for (std::size_t r = 0; r < shape.rows; ++r)
+    for (std::size_t e = 0; e < shape.nnz; ++e)
+      dense(r, rng.index(shape.width)) = rng.uniform(0.5, 2.0);
+  const nn::SparseRows a = nn::SparseRows::from_dense(dense);
+  nn::Matrix w0(shape.width, shape.n), g(shape.rows, shape.n);
+  for (std::size_t i = 0; i < w0.size(); ++i) w0.data()[i] = rng.normal();
+  for (std::size_t i = 0; i < g.size(); ++i) g.data()[i] = rng.normal();
+  const std::vector<double> bias(shape.n, 0.125);
+  const bool forward = std::strcmp(shape.op, "forward") == 0;
+
+  nn::Matrix out(shape.rows, shape.n), want(shape.rows, shape.n);
+  nn::Matrix w = w0, w_want = w0;
+  const auto call = [&] {
+    if (forward)
+      kern::sparse_gemm_nn(a.view(), w0.data(), shape.n, shape.n, out.data(),
+                           shape.n, kern::Epilogue::kBiasRelu, bias.data());
+    else
+      kern::sparse_tn_step(a.view(), g.data(), shape.n, shape.n, w.data(),
+                           shape.n, kLr);
+  };
+  call();
+  if (forward)
+    kern::gemm_nn(shape.rows, shape.n, shape.width, dense.data(),
+                  shape.width, w0.data(), shape.n, want.data(), shape.n,
+                  /*accumulate=*/false, kern::Epilogue::kBiasRelu,
+                  bias.data());
+  else
+    kern::gemm_tn_step(shape.width, shape.n, shape.rows, dense.data(),
+                       shape.width, g.data(), shape.n, w_want.data(), shape.n,
+                       kLr);
+  const nn::Matrix& got = forward ? out : w;
+  const nn::Matrix& expected = forward ? want : w_want;
+  const bool matches = std::memcmp(got.data(), expected.data(),
+                                   got.size() * sizeof(double)) == 0;
+
+  const auto [wall_ms, reps] = measure(min_ms, call);
+  const double flops = 2.0 * static_cast<double>(a.nnz()) *
+                       static_cast<double>(shape.n) *
+                       static_cast<double>(reps);
+  json::Object entry;
+  entry["what"] = std::string(shape.what);
+  entry["op"] = std::string(shape.op);
+  entry["rows"] = shape.rows;
+  entry["width"] = shape.width;
+  entry["nnz"] = a.nnz();
+  entry["n"] = shape.n;
+  entry["reps"] = reps;
+  entry["wall_ms"] = wall_ms;
+  entry["gflops"] = wall_ms > 0.0 ? flops / (wall_ms * 1e6) : 0.0;
+  entry["matches_dense"] = matches;
+  return entry;
+}
+
 struct RowShape {
   std::size_t n, dim;
   const char* what;
@@ -234,24 +312,38 @@ int run(const util::ArgParser& args) {
   const bool quick = args.get_flag("quick");
   const double min_ms = quick ? 5.0 : args.get_double("min-ms");
 
-  // Stand-ins for the pipeline's actual hot products: the gowalla
-  // autoencoder's mini-batch training GEMMs (encoder 1380 -> 320 -> 48),
-  // corpus-wide encodes, plus square stress shapes.
+  // The dense products of one gowalla training batch (16 rows; sampled
+  // output layer about 300 of 2100 columns; encoder 2100 -> 320 -> 48, so
+  // decoder 48 -> 320 -> 2100), in the variant each runs (input-major
+  // weights: forward nn, input gradient nt; the output-major output layer
+  // the other way round), an encode chunk, and square stress shapes.
   std::vector<Shape> shapes = {
-      {"nt", 16, 320, 1380, "encoder.l1.forward (mini-batch)"},
-      {"nt", 16, 1380, 320, "decoder.l2.forward (mini-batch)"},
-      {"tn", 320, 1380, 16, "encoder.l1.grad_weights"},
-      {"nn", 16, 320, 1380, "decoder.l2.grad_input"},
-      {"nt", 800, 48, 320, "encode (corpus rows)"},
+      {"nt", 16, 300, 320, "decoder.out.forward (sampled)"},
+      {"nn", 16, 320, 300, "decoder.out.grad_input (sampled)"},
+      {"nn", 16, 48, 320, "encoder.l2.forward"},
+      {"nt", 16, 320, 48, "encoder.l2.grad_input"},
+      {"nn", 16, 320, 48, "decoder.l1.forward"},
+      {"nt", 16, 48, 320, "decoder.l1.grad_input"},
+      {"nn", 128, 48, 320, "encode.l2 (128-row chunk)"},
       {"nn", 256, 256, 256, "square"},
   };
   if (!quick) shapes.push_back({"nn", 512, 512, 512, "square-large"});
 
-  // The autoencoder's two big weight steps: encoder layer 1 (320 x 1380)
-  // and decoder layer 2 (1380 x 320), a mini-batch of 16 rows each.
+  // The weight steps of the same batch: W_S -= lr * dPre^T . h on the
+  // sampled output rows, and the two lower layers.
   const std::vector<Shape> step_shapes = {
-      {"tn", 320, 1380, 16, "encoder.l1.step"},
-      {"tn", 1380, 320, 16, "decoder.l2.step"},
+      {"tn", 300, 320, 16, "decoder.out.step (sampled)"},
+      {"tn", 320, 48, 16, "encoder.l2.step"},
+      {"tn", 48, 320, 16, "decoder.l1.step"},
+  };
+
+  // The encoder's sparse bottom layer (2100 -> 320) at gowalla's ~21
+  // non-zeros per JOC row: a training batch's forward and step, and a
+  // 128-row encode chunk.
+  const std::vector<SparseShape> sparse_shapes = {
+      {"forward", 16, 2100, 21, 320, "encoder.l1.forward (sparse)"},
+      {"step", 16, 2100, 21, 320, "encoder.l1.step (sparse)"},
+      {"forward", 128, 2100, 21, 320, "encode.l1 (128-row chunk)"},
   };
 
   // The classifiers' sweeps on the attack_full shapes: KNN over the
@@ -266,6 +358,7 @@ int run(const util::ArgParser& args) {
   json::Array paths;
   bool rows_match = true;
   bool steps_match = true;
+  bool sparse_match = true;
   RowReference reference;  // filled by the scalar path, which runs first
   for (const kern::IsaPath path : kern::supported_paths()) {
     kern::force_path(path);
@@ -283,6 +376,13 @@ int run(const util::ArgParser& args) {
       step.emplace_back(std::move(entry));
     }
     section["step"] = std::move(step);
+    json::Array sparse;
+    for (const SparseShape& shape : sparse_shapes) {
+      json::Object entry = bench_sparse(shape, min_ms, rng);
+      sparse_match = sparse_match && entry["matches_dense"].as_bool();
+      sparse.emplace_back(std::move(entry));
+    }
+    section["sparse"] = std::move(sparse);
     json::Array rows;
     for (const RowShape& shape : row_shapes)
       for (const char* op : {"sq_dist", "dot"}) {
@@ -295,7 +395,7 @@ int run(const util::ArgParser& args) {
   }
 
   json::Object root;
-  root["schema_version"] = 5;
+  root["schema_version"] = 6;
   root["threads"] = par::threads();
   root["paths"] = std::move(paths);
 
@@ -326,6 +426,18 @@ int run(const util::ArgParser& args) {
   }
   for (const json::Value& section : report.at("paths").as_array()) {
     const char* path = section.at("path").as_string().c_str();
+    for (const json::Value& entry : section.at("sparse").as_array())
+      std::printf("%-7s %-7s(%4.0f x %4.0f, nnz %5.0f, n %4.0f) %7.2f "
+                  "GFLOP/s  %s%s\n",
+                  path, entry.at("op").as_string().c_str(),
+                  entry.at("rows").as_number(), entry.at("width").as_number(),
+                  entry.at("nnz").as_number(), entry.at("n").as_number(),
+                  entry.at("gflops").as_number(),
+                  entry.at("what").as_string().c_str(),
+                  entry.at("matches_dense").as_bool() ? "" : "  MISMATCH");
+  }
+  for (const json::Value& section : report.at("paths").as_array()) {
+    const char* path = section.at("path").as_string().c_str();
     for (const json::Value& entry : section.at("rows").as_array())
       std::printf("%-7s %-7s(%4.0f x %4.0f) %7.2f GFLOP/s  %s%s\n", path,
                   entry.at("op").as_string().c_str(),
@@ -339,10 +451,13 @@ int run(const util::ArgParser& args) {
   if (!steps_match)
     std::fprintf(stderr,
                  "kernel_bench: a fused step differs from the unfused one\n");
+  if (!sparse_match)
+    std::fprintf(stderr,
+                 "kernel_bench: a sparse kernel differs from the dense one\n");
   if (!rows_match)
     std::fprintf(stderr,
                  "kernel_bench: a row sweep differs from the scalar path\n");
-  return rows_match && steps_match ? 0 : 1;
+  return rows_match && steps_match && sparse_match ? 0 : 1;
 }
 
 }  // namespace
