@@ -1,11 +1,13 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 
 #include "block/cell_index.h"
 #include "core/checkpoint.h"
@@ -57,6 +59,9 @@ graph::Graph graph_from_predictions(std::size_t user_count,
 
 /// FNV-1a over the run parameters a checkpoint must agree on; a resume
 /// against a different dataset/config is rejected instead of mixed in.
+/// Every config_fields() row counts except max_iterations, which a resume
+/// may raise. Blocking rows count because they change which rows are ever
+/// scored.
 std::uint64_t run_fingerprint(const FriendSeekerConfig& config,
                               const data::Dataset& dataset,
                               std::size_t universe_size,
@@ -71,17 +76,11 @@ std::uint64_t run_fingerprint(const FriendSeekerConfig& config,
   mix(universe_size);
   mix(train_size);
   mix(config.seed);
-  mix(static_cast<std::uint64_t>(config.k));
-  mix(config.sigma);
-  mix(static_cast<std::uint64_t>(config.tau_days * 1e6));
-  mix(config.presence.feature_dim);
   mix(static_cast<std::uint64_t>(config.phase2_classifier));
-  // Blocking changes which rows are ever scored, so a checkpoint written
-  // under one blocking configuration must not seed a run under another.
-  mix(static_cast<std::uint64_t>(config.blocking.mode));
-  mix(static_cast<std::uint64_t>(config.blocking.slot_tolerance));
-  mix(static_cast<std::uint64_t>(config.blocking.hop_expansion));
   mix(config.blocking.auto_min_pairs);
+  for (const ConfigField& field : config_fields())
+    if (std::string_view(field.name) != "max_iterations")
+      mix(std::bit_cast<std::uint64_t>(field.get(config)));
   return h;
 }
 

@@ -49,7 +49,9 @@ geo::Timestamp parse_iso8601_utc(const std::string& text) {
   if (std::sscanf(text.c_str(), "%d-%u-%u%*1[T ]%u:%u:%u%n", &y, &mo, &d, &h,
                   &mi, &s, &consumed) != 6)
     throw ParseError("parse_iso8601_utc: bad timestamp '" + text + "'");
-  if (mo < 1 || mo > 12 || h > 23 || mi > 59 || s > 60)
+  // ISO 8601's four-digit years; also keeps days_from_civil's year
+  // arithmetic clear of signed overflow.
+  if (y < 0 || y > 9999 || mo < 1 || mo > 12 || h > 23 || mi > 59 || s > 60)
     throw ParseError("parse_iso8601_utc: out-of-range field in '" + text +
                      "'");
   if (d < 1 || d > days_in_month(y, mo))

@@ -47,17 +47,11 @@ void atomic_publish(const std::string& path,
     }
     if (!fsync_opened(tmp.c_str(), O_RDONLY))
       throw IoError("fsync failed for " + tmp);
-    if (faults.kill != nullptr && failpoint::fail(faults.kill))
-      throw failpoint::InjectedKill(std::string(faults.kill) +
-                                    ": simulated crash before renaming " +
-                                    tmp);
     if (faults.rename != nullptr && failpoint::fail(faults.rename))
       throw IoError(std::string(faults.rename) + ": injected failure for " +
                     path);
     if (std::rename(tmp.c_str(), path.c_str()) != 0)
       throw IoError("rename to " + path + " failed: " + std::strerror(errno));
-  } catch (const failpoint::InjectedKill&) {
-    throw;
   } catch (...) {
     std::remove(tmp.c_str());
     throw;

@@ -1,11 +1,11 @@
-// The durable-file layer: the one way checkpoints, stream snapshots and
-// columnar stores reach disk.
+// The durable-file layer: the one way checkpoints and stream snapshots
+// reach disk.
 //
 // atomic_publish writes `<path>.tmp`, fsyncs it, renames it over `path` and
 // fsyncs the parent directory, so a power loss leaves either the previous
 // file or the complete new one under the name. Every failure is an IoError
-// and removes the tmp — except a simulated kill (failpoint::InjectedKill),
-// which leaves it exactly as a dead process would.
+// and removes the tmp. A tmp left by a dead process is truncated and
+// overwritten by the next publish.
 //
 // Sealed envelope (host-endian): char[4] tag, u64 version, a CRC32 region
 // of caller records, then the region's CRC32 as a u64. read_sealed checks
@@ -27,7 +27,6 @@ namespace fs::util {
 struct PublishFaults {
   const char* write = nullptr;   // tmp open, payload unwritten: IoError
   const char* rename = nullptr;  // tmp synced, not renamed: IoError
-  const char* kill = nullptr;    // same point, simulated kill: tmp stays
 };
 
 /// Atomically replaces `path` with the bytes `write` streams out. An

@@ -13,7 +13,6 @@ const char* error_code_name(ErrorCode code) {
     case ErrorCode::kParse: return "ParseError";
     case ErrorCode::kNumeric: return "NumericError";
     case ErrorCode::kCorruptCheckpoint: return "CorruptCheckpoint";
-    case ErrorCode::kCorruptStore: return "CorruptStore";
     case ErrorCode::kConvergence: return "ConvergenceError";
     case ErrorCode::kCancelled: return "CancelledError";
     case ErrorCode::kBudget: return "BudgetError";

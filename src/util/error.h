@@ -23,7 +23,6 @@ enum class ErrorCode {
   kParse,             // malformed text input (timestamps, numbers, lines)
   kNumeric,           // NaN/Inf loss, gradient, feature, or score
   kCorruptCheckpoint, // bad magic/version/CRC/truncation in a checkpoint
-  kCorruptStore,      // bad magic/version/CRC/truncation in a columnar store
   kConvergence,       // training diverged beyond the retry budget
   kCancelled,         // cooperative cancellation (SIGINT/SIGTERM, caller)
   kBudget,            // deadline, memory, or iteration budget exhausted
@@ -63,17 +62,6 @@ class CorruptCheckpoint : public Error {
  public:
   explicit CorruptCheckpoint(const std::string& message)
       : Error(ErrorCode::kCorruptCheckpoint, message) {}
-};
-
-/// A columnar check-in store failed validation (magic, layout version,
-/// header CRC, block checksum, or truncation). Distinct from
-/// CorruptCheckpoint so callers can tell "my resume state is bad" from
-/// "my input artifact is bad" — the former is recoverable by restarting
-/// the run, the latter needs a re-convert.
-class CorruptStore : public Error {
- public:
-  explicit CorruptStore(const std::string& message)
-      : Error(ErrorCode::kCorruptStore, message) {}
 };
 
 class ConvergenceError : public Error {

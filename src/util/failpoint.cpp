@@ -178,13 +178,6 @@ const std::vector<KnownFailpoint>& known_failpoints() {
         {"pipeline.iteration.abort", "error",
          "simulate a process kill at a phase-2 iteration boundary (after the "
          "checkpoint save); throws InjectedKill, resumable via --resume"},
-        {"store.convert.io", "error",
-         "fail a store-conversion write before the rename; the converter "
-         "removes the stray .tmp file and surfaces IoError"},
-        {"store.convert.kill", "error",
-         "simulate a process kill mid-conversion, after the payload write "
-         "but before the atomic rename; throws InjectedKill, leaving a .tmp "
-         "behind but never a final store path that validates"},
         {"stream.journal.torn_write", "truncate",
          "cut a stream journal frame short mid-write (crash during append); "
          "the writer throws IoError and recovery truncates the torn tail"},

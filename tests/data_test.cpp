@@ -398,6 +398,13 @@ TEST(Loader, ParseIso8601) {
   EXPECT_EQ(parse_iso8601_utc("1970-01-01 01:00:00"), 3600);
   EXPECT_THROW(parse_iso8601_utc("not-a-time"), ParseError);
   EXPECT_THROW(parse_iso8601_utc("1970-13-01T00:00:00Z"), ParseError);
+  // Years outside 0000-9999 are refused; near INT_MIN the calendar
+  // arithmetic would overflow.
+  EXPECT_EQ(parse_iso8601_utc("0000-03-01T00:00:00Z"), -719468LL * 86400);
+  EXPECT_NO_THROW(parse_iso8601_utc("9999-12-31T23:59:59Z"));
+  EXPECT_THROW(parse_iso8601_utc("10000-01-01T00:00:00Z"), ParseError);
+  EXPECT_THROW(parse_iso8601_utc("-1-01-01T00:00:00Z"), ParseError);
+  EXPECT_THROW(parse_iso8601_utc("-2147483648-01-01T00:00:00Z"), ParseError);
 }
 
 TEST(Loader, ParseIso8601RejectsImpossibleCalendarDates) {

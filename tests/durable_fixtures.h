@@ -1,18 +1,15 @@
-// Fixed inputs for the durable-file tests: one checkpoint, snapshot,
-// journal and .fsst store, each built without training or random draws so
-// their bytes are a pure function of this file. durable_test pins their
-// digests; mutation_test corrupts them.
+// Fixed inputs for the durable-file tests: one checkpoint, snapshot and
+// journal, each built without training or random draws so their bytes are
+// a pure function of this file. durable_test pins their digests;
+// mutation_test corrupts them.
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/checkpoint.h"
-#include "data/loader.h"
-#include "store/convert.h"
 #include "stream/journal.h"
 #include "util/binary_io.h"
 
@@ -119,25 +116,6 @@ inline void write_fixed_journal(const std::string& path) {
   writer.append_quarantined(1, stream::RejectReason::kBadTimestamp, "1\tbad");
   writer.append_shed(2, "shed-line");
   writer.append_accepted(3, fixed_event(1));
-}
-
-inline void write_fixed_store(const std::string& dir, const std::string& path) {
-  const std::string checkins = dir + "/pinned_checkins.txt";
-  const std::string edges = dir + "/pinned_edges.txt";
-  {
-    std::ofstream out(checkins, std::ios::binary | std::ios::trunc);
-    out << "1\t2010-10-19T10:00:00Z\t30.25\t-97.75\t5\n"
-           "1\t2010-10-20T11:00:00Z\t30.50\t-97.50\t6\n"
-           "2\t2010-10-19T10:30:00Z\t30.25\t-97.75\t5\n"
-           "2\t2010-10-21T09:00:00Z\t31.00\t-97.00\t7\n"
-           "3\t2010-10-20T11:15:00Z\t30.50\t-97.50\t6\n"
-           "3\t2010-10-22T18:00:00Z\t31.00\t-97.00\t7\n";
-    std::ofstream e(edges, std::ios::binary | std::ios::trunc);
-    e << "1\t2\n2\t3\n";
-  }
-  store::ConvertOptions options;
-  options.sigma = 2;
-  store::convert_snap_to_store(checkins, edges, path, options);
 }
 
 }  // namespace fs::durable_fixtures

@@ -38,7 +38,6 @@ TEST(DurableFormats, PinnedBytesAreUnchanged) {
                                  fx::fixed_checkpoint());
   stream::save_snapshot(dir + "/snapshot.fss", fx::fixed_snapshot());
   fx::write_fixed_journal(dir + "/journal.fsj");
-  fx::write_fixed_store(dir, dir + "/store.fsst");
 
   EXPECT_EQ(std::filesystem::file_size(dir + "/checkpoint.fsck"), 956u);
   EXPECT_EQ(file_digest(dir + "/checkpoint.fsck"), "54b46bd9d605e7ea");
@@ -46,8 +45,6 @@ TEST(DurableFormats, PinnedBytesAreUnchanged) {
   EXPECT_EQ(file_digest(dir + "/snapshot.fss"), "8f9d993effe5d4f4");
   EXPECT_EQ(std::filesystem::file_size(dir + "/journal.fsj"), 314u);
   EXPECT_EQ(file_digest(dir + "/journal.fsj"), "60732a03eb31977d");
-  EXPECT_EQ(std::filesystem::file_size(dir + "/store.fsst"), 920u);
-  EXPECT_EQ(file_digest(dir + "/store.fsst"), "f24669e13efd6f3b");
 }
 
 TEST(AtomicPublish, ReplacesTheFileAndLeavesNoTmp) {
@@ -73,12 +70,11 @@ TEST(AtomicPublish, WriterExceptionKeepsTheOldFileAndRemovesTmp) {
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
-TEST(AtomicPublish, FailpointsMapToIoErrorOrKill) {
+TEST(AtomicPublish, FailpointsMapToIoError) {
   const std::string dir = fresh_dir("failpoints");
   const std::string path = dir + "/artifact";
   const util::PublishFaults faults{.write = "checkpoint.save.io",
-                                   .rename = "checkpoint.save.rename",
-                                   .kill = "store.convert.kill"};
+                                   .rename = "checkpoint.save.rename"};
   const auto publish = [&] {
     util::atomic_publish(path, [](std::ostream& out) { out << "x"; }, faults);
   };
@@ -90,13 +86,15 @@ TEST(AtomicPublish, FailpointsMapToIoErrorOrKill) {
     EXPECT_FALSE(std::filesystem::exists(path)) << name;
   }
   util::failpoint::clear();
-  util::failpoint::activate("store.convert.kill",
-                            util::failpoint::Action::kError, 1);
-  EXPECT_THROW(publish(), util::failpoint::InjectedKill);
-  EXPECT_TRUE(std::filesystem::exists(path + ".tmp"));
-  EXPECT_FALSE(std::filesystem::exists(path));
-  util::failpoint::clear();
-  publish();  // a restart publishes over the dead process's tmp
+}
+
+// A process that died between writing the tmp and renaming it leaves the
+// tmp behind; the restart's publish writes over it.
+TEST(AtomicPublish, RestartPublishesOverADeadProcessTmp) {
+  const std::string dir = fresh_dir("stale_tmp");
+  const std::string path = dir + "/artifact";
+  std::ofstream(path + ".tmp", std::ios::binary) << "torn bytes of a dead run";
+  util::atomic_publish(path, [](std::ostream& out) { out << "x"; });
   EXPECT_EQ(util::read_file(path), "x");
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
@@ -122,10 +120,6 @@ TEST(AtomicPublish, EveryPublisherFailsTypedOntoADirectory) {
   EXPECT_THROW(stream::save_snapshot(snapshot, fx::fixed_snapshot()),
                IoError);
   EXPECT_FALSE(std::filesystem::exists(snapshot + ".tmp"));
-
-  const std::string store = blocked("store.fsst");
-  EXPECT_THROW(fx::write_fixed_store(dir, store), IoError);
-  EXPECT_FALSE(std::filesystem::exists(store + ".tmp"));
 }
 
 }  // namespace

@@ -317,6 +317,45 @@ TEST_F(FailpointTest, ResumeRejectsBitRot) {
   EXPECT_THROW(core::load_pipeline_checkpoint(path), CorruptCheckpoint);
 }
 
+// The checkpoint fingerprint covers every config_fields() row except
+// max_iterations: changing any other row between save and resume must
+// refuse the checkpoint and restart from phase 1.
+TEST_F(FailpointTest, ResumeRefusesEveryChangedConfigField) {
+  SmallExperiment exp = make_small_experiment();
+  const std::string dir = testing::TempDir() + "/fs_fp_fingerprint";
+  std::filesystem::remove_all(dir);
+  exp.config.checkpoint_dir = dir + "/saved";
+  exp.config.max_iterations = 1;
+  core::FriendSeeker first(exp.config);
+  (void)first.run(exp.dataset, exp.split.train_pairs, exp.split.train_labels,
+                  exp.split.test_pairs);
+  const std::string saved = dir + "/saved/checkpoint.fsck";
+  ASSERT_TRUE(std::filesystem::exists(saved));
+
+  for (const core::ConfigField& field : core::config_fields()) {
+    if (std::string(field.name) == "max_iterations") continue;
+    SCOPED_TRACE(field.name);
+    core::FriendSeekerConfig cfg = exp.config;
+    const double value = field.get(cfg);
+    field.set(cfg, value + 1 <= field.hi ? value + 1 : value - 1);
+    cfg.checkpoint_dir = dir + "/" + field.name;
+    cfg.resume = true;
+    std::filesystem::create_directories(cfg.checkpoint_dir);
+    std::filesystem::copy_file(saved, cfg.checkpoint_dir + "/checkpoint.fsck");
+
+    core::FriendSeeker second(cfg);
+    const auto result =
+        second.run(exp.dataset, exp.split.train_pairs, exp.split.train_labels,
+                   exp.split.test_pairs);
+    EXPECT_EQ(result.resumed_from_iteration, 0);
+    bool mismatch = false;
+    for (const util::Diagnostic& d : result.diagnostics.entries())
+      mismatch |= d.message.find("checkpoint fingerprint mismatch") !=
+                  std::string::npos;
+    EXPECT_TRUE(mismatch);
+  }
+}
+
 // ---------- permissive ingestion of a dirty trace, end to end ----------
 
 TEST_F(FailpointTest, PermissiveLoadSurvivesTenPercentGarbage) {

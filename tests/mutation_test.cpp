@@ -1,10 +1,15 @@
-// Seeded mutation testing of the checkpoint, snapshot and journal decoders.
+// Seeded mutation testing of every decoder that reads outside bytes: the
+// checkpoint, snapshot and journal files, the SNAP check-in and edge text,
+// the scenario configs, and the FSN1 frame stream.
 //
-// Each fixed artifact (durable_fixtures.h) is corrupted by bit flips,
-// truncations, splices and false length fields — the last both left under
-// the CRC and re-sealed so the bounds checks behind the CRC are reached.
-// Every mutant must load, come back as nullopt or a truncated journal
-// prefix, or throw a typed fs::Error; any other exception fails the test.
+// Each fixed artifact (durable_fixtures.h, the SNAP text below, the
+// committed examples/scenario configs, an encoded frame stream) is
+// corrupted by bit flips, truncations, splices and false length fields —
+// the last both left under the CRC and re-sealed so the bounds checks
+// behind the CRC are reached. Every mutant must load, come back as nullopt
+// or a truncated journal prefix, or throw a typed fs::Error; any other
+// exception fails the test. The frame decoder reports failures as a
+// FrameError status, so it must never throw at all.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,9 +18,13 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "data/loader.h"
 #include "durable_fixtures.h"
+#include "net/frame.h"
+#include "scenario/config.h"
 #include "util/binary_io.h"
 #include "util/durable.h"
 #include "util/error.h"
@@ -31,6 +40,24 @@ constexpr int kRandomMutants = 150;  // per kind, per artifact
 constexpr std::size_t kSealHeader = 12;   // tag + version
 constexpr std::size_t kSealTrailer = 8;   // u64 CRC
 constexpr std::size_t kFrameHeader = 12;  // magic + length + CRC
+
+#ifndef FS_EXAMPLES_DIR
+#error "FS_EXAMPLES_DIR must point at the committed examples"
+#endif
+
+/// Gowalla-format check-ins (user, time, lat, lng, POI) and an undirected
+/// edge list; every user has the two check-ins the loader's activity floor
+/// asks for.
+constexpr const char* kSnapCheckins =
+    "1\t2010-10-19T10:00:00Z\t30.25\t-97.75\t5\n"
+    "1\t2010-10-20T11:00:00Z\t30.50\t-97.50\t6\n"
+    "2\t2010-10-19T10:30:00Z\t30.25\t-97.75\t5\n"
+    "2\t2010-10-21T09:00:00Z\t31.00\t-97.00\t7\n"
+    "3\t2010-10-20T11:15:00Z\t30.50\t-97.50\t6\n"
+    "3\t2010-10-22T18:00:00Z\t31.00\t-97.00\t7\n"
+    "4\t2010-10-22T18:30:00Z\t-33.87\t151.21\t8\n"
+    "4\t2010-10-23T07:05:59Z\t-33.87\t151.21\t8\n";
+constexpr const char* kSnapEdges = "1\t2\n2\t3\n3\t4\n4\t1\n";
 
 struct Mutant {
   std::string kind;
@@ -295,6 +322,139 @@ TEST(DecoderMutation, JournalRecoversAPrefixOrSplicedFrames) {
       }
     });
   }
+}
+
+TEST(DecoderMutation, SnapTextLoadsOrThrowsTyped) {
+  const std::string dir = fresh_dir("snap");
+  const std::string checkins = dir + "/checkins.txt";
+  const std::string edges = dir + "/edges.txt";
+  data::LoadOptions strict;
+  data::LoadOptions permissive;
+  permissive.strictness = data::Strictness::kPermissive;
+  write_bytes(checkins, kSnapCheckins);
+  write_bytes(edges, kSnapEdges);
+  const data::Dataset honest = data::load_checkins_snap(checkins, edges);
+  ASSERT_EQ(honest.checkin_count(), 8u);
+  ASSERT_EQ(honest.friendships().edge_count(), 4u);
+
+  util::Rng rng(kSeed + 3);
+  std::size_t strict_refused = 0;
+  for (const auto& [path, original] :
+       {std::pair<std::string, std::string>{checkins, kSnapCheckins},
+        std::pair<std::string, std::string>{edges, kSnapEdges}}) {
+    for (const Mutant& mutant : random_mutants(original, rng)) {
+      write_bytes(path, mutant.bytes);
+      expect_typed(mutant, [&] {
+        try {
+          data::load_checkins_snap(checkins, edges, strict);
+        } catch (const ParseError&) {
+          ++strict_refused;
+          throw;
+        }
+      });
+      // The permissive loader quarantines every malformed line instead.
+      expect_typed(mutant, [&] {
+        data::LoadReport report;
+        const data::Dataset ds =
+            data::load_checkins_snap(checkins, edges, permissive, &report);
+        EXPECT_EQ(ds.checkin_count(), report.accepted_checkins)
+            << mutant.kind;
+      });
+    }
+    write_bytes(path, original);
+  }
+  EXPECT_GT(strict_refused, 0u);
+}
+
+TEST(DecoderMutation, ScenarioConfigsParseOrThrowTyped) {
+  std::size_t configs = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(FS_EXAMPLES_DIR) + "/scenario")) {
+    if (entry.path().extension() != ".json") continue;
+    SCOPED_TRACE(entry.path().filename().string());
+    const std::string original = util::read_file(entry.path().string());
+    ASSERT_NO_THROW(scenario::parse_scenario_config_text(original));
+    util::Rng rng(kSeed + 4 + configs++);
+    std::size_t refused = 0;
+    for (const Mutant& mutant : random_mutants(original, rng))
+      expect_typed(mutant, [&] {
+        try {
+          scenario::parse_scenario_config_text(mutant.bytes);
+        } catch (const Error&) {
+          ++refused;
+          throw;
+        }
+      });
+    EXPECT_GT(refused, 0u);
+  }
+  EXPECT_GE(configs, 4u);
+}
+
+/// Feeds `bytes` to a fresh decoder in chunks drawn from `rng` and drains
+/// it, resyncing past CRC failures; returns the frames decoded. Stops at
+/// an unframeable error, as the server does.
+std::vector<net::Frame> decode_stream(const std::string& bytes,
+                                      util::Rng& rng) {
+  net::FrameDecoder decoder;
+  std::vector<net::Frame> frames;
+  std::size_t fed = 0;
+  while (true) {
+    net::Frame frame;
+    const net::DecodeStatus status = decoder.next(frame);
+    if (status == net::DecodeStatus::kFrame) {
+      frames.push_back(std::move(frame));
+    } else if (status == net::DecodeStatus::kError) {
+      EXPECT_NE(decoder.error(), net::FrameError::kNone);
+      if (!decoder.can_resync()) break;
+      decoder.resync();
+    } else if (fed < bytes.size()) {
+      const std::size_t chunk = 1 + rng.index(bytes.size() - fed);
+      decoder.feed(bytes.data() + fed, chunk);
+      fed += chunk;
+    } else {
+      break;
+    }
+  }
+  return frames;
+}
+
+TEST(DecoderMutation, FrameStreamYieldsFramesOrFrameErrors) {
+  std::string original = net::encode_frame(net::FrameType::kHello, "");
+  for (const char* line : {"1\t2010-10-19T10:00:00Z\t30.25\t-97.75\t5",
+                           "2\t2010-10-19T10:30:00Z\t30.25\t-97.75\t5"})
+    original += net::encode_frame(net::FrameType::kCheckin, line);
+  original += net::encode_frame(net::FrameType::kCommit, "");
+  original += net::encode_frame_u64(net::FrameType::kAck, 2);
+  util::Rng rng(kSeed + 8);
+  ASSERT_EQ(decode_stream(original, rng).size(), 5u);
+
+  std::vector<Mutant> mutants = random_mutants(original, rng);
+  // Payload lengths sit outside the CRC: every false value must surface
+  // as a FrameError or a torn tail, never as a read past the buffer.
+  for (std::size_t at = 0; at < original.size();
+       at += net::kFrameHeaderBytes + read_at<std::uint32_t>(original, at + 8))
+    for (const std::uint32_t len :
+         {0u, 1u, 7u, 9u, std::uint32_t{net::kMaxFramePayload},
+          std::uint32_t{net::kMaxFramePayload} + 1, 0x7fffffffu,
+          0xffffffffu}) {
+      std::string bytes = original;
+      write_at(bytes, at + 8, len);
+      mutants.push_back({"length@" + std::to_string(at), bytes});
+    }
+
+  std::size_t damaged = 0;
+  for (const Mutant& mutant : mutants) {
+    try {
+      const std::vector<net::Frame> frames = decode_stream(mutant.bytes, rng);
+      damaged += frames.size() != 5;
+      for (const net::Frame& frame : frames)
+        EXPECT_LE(frame.payload.size(), net::kMaxFramePayload) << mutant.kind;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << mutant.kind << " mutant (" << mutant.bytes.size()
+                    << " bytes) threw: " << e.what();
+    }
+  }
+  EXPECT_GT(damaged, mutants.size() / 2);
 }
 
 }  // namespace

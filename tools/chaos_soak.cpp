@@ -2,7 +2,7 @@
 // pipeline.
 //
 //   chaos_soak [--runs N] [--seed S] [--users U]
-//              [--budget-mode | --stream-mode | --net-mode | --store-mode]
+//              [--budget-mode | --stream-mode | --net-mode]
 //              [--help]
 //
 // Soak mode (the default) generates a small synthetic world, runs one
@@ -47,14 +47,6 @@
 // stalled peer is idle-reaped, and a mid-ingest /metrics scrape returns
 // parseable Prometheus text without delaying ingestion.
 //
-// Store mode (--store-mode) soaks the SNAP -> columnar-store converter's
-// atomicity discipline: seeded faults at the write (I/O error, tmp cleaned
-// up) and at the kill point between the payload fsync and the rename (tmp
-// left behind like a dead process). Invariants: the final path never holds
-// a store that fails full validation, a pre-existing store survives a
-// faulted overwrite byte-for-byte, and a fault-free retry converges to the
-// byte-identical baseline store.
-//
 // The schedule stream is fully determined by --seed, so a CI failure
 // reproduces locally with the same flags.
 #include <array>
@@ -80,8 +72,6 @@
 #include "net/server.h"
 #include "net/socket.h"
 #include "par/pool.h"
-#include "store/convert.h"
-#include "store/store.h"
 #include "stream/daemon.h"
 #include "stream/source.h"
 #include "util/args.h"
@@ -941,146 +931,6 @@ int run_net_soak(const SoakOptions& options) {
   return violations.empty() ? 0 : 1;
 }
 
-// ---- store mode ----
-//
-// Soaks the SNAP -> columnar-store converter's atomicity discipline under
-// seeded faults at its two kill points (a failed write before the rename,
-// a process kill after the payload fsync but before the rename), half the
-// time overwriting an existing valid store. Invariants per run:
-//
-//   1. the final path never holds a store that fails full validation —
-//      it is either absent, or the byte-identical pre-existing store
-//      (overwrite runs), never a torn new one;
-//   2. tmp semantics match the fault: a kill leaves the .tmp behind
-//      exactly like a dead process would, an I/O failure cleans it up;
-//   3. a fault-free retry converges to the byte-identical baseline store.
-int run_store_soak(const SoakOptions& options) {
-  const World world = make_world(options);
-  store::ConvertOptions convert_options;
-  convert_options.sigma = 40;
-
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  };
-
-  // Fault-free baseline conversion; everything below must converge to
-  // these bytes. The materialized dataset must round-trip the batch load.
-  fp::clear();
-  const std::string baseline_path = options.work_dir + "/baseline.fsst";
-  const store::ConvertStats stats = store::convert_snap_to_store(
-      world.checkins_path, world.edges_path, baseline_path, convert_options);
-  const std::string baseline_bytes = slurp(baseline_path);
-  std::printf("store-soak: baseline %zu rows, %zu bytes\n", stats.rows,
-              baseline_bytes.size());
-  {
-    const store::MappedStore mapped = store::MappedStore::open(baseline_path);
-    const data::Dataset ds = mapped.to_dataset();
-    if (ds.checkin_count() != world.dataset.checkin_count() ||
-        ds.friendships().edges() != world.dataset.friendships().edges()) {
-      std::fprintf(stderr,
-                   "store-soak: baseline store does not round-trip the "
-                   "batch-loaded dataset\n");
-      return 1;
-    }
-  }
-
-  std::vector<Violation> violations;
-  const auto violation = [&](int run, std::string invariant,
-                             std::string detail) {
-    violations.push_back(
-        Violation{run, std::move(invariant), std::move(detail)});
-  };
-
-  const std::string path = options.work_dir + "/soak.fsst";
-  const std::string tmp = path + ".tmp";
-  int kills = 0, io_faults = 0;
-  for (int run = 0; run < options.runs; ++run) {
-    util::Rng rng(options.seed * 0x9e3779b97f4a7c15ULL + 0x5704eULL +
-                  static_cast<std::uint64_t>(run));
-    const bool kill = rng.uniform() < 0.5;
-    const bool overwrite = rng.uniform() < 0.5;
-    std::filesystem::remove(path);
-    std::filesystem::remove(tmp);
-    if (overwrite)
-      std::filesystem::copy_file(baseline_path, path);
-    (kill ? kills : io_faults)++;
-
-    fp::activate(kill ? "store.convert.kill" : "store.convert.io",
-                 fp::Action::kError, 1);
-    bool threw_expected = false;
-    try {
-      store::convert_snap_to_store(world.checkins_path, world.edges_path,
-                                   path, convert_options);
-    } catch (const fp::InjectedKill&) {
-      threw_expected = kill;
-    } catch (const IoError&) {
-      threw_expected = !kill;
-    }
-    fp::clear();
-    if (!threw_expected)
-      violation(run, "fault-surfacing",
-                "the scheduled fault did not surface as the right error");
-
-    // Invariant 1: the final path never validates as a torn new store.
-    if (std::filesystem::exists(path)) {
-      if (!overwrite) {
-        violation(run, "atomicity",
-                  "final path appeared although the rename never ran");
-      } else {
-        try {
-          store::MappedStore::open(path);  // Verify::kFull
-        } catch (const std::exception& e) {
-          violation(run, "atomicity",
-                    std::string("pre-existing store no longer validates: ") +
-                        e.what());
-        }
-        if (slurp(path) != baseline_bytes)
-          violation(run, "atomicity",
-                    "pre-existing store bytes changed under a faulted "
-                    "conversion");
-      }
-    } else if (overwrite) {
-      violation(run, "atomicity",
-                "faulted conversion deleted the pre-existing store");
-    }
-
-    // Invariant 2: tmp semantics match the fault kind.
-    const bool tmp_left = std::filesystem::exists(tmp);
-    if (kill && !tmp_left)
-      violation(run, "tmp-semantics",
-                "a kill before the rename should leave the .tmp behind");
-    if (!kill && tmp_left)
-      violation(run, "tmp-semantics",
-                "an I/O failure should have cleaned up the .tmp");
-
-    // Invariant 3: the retry converges to the baseline bytes (the stray
-    // tmp from a kill must not get in its way, just like a real restart).
-    try {
-      store::convert_snap_to_store(world.checkins_path, world.edges_path,
-                                   path, convert_options);
-    } catch (const std::exception& e) {
-      violation(run, "retry-convergence",
-                std::string("fault-free retry failed: ") + e.what());
-      continue;
-    }
-    if (slurp(path) != baseline_bytes)
-      violation(run, "retry-convergence",
-                "retry produced different store bytes than the baseline");
-    if (std::filesystem::exists(tmp))
-      violation(run, "retry-convergence", "retry left a .tmp behind");
-  }
-
-  std::printf("store-soak: %d runs (%d kills, %d io faults), %zu invariant "
-              "violations\n",
-              options.runs, kills, io_faults, violations.size());
-  for (const Violation& v : violations)
-    std::fprintf(stderr, "  run %d: [%s] %s\n", v.run, v.invariant.c_str(),
-                 v.detail.c_str());
-  return violations.empty() ? 0 : 1;
-}
-
 int run_budget_mode(const SoakOptions& options) {
   const World world = make_world(options);
   int failures = 0;
@@ -1171,10 +1021,6 @@ int main(int argc, char** argv) {
                 "soak the socket front end: a real feed client under "
                 "daemon kills, torn sends, dropped connections, accept "
                 "failures; digest convergence to the batch baseline");
-  args.add_flag("store-mode",
-                "soak the SNAP->store converter's atomic tmp+rename under "
-                "seeded kill/IO faults: the final path never holds a store "
-                "that fails validation, and retries converge byte-for-byte");
   args.add_flag("help", "show options");
   try {
     args.parse(argc, argv, 1);
@@ -1201,7 +1047,6 @@ int main(int argc, char** argv) {
     if (args.get_flag("budget-mode")) return run_budget_mode(options);
     if (args.get_flag("stream-mode")) return run_stream_soak(options);
     if (args.get_flag("net-mode")) return run_net_soak(options);
-    if (args.get_flag("store-mode")) return run_store_soak(options);
     return run_soak(options);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "chaos_soak: %s\n", e.what());

@@ -2,10 +2,7 @@
 //
 //   friendseeker generate  --preset gowalla --out DIR [--users N ...]
 //   friendseeker stats     CHECKINS EDGES
-//   friendseeker convert   CHECKINS EDGES --out STORE.fsst
-//                          [--sigma S --tau D] [--permissive]
-//                          [--min-checkins N --max-users N]
-//   friendseeker attack    CHECKINS EDGES | --store STORE.fsst
+//   friendseeker attack    CHECKINS EDGES
 //                          [--sigma S --tau D --dim D --k K
 //                           --max-iterations N --blocking off|on|auto
 //                           --block-hops H --block-slot-tolerance T]
@@ -54,8 +51,6 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "par/pool.h"
-#include "store/convert.h"
-#include "store/store.h"
 #include "stream/daemon.h"
 #include "stream/source.h"
 #include "util/args.h"
@@ -84,7 +79,6 @@ int usage() {
       "commands:\n"
       "  generate   synthesize an MSN world and write SNAP-format files\n"
       "  stats      dataset statistics and co-presence census\n"
-      "  convert    SNAP files -> checksummed columnar store (.fsst)\n"
       "  attack     run FriendSeeker (and baselines) on a dataset\n"
       "  obfuscate  apply a countermeasure and write the perturbed dataset\n"
       "  serve      stream check-ins through the crash-safe ingestion "
@@ -164,45 +158,13 @@ int cmd_generate(int argc, char** argv) {
 
 int cmd_stats(int argc, char** argv) {
   util::ArgParser args;
-  args.add_option("store", "",
-                  "read a columnar store (.fsst) instead of SNAP text; runs "
-                  "full checksum verification and reports store internals");
   args.add_flag("help", "show options");
   args.parse(argc, argv, 2);
   if (args.get_flag("help")) {
-    std::fprintf(stderr,
-                 "usage: friendseeker stats CHECKINS EDGES | --store FILE\n");
+    std::fprintf(stderr, "usage: friendseeker stats CHECKINS EDGES\n");
     return 0;
   }
-  data::Dataset ds;
-  if (!args.get("store").empty()) {
-    obs::Span verify_span("store.open_verify");
-    const store::MappedStore mapped =
-        store::MappedStore::open(args.get("store"), store::Verify::kFull);
-    verify_span.end();
-    obs::Span mat_span("store.materialize");
-    ds = mapped.to_dataset();
-    mat_span.end();
-    const store::StoreHeader& h = mapped.header();
-    util::Table store_table({"rows", "grids", "slots", "sigma", "tau h",
-                             "file MB", "verify ms", "materialize ms"});
-    store_table.new_row()
-        .add(static_cast<std::size_t>(h.row_count))
-        .add(static_cast<std::size_t>(h.grid_count))
-        .add(static_cast<std::size_t>(h.slot_count))
-        .add(static_cast<std::size_t>(h.sigma))
-        .add(static_cast<double>(h.tau_seconds) / 3600.0, 1)
-        .add(static_cast<double>(mapped.file_bytes()) / (1024.0 * 1024.0), 1)
-        .add(verify_span.milliseconds(), 1)
-        .add(mat_span.milliseconds(), 1);
-    store_table.print("store (full verification: every payload checksum)");
-    const data::LoadReport report = mapped.load_report();
-    if (report.quarantined_checkins() > 0 || report.quarantined_edges() > 0)
-      std::fprintf(stderr, "%s\n", report.summary().c_str());
-    mapped.release_pages();
-  } else {
-    ds = load_positional(args);
-  }
+  const data::Dataset ds = load_positional(args);
   const data::DatasetStats s = data::dataset_stats(ds);
   util::Table table({"pois", "users", "checkins", "checkins/user", "links"});
   table.new_row()
@@ -236,80 +198,6 @@ int cmd_stats(int argc, char** argv) {
   return 0;
 }
 
-/// In-memory footprint of a materialized Dataset — what a store-backed run
-/// actually keeps resident, as opposed to the store's file size (which
-/// stays on disk; the mapping is dropped after materialization).
-std::size_t dataset_resident_estimate(const data::Dataset& ds) {
-  return ds.checkin_count() * sizeof(data::CheckIn) +
-         ds.poi_count() * sizeof(data::Poi) +
-         (ds.user_count() + 1) * sizeof(std::size_t) +
-         ds.friendships().edge_count() * 2 * sizeof(graph::NodeId);
-}
-
-int cmd_convert(int argc, char** argv) {
-  util::ArgParser args;
-  args.add_option("out", "checkins.fsst", "store file to write");
-  args.add_option("sigma", "45",
-                  "quadtree leaf capacity baked into the cell column");
-  args.add_option("tau", "1", "time-slot length in days for the slot column");
-  args.add_option("min-checkins", "2",
-                  "drop users with fewer check-ins (loader activity floor)");
-  args.add_option("max-users", "0",
-                  "cap on users after the activity floor (0 = unlimited)");
-  args.add_option("deadline-sec", "0",
-                  "wall-clock budget for the conversion (0 = unlimited)");
-  args.add_flag("strict", "abort on the first malformed input line (default)");
-  args.add_flag("permissive",
-                "quarantine malformed input lines instead of aborting; the "
-                "census is persisted into the store header");
-  args.add_flag("help", "show options");
-  args.parse(argc, argv, 2);
-  if (args.get_flag("help")) {
-    std::fprintf(stderr, "usage: friendseeker convert CHECKINS EDGES "
-                         "[options]\n%s",
-                 args.help().c_str());
-    return 0;
-  }
-  if (args.get_flag("strict") && args.get_flag("permissive"))
-    throw std::invalid_argument("--strict and --permissive are exclusive");
-  if (args.positional().size() < 2)
-    throw std::invalid_argument("expected: CHECKINS EDGES");
-  util::set_log_level(util::LogLevel::kInfo);
-
-  runtime::install_signal_handlers();
-  runtime::ExecutionContext context;
-  context.set_cancellation(&runtime::global_token());
-  if (args.get_double("deadline-sec") > 0.0)
-    context.set_deadline_seconds(args.get_double("deadline-sec"));
-
-  store::ConvertOptions options;
-  options.sigma = static_cast<std::size_t>(field_flag(args, "sigma"));
-  options.tau_seconds = static_cast<geo::Timestamp>(
-      field_flag(args, "tau") * static_cast<double>(geo::kSecondsPerDay));
-  options.load.strictness = args.get_flag("permissive")
-                                ? data::Strictness::kPermissive
-                                : data::Strictness::kStrict;
-  options.load.min_checkins =
-      static_cast<int>(args.get_int_in("min-checkins", 0, kMaxInt));
-  options.load.max_users =
-      static_cast<std::size_t>(args.get_int_in("max-users", 0, kMaxCount));
-  options.load.context = &context;
-
-  data::LoadReport report;
-  const store::ConvertStats stats = store::convert_snap_to_store(
-      args.positional()[0], args.positional()[1], args.get("out"), options,
-      &report);
-  if (args.get_flag("permissive") && (report.quarantined_checkins() > 0 ||
-                                      report.quarantined_edges() > 0))
-    std::fprintf(stderr, "%s\n", report.summary().c_str());
-  std::printf("wrote %s: %zu rows, %zu users, %zu pois, %zu edges, "
-              "%zu grids x %zu slots, %.1f MB\n",
-              args.get("out").c_str(), stats.rows, stats.users, stats.pois,
-              stats.edges, stats.grid_count, stats.slot_count,
-              static_cast<double>(stats.file_bytes) / (1024.0 * 1024.0));
-  return 0;
-}
-
 int cmd_attack(int argc, char** argv) {
   util::ArgParser args;
   // One option per core::config_fields() row, defaulting to the harness
@@ -320,12 +208,6 @@ int cmd_attack(int argc, char** argv) {
   core::add_config_flags(args, cfg);
   args.add_option("sigma", "poi_count / 8, floor 40",
                   core::config_field("sigma").doc);
-  args.add_option("store", "",
-                  "read the dataset from a columnar store (.fsst, see "
-                  "'convert') instead of CHECKINS EDGES positionals; the "
-                  "store is fully verified, materialized, and its pages "
-                  "dropped — memory accounting charges the resident "
-                  "estimate, not the file size");
   args.add_option("deadline-sec", "0",
                   "wall-clock budget for the whole run (0 = unlimited)");
   args.add_option("max-memory-mb", "0",
@@ -389,37 +271,19 @@ int cmd_attack(int argc, char** argv) {
   if (const long long mb = args.get_int_in("max-memory-mb", 0, kMaxMemoryMb))
     context.set_memory_limit(static_cast<std::size_t>(mb) << 20);
 
-  const std::string store_path = args.get("store");
+  data::LoadOptions load_options;
+  load_options.strictness = args.get_flag("permissive")
+                                ? data::Strictness::kPermissive
+                                : data::Strictness::kStrict;
+  load_options.context = &context;
   data::LoadReport load_report;
-  runtime::MemoryCharge dataset_charge;
-  data::Dataset ds;
-  if (!store_path.empty()) {
-    // Store-backed path: full verification (every block CRC + the sort
-    // fingerprint), materialize, then drop the mapping's pages. What the
-    // run keeps is the materialized Dataset — so that is what the memory
-    // budget is charged for (plus whatever pages the kernel still holds),
-    // NOT the store's file size, which stays on disk.
-    const store::MappedStore mapped = store::MappedStore::open(store_path);
-    load_report = mapped.load_report();
-    ds = mapped.to_dataset();
-    mapped.release_pages();
-    dataset_charge = runtime::MemoryCharge(
-        &context, dataset_resident_estimate(ds) + mapped.resident_bytes(),
-        "store.dataset");
-  } else {
-    data::LoadOptions load_options;
-    load_options.strictness = args.get_flag("permissive")
-                                  ? data::Strictness::kPermissive
-                                  : data::Strictness::kStrict;
-    load_options.context = &context;
-    ds = load_positional(args, load_options, &load_report);
-  }
+  const data::Dataset ds = load_positional(args, load_options, &load_report);
   if (args.get_flag("permissive") &&
       (load_report.quarantined_checkins() > 0 ||
        load_report.quarantined_edges() > 0))
     std::fprintf(stderr, "%s\n", load_report.summary().c_str());
-  const eval::Experiment experiment = eval::make_experiment(
-      ds, store_path.empty() ? args.positional()[0] : store_path);
+  const eval::Experiment experiment =
+      eval::make_experiment(ds, args.positional()[0]);
 
   cfg.sigma = std::max<std::size_t>(40, ds.poi_count() / 8);
   core::apply_config_flags(args, cfg);
@@ -818,7 +682,6 @@ int main(int argc, char** argv) {
   try {
     if (command == "generate") return cmd_generate(argc, argv);
     if (command == "stats") return cmd_stats(argc, argv);
-    if (command == "convert") return cmd_convert(argc, argv);
     if (command == "attack") return cmd_attack(argc, argv);
     if (command == "obfuscate") return cmd_obfuscate(argc, argv);
     if (command == "serve") return cmd_serve(argc, argv);

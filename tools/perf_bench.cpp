@@ -8,18 +8,12 @@
 //              [--metrics-out M.json] [--trace-out T.json] [--seed N]
 //              [--threads N] [--scaling 1,2,4,8]
 //              [--blocking on|off|auto] [--universe sampled|full]
-//              [--store-comparison on|off]
 //   perf_bench --validate FILE    # schema-check an existing BENCH file
 //
 // --scaling re-runs the same attack once per listed thread count and emits
 // a "scaling" section: wall time, speedup vs the first entry, and a digest
 // of the run's outputs, so CI asserts byte-identity across thread counts in
 // the same pass that tracks the speedup curve.
-//
-// --store-comparison on (the default) additionally round-trips the
-// experiment's dataset through the columnar store and re-runs the attack
-// in-memory and store-backed, emitting the "store_comparison" section
-// (wall, peak memory, digest identity).
 //
 // The "kernel" section records the fs::kern ISA path the run executed on
 // (active, requested via FS_KERNEL, and every supported path).
@@ -55,8 +49,6 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "par/pool.h"
-#include "store/convert.h"
-#include "store/store.h"
 #include "util/args.h"
 #include "util/logging.h"
 #include "util/runtime.h"
@@ -228,40 +220,6 @@ void validate_bench(const json::Value& root) {
                          "counts (determinism contract broken)");
     }
   }
-
-  // The store comparison is optional as a whole, but "store" and
-  // "store_comparison" only make sense together.
-  if (root.contains("store") != root.contains("store_comparison"))
-    throw ParseError("store and store_comparison must appear together");
-  if (root.contains("store_comparison")) {
-    const json::Value& store = root.at("store");
-    store.at("path").as_string();
-    for (const char* key : {"file_bytes", "rows", "convert_ms"})
-      if (store.at(key).as_number() < 0.0)
-        throw ParseError(std::string("store.") + key + " is negative");
-
-    const json::Array& comparison = root.at("store_comparison").as_array();
-    if (comparison.size() < 2)
-      throw ParseError("store_comparison needs in-memory and store entries");
-    for (const json::Value& entry : comparison) {
-      entry.at("label").as_string();
-      const std::string source = entry.at("source").as_string();
-      if (source != "memory" && source != "store")
-        throw ParseError(
-            "store_comparison entry: source must be memory or store");
-      if (entry.at("wall_ms").as_number() < 0.0)
-        throw ParseError("store_comparison entry: negative wall_ms");
-      if (entry.at("peak_memory_bytes").as_number() < 0.0)
-        throw ParseError("store_comparison entry: negative peak_memory_bytes");
-      const double f1 = entry.at("f1").as_number();
-      if (f1 < 0.0 || f1 > 1.0)
-        throw ParseError("store_comparison entry: f1 outside [0, 1]");
-      entry.at("result_digest").as_string();
-      if (!entry.at("identical").as_bool())
-        throw ParseError("store_comparison entry: digest diverged from the "
-                         "in-memory run (store round-trip broke identity)");
-    }
-  }
 }
 
 int run_validate(const std::string& path) {
@@ -328,9 +286,6 @@ int run_bench(const util::ArgParser& args) {
   const std::string universe_arg = args.get("universe");
   if (universe_arg != "sampled" && universe_arg != "full")
     throw std::invalid_argument("--universe must be sampled or full");
-  const std::string store_compare_arg = args.get("store-comparison");
-  if (store_compare_arg != "on" && store_compare_arg != "off")
-    throw std::invalid_argument("--store-comparison must be on or off");
 
   runtime::ExecutionContext context;
   preset.seeker.context = &context;
@@ -452,61 +407,6 @@ int run_bench(const util::ArgParser& args) {
 
   const std::string out_path = args.get("out");
 
-  // Store comparison: round-trip the experiment's dataset through the
-  // columnar store, then re-run the attack in-memory and store-backed.
-  // Digest identity across both modes is part of the schema contract
-  // (validate_bench rejects divergence), so CI tracks the out-of-core
-  // overhead in the same pass that proves the store changes nothing about
-  // the answer.
-  if (store_compare_arg == "on") {
-    const std::string store_path = out_path + ".fsst";
-    store::ConvertOptions convert_options;
-    convert_options.sigma = preset.seeker.sigma;
-    convert_options.tau_seconds = static_cast<geo::Timestamp>(
-        preset.seeker.tau_days * static_cast<double>(geo::kSecondsPerDay));
-    obs::Span convert_span("perf_bench.store.convert");
-    const store::ConvertStats convert_stats = store::write_store(
-        experiment.dataset, data::LoadReport{}, store_path, convert_options);
-    convert_span.end();
-
-    json::Object store_info;
-    store_info["path"] = store_path;
-    store_info["file_bytes"] = convert_stats.file_bytes;
-    store_info["rows"] = convert_stats.rows;
-    store_info["convert_ms"] = convert_span.milliseconds();
-
-    json::Array comparison;
-    const auto run_mode = [&](const char* label, bool from_store) {
-      eval::Experiment mode_experiment = experiment;
-      std::size_t mapped_resident = 0;
-      if (from_store) {
-        const store::MappedStore mapped = store::MappedStore::open(store_path);
-        mode_experiment.dataset = mapped.to_dataset();
-        mapped_resident = mapped.resident_bytes();
-        mapped.release_pages();
-      }
-      const RunOutcome outcome =
-          run_attack_once(preset, mode_experiment, main_threads);
-      json::Object entry;
-      entry["label"] = label;
-      entry["source"] = from_store ? "store" : "memory";
-      entry["wall_ms"] = outcome.wall_ms;
-      entry["peak_memory_bytes"] = outcome.peak + mapped_resident;
-      entry["f1"] = outcome.prf.f1;
-      entry["result_digest"] = outcome.digest;
-      entry["identical"] = outcome.digest == main_digest;
-      std::printf("store-comparison: %-14s wall=%.0fms peak=%zu digest=%s%s\n",
-                  label, outcome.wall_ms, outcome.peak + mapped_resident,
-                  outcome.digest.c_str(),
-                  outcome.digest == main_digest ? "" : " MISMATCH");
-      comparison.emplace_back(std::move(entry));
-    };
-    run_mode("in-memory", false);
-    run_mode("store", true);
-    root["store"] = std::move(store_info);
-    root["store_comparison"] = std::move(comparison);
-  }
-
   const json::Value bench(std::move(root));
   validate_bench(bench);  // never ship a file the validator would reject
   json::write_file(out_path, bench, 2);
@@ -537,9 +437,6 @@ int main(int argc, char** argv) {
                   "comma-separated thread counts (e.g. 1,2,4,8): re-run per "
                   "count and emit the scaling section with byte-identity "
                   "digests");
-  args.add_option("store-comparison", "on",
-                  "re-run via the columnar store (in-memory vs store-backed) "
-                  "and emit the store_comparison section: on | off");
   args.add_option("blocking", "auto",
                   "candidate blocking for the measured run: on | off | auto");
   args.add_option("universe", "sampled",
