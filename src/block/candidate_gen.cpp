@@ -5,10 +5,15 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "par/par.h"
 
 namespace fs::block {
 
 namespace {
+
+/// Pairs per chunk of filter_universe: a constant, so the chunks are the
+/// same at every thread count.
+constexpr std::size_t kFilterChunkPairs = 64;
 
 /// Cell tier: within-cell pairs plus the forward slot-tolerance window.
 /// Pairs are appended unsorted and may repeat.
@@ -162,22 +167,42 @@ std::vector<char> filter_universe(const CellIndex& index,
                                   const BlockingConfig& config,
                                   BlockingStats* stats) {
   obs::Span span("block.universe.filter");
+  // Pairs fan out over the pool in fixed chunks. Each participant reuses
+  // its own BFS scratch; a chunk writes keep[i] for its own indices only,
+  // and the tier tallies are summed after the region, so the mask and the
+  // counts are the same at any thread count.
+  struct alignas(64) FilterWorker {
+    std::vector<int> depth;
+    std::vector<graph::NodeId> queue;
+    std::size_t cell_kept = 0;
+    std::size_t hop_kept = 0;
+  };
+  std::vector<FilterWorker> workers(par::threads());
   std::vector<char> keep(universe.size(), 0);
-  std::vector<int> depth;
-  std::vector<graph::NodeId> queue;
+  par::ParallelOptions options;
+  options.what = "block.universe.filter";
+  options.grain = kFilterChunkPairs;
+  par::parallel_for_chunks(
+      universe.size(), options, [&](const par::ChunkRange& chunk) {
+        FilterWorker& worker = workers[chunk.worker];
+        for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
+          const auto [a, b] = universe[i];
+          if (index.cooccur(a, b, config.slot_tolerance)) {
+            keep[i] = 1;
+            ++worker.cell_kept;
+          } else if (config.hop_expansion > 0 &&
+                     within_hops(strong, a, b, config.hop_expansion,
+                                 worker.depth, worker.queue)) {
+            keep[i] = 1;
+            ++worker.hop_kept;
+          }
+        }
+      });
   std::size_t cell_kept = 0;
   std::size_t hop_kept = 0;
-  for (std::size_t i = 0; i < universe.size(); ++i) {
-    const auto [a, b] = universe[i];
-    if (index.cooccur(a, b, config.slot_tolerance)) {
-      keep[i] = 1;
-      ++cell_kept;
-    } else if (config.hop_expansion > 0 &&
-               within_hops(strong, a, b, config.hop_expansion, depth,
-                           queue)) {
-      keep[i] = 1;
-      ++hop_kept;
-    }
+  for (const FilterWorker& worker : workers) {
+    cell_kept += worker.cell_kept;
+    hop_kept += worker.hop_kept;
   }
   if (stats != nullptr) {
     stats->universe_pairs = universe.size();

@@ -77,7 +77,8 @@ graph::Graph strong_cooccurrence_graph(const CellIndex& index);
 std::vector<data::UserPair> generate_candidate_pairs(
     const CellIndex& index, const BlockingConfig& config);
 
-/// Per-pair keep mask for a fixed universe: keep[i] is 1 when universe[i]
+/// Per-pair keep mask for a fixed universe, computed over fs::par in fixed
+/// chunks (identical at any thread count): keep[i] is 1 when universe[i]
 /// cell-co-occurs or sits within hop_expansion strong-hops. `strong` must
 /// be strong_cooccurrence_graph(index). Stats (when non-null) receive the
 /// tier counts; forced pairs are the caller's to add afterwards.

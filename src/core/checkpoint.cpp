@@ -8,11 +8,10 @@
 namespace fs::core {
 
 void save_pipeline_checkpoint(const std::string& path,
-                              const PipelineCheckpoint& checkpoint) {
-  if (!checkpoint.presence.has_value() ||
-      !checkpoint.presence->trained())
+                              const CheckpointView& checkpoint) {
+  if (!checkpoint.presence.trained())
     throw std::invalid_argument(
-        "save_pipeline_checkpoint: presence model missing or untrained");
+        "save_pipeline_checkpoint: presence model untrained");
   // A failed save never leaves a stray tmp file behind (the chaos harness
   // asserts exactly this invariant), and a power loss leaves either the
   // previous checkpoint or the complete new one.
@@ -25,10 +24,21 @@ void save_pipeline_checkpoint(const std::string& path,
                              writer.i64(checkpoint.iteration);
                              writer.i32_vector(checkpoint.predictions);
                              writer.f64_vector(checkpoint.scores);
-                             checkpoint.presence->save(writer);
+                             checkpoint.presence.save(writer);
                            });
       },
       {.write = "checkpoint.save.io", .rename = "checkpoint.save.rename"});
+}
+
+void save_pipeline_checkpoint(const std::string& path,
+                              const PipelineCheckpoint& checkpoint) {
+  if (!checkpoint.presence.has_value())
+    throw std::invalid_argument(
+        "save_pipeline_checkpoint: presence model missing");
+  const CheckpointView view{checkpoint.fingerprint, checkpoint.iteration,
+                            checkpoint.predictions, checkpoint.scores,
+                            *checkpoint.presence};
+  save_pipeline_checkpoint(path, view);
 }
 
 PipelineCheckpoint load_pipeline_checkpoint(const std::string& path) {

@@ -41,8 +41,23 @@ struct PipelineCheckpoint {
   std::optional<PresenceModel> presence;
 };
 
+/// The state a save reads, by reference: a running pipeline checkpoints
+/// its live model and vectors without copying them.
+struct CheckpointView {
+  std::uint64_t fingerprint = 0;
+  int iteration = 0;
+  const std::vector<int>& predictions;
+  const std::vector<double>& scores;
+  const PresenceModel& presence;
+};
+
 /// Publishes atomically through util::atomic_publish. Throws fs::IoError on
-/// failure.
+/// failure, std::invalid_argument if the presence model is untrained.
+void save_pipeline_checkpoint(const std::string& path,
+                              const CheckpointView& checkpoint);
+
+/// The same record from an owned checkpoint; its presence model must be
+/// set.
 void save_pipeline_checkpoint(const std::string& path,
                               const PipelineCheckpoint& checkpoint);
 

@@ -373,12 +373,9 @@ FriendSeekerResult FriendSeeker::run(
 
   auto save_checkpoint_if_configured = [&](int iteration) {
     if (checkpoint_path.empty()) return;
-    PipelineCheckpoint cp;
-    cp.fingerprint = fingerprint;
-    cp.iteration = iteration;
-    cp.predictions = predictions;
-    cp.scores = scores;
-    cp.presence = presence;  // copy: the run keeps using the original
+    // The live model and vectors are serialized by reference.
+    const CheckpointView cp{fingerprint, iteration, predictions, scores,
+                            presence};
     try {
       save_pipeline_checkpoint(checkpoint_path, cp);
     } catch (const Error& e) {
@@ -458,11 +455,22 @@ FriendSeekerResult FriendSeeker::run(
     std::vector<Phase2Worker> workers(par::threads());
 
     // Hoisted per-iteration temporaries: capacity survives across
-    // iterations instead of being reallocated each refinement pass.
+    // iterations instead of being reallocated each refinement pass, so
+    // phase 2 runs in a working set allocated by its first iteration. The
+    // scaler rewrites `composite` in place (every iteration rewrites each
+    // row before scaling it), the training rows are gathered into
+    // `svm_train` and scaled there, the SVM's kernel matrix and packed
+    // training rows live in `svm_workspace` (the kernel charged while it is
+    // held), and each refit of `svm` reuses its support-vector storage.
     std::vector<std::size_t> svm_rows;
     std::vector<int> svm_labels;
     std::vector<std::size_t> order;
     std::vector<double> decision;
+    nn::Matrix svm_train;
+    ml::SvmConfig svm_cfg = config_.svm;
+    svm_cfg.context = ctx;
+    ml::SvmClassifier svm(svm_cfg);
+    ml::SvmWorkspace svm_workspace;
 
     // Per-phase budget for the whole refinement loop; the loop-top probes
     // below truncate at iteration boundaries, where the last-good graph
@@ -568,21 +576,19 @@ FriendSeekerResult FriendSeeker::run(
 
       obs::Span scale_span("core.phase2.scale");
       ml::StandardScaler scaler;
-      const nn::Matrix svm_train =
-          scaler.fit_transform(composite.gather_rows(svm_rows));
-      const nn::Matrix all_scaled = scaler.transform(composite);
+      composite.gather_rows_into(svm_rows, svm_train);
+      scaler.fit(svm_train);
+      scaler.transform_in_place(svm_train);
+      scaler.transform_in_place(composite);
       scale_span.end();
       if (config_.phase2_classifier ==
           FriendSeekerConfig::Phase2Classifier::kLogistic) {
         ml::LogisticClassifier clf(config_.logistic);
         clf.fit(svm_train, svm_labels);
-        decision = clf.decision(all_scaled);
+        decision = clf.decision(composite);
       } else {
-        ml::SvmConfig svm_cfg = config_.svm;
-        svm_cfg.context = ctx;
-        ml::SvmClassifier svm(svm_cfg);
-        svm.fit(svm_train, svm_labels);
-        decision = svm.decision(all_scaled);
+        svm.fit(svm_train, svm_labels, svm_workspace);
+        decision = svm.decision(composite);
       }
       // All mutation of the working state (predictions/scores/graph)
       // happens after this check, so a diverged classifier leaves the

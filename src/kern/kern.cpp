@@ -440,8 +440,14 @@ void dot_rows(const double* panel, std::size_t n, std::size_t dim,
   active_kernels()->rows->dot(panel, n, dim, q, out);
 }
 
-RowPanel::RowPanel(const double* rows, std::size_t n, std::size_t dim)
-    : data_(packed_rows_size(n, dim)), rows_(n), dim_(dim) {
+RowPanel::RowPanel(const double* rows, std::size_t n, std::size_t dim) {
+  assign(rows, n, dim);
+}
+
+void RowPanel::assign(const double* rows, std::size_t n, std::size_t dim) {
+  data_.resize(packed_rows_size(n, dim));  // every element is packed below
+  rows_ = n;
+  dim_ = dim;
   pack_rows8(rows, n, dim, data_.data());
 }
 

@@ -247,6 +247,15 @@ class RowPanel {
   RowPanel() = default;
   RowPanel(const double* rows, std::size_t n, std::size_t dim);
 
+  /// Repacks the panel from `rows`, reusing its storage when it is large
+  /// enough.
+  void assign(const double* rows, std::size_t n, std::size_t dim);
+  /// Makes room for n rows of `dim`, so a later assign of at most that
+  /// many never reallocates.
+  void reserve(std::size_t n, std::size_t dim) {
+    data_.reserve(packed_rows_size(n, dim));
+  }
+
   std::size_t rows() const { return rows_; }
   std::size_t dim() const { return dim_; }
   /// The sub-panel of rows [first_row, rows()); first_row must be a

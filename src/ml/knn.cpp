@@ -102,8 +102,7 @@ void KnnClassifier::save(util::BinaryWriter& writer) const {
   writer.u64(k_);
   writer.u64(features_.rows());
   writer.u64(features_.cols());
-  writer.f64_vector(std::vector<double>(
-      features_.data(), features_.data() + features_.size()));
+  writer.f64_span({features_.data(), features_.size()});
   writer.i32_vector(labels_);
 }
 

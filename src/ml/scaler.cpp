@@ -29,15 +29,21 @@ void StandardScaler::fit(const nn::Matrix& features) {
 }
 
 nn::Matrix StandardScaler::transform(const nn::Matrix& features) const {
+  nn::Matrix out = features;
+  transform_in_place(out);
+  return out;
+}
+
+void StandardScaler::transform_in_place(nn::Matrix& features) const {
   if (!fitted())
     throw std::logic_error("StandardScaler::transform: not fitted");
   if (features.cols() != mean_.size())
     throw std::invalid_argument("StandardScaler::transform: width mismatch");
-  nn::Matrix out = features;
-  for (std::size_t r = 0; r < out.rows(); ++r)
-    for (std::size_t c = 0; c < out.cols(); ++c)
-      out(r, c) = (out(r, c) - mean_[c]) / stddev_[c];
-  return out;
+  for (std::size_t r = 0; r < features.rows(); ++r) {
+    double* row = features.row(r);
+    for (std::size_t c = 0; c < features.cols(); ++c)
+      row[c] = (row[c] - mean_[c]) / stddev_[c];
+  }
 }
 
 void StandardScaler::save(util::BinaryWriter& writer) const {

@@ -16,6 +16,10 @@ class StandardScaler {
 
   nn::Matrix transform(const nn::Matrix& features) const;
 
+  /// transform() without the copy: scales `features` in place, bit for bit
+  /// the values transform() returns.
+  void transform_in_place(nn::Matrix& features) const;
+
   nn::Matrix fit_transform(const nn::Matrix& features) {
     fit(features);
     return transform(features);

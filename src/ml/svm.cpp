@@ -44,13 +44,31 @@ double SvmClassifier::decide(const double* query, double query_norm,
 }
 
 void SvmClassifier::cache_support_norms() {
-  support_panel_ =
-      kern::RowPanel(support_.data(), support_.rows(), support_.cols());
+  support_panel_.assign(support_.data(), support_.rows(), support_.cols());
   support_norms_ = row_squared_norms(support_panel_);
+}
+
+nn::Matrix& SvmWorkspace::kernel(runtime::ExecutionContext* context,
+                                 std::size_t n) {
+  const std::size_t bytes = n * n * sizeof(double);
+  if (bytes > charge_.bytes()) {
+    kernel_ = nn::Matrix();
+    charge_ = runtime::MemoryCharge();
+    charge_ = runtime::MemoryCharge(context, bytes, "ml.svm.kernel");
+  }
+  kernel_.resize(n, n);
+  return kernel_;
 }
 
 void SvmClassifier::fit(const nn::Matrix& features,
                         const std::vector<int>& labels) {
+  SvmWorkspace workspace;
+  fit(features, labels, workspace);
+}
+
+void SvmClassifier::fit(const nn::Matrix& features,
+                        const std::vector<int>& labels,
+                        SvmWorkspace& workspace) {
   const std::size_t n = features.rows();
   if (n != labels.size())
     throw std::invalid_argument("SvmClassifier::fit: size mismatch");
@@ -59,6 +77,7 @@ void SvmClassifier::fit(const nn::Matrix& features,
     throw std::invalid_argument(
         "SvmClassifier::fit: training set exceeds max_train_rows; "
         "subsample before fitting");
+  trained_ = false;  // until this fit completes
   obs::Span fit_span("ml.svm.fit");
   fit_span.arg("n", static_cast<double>(n));
   const std::size_t dim = features.cols();
@@ -113,17 +132,17 @@ void SvmClassifier::fit(const nn::Matrix& features,
   }
 
   // Precomputed kernel matrix (symmetric; memory guarded by max_train_rows
-  // and charged against the run's memory budget when governed). Cached row
-  // norms turn each RBF entry into one dot product; rows fan out over the
-  // pool, each sweeping the packed panel from the group that holds row
+  // and charged against the run's memory budget by the workspace). Every
+  // entry is written below, so a reused buffer needs no clearing. Cached
+  // row norms turn each RBF entry into one dot product; rows fan out over
+  // the pool, each sweeping the packed panel from the group that holds row
   // i + 1 to fill the upper triangle, then a mirror pass copies it down.
   // Like the gamma pass, the fill ignores the deadline: a fit always
   // returns a model, and an expired deadline only cuts the solver short.
-  const runtime::MemoryCharge kernel_charge(
-      config_.context, n * n * sizeof(double), "ml.svm.kernel");
-  const kern::RowPanel panel(features.data(), n, dim);
+  nn::Matrix& K = workspace.kernel(config_.context, n);
+  kern::RowPanel& panel = workspace.panel();
+  panel.assign(features.data(), n, dim);
   const std::vector<double> norms = row_squared_norms(panel);
-  nn::Matrix K(n, n);
   par::ParallelOptions kopts;
   kopts.context = config_.context;
   kopts.what = "ml.svm.kernel";
@@ -313,11 +332,15 @@ void SvmClassifier::fit(const nn::Matrix& features,
                "SVM fits stopped before the KKT gap reached tolerance")
       .add(converged ? 0 : 1);
 
-  // Keep only support vectors.
+  // Keep only support vectors. Their storage is sized for all n rows, the
+  // most a fit can keep, so a refit on a set of the same size reuses it
+  // whatever its support-vector count.
   std::vector<std::size_t> sv;
   for (std::size_t i = 0; i < n; ++i)
     if (alpha[i] > 0.0) sv.push_back(i);
-  support_ = features.gather_rows(sv);
+  support_.reserve(n * dim);
+  support_panel_.reserve(n, dim);
+  features.gather_rows_into(sv, support_);
   alpha_y_.resize(sv.size());
   for (std::size_t s = 0; s < sv.size(); ++s)
     alpha_y_[s] = alpha[sv[s]] * y[sv[s]];
@@ -329,6 +352,9 @@ void SvmClassifier::fit(const nn::Matrix& features,
   fit_span.arg("converged", converged ? 1.0 : 0.0);
   cache_support_norms();
   trained_ = true;
+  calibrated_ = false;
+  platt_a_ = -1.0;
+  platt_b_ = 0.0;
 }
 
 double SvmClassifier::decision(const double* query) const {
@@ -455,8 +481,7 @@ void SvmClassifier::save(util::BinaryWriter& writer) const {
   writer.f64(bias_);
   writer.u64(support_.rows());
   writer.u64(support_.cols());
-  writer.f64_vector(std::vector<double>(
-      support_.data(), support_.data() + support_.size()));
+  writer.f64_span({support_.data(), support_.size()});
   writer.f64_vector(alpha_y_);
   writer.u64(trained_ ? 1 : 0);
   writer.u64(calibrated_ ? 1 : 0);

@@ -40,12 +40,36 @@ struct SvmConfig {
   fs::runtime::ExecutionContext* context = nullptr;
 };
 
+/// The buffers fit() builds its kernel in — the n x n kernel matrix and
+/// the packed training rows — kept between fits so a caller that refits
+/// every iteration allocates them once. The kernel's bytes are charged as
+/// `ml.svm.kernel` against the context of the fit that sized it, for as
+/// long as the workspace holds them.
+class SvmWorkspace {
+ public:
+  /// The kernel shaped n x n. Grows, and re-charges, only past the bytes
+  /// already held; a failed charge throws BudgetError and leaves the
+  /// kernel empty.
+  nn::Matrix& kernel(fs::runtime::ExecutionContext* context, std::size_t n);
+  kern::RowPanel& panel() { return panel_; }
+
+ private:
+  nn::Matrix kernel_;
+  fs::runtime::MemoryCharge charge_;
+  kern::RowPanel panel_;
+};
+
 class SvmClassifier {
  public:
   explicit SvmClassifier(const SvmConfig& config = {});
 
   /// Trains on (already scaled) features with labels in {0, 1}.
   void fit(const nn::Matrix& features, const std::vector<int>& labels);
+  /// The same fit, bit for bit, building the kernel in `workspace`. A
+  /// refit reuses the support-vector storage of the previous fit and drops
+  /// its calibration.
+  void fit(const nn::Matrix& features, const std::vector<int>& labels,
+           SvmWorkspace& workspace);
 
   /// Signed decision value: positive means class 1.
   double decision(const double* query) const;

@@ -1,6 +1,7 @@
 #include "nn/layers.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -101,9 +102,20 @@ void Dense::save(util::BinaryWriter& writer) const {
   writer.u64(out_dim());
   writer.u64(in_dim());
   writer.u64(static_cast<std::uint64_t>(activation_));
-  const Matrix record = output_major_ ? weights_ : transposed(weights_);
-  std::vector<double> flat(record.data(), record.data() + record.size());
-  writer.f64_vector(flat);
+  writer.u64(weights_.size());
+  if (output_major_) {
+    writer.f64_values({weights_.data(), weights_.size()});
+  } else {
+    // Input-major weights stream out transposed, one output row at a time
+    // through a small block: the record never exists whole in memory.
+    std::array<double, 256> block{};
+    for (std::size_t o = 0; o < out_dim(); ++o)
+      for (std::size_t i0 = 0; i0 < in_dim(); i0 += block.size()) {
+        const std::size_t len = std::min(block.size(), in_dim() - i0);
+        for (std::size_t i = 0; i < len; ++i) block[i] = weights_(i0 + i, o);
+        writer.f64_values({block.data(), len});
+      }
+  }
   writer.f64_vector(bias_);
 }
 

@@ -65,10 +65,16 @@ void Matrix::set_row(std::size_t dst_row, const Matrix& src,
 }
 
 Matrix Matrix::gather_rows(const std::vector<std::size_t>& indices) const {
-  Matrix out(indices.size(), cols_);
+  Matrix out;
+  gather_rows_into(indices, out);
+  return out;
+}
+
+void Matrix::gather_rows_into(const std::vector<std::size_t>& indices,
+                              Matrix& out) const {
+  out.resize(indices.size(), cols_);
   for (std::size_t i = 0; i < indices.size(); ++i)
     out.set_row(i, *this, indices[i]);
-  return out;
 }
 
 double Matrix::squared_difference(const Matrix& x, const Matrix& y) {

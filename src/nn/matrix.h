@@ -82,6 +82,9 @@ class Matrix {
 
   /// Extracts the given rows into a new matrix.
   Matrix gather_rows(const std::vector<std::size_t>& indices) const;
+  /// gather_rows into `out`, reusing its capacity.
+  void gather_rows_into(const std::vector<std::size_t>& indices,
+                        Matrix& out) const;
 
   /// Frobenius-norm squared of the difference (reconstruction loss).
   static double squared_difference(const Matrix& x, const Matrix& y);

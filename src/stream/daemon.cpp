@@ -95,7 +95,7 @@ RecoveryInfo ServeDaemon::recover() {
 
 void ServeDaemon::write_snapshot() {
   if (config_.journal_dir.empty()) return;
-  Snapshot snapshot;
+  SnapshotView snapshot;
   snapshot.config_fingerprint = engine_.config_fingerprint();
   // Ring-resident lines are volatile (polled, not yet journaled); the
   // watermark covers only the journaled prefix. Under kBlock ordinals are
@@ -104,7 +104,7 @@ void ServeDaemon::write_snapshot() {
   snapshot.consumed_lines = next_ordinal_ - ring_.size();
   snapshot.shed_total = report_.shed;
   snapshot.quarantine_counts = quarantine_.counts();
-  snapshot.events = engine_.events();
+  snapshot.events = engine_.events();  // by reference: no copy of the log
   save_snapshot(snapshot_path(), snapshot);
   // The journal's content is now covered by the snapshot; compact it. A
   // crash between rename and reset is safe: frames below the snapshot

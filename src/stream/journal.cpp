@@ -257,7 +257,7 @@ void reset_journal(const std::string& path) {
 // which falls back to a full journal replay.
 constexpr std::uint64_t kSnapshotVersion = 2;
 
-void save_snapshot(const std::string& path, const Snapshot& snapshot) {
+void save_snapshot(const std::string& path, const SnapshotView& snapshot) {
   util::atomic_publish(path, [&](std::ostream& out) {
     util::write_sealed(out, "FSSN", kSnapshotVersion,
                        [&](util::BinaryWriter& w) {
@@ -271,6 +271,14 @@ void save_snapshot(const std::string& path, const Snapshot& snapshot) {
                            write_event(w, e);
                        });
   });
+}
+
+void save_snapshot(const std::string& path, const Snapshot& snapshot) {
+  save_snapshot(path, SnapshotView{snapshot.config_fingerprint,
+                                   snapshot.consumed_lines,
+                                   snapshot.shed_total,
+                                   snapshot.quarantine_counts,
+                                   snapshot.events});
 }
 
 std::optional<Snapshot> load_snapshot(const std::string& path,

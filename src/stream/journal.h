@@ -29,6 +29,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -122,8 +123,21 @@ struct Snapshot {
   std::vector<RawEvent> events;          // accepted prefix, in order
 };
 
+/// A snapshot's fields with the event log by reference: a daemon saves its
+/// engine's own log without copying it.
+struct SnapshotView {
+  std::uint64_t config_fingerprint = 0;
+  std::uint64_t consumed_lines = 0;
+  std::uint64_t shed_total = 0;
+  std::array<std::uint64_t, kRejectReasonCount> quarantine_counts{};
+  std::span<const RawEvent> events;
+};
+
 /// Publishes the snapshot through util::atomic_publish as a sealed
 /// envelope tagged "FSSN". Throws fs::IoError on failure.
+void save_snapshot(const std::string& path, const SnapshotView& snapshot);
+
+/// The same record from an owned snapshot.
 void save_snapshot(const std::string& path, const Snapshot& snapshot);
 
 /// Loads and validates a snapshot. Returns std::nullopt when the file is

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <bit>
 #include <cstring>
 
 #include "util/error.h"
@@ -52,25 +53,48 @@ bool fsync_eintr(int fd) {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: kCrcTables[0] is the bytewise table of the
+/// reflected polynomial 0xEDB88320; kCrcTables[k][i] is the CRC of byte i
+/// followed by k zero bytes, so eight table lookups advance the CRC by
+/// eight bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit)
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k)
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+    }
+  return tables;
 }
+
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t bytes, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  const auto* bytes_ptr = static_cast<const unsigned char*>(data);
+  const CrcTables& t = kCrcTables;
+  const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < bytes; ++i)
-    c = table[(c ^ bytes_ptr[i]) & 0xFFu] ^ (c >> 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; bytes >= 8; bytes -= 8, p += 8) {
+      std::uint32_t lo = 0, hi = 0;
+      std::memcpy(&lo, p, 4);
+      std::memcpy(&hi, p + 4, 4);
+      lo ^= c;
+      c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+    }
+  }
+  for (; bytes > 0; --bytes, ++p) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -105,8 +129,16 @@ void BinaryWriter::str(std::string_view value) {
 }
 
 void BinaryWriter::f64_vector(const std::vector<double>& values) {
+  f64_span(values);
+}
+
+void BinaryWriter::f64_span(std::span<const double> values) {
   u64(values.size());
-  if (!values.empty()) raw(values.data(), values.size() * sizeof(double));
+  f64_values(values);
+}
+
+void BinaryWriter::f64_values(std::span<const double> values) {
+  if (!values.empty()) raw(values.data(), values.size_bytes());
 }
 
 void BinaryWriter::i32_vector(const std::vector<int>& values) {

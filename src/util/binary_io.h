@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -87,6 +88,12 @@ class BinaryWriter {
   void str(std::string_view value);
   void f64_vector(const std::vector<double>& values);
   void i32_vector(const std::vector<int>& values);
+  /// The f64_vector record of any contiguous run of doubles: a u64 count,
+  /// then the values.
+  void f64_span(std::span<const double> values);
+  /// The values alone, no count: a caller streams one f64_vector record in
+  /// pieces after writing its u64 count itself.
+  void f64_values(std::span<const double> values);
 
   /// Starts checksumming subsequent writes.
   void crc_begin();

@@ -17,6 +17,7 @@
 #include "eval/presets.h"
 #include "geo/quadtree.h"
 #include "obs/metrics.h"
+#include "par/pool.h"
 
 namespace fs {
 namespace {
@@ -121,6 +122,56 @@ TEST(StrongGraph, EdgesAreExactlyStrongCooccurrences) {
     for (data::UserId b = a + 1; b < index.user_count(); ++b)
       EXPECT_EQ(strong.has_edge(a, b), index.strong_cooccur(a, b))
           << "pair (" << a << ", " << b << ")";
+}
+
+TEST(FilterUniverse, SameMaskAndStatsAtAnyThreadCount) {
+  // Every pair of a 120-user world (over a hundred chunks), against a
+  // serial loop over the same predicate, at 1 and 4 threads.
+  const IndexedWorld iw = make_indexed_world(23, 120);
+  const block::CellIndex& index = *iw.index;
+  const graph::Graph strong = block::strong_cooccurrence_graph(index);
+  std::vector<data::UserPair> universe;
+  for (data::UserId a = 0; a < index.user_count(); ++a)
+    for (data::UserId b = a + 1; b < index.user_count(); ++b)
+      universe.push_back({a, b});
+  for (const int hops : {0, 2}) {
+    block::BlockingConfig config;
+    config.slot_tolerance = 0;
+    config.hop_expansion = hops;
+    std::vector<char> expect(universe.size(), 0);
+    block::BlockingStats expect_stats;
+    std::vector<int> depth;
+    std::vector<graph::NodeId> queue;
+    for (std::size_t i = 0; i < universe.size(); ++i) {
+      const auto [a, b] = universe[i];
+      if (index.cooccur(a, b, config.slot_tolerance)) {
+        expect[i] = 1;
+        ++expect_stats.cell_candidates;
+      } else if (hops > 0 &&
+                 block::within_hops(strong, a, b, hops, depth, queue)) {
+        expect[i] = 1;
+        ++expect_stats.hop_candidates;
+      }
+    }
+    if (hops > 0) ASSERT_GT(expect_stats.hop_candidates, 0u);
+    ASSERT_GT(expect_stats.cell_candidates, 0u);
+    ASSERT_LT(expect_stats.cell_candidates + expect_stats.hop_candidates,
+              universe.size());
+    for (const std::size_t threads : {1u, 4u}) {
+      par::set_threads(threads);
+      block::BlockingStats stats;
+      const std::vector<char> keep =
+          block::filter_universe(index, strong, universe, config, &stats);
+      EXPECT_EQ(keep, expect) << "threads " << threads << " hops " << hops;
+      EXPECT_EQ(stats.universe_pairs, universe.size());
+      EXPECT_EQ(stats.cell_candidates, expect_stats.cell_candidates);
+      EXPECT_EQ(stats.hop_candidates, expect_stats.hop_candidates);
+      EXPECT_EQ(stats.scored_pairs,
+                expect_stats.cell_candidates + expect_stats.hop_candidates);
+      EXPECT_EQ(stats.pruned_pairs, universe.size() - stats.scored_pairs);
+    }
+  }
+  par::set_threads(1);
 }
 
 // ---------- Differential: blocked == dense final graph ----------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -16,6 +17,7 @@
 #include "obs/trace.h"
 #include "par/pool.h"
 #include "util/binary_io.h"
+#include "util/runtime.h"
 #include "util/rng.h"
 
 namespace fs::ml {
@@ -128,6 +130,23 @@ TEST(Scaler, TransformBeforeFitThrows) {
   StandardScaler fitted;
   fitted.fit(nn::Matrix(2, 3));
   EXPECT_THROW(fitted.transform(nn::Matrix(2, 4)), std::invalid_argument);
+}
+
+TEST(Scaler, TransformInPlaceMatchesTransformBitForBit) {
+  util::Rng rng(17);
+  nn::Matrix x(40, 7);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x.data()[i] = rng.normal(3.0, 5.0);
+  StandardScaler scaler;
+  scaler.fit(x.gather_rows({1, 4, 9, 16, 25, 36}));
+  const nn::Matrix copied = scaler.transform(x);
+  nn::Matrix in_place = x;
+  scaler.transform_in_place(in_place);
+  ASSERT_EQ(in_place.size(), copied.size());
+  EXPECT_EQ(0, std::memcmp(in_place.data(), copied.data(),
+                           copied.size() * sizeof(double)));
+  nn::Matrix wrong(2, 6);
+  EXPECT_THROW(scaler.transform_in_place(wrong), std::invalid_argument);
 }
 
 // ---------- KNN ----------
@@ -474,6 +493,48 @@ TEST(Svm, FitAndDecisionBytesArePinned) {
     }
   }
   par::set_threads(1);
+}
+
+TEST(Svm, RefitInAWorkspaceMatchesAFreshFit) {
+  // One classifier and one workspace refit on training sets of different
+  // sizes (the kernel shrinks, then grows past what it held) must give the
+  // model and decisions of a fresh SvmClassifier, bit for bit, and drop
+  // the previous fit's calibration.
+  util::Rng rng(808);
+  nn::Matrix queries(50, 2);
+  std::vector<int> unused;
+  blobs_2d(queries, unused, 50, rng, 2.0);
+  const auto bytes_of = [](const SvmClassifier& svm) {
+    std::ostringstream out;
+    util::BinaryWriter writer(out);
+    svm.save(writer);
+    return out.str();
+  };
+  runtime::ExecutionContext context;
+  SvmConfig config;
+  config.context = &context;
+  SvmClassifier reused(config);
+  SvmWorkspace workspace;
+  for (std::size_t n : {160u, 90u, 240u}) {
+    nn::Matrix x;
+    std::vector<int> y;
+    blobs_2d(x, y, n, rng, 1.5);
+    reused.fit(x, y, workspace);
+    SvmClassifier fresh(config);
+    fresh.fit(x, y);
+    EXPECT_FALSE(reused.calibrated());
+    EXPECT_EQ(bytes_of(reused), bytes_of(fresh)) << "n=" << n;
+    const std::vector<double> a = reused.decision(queries);
+    const std::vector<double> b = fresh.decision(queries);
+    EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double)))
+        << "n=" << n;
+    reused.calibrate(x, y);
+    // The workspace holds the largest kernel so far, charged, while the
+    // fresh fit's kernel was released when that fit returned.
+    EXPECT_EQ(context.charged(),
+              std::max<std::size_t>(n, 160) *
+                  std::max<std::size_t>(n, 160) * sizeof(double));
+  }
 }
 
 // ---------- split ----------

@@ -12,10 +12,13 @@
 #include <cstring>
 #include <filesystem>
 
+#include "core/checkpoint.h"
 #include "core/pipeline.h"
 #include "data/synthetic.h"
+#include "eval/digest.h"
 #include "eval/pairs.h"
 #include "graph/metrics.h"
+#include "util/durable.h"
 #include "util/failpoint.h"
 
 namespace fs {
@@ -70,6 +73,28 @@ class ResumeEquivalenceTest : public ::testing::Test {
   void SetUp() override { fp::clear(); }
   void TearDown() override { fp::clear(); }
 };
+
+TEST_F(ResumeEquivalenceTest, CheckpointingLeavesTheResultUnchanged) {
+  // Saving the live model every iteration must not disturb the run, and
+  // the file must hold that model exactly: loading it and saving it again
+  // gives the same bytes.
+  const Experiment exp = make_experiment();
+  const core::FriendSeekerResult plain = run_once(exp, exp.config);
+  const std::string dir = testing::TempDir() + "/fs_resume_eq_ckpt";
+  std::filesystem::remove_all(dir);
+  core::FriendSeekerConfig cfg = exp.config;
+  cfg.checkpoint_dir = dir;
+  const core::FriendSeekerResult saved = run_once(exp, cfg);
+  EXPECT_EQ(eval::result_digest(saved), eval::result_digest(plain));
+
+  const std::string path = dir + "/checkpoint.fsck";
+  const core::PipelineCheckpoint cp = core::load_pipeline_checkpoint(path);
+  EXPECT_EQ(cp.iteration, exp.config.max_iterations);
+  ASSERT_TRUE(cp.presence.has_value());
+  EXPECT_TRUE(cp.presence->trained());
+  core::save_pipeline_checkpoint(dir + "/again.fsck", cp);
+  EXPECT_EQ(util::read_file(dir + "/again.fsck"), util::read_file(path));
+}
 
 TEST_F(ResumeEquivalenceTest, KilledAtEveryBoundaryMatchesUninterrupted) {
   const Experiment exp = make_experiment();

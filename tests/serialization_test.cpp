@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "core/presence.h"
 #include "ml/knn.h"
@@ -14,6 +15,7 @@
 #include "util/binary_io.h"
 #include "util/durable.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace fs {
 namespace {
@@ -52,6 +54,41 @@ TEST(BinaryIo, Crc32KnownVector) {
   incremental.update(data, 3);
   incremental.update(data + 3, 6);
   EXPECT_EQ(incremental.value(), 0xCBF43926u);
+}
+
+/// The bytewise table CRC-32 that util::crc32 must match value for value.
+std::uint32_t reference_crc32(const unsigned char* data, std::size_t bytes,
+                              std::uint32_t seed) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit)
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < bytes; ++i)
+    c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(BinaryIo, Crc32MatchesBytewiseReference) {
+  // Every length 0-257 at every start offset 0-7 (so the eight-byte steps
+  // meet every alignment and tail length), each seeded with the previous
+  // CRC.
+  util::Rng rng(41);
+  std::vector<unsigned char> buffer(257 + 8);
+  for (unsigned char& b : buffer)
+    b = static_cast<unsigned char>(rng.next_u64(256));
+  std::uint32_t seed = 0;
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t length = 0; length <= 257; ++length) {
+      const unsigned char* data = buffer.data() + offset;
+      const std::uint32_t expected = reference_crc32(data, length, seed);
+      ASSERT_EQ(util::crc32(data, length, seed), expected)
+          << "offset " << offset << " length " << length;
+      seed = expected;
+    }
 }
 
 TEST(BinaryIo, SealedEnvelopeRoundTrip) {
@@ -143,6 +180,22 @@ TEST(Serialization, DenseRoundTripPreservesInference) {
   for (std::size_t i = 0; i < before.size(); ++i)
     EXPECT_DOUBLE_EQ(before.data()[i], after.data()[i]);
   EXPECT_EQ(loaded.activation(), nn::Activation::kTanh);
+}
+
+TEST(Serialization, DenseRecordIsTheSameInEitherWeightLayout) {
+  // Input-major weights stream out transposed; the record must be the
+  // bytes the same layer writes once made output-major. 300 inputs span
+  // more than one streaming block.
+  util::Rng rng(9);
+  nn::Dense layer(300, 5, nn::Activation::kRelu, rng);
+  std::stringstream input_major, output_major;
+  util::BinaryWriter in_writer(input_major);
+  layer.save(in_writer);
+  layer.make_output_major();
+  util::BinaryWriter out_writer(output_major);
+  layer.save(out_writer);
+  EXPECT_EQ(input_major.str(), output_major.str());
+  EXPECT_GT(input_major.str().size(), 300u * 5u * sizeof(double));
 }
 
 TEST(Serialization, MlpRoundTrip) {
