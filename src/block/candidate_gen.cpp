@@ -1,7 +1,6 @@
 #include "block/candidate_gen.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -15,77 +14,7 @@ namespace {
 /// same at every thread count.
 constexpr std::size_t kFilterChunkPairs = 64;
 
-/// Cell tier: within-cell pairs plus the forward slot-tolerance window.
-/// Pairs are appended unsorted and may repeat.
-void append_cell_tier_pairs(const CellIndex& index, int slot_tolerance,
-                            std::vector<data::UserPair>& out) {
-  // Join each occupied cell's user list against the lists of cells in the
-  // same grid at most slot_tolerance slots away. Only the forward window
-  // [cell, cell + tolerance] is joined — the backward half is the same
-  // pair seen from the other cell.
-  const auto occupied = index.occupied_cells();
-  const auto slot_count = static_cast<std::uint32_t>(index.slot_count());
-  const auto tol =
-      static_cast<std::uint32_t>(std::max(0, slot_tolerance));
-  for (std::size_t i = 0; i < occupied.size(); ++i) {
-    const std::uint32_t cell = occupied[i];
-    const std::uint32_t grid = cell / slot_count;
-    const auto users = index.users_in_cell(cell);
-    // Within the cell itself.
-    for (std::size_t x = 0; x < users.size(); ++x)
-      for (std::size_t y = x + 1; y < users.size(); ++y)
-        out.push_back(data::make_pair_ordered(users[x], users[y]));
-    // Against later cells inside the tolerance window and the same grid.
-    for (std::size_t j = i + 1;
-         j < occupied.size() && occupied[j] <= cell + tol; ++j) {
-      if (occupied[j] / slot_count != grid) continue;
-      for (const data::UserId u : users)
-        for (const data::UserId v : index.users_in_cell(occupied[j]))
-          if (u != v) out.push_back(data::make_pair_ordered(u, v));
-    }
-  }
-}
-
-/// Hop tier: every pair at most `hop_expansion` hops apart in the
-/// strong-co-occurrence graph. No-op when hop_expansion <= 0.
-void append_hop_tier_pairs(const CellIndex& index, int hop_expansion,
-                           std::vector<data::UserPair>& out) {
-  if (hop_expansion <= 0) return;
-  const graph::Graph strong = strong_cooccurrence_graph(index);
-  std::vector<int> depth(strong.node_count(), -1);
-  std::vector<graph::NodeId> queue;
-  for (graph::NodeId a = 0; a < strong.node_count(); ++a) {
-    queue.clear();
-    queue.push_back(a);
-    depth[a] = 0;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const graph::NodeId v = queue[head];
-      if (depth[v] >= hop_expansion) break;
-      for (graph::NodeId w : strong.neighbors(v)) {
-        if (depth[w] >= 0) continue;
-        depth[w] = depth[v] + 1;
-        queue.push_back(w);
-        if (w > a) out.push_back({a, w});
-      }
-    }
-    for (const graph::NodeId v : queue) depth[v] = -1;
-  }
-}
-
 }  // namespace
-
-bool blocking_enabled(const BlockingConfig& config,
-                      std::size_t universe_pairs) {
-  switch (config.mode) {
-    case BlockingMode::kOff:
-      return false;
-    case BlockingMode::kOn:
-      return true;
-    case BlockingMode::kAuto:
-      return universe_pairs >= config.auto_min_pairs;
-  }
-  return false;
-}
 
 graph::Graph strong_cooccurrence_graph(const CellIndex& index) {
   obs::Span span("block.strong_graph.build");
@@ -145,20 +74,6 @@ bool within_hops(const graph::Graph& g, graph::NodeId a, graph::NodeId b,
   for (const graph::NodeId v : queue_scratch) depth_scratch[v] = -1;
   depth_scratch[a] = -1;
   return found;
-}
-
-std::vector<data::UserPair> generate_candidate_pairs(
-    const CellIndex& index, const BlockingConfig& config) {
-  obs::Span span("block.candidates.generate");
-  std::vector<data::UserPair> out;
-
-  append_cell_tier_pairs(index, config.slot_tolerance, out);
-  append_hop_tier_pairs(index, config.hop_expansion, out);
-
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  span.arg("candidates", static_cast<double>(out.size()));
-  return out;
 }
 
 std::vector<char> filter_universe(const CellIndex& index,

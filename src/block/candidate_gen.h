@@ -1,5 +1,5 @@
-// Candidate-pair blocking: generation and universe filtering from the
-// co-occurrence index.
+// Candidate-pair blocking: the universe filter over the co-occurrence
+// index.
 //
 // Two co-occurrence tiers drive the blocking decision:
 //
@@ -30,14 +30,7 @@
 
 namespace fs::block {
 
-enum class BlockingMode {
-  kOff,   // dense universe: every supplied pair is scored
-  kOn,    // blocked universe: only candidates survive
-  kAuto,  // kOn when the universe exceeds auto_min_pairs, kOff below
-};
-
 struct BlockingConfig {
-  BlockingMode mode = BlockingMode::kAuto;
   /// Slots of temporal tolerance for cell co-occurrence: a shared grid with
   /// slots at most this far apart blocks the pair together. 0 = exact
   /// (grid, slot) sharing, the JOC's own granularity.
@@ -47,17 +40,17 @@ struct BlockingConfig {
   /// phase 2's k-hop closure still sees 2-hop strangers (cyber friends).
   /// 0 disables expansion.
   int hop_expansion = 3;
-  /// kAuto enables blocking only above this universe size; the balanced
-  /// eval protocol's sampled universes stay dense, full-population
-  /// universes get blocked.
-  std::size_t auto_min_pairs = 20000;
 };
 
-/// Resolves kAuto against the actual universe size.
-bool blocking_enabled(const BlockingConfig& config, std::size_t universe_pairs);
+/// Always true: blocking is the only scoring path. Read only by the
+/// benchmark's layer drive (`drive_layers` in benchmark/src/attack.cpp);
+/// delete it together with that drive.
+inline bool blocking_enabled(const BlockingConfig&, std::size_t) {
+  return true;
+}
 
 struct BlockingStats {
-  std::size_t universe_pairs = 0;   // pairs supplied (dense universe)
+  std::size_t universe_pairs = 0;   // pairs supplied
   std::size_t scored_pairs = 0;     // pairs kept for scoring
   std::size_t pruned_pairs = 0;     // universe - scored
   std::size_t cell_candidates = 0;  // kept via cell co-occurrence
@@ -69,13 +62,6 @@ struct BlockingStats {
 /// one (cell, slot, POI) visit. Built by grouping the inverted index by
 /// (cellslot, poi) — near-linear in check-in volume, never O(n^2).
 graph::Graph strong_cooccurrence_graph(const CellIndex& index);
-
-/// Generates every candidate pair from the index alone (no dense
-/// enumeration): cell-co-occurring pairs from per-cell user lists joined
-/// across the slot-tolerance window, unioned with pairs at most
-/// `hop_expansion` hops apart in the strong graph. Sorted, de-duplicated.
-std::vector<data::UserPair> generate_candidate_pairs(
-    const CellIndex& index, const BlockingConfig& config);
 
 /// Per-pair keep mask for a fixed universe, computed over fs::par in fixed
 /// chunks (identical at any thread count): keep[i] is 1 when universe[i]

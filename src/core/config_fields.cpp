@@ -13,8 +13,8 @@ namespace fs::core {
 
 namespace {
 
-// Integer and enum members convert through long long; check() has made
-// the value integral and in range.
+// Integer members convert through long long; check() has made the value
+// integral and in range.
 template <typename M>
 void assign(M& member, double value) {
   if constexpr (std::is_floating_point_v<M>)
@@ -28,21 +28,10 @@ void assign(M& member, double value) {
   [](const FriendSeekerConfig& c) { return static_cast<double>(c.member); }, \
       [](FriendSeekerConfig& c, double v) { assign(c.member, v); }
 
-// A kChoice value is its spelling's index, so "blocking" lists the
-// spellings in BlockingMode's declaration order.
-static_assert(static_cast<int>(block::BlockingMode::kOff) == 0 &&
-              static_cast<int>(block::BlockingMode::kOn) == 1 &&
-              static_cast<int>(block::BlockingMode::kAuto) == 2);
-
 std::string range_text(const ConfigField& field) {
-  if (field.type != ConfigField::Type::kChoice)
-    return (field.type == ConfigField::Type::kInt ? "an integer in ["
-                                                  : "a number in [") +
-           field.format(field.lo) + ", " + field.format(field.hi) + "]";
-  std::string text = "one of {";
-  for (const std::string& choice : field.choices)
-    text += (choice == field.choices[0] ? "" : ", ") + choice;
-  return text + "}";
+  return (field.type == ConfigField::Type::kInt ? "an integer in ["
+                                                : "a number in [") +
+         field.format(field.lo) + ", " + field.format(field.hi) + "]";
 }
 
 [[noreturn]] void reject(const ConfigField& field, const std::string& got) {
@@ -55,29 +44,25 @@ std::string range_text(const ConfigField& field) {
 const std::vector<ConfigField>& config_fields() {
   using T = ConfigField::Type;
   static const std::vector<ConfigField> fields = {
-      {"sigma", T::kInt, 1, 1e8, {},
+      {"sigma", T::kInt, 1, 1e8,
        "max POIs per quadtree grid (the paper's sigma)",
        FS_CONFIG_MEMBER(sigma)},
-      {"tau", T::kReal, 1e-3, 3650, {},
+      {"tau", T::kReal, 1e-3, 3650,
        "time-slot length in days (the paper's tau)",
        FS_CONFIG_MEMBER(tau_days)},
-      {"dim", T::kInt, 1, 4096, {},
+      {"dim", T::kInt, 1, 4096,
        "presence feature dimension (the paper's d)",
        FS_CONFIG_MEMBER(presence.feature_dim)},
-      {"k", T::kInt, 2, 16, {}, "k-hop reachable subgraph depth",
+      {"k", T::kInt, 2, 16, "k-hop reachable subgraph depth",
        FS_CONFIG_MEMBER(k)},
-      {"max_iterations", T::kInt, 1, 1000, {},
+      {"max_iterations", T::kInt, 1, 1000,
        "cap on phase-2 refinement iterations",
        FS_CONFIG_MEMBER(max_iterations)},
-      {"blocking", T::kChoice, 0, 2, {"off", "on", "auto"},
-       "candidate blocking (auto prunes only when the pair universe is "
-       "large); pruned pairs are predicted non-friend without scoring",
-       FS_CONFIG_MEMBER(blocking.mode)},
-      {"block_hops", T::kInt, 0, 16, {},
+      {"block_hops", T::kInt, 0, 16,
        "keep pairs within this many hops of the strong co-occurrence "
        "graph even without direct co-occurrence",
        FS_CONFIG_MEMBER(blocking.hop_expansion)},
-      {"block_slot_tolerance", T::kInt, 0, 64, {},
+      {"block_slot_tolerance", T::kInt, 0, 64,
        "time-slot tolerance for cell co-occurrence blocking",
        FS_CONFIG_MEMBER(blocking.slot_tolerance)},
   };
@@ -110,25 +95,16 @@ void ConfigField::check(double value) const {
 
 double ConfigField::parse(const std::string& text) const {
   double value = NAN;
-  if (type == Type::kChoice) {
-    const auto it = std::find(choices.begin(), choices.end(), text);
-    if (it != choices.end()) value = static_cast<double>(it - choices.begin());
-  } else {
-    try {
-      value = type == Type::kInt ? static_cast<double>(util::parse_int(text))
-                                 : util::parse_double(text);
-    } catch (const std::invalid_argument&) {
-    }
+  try {
+    value = type == Type::kInt ? static_cast<double>(util::parse_int(text))
+                               : util::parse_double(text);
+  } catch (const std::invalid_argument&) {
   }
   if (!(value >= lo && value <= hi)) reject(*this, "'" + text + "'");
   return value;
 }
 
 std::string ConfigField::format(double value) const {
-  if (type == Type::kChoice && value >= 0 &&
-      value < static_cast<double>(choices.size()) &&
-      value == std::floor(value))
-    return choices[static_cast<std::size_t>(value)];
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", value);  // round-trips exactly
   return buf;

@@ -77,7 +77,6 @@ std::uint64_t run_fingerprint(const FriendSeekerConfig& config,
   mix(train_size);
   mix(config.seed);
   mix(static_cast<std::uint64_t>(config.phase2_classifier));
-  mix(config.blocking.auto_min_pairs);
   for (const ConfigField& field : config_fields())
     if (std::string_view(field.name) != "max_iterations")
       mix(std::bit_cast<std::uint64_t>(field.get(config)));
@@ -143,20 +142,15 @@ FriendSeekerResult FriendSeeker::run(
   // at most hop_expansion hops in the strong-co-occurrence graph — is part
   // of the MODEL, not just an optimization: a non-candidate pair has no
   // mobility evidence (its n_ab channel is identically zero and it is
-  // outside phase 2's reachable closure), so it is never labeled a friend,
-  // in any mode. The --blocking mode then only decides whether such pairs
-  // are *scored*: off runs the full dense computation and gates the final
-  // label, on skips their feature rows entirely. That split is what makes
-  // a blocked run reproduce the dense run's final graph bit for bit while
-  // doing a fraction of the work — and what the differential tests pin.
+  // outside phase 2's reachable closure), so it is never labeled a friend.
+  // Such pairs are therefore never scored either: they keep prediction 0
+  // and score 0.0 and cost no feature rows.
   //
   // The documented recall-loss contract lives in the predicate itself: a
   // genuinely hidden friend pair that never co-occurs and sits outside the
-  // hop radius is predicted non-friend (and, when blocking is on, counted
-  // in block.candidates_pruned).
+  // hop radius is predicted non-friend and counted in
+  // block.candidates_pruned.
   const block::CellIndex cell_index(dataset, *division, slots, ctx);
-  const bool blocking_on =
-      block::blocking_enabled(config_.blocking, universe.pairs.size());
   block::BlockingStats blocking_stats;
   std::vector<char> candidate;
   {
@@ -164,39 +158,28 @@ FriendSeekerResult FriendSeeker::run(
     candidate = block::filter_universe(cell_index, strong, universe.pairs,
                                        config_.blocking, &blocking_stats);
   }
+  // Scored rows: candidates plus every train row. Train pairs are always
+  // scored — their labels are the attacker's own ground truth and both
+  // phases train on their feature rows — though a non-candidate train pair
+  // is still gated to non-friend like any other.
+  std::vector<char> keep = candidate;
+  for (std::size_t row : train_rows) {
+    if (!keep[row]) {
+      keep[row] = 1;
+      ++blocking_stats.forced_pairs;
+      ++blocking_stats.scored_pairs;
+      --blocking_stats.pruned_pairs;
+    }
+  }
   constexpr std::size_t kInactive = static_cast<std::size_t>(-1);
   std::vector<std::size_t> active_of_row(universe.pairs.size(), kInactive);
   std::vector<std::size_t> active_rows;
-  if (blocking_on) {
-    // Scored rows: candidates plus every train row. Train pairs are always
-    // scored — their labels are the attacker's own ground truth and both
-    // phases train on their feature rows — though a non-candidate train
-    // pair is still gated to non-friend like any other.
-    std::vector<char> keep = candidate;
-    for (std::size_t row : train_rows) {
-      if (!keep[row]) {
-        keep[row] = 1;
-        ++blocking_stats.forced_pairs;
-        ++blocking_stats.scored_pairs;
-        --blocking_stats.pruned_pairs;
-      }
+  active_rows.reserve(blocking_stats.scored_pairs);
+  for (std::size_t row = 0; row < keep.size(); ++row) {
+    if (keep[row]) {
+      active_of_row[row] = active_rows.size();
+      active_rows.push_back(row);
     }
-    active_rows.reserve(blocking_stats.scored_pairs);
-    for (std::size_t row = 0; row < keep.size(); ++row) {
-      if (keep[row]) {
-        active_of_row[row] = active_rows.size();
-        active_rows.push_back(row);
-      }
-    }
-  } else {
-    active_rows.resize(universe.pairs.size());
-    for (std::size_t row = 0; row < active_rows.size(); ++row) {
-      active_rows[row] = row;
-      active_of_row[row] = row;
-    }
-    blocking_stats = block::BlockingStats{};
-    blocking_stats.universe_pairs = universe.pairs.size();
-    blocking_stats.scored_pairs = universe.pairs.size();
   }
   const std::size_t active_count = active_rows.size();
   auto active_indices_of = [&](const std::vector<std::size_t>& rows) {
@@ -207,8 +190,7 @@ FriendSeekerResult FriendSeeker::run(
   };
   const std::vector<std::size_t> train_active = active_indices_of(train_rows);
   util::log_debug("FriendSeeker: universe=", universe.pairs.size(),
-                  " scored=", active_count,
-                  blocking_on ? " (blocking on)" : " (blocking off)");
+                  " scored=", active_count);
 
   // ---- JOC rows for the scored universe. ----
   // The JOC store is the only store of JOC rows. Its exact bytes are
@@ -603,11 +585,9 @@ FriendSeekerResult FriendSeeker::run(
       const double cut = tune_on_train(decision);
       // Hysteresis: borderline pairs keep their previous state, so the
       // graph settles instead of oscillating around the cut. The decision
-      // spread is estimated on the candidate-or-train rows — the rows
-      // scored identically in every blocking mode (a dense run also scores
-      // non-candidates, but those are excluded here) — so a blocked and a
-      // dense run see the same margin, which is what makes their graphs
-      // comparable edge-for-edge.
+      // spread is estimated on every scored row: the candidate rows first,
+      // then the forced (non-candidate) train rows. The two passes fix the
+      // summation order the pinned digests were recorded with.
       double margin = 0.0;
       if (config_.flip_margin > 0.0) {
         double mean = 0.0, sq = 0.0;
@@ -639,8 +619,8 @@ FriendSeekerResult FriendSeeker::run(
       for (std::size_t ai = 0; ai < active_count; ++ai) {
         const std::size_t row = active_rows[ai];
         if (!candidate[row]) {
-          // Non-candidate rows are scored (dense mode) but never labeled
-          // friend — the candidate gate is part of the model.
+          // A forced train row is scored but never labeled friend — the
+          // candidate gate is part of the model.
           predictions[row] = 0;
         } else if (decision[ai] >= cut + margin) {
           predictions[row] = 1;
@@ -735,7 +715,6 @@ FriendSeekerResult FriendSeeker::run(
   if (ctx != nullptr) result.peak_memory_estimate = ctx->peak_charged();
 
   // ---- Blocking accounting. ----
-  result.blocking_active = blocking_on;
   result.blocking = blocking_stats;
   obs::metrics()
       .counter("block.candidates_pruned", {},

@@ -60,12 +60,11 @@ struct FriendSeekerConfig {
   double flip_margin = 0.3;
 
   // ---- Candidate blocking ----
-  /// Spatial-temporal blocking over the candidate universe: pairs that never
-  /// co-occur (shared grid cell within slot_tolerance slots) and sit outside
-  /// hop_expansion strong-co-occurrence hops are pruned from scoring and
-  /// predicted non-friend. Train pairs are always kept (the attacker owns
-  /// their labels). kAuto (default) turns blocking on only above
-  /// auto_min_pairs, so the balanced eval protocol stays dense.
+  /// Spatial-temporal blocking over the candidate universe, always on:
+  /// pairs that never co-occur (shared grid cell within slot_tolerance
+  /// slots) and sit outside hop_expansion strong-co-occurrence hops are
+  /// never scored, and are predicted non-friend with score 0.0. Train
+  /// pairs are always scored (the attacker owns their labels).
   block::BlockingConfig blocking;
 
   // ---- Ablations ----
@@ -98,15 +97,13 @@ struct FriendSeekerConfig {
 /// One settable hyper-parameter of FriendSeekerConfig. The `attack` flags
 /// (name with '_' -> '-'), the scenario model axis (name as key) and
 /// FriendSeeker's range check all read config_fields(), so a new
-/// hyper-parameter is one row. Values travel as doubles; a kChoice value
-/// is its spelling's index in `choices`.
+/// hyper-parameter is one row. Values travel as doubles.
 struct ConfigField {
-  enum class Type { kInt, kReal, kChoice };
+  enum class Type { kInt, kReal };
 
   const char* name;
   Type type;
   double lo, hi;  // closed range
-  std::vector<std::string> choices;
   const char* doc;
   double (*get)(const FriendSeekerConfig&);
   void (*put)(FriendSeekerConfig&, double);  // takes a checked value
@@ -117,7 +114,7 @@ struct ConfigField {
   void check(double value) const;
   /// Reads what `format` writes; throws like check.
   double parse(const std::string& text) const;
-  /// A choice's spelling, else text that parses back to exactly `value`.
+  /// Text that parses back to exactly `value`.
   std::string format(double value) const;
   void set(FriendSeekerConfig& config, double value) const;  // check + put
 };
@@ -166,11 +163,7 @@ struct FriendSeekerResult {
   /// Peak of the context's charged-memory estimate during this run, in
   /// bytes (0 when no context was supplied).
   std::size_t peak_memory_estimate = 0;
-  /// True when candidate blocking actually pruned the universe (kOn, or
-  /// kAuto above the threshold).
-  bool blocking_active = false;
-  /// Universe/scored/pruned tier counts for this run (universe_pairs ==
-  /// scored_pairs when blocking was off).
+  /// Universe/scored/pruned tier counts for this run.
   block::BlockingStats blocking;
   /// Always empty: the engine keeps each JOC and presence row once, in its
   /// scored-row matrices, and has no feature cache. Read only by the

@@ -1,5 +1,5 @@
 // FNV-1a result fingerprints shared by perf_bench, the golden regression
-// test, and the blocking differential tests.
+// test, and the blocking inertness tests.
 #pragma once
 
 #include <string>
@@ -14,11 +14,9 @@ namespace fs::eval {
 /// byte-identical iff their digests match.
 std::string result_digest(const core::FriendSeekerResult& result);
 
-/// FNV-1a over the final graph's adjacency alone. Unlike result_digest,
-/// this is comparable across blocking modes: a blocked run never scores the
-/// pruned pairs (their scores differ from a dense run's), but the candidate
-/// gate is part of the model, so the inferred graphs must still match bit
-/// for bit — this digest is what the differential tests pin.
+/// FNV-1a over the final graph's adjacency alone: comparable between runs
+/// whose test lists differ, such as a run and the same run with extra
+/// pruned pairs, which the inertness tests pin.
 std::string graph_digest(const graph::Graph& g);
 
 /// Compiler + C library + fs::kern ISA-path fingerprint. Result digests are

@@ -1,5 +1,5 @@
 // Named bench/test presets: world + seeker scaling shared by perf_bench,
-// the golden regression test, and the differential blocking tests — one
+// the golden regression test, and the blocking inertness tests — one
 // definition so a preset drift cannot silently fork the bench from the
 // tests that pin it.
 #pragma once

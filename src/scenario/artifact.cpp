@@ -109,7 +109,6 @@ json::Value matrix_to_json(const MatrixResult& matrix) {
     cell["universe_pairs"] = result.universe_pairs;
     cell["scored_pairs"] = result.scored_pairs;
     cell["pruned_pairs"] = result.pruned_pairs;
-    cell["blocking_active"] = result.blocking_active;
     cells.emplace_back(std::move(cell));
   }
   doc["cells"] = std::move(cells);
@@ -173,8 +172,6 @@ void validate_matrix(const json::Value& doc) {
     const double pruned = require_number(cell, "pruned_pairs", context);
     if (scored + pruned != universe)
       invalid(context + ": scored + pruned != universe_pairs");
-    if (!require(cell, "blocking_active", context).is_bool())
-      invalid(context + ": 'blocking_active' must be a boolean");
   }
 }
 

@@ -73,8 +73,8 @@ AttackSpec parse_attack(const json::Value& node, const std::string& context) {
   return spec;
 }
 
-/// Each key but "label" names a core::config_fields() row: a spelling for
-/// a choice row, a number in the row's range otherwise.
+/// Each key but "label" names a core::config_fields() row and carries a
+/// number in the row's range.
 ModelSpec parse_model(const json::Value& node, const std::string& context) {
   OptionReader reader(node, context);
   ModelSpec spec;
@@ -83,14 +83,9 @@ ModelSpec parse_model(const json::Value& node, const std::string& context) {
     if (key == "label") continue;
     try {
       const core::ConfigField& field = core::config_field(key);
-      const bool choice = field.type == core::ConfigField::Type::kChoice;
-      if (!(choice ? value.is_string() : value.is_number()))
-        reader.fail("'" + key + "' must be a " +
-                    (choice ? "string" : "number"));
-      const double got =
-          choice ? field.parse(value.as_string()) : value.as_number();
-      field.check(got);
-      spec.overrides[key] = got;
+      if (!value.is_number()) reader.fail("'" + key + "' must be a number");
+      field.check(value.as_number());
+      spec.overrides[key] = value.as_number();
     } catch (const std::invalid_argument& e) {
       reader.fail(e.what());
     }
@@ -173,13 +168,7 @@ json::Value attack_to_json(const AttackSpec& spec) {
 json::Value model_to_json(const ModelSpec& spec) {
   json::Object o;
   o["label"] = model_label(spec);
-  for (const auto& [name, value] : spec.overrides) {
-    const core::ConfigField& field = core::config_field(name);
-    if (field.type == core::ConfigField::Type::kChoice)
-      o[name] = field.format(value);
-    else
-      o[name] = value;
-  }
+  for (const auto& [name, value] : spec.overrides) o[name] = value;
   return json::Value(std::move(o));
 }
 

@@ -56,9 +56,8 @@ struct AttackSpec {
   std::size_t threads = 0;
 };
 
-/// Model hyper-parameter overrides, keyed by core::config_fields() name (a
-/// kChoice value is the index of its spelling). A name that is absent
-/// keeps the world preset's value.
+/// Model hyper-parameter overrides, keyed by core::config_fields() name. A
+/// name that is absent keeps the world preset's value.
 struct ModelSpec {
   std::string label;
   std::map<std::string, double> overrides;

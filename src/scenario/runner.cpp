@@ -209,7 +209,6 @@ MatrixResult run_scenario(const ScenarioConfig& config,
     result.universe_pairs = run.blocking.universe_pairs;
     result.scored_pairs = run.blocking.scored_pairs;
     result.pruned_pairs = run.blocking.pruned_pairs;
-    result.blocking_active = run.blocking_active;
 
     if (options.on_cell) options.on_cell(result);
     matrix.cells.push_back(std::move(result));

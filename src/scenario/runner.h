@@ -44,7 +44,6 @@ struct CellResult {
   std::size_t universe_pairs = 0;
   std::size_t scored_pairs = 0;
   std::size_t pruned_pairs = 0;
-  bool blocking_active = false;
 };
 
 struct MatrixResult {

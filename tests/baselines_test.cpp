@@ -56,8 +56,9 @@ TEST(CoLocation, ZeroCommonLocationsNeverPredictedFriend) {
                    fx.split.train_labels, fx.split.test_pairs);
   for (std::size_t i = 0; i < pred.size(); ++i) {
     const auto [a, b] = fx.split.test_pairs[i];
-    if (fx.world.dataset.common_poi_count(a, b) == 0)
+    if (fx.world.dataset.common_poi_count(a, b) == 0) {
       EXPECT_EQ(pred[i], 0) << "pair without co-location predicted friend";
+    }
   }
 }
 
@@ -91,8 +92,12 @@ TEST(CoLocation, ScoreIncreasesWithSharedRarePois) {
       found_single = true;
     }
   }
-  if (found_multi && found_single) EXPECT_GT(best_multi, 0.0);
-  if (found_single) EXPECT_GT(some_single, 0.0);
+  if (found_multi && found_single) {
+    EXPECT_GT(best_multi, 0.0);
+  }
+  if (found_single) {
+    EXPECT_GT(some_single, 0.0);
+  }
 }
 
 TEST(CoLocation, BeatsChanceOnSyntheticWorld) {
@@ -153,8 +158,9 @@ TEST(UserGraph, MeetingGraphOnlyConnectsCoOccurringUsers) {
   // Every meeting edge implies at least one common POI.
   for (embed::VocabId u = 0; u < g.node_count(); ++u)
     for (const auto& n : g.neighbors(u)) {
-      if (u < n.node)
+      if (u < n.node) {
         EXPECT_GT(fx.world.dataset.common_poi_count(u, n.node), 0u);
+      }
     }
 }
 

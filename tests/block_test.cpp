@@ -1,10 +1,13 @@
-// fs::block subsystem tests: cell-index invariants, the candidate-gate
-// differential contract (blocked vs dense runs infer bit-identical final
-// graphs), and the documented recall-loss path for friends who never
-// co-occur.
+// fs::block subsystem tests: cell-index invariants, the inertness of pruned
+// pairs (adding pairs the predicate prunes leaves every other output
+// byte-identical), and the documented recall-loss path for friends who
+// never co-occur.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "block/candidate_gen.h"
@@ -153,7 +156,9 @@ TEST(FilterUniverse, SameMaskAndStatsAtAnyThreadCount) {
         ++expect_stats.hop_candidates;
       }
     }
-    if (hops > 0) ASSERT_GT(expect_stats.hop_candidates, 0u);
+    if (hops > 0) {
+      ASSERT_GT(expect_stats.hop_candidates, 0u);
+    }
     ASSERT_GT(expect_stats.cell_candidates, 0u);
     ASSERT_LT(expect_stats.cell_candidates + expect_stats.hop_candidates,
               universe.size());
@@ -174,43 +179,93 @@ TEST(FilterUniverse, SameMaskAndStatsAtAnyThreadCount) {
   par::set_threads(1);
 }
 
-// ---------- Differential: blocked == dense final graph ----------
+// ---------- Inertness: pruned pairs change nothing else ----------
 
-core::FriendSeekerResult run_with_mode(const eval::BenchPreset& preset,
-                                       const eval::Experiment& experiment,
-                                       block::BlockingMode mode) {
-  core::FriendSeekerConfig cfg = preset.seeker;
-  cfg.blocking.mode = mode;
-  core::FriendSeeker seeker(cfg);
-  return seeker.run(experiment.dataset, experiment.split.train_pairs,
-                    experiment.split.train_labels,
-                    experiment.split.test_pairs);
+/// Up to `limit` user pairs outside the experiment's universe that the
+/// candidate predicate prunes, under the division and slotting `config`
+/// gives a run.
+std::vector<data::UserPair> pruned_extra_pairs(
+    const core::FriendSeekerConfig& config, const eval::Experiment& experiment,
+    std::size_t limit) {
+  const data::Dataset& dataset = experiment.dataset;
+  const geo::QuadtreeDivision quadtree(dataset.poi_coordinates(),
+                                       config.sigma);
+  const geo::QuadtreeDivisionView view(quadtree);
+  const geo::TimeSlotting slots(
+      dataset.window_begin(), dataset.window_end(),
+      static_cast<geo::Timestamp>(config.tau_days * geo::kSecondsPerDay));
+  const block::CellIndex index(dataset, view, slots);
+
+  std::set<data::UserPair> universe;
+  for (const auto* pairs :
+       {&experiment.split.train_pairs, &experiment.split.test_pairs})
+    for (const data::UserPair& p : *pairs)
+      universe.insert(data::make_pair_ordered(p.first, p.second));
+  std::vector<data::UserPair> outside;
+  const auto n = static_cast<data::UserId>(dataset.user_count());
+  for (data::UserId a = 0; a < n; ++a)
+    for (data::UserId b = a + 1; b < n; ++b)
+      if (!universe.count({a, b})) outside.push_back({a, b});
+
+  const std::vector<char> keep = block::filter_universe(
+      index, block::strong_cooccurrence_graph(index), outside,
+      config.blocking);
+  std::vector<data::UserPair> pruned;
+  for (std::size_t i = 0; i < outside.size() && pruned.size() < limit; ++i)
+    if (!keep[i]) pruned.push_back(outside[i]);
+  return pruned;
 }
 
-void expect_differential_identity(const eval::BenchPreset& preset) {
+void expect_pruned_pairs_inert(const eval::BenchPreset& preset) {
+  ASSERT_FALSE(preset.seeker.uniform_grid);  // pruned_extra_pairs' division
   const eval::Experiment experiment = eval::make_experiment(preset.world);
-  const core::FriendSeekerResult off =
-      run_with_mode(preset, experiment, block::BlockingMode::kOff);
-  const core::FriendSeekerResult on =
-      run_with_mode(preset, experiment, block::BlockingMode::kOn);
-  EXPECT_FALSE(off.blocking_active);
-  EXPECT_TRUE(on.blocking_active);
-  // The blocked run must actually have skipped work, or the test is vacuous.
-  EXPECT_GT(on.blocking.pruned_pairs, 0u);
-  EXPECT_EQ(on.blocking.scored_pairs + on.blocking.pruned_pairs,
-            on.blocking.universe_pairs);
-  // The candidate gate is part of the model, so the inferred graph and the
-  // per-pair labels must match bit for bit across modes.
-  EXPECT_EQ(eval::graph_digest(off.final_graph),
-            eval::graph_digest(on.final_graph));
-  EXPECT_EQ(off.test_predictions, on.test_predictions);
+  const eval::PairSplit& split = experiment.split;
+  const std::vector<data::UserPair> extra =
+      pruned_extra_pairs(preset.seeker, experiment, 40);
+  // Without pruned extras the test is vacuous.
+  ASSERT_FALSE(extra.empty());
+  std::vector<data::UserPair> extended = split.test_pairs;
+  extended.insert(extended.end(), extra.begin(), extra.end());
+  const std::size_t n = split.test_pairs.size();
+
+  core::FriendSeeker seeker(preset.seeker);
+  par::set_threads(1);
+  const core::FriendSeekerResult base = seeker.run(
+      experiment.dataset, split.train_pairs, split.train_labels,
+      split.test_pairs);
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    par::set_threads(threads);
+    const core::FriendSeekerResult more = seeker.run(
+        experiment.dataset, split.train_pairs, split.train_labels, extended);
+    ASSERT_EQ(more.test_predictions.size(), extended.size());
+    ASSERT_EQ(more.test_scores.size(), extended.size());
+    // The original pairs' outputs are byte-identical...
+    EXPECT_TRUE(std::equal(base.test_predictions.begin(),
+                           base.test_predictions.end(),
+                           more.test_predictions.begin()));
+    EXPECT_EQ(std::memcmp(base.test_scores.data(), more.test_scores.data(),
+                          n * sizeof(double)),
+              0);
+    EXPECT_EQ(eval::graph_digest(more.final_graph),
+              eval::graph_digest(base.final_graph));
+    // ...and each extra reads non-friend, scores 0.0 and is counted.
+    for (std::size_t i = n; i < extended.size(); ++i) {
+      EXPECT_EQ(more.test_predictions[i], 0) << "extra pair " << i - n;
+      EXPECT_EQ(more.test_scores[i], 0.0) << "extra pair " << i - n;
+    }
+    EXPECT_EQ(more.blocking.scored_pairs, base.blocking.scored_pairs);
+    EXPECT_EQ(more.blocking.pruned_pairs,
+              base.blocking.pruned_pairs + extra.size());
+  }
+  par::set_threads(1);
 }
 
-TEST(BlockDifferential, TinyPresetBlockedMatchesDense) {
-  expect_differential_identity(eval::bench_preset("tiny"));
+TEST(BlockInertness, TinyPresetPrunedPairsChangeNothingElse) {
+  expect_pruned_pairs_inert(eval::bench_preset("tiny"));
 }
 
-TEST(BlockDifferential, GowallaLikeWorldBlockedMatchesDense) {
+TEST(BlockInertness, GowallaLikeWorldPrunedPairsChangeNothingElse) {
   // The full gowalla bench preset runs for minutes; this keeps its world
   // shape (multi-city GowallaLike geography, strict same-slot blocking)
   // at a scale sanitizer builds can afford.
@@ -225,7 +280,7 @@ TEST(BlockDifferential, GowallaLikeWorldBlockedMatchesDense) {
   preset.seeker.presence.max_autoencoder_rows = 250;
   preset.seeker.max_iterations = 2;
   preset.seeker.max_svm_train_rows = 400;
-  expect_differential_identity(preset);
+  expect_pruned_pairs_inert(preset);
 }
 
 // ---------- Recall-loss contract ----------
@@ -271,7 +326,6 @@ TEST(BlockRecallLoss, NeverCoOccurringFriendIsPrunedAndCounted) {
   cfg.presence.feature_dim = 8;
   cfg.presence.epochs = 2;
   cfg.max_iterations = 1;
-  cfg.blocking.mode = block::BlockingMode::kOn;
 
   const std::vector<data::UserPair> train_pairs = {
       {1, 2}, {2, 3}, {7, 8}, {8, 9},   // positives (in-community friends)
@@ -289,7 +343,6 @@ TEST(BlockRecallLoss, NeverCoOccurringFriendIsPrunedAndCounted) {
   const core::FriendSeekerResult result =
       seeker.run(dataset, train_pairs, train_labels, test_pairs);
 
-  EXPECT_TRUE(result.blocking_active);
   // The hidden pair is absent from the scored universe...
   EXPECT_GE(result.blocking.pruned_pairs, 1u);
   EXPECT_GE(obs::metrics().counter("block.candidates_pruned").value(),

@@ -308,8 +308,9 @@ TEST(Svm, ProbaIsMonotoneInDecision) {
   const auto decisions = svm.decision(x);
   const auto probas = svm.predict_proba(x);
   for (std::size_t i = 1; i < decisions.size(); ++i) {
-    if (decisions[i] > decisions[i - 1])
+    if (decisions[i] > decisions[i - 1]) {
       EXPECT_GE(probas[i], probas[i - 1] - 1e-12);
+    }
   }
 }
 

@@ -84,7 +84,7 @@ TEST(ScenarioConfigTest, ParsesAndRoundTrips) {
                   {"mechanism": "blur-cross", "rate": 0.3, "grid_sigma": 60}],
       "attack": [{"threads": 2}],
       "model": [{"tau": 3.5, "block_slot_tolerance": 1, "block_hops": 0,
-                 "blocking": "on"}],
+                 "k": 2}],
       "dynamics": [{"drift": 0.5}]
     },
     "tolerance": {"f1": 0.05}
@@ -98,30 +98,32 @@ TEST(ScenarioConfigTest, ParsesAndRoundTrips) {
   EXPECT_DOUBLE_EQ(config.defenses[0].rate, 0.25);
   EXPECT_EQ(config.defenses[1].grid_sigma, 60u);
   EXPECT_EQ(config.attacks[0].threads, 2u);
-  // Quantized-KNN and shard keys are not part of the attack schema (the
-  // first name is split so a code search for it finds no live use), and
-  // blocking moved to the model axis.
-  for (const char* removed : {"knn_" "quantize", "shards", "blocking"}) {
-    const std::string attack = std::string(R"({"axes": {"attack": [{")") +
-                               removed + R"(": 1}]}})";
-    try {
-      scenario::parse_scenario_config_text(attack);
-      FAIL() << removed << " not rejected";
-    } catch (const ParseError& e) {
-      EXPECT_NE(std::string(e.what()).find("unknown key '" +
-                                           std::string(removed) + "'"),
-                std::string::npos)
-          << e.what();
+  // Quantized-KNN, shard and blocking keys are part of neither axis (the
+  // first name is split so a code search for it finds no live use):
+  // blocking is always on, so no axis can switch it.
+  for (const char* axis : {"attack", "model"}) {
+    for (const char* removed : {"knn_" "quantize", "shards", "blocking"}) {
+      const std::string doc = std::string(R"({"axes": {")") + axis +
+                              R"(": [{")" + removed + R"(": 1}]}})";
+      try {
+        scenario::parse_scenario_config_text(doc);
+        FAIL() << removed << " not rejected on the " << axis << " axis";
+      } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find("unknown key '" +
+                                             std::string(removed) + "'"),
+                  std::string::npos)
+            << e.what();
+      }
     }
   }
   const std::map<std::string, double> overrides = {
       {"tau", 3.5},
       {"block_slot_tolerance", 1},
       {"block_hops", 0},
-      {"blocking", static_cast<double>(block::BlockingMode::kOn)}};
+      {"k", 2}};
   EXPECT_EQ(config.models[0].overrides, overrides);
   EXPECT_EQ(scenario::model_label(config.models[0]),
-            "block_hops:0,block_slot_tolerance:1,blocking:on,tau:3.5");
+            "block_hops:0,block_slot_tolerance:1,k:2,tau:3.5");
   // The version-1 spellings are gone from the model axis.
   for (const char* removed : {"tau_days", "slot_tolerance", "predicate"}) {
     const std::string model = std::string(R"({"axes": {"model": [{")") +
@@ -175,7 +177,7 @@ TEST(ScenarioConfigTest, RejectsOutOfRangeAndBadEnums) {
                    R"({"axes": {"world": [{"preset": "foursquare"}]}})"),
                ParseError);
   EXPECT_THROW(scenario::parse_scenario_config_text(
-                   R"({"axes": {"model": [{"blocking": "maybe"}]}})"),
+                   R"({"axes": {"model": [{"block_hops": "two"}]}})"),
                ParseError);
   EXPECT_THROW(
       scenario::parse_scenario_config_text(R"({"schema_version": 1})"),
@@ -234,13 +236,6 @@ core::FriendSeekerConfig apply_flag(const core::ConfigField& field,
   return config;
 }
 
-/// A row's value as a model-axis JSON value: a spelling for a choice row.
-json::Value model_value(const core::ConfigField& field, double value) {
-  if (field.type == core::ConfigField::Type::kChoice)
-    return json::Value(field.format(value));
-  return json::Value(value);
-}
-
 /// A config whose only model-axis element sets `field` to `value`.
 ScenarioConfig parse_model_element(const core::ConfigField& field,
                                    const json::Value& value) {
@@ -275,7 +270,7 @@ TEST(ConfigFields, CliAndModelAxisAcceptEachRowsClosedRange) {
       EXPECT_NO_THROW(core::validate_config(cli));
 
       const ScenarioConfig config =
-          parse_model_element(field, model_value(field, bound));
+          parse_model_element(field, json::Value(bound));
       ASSERT_EQ(config.models[0].overrides.count(field.name), 1u);
       EXPECT_EQ(config.models[0].overrides.at(field.name), bound);
       const core::FriendSeekerConfig seeker = scenario::resolve_seeker(
@@ -302,12 +297,9 @@ TEST(ConfigFields, CliAndModelAxisRejectValuesOutsideEachRowNamingIt) {
         EXPECT_TRUE(names_field(e, field)) << e.what();
       }
 
-      const json::Value value =
-          field.type == core::ConfigField::Type::kChoice
-              ? json::Value(text)
-              : json::Value(std::strtod(text.c_str(), nullptr));
       try {
-        parse_model_element(field, value);
+        parse_model_element(field,
+                            json::Value(std::strtod(text.c_str(), nullptr)));
         ADD_FAILURE() << "the model axis accepted it";
       } catch (const ParseError& e) {
         EXPECT_TRUE(names_field(e, field)) << e.what();
@@ -469,6 +461,20 @@ TEST_F(ScenarioArtifactTest, SelfDiffIsClean) {
   const scenario::DiffReport report = scenario::diff_matrices(doc, doc);
   EXPECT_TRUE(report.ok());
   EXPECT_TRUE(report.notes.empty());
+}
+
+TEST_F(ScenarioArtifactTest, OlderArtifactWithBlockingFlagValidatesAndDiffs) {
+  // Artifacts written while blocking could be switched off carry a
+  // per-cell boolean saying whether it was on; the key is ignored, not
+  // refused. (The name is split so a code search for it finds no live
+  // use.)
+  const json::Value current = scenario::matrix_to_json(*matrix_);
+  json::Value older = current;
+  for (json::Value& cell : older.as_object()["cells"].as_array())
+    cell.as_object()["blocking" "_active"] = true;
+  EXPECT_NO_THROW(scenario::validate_matrix(older));
+  EXPECT_TRUE(scenario::diff_matrices(older, current).ok());
+  EXPECT_TRUE(scenario::diff_matrices(current, older).ok());
 }
 
 TEST_F(ScenarioArtifactTest, DiffFlagsOutOfBandQualityDrift) {

@@ -4,7 +4,7 @@
 //   friendseeker stats     CHECKINS EDGES
 //   friendseeker attack    CHECKINS EDGES
 //                          [--sigma S --tau D --dim D --k K
-//                           --max-iterations N --blocking off|on|auto
+//                           --max-iterations N
 //                           --block-hops H --block-slot-tolerance T]
 //                          [--permissive] [--checkpoint-dir DIR [--resume]]
 //                          [--deadline-sec S --max-memory-mb M]
@@ -321,14 +321,12 @@ int cmd_attack(int argc, char** argv) {
                  static_cast<double>(
                      seeker.last_result().peak_memory_estimate) /
                      (1024.0 * 1024.0));
-  if (seeker.last_result().blocking_active) {
-    const auto& bs = seeker.last_result().blocking;
-    std::fprintf(stderr,
-                 "blocking: scored %zu of %zu pairs (%zu pruned, %zu kept "
-                 "via hop expansion, %zu forced train pairs)\n",
-                 bs.scored_pairs, bs.universe_pairs, bs.pruned_pairs,
-                 bs.hop_candidates, bs.forced_pairs);
-  }
+  const block::BlockingStats& bs = seeker.last_result().blocking;
+  std::fprintf(stderr,
+               "blocking: scored %zu of %zu pairs (%zu pruned, %zu kept via "
+               "hop expansion, %zu forced train pairs)\n",
+               bs.scored_pairs, bs.universe_pairs, bs.pruned_pairs,
+               bs.hop_candidates, bs.forced_pairs);
 
   // Telemetry files are written on every exit path, interrupted included —
   // a cancelled run's partial telemetry is exactly when you want it.

@@ -6,8 +6,7 @@
 //
 //   perf_bench [--preset tiny|gowalla|brightkite] [--out BENCH_pipeline.json]
 //              [--metrics-out M.json] [--trace-out T.json] [--seed N]
-//              [--threads N] [--scaling 1,2,4,8]
-//              [--blocking on|off|auto] [--universe sampled|full]
+//              [--threads N] [--scaling 1,2,4,8] [--universe sampled|full]
 //   perf_bench --validate FILE    # schema-check an existing BENCH file
 //
 // --scaling re-runs the same attack once per listed thread count and emits
@@ -25,7 +24,7 @@
 // pair, the population an attacker actually faces; quality is still scored
 // on the balanced subset (the extras have no labels to grade against).
 // This is the regime candidate blocking exists for — the "blocking"
-// section then shows the scored-universe shrinkage.
+// section shows the scored-universe shrinkage.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -58,7 +57,7 @@ namespace {
 using namespace fs;
 namespace json = obs::json;
 
-constexpr double kSchemaVersion = 7.0;
+constexpr double kSchemaVersion = 8.0;
 
 /// Runs the attack and grades the balanced test subset. Under --universe
 /// full the test list carries unlabeled extension pairs after the labeled
@@ -127,7 +126,7 @@ std::vector<std::size_t> parse_scaling(const std::string& spec) {
 void validate_bench(const json::Value& root) {
   if (!root.is_object()) throw ParseError("root is not an object");
   if (root.at("schema_version").as_number() != kSchemaVersion)
-    throw ParseError("schema_version != 7");
+    throw ParseError("schema_version != 8");
   root.at("preset").as_string();
   root.at("seed").as_number();
   const double threads = root.at("threads").as_number();
@@ -141,12 +140,6 @@ void validate_bench(const json::Value& root) {
     throw ParseError("universe must be 'sampled' or 'full'");
 
   const json::Value& blocking = root.at("blocking");
-  try {
-    core::config_field("blocking").parse(blocking.at("mode").as_string());
-  } catch (const std::invalid_argument& e) {
-    throw ParseError(std::string("blocking.mode: ") + e.what());
-  }
-  blocking.at("active").as_bool();
   const double universe_pairs = blocking.at("universe_pairs").as_number();
   const double scored_pairs = blocking.at("scored_pairs").as_number();
   const double pruned_pairs = blocking.at("pruned_pairs").as_number();
@@ -280,9 +273,6 @@ int run_bench(const util::ArgParser& args) {
       "threads", 0, static_cast<long long>(par::kMaxThreads))));
   const std::size_t main_threads = par::threads();
 
-  const std::string blocking_arg = args.get("blocking");
-  const core::ConfigField& blocking_field = core::config_field("blocking");
-  blocking_field.set(preset.seeker, blocking_field.parse(blocking_arg));
   const std::string universe_arg = args.get("universe");
   if (universe_arg != "sampled" && universe_arg != "full")
     throw std::invalid_argument("--universe must be sampled or full");
@@ -330,8 +320,6 @@ int run_bench(const util::ArgParser& args) {
 
   const core::FriendSeekerResult& last = attack.last_result();
   json::Object blocking;
-  blocking["mode"] = blocking_arg;
-  blocking["active"] = last.blocking_active;
   blocking["universe_pairs"] = last.blocking.universe_pairs;
   blocking["scored_pairs"] = last.blocking.scored_pairs;
   blocking["pruned_pairs"] = last.blocking.pruned_pairs;
@@ -437,8 +425,6 @@ int main(int argc, char** argv) {
                   "comma-separated thread counts (e.g. 1,2,4,8): re-run per "
                   "count and emit the scaling section with byte-identity "
                   "digests");
-  args.add_option("blocking", "auto",
-                  "candidate blocking for the measured run: on | off | auto");
   args.add_option("universe", "sampled",
                   "pair universe: sampled (balanced eval protocol) | full "
                   "(every user pair; quality still graded on the balanced "
