@@ -51,7 +51,7 @@ void BM_QuadtreeLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_QuadtreeLookup);
 
-void BM_OccupancyIndexBuild(benchmark::State& state) {
+void BM_CellIndexBuild(benchmark::State& state) {
   const auto& world = shared_world();
   const geo::QuadtreeDivision division(world.dataset.poi_coordinates(), 120);
   const geo::QuadtreeDivisionView view(division);
@@ -59,11 +59,11 @@ void BM_OccupancyIndexBuild(benchmark::State& state) {
                                 world.dataset.window_end(),
                                 7 * geo::kSecondsPerDay);
   for (auto _ : state) {
-    core::OccupancyIndex index(world.dataset, view, slots);
-    benchmark::DoNotOptimize(index.joc_dim());
+    block::CellIndex index(world.dataset, view, slots);
+    benchmark::DoNotOptimize(index.signature());
   }
 }
-BENCHMARK(BM_OccupancyIndexBuild);
+BENCHMARK(BM_CellIndexBuild);
 
 void BM_JocBuild(benchmark::State& state) {
   const auto& world = shared_world();
@@ -72,7 +72,7 @@ void BM_JocBuild(benchmark::State& state) {
   const geo::TimeSlotting slots(world.dataset.window_begin(),
                                 world.dataset.window_end(),
                                 7 * geo::kSecondsPerDay);
-  const core::OccupancyIndex index(world.dataset, view, slots);
+  const block::CellIndex index(world.dataset, view, slots);
   std::vector<double> joc(index.joc_dim());
   data::UserId a = 0;
   for (auto _ : state) {

@@ -18,18 +18,18 @@ constexpr std::size_t kFilterChunkPairs = 64;
 
 graph::Graph strong_cooccurrence_graph(const CellIndex& index) {
   obs::Span span("block.strong_graph.build");
-  // Invert per-user (cellslot, poi) visits into (cellslot, poi) -> users
+  // Invert per-user (cellslot, poi) entries into (cellslot, poi) -> users
   // groups; every pair inside a group shares that exact visit. Group sizes
   // are bounded by per-POI-per-slot popularity, so the join never touches
-  // the O(n^2) pair space.
-  std::vector<std::pair<CellIndex::PoiVisit, data::UserId>> postings;
+  // the O(n^2) pair space. The key packs cellslot above poi.
+  std::vector<std::pair<std::uint64_t, data::UserId>> postings;
   std::size_t total = 0;
   for (data::UserId u = 0; u < index.user_count(); ++u)
-    total += index.poi_visits(u).size();
+    total += index.entries(u).size();
   postings.reserve(total);
   for (data::UserId u = 0; u < index.user_count(); ++u)
-    for (const CellIndex::PoiVisit& v : index.poi_visits(u))
-      postings.push_back({v, u});
+    for (const CellIndex::Entry& e : index.entries(u))
+      postings.push_back({std::uint64_t{e.cellslot} << 32 | e.poi, u});
   std::sort(postings.begin(), postings.end());
 
   graph::Graph g(index.user_count());

@@ -59,8 +59,9 @@ struct BlockingStats {
 };
 
 /// The strong-co-occurrence graph: one edge per user pair sharing at least
-/// one (cell, slot, POI) visit. Built by grouping the inverted index by
-/// (cellslot, poi) — near-linear in check-in volume, never O(n^2).
+/// one (cell, slot, POI) visit. Built by grouping every user's index
+/// entries by (cellslot, poi) — near-linear in check-in volume, never
+/// O(n^2).
 graph::Graph strong_cooccurrence_graph(const CellIndex& index);
 
 /// Per-pair keep mask for a fixed universe, computed over fs::par in fixed

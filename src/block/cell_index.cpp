@@ -1,9 +1,11 @@
 #include "block/cell_index.h"
 
 #include <algorithm>
+#include <string>
 
 #include "obs/trace.h"
 #include "par/par.h"
+#include "util/error.h"
 
 namespace fs::block {
 
@@ -26,76 +28,63 @@ bool profiles_cooccur(std::span<const std::uint32_t> a,
   return false;
 }
 
+bool entry_less(const CellIndex::Entry& x, const CellIndex::Entry& y) {
+  if (x.cellslot != y.cellslot) return x.cellslot < y.cellslot;
+  return x.poi < y.poi;
+}
+
 }  // namespace
 
 CellIndex::CellIndex(const data::Dataset& dataset,
                      const geo::SpatialDivision& division,
                      const geo::TimeSlotting& slots,
                      runtime::ExecutionContext* context)
-    : grid_count_(division.cell_count()),
-      slot_count_(slots.slot_count()),
-      cell_profiles_(dataset.user_count()),
-      poi_visits_(dataset.user_count()) {
+    : grid_count_(division.cell_count()), slot_count_(slots.slot_count()) {
+  // Cells travel as uint32, here and as JOC columns; no memory budget
+  // could hold an autoencoder that wide anyway.
+  if (joc_dim() > std::size_t{0xffffffff})
+    throw BudgetError("block.cell_index: JOC width " +
+                      std::to_string(joc_dim()) + " exceeds 2^32 columns");
   obs::Span span("block.cell_index.build");
   span.arg("users", static_cast<double>(dataset.user_count()));
+  entries_.resize(dataset.user_count());
+  cell_profiles_.resize(dataset.user_count());
 
-  // Per-user profiles: each user writes only its own slot, so the region is
-  // byte-identical at any thread count. Binning dominates the build cost.
+  // Each user writes only its own slots, so the region is byte-identical at
+  // any thread count. Binning dominates the build cost.
   par::ParallelOptions popts;
   popts.context = context;
   popts.what = "block.cell_index.profiles";
   popts.grain = 16;
   par::parallel_for(dataset.user_count(), popts, [&](std::size_t u) {
     const auto user = static_cast<data::UserId>(u);
-    auto& visits = poi_visits_[u];
-    visits.reserve(dataset.trajectory(user).size());
+    auto& entries = entries_[u];
+    entries.reserve(dataset.trajectory(user).size());
     for (const data::CheckIn& c : dataset.trajectory(user)) {
       const std::size_t grid = division.cell_of(c.location);
       const std::size_t slot = slots.slot_of(c.time);
-      visits.push_back(PoiVisit{
-          static_cast<std::uint32_t>(grid * slot_count_ + slot), c.poi});
+      entries.push_back(Entry{
+          static_cast<std::uint32_t>(grid * slot_count_ + slot), c.poi, 1});
     }
-    std::sort(visits.begin(), visits.end());
-    visits.erase(std::unique(visits.begin(), visits.end()), visits.end());
+    std::sort(entries.begin(), entries.end(), entry_less);
+    // Collapse duplicates into counts.
+    std::size_t write = 0;
+    for (std::size_t read = 0; read < entries.size(); ++read) {
+      if (write > 0 && !entry_less(entries[write - 1], entries[read])) {
+        ++entries[write - 1].count;
+      } else {
+        entries[write++] = entries[read];
+      }
+    }
+    entries.resize(write);
+    // The profile is the entries with the POI dimension collapsed; a run
+    // of equal cellslots is adjacent.
+    auto& profile = cell_profiles_[u];
+    for (const Entry& e : entries)
+      if (profile.empty() || profile.back() != e.cellslot)
+        profile.push_back(e.cellslot);
   });
 
-  finalize_from_visits();
-  span.arg("occupied_cells", static_cast<double>(occupied_.size()));
-}
-
-void CellIndex::finalize_from_visits() {
-  // Profiles are the visit lists with the POI dimension collapsed; visits
-  // are sorted by (cellslot, poi), so a run of equal cellslots is adjacent.
-  for (std::size_t u = 0; u < poi_visits_.size(); ++u) {
-    auto& profile = cell_profiles_[u];
-    profile.clear();
-    profile.reserve(poi_visits_[u].size());
-    for (const PoiVisit& v : poi_visits_[u])
-      if (profile.empty() || profile.back() != v.cellslot)
-        profile.push_back(v.cellslot);
-  }
-
-  // Inverted cellslot -> users index (CSR over occupied cells). Sequential
-  // and deterministic: users ascend, so each cell's list is born sorted.
-  std::vector<std::pair<std::uint32_t, data::UserId>> postings;
-  std::size_t total = 0;
-  for (const auto& profile : cell_profiles_) total += profile.size();
-  postings.reserve(total);
-  for (data::UserId u = 0; u < cell_profiles_.size(); ++u)
-    for (std::uint32_t cell : cell_profiles_[u]) postings.push_back({cell, u});
-  std::sort(postings.begin(), postings.end());
-
-  cell_users_.reserve(postings.size());
-  for (const auto& [cell, user] : postings) {
-    if (occupied_.empty() || occupied_.back() != cell) {
-      occupied_.push_back(cell);
-      cell_offsets_.push_back(cell_users_.size());
-    }
-    cell_users_.push_back(user);
-  }
-  cell_offsets_.push_back(cell_users_.size());
-
-  // Content fingerprint: dimensions plus every profile entry.
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto mix = [&h](std::uint64_t v) {
     h ^= v;
@@ -103,25 +92,15 @@ void CellIndex::finalize_from_visits() {
   };
   mix(grid_count_);
   mix(slot_count_);
-  mix(cell_profiles_.size());
-  for (const auto& visits : poi_visits_) {
-    mix(visits.size());
-    for (const PoiVisit& v : visits) {
-      mix(v.cellslot);
-      mix(v.poi);
+  mix(entries_.size());
+  for (const auto& entries : entries_) {
+    mix(entries.size());
+    for (const Entry& e : entries) {
+      mix(e.cellslot);
+      mix(e.poi);
     }
   }
   signature_ = h;
-}
-
-std::span<const data::UserId> CellIndex::users_in_cell(
-    std::uint32_t cellslot) const {
-  const auto it =
-      std::lower_bound(occupied_.begin(), occupied_.end(), cellslot);
-  if (it == occupied_.end() || *it != cellslot) return {};
-  const auto idx = static_cast<std::size_t>(it - occupied_.begin());
-  return {cell_users_.data() + cell_offsets_[idx],
-          cell_offsets_[idx + 1] - cell_offsets_[idx]};
 }
 
 bool CellIndex::cooccur(data::UserId a, data::UserId b,
@@ -131,13 +110,13 @@ bool CellIndex::cooccur(data::UserId a, data::UserId b,
 }
 
 bool CellIndex::strong_cooccur(data::UserId a, data::UserId b) const {
-  const auto va = poi_visits(a);
-  const auto vb = poi_visits(b);
+  const auto ea = entries(a);
+  const auto eb = entries(b);
   std::size_t ia = 0, ib = 0;
-  while (ia < va.size() && ib < vb.size()) {
-    if (va[ia] < vb[ib]) {
+  while (ia < ea.size() && ib < eb.size()) {
+    if (entry_less(ea[ia], eb[ib])) {
       ++ia;
-    } else if (vb[ib] < va[ia]) {
+    } else if (entry_less(eb[ib], ea[ia])) {
       ++ib;
     } else {
       return true;

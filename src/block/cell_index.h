@@ -1,20 +1,23 @@
-// Inverted spatial-temporal co-occurrence index (the blocking substrate).
+// The occupancy index: every check-in binned into the spatial-temporal
+// division, once per run. Both the JOCs (Definitions 8-9) and blocking read
+// it, so "which user checked into which POI in which (grid, slot) cell" is
+// defined in exactly one place.
 //
-// The attack's natural candidate universe is all O(n^2) user pairs, but
-// mobility-based link inference hinges on who ever co-occurs: pairs sharing
-// no (grid, slot) cell of the spatial-temporal division are overwhelmingly
-// non-friends (Table II: 81-92 % of non-friends share no common location).
-// The CellIndex turns the division into two retrieval structures:
+// Per user it holds two sorted lists:
 //
-//   * a per-user *cell profile* — the sorted, de-duplicated list of
-//     (grid, slot) cells the user ever checked into — for O(|A| + |B|)
-//     pairwise co-occurrence tests with a slot tolerance; and
-//   * an inverted (grid, slot[, poi]) -> users index, so candidate pairs
-//     can be *generated* from co-occupancy instead of enumerated densely.
+//   * the (cellslot, POI, count) entries — the check-ins aggregated by
+//     (grid, slot, POI), sorted by (cellslot, POI) for pairwise merging.
+//     The JOC emitter sums them into n_a / n_b and merges two users' lists
+//     for n_ab; the strong co-occurrence test merges them likewise; and
+//   * the *cell profile* — the entries with the POI dimension collapsed,
+//     the sorted unique (grid, slot) cells the user ever checked into — for
+//     O(|A| + |B|) cell co-occurrence tests with a slot tolerance.
 //
-// Both are pure functions of (dataset, division, slots); the signature()
-// fingerprint keys downstream caches so they invalidate exactly when the
-// division, tau, or the data change.
+// Mobility-based link inference hinges on who ever co-occurs: pairs sharing
+// no (grid, slot) cell are overwhelmingly non-friends (Table II: 81-92 % of
+// non-friends share no common location), which is what blocking exploits.
+//
+// The index is a pure function of (dataset, division, slots).
 #pragma once
 
 #include <cstdint>
@@ -30,43 +33,39 @@ namespace fs::block {
 
 class CellIndex {
  public:
-  /// One check-in group: the user visited `poi` inside cell `cellslot`
-  /// (grid * slot_count + slot) at least once.
-  struct PoiVisit {
+  /// The user checked into `poi` inside cell `cellslot`
+  /// (grid * slot_count + slot) `count` times.
+  struct Entry {
     std::uint32_t cellslot = 0;
     data::PoiId poi = 0;
-
-    friend bool operator==(const PoiVisit&, const PoiVisit&) = default;
-    friend auto operator<=>(const PoiVisit&, const PoiVisit&) = default;
+    std::uint32_t count = 0;
   };
 
-  /// Builds the index. The per-user profile pass fans out over fs::par
-  /// (users are disjoint slots, so the result is byte-identical at any
-  /// thread count); the inverted index is assembled sequentially.
+  /// Builds the index. The per-user pass fans out over fs::par (users are
+  /// disjoint slots, so the result is byte-identical at any thread count).
+  /// Throws BudgetError when joc_dim() exceeds 2^32: cellslots and JOC
+  /// columns travel as uint32.
   CellIndex(const data::Dataset& dataset, const geo::SpatialDivision& division,
             const geo::TimeSlotting& slots,
             runtime::ExecutionContext* context = nullptr);
 
-  std::size_t user_count() const { return cell_profiles_.size(); }
+  std::size_t user_count() const { return entries_.size(); }
   std::size_t grid_count() const { return grid_count_; }
   std::size_t slot_count() const { return slot_count_; }
+
+  /// Flattened JOC dimensionality: I * J * 3.
+  std::size_t joc_dim() const { return grid_count_ * slot_count_ * 3; }
+
+  /// The user's (cellslot, poi, count) entries, sorted by (cellslot, poi),
+  /// one per distinct pair.
+  std::span<const Entry> entries(data::UserId user) const {
+    return entries_.at(user);
+  }
 
   /// Sorted unique (grid, slot) cells the user ever checked into.
   std::span<const std::uint32_t> cell_profile(data::UserId user) const {
     return cell_profiles_.at(user);
   }
-
-  /// Sorted unique (cellslot, poi) visits of the user.
-  std::span<const PoiVisit> poi_visits(data::UserId user) const {
-    return poi_visits_.at(user);
-  }
-
-  /// Users with at least one check-in inside `cellslot`, sorted ascending.
-  /// Empty span for unoccupied cells.
-  std::span<const data::UserId> users_in_cell(std::uint32_t cellslot) const;
-
-  /// Occupied cellslots, sorted ascending (the inverted index's keys).
-  std::span<const std::uint32_t> occupied_cells() const { return occupied_; }
 
   /// True when a and b share a grid cell in slots at most `slot_tolerance`
   /// apart — the blocking predicate. Tolerance 0 is exact-(cell, slot)
@@ -77,25 +76,17 @@ class CellIndex {
   /// the "strong" co-occurrence that makes the pair's JOC carry n_ab mass.
   bool strong_cooccur(data::UserId a, data::UserId b) const;
 
-  /// FNV-1a fingerprint of the full index content (profiles + dimensions).
-  /// Two datasets cast into the same division and slotting collide only if
-  /// their binned occupancy is identical, which is exactly when cached
-  /// per-pair features are reusable.
+  /// FNV-1a fingerprint of the dimensions and every user's (cellslot, poi)
+  /// list; the counts are not mixed in. Two datasets cast into the same
+  /// division and slotting collide only if they visit the same POIs in the
+  /// same cells.
   std::uint64_t signature() const { return signature_; }
 
  private:
-  /// Derives cell_profiles_, the CSR inverted index, and the signature from
-  /// poi_visits_ (which must be sorted unique per user).
-  void finalize_from_visits();
-
   std::size_t grid_count_ = 0;
   std::size_t slot_count_ = 0;
+  std::vector<std::vector<Entry>> entries_;
   std::vector<std::vector<std::uint32_t>> cell_profiles_;
-  std::vector<std::vector<PoiVisit>> poi_visits_;
-  // Inverted index in CSR form over occupied cellslots.
-  std::vector<std::uint32_t> occupied_;       // sorted occupied cellslot ids
-  std::vector<std::size_t> cell_offsets_;     // occupied_.size() + 1
-  std::vector<data::UserId> cell_users_;      // concatenated sorted user lists
   std::uint64_t signature_ = 0;
 };
 

@@ -1,75 +1,28 @@
 #include "core/joc.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <stdexcept>
-#include <string>
+#include <span>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "par/par.h"
-#include "util/error.h"
 
 namespace fs::core {
-
-OccupancyIndex::OccupancyIndex(const data::Dataset& dataset,
-                               const geo::SpatialDivision& division,
-                               const geo::TimeSlotting& slots)
-    : grid_count_(division.cell_count()),
-      slot_count_(slots.slot_count()),
-      per_user_(dataset.user_count()) {
-  // Cells travel as uint32, here and as JOC columns; no memory budget
-  // could hold an autoencoder that wide anyway.
-  if (joc_dim() > std::size_t{0xffffffff})
-    throw BudgetError("core.joc: JOC width " + std::to_string(joc_dim()) +
-                      " exceeds 2^32 columns");
-  for (data::UserId u = 0; u < dataset.user_count(); ++u) {
-    auto& entries = per_user_[u];
-    entries.reserve(dataset.trajectory(u).size());
-    for (const data::CheckIn& c : dataset.trajectory(u)) {
-      const std::size_t grid = division.cell_of(c.location);
-      const std::size_t slot = slots.slot_of(c.time);
-      entries.push_back(Entry{
-          static_cast<std::uint32_t>(grid * slot_count_ + slot), c.poi, 1});
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& x, const Entry& y) {
-                if (x.cellslot != y.cellslot) return x.cellslot < y.cellslot;
-                return x.poi < y.poi;
-              });
-    // Collapse duplicates into counts.
-    std::size_t write = 0;
-    for (std::size_t read = 0; read < entries.size(); ++read) {
-      if (write > 0 && entries[write - 1].cellslot == entries[read].cellslot &&
-          entries[write - 1].poi == entries[read].poi) {
-        ++entries[write - 1].count;
-      } else {
-        entries[write++] = entries[read];
-      }
-    }
-    entries.resize(write);
-  }
-}
-
-const std::vector<OccupancyIndex::Entry>& OccupancyIndex::user_entries(
-    data::UserId user) const {
-  return per_user_.at(user);
-}
 
 namespace {
 
 /// Calls sink(column, count) for every non-zero cell of the JOC of (a, b),
 /// columns ascending: n_a by cell, then n_b, then n_ab.
 template <typename Sink>
-void emit_joc(const OccupancyIndex& index, data::UserId a, data::UserId b,
+void emit_joc(const block::CellIndex& index, data::UserId a, data::UserId b,
               Sink&& sink) {
-  using Entry = OccupancyIndex::Entry;
   const std::size_t cells = index.grid_count() * index.slot_count();
-  const auto& ea = index.user_entries(a);
-  const auto& eb = index.user_entries(b);
+  const auto ea = index.entries(a);
+  const auto eb = index.entries(b);
   // n_a, n_b: entries are sorted by cell, so a cell's counts are adjacent.
-  const auto counts = [&](const std::vector<Entry>& entries,
+  const auto counts = [&](std::span<const block::CellIndex::Entry> entries,
                           std::size_t base) {
     for (std::size_t i = 0; i < entries.size();) {
       const std::uint32_t cell = entries[i].cellslot;
@@ -117,14 +70,14 @@ double joc_value(std::uint64_t count, const JocOptions& options) {
 
 }  // namespace
 
-std::size_t joc_nnz(const OccupancyIndex& index, data::UserId a,
+std::size_t joc_nnz(const block::CellIndex& index, data::UserId a,
                     data::UserId b) {
   std::size_t count = 0;
   emit_joc(index, a, b, [&](std::size_t, std::uint64_t) { ++count; });
   return count;
 }
 
-std::size_t build_joc_entries(const OccupancyIndex& index, data::UserId a,
+std::size_t build_joc_entries(const block::CellIndex& index, data::UserId a,
                               data::UserId b, std::uint32_t* cols,
                               double* values, const JocOptions& options) {
   std::size_t count = 0;
@@ -136,7 +89,7 @@ std::size_t build_joc_entries(const OccupancyIndex& index, data::UserId a,
   return count;
 }
 
-void build_joc(const OccupancyIndex& index, data::UserId a, data::UserId b,
+void build_joc(const block::CellIndex& index, data::UserId a, data::UserId b,
                double* out, const JocOptions& options) {
   std::memset(out, 0, index.joc_dim() * sizeof(double));
   emit_joc(index, a, b, [&](std::size_t col, std::uint64_t n) {
@@ -144,7 +97,7 @@ void build_joc(const OccupancyIndex& index, data::UserId a, data::UserId b,
   });
 }
 
-nn::SparseRows build_joc_matrix(const OccupancyIndex& index,
+nn::SparseRows build_joc_matrix(const block::CellIndex& index,
                                 const std::vector<data::UserPair>& pairs,
                                 const JocOptions& options,
                                 runtime::MemoryCharge* charge) {

@@ -6,6 +6,9 @@
 // in that cell, n_ab. The flattened cuboid (I*J*3 values) is the input to
 // the supervised autoencoder.
 //
+// The per-user (cell, slot, POI) counts come from block::CellIndex, the
+// one occupancy index a run builds; blocking reads the same index.
+//
 // A cuboid is almost all zeros (~1.5 % of the cells are set on the bench
 // presets), so the engine keeps it as its non-zero (column, value)
 // entries in an nn::SparseRows store. One emitter produces them, in
@@ -17,42 +20,17 @@
 #include <cstdint>
 #include <vector>
 
+#include "block/cell_index.h"
 #include "data/dataset.h"
-#include "geo/spatial_division.h"
-#include "geo/time_slots.h"
 #include "nn/sparse.h"
 #include "util/runtime.h"
 
 namespace fs::core {
 
-/// Per-user occupancy index: check-ins aggregated by (cell, slot, POI),
-/// sorted for pairwise merging. Built once per division/tau setting and
-/// reused across all pairs — JOC construction is the hot path.
-class OccupancyIndex {
- public:
-  OccupancyIndex(const data::Dataset& dataset,
-                 const geo::SpatialDivision& division,
-                 const geo::TimeSlotting& slots);
-
-  struct Entry {
-    std::uint32_t cellslot;  // grid * slot_count + slot
-    data::PoiId poi;
-    std::uint32_t count;
-  };
-
-  const std::vector<Entry>& user_entries(data::UserId user) const;
-
-  std::size_t grid_count() const { return grid_count_; }
-  std::size_t slot_count() const { return slot_count_; }
-
-  /// Flattened JOC dimensionality: I * J * 3.
-  std::size_t joc_dim() const { return grid_count_ * slot_count_ * 3; }
-
- private:
-  std::size_t grid_count_;
-  std::size_t slot_count_;
-  std::vector<std::vector<Entry>> per_user_;
-};
+/// The benchmark's layer drive (`drive_layers` in benchmark/src/attack.cpp)
+/// still names the index by its old JOC-side name; everything else uses
+/// block::CellIndex. Delete the alias together with that drive.
+using OccupancyIndex = block::CellIndex;
 
 struct JocOptions {
   /// log1p-compress the three indicators: check-in counts are heavy-tailed
@@ -67,19 +45,19 @@ struct JocOptions {
 };
 
 /// Non-zero entries of the JOC of (a, b).
-std::size_t joc_nnz(const OccupancyIndex& index, data::UserId a,
+std::size_t joc_nnz(const block::CellIndex& index, data::UserId a,
                     data::UserId b);
 
 /// Writes the JOC of (a, b) as its non-zero entries, columns strictly
 /// ascending, into `cols` and `values` (room for joc_nnz(index, a, b)
 /// each); returns how many it wrote.
-std::size_t build_joc_entries(const OccupancyIndex& index, data::UserId a,
+std::size_t build_joc_entries(const block::CellIndex& index, data::UserId a,
                               data::UserId b, std::uint32_t* cols,
                               double* values, const JocOptions& options = {});
 
 /// Dense adapter: the flattened JOC of (a, b) into `out` (size joc_dim()),
 /// the entries of build_joc_entries scattered over zeros.
-void build_joc(const OccupancyIndex& index, data::UserId a, data::UserId b,
+void build_joc(const block::CellIndex& index, data::UserId a, data::UserId b,
                double* out, const JocOptions& options = {});
 
 /// The JOC store for a list of pairs, one row per pair, byte-identical at
@@ -88,7 +66,7 @@ void build_joc(const OccupancyIndex& index, data::UserId a, data::UserId b,
 /// options.context (`core.joc.matrix`) into *charge, which the caller keeps
 /// as long as the store: an over-budget run throws BudgetError before the
 /// store is allocated. Then the rows are filled in parallel.
-nn::SparseRows build_joc_matrix(const OccupancyIndex& index,
+nn::SparseRows build_joc_matrix(const block::CellIndex& index,
                                 const std::vector<data::UserPair>& pairs,
                                 const JocOptions& options = {},
                                 runtime::MemoryCharge* charge = nullptr);

@@ -116,7 +116,8 @@ FriendSeekerResult FriendSeeker::run(
   const geo::TimeSlotting slots(
       dataset.window_begin(), dataset.window_end(),
       static_cast<geo::Timestamp>(config_.tau_days * geo::kSecondsPerDay));
-  const OccupancyIndex occupancy(dataset, *division, slots);
+  // The one occupancy index: the JOCs and blocking both read it.
+  const block::CellIndex occupancy(dataset, *division, slots, ctx);
   std_span.end();
   util::log_debug("FriendSeeker: STD I=", division->cell_count(),
                   " J=", slots.slot_count(), " joc_dim=", occupancy.joc_dim());
@@ -150,12 +151,11 @@ FriendSeekerResult FriendSeeker::run(
   // genuinely hidden friend pair that never co-occurs and sits outside the
   // hop radius is predicted non-friend and counted in
   // block.candidates_pruned.
-  const block::CellIndex cell_index(dataset, *division, slots, ctx);
   block::BlockingStats blocking_stats;
   std::vector<char> candidate;
   {
-    const graph::Graph strong = block::strong_cooccurrence_graph(cell_index);
-    candidate = block::filter_universe(cell_index, strong, universe.pairs,
+    const graph::Graph strong = block::strong_cooccurrence_graph(occupancy);
+    candidate = block::filter_universe(occupancy, strong, universe.pairs,
                                        config_.blocking, &blocking_stats);
   }
   // Scored rows: candidates plus every train row. Train pairs are always

@@ -50,87 +50,6 @@ std::vector<VocabId> WeightedGraph::random_walk(VocabId start,
   return walk;
 }
 
-bool WeightedGraph::has_edge(VocabId a, VocabId b) const {
-  const auto& list = adjacency_.at(a).size() <= adjacency_.at(b).size()
-                         ? adjacency_[a]
-                         : adjacency_[b];
-  const VocabId target =
-      adjacency_[a].size() <= adjacency_[b].size() ? b : a;
-  for (const Neighbor& n : list)
-    if (n.node == target) return true;
-  return false;
-}
-
-namespace {
-
-std::vector<VocabId> node2vec_walk(const WeightedGraph& g, VocabId start,
-                                   const Node2VecConfig& cfg,
-                                   util::Rng& rng) {
-  std::vector<VocabId> walk{start};
-  std::vector<double> weights;
-  while (walk.size() < cfg.walks.walk_length) {
-    const VocabId current = walk.back();
-    const auto& nbrs = g.neighbors(current);
-    if (nbrs.empty()) break;
-    if (walk.size() == 1 || (cfg.p == 1.0 && cfg.q == 1.0)) {
-      // First step (or unbiased config): plain weighted choice.
-      double total = 0.0;
-      for (const auto& n : nbrs) total += n.weight;
-      double target = rng.uniform() * total;
-      VocabId chosen = nbrs.back().node;
-      for (const auto& n : nbrs) {
-        target -= n.weight;
-        if (target < 0.0) {
-          chosen = n.node;
-          break;
-        }
-      }
-      walk.push_back(chosen);
-      continue;
-    }
-    const VocabId previous = walk[walk.size() - 2];
-    weights.resize(nbrs.size());
-    double total = 0.0;
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      double w = nbrs[i].weight;
-      if (nbrs[i].node == previous) {
-        w /= cfg.p;
-      } else if (!g.has_edge(previous, nbrs[i].node)) {
-        w /= cfg.q;
-      }
-      weights[i] = w;
-      total += w;
-    }
-    double target = rng.uniform() * total;
-    VocabId chosen = nbrs.back().node;
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      target -= weights[i];
-      if (target < 0.0) {
-        chosen = nbrs[i].node;
-        break;
-      }
-    }
-    walk.push_back(chosen);
-  }
-  return walk;
-}
-
-}  // namespace
-
-std::vector<std::vector<VocabId>> generate_node2vec_walks(
-    const WeightedGraph& graph, const Node2VecConfig& config,
-    util::Rng& rng) {
-  if (config.p <= 0.0 || config.q <= 0.0)
-    throw std::invalid_argument("generate_node2vec_walks: p, q must be > 0");
-  std::vector<std::vector<VocabId>> corpus;
-  for (VocabId v = 0; v < graph.node_count(); ++v) {
-    if (graph.degree(v) == 0) continue;
-    for (std::size_t w = 0; w < config.walks.walks_per_node; ++w)
-      corpus.push_back(node2vec_walk(graph, v, config, rng));
-  }
-  return corpus;
-}
-
 std::vector<std::vector<VocabId>> generate_walks(const WeightedGraph& graph,
                                                  const WalkConfig& config,
                                                  util::Rng& rng) {

@@ -42,9 +42,6 @@ class WeightedGraph {
   std::vector<VocabId> random_walk(VocabId start, std::size_t length,
                                    util::Rng& rng) const;
 
-  /// True if an edge (a, b) exists (linear scan of the shorter list).
-  bool has_edge(VocabId a, VocabId b) const;
-
  private:
   std::vector<std::vector<Neighbor>> adjacency_;
 };
@@ -58,20 +55,5 @@ struct WalkConfig {
 std::vector<std::vector<VocabId>> generate_walks(const WeightedGraph& graph,
                                                  const WalkConfig& config,
                                                  util::Rng& rng);
-
-/// node2vec-style second-order walk biases (Grover & Leskovec, KDD'16):
-/// the unnormalized probability of stepping from v to x, having arrived
-/// from t, is w(v,x)/p if x == t (return), w(v,x) if x is a neighbor of t
-/// (BFS-like), and w(v,x)/q otherwise (DFS-like). p = q = 1 recovers the
-/// plain weighted walk.
-struct Node2VecConfig {
-  double p = 1.0;  // return parameter
-  double q = 1.0;  // in-out parameter
-  WalkConfig walks;
-};
-
-std::vector<std::vector<VocabId>> generate_node2vec_walks(
-    const WeightedGraph& graph, const Node2VecConfig& config,
-    util::Rng& rng);
 
 }  // namespace fs::embed

@@ -71,20 +71,6 @@ std::vector<std::unique_ptr<baselines::FriendshipAttack>> make_baselines() {
   return out;
 }
 
-ml::Prf stratified_prf(
-    const std::vector<data::UserPair>& test_pairs,
-    const std::vector<int>& test_labels,
-    const std::vector<int>& predictions,
-    const std::function<bool(const data::UserPair&)>& keep) {
-  std::vector<int> truth, pred;
-  for (std::size_t i = 0; i < test_pairs.size(); ++i) {
-    if (!keep(test_pairs[i])) continue;
-    truth.push_back(test_labels[i]);
-    pred.push_back(predictions[i]);
-  }
-  return ml::prf(truth, pred);
-}
-
 std::vector<std::size_t> pair_common_locations(
     const data::Dataset& dataset, const std::vector<data::UserPair>& pairs) {
   std::vector<std::size_t> out;

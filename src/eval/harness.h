@@ -2,7 +2,6 @@
 // baseline, plus the stratified analyses behind Fig 12/13.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -71,12 +70,6 @@ core::FriendSeekerConfig default_seeker_config();
 std::vector<std::unique_ptr<baselines::FriendshipAttack>> make_baselines();
 
 // ---- Stratified analyses ----
-
-/// F1 computed only over test pairs selected by `keep`.
-ml::Prf stratified_prf(const std::vector<data::UserPair>& test_pairs,
-                       const std::vector<int>& test_labels,
-                       const std::vector<int>& predictions,
-                       const std::function<bool(const data::UserPair&)>& keep);
 
 /// Buckets for "number of common locations" (Fig 12) and "number of
 /// check-ins owned by a pair" (Fig 13).

@@ -1,7 +1,6 @@
 #include "graph/heuristics.h"
 
 #include <cmath>
-#include <queue>
 #include <vector>
 
 namespace fs::graph {
@@ -26,10 +25,6 @@ double adamic_adar_score(const Graph& g, NodeId a, NodeId b) {
   return score;
 }
 
-double preferential_attachment_score(const Graph& g, NodeId a, NodeId b) {
-  return static_cast<double>(g.degree(a)) * static_cast<double>(g.degree(b));
-}
-
 double katz_score(const Graph& g, NodeId a, NodeId b, double beta,
                   int max_len) {
   // walks[v] = number of length-l walks from a to v, updated iteratively.
@@ -49,52 +44,6 @@ double katz_score(const Graph& g, NodeId a, NodeId b, double beta,
     score += beta_pow * walks[b];
   }
   return score;
-}
-
-double resource_allocation_score(const Graph& g, NodeId a, NodeId b) {
-  double score = 0.0;
-  for (NodeId z : g.common_neighbors(a, b)) {
-    const std::size_t deg = g.degree(z);
-    if (deg > 0) score += 1.0 / static_cast<double>(deg);
-  }
-  return score;
-}
-
-double local_path_score(const Graph& g, NodeId a, NodeId b, double epsilon) {
-  // walks2[v] = #length-2 walks a->v; walks3 via one more expansion.
-  std::vector<double> walks1(g.node_count(), 0.0);
-  for (NodeId w : g.neighbors(a)) walks1[w] = 1.0;
-  std::vector<double> walks2(g.node_count(), 0.0);
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    if (walks1[v] == 0.0) continue;
-    for (NodeId w : g.neighbors(v)) walks2[w] += walks1[v];
-  }
-  std::vector<double> walks3(g.node_count(), 0.0);
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    if (walks2[v] == 0.0) continue;
-    for (NodeId w : g.neighbors(v)) walks3[w] += walks2[v];
-  }
-  return walks2[b] + epsilon * walks3[b];
-}
-
-int shortest_path_length(const Graph& g, NodeId a, NodeId b, int max_depth) {
-  if (a == b) return 0;
-  std::vector<int> dist(g.node_count(), -1);
-  std::queue<NodeId> frontier;
-  dist[a] = 0;
-  frontier.push(a);
-  while (!frontier.empty()) {
-    const NodeId v = frontier.front();
-    frontier.pop();
-    if (dist[v] >= max_depth) continue;
-    for (NodeId w : g.neighbors(v)) {
-      if (dist[w] != -1) continue;
-      dist[w] = dist[v] + 1;
-      if (w == b) return dist[w];
-      frontier.push(w);
-    }
-  }
-  return -1;
 }
 
 }  // namespace fs::graph

@@ -18,28 +18,10 @@ double jaccard_score(const Graph& g, NodeId a, NodeId b);
 /// Σ_{z ∈ N(a) ∩ N(b)} 1 / log(deg z), skipping degree-1 commons.
 double adamic_adar_score(const Graph& g, NodeId a, NodeId b);
 
-/// deg(a) * deg(b).
-double preferential_attachment_score(const Graph& g, NodeId a, NodeId b);
-
 /// Truncated Katz index: Σ_{l=1..max_len} beta^l * |walks of length l|.
 /// Walk counts are computed by iterated sparse adjacency multiplication of
 /// the indicator vector of `a`, so cost is O(max_len * |E|).
 double katz_score(const Graph& g, NodeId a, NodeId b, double beta = 0.05,
                   int max_len = 4);
-
-/// BFS shortest-path length between a and b, or -1 if disconnected or
-/// farther than `max_depth`.
-int shortest_path_length(const Graph& g, NodeId a, NodeId b,
-                         int max_depth = 16);
-
-/// Resource-allocation index: Σ_{z ∈ N(a) ∩ N(b)} 1 / deg(z).
-/// (Zhou, Lü & Zhang 2009 — the harsher-penalty sibling of Adamic-Adar.)
-double resource_allocation_score(const Graph& g, NodeId a, NodeId b);
-
-/// Local-path index (Lü, Jin & Zhou, Phys. Rev. E 2009 — the paper's
-/// reference [27]): |paths of length 2| + epsilon * |paths of length 3|,
-/// computed by sparse adjacency multiplication.
-double local_path_score(const Graph& g, NodeId a, NodeId b,
-                        double epsilon = 0.01);
 
 }  // namespace fs::graph

@@ -1,10 +1,6 @@
 #include "graph/metrics.h"
 
 #include <algorithm>
-#include <queue>
-#include <stdexcept>
-
-#include "util/rng.h"
 
 namespace fs::graph {
 
@@ -33,29 +29,6 @@ double average_clustering(const Graph& g) {
   return total / static_cast<double>(g.node_count());
 }
 
-std::vector<std::size_t> connected_components(const Graph& g) {
-  constexpr std::size_t kUnset = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> label(g.node_count(), kUnset);
-  std::size_t next = 0;
-  std::queue<NodeId> frontier;
-  for (NodeId start = 0; start < g.node_count(); ++start) {
-    if (label[start] != kUnset) continue;
-    label[start] = next;
-    frontier.push(start);
-    while (!frontier.empty()) {
-      const NodeId v = frontier.front();
-      frontier.pop();
-      for (NodeId w : g.neighbors(v)) {
-        if (label[w] != kUnset) continue;
-        label[w] = next;
-        frontier.push(w);
-      }
-    }
-    ++next;
-  }
-  return label;
-}
-
 DegreeStats degree_stats(const Graph& g) {
   DegreeStats stats;
   if (g.node_count() == 0) return stats;
@@ -69,37 +42,6 @@ DegreeStats degree_stats(const Graph& g) {
   }
   stats.mean /= static_cast<double>(g.node_count());
   return stats;
-}
-
-double estimate_average_path_length(const Graph& g, std::size_t samples,
-                                    std::uint64_t seed) {
-  if (g.node_count() < 2) return 0.0;
-  util::Rng rng(seed);
-  double total = 0.0;
-  std::size_t pairs = 0;
-  std::vector<int> dist(g.node_count());
-  for (std::size_t s = 0; s < samples; ++s) {
-    const auto src = static_cast<NodeId>(rng.index(g.node_count()));
-    std::fill(dist.begin(), dist.end(), -1);
-    std::queue<NodeId> frontier;
-    dist[src] = 0;
-    frontier.push(src);
-    while (!frontier.empty()) {
-      const NodeId v = frontier.front();
-      frontier.pop();
-      for (NodeId w : g.neighbors(v)) {
-        if (dist[w] != -1) continue;
-        dist[w] = dist[v] + 1;
-        frontier.push(w);
-      }
-    }
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      if (v == src || dist[v] <= 0) continue;
-      total += dist[v];
-      ++pairs;
-    }
-  }
-  return pairs == 0 ? 0.0 : total / static_cast<double>(pairs);
 }
 
 }  // namespace fs::graph

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "graph/graph.h"
 
@@ -20,9 +19,6 @@ double clustering_coefficient(const Graph& g, NodeId v);
 /// Mean local clustering coefficient over all nodes.
 double average_clustering(const Graph& g);
 
-/// Connected components as a label per node (labels are 0-based, dense).
-std::vector<std::size_t> connected_components(const Graph& g);
-
 struct DegreeStats {
   double mean = 0.0;
   std::size_t min = 0;
@@ -31,10 +27,5 @@ struct DegreeStats {
 };
 
 DegreeStats degree_stats(const Graph& g);
-
-/// Mean shortest-path length estimated from `samples` random source nodes
-/// (exact BFS per source, unreachable pairs skipped).
-double estimate_average_path_length(const Graph& g, std::size_t samples,
-                                    std::uint64_t seed);
 
 }  // namespace fs::graph

@@ -352,9 +352,6 @@ void SvmClassifier::fit(const nn::Matrix& features,
   fit_span.arg("converged", converged ? 1.0 : 0.0);
   cache_support_norms();
   trained_ = true;
-  calibrated_ = false;
-  platt_a_ = -1.0;
-  platt_b_ = 0.0;
 }
 
 double SvmClassifier::decision(const double* query) const {
@@ -405,74 +402,9 @@ std::vector<double> SvmClassifier::predict_proba(
     const nn::Matrix& queries) const {
   const std::vector<double> d = decision(queries);
   std::vector<double> out(d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    const double z =
-        calibrated_ ? -(platt_a_ * d[i] + platt_b_) : d[i];
-    out[i] = 1.0 / (1.0 + std::exp(-z));
-  }
+  for (std::size_t i = 0; i < d.size(); ++i)
+    out[i] = 1.0 / (1.0 + std::exp(-d[i]));
   return out;
-}
-
-void SvmClassifier::calibrate(const nn::Matrix& features,
-                              const std::vector<int>& labels) {
-  const std::vector<double> f = decision(features);
-  if (f.size() != labels.size())
-    throw std::invalid_argument("SvmClassifier::calibrate: size mismatch");
-  const std::size_t n = f.size();
-
-  // Target probabilities with Platt's smoothing priors.
-  std::size_t n_pos = 0;
-  for (int y : labels) n_pos += (y != 0);
-  const std::size_t n_neg = n - n_pos;
-  if (n_pos == 0 || n_neg == 0)
-    throw std::invalid_argument(
-        "SvmClassifier::calibrate: need both classes");
-  const double hi = (static_cast<double>(n_pos) + 1.0) /
-                    (static_cast<double>(n_pos) + 2.0);
-  const double lo = 1.0 / (static_cast<double>(n_neg) + 2.0);
-  std::vector<double> target(n);
-  for (std::size_t i = 0; i < n; ++i) target[i] = labels[i] ? hi : lo;
-
-  // Newton iterations on the two-parameter cross-entropy (Lin et al. '07).
-  double a = 0.0;
-  double b = std::log((static_cast<double>(n_neg) + 1.0) /
-                      (static_cast<double>(n_pos) + 1.0));
-  const double sigma = 1e-12;  // Hessian ridge
-  for (int iter = 0; iter < 100; ++iter) {
-    double g_a = 0.0, g_b = 0.0, h_aa = sigma, h_ab = 0.0, h_bb = sigma;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double z = a * f[i] + b;
-      double p, q;  // p = P(y=1), q = 1 - p, computed stably
-      if (z >= 0) {
-        const double e = std::exp(-z);
-        p = e / (1.0 + e);
-        q = 1.0 / (1.0 + e);
-      } else {
-        const double e = std::exp(z);
-        p = 1.0 / (1.0 + e);
-        q = e / (1.0 + e);
-      }
-      const double d1 = target[i] - p;
-      g_a += f[i] * d1;
-      g_b += d1;
-      const double d2 = p * q;
-      h_aa += f[i] * f[i] * d2;
-      h_ab += f[i] * d2;
-      h_bb += d2;
-    }
-    if (std::abs(g_a) < 1e-8 && std::abs(g_b) < 1e-8) break;
-    // g = gradient of the NEGATIVE log-likelihood wrt (a, b); h is its
-    // (ridged) Hessian. Newton step: (a, b) -= H^{-1} g.
-    const double det = h_aa * h_bb - h_ab * h_ab;
-    const double da = (h_bb * g_a - h_ab * g_b) / det;
-    const double db = (h_aa * g_b - h_ab * g_a) / det;
-    a -= da;
-    b -= db;
-    if (std::abs(da) < 1e-10 && std::abs(db) < 1e-10) break;
-  }
-  platt_a_ = a;
-  platt_b_ = b;
-  calibrated_ = true;
 }
 
 void SvmClassifier::save(util::BinaryWriter& writer) const {
@@ -484,9 +416,6 @@ void SvmClassifier::save(util::BinaryWriter& writer) const {
   writer.f64_span({support_.data(), support_.size()});
   writer.f64_vector(alpha_y_);
   writer.u64(trained_ ? 1 : 0);
-  writer.u64(calibrated_ ? 1 : 0);
-  writer.f64(platt_a_);
-  writer.f64(platt_b_);
 }
 
 SvmClassifier SvmClassifier::load(util::BinaryReader& reader) {
@@ -504,9 +433,6 @@ SvmClassifier SvmClassifier::load(util::BinaryReader& reader) {
   svm.support_ = nn::Matrix(rows, cols);
   std::copy(flat.begin(), flat.end(), svm.support_.data());
   svm.trained_ = reader.u64() != 0;
-  svm.calibrated_ = reader.u64() != 0;
-  svm.platt_a_ = reader.f64();
-  svm.platt_b_ = reader.f64();
   svm.cache_support_norms();  // derived, never serialized
   return svm;
 }

@@ -66,8 +66,7 @@ class SvmClassifier {
   /// Trains on (already scaled) features with labels in {0, 1}.
   void fit(const nn::Matrix& features, const std::vector<int>& labels);
   /// The same fit, bit for bit, building the kernel in `workspace`. A
-  /// refit reuses the support-vector storage of the previous fit and drops
-  /// its calibration.
+  /// refit reuses the support-vector storage of the previous fit.
   void fit(const nn::Matrix& features, const std::vector<int>& labels,
            SvmWorkspace& workspace);
 
@@ -78,16 +77,7 @@ class SvmClassifier {
   std::vector<int> predict(const nn::Matrix& queries) const;
 
   /// Probability-like score via a logistic squashing of the decision value.
-  /// After calibrate(), proper Platt scaling P(y=1|f) = 1/(1+exp(A f + B))
-  /// is applied instead.
   std::vector<double> predict_proba(const nn::Matrix& queries) const;
-
-  /// Fits Platt scaling on a labeled calibration set (Platt 1999, with the
-  /// numerically robust Newton iteration of Lin, Lin & Weng 2007).
-  void calibrate(const nn::Matrix& features, const std::vector<int>& labels);
-  bool calibrated() const { return calibrated_; }
-  double platt_a() const { return platt_a_; }
-  double platt_b() const { return platt_b_; }
 
   std::size_t support_vector_count() const { return support_.rows(); }
 
@@ -118,9 +108,6 @@ class SvmClassifier {
   std::vector<double> support_norms_;  // ‖support row‖² (derived, not saved)
   std::vector<double> alpha_y_;     // alpha_i * y_i per support vector
   bool trained_ = false;
-  bool calibrated_ = false;
-  double platt_a_ = -1.0;
-  double platt_b_ = 0.0;
 };
 
 }  // namespace fs::ml

@@ -1,9 +1,11 @@
 // Incremental spatial-temporal index + live co-occurrence graph for
 // streaming ingestion.
 //
-// The batch pipeline builds its CellIndex, strong-co-occurrence graph, and
-// candidate universe from a finished dataset. The stream engine maintains
-// the same primitives event-by-event:
+// The batch pipeline builds one occupancy index (block::CellIndex: per-user
+// (cell, slot, POI) counts and cell profiles), the strong-co-occurrence
+// graph, and the candidate keep mask from a finished dataset. The stream
+// engine maintains the same primitives event-by-event, plus the inverted
+// cell -> users maps it needs to find the pairs an event dirties:
 //
 //   * users and POIs are interned in arrival order; the quadtree spatial
 //     division is rebuilt (deterministically, at POI-count doubling

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "geo/quadtree.h"
 #include "obs/metrics.h"
 #include "par/pool.h"
+#include "util/error.h"
 
 namespace fs {
 namespace {
@@ -56,31 +58,53 @@ IndexedWorld make_indexed_world(std::uint64_t seed, std::size_t users = 60,
   return out;
 }
 
-TEST(CellIndex, ProfilesMatchTrajectories) {
+TEST(CellIndex, EntriesAndProfilesMatchTrajectories) {
   const IndexedWorld iw = make_indexed_world(11);
   const data::Dataset& ds = iw.world.dataset;
   const block::CellIndex& index = *iw.index;
   ASSERT_EQ(index.user_count(), ds.user_count());
+  bool aggregated = false;
   for (data::UserId u = 0; u < ds.user_count(); ++u) {
-    // Recompute the profile from the raw trajectory.
+    // Recount (cellslot, poi) visits and the profile from the raw
+    // trajectory.
+    std::map<std::pair<std::uint32_t, data::PoiId>, std::uint32_t> counts;
     std::vector<std::uint32_t> expect;
     for (const data::CheckIn& c : ds.trajectory(u)) {
       const std::size_t grid = iw.view->cell_of(c.location);
       const std::size_t slot = iw.slots->slot_of(c.time);
-      expect.push_back(
-          static_cast<std::uint32_t>(grid * index.slot_count() + slot));
+      const auto cell =
+          static_cast<std::uint32_t>(grid * index.slot_count() + slot);
+      ++counts[{cell, c.poi}];
+      expect.push_back(cell);
+    }
+    const auto entries = index.entries(u);
+    ASSERT_EQ(entries.size(), counts.size()) << "user " << u;
+    std::size_t i = 0;
+    for (const auto& [key, count] : counts) {
+      EXPECT_EQ(entries[i].cellslot, key.first) << "user " << u;
+      EXPECT_EQ(entries[i].poi, key.second) << "user " << u;
+      EXPECT_EQ(entries[i].count, count) << "user " << u;
+      aggregated = aggregated || count > 1;
+      ++i;
     }
     std::sort(expect.begin(), expect.end());
     expect.erase(std::unique(expect.begin(), expect.end()), expect.end());
     const auto profile = index.cell_profile(u);
     ASSERT_EQ(profile.size(), expect.size()) << "user " << u;
     EXPECT_TRUE(std::equal(profile.begin(), profile.end(), expect.begin()));
-    // Inverted index agrees: the user appears in exactly its cells.
-    for (std::uint32_t cell : expect) {
-      const auto users = index.users_in_cell(cell);
-      EXPECT_TRUE(std::binary_search(users.begin(), users.end(), u));
-    }
   }
+  EXPECT_TRUE(aggregated) << "no repeated visit exercised the counts";
+}
+
+TEST(CellIndex, RefusesJocWiderThanUint32) {
+  // One uniform cell times five billion one-second slots: 1.5e10 JOC
+  // columns, which cellslots and JOC columns (uint32) cannot address.
+  const IndexedWorld iw = make_indexed_world(31, 10);
+  const data::Dataset& ds = iw.world.dataset;
+  const geo::UniformGridDivision grid(ds.poi_coordinates(), 1, 1);
+  const geo::UniformGridDivisionView view(grid);
+  const geo::TimeSlotting slots(0, 5'000'000'000, 1);
+  EXPECT_THROW(block::CellIndex(ds, view, slots), BudgetError);
 }
 
 TEST(CellIndex, CooccurIsSymmetricAndMatchesProfiles) {

@@ -54,24 +54,25 @@ struct FixtureWorld {
   }
 };
 
-// ---------- OccupancyIndex / JOC ----------
+// ---------- Occupancy index / JOC ----------
 
 TEST(Joc, OccupancyIndexAggregatesCounts) {
   const FixtureWorld w;
   const geo::UniformGridDivisionView view(w.division);
-  const OccupancyIndex index(w.dataset, view, w.slots);
+  const block::CellIndex index(w.dataset, view, w.slots);
   EXPECT_EQ(index.grid_count(), 2u);
   EXPECT_EQ(index.slot_count(), 2u);
   EXPECT_EQ(index.joc_dim(), 12u);
   // User 0: 3 check-ins, one POI repeated at different slots.
-  const auto& entries = index.user_entries(0);
-  EXPECT_EQ(entries.size(), 3u);
+  const auto entries = index.entries(0);
+  ASSERT_EQ(entries.size(), 3u);
+  for (const block::CellIndex::Entry& e : entries) EXPECT_EQ(e.count, 1u);
 }
 
 TEST(Joc, ValuesMatchHandComputation) {
   const FixtureWorld w;
   const geo::UniformGridDivisionView view(w.division);
-  const OccupancyIndex index(w.dataset, view, w.slots);
+  const block::CellIndex index(w.dataset, view, w.slots);
   JocOptions options;
   options.log_scale = false;
   std::vector<double> joc(index.joc_dim());
@@ -96,7 +97,7 @@ TEST(Joc, ValuesMatchHandComputation) {
 TEST(Joc, SymmetricInAB) {
   const FixtureWorld w;
   const geo::UniformGridDivisionView view(w.division);
-  const OccupancyIndex index(w.dataset, view, w.slots);
+  const block::CellIndex index(w.dataset, view, w.slots);
   JocOptions options;
   options.log_scale = false;
   std::vector<double> ab(index.joc_dim()), ba(index.joc_dim());
@@ -113,7 +114,7 @@ TEST(Joc, SymmetricInAB) {
 TEST(Joc, LogScaleIsMonotone) {
   const FixtureWorld w;
   const geo::UniformGridDivisionView view(w.division);
-  const OccupancyIndex index(w.dataset, view, w.slots);
+  const block::CellIndex index(w.dataset, view, w.slots);
   std::vector<double> raw(index.joc_dim()), logged(index.joc_dim());
   JocOptions opt_raw;
   opt_raw.log_scale = false;
@@ -126,7 +127,7 @@ TEST(Joc, LogScaleIsMonotone) {
 TEST(Joc, MatrixBuilderMatchesSingle) {
   const FixtureWorld w;
   const geo::UniformGridDivisionView view(w.division);
-  const OccupancyIndex index(w.dataset, view, w.slots);
+  const block::CellIndex index(w.dataset, view, w.slots);
   const std::vector<data::UserPair> pairs{{0, 1}, {0, 2}};
   const nn::SparseRows m = build_joc_matrix(index, pairs);
   EXPECT_EQ(m.rows(), 2u);
@@ -141,12 +142,12 @@ TEST(Joc, MatrixBuilderMatchesSingle) {
 /// The dense JOC as the engine built it before the sparse store: zeroed
 /// cells, per-entry += of the counts and shared POIs, then log1p over
 /// every cell. The oracle for the store's bytes.
-std::vector<double> dense_joc_reference(const OccupancyIndex& index,
+std::vector<double> dense_joc_reference(const block::CellIndex& index,
                                         data::UserId a, data::UserId b) {
   const std::size_t cells = index.grid_count() * index.slot_count();
   std::vector<double> out(cells * 3, 0.0);
-  const auto& ea = index.user_entries(a);
-  const auto& eb = index.user_entries(b);
+  const auto ea = index.entries(a);
+  const auto eb = index.entries(b);
   for (const auto& e : ea) out[e.cellslot] += e.count;
   for (const auto& e : eb) out[cells + e.cellslot] += e.count;
   std::size_t ia = 0, ib = 0;
@@ -181,7 +182,7 @@ TEST(Joc, StoreRowsEqualTheDenseCuboidBytes) {
   const geo::QuadtreeDivisionView view(quadtree);
   const geo::TimeSlotting slots(dataset.window_begin(), dataset.window_end(),
                                 3 * geo::kSecondsPerDay);
-  const OccupancyIndex index(dataset, view, slots);
+  const block::CellIndex index(dataset, view, slots);
   std::vector<data::UserPair> pairs;
   for (data::UserId a = 0; a < dataset.user_count(); ++a)
     for (data::UserId b = a + 1; b < dataset.user_count(); ++b)

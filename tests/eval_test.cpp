@@ -173,24 +173,6 @@ TEST(Harness, MakeExperimentFromPreset) {
   EXPECT_EQ(e.dataset.user_count(), 120u);
 }
 
-TEST(Harness, StratifiedPrfFiltersPairs) {
-  const std::vector<data::UserPair> pairs{{0, 1}, {0, 2}, {1, 2}};
-  const std::vector<int> labels{1, 0, 1};
-  const std::vector<int> pred{1, 1, 0};
-  // Keep only pairs containing user 0.
-  const ml::Prf all = stratified_prf(pairs, labels, pred,
-                                     [](const data::UserPair&) {
-                                       return true;
-                                     });
-  const ml::Prf only0 =
-      stratified_prf(pairs, labels, pred, [](const data::UserPair& p) {
-        return p.first == 0;
-      });
-  EXPECT_DOUBLE_EQ(only0.precision, 0.5);
-  EXPECT_DOUBLE_EQ(only0.recall, 1.0);
-  EXPECT_LT(all.recall, 1.0);
-}
-
 TEST(Harness, PairBucketsMatchDataset) {
   const auto world = data::generate_world(tiny_world());
   const std::vector<data::UserPair> pairs{{0, 1}, {2, 3}};

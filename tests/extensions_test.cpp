@@ -1,5 +1,4 @@
-// Tests for the extension components: logistic regression, Platt
-// calibration, node2vec walks, extra link-prediction heuristics, argument
+// Tests for the extension components: logistic regression, argument
 // parsing, and the FriendGuard defense.
 #include <gtest/gtest.h>
 
@@ -7,11 +6,7 @@
 
 #include "data/defense.h"
 #include "data/synthetic.h"
-#include "embed/walks.h"
-#include "graph/generators.h"
-#include "graph/heuristics.h"
 #include "ml/logistic.h"
-#include "ml/svm.h"
 #include "util/args.h"
 
 namespace fs {
@@ -83,186 +78,6 @@ TEST(Logistic, Validation) {
   ml::LogisticClassifier clf;
   EXPECT_THROW(clf.fit(nn::Matrix(2, 2), {1}), std::invalid_argument);
   EXPECT_THROW(clf.decision(nn::Matrix(1, 2)), std::logic_error);
-}
-
-// ---------- Platt calibration ----------
-
-TEST(Platt, CalibratedProbabilitiesAreOrderedAndInformative) {
-  util::Rng rng(11);
-  nn::Matrix x;
-  std::vector<int> y;
-  blobs(x, y, 200, rng);
-  ml::SvmClassifier svm;
-  svm.fit(x, y);
-  svm.calibrate(x, y);
-  EXPECT_TRUE(svm.calibrated());
-  // Platt slope should be negative (higher decision -> higher P(y=1)).
-  EXPECT_LT(svm.platt_a(), 0.0);
-  const auto proba = svm.predict_proba(x);
-  // Mean probability of positives must exceed that of negatives clearly.
-  double pos = 0.0, neg = 0.0;
-  std::size_t npos = 0, nneg = 0;
-  for (std::size_t i = 0; i < proba.size(); ++i) {
-    if (y[i]) {
-      pos += proba[i];
-      ++npos;
-    } else {
-      neg += proba[i];
-      ++nneg;
-    }
-  }
-  EXPECT_GT(pos / npos, neg / nneg + 0.3);
-}
-
-TEST(Platt, CalibrationImprovesLogLoss) {
-  util::Rng rng(13);
-  nn::Matrix x, test_x;
-  std::vector<int> y, test_y;
-  blobs(x, y, 200, rng);
-  blobs(test_x, test_y, 100, rng);
-  ml::SvmClassifier svm;
-  svm.fit(x, y);
-  auto log_loss = [&](const std::vector<double>& p) {
-    double total = 0.0;
-    for (std::size_t i = 0; i < p.size(); ++i) {
-      const double q = std::clamp(p[i], 1e-9, 1.0 - 1e-9);
-      total += test_y[i] ? -std::log(q) : -std::log(1.0 - q);
-    }
-    return total / static_cast<double>(p.size());
-  };
-  const double before = log_loss(svm.predict_proba(test_x));
-  svm.calibrate(x, y);
-  const double after = log_loss(svm.predict_proba(test_x));
-  EXPECT_LE(after, before + 0.02);
-}
-
-TEST(Platt, RequiresBothClasses) {
-  util::Rng rng(17);
-  nn::Matrix x;
-  std::vector<int> y;
-  blobs(x, y, 40, rng);
-  ml::SvmClassifier svm;
-  svm.fit(x, y);
-  EXPECT_THROW(svm.calibrate(x, std::vector<int>(40, 1)),
-               std::invalid_argument);
-}
-
-// ---------- node2vec walks ----------
-
-TEST(Node2Vec, UnbiasedConfigMatchesPlainWalkStatistics) {
-  embed::WeightedGraph g(4);
-  g.add_weight(0, 1, 1.0);
-  g.add_weight(1, 2, 1.0);
-  g.add_weight(2, 3, 1.0);
-  g.add_weight(3, 0, 1.0);
-  embed::Node2VecConfig cfg;  // p = q = 1
-  cfg.walks.walks_per_node = 5;
-  cfg.walks.walk_length = 9;
-  util::Rng rng(19);
-  const auto corpus = generate_node2vec_walks(g, cfg, rng);
-  EXPECT_EQ(corpus.size(), 20u);
-  for (const auto& walk : corpus) EXPECT_EQ(walk.size(), 9u);
-}
-
-TEST(Node2Vec, LowPEncouragesBacktracking) {
-  // Path graph 0-1-2. From 1 (arrived from 0), low p should return to 0
-  // far more often than continue to 2.
-  embed::WeightedGraph g(3);
-  g.add_weight(0, 1, 1.0);
-  g.add_weight(1, 2, 1.0);
-  util::Rng rng(23);
-  embed::Node2VecConfig cfg;
-  cfg.p = 0.05;
-  cfg.q = 1.0;
-  cfg.walks.walks_per_node = 1;
-  cfg.walks.walk_length = 3;
-  std::size_t returns = 0, trials = 0;
-  for (int i = 0; i < 600; ++i) {
-    const auto corpus = generate_node2vec_walks(g, cfg, rng);
-    for (const auto& walk : corpus) {
-      if (walk.size() < 3 || walk[0] != 0) continue;
-      // walk: 0 -> 1 -> ?, the third vertex shows the bias.
-      ++trials;
-      returns += walk[2] == 0;
-    }
-  }
-  ASSERT_GT(trials, 100u);
-  EXPECT_GT(static_cast<double>(returns) / static_cast<double>(trials),
-            0.85);
-}
-
-TEST(Node2Vec, HighQKeepsWalksLocal) {
-  // Barbell-ish: two triangles joined by a bridge. q >> 1 penalizes
-  // leaving the current neighborhood, so cross-bridge transitions from a
-  // triangle should be rarer than with q = 1.
-  embed::WeightedGraph g(6);
-  g.add_weight(0, 1, 1.0);
-  g.add_weight(1, 2, 1.0);
-  g.add_weight(0, 2, 1.0);
-  g.add_weight(3, 4, 1.0);
-  g.add_weight(4, 5, 1.0);
-  g.add_weight(3, 5, 1.0);
-  g.add_weight(2, 3, 1.0);  // bridge
-  auto cross_rate = [&](double q) {
-    util::Rng rng(29);
-    embed::Node2VecConfig cfg;
-    cfg.q = q;
-    cfg.walks.walks_per_node = 50;
-    cfg.walks.walk_length = 10;
-    const auto corpus = generate_node2vec_walks(g, cfg, rng);
-    std::size_t cross = 0, steps = 0;
-    for (const auto& walk : corpus)
-      for (std::size_t i = 1; i + 1 < walk.size(); ++i) {
-        ++steps;
-        const bool was_left = walk[i] <= 2;
-        const bool now_left = walk[i + 1] <= 2;
-        cross += was_left != now_left;
-      }
-    return static_cast<double>(cross) / static_cast<double>(steps);
-  };
-  EXPECT_LT(cross_rate(8.0), cross_rate(1.0));
-}
-
-TEST(Node2Vec, RejectsBadParameters) {
-  embed::WeightedGraph g(2);
-  g.add_weight(0, 1, 1.0);
-  util::Rng rng(31);
-  embed::Node2VecConfig cfg;
-  cfg.p = 0.0;
-  EXPECT_THROW(generate_node2vec_walks(g, cfg, rng), std::invalid_argument);
-}
-
-TEST(WeightedGraphExtensions, HasEdge) {
-  embed::WeightedGraph g(3);
-  g.add_weight(0, 1, 1.0);
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_TRUE(g.has_edge(1, 0));
-  EXPECT_FALSE(g.has_edge(0, 2));
-}
-
-// ---------- extra heuristics ----------
-
-TEST(Heuristics, ResourceAllocation) {
-  graph::Graph g(5);
-  g.add_edge(0, 2);
-  g.add_edge(1, 2);  // common neighbor 2, degree 2
-  g.add_edge(2, 4);  // degree(2) = 3
-  g.add_edge(0, 3);
-  g.add_edge(1, 3);  // common neighbor 3, degree 2
-  EXPECT_NEAR(graph::resource_allocation_score(g, 0, 1),
-              1.0 / 3.0 + 1.0 / 2.0, 1e-12);
-}
-
-TEST(Heuristics, LocalPathIndex) {
-  // 0-2-1 gives one 2-path; 0-3-4-1 one 3-path.
-  graph::Graph g(5);
-  g.add_edge(0, 2);
-  g.add_edge(2, 1);
-  g.add_edge(0, 3);
-  g.add_edge(3, 4);
-  g.add_edge(4, 1);
-  EXPECT_NEAR(graph::local_path_score(g, 0, 1, 0.1), 1.0 + 0.1 * 1.0,
-              1e-12);
 }
 
 // ---------- ArgParser ----------

@@ -527,14 +527,6 @@ TEST(Heuristics, AdamicAdarSkipsDegreeOne) {
   EXPECT_NEAR(adamic_adar_score(g, 0, 1), expected, 1e-12);
 }
 
-TEST(Heuristics, PreferentialAttachment) {
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(3, 1);
-  EXPECT_DOUBLE_EQ(preferential_attachment_score(g, 0, 3), 2.0);
-}
-
 TEST(Heuristics, KatzCountsWeightedWalks) {
   // Path graph 0-1-2: walks from 0 to 2 of length 2 (one), length 4 (two:
   // 0-1-0-1-2, 0-1-2-1-2).
@@ -544,17 +536,6 @@ TEST(Heuristics, KatzCountsWeightedWalks) {
   const double beta = 0.1;
   const double expected = beta * beta * 1 + beta * beta * beta * beta * 2;
   EXPECT_NEAR(katz_score(g, 0, 2, beta, 4), expected, 1e-12);
-}
-
-TEST(Heuristics, ShortestPathLength) {
-  Graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  EXPECT_EQ(shortest_path_length(g, 0, 3), 3);
-  EXPECT_EQ(shortest_path_length(g, 0, 0), 0);
-  EXPECT_EQ(shortest_path_length(g, 0, 5), -1);
-  EXPECT_EQ(shortest_path_length(g, 0, 3, /*max_depth=*/2), -1);
 }
 
 // ---------- generators ----------
@@ -628,20 +609,6 @@ TEST(Metrics, ClusteringCoefficient) {
   EXPECT_DOUBLE_EQ(clustering_coefficient(path, 1), 0.0);
 }
 
-TEST(Metrics, ConnectedComponents) {
-  Graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(3, 4);
-  const auto labels = connected_components(g);
-  EXPECT_EQ(labels[0], labels[1]);
-  EXPECT_EQ(labels[1], labels[2]);
-  EXPECT_EQ(labels[3], labels[4]);
-  EXPECT_NE(labels[0], labels[3]);
-  EXPECT_NE(labels[5], labels[0]);
-  EXPECT_NE(labels[5], labels[3]);
-}
-
 TEST(Metrics, DegreeStats) {
   Graph g(4);
   g.add_edge(0, 1);
@@ -651,14 +618,6 @@ TEST(Metrics, DegreeStats) {
   EXPECT_EQ(stats.max, 2u);
   EXPECT_EQ(stats.min, 0u);
   EXPECT_EQ(stats.isolated, 1u);
-}
-
-TEST(Metrics, SmallWorldPathLengthIsShort) {
-  util::Rng rng(109);
-  const Graph g = watts_strogatz(200, 6, 0.2, rng);
-  const double apl = estimate_average_path_length(g, 20, 7);
-  EXPECT_GT(apl, 1.0);
-  EXPECT_LT(apl, 8.0);  // small world: ~log(n)
 }
 
 }  // namespace

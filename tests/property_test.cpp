@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <map>
 #include <set>
 #include <tuple>
 
@@ -147,8 +149,8 @@ TEST(JocProperties, HidingNeverIncreasesCellMass) {
   const geo::TimeSlotting slots(world.dataset.window_begin(),
                                 world.dataset.window_end(),
                                 7 * geo::kSecondsPerDay);
-  const core::OccupancyIndex full(world.dataset, view, slots);
-  const core::OccupancyIndex less(hidden, view, slots);
+  const block::CellIndex full(world.dataset, view, slots);
+  const block::CellIndex less(hidden, view, slots);
 
   core::JocOptions raw;
   raw.log_scale = false;
@@ -226,31 +228,36 @@ INSTANTIATE_TEST_SUITE_P(Cs, SvmCSweep,
 // ---------- blocking: filter_universe against a generating oracle ----------
 //
 // The oracle generates the candidate set from the index alone, never
-// enumerating pairs: the cell tier joins per-cell user lists, the hop tier
-// walks the strong graph. The engine never generates candidates; it filters
-// a supplied universe, and the test checks the two agree.
+// enumerating pairs: the cell tier joins per-cell user lists (inverted here
+// from the cell profiles), the hop tier walks the strong graph. The engine
+// never generates candidates; it filters a supplied universe, and the test
+// checks the two agree.
 
 /// Cell tier: within-cell pairs plus the forward slot-tolerance window.
 /// Pairs are appended unsorted and may repeat.
 void append_cell_tier_pairs(const block::CellIndex& index, int slot_tolerance,
                             std::vector<data::UserPair>& out) {
+  // cellslot -> users, each list ascending because users are visited in
+  // order.
+  std::map<std::uint32_t, std::vector<data::UserId>> users_in;
+  for (data::UserId u = 0; u < index.user_count(); ++u)
+    for (const std::uint32_t cell : index.cell_profile(u))
+      users_in[cell].push_back(u);
   // Only the forward window [cell, cell + tolerance] is joined — the
   // backward half is the same pair seen from the other cell.
-  const auto occupied = index.occupied_cells();
   const auto slot_count = static_cast<std::uint32_t>(index.slot_count());
   const auto tol = static_cast<std::uint32_t>(std::max(0, slot_tolerance));
-  for (std::size_t i = 0; i < occupied.size(); ++i) {
-    const std::uint32_t cell = occupied[i];
+  for (auto it = users_in.begin(); it != users_in.end(); ++it) {
+    const auto& [cell, users] = *it;
     const std::uint32_t grid = cell / slot_count;
-    const auto users = index.users_in_cell(cell);
     for (std::size_t x = 0; x < users.size(); ++x)
       for (std::size_t y = x + 1; y < users.size(); ++y)
         out.push_back(data::make_pair_ordered(users[x], users[y]));
-    for (std::size_t j = i + 1;
-         j < occupied.size() && occupied[j] <= cell + tol; ++j) {
-      if (occupied[j] / slot_count != grid) continue;
+    for (auto next = std::next(it);
+         next != users_in.end() && next->first <= cell + tol; ++next) {
+      if (next->first / slot_count != grid) continue;
       for (const data::UserId u : users)
-        for (const data::UserId v : index.users_in_cell(occupied[j]))
+        for (const data::UserId v : next->second)
           if (u != v) out.push_back(data::make_pair_ordered(u, v));
     }
   }
@@ -386,7 +393,7 @@ TEST(BlockingProperties,
       experiment.dataset.window_begin(), experiment.dataset.window_end(),
       static_cast<geo::Timestamp>(preset.seeker.tau_days *
                                   geo::kSecondsPerDay));
-  const core::OccupancyIndex occupancy(experiment.dataset, view, slots);
+  const block::CellIndex occupancy(experiment.dataset, view, slots);
   std::vector<data::UserPair> pairs;
   for (const auto* list :
        {&experiment.split.train_pairs, &experiment.split.test_pairs})

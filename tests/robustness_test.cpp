@@ -52,7 +52,7 @@ TEST(Robustness, JocForSilentPairIsAllZero) {
   const geo::QuadtreeDivision division(ds.poi_coordinates(), 1);
   const geo::QuadtreeDivisionView view(division);
   const geo::TimeSlotting slots(ds.window_begin(), ds.window_end(), 1000);
-  const core::OccupancyIndex index(ds, view, slots);
+  const block::CellIndex index(ds, view, slots);
   std::vector<double> joc(index.joc_dim());
   core::build_joc(index, 2, 3, joc.data());
   for (double v : joc) EXPECT_DOUBLE_EQ(v, 0.0);

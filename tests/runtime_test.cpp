@@ -225,7 +225,7 @@ TEST_F(RuntimeTest, JocBuildAbortsOnCancellation) {
   const geo::TimeSlotting slots(exp.dataset.window_begin(),
                                 exp.dataset.window_end(),
                                 7 * geo::kSecondsPerDay);
-  const core::OccupancyIndex index(exp.dataset, view, slots);
+  const block::CellIndex index(exp.dataset, view, slots);
 
   runtime::CancellationToken token;
   token.request();
@@ -465,7 +465,7 @@ TEST_F(RuntimeTest, ChargedPeakCountsEachJocRowOnce) {
   const geo::TimeSlotting slots(
       exp.dataset.window_begin(), exp.dataset.window_end(),
       static_cast<geo::Timestamp>(exp.config.tau_days * geo::kSecondsPerDay));
-  const core::OccupancyIndex index(exp.dataset, view, slots);
+  const block::CellIndex index(exp.dataset, view, slots);
   // Blocking is off at this size: the scored rows are the distinct train
   // and test pairs.
   std::set<data::UserPair> scored;

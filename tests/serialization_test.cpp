@@ -283,7 +283,7 @@ TEST(Serialization, KnnRoundTrip) {
     EXPECT_DOUBLE_EQ(before[i], after[i]);
 }
 
-TEST(Serialization, SvmRoundTripWithCalibration) {
+TEST(Serialization, SvmRoundTrip) {
   util::Rng rng(13);
   nn::Matrix x(60, 3);
   std::vector<int> y(60);
@@ -294,7 +294,6 @@ TEST(Serialization, SvmRoundTripWithCalibration) {
   }
   ml::SvmClassifier svm;
   svm.fit(x, y);
-  svm.calibrate(x, y);
 
   std::stringstream stream;
   util::BinaryWriter writer(stream);
@@ -302,7 +301,6 @@ TEST(Serialization, SvmRoundTripWithCalibration) {
   util::BinaryReader reader(stream);
   const ml::SvmClassifier loaded = ml::SvmClassifier::load(reader);
   EXPECT_TRUE(loaded.trained());
-  EXPECT_TRUE(loaded.calibrated());
   EXPECT_EQ(loaded.support_vector_count(), svm.support_vector_count());
   const auto before = svm.predict_proba(x);
   const auto after = loaded.predict_proba(x);
