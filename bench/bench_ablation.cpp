@@ -6,6 +6,7 @@
 //   4. iteration on/off — phase 1 only vs full pipeline
 //   5. quadtree vs uniform-grid spatial division
 #include "bench_common.h"
+#include "eval/presets.h"
 
 int main() {
   using namespace fs;
@@ -14,16 +15,16 @@ int main() {
   util::Table table(
       {"dataset", "variant", "F1", "precision", "recall", "seconds"});
 
-  for (const auto& base : bench::paper_worlds()) {
-    const eval::Experiment experiment =
-        eval::make_experiment(bench::sweep_world(base));
+  for (const char* name : {"gowalla", "brightkite"}) {
+    const eval::BenchPreset preset = eval::bench_preset(name);
+    const eval::Experiment experiment = eval::make_experiment(preset.world);
 
     struct Variant {
       std::string label;
       core::FriendSeekerConfig config;
     };
     std::vector<Variant> variants;
-    const core::FriendSeekerConfig defaults = bench::sweep_seeker_config();
+    const core::FriendSeekerConfig& defaults = preset.seeker;
 
     variants.push_back({"full (default, k=3)", defaults});
 
@@ -60,7 +61,7 @@ int main() {
     for (const Variant& variant : variants) {
       eval::FriendSeekerAttack attack(variant.config);
       obs::Span timer("bench.ablation.point");
-      const ml::Prf prf = bench::run(attack, experiment);
+      const ml::Prf prf = eval::run_attack(attack, experiment);
       table.new_row()
           .add(experiment.name)
           .add(variant.label)

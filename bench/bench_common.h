@@ -4,8 +4,6 @@
 #pragma once
 
 #include <cstdio>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,7 +11,6 @@
 #include "obs/trace.h"
 #include "scenario/config.h"
 #include "scenario/runner.h"
-#include "util/logging.h"
 #include "util/table.h"
 
 namespace fs::bench {
@@ -26,64 +23,6 @@ inline std::string out_path(const std::string& name) {
 /// The two full-scale synthetic worlds (matching the paper's two datasets).
 inline std::vector<data::SyntheticWorldConfig> paper_worlds() {
   return {data::gowalla_like(), data::brightkite_like()};
-}
-
-/// Reduced worlds for parameter sweeps and obfuscation grids, where a full
-/// pipeline runs dozens of times. Statistical shape is preserved; absolute
-/// F1 shifts slightly.
-inline data::SyntheticWorldConfig sweep_world(
-    const data::SyntheticWorldConfig& base) {
-  data::SyntheticWorldConfig cfg = base;
-  cfg.user_count = 320;
-  cfg.poi_count = 900;
-  cfg.weeks = 10;
-  return cfg;
-}
-
-/// FriendSeeker configuration for sweep benches: fewer epochs / smaller
-/// caps so a single run stays under ~10 s.
-inline core::FriendSeekerConfig sweep_seeker_config() {
-  core::FriendSeekerConfig cfg = eval::default_seeker_config();
-  cfg.sigma = 120;  // scaled to the smaller POI universe
-  cfg.presence.feature_dim = 48;
-  cfg.presence.epochs = 10;
-  cfg.presence.max_autoencoder_rows = 450;
-  cfg.max_iterations = 5;
-  cfg.max_svm_train_rows = 1200;
-  return cfg;
-}
-
-/// Runs one attack on one experiment, returning test metrics.
-inline ml::Prf run(baselines::FriendshipAttack& attack,
-                   const eval::Experiment& experiment) {
-  return eval::run_attack(attack, experiment);
-}
-
-/// Runs FriendSeeker at one sweep point averaged over `seeds` independent
-/// replicas (fresh world, split, and model initialization per replica) —
-/// single-replica F1 at this scale carries ±0.02 noise, which would bury
-/// the sensitivity shapes of Figs 7-9.
-inline ml::Prf averaged_run(const data::SyntheticWorldConfig& world_base,
-                            const core::FriendSeekerConfig& seeker_base,
-                            int seeds) {
-  ml::Prf mean;
-  for (int s = 0; s < seeds; ++s) {
-    data::SyntheticWorldConfig world_cfg = world_base;
-    world_cfg.seed = world_base.seed + static_cast<std::uint64_t>(s) * 101;
-    const eval::Experiment experiment = eval::make_experiment(
-        world_cfg, {}, 0.7, 7 + static_cast<std::uint64_t>(s));
-    core::FriendSeekerConfig cfg = seeker_base;
-    cfg.seed = seeker_base.seed + static_cast<std::uint64_t>(s) * 31;
-    eval::FriendSeekerAttack attack(cfg);
-    const ml::Prf prf = eval::run_attack(attack, experiment);
-    mean.f1 += prf.f1;
-    mean.precision += prf.precision;
-    mean.recall += prf.recall;
-  }
-  mean.f1 /= seeds;
-  mean.precision /= seeds;
-  mean.recall /= seeds;
-  return mean;
 }
 
 /// Banner printed at the top of every bench.

@@ -21,7 +21,7 @@ int main() {
     cfg.max_iterations = 6;
     cfg.convergence_threshold = 0.0;  // run all iterations for the curve
     eval::FriendSeekerAttack attack(cfg);
-    bench::run(attack, experiment);
+    eval::run_attack(attack, experiment);
     for (const auto& record : attack.last_result().iterations) {
       const ml::Prf prf =
           ml::prf(experiment.split.test_labels, record.test_predictions);

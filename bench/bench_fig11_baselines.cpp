@@ -19,7 +19,7 @@ int main() {
 
     auto record = [&](baselines::FriendshipAttack& attack) {
       obs::Span timer("bench.fig11_baselines.point");
-      const ml::Prf prf = bench::run(attack, experiment);
+      const ml::Prf prf = eval::run_attack(attack, experiment);
       table.new_row()
           .add(experiment.name)
           .add(attack.name())

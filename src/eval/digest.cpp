@@ -1,62 +1,38 @@
 #include "eval/digest.h"
 
-#include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "kern/kern.h"
+#include "util/fnv.h"
 
 namespace fs::eval {
 
 namespace {
 
-struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-
-  void mix(std::uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      h ^= (v >> shift) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  }
-
-  void mix_graph(const graph::Graph& g) {
-    mix(g.node_count());
-    for (graph::NodeId v = 0; v < g.node_count(); ++v)
-      for (graph::NodeId w : g.neighbors(v))
-        if (v < w) {
-          mix(v);
-          mix(w);
-        }
-  }
-
-  std::string hex() const {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
-  }
-};
+void mix_graph(util::Fnv1a& fnv, const graph::Graph& g) {
+  fnv.u64(g.node_count());
+  for (graph::NodeId v = 0; v < g.node_count(); ++v)
+    for (graph::NodeId w : g.neighbors(v))
+      if (v < w) {
+        fnv.u64(v);
+        fnv.u64(w);
+      }
+}
 
 }  // namespace
 
 std::string result_digest(const core::FriendSeekerResult& result) {
-  Fnv fnv;
+  util::Fnv1a fnv;
   for (int p : result.test_predictions)
-    fnv.mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(p)));
-  for (double s : result.test_scores) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &s, sizeof(bits));
-    fnv.mix(bits);
-  }
-  fnv.mix_graph(result.final_graph);
+    fnv.u64(static_cast<std::uint32_t>(p));
+  for (double s : result.test_scores) fnv.f64(s);
+  mix_graph(fnv, result.final_graph);
   return fnv.hex();
 }
 
 std::string graph_digest(const graph::Graph& g) {
-  Fnv fnv;
-  fnv.mix_graph(g);
+  util::Fnv1a fnv;
+  mix_graph(fnv, g);
   return fnv.hex();
 }
 
@@ -71,11 +47,8 @@ std::string toolchain_fingerprint() {
 }
 
 std::string text_digest(const std::string& text) {
-  Fnv fnv;
-  for (unsigned char ch : text) {
-    fnv.h ^= ch;
-    fnv.h *= 0x100000001b3ULL;
-  }
+  util::Fnv1a fnv;
+  fnv.text(text);
   return fnv.hex();
 }
 

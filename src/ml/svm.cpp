@@ -391,22 +391,6 @@ std::vector<double> SvmClassifier::decision(const nn::Matrix& queries) const {
   return out;
 }
 
-std::vector<int> SvmClassifier::predict(const nn::Matrix& queries) const {
-  const std::vector<double> d = decision(queries);
-  std::vector<int> out(d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) out[i] = d[i] > 0.0;
-  return out;
-}
-
-std::vector<double> SvmClassifier::predict_proba(
-    const nn::Matrix& queries) const {
-  const std::vector<double> d = decision(queries);
-  std::vector<double> out(d.size());
-  for (std::size_t i = 0; i < d.size(); ++i)
-    out[i] = 1.0 / (1.0 + std::exp(-d[i]));
-  return out;
-}
-
 void SvmClassifier::save(util::BinaryWriter& writer) const {
   writer.tag("SVM0");
   writer.f64(gamma_);

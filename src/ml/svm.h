@@ -74,11 +74,6 @@ class SvmClassifier {
   double decision(const double* query) const;
   std::vector<double> decision(const nn::Matrix& queries) const;
 
-  std::vector<int> predict(const nn::Matrix& queries) const;
-
-  /// Probability-like score via a logistic squashing of the decision value.
-  std::vector<double> predict_proba(const nn::Matrix& queries) const;
-
   std::size_t support_vector_count() const { return support_.rows(); }
 
   void save(util::BinaryWriter& writer) const;

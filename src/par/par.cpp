@@ -1,9 +1,12 @@
 #include "par/par.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <limits>
 #include <mutex>
+#include <optional>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -75,6 +78,10 @@ void parallel_for_chunks(std::size_t n, const ParallelOptions& options,
       options.what);
 
   const bool observe = obs::metrics_enabled();
+  const bool trace = obs::tracer().enabled();
+  // Chunks are timed only for a consumer: the span.par.chunk_ms histogram
+  // or the region's trace event. Otherwise a chunk reads no clock.
+  const bool timed = observe || trace;
   obs::Histogram* chunk_ms =
       observe ? &obs::metrics().histogram(
                     "span.par.chunk_ms", obs::default_duration_buckets_ms(),
@@ -102,6 +109,17 @@ void parallel_for_chunks(std::size_t n, const ParallelOptions& options,
   std::size_t error_index = std::numeric_limits<std::size_t>::max();
   std::exception_ptr error;
 
+  // The trace keeps one "par.region" event per pooled region, not one per
+  // chunk: a per-chunk event log grows with the work and, at paper scale,
+  // outweighs the run it traces. Each slot folds its own chunk times.
+  struct alignas(64) ChunkTimes {
+    double sum_ms = 0.0;
+    double max_ms = 0.0;
+  };
+  std::vector<ChunkTimes> chunk_times(trace ? workers.threads() : 0);
+  std::optional<obs::Span> region;
+  if (trace) region.emplace("par.region");
+
   const auto record_error = [&](std::size_t index) {
     std::lock_guard<std::mutex> lock(error_mu);
     if (index < error_index) {
@@ -120,9 +138,17 @@ void parallel_for_chunks(std::size_t n, const ParallelOptions& options,
       if (slot != 0) stolen.fetch_add(1, std::memory_order_relaxed);
       try {
         probe();
-        obs::Span span("par.chunk");
+        const double start_us = timed ? obs::trace_now_us() : 0.0;
         body(make_chunk(index, slot));
-        if (chunk_ms != nullptr) chunk_ms->observe(span.milliseconds());
+        if (timed) {
+          const double ms = (obs::trace_now_us() - start_us) * 1e-3;
+          if (chunk_ms != nullptr) chunk_ms->observe(ms);
+          if (trace) {
+            ChunkTimes& times = chunk_times[slot];
+            times.sum_ms += ms;
+            times.max_ms = std::max(times.max_ms, ms);
+          }
+        }
       } catch (...) {
         record_error(index);
         break;
@@ -136,6 +162,17 @@ void parallel_for_chunks(std::size_t n, const ParallelOptions& options,
         .counter("par.chunks_stolen_total", {},
                  "chunks executed by pool workers instead of the caller")
         .add(stolen.load(std::memory_order_relaxed));
+  if (region) {
+    ChunkTimes total;
+    for (const ChunkTimes& times : chunk_times) {
+      total.sum_ms += times.sum_ms;
+      total.max_ms = std::max(total.max_ms, times.max_ms);
+    }
+    region->arg("chunks", static_cast<double>(chunks));
+    region->arg("chunk_ms_sum", total.sum_ms);
+    region->arg("chunk_ms_max", total.max_ms);
+    region->end();
+  }
   if (error != nullptr) std::rethrow_exception(error);
 }
 

@@ -32,8 +32,10 @@
 // Observability: regions and chunks feed par.regions_total,
 // par.chunks_total, par.chunks_stolen_total (chunks executed by pool
 // workers rather than the caller), the par.queue_depth high-water gauge,
-// and the span.par.chunk_ms histogram; with the tracer enabled each chunk
-// also records a "par.chunk" trace span.
+// and the span.par.chunk_ms histogram; with the tracer enabled each pooled
+// region records one "par.region" trace span whose args carry its chunk
+// count and the sum and max of its chunk times (chunk_ms_sum,
+// chunk_ms_max). With neither on, a chunk reads no clock.
 #pragma once
 
 #include <cstddef>

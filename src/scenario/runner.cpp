@@ -12,6 +12,7 @@
 #include "geo/quadtree.h"
 #include "ml/metrics.h"
 #include "par/pool.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 #include "util/runtime.h"
 
@@ -19,17 +20,10 @@ namespace fs::scenario {
 
 namespace {
 
-std::uint64_t fnv64(const std::string& text) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char ch : text) {
-    h ^= ch;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::uint64_t derive_seed(std::uint64_t config_seed, const std::string& tag) {
-  std::uint64_t state = config_seed ^ fnv64(tag);
+  util::Fnv1a fnv;
+  fnv.text(tag);
+  std::uint64_t state = config_seed ^ fnv.value();
   return util::splitmix64(state);
 }
 

@@ -1,7 +1,6 @@
 #include "stream/engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <deque>
 #include <stdexcept>
@@ -9,39 +8,15 @@
 
 #include "core/pipeline.h"
 #include "util/error.h"
+#include "util/fnv.h"
 
 namespace fs::stream {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv_bytes(std::uint64_t& h, const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-}
-
-void fnv_u64(std::uint64_t& h, std::uint64_t value) {
-  fnv_bytes(h, &value, sizeof(value));
-}
-
-void fnv_i64(std::uint64_t& h, std::int64_t value) {
-  fnv_bytes(h, &value, sizeof(value));
-}
-
-void fnv_f64(std::uint64_t& h, double value) {
-  const auto bits = std::bit_cast<std::uint64_t>(value);
-  fnv_bytes(h, &bits, sizeof(bits));
-}
-
-void fnv_str(std::uint64_t& h, const std::string& value) {
-  std::uint64_t len = value.size();
-  fnv_bytes(h, &len, sizeof(len));
-  fnv_bytes(h, value.data(), value.size());
-}
+/// The start state of state_digest and config_fingerprint: one digit
+/// short of the standard FNV-1a offset basis. Snapshots store the config
+/// fingerprint, so the basis stays as it was first written.
+constexpr std::uint64_t kDigestBasis = 1469598103934665603ULL;
 
 template <typename T>
 bool sorted_insert(std::vector<T>& v, const T& value) {
@@ -352,45 +327,46 @@ std::uint64_t StreamEngine::oldest_dirty_tick() const {
 }
 
 std::uint64_t StreamEngine::state_digest() const {
-  std::uint64_t h = kFnvOffset;
-  fnv_u64(h, events_.size());
+  util::Fnv1a h(kDigestBasis);
+  h.u64(events_.size());
   for (const auto& e : events_) {
-    fnv_i64(h, e.user);
-    fnv_i64(h, e.time);
-    fnv_f64(h, e.location.lat);
-    fnv_f64(h, e.location.lng);
-    fnv_i64(h, e.poi);
-    fnv_u64(h, e.has_explicit_id ? e.event_id : 0);
-    fnv_str(h, e.line);
+    h.i64(e.user);
+    h.i64(e.time);
+    h.f64(e.location.lat);
+    h.f64(e.location.lng);
+    h.i64(e.poi);
+    h.u64(e.has_explicit_id ? e.event_id : 0);
+    h.u64(e.line.size());
+    h.text(e.line);
   }
-  fnv_u64(h, user_ids_.size());
-  for (const auto id : user_ids_) fnv_i64(h, id);
-  fnv_u64(h, poi_ids_.size());
-  for (const auto id : poi_ids_) fnv_i64(h, id);
-  fnv_u64(h, live_edges_.size());
+  h.u64(user_ids_.size());
+  for (const auto id : user_ids_) h.i64(id);
+  h.u64(poi_ids_.size());
+  for (const auto id : poi_ids_) h.i64(id);
+  h.u64(live_edges_.size());
   for (const auto& [a, b] : live_edges_) {
-    fnv_i64(h, user_ids_[a]);
-    fnv_i64(h, user_ids_[b]);
+    h.i64(user_ids_[a]);
+    h.i64(user_ids_[b]);
   }
-  fnv_u64(h, dirty_.size());
+  h.u64(dirty_.size());
   for (const auto& [pair, tick] : dirty_) {
-    fnv_i64(h, user_ids_[pair.first]);
-    fnv_i64(h, user_ids_[pair.second]);
+    h.i64(user_ids_[pair.first]);
+    h.i64(user_ids_[pair.second]);
   }
-  return h;
+  return h.value();
 }
 
 std::uint64_t StreamEngine::config_fingerprint() const {
-  std::uint64_t h = kFnvOffset;
-  fnv_u64(h, config_.sigma);
-  fnv_f64(h, config_.tau_days);
-  fnv_i64(h, config_.slot_tolerance);
-  fnv_i64(h, config_.hop_expansion);
-  fnv_f64(h, config_.strong_weight);
-  fnv_f64(h, config_.cell_weight);
-  fnv_f64(h, config_.decide_threshold);
-  fnv_i64(h, config_.lateness_budget_sec);
-  return h;
+  util::Fnv1a h(kDigestBasis);
+  h.u64(config_.sigma);
+  h.f64(config_.tau_days);
+  h.i64(config_.slot_tolerance);
+  h.i64(config_.hop_expansion);
+  h.f64(config_.strong_weight);
+  h.f64(config_.cell_weight);
+  h.f64(config_.decide_threshold);
+  h.i64(config_.lateness_budget_sec);
+  return h.value();
 }
 
 data::Dataset StreamEngine::to_dataset(

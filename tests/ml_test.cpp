@@ -7,6 +7,8 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "ml/knn.h"
 #include "ml/metrics.h"
@@ -17,6 +19,7 @@
 #include "obs/trace.h"
 #include "par/pool.h"
 #include "util/binary_io.h"
+#include "util/fnv.h"
 #include "util/runtime.h"
 #include "util/rng.h"
 
@@ -255,10 +258,10 @@ TEST(Svm, LinearlySeparableBlobs) {
   blobs_2d(test_x, test_y, 60, rng);
   SvmClassifier svm;
   svm.fit(train_x, train_y);
-  const auto pred = svm.predict(test_x);
+  const auto d = svm.decision(test_x);
   std::size_t correct = 0;
-  for (std::size_t i = 0; i < pred.size(); ++i)
-    correct += pred[i] == test_y[i];
+  for (std::size_t i = 0; i < d.size(); ++i)
+    correct += (d[i] > 0.0 ? 1 : 0) == test_y[i];
   EXPECT_GT(correct, 56u);
   EXPECT_GT(svm.support_vector_count(), 0u);
 }
@@ -279,13 +282,16 @@ TEST(Svm, RbfSolvesXor) {
   cfg.c = 5.0;
   SvmClassifier svm(cfg);
   svm.fit(x, y);
-  const auto pred = svm.predict(x);
+  const auto d = svm.decision(x);
   std::size_t correct = 0;
-  for (std::size_t i = 0; i < pred.size(); ++i) correct += pred[i] == y[i];
+  for (std::size_t i = 0; i < d.size(); ++i)
+    correct += (d[i] > 0.0 ? 1 : 0) == y[i];
   EXPECT_GT(correct, 185u);
 }
 
-TEST(Svm, DecisionSignMatchesPrediction) {
+TEST(Svm, DecisionSignMatchesSingleQueries) {
+  // The class of a row is its decision's sign; the batch and the
+  // one-query paths must agree on it for every row.
   util::Rng rng(73);
   nn::Matrix x;
   std::vector<int> y;
@@ -293,12 +299,12 @@ TEST(Svm, DecisionSignMatchesPrediction) {
   SvmClassifier svm;
   svm.fit(x, y);
   const auto decisions = svm.decision(x);
-  const auto pred = svm.predict(x);
-  for (std::size_t i = 0; i < pred.size(); ++i)
-    EXPECT_EQ(pred[i], decisions[i] > 0.0 ? 1 : 0);
+  ASSERT_EQ(decisions.size(), x.rows());
+  for (std::size_t i = 0; i < decisions.size(); ++i)
+    EXPECT_EQ(svm.decision(x.row(i)) > 0.0, decisions[i] > 0.0) << i;
 }
 
-TEST(Svm, ProbaIsMonotoneInDecision) {
+TEST(Svm, DecisionRanksClassOneAboveClassZero) {
   util::Rng rng(79);
   nn::Matrix x;
   std::vector<int> y;
@@ -306,12 +312,17 @@ TEST(Svm, ProbaIsMonotoneInDecision) {
   SvmClassifier svm;
   svm.fit(x, y);
   const auto decisions = svm.decision(x);
-  const auto probas = svm.predict_proba(x);
-  for (std::size_t i = 1; i < decisions.size(); ++i) {
-    if (decisions[i] > decisions[i - 1]) {
-      EXPECT_GE(probas[i], probas[i - 1] - 1e-12);
-    }
+  double sum[2] = {0.0, 0.0};
+  std::size_t count[2] = {0, 0};
+  for (std::size_t i = 0; i < decisions.size(); ++i) {
+    ASSERT_TRUE(std::isfinite(decisions[i])) << i;
+    sum[y[i]] += decisions[i];
+    ++count[y[i]];
   }
+  ASSERT_GT(count[0], 0u);
+  ASSERT_GT(count[1], 0u);
+  EXPECT_GT(sum[1] / count[1], 0.0);
+  EXPECT_LT(sum[0] / count[0], 0.0);
 }
 
 TEST(Svm, Validation) {
@@ -441,14 +452,16 @@ TEST(Svm, FitSpanAndCountersReportTheSolve) {
   EXPECT_EQ(unconverged.value(), unconverged_before);
 }
 
-std::uint64_t fnv1a(const void* data, std::size_t bytes,
-                    std::uint64_t hash = 0xcbf29ce484222325ULL) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    hash ^= p[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
+std::uint64_t fnv1a(std::string_view bytes) {
+  util::Fnv1a hash;
+  hash.text(bytes);
+  return hash.value();
+}
+
+std::uint64_t fnv1a(const std::vector<double>& values) {
+  util::Fnv1a hash;
+  for (const double v : values) hash.f64(v);
+  return hash.value();
 }
 
 TEST(Svm, FitAndDecisionBytesArePinned) {
@@ -480,14 +493,11 @@ TEST(Svm, FitAndDecisionBytesArePinned) {
     svm.save(writer);
     const std::string model = bytes.str();
     const std::vector<double> decision = svm.decision(queries);
-    EXPECT_EQ(fnv1a(model.data(), model.size()), 0x33c05b0aaa6cc6d2ULL)
-        << std::hex << fnv1a(model.data(), model.size())
-        << " threads=" << std::dec << threads;
-    EXPECT_EQ(fnv1a(decision.data(), decision.size() * sizeof(double)),
-              0xc197bd154334eb8cULL)
-        << std::hex
-        << fnv1a(decision.data(), decision.size() * sizeof(double))
-        << " threads=" << std::dec << threads;
+    EXPECT_EQ(fnv1a(model), 0x33c05b0aaa6cc6d2ULL)
+        << std::hex << fnv1a(model) << " threads=" << std::dec << threads;
+    EXPECT_EQ(fnv1a(decision), 0xc197bd154334eb8cULL)
+        << std::hex << fnv1a(decision) << " threads=" << std::dec
+        << threads;
     for (std::size_t r = 0; r < q; r += 37) {
       const double single = svm.decision(queries.row(r));
       EXPECT_EQ(0, std::memcmp(&single, &decision[r], sizeof(double)));

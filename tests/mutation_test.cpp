@@ -387,7 +387,7 @@ TEST(DecoderMutation, ScenarioConfigsParseOrThrowTyped) {
       });
     EXPECT_GT(refused, 0u);
   }
-  EXPECT_GE(configs, 4u);
+  EXPECT_GE(configs, 7u);
 }
 
 /// Feeds `bytes` to a fresh decoder in chunks drawn from `rng` and drains

@@ -5,6 +5,7 @@
 // guarantee that --threads N reproduces --threads 1 byte for byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -18,6 +19,7 @@
 #include "data/synthetic.h"
 #include "eval/pairs.h"
 #include "graph/metrics.h"
+#include "obs/trace.h"
 #include "par/par.h"
 #include "par/pool.h"
 #include "util/error.h"
@@ -114,6 +116,37 @@ TEST_F(ParTest, DecompositionIsIndependentOfThreadCount) {
   const auto pooled = chunks_at(4);
   EXPECT_EQ(sequential.size(), par::chunk_count(n, grain));
   EXPECT_EQ(sequential, pooled);
+}
+
+TEST_F(ParTest, TracedRegionRecordsOneEventNotOnePerChunk) {
+  par::set_threads(4);
+  obs::Tracer& tracer = obs::tracer();
+  tracer.clear();
+  tracer.enable();
+  std::atomic<std::size_t> ran{0};
+  par::ParallelOptions options;
+  options.grain = 1;
+  par::parallel_for_chunks(1000, options, [&](const par::ChunkRange&) {
+    ran.fetch_add(1, std::memory_order_relaxed);
+  });
+  tracer.disable();
+  const std::vector<obs::TraceEvent> events = tracer.events();
+  tracer.clear();
+  EXPECT_EQ(ran.load(), 1000u);
+  ASSERT_LE(events.size(), 2u);
+  const auto region = std::find_if(
+      events.begin(), events.end(),
+      [](const obs::TraceEvent& e) { return e.name == "par.region"; });
+  ASSERT_NE(region, events.end());
+  double chunks = -1.0, sum_ms = -1.0, max_ms = -1.0;
+  for (const auto& [key, value] : region->args) {
+    if (key == "chunks") chunks = value;
+    if (key == "chunk_ms_sum") sum_ms = value;
+    if (key == "chunk_ms_max") max_ms = value;
+  }
+  EXPECT_EQ(chunks, 1000.0);
+  EXPECT_GE(max_ms, 0.0);
+  EXPECT_GE(sum_ms, max_ms);
 }
 
 TEST_F(ParTest, FirstErrorByChunkIndexWins) {

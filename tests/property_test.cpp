@@ -214,9 +214,10 @@ TEST_P(SvmCSweep, TrainsAcrossBoxConstraints) {
   cfg.c = GetParam();
   ml::SvmClassifier svm(cfg);
   svm.fit(x, y);
-  const auto pred = svm.predict(x);
+  const auto d = svm.decision(x);
   std::size_t correct = 0;
-  for (std::size_t i = 0; i < pred.size(); ++i) correct += pred[i] == y[i];
+  for (std::size_t i = 0; i < d.size(); ++i)
+    correct += (d[i] > 0.0 ? 1 : 0) == y[i];
   EXPECT_GT(correct, 70u) << "C=" << GetParam();
 }
 

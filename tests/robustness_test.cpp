@@ -138,8 +138,9 @@ TEST(Robustness, SvmSurvivesContradictoryLabels) {
   ml::SvmClassifier svm;
   svm.fit(x, y);
   EXPECT_TRUE(svm.trained());
-  const auto pred = svm.predict(x);
-  EXPECT_EQ(pred.size(), 20u);
+  const auto d = svm.decision(x);
+  EXPECT_EQ(d.size(), 20u);
+  for (const double v : d) EXPECT_TRUE(std::isfinite(v));
 }
 
 TEST(Robustness, ThresholdTuningOnConstantScores) {

@@ -302,8 +302,8 @@ TEST(Serialization, SvmRoundTrip) {
   const ml::SvmClassifier loaded = ml::SvmClassifier::load(reader);
   EXPECT_TRUE(loaded.trained());
   EXPECT_EQ(loaded.support_vector_count(), svm.support_vector_count());
-  const auto before = svm.predict_proba(x);
-  const auto after = loaded.predict_proba(x);
+  const auto before = svm.decision(x);
+  const auto after = loaded.decision(x);
   for (std::size_t i = 0; i < before.size(); ++i)
     EXPECT_DOUBLE_EQ(before[i], after[i]);
 }

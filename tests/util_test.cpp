@@ -7,6 +7,7 @@
 
 #include "util/args.h"
 #include "util/error.h"
+#include "util/fnv.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -14,6 +15,34 @@
 
 namespace fs::util {
 namespace {
+
+// ---------- Fnv1a ----------
+
+TEST(Fnv1a, MatchesTheReferenceVectors) {
+  Fnv1a empty;
+  EXPECT_EQ(empty.value(), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(empty.hex(), "cbf29ce484222325");
+  Fnv1a a;
+  a.text("a");
+  EXPECT_EQ(a.value(), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(a.hex(), "af63dc4c8601ec8c");
+  Fnv1a foobar;
+  foobar.text("foobar");
+  EXPECT_EQ(foobar.value(), 0x85944171f73967e8ULL);
+}
+
+TEST(Fnv1a, WordsHashAsTheirLittleEndianBytes) {
+  Fnv1a word;
+  word.u64(0x0807060504030201ULL);
+  Fnv1a bytes;
+  bytes.text(std::string_view("\x01\x02\x03\x04\x05\x06\x07\x08", 8));
+  EXPECT_EQ(word.value(), bytes.value());
+  Fnv1a negative;
+  negative.i64(-1);
+  Fnv1a ones;
+  ones.u64(~0ULL);
+  EXPECT_EQ(negative.value(), ones.value());
+}
 
 // ---------- Rng ----------
 

@@ -80,9 +80,6 @@ const std::map<std::string, std::string>& titles() {
       {"table2_proportions", "Table II — co-presence proportions"},
       {"fig1_cdfs", "Fig 1 — CDFs of common POIs / common friends"},
       {"fig5_khop_cdfs", "Fig 5 — k-length path census"},
-      {"fig7_sigma", "Fig 7 — sensitivity to sigma"},
-      {"fig8_tau", "Fig 8 — sensitivity to tau"},
-      {"fig9_dim", "Fig 9 — sensitivity to feature dimension d"},
       {"fig10_iterations", "Fig 10 — refinement iteration curve"},
       {"fig11_baselines", "Fig 11 — FriendSeeker vs baselines"},
       {"fig12_colocations", "Fig 12 — F1 by common-location count"},
@@ -154,14 +151,11 @@ int main(int argc, char** argv) {
       if (entry.path().extension() == ".csv")
         stems.push_back(entry.path().stem().string());
     std::vector<std::string> ordered;
-    for (const auto& [stem, title] : titles())
-      (void)title;  // map is sorted by stem; rebuild paper order below
     const char* paper_order[] = {
         "table1_stats", "table2_proportions", "fig1_cdfs", "fig5_khop_cdfs",
-        "fig7_sigma", "fig8_tau", "fig9_dim", "fig10_iterations",
-        "fig11_baselines", "fig12_colocations", "fig13_checkins",
-        "fig14_hiding", "fig15_ingrid", "fig16_crossgrid", "ablation",
-        "defense"};
+        "fig10_iterations", "fig11_baselines", "fig12_colocations",
+        "fig13_checkins", "fig14_hiding", "fig15_ingrid", "fig16_crossgrid",
+        "ablation", "defense"};
     for (const char* stem : paper_order)
       if (std::find(stems.begin(), stems.end(), stem) != stems.end())
         ordered.push_back(stem);
