@@ -390,22 +390,16 @@ FriendSeekerResult FriendSeeker::run(
       return embeddings.row(active_of_row[it->second]);
     };
 
-    // The composite matrix is phase 2's dominant allocation; it, the edge
-    // table and their budget charges are hoisted out of the refinement loop
-    // and reused every iteration. The table is sized for the largest graph
-    // phase 2 can build — every edge is a candidate scored row — so no
-    // rebuild outgrows its charge. A failed charge degrades exactly like an
-    // in-iteration budget failure: keep the phase-1 graph.
-    std::optional<runtime::MemoryCharge> composite_charge;
+    // The edge table and its budget charge are hoisted out of the
+    // refinement loop and reused every iteration. The table is sized for
+    // the largest graph phase 2 can build — every edge is a candidate
+    // scored row — so no rebuild outgrows its charge. A failed charge
+    // degrades exactly like an in-iteration budget failure: keep the
+    // phase-1 graph.
     std::optional<runtime::MemoryCharge> edge_table_charge;
-    nn::Matrix composite;
     EdgeFeatureTable edge_table;
     bool phase2_ready = true;
     try {
-      composite_charge.emplace(
-          ctx, active_count * composite_width * sizeof(double),
-          "core.phase2.composite");
-      composite = nn::Matrix(active_count, composite_width);
       const std::size_t max_edges = static_cast<std::size_t>(
           std::count_if(active_rows.begin(), active_rows.end(),
                         [&](std::size_t row) { return candidate[row]; }));
@@ -425,25 +419,65 @@ FriendSeekerResult FriendSeeker::run(
                              start_iteration - 1, config_.max_iterations);
     }
 
-    // One k-hop scratch per pool participant (ChunkRange::worker indexes
-    // it), reused across pairs, chunks and iterations: its markers are
-    // epoch-stamped, so reuse is free. The path tallies are summed after
-    // each region, so their total does not depend on scheduling.
+    // Per pool participant (ChunkRange::worker indexes it), reused across
+    // pairs, chunks and iterations: the k-hop scratch (its markers are
+    // epoch-stamped, so reuse is free), the composite row a pair is built,
+    // scaled and decided in, and the SVM's dot-product scratch. Their
+    // bytes are charged per worker by each region below. The path tallies
+    // are summed after each region, so their total does not depend on
+    // scheduling.
     struct alignas(64) Phase2Worker {
       graph::KHopScratch khop;
       graph::KHopStats stats;
+      std::vector<double> row;     // one pair's composite v = h ⊕ s
+      std::vector<double> dots;    // SVM decision scratch
       std::vector<double> social;  // heuristic ablation only
     };
     std::vector<Phase2Worker> workers(par::threads());
+    for (Phase2Worker& worker : workers) {
+      worker.row.resize(composite_width);
+      // A fit keeps at most its training rows as support vectors.
+      worker.dots.reserve(
+          std::min(train_active.size(), config_.max_svm_train_rows));
+    }
+
+    // Writes the composite v = h ⊕ s of scored row `ai` on the current
+    // graph into `row`: the presence half h is the pair's own `embeddings`
+    // row, s its social feature.
+    const auto build_composite = [&](std::size_t ai, double* row,
+                                     Phase2Worker& worker) {
+      const auto [a, b] = universe.pairs[active_rows[ai]];
+      const double* h = embeddings.row(ai);
+      std::copy(h, h + d, row);
+      if (config_.use_social_feature)
+        return social_proximity_feature(
+            current, a, b, social_cfg, edge_table, worker.khop,
+            std::span<double>(row + d, social_width));
+      const graph::KHopStats stats =
+          heuristic_social_feature(current, a, b, social_cfg, worker.social);
+      std::copy(worker.social.begin(), worker.social.end(), row + d);
+      return stats;
+    };
+    const auto region = [&](const char* what, std::size_t row_scratch) {
+      par::ParallelOptions options;
+      options.context = ctx;
+      options.what = what;
+      options.grain = 8;
+      options.scratch_bytes_per_worker =
+          row_scratch * sizeof(double) +
+          graph::KHopScratch::bytes_for(current.node_count());
+      return options;
+    };
 
     // Hoisted per-iteration temporaries: capacity survives across
     // iterations instead of being reallocated each refinement pass, so
-    // phase 2 runs in a working set allocated by its first iteration. The
-    // scaler rewrites `composite` in place (every iteration rewrites each
-    // row before scaling it), the training rows are gathered into
-    // `svm_train` and scaled there, the SVM's kernel matrix and packed
-    // training rows live in `svm_workspace` (the kernel charged while it is
-    // held), and each refit of `svm` reuses its support-vector storage.
+    // phase 2 runs in a working set allocated by its first iteration. No
+    // composite matrix exists: only the training rows' composites are
+    // held, in `svm_train`; every scored pair's row lives in its worker's
+    // scratch just long enough to be scaled and decided. The SVM's kernel
+    // matrix and packed training rows live in `svm_workspace` (the kernel
+    // charged while it is held), and each refit of `svm` reuses its
+    // support-vector storage.
     std::vector<std::size_t> svm_rows;
     std::vector<int> svm_labels;
     std::vector<std::size_t> order;
@@ -453,6 +487,8 @@ FriendSeekerResult FriendSeeker::run(
     svm_cfg.context = ctx;
     ml::SvmClassifier svm(svm_cfg);
     ml::SvmWorkspace svm_workspace;
+    const bool logistic = config_.phase2_classifier ==
+                          FriendSeekerConfig::Phase2Classifier::kLogistic;
 
     // Per-phase budget for the whole refinement loop; the loop-top probes
     // below truncate at iteration boundaries, where the last-good graph
@@ -477,62 +513,6 @@ FriendSeekerResult FriendSeeker::run(
       obs::Span iter_span("core.pipeline.phase2.iteration");
       iter_span.arg("iteration", static_cast<double>(iteration));
       try {
-      // Composite features v = h ⊕ s for every scored pair on the current
-      // graph. Pairs fan out over the pool in fixed chunks; each worker
-      // reuses its own k-hop scratch, charged per worker below, and writes
-      // s straight into the pair's composite row; the presence half h is
-      // the pair's own `embeddings` row.
-      obs::Span composite_span("core.phase2.composite");
-      composite_span.arg("rows", static_cast<double>(active_count));
-      for (Phase2Worker& worker : workers) worker.stats = {};
-      par::ParallelOptions copts;
-      copts.context = ctx;
-      copts.what = "core.phase2.composite";
-      copts.grain = 8;
-      copts.scratch_bytes_per_worker =
-          social_width * sizeof(double) +
-          graph::KHopScratch::bytes_for(current.node_count());
-      par::parallel_for_chunks(
-          active_count, copts,
-          [&](const par::ChunkRange& chunk) {
-            Phase2Worker& worker = workers[chunk.worker];
-            for (std::size_t ai = chunk.begin; ai < chunk.end; ++ai) {
-              const auto [a, b] = universe.pairs[active_rows[ai]];
-              double* row = composite.row(ai);
-              const double* h = embeddings.row(ai);
-              std::copy(h, h + d, row);
-              graph::KHopStats pair_stats;
-              if (config_.use_social_feature) {
-                pair_stats = social_proximity_feature(
-                    current, a, b, social_cfg, edge_table, worker.khop,
-                    std::span<double>(row + d, social_width));
-              } else {
-                pair_stats = heuristic_social_feature(
-                    current, a, b, social_cfg, worker.social);
-                std::copy(worker.social.begin(), worker.social.end(),
-                          row + d);
-              }
-              worker.stats.paths += pair_stats.paths;
-              worker.stats.capped += pair_stats.capped;
-            }
-          });
-      graph::KHopStats khop_total;
-      for (const Phase2Worker& worker : workers) {
-        khop_total.paths += worker.stats.paths;
-        khop_total.capped += worker.stats.capped;
-      }
-      composite_span.arg("paths", static_cast<double>(khop_total.paths));
-      composite_span.arg("capped", static_cast<double>(khop_total.capped));
-      composite_span.end();
-      obs::metrics()
-          .counter("core.social.paths_total", {},
-                   "k-hop paths retained by phase-2 social features")
-          .add(static_cast<double>(khop_total.paths));
-      obs::metrics()
-          .counter("core.social.capped_total", {},
-                   "pair path lengths truncated by max_paths_per_length")
-          .add(static_cast<double>(khop_total.capped));
-
       // Train C' on the labeled pairs (subsampled under the kernel cap).
       // The RNG is derived from (seed, iteration) alone — never from how
       // many iterations this process has executed — so a run resumed from
@@ -556,22 +536,80 @@ FriendSeekerResult FriendSeeker::run(
         svm_labels.resize(order.size());
       }
 
+      // The training rows' composites on the current graph, built straight
+      // into `svm_train`. Their path tallies are not counted: the decide
+      // pass below builds every scored row, these included.
+      obs::Span train_span("core.phase2.train_rows");
+      train_span.arg("rows", static_cast<double>(svm_rows.size()));
+      svm_train.resize(svm_rows.size(), composite_width);
+      par::parallel_for_chunks(
+          svm_rows.size(), region("core.phase2.train_rows", 0),
+          [&](const par::ChunkRange& chunk) {
+            Phase2Worker& worker = workers[chunk.worker];
+            for (std::size_t j = chunk.begin; j < chunk.end; ++j)
+              build_composite(svm_rows[j], svm_train.row(j), worker);
+          });
+      train_span.end();
+
       obs::Span scale_span("core.phase2.scale");
       ml::StandardScaler scaler;
-      composite.gather_rows_into(svm_rows, svm_train);
       scaler.fit(svm_train);
       scaler.transform_in_place(svm_train);
-      scaler.transform_in_place(composite);
       scale_span.end();
-      if (config_.phase2_classifier ==
-          FriendSeekerConfig::Phase2Classifier::kLogistic) {
-        ml::LogisticClassifier clf(config_.logistic);
-        clf.fit(svm_train, svm_labels);
-        decision = clf.decision(composite);
+      std::optional<ml::LogisticClassifier> logistic_clf;
+      if (logistic) {
+        logistic_clf.emplace(config_.logistic);
+        logistic_clf->fit(svm_train, svm_labels);
       } else {
         svm.fit(svm_train, svm_labels, svm_workspace);
-        decision = svm.decision(composite);
       }
+
+      // One pass decides every scored pair on the current graph: each
+      // pair's composite is built into its worker's row, scaled and
+      // decided right away. Pairs fan out over the pool in fixed chunks,
+      // and each writes only its own decision slot.
+      obs::Span decide_span("core.phase2.decide");
+      decide_span.arg("rows", static_cast<double>(active_count));
+      const std::size_t dots_width =
+          logistic ? 0 : svm.support_vector_count();
+      for (Phase2Worker& worker : workers) {
+        worker.stats = {};
+        worker.dots.resize(dots_width);
+      }
+      decision.resize(active_count);
+      par::parallel_for_chunks(
+          active_count,
+          region("core.phase2.decide", composite_width + dots_width),
+          [&](const par::ChunkRange& chunk) {
+            Phase2Worker& worker = workers[chunk.worker];
+            for (std::size_t ai = chunk.begin; ai < chunk.end; ++ai) {
+              const graph::KHopStats pair_stats =
+                  build_composite(ai, worker.row.data(), worker);
+              worker.stats.paths += pair_stats.paths;
+              worker.stats.capped += pair_stats.capped;
+              scaler.transform_row(worker.row);
+              decision[ai] = logistic
+                                 ? logistic_clf->decision(worker.row.data())
+                                 : svm.decision(worker.row, worker.dots);
+            }
+          });
+      graph::KHopStats khop_total;
+      for (const Phase2Worker& worker : workers) {
+        khop_total.paths += worker.stats.paths;
+        khop_total.capped += worker.stats.capped;
+      }
+      decide_span.arg("paths", static_cast<double>(khop_total.paths));
+      decide_span.arg("capped", static_cast<double>(khop_total.capped));
+      decide_span.end();
+      obs::metrics()
+          .counter("core.social.paths_total", {},
+                   "k-hop paths retained by phase-2 social features")
+          .add(static_cast<double>(khop_total.paths));
+      obs::metrics()
+          .counter("core.social.capped_total", {},
+                   "pair path lengths truncated by max_paths_per_length")
+          .add(static_cast<double>(khop_total.capped));
+      if (!logistic) ml::SvmClassifier::record_decisions(active_count);
       // All mutation of the working state (predictions/scores/graph)
       // happens after this check, so a diverged classifier leaves the
       // last-good iteration intact for the fallback below.

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "graph/heuristics.h"
+#include "kern/kern.h"
 
 namespace fs::core {
 
@@ -71,7 +72,7 @@ void social_proximity_feature(const graph::Graph& g, data::UserId a,
       if (edge_scratch.size() != d)
         throw std::logic_error(
             "social_proximity_feature: edge feature width mismatch");
-      for (std::size_t c = 0; c < d; ++c) slot[c] += edge_scratch[c];
+      kern::accumulate(slot, edge_scratch.data(), d);
     }
   });
 }
@@ -99,8 +100,7 @@ graph::KHopStats social_proximity_feature(const graph::Graph& g,
         for (int i = 0; i < p.length; ++i) {
           const auto [u, j] = p.slot(i);
           const double* h = table.row(u, j);
-          if (h == nullptr) continue;
-          for (std::size_t c = 0; c < d; ++c) slot[c] += h[c];
+          if (h != nullptr) kern::accumulate(slot, h, d);
         }
       });
 }

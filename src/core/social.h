@@ -10,7 +10,9 @@
 // Both variants walk the paths with graph::enumerate_khop_paths and add a
 // path's edge features into its length slot the moment the path is found,
 // a→b in edge order — the same sequence of `+=` per element whichever way
-// the rows are supplied, so the two give byte-identical vectors.
+// the rows are supplied, so the two give byte-identical vectors. The adds
+// run on kern::accumulate, whose bits are the scalar loop's on every ISA
+// path.
 #pragma once
 
 #include <cstdint>

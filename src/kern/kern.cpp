@@ -440,6 +440,10 @@ void dot_rows(const double* panel, std::size_t n, std::size_t dim,
   active_kernels()->rows->dot(panel, n, dim, q, out);
 }
 
+void accumulate(double* acc, const double* x, std::size_t n) {
+  active_kernels()->rows->accumulate(acc, x, n);
+}
+
 RowPanel::RowPanel(const double* rows, std::size_t n, std::size_t dim) {
   assign(rows, n, dim);
 }

@@ -7,7 +7,8 @@
 //     sparse-input twins for the bottom layer (forward and weight step
 //     over compressed-sparse-row input, at the dense kernel's bits);
 //   * row sweeps, the classifiers' primitive: one query against every row
-//     of a packed reference panel (KNN distances, RBF dot products).
+//     of a packed reference panel (KNN distances, RBF dot products), plus
+//     the element-wise accumulate that sums phase-2 path features.
 //
 // GEMM:
 //
@@ -239,6 +240,13 @@ void sq_dist_rows(const double* panel, std::size_t n, std::size_t dim,
 /// out[r] = sum over c of row_r[c] * q[c], accumulated like sq_dist_rows.
 void dot_rows(const double* panel, std::size_t n, std::size_t dim,
               const double* q, double* out);
+
+/// acc[i] += x[i] for i < n: the k-hop path sum's primitive (phase 2 adds
+/// each path edge's presence row into its length slot). Each element is
+/// one rounded add, so every path returns the scalar loop's bits. Neither
+/// pointer needs any alignment; the two ranges may coincide but must not
+/// otherwise overlap.
+void accumulate(double* acc, const double* x, std::size_t n);
 
 /// An owning, 64-byte-aligned packed panel. The sweeps run on the calling
 /// thread and only read the panel, so any number of workers can share one.

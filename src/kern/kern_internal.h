@@ -51,6 +51,7 @@ struct RowKernels {
                   const double* q, double* out);
   void (*dot)(const double* panel, std::size_t n, std::size_t dim,
               const double* q, double* out);
+  void (*accumulate)(double* acc, const double* x, std::size_t n);
 };
 
 const RowKernels* rows_scalar();

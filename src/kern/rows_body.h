@@ -85,11 +85,22 @@ void sweep_rows(const double* panel, std::size_t n, std::size_t dim,
   for (; g < groups; ++g) sweep_groups<Arch, Op, 1>(panel, g, n, dim, q, out);
 }
 
+/// acc[i] += x[i]: whole groups as vectors, the tail one element at a
+/// time. An element is one add either way, so the split changes no bit.
+template <typename Arch>
+void accumulate_body(double* acc, const double* x, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + kRowGroup <= n; i += kRowGroup)
+    Arch::store(acc + i, Arch::add(Arch::load(acc + i), Arch::load(x + i)));
+  for (; i < n; ++i) acc[i] += x[i];
+}
+
 /// The RowKernels table for one lane policy.
 template <typename Arch>
 const RowKernels* row_kernels() {
   static const RowKernels table{&sweep_rows<Arch, SqDistOp>,
-                                &sweep_rows<Arch, DotOp>};
+                                &sweep_rows<Arch, DotOp>,
+                                &accumulate_body<Arch>};
   return &table;
 }
 

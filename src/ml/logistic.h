@@ -28,8 +28,11 @@ class LogisticClassifier {
   /// Trains on (already scaled) features with labels in {0, 1}.
   void fit(const nn::Matrix& features, const std::vector<int>& labels);
 
-  /// Linear decision value w.x + b (positive -> class 1).
+  /// Linear decision value w.x + b of one query row (positive -> class 1).
+  /// It needs no scratch and allocates nothing, so a caller can decide
+  /// rows one at a time as it builds them.
   double decision(const double* query) const;
+  /// The row decision of every query row, in row order.
   std::vector<double> decision(const nn::Matrix& queries) const;
 
   std::vector<int> predict(const nn::Matrix& queries) const;

@@ -34,16 +34,23 @@ nn::Matrix StandardScaler::transform(const nn::Matrix& features) const {
   return out;
 }
 
-void StandardScaler::transform_in_place(nn::Matrix& features) const {
+void StandardScaler::check_width(std::size_t width) const {
   if (!fitted())
     throw std::logic_error("StandardScaler::transform: not fitted");
-  if (features.cols() != mean_.size())
+  if (width != mean_.size())
     throw std::invalid_argument("StandardScaler::transform: width mismatch");
-  for (std::size_t r = 0; r < features.rows(); ++r) {
-    double* row = features.row(r);
-    for (std::size_t c = 0; c < features.cols(); ++c)
-      row[c] = (row[c] - mean_[c]) / stddev_[c];
-  }
+}
+
+void StandardScaler::transform_in_place(nn::Matrix& features) const {
+  check_width(features.cols());
+  for (std::size_t r = 0; r < features.rows(); ++r)
+    transform_row({features.row(r), features.cols()});
+}
+
+void StandardScaler::transform_row(std::span<double> row) const {
+  check_width(row.size());
+  for (std::size_t c = 0; c < row.size(); ++c)
+    row[c] = (row[c] - mean_[c]) / stddev_[c];
 }
 
 void StandardScaler::save(util::BinaryWriter& writer) const {

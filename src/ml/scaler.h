@@ -3,6 +3,8 @@
 // scale-sensitive.
 #pragma once
 
+#include <span>
+
 #include "nn/matrix.h"
 #include "util/binary_io.h"
 
@@ -20,6 +22,11 @@ class StandardScaler {
   /// the values transform() returns.
   void transform_in_place(nn::Matrix& features) const;
 
+  /// Scales one row of the fitted width in place: the same per-element
+  /// (x - mean) / stddev that transform_in_place applies to each row, so a
+  /// caller can scale rows one at a time as it builds them.
+  void transform_row(std::span<double> row) const;
+
   nn::Matrix fit_transform(const nn::Matrix& features) {
     fit(features);
     return transform(features);
@@ -34,6 +41,9 @@ class StandardScaler {
   const std::vector<double>& stddev() const { return stddev_; }
 
  private:
+  /// Throws unless fitted to rows `width` wide.
+  void check_width(std::size_t width) const;
+
   std::vector<double> mean_;
   std::vector<double> stddev_;
 };

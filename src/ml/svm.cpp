@@ -32,17 +32,6 @@ SvmClassifier::SvmClassifier(const SvmConfig& config) : config_(config) {
     throw std::invalid_argument("SvmClassifier: C must be > 0");
 }
 
-double SvmClassifier::decide(const double* query, double query_norm,
-                             double* dots) const {
-  support_panel_.dot(query, dots);
-  double f = bias_;
-  for (std::size_t s = 0; s < support_.rows(); ++s) {
-    const double dist = support_norms_[s] + query_norm - 2.0 * dots[s];
-    f += alpha_y_[s] * std::exp(-gamma_ * (dist > 0.0 ? dist : 0.0));
-  }
-  return f;
-}
-
 void SvmClassifier::cache_support_norms() {
   support_panel_.assign(support_.data(), support_.rows(), support_.cols());
   support_norms_ = row_squared_norms(support_panel_);
@@ -354,11 +343,24 @@ void SvmClassifier::fit(const nn::Matrix& features,
   trained_ = true;
 }
 
-double SvmClassifier::decision(const double* query) const {
+double SvmClassifier::decision(std::span<const double> query,
+                               std::span<double> dots) const {
   if (!trained_) throw std::logic_error("SvmClassifier: predict before fit");
-  const kern::RowPanel packed(query, 1, support_.cols());
-  std::vector<double> dots(support_.rows());
-  return decide(query, row_squared_norms(packed)[0], dots.data());
+  if (query.size() != support_.cols())
+    throw std::invalid_argument("SvmClassifier: query width mismatch");
+  if (dots.size() < support_.rows())
+    throw std::invalid_argument("SvmClassifier: dots scratch too small");
+  // ‖q‖² as the packed sweeps take a squared distance to the origin:
+  // columns ascending from 0.0, each (q − 0)² = q·q rounded, then added.
+  double query_norm = 0.0;
+  for (const double x : query) query_norm += x * x;
+  support_panel_.dot(query.data(), dots.data());
+  double f = bias_;
+  for (std::size_t s = 0; s < support_.rows(); ++s) {
+    const double dist = support_norms_[s] + query_norm - 2.0 * dots[s];
+    f += alpha_y_[s] * std::exp(-gamma_ * (dist > 0.0 ? dist : 0.0));
+  }
+  return f;
 }
 
 std::vector<double> SvmClassifier::decision(const nn::Matrix& queries) const {
@@ -368,27 +370,26 @@ std::vector<double> SvmClassifier::decision(const nn::Matrix& queries) const {
   obs::Span span("ml.svm.decision");
   span.arg("rows", static_cast<double>(queries.rows()));
   std::vector<double> out(queries.rows());
-  // Full-universe evaluation is the phase-2 hot path: queries fan out over
-  // the pool, each sweeping the shared packed support panel. A chunk packs
-  // its own queries once for their squared norms.
+  // Queries fan out over the pool, each chunk deciding its rows one at a
+  // time against the shared packed support panel.
   par::ParallelOptions popts;
   popts.context = config_.context;
   popts.what = "ml.svm.decision";
   popts.grain = par::grain_for(support_.rows() * support_.cols() + 1);
   par::parallel_for_chunks(
       queries.rows(), popts, [&](const par::ChunkRange& chunk) {
-        const kern::RowPanel packed(queries.row(chunk.begin),
-                                    chunk.end - chunk.begin, queries.cols());
-        const std::vector<double> query_norms = row_squared_norms(packed);
         std::vector<double> dots(support_.rows());
         for (std::size_t r = chunk.begin; r < chunk.end; ++r)
-          out[r] = decide(queries.row(r), query_norms[r - chunk.begin],
-                          dots.data());
+          out[r] = decision({queries.row(r), queries.cols()}, dots);
       });
+  record_decisions(queries.rows());
+  return out;
+}
+
+void SvmClassifier::record_decisions(std::size_t n) {
   obs::metrics()
       .counter("ml.svm.decisions_total", {}, "SVM decision-function queries")
-      .add(queries.rows());
-  return out;
+      .add(static_cast<double>(n));
 }
 
 void SvmClassifier::save(util::BinaryWriter& writer) const {

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "kern/kern.h"
@@ -70,9 +71,20 @@ class SvmClassifier {
   void fit(const nn::Matrix& features, const std::vector<int>& labels,
            SvmWorkspace& workspace);
 
-  /// Signed decision value: positive means class 1.
-  double decision(const double* query) const;
+  /// Signed decision value of one query row: positive means class 1.
+  /// `dots` is caller-owned scratch of at least support_vector_count()
+  /// doubles, overwritten; nothing is allocated, so a caller can decide
+  /// rows one at a time as it builds them. Each RBF term uses
+  /// ‖x−y‖² = ‖x‖² + ‖y‖² − 2·x·y, clamped at 0 (the expansion can go
+  /// epsilon-negative where the direct difference cannot), and the terms
+  /// add up in support-vector order.
+  double decision(std::span<const double> query, std::span<double> dots) const;
+  /// The row decision of every query row, fanned out over the pool.
   std::vector<double> decision(const nn::Matrix& queries) const;
+  /// Adds `n` to the `ml.svm.decisions_total` counter. The matrix overload
+  /// counts its own rows; the row overload counts nothing, so a caller
+  /// deciding rows one at a time reports them here once per pass.
+  static void record_decisions(std::size_t n);
 
   std::size_t support_vector_count() const { return support_.rows(); }
 
@@ -86,12 +98,6 @@ class SvmClassifier {
   bool trained() const { return trained_; }
 
  private:
-  /// Decision value of one query with precomputed squared norm; `dots`
-  /// is scratch for support_vector_count() dot products. Each RBF term
-  /// uses ‖x−y‖² = ‖x‖² + ‖y‖² − 2·x·y, clamped at 0 (the expansion can
-  /// go epsilon-negative where the direct difference cannot), and the
-  /// terms add up in support-vector order.
-  double decide(const double* query, double query_norm, double* dots) const;
   /// Packs support_ and rebuilds support_norms_ (after fit and load).
   void cache_support_norms();
 

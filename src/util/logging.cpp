@@ -22,10 +22,23 @@ const char* level_tag(LogLevel level) {
 LogLevel log_level() { return g_level; }
 void set_log_level(LogLevel level) { g_level = level; }
 
+namespace {
+using Clock = std::chrono::steady_clock;
+
+Clock::time_point process_start() {
+  static const Clock::time_point start = Clock::now();
+  return start;
+}
+
+// Reads the epoch during static initialisation, before main, so it is
+// process start and not the first call: a span that began before the
+// first clock reading would otherwise stamp a negative trace timestamp.
+const Clock::time_point g_epoch_anchor = process_start();
+}  // namespace
+
 double monotonic_seconds() {
-  using clock = std::chrono::steady_clock;
-  static const clock::time_point start = clock::now();
-  return std::chrono::duration<double>(clock::now() - start).count();
+  return std::chrono::duration<double>(Clock::now() - process_start())
+      .count();
 }
 
 namespace detail {

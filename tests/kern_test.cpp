@@ -765,6 +765,32 @@ TEST(KernRows, EveryPathMatchesNaiveLoopBitForBit) {
   par::set_threads(1);
 }
 
+TEST(KernRows, AccumulateMatchesScalarLoopOnEveryPath) {
+  // Lengths cover empty, sub-group, whole-group and ragged tails; offsets
+  // of 0-3 doubles move both operands off any vector alignment, and one
+  // trailing element past the range must come back untouched.
+  util::Rng rng(4864);
+  for (std::size_t n = 0; n <= 67; ++n)
+    for (std::size_t acc_off : {0u, 1u, 3u})
+      for (std::size_t x_off : {0u, 2u}) {
+        const std::vector<double> start =
+            mixed_magnitudes(n + acc_off + 1, rng);
+        const std::vector<double> x = mixed_magnitudes(n + x_off, rng);
+        std::vector<double> want = start;
+        for (std::size_t i = 0; i < n; ++i)
+          want[acc_off + i] += x[x_off + i];
+        for (IsaPath path : supported_paths()) {
+          PathGuard guard(path);
+          std::vector<double> acc = start;
+          accumulate(acc.data() + acc_off, x.data() + x_off, n);
+          EXPECT_EQ(0, std::memcmp(acc.data(), want.data(),
+                                   acc.size() * sizeof(double)))
+              << path_name(path) << " n=" << n << " acc_off=" << acc_off
+              << " x_off=" << x_off;
+        }
+      }
+}
+
 TEST(KernAligned, PackScratchAndAllocatorAre64ByteAligned) {
   std::vector<double, util::AlignedAllocator<double>> v(7);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % 64, 0u);

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "ml/knn.h"
+#include "ml/logistic.h"
 #include "ml/metrics.h"
 #include "ml/scaler.h"
 #include "ml/split.h"
@@ -150,6 +151,31 @@ TEST(Scaler, TransformInPlaceMatchesTransformBitForBit) {
                            copied.size() * sizeof(double)));
   nn::Matrix wrong(2, 6);
   EXPECT_THROW(scaler.transform_in_place(wrong), std::invalid_argument);
+}
+
+TEST(Scaler, TransformRowMatchesTransformInPlaceBitForBit) {
+  // Phase 2 scales each composite row as it is built; every row must come
+  // out exactly as the whole-matrix transform leaves it.
+  util::Rng rng(29);
+  nn::Matrix x(33, 144);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x.data()[i] = rng.normal(-1.0, 4.0) * (i % 5 == 0 ? 1e-3 : 1.0);
+  for (std::size_t r = 0; r < x.rows(); ++r) x(r, 7) = 2.5;  // constant
+  StandardScaler scaler;
+  scaler.fit(x.gather_rows({0, 3, 8, 13, 21, 32}));
+  nn::Matrix in_place = x;
+  scaler.transform_in_place(in_place);
+  std::vector<double> row(x.cols());
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    std::copy(x.row(r), x.row(r) + x.cols(), row.begin());
+    scaler.transform_row(row);
+    EXPECT_EQ(0, std::memcmp(row.data(), in_place.row(r),
+                             row.size() * sizeof(double)))
+        << "row " << r;
+  }
+  row.resize(x.cols() - 1);
+  EXPECT_THROW(scaler.transform_row(row), std::invalid_argument);
+  EXPECT_THROW(StandardScaler().transform_row(row), std::logic_error);
 }
 
 // ---------- KNN ----------
@@ -300,8 +326,11 @@ TEST(Svm, DecisionSignMatchesSingleQueries) {
   svm.fit(x, y);
   const auto decisions = svm.decision(x);
   ASSERT_EQ(decisions.size(), x.rows());
+  std::vector<double> dots(svm.support_vector_count());
   for (std::size_t i = 0; i < decisions.size(); ++i)
-    EXPECT_EQ(svm.decision(x.row(i)) > 0.0, decisions[i] > 0.0) << i;
+    EXPECT_EQ(svm.decision({x.row(i), x.cols()}, dots) > 0.0,
+              decisions[i] > 0.0)
+        << i;
 }
 
 TEST(Svm, DecisionRanksClassOneAboveClassZero) {
@@ -498,10 +527,81 @@ TEST(Svm, FitAndDecisionBytesArePinned) {
     EXPECT_EQ(fnv1a(decision), 0xc197bd154334eb8cULL)
         << std::hex << fnv1a(decision) << " threads=" << std::dec
         << threads;
-    for (std::size_t r = 0; r < q; r += 37) {
-      const double single = svm.decision(queries.row(r));
-      EXPECT_EQ(0, std::memcmp(&single, &decision[r], sizeof(double)));
+    // The row API on one reused scratch gives the same bits.
+    std::vector<double> dots(svm.support_vector_count());
+    std::vector<double> rows(q);
+    for (std::size_t r = 0; r < q; ++r)
+      rows[r] = svm.decision({queries.row(r), dim}, dots);
+    EXPECT_EQ(fnv1a(rows), 0xc197bd154334eb8cULL)
+        << std::hex << fnv1a(rows) << " threads=" << std::dec << threads;
+  }
+  par::set_threads(1);
+}
+
+TEST(Svm, RowDecisionsEqualTheMatrixOverloadBitForBit) {
+  // Phase 2 decides each scored row in its worker's scratch as it is
+  // built. The row API on one reused `dots` buffer must give the matrix
+  // overload's bits for every row, at any thread count.
+  util::Rng rng(967144);
+  const std::size_t n = 240, dim = 36, q = 97;
+  nn::Matrix x(n, dim), queries(q, dim);
+  std::vector<int> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double score = 0.0;
+    for (std::size_t c = 0; c < dim; ++c) {
+      x(i, c) = rng.normal(0.0, 1.0);
+      score += c % 2 == 0 ? x(i, c) * x(i, c) : -x(i, c);
     }
+    y[i] = score + rng.normal(0.0, 1.0) > static_cast<double>(dim) / 2.0;
+  }
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    queries.data()[i] = rng.normal(0.0, 1.5);
+  queries(5, 3) = -0.0;
+  for (std::size_t threads : {1u, 4u}) {
+    par::set_threads(threads);
+    SvmClassifier svm;
+    svm.fit(x, y);
+    const std::vector<double> batch = svm.decision(queries);
+    // Oversized and pre-filled: the row API overwrites what it reads.
+    std::vector<double> dots(svm.support_vector_count() + 3,
+                             std::nan(""));
+    std::vector<double> rows(q);
+    for (std::size_t r = 0; r < q; ++r)
+      rows[r] = svm.decision({queries.row(r), dim}, dots);
+    EXPECT_EQ(0, std::memcmp(rows.data(), batch.data(), q * sizeof(double)))
+        << "threads=" << threads;
+    std::vector<double> short_dots(svm.support_vector_count() - 1);
+    EXPECT_THROW(svm.decision({queries.row(0), dim}, short_dots),
+                 std::invalid_argument);
+    EXPECT_THROW(svm.decision({queries.row(0), dim - 1}, dots),
+                 std::invalid_argument);
+  }
+  par::set_threads(1);
+  std::vector<double> dots(4);
+  EXPECT_THROW(SvmClassifier().decision({queries.row(0), dim}, dots),
+               std::logic_error);
+}
+
+TEST(Logistic, RowDecisionsEqualTheMatrixOverloadBitForBit) {
+  util::Rng rng(4411);
+  nn::Matrix x;
+  std::vector<int> y;
+  blobs_2d(x, y, 120, rng, 1.0);
+  nn::Matrix queries;
+  std::vector<int> unused;
+  blobs_2d(queries, unused, 64, rng, 1.0);
+  for (std::size_t threads : {1u, 4u}) {
+    par::set_threads(threads);
+    LogisticClassifier clf;
+    clf.fit(x, y);
+    const std::vector<double> batch = clf.decision(queries);
+    std::vector<double> rows(queries.rows());
+    for (std::size_t r = 0; r < queries.rows(); ++r)
+      rows[r] = clf.decision(queries.row(r));
+    ASSERT_EQ(batch.size(), rows.size());
+    EXPECT_EQ(0, std::memcmp(rows.data(), batch.data(),
+                             rows.size() * sizeof(double)))
+        << "threads=" << threads;
   }
   par::set_threads(1);
 }

@@ -9,6 +9,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/pipeline.h"
+#include "data/synthetic.h"
+#include "eval/pairs.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -30,6 +33,42 @@ std::string slurp(const std::string& path) {
   std::ostringstream oss;
   oss << in.rdbuf();
   return oss.str();
+}
+
+// ---------- trace epoch ----------
+
+// Declared first, so it runs before any other test in this binary reads
+// the clock: the epoch must be process start, whichever call reads it
+// first.
+TEST(TraceEpoch, TracedPipelineRunStartsAtOrAfterZero) {
+  data::SyntheticWorldConfig world_cfg;
+  world_cfg.user_count = 60;
+  world_cfg.poi_count = 160;
+  world_cfg.city_count = 2;
+  world_cfg.weeks = 3;
+  world_cfg.seed = 4;
+  const auto world = data::generate_world(world_cfg);
+  const eval::PairSplit split = eval::split_pairs(
+      eval::sample_candidate_pairs(world.dataset), 0.7, 5);
+  core::FriendSeekerConfig cfg;
+  cfg.presence.feature_dim = 8;
+  cfg.presence.epochs = 2;
+  cfg.max_iterations = 1;
+  tracer().clear();
+  tracer().enable();
+  (void)core::FriendSeeker(cfg).run(world.dataset, split.train_pairs,
+                                    split.train_labels, split.test_pairs);
+  tracer().disable();
+  const std::vector<TraceEvent> events = tracer().events();
+  tracer().clear();
+  ASSERT_FALSE(events.empty());
+  const TraceEvent* first = &events.front();
+  for (const TraceEvent& event : events) {
+    EXPECT_GE(event.ts_us, 0.0) << event.name;
+    if (event.ts_us < first->ts_us) first = &event;
+  }
+  EXPECT_EQ(first->name, "core.pipeline.run");
+  EXPECT_GE(first->ts_us, 0.0);
 }
 
 // ---------- json ----------

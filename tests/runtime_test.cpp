@@ -339,8 +339,9 @@ TEST_F(RuntimeTest, SvmFitUnderExpiredDeadlineStillReturnsAModel) {
   ml::SvmClassifier svm(cfg);
   ASSERT_NO_THROW(svm.fit(x, y));
   EXPECT_TRUE(svm.trained());
+  std::vector<double> dots(svm.support_vector_count());
   for (std::size_t r = 0; r < x.rows(); ++r)
-    EXPECT_TRUE(std::isfinite(svm.decision(x.row(r))));
+    EXPECT_TRUE(std::isfinite(svm.decision({x.row(r), x.cols()}, dots)));
 }
 
 TEST_F(RuntimeTest, SvmFitThrowsWhenCancelled) {
@@ -381,7 +382,7 @@ TEST_F(RuntimeTest, PipelineDegradesGracefullyOnPhase2Deadline) {
 TEST_F(RuntimeTest, PipelineDegradesGracefullyOnPhase2MemoryBudget) {
   TinyExperiment exp = make_tiny_experiment();
   // Probe phase 1 alone to learn the JOC + embedding footprint, then allow
-  // just that: phase 2's composite/kernel charge must push past the limit.
+  // just that: phase 2's edge-table/kernel charge must push past the limit.
   runtime::ExecutionContext probe;
   core::FriendSeekerConfig probe_cfg = exp.config;
   probe_cfg.context = &probe;
@@ -406,8 +407,9 @@ TEST_F(RuntimeTest, PipelineDegradesGracefullyOnPhase2MemoryBudget) {
 
 TEST_F(RuntimeTest, PipelineDegradesWhenPhase2EdgeTableExceedsBudget) {
   TinyExperiment exp = make_tiny_experiment();
-  // A limit just above phase 1 fails at the composite charge; its message
-  // carries the bytes already charged and the composite's size.
+  // Phase 2 holds no composite matrix, so its first charge is the edge
+  // table: a limit just above phase 1 fails there, and the message carries
+  // the bytes already charged and the table's size.
   runtime::ExecutionContext probe;
   core::FriendSeekerConfig probe_cfg = exp.config;
   probe_cfg.context = &probe;
@@ -418,24 +420,6 @@ TEST_F(RuntimeTest, PipelineDegradesWhenPhase2EdgeTableExceedsBudget) {
   runtime::ExecutionContext tight;
   tight.set_memory_limit(probe.peak_charged() + 1);
   exp.config.context = &tight;
-  const auto composite_fail =
-      core::FriendSeeker(exp.config)
-          .run(exp.dataset, exp.split.train_pairs, exp.split.train_labels,
-               exp.split.test_pairs);
-  ASSERT_TRUE(composite_fail.degradation.degraded());
-  const std::string& detail = composite_fail.degradation.phases.front().detail;
-  ASSERT_NE(detail.find("core.phase2.composite"), std::string::npos) << detail;
-  unsigned long long charged = 0, composite = 0;
-  ASSERT_EQ(std::sscanf(detail.c_str() + detail.find('('), "(%llu + %llu",
-                        &charged, &composite),
-            2)
-      << detail;
-
-  // Room for the composite and not one byte more: the edge table's charge
-  // is the one that fails, and it degrades the same way.
-  runtime::ExecutionContext ctx;
-  ctx.set_memory_limit(static_cast<std::size_t>(charged + composite));
-  exp.config.context = &ctx;
   const auto result =
       core::FriendSeeker(exp.config)
           .run(exp.dataset, exp.split.train_pairs, exp.split.train_labels,
@@ -445,11 +429,36 @@ TEST_F(RuntimeTest, PipelineDegradesWhenPhase2EdgeTableExceedsBudget) {
   const runtime::PhaseDegradation& entry = result.degradation.phases.front();
   EXPECT_EQ(entry.phase, "phase2.refine");
   EXPECT_EQ(entry.reason, "memory");
-  EXPECT_NE(entry.detail.find("core.phase2.edge_table"), std::string::npos)
+  ASSERT_NE(entry.detail.find("core.phase2.edge_table"), std::string::npos)
+      << entry.detail;
+  unsigned long long charged = 0, table = 0;
+  ASSERT_EQ(std::sscanf(entry.detail.c_str() + entry.detail.find('('),
+                        "(%llu + %llu", &charged, &table),
+            2)
       << entry.detail;
   EXPECT_EQ(result.iterations_run, 0);
   EXPECT_TRUE(result.fell_back_to_phase1);
-  EXPECT_EQ(ctx.charged(), 0u);  // every charge released
+  EXPECT_EQ(tight.charged(), 0u);  // every charge released
+
+  // Room for the edge table and not one byte more: the next charge, inside
+  // the first iteration, fails instead, and it degrades the same way.
+  runtime::ExecutionContext ctx;
+  ctx.set_memory_limit(static_cast<std::size_t>(charged + table));
+  exp.config.context = &ctx;
+  const auto past_table =
+      core::FriendSeeker(exp.config)
+          .run(exp.dataset, exp.split.train_pairs, exp.split.train_labels,
+               exp.split.test_pairs);
+  ASSERT_TRUE(past_table.degradation.degraded());
+  const runtime::PhaseDegradation& later =
+      past_table.degradation.phases.front();
+  EXPECT_EQ(later.phase, "phase2.refine");
+  EXPECT_EQ(later.reason, "memory");
+  EXPECT_EQ(later.detail.find("core.phase2.edge_table"), std::string::npos)
+      << later.detail;
+  EXPECT_EQ(past_table.iterations_run, 0);
+  EXPECT_TRUE(past_table.fell_back_to_phase1);
+  EXPECT_EQ(ctx.charged(), 0u);
 }
 
 TEST_F(RuntimeTest, ChargedPeakCountsEachJocRowOnce) {

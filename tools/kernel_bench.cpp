@@ -34,10 +34,14 @@
 //
 // The rows section times sq_dist_rows/dot_rows at the classifiers' shapes
 // (KNN reference set, SVM support vectors, SVM kernel-matrix fill): a batch
-// of queries fans out over --threads, all sharing one packed panel. Each
+// of queries fans out over --threads, all sharing one packed panel. It also
+// times kern::accumulate at phase 2's path-sum shape (per pair, 48 + 232
+// presence rows of d = 48 or 64 scattered over a 10,011-row code matrix,
+// added into two length slots), in GB/s of operand traffic. Each
 // entry records whether its output memcmp-equals the scalar path's, which
-// the row-sweep contract requires.
+// the row-sweep contract requires; a mismatch exits 1.
 // --quick shrinks reps and the shape list for CI smoke.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -306,6 +310,64 @@ json::Object bench_rows(const char* op, const RowShape& shape, double min_ms,
   return entry;
 }
 
+/// Phase 2's path-sum shape, counted on attack_full (gowalla preset, every
+/// pair scored, k = 3): a pair's composite adds on average 48 presence rows
+/// into its length-2 slot and 232 into its length-3 slot, each row one of
+/// the 10,011 scored pairs' codes reached through the edge table.
+constexpr std::size_t kPathCodeRows = 10011;
+constexpr std::size_t kSlotRows[] = {48, 232};
+
+/// kern::accumulate as phase 2 calls it: each of kRowQueries pairs (fanned
+/// out over the pool) fills its two length slots from rows scattered over
+/// a kPathCodeRows-row code matrix, in a fixed pseudo-random order.
+json::Object bench_accumulate(std::size_t dim, double min_ms,
+                              RowReference& reference) {
+  util::Rng rng(kPathCodeRows * 131 + dim);
+  nn::Matrix codes(kPathCodeRows, dim);
+  for (std::size_t i = 0; i < codes.size(); ++i)
+    codes.data()[i] = rng.normal();
+  const std::size_t rows_per_pair = kSlotRows[0] + kSlotRows[1];
+  std::vector<std::size_t> picks(kRowQueries * rows_per_pair);
+  for (std::size_t& pick : picks) pick = rng.index(kPathCodeRows);
+  std::vector<double> out(kRowQueries * 2 * dim);
+  par::ParallelOptions options;
+  options.grain = 1;
+  const auto sweep = [&] {
+    par::parallel_for(kRowQueries, options, [&](std::size_t q) {
+      double* slots = out.data() + q * 2 * dim;
+      std::fill(slots, slots + 2 * dim, 0.0);
+      const std::size_t* pick = picks.data() + q * rows_per_pair;
+      for (std::size_t slot = 0; slot < 2; ++slot)
+        for (std::size_t i = 0; i < kSlotRows[slot]; ++i)
+          kern::accumulate(slots + slot * dim, codes.row(*pick++), dim);
+    });
+  };
+  const auto [wall_ms, reps] = measure(min_ms, sweep);
+
+  const std::string key = "accumulate:" + std::to_string(dim);
+  if (kern::active_path() == kern::IsaPath::kScalar) reference[key] = out;
+  const std::vector<double>& want = reference.at(key);
+  const bool matches =
+      std::memcmp(want.data(), out.data(), out.size() * sizeof(double)) == 0;
+
+  // Each add reads the slot and the row and writes the slot back.
+  const double bytes = 3.0 * sizeof(double) * static_cast<double>(dim) *
+                       static_cast<double>(rows_per_pair) *
+                       static_cast<double>(kRowQueries) *
+                       static_cast<double>(reps);
+  json::Object entry;
+  entry["what"] = std::string("phase2.path_sum");
+  entry["op"] = std::string("accumulate");
+  entry["n"] = rows_per_pair;
+  entry["dim"] = dim;
+  entry["queries"] = kRowQueries;
+  entry["reps"] = reps;
+  entry["wall_ms"] = wall_ms;
+  entry["gb_per_s"] = wall_ms > 0.0 ? bytes / (wall_ms * 1e6) : 0.0;
+  entry["matches_scalar"] = matches;
+  return entry;
+}
+
 int run(const util::ArgParser& args) {
   par::set_threads(static_cast<std::size_t>(args.get_int_in(
       "threads", 0, static_cast<long long>(par::kMaxThreads))));
@@ -390,12 +452,17 @@ int run(const util::ArgParser& args) {
         rows_match = rows_match && entry["matches_scalar"].as_bool();
         rows.emplace_back(std::move(entry));
       }
+    for (const std::size_t dim : {48u, 64u}) {
+      json::Object entry = bench_accumulate(dim, min_ms, reference);
+      rows_match = rows_match && entry["matches_scalar"].as_bool();
+      rows.emplace_back(std::move(entry));
+    }
     section["rows"] = std::move(rows);
     paths.emplace_back(std::move(section));
   }
 
   json::Object root;
-  root["schema_version"] = 6;
+  root["schema_version"] = 7;
   root["threads"] = par::threads();
   root["paths"] = std::move(paths);
 
@@ -438,14 +505,17 @@ int run(const util::ArgParser& args) {
   }
   for (const json::Value& section : report.at("paths").as_array()) {
     const char* path = section.at("path").as_string().c_str();
-    for (const json::Value& entry : section.at("rows").as_array())
-      std::printf("%-7s %-7s(%4.0f x %4.0f) %7.2f GFLOP/s  %s%s\n", path,
+    for (const json::Value& entry : section.at("rows").as_array()) {
+      const bool bandwidth = entry.contains("gb_per_s");
+      std::printf("%-7s %-10s(%4.0f x %4.0f) %7.2f %s  %s%s\n", path,
                   entry.at("op").as_string().c_str(),
                   entry.at("n").as_number(), entry.at("dim").as_number(),
-                  entry.at("gflops").as_number(),
+                  entry.at(bandwidth ? "gb_per_s" : "gflops").as_number(),
+                  bandwidth ? "GB/s   " : "GFLOP/s",
                   entry.at("what").as_string().c_str(),
                   entry.at("matches_scalar").as_bool() ? ""
                                                        : "  MISMATCH");
+    }
   }
   std::printf("wrote %s\n", args.get("out").c_str());
   if (!steps_match)
