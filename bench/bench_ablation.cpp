@@ -44,7 +44,7 @@ int main() {
     variants.push_back({"k=4", v});
 
     v = defaults;
-    v.iterate = false;
+    v.max_iterations = 0;
     variants.push_back({"phase 1 only (no iteration)", v});
 
     v = defaults;

@@ -1,20 +1,28 @@
 #include "baselines/baseline.h"
 
+#include <algorithm>
+
 namespace fs::baselines {
 
-TunedThreshold tune_threshold(const std::vector<double>& train_scores,
-                              const std::vector<int>& train_labels) {
-  const ml::TunedThreshold tuned =
-      ml::tune_f1_threshold(train_scores, train_labels);
-  return TunedThreshold{tuned.threshold, tuned.train_f1};
-}
+std::vector<int> FriendshipAttack::threshold_scores(
+    const std::function<double(const data::UserPair&)>& score,
+    const std::vector<data::UserPair>& train_pairs,
+    const std::vector<int>& train_labels,
+    const std::vector<data::UserPair>& test_pairs, double min_threshold) {
+  std::vector<double> train_scores(train_pairs.size());
+  for (std::size_t i = 0; i < train_pairs.size(); ++i)
+    train_scores[i] = score(train_pairs[i]);
+  const double threshold = std::max(
+      ml::tune_f1_threshold(train_scores, train_labels).threshold,
+      min_threshold);
 
-std::vector<int> apply_threshold(const std::vector<double>& scores,
-                                 double threshold) {
-  std::vector<int> out(scores.size());
-  for (std::size_t i = 0; i < scores.size(); ++i)
-    out[i] = scores[i] >= threshold ? 1 : 0;
-  return out;
+  test_scores_.resize(test_pairs.size());
+  std::vector<int> predictions(test_pairs.size());
+  for (std::size_t i = 0; i < test_pairs.size(); ++i) {
+    test_scores_[i] = score(test_pairs[i]);
+    predictions[i] = test_scores_[i] >= threshold ? 1 : 0;
+  }
+  return predictions;
 }
 
 }  // namespace fs::baselines

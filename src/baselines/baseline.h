@@ -2,6 +2,8 @@
 // the four baselines (Fig 11) run under one evaluation protocol.
 #pragma once
 
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -23,20 +25,28 @@ class FriendshipAttack {
       const std::vector<data::UserPair>& train_pairs,
       const std::vector<int>& train_labels,
       const std::vector<data::UserPair>& test_pairs) = 0;
+
+  /// One score per test pair of the last infer() call (higher = more
+  /// likely friends): what AUC and precision@k rank.
+  virtual const std::vector<double>& test_scores() const {
+    return test_scores_;
+  }
+
+ protected:
+  /// The score-based baselines' protocol (the original papers tune an
+  /// operating point the same way): scores the train pairs, picks the
+  /// threshold maximizing F1 on them (raised to `min_threshold`), scores
+  /// the test pairs, keeps those scores for test_scores(), and predicts a
+  /// test pair friends iff its score reaches the threshold.
+  std::vector<int> threshold_scores(
+      const std::function<double(const data::UserPair&)>& score,
+      const std::vector<data::UserPair>& train_pairs,
+      const std::vector<int>& train_labels,
+      const std::vector<data::UserPair>& test_pairs,
+      double min_threshold = -std::numeric_limits<double>::infinity());
+
+ private:
+  std::vector<double> test_scores_;
 };
-
-/// Picks the score threshold maximizing F1 on the training scores, then
-/// thresholds the test scores with it. Shared by the score-based baselines
-/// (the original papers tune an operating point the same way).
-struct TunedThreshold {
-  double threshold = 0.0;
-  double train_f1 = 0.0;
-};
-
-TunedThreshold tune_threshold(const std::vector<double>& train_scores,
-                              const std::vector<int>& train_labels);
-
-std::vector<int> apply_threshold(const std::vector<double>& scores,
-                                 double threshold);
 
 }  // namespace fs::baselines

@@ -2,36 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 namespace fs::baselines {
 
-namespace {
-
-/// Number of distinct visitors per POI (location popularity), computed once
-/// per dataset and memoized by the caller.
-std::unordered_map<data::PoiId, std::size_t> poi_popularity(
+std::vector<std::size_t> CoLocationAttack::poi_popularity(
     const data::Dataset& dataset) {
-  std::unordered_map<data::PoiId, std::size_t> popularity;
+  std::vector<std::size_t> popularity(dataset.poi_count(), 0);
   for (data::UserId u = 0; u < dataset.user_count(); ++u)
     for (data::PoiId p : dataset.visited_pois(u)) ++popularity[p];
   return popularity;
 }
 
-}  // namespace
-
 double CoLocationAttack::pair_score(const data::Dataset& dataset,
+                                    const std::vector<std::size_t>& popularity,
                                     data::UserId a, data::UserId b,
                                     const CoLocationConfig& config) {
   // Rarity-weighted common POIs: meeting at an unpopular place is stronger
   // evidence of friendship than meeting at a hub (location-entropy idea).
-  static thread_local const data::Dataset* cached_ds = nullptr;
-  static thread_local std::unordered_map<data::PoiId, std::size_t> popularity;
-  if (cached_ds != &dataset) {
-    popularity = poi_popularity(dataset);
-    cached_ds = &dataset;
-  }
-
   const std::vector<data::PoiId> pa = dataset.visited_pois(a);
   const std::vector<data::PoiId> pb = dataset.visited_pois(b);
   std::vector<data::PoiId> common;
@@ -40,13 +27,8 @@ double CoLocationAttack::pair_score(const data::Dataset& dataset,
   if (common.empty()) return 0.0;
 
   double score = 0.0;
-  for (data::PoiId p : common) {
-    const auto it = popularity.find(p);
-    const double pop = it == popularity.end()
-                           ? 1.0
-                           : static_cast<double>(it->second);
-    score += 1.0 / std::log(1.0 + pop + 1.0);
-  }
+  for (data::PoiId p : common)
+    score += 1.0 / std::log(1.0 + static_cast<double>(popularity[p]) + 1.0);
 
   // Optional temporal meetings: same POI within the window.
   if (config.meeting_bonus > 0.0) {
@@ -70,19 +52,13 @@ std::vector<int> CoLocationAttack::infer(
     const std::vector<data::UserPair>& train_pairs,
     const std::vector<int>& train_labels,
     const std::vector<data::UserPair>& test_pairs) {
-  std::vector<double> train_scores(train_pairs.size());
-  for (std::size_t i = 0; i < train_pairs.size(); ++i)
-    train_scores[i] = pair_score(dataset, train_pairs[i].first,
-                                 train_pairs[i].second, config_);
-  TunedThreshold tuned = tune_threshold(train_scores, train_labels);
+  const std::vector<std::size_t> popularity = poi_popularity(dataset);
   // Zero co-location evidence can never mean "friends" in this attack.
-  tuned.threshold = std::max(tuned.threshold, 1e-12);
-
-  std::vector<double> test_scores(test_pairs.size());
-  for (std::size_t i = 0; i < test_pairs.size(); ++i)
-    test_scores[i] = pair_score(dataset, test_pairs[i].first,
-                                test_pairs[i].second, config_);
-  return apply_threshold(test_scores, tuned.threshold);
+  return threshold_scores(
+      [&](const data::UserPair& p) {
+        return pair_score(dataset, popularity, p.first, p.second, config_);
+      },
+      train_pairs, train_labels, test_pairs, 1e-12);
 }
 
 }  // namespace fs::baselines

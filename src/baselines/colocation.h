@@ -32,10 +32,14 @@ class CoLocationAttack final : public FriendshipAttack {
                          const std::vector<data::UserPair>& test_pairs)
       override;
 
-  /// The raw pair score (exposed for tests and the Fig 12/13 stratified
-  /// analyses).
-  static double pair_score(const data::Dataset& dataset, data::UserId a,
-                           data::UserId b, const CoLocationConfig& config);
+  /// Distinct visitors per POI (the rarity weight), indexed by PoiId.
+  static std::vector<std::size_t> poi_popularity(const data::Dataset& dataset);
+
+  /// The raw pair score under `popularity` = poi_popularity(dataset).
+  static double pair_score(const data::Dataset& dataset,
+                           const std::vector<std::size_t>& popularity,
+                           data::UserId a, data::UserId b,
+                           const CoLocationConfig& config);
 
  private:
   CoLocationConfig config_;

@@ -24,20 +24,12 @@ std::vector<int> DistanceAttack::infer(
   for (data::UserId u = 0; u < dataset.user_count(); ++u)
     centers[u] = center_location(dataset, u);
 
-  auto score = [&](const data::UserPair& p) {
-    // Negated distance: nearer centers -> higher friendship score.
-    return -geo::equirectangular_m(centers[p.first], centers[p.second]);
-  };
-
-  std::vector<double> train_scores(train_pairs.size());
-  for (std::size_t i = 0; i < train_pairs.size(); ++i)
-    train_scores[i] = score(train_pairs[i]);
-  const TunedThreshold tuned = tune_threshold(train_scores, train_labels);
-
-  std::vector<double> test_scores(test_pairs.size());
-  for (std::size_t i = 0; i < test_pairs.size(); ++i)
-    test_scores[i] = score(test_pairs[i]);
-  return apply_threshold(test_scores, tuned.threshold);
+  // Negated distance: nearer centers -> higher friendship score.
+  return threshold_scores(
+      [&](const data::UserPair& p) {
+        return -geo::equirectangular_m(centers[p.first], centers[p.second]);
+      },
+      train_pairs, train_labels, test_pairs);
 }
 
 }  // namespace fs::baselines

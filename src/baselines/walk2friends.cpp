@@ -31,19 +31,11 @@ std::vector<int> Walk2FriendsAttack::infer(
   const nn::Matrix embeddings = embed::train_skipgram(
       corpus, dataset.user_count() + dataset.poi_count(), config_.skipgram);
 
-  auto score = [&](const data::UserPair& p) {
-    return embed::cosine_similarity(embeddings, p.first, p.second);
-  };
-
-  std::vector<double> train_scores(train_pairs.size());
-  for (std::size_t i = 0; i < train_pairs.size(); ++i)
-    train_scores[i] = score(train_pairs[i]);
-  const TunedThreshold tuned = tune_threshold(train_scores, train_labels);
-
-  std::vector<double> test_scores(test_pairs.size());
-  for (std::size_t i = 0; i < test_pairs.size(); ++i)
-    test_scores[i] = score(test_pairs[i]);
-  return apply_threshold(test_scores, tuned.threshold);
+  return threshold_scores(
+      [&](const data::UserPair& p) {
+        return embed::cosine_similarity(embeddings, p.first, p.second);
+      },
+      train_pairs, train_labels, test_pairs);
 }
 
 }  // namespace fs::baselines

@@ -55,8 +55,8 @@ const std::vector<ConfigField>& config_fields() {
        FS_CONFIG_MEMBER(presence.feature_dim)},
       {"k", T::kInt, 2, 16, "k-hop reachable subgraph depth",
        FS_CONFIG_MEMBER(k)},
-      {"max_iterations", T::kInt, 1, 1000,
-       "cap on phase-2 refinement iterations",
+      {"max_iterations", T::kInt, 0, 1000,
+       "cap on phase-2 refinement iterations (0 = phase 1 only)",
        FS_CONFIG_MEMBER(max_iterations)},
       {"block_hops", T::kInt, 0, 16,
        "keep pairs within this many hops of the strong co-occurrence "

@@ -368,7 +368,7 @@ FriendSeekerResult FriendSeeker::run(
     }
   };
 
-  if (config_.iterate) {
+  if (config_.max_iterations > 0) {
     // ---- Phase 2: iterative hidden-friends inference. ----
     SocialFeatureConfig social_cfg;
     social_cfg.k = config_.k;

@@ -48,7 +48,7 @@ struct FriendSeekerConfig {
   ml::LogisticConfig logistic;
   /// SVM training rows are subsampled to this cap (kernel memory/time).
   std::size_t max_svm_train_rows = 1500;
-  int max_iterations = 6;
+  int max_iterations = 6;  // 0: stop after phase 1
   /// The paper stops below 1 %; the SVM is retrained every iteration here,
   /// which keeps a small churn floor (a few percent of borderline pairs
   /// flip each round), so the scaled default is 4.5 %.
@@ -69,7 +69,6 @@ struct FriendSeekerConfig {
 
   // ---- Ablations ----
   bool use_social_feature = true;  // false: heuristic structural features
-  bool iterate = true;             // false: stop after phase 1
 
   // ---- Fault tolerance ----
   /// When non-empty, the working state is checkpointed into this directory

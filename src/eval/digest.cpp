@@ -22,11 +22,17 @@ void mix_graph(util::Fnv1a& fnv, const graph::Graph& g) {
 }  // namespace
 
 std::string result_digest(const core::FriendSeekerResult& result) {
+  return result_digest(result.test_predictions, result.test_scores,
+                       result.final_graph);
+}
+
+std::string result_digest(const std::vector<int>& test_predictions,
+                          const std::vector<double>& test_scores,
+                          const graph::Graph& predicted) {
   util::Fnv1a fnv;
-  for (int p : result.test_predictions)
-    fnv.u64(static_cast<std::uint32_t>(p));
-  for (double s : result.test_scores) fnv.f64(s);
-  mix_graph(fnv, result.final_graph);
+  for (int p : test_predictions) fnv.u64(static_cast<std::uint32_t>(p));
+  for (double s : test_scores) fnv.f64(s);
+  mix_graph(fnv, predicted);
   return fnv.hex();
 }
 

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "core/pipeline.h"
 #include "graph/graph.h"
@@ -13,6 +14,12 @@ namespace fs::eval {
 /// score bit patterns, and the final graph's adjacency. Two runs are
 /// byte-identical iff their digests match.
 std::string result_digest(const core::FriendSeekerResult& result);
+
+/// The same digest over any attack's parts: its test predictions and
+/// scores and the graph it predicts.
+std::string result_digest(const std::vector<int>& test_predictions,
+                          const std::vector<double>& test_scores,
+                          const graph::Graph& predicted);
 
 /// FNV-1a over the final graph's adjacency alone: comparable between runs
 /// whose test lists differ, such as a run and the same run with extra

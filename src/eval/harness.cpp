@@ -1,5 +1,7 @@
 #include "eval/harness.h"
 
+#include <stdexcept>
+
 #include "baselines/colocation.h"
 #include "baselines/distance.h"
 #include "baselines/usergraph.h"
@@ -69,6 +71,22 @@ std::vector<std::unique_ptr<baselines::FriendshipAttack>> make_baselines() {
   out.push_back(std::make_unique<baselines::Walk2FriendsAttack>());
   out.push_back(std::make_unique<baselines::UserGraphAttack>());
   return out;
+}
+
+std::unique_ptr<baselines::FriendshipAttack> make_attack(
+    const std::string& name, const core::FriendSeekerConfig& seeker) {
+  if (name == "friendseeker")
+    return std::make_unique<FriendSeekerAttack>(seeker);
+  for (auto& baseline : make_baselines())
+    if (baseline->name() == name) return std::move(baseline);
+  throw std::invalid_argument("unknown attack '" + name + "'");
+}
+
+std::vector<std::string> attack_names() {
+  std::vector<std::string> names{"friendseeker"};
+  for (const auto& baseline : make_baselines())
+    names.push_back(baseline->name());
+  return names;
 }
 
 std::vector<std::size_t> pair_common_locations(

@@ -54,6 +54,11 @@ class FriendSeekerAttack final : public baselines::FriendshipAttack {
                          const std::vector<data::UserPair>& test_pairs)
       override;
 
+  /// The last run's scores, read in place.
+  const std::vector<double>& test_scores() const override {
+    return last_result_.test_scores;
+  }
+
   const core::FriendSeekerResult& last_result() const { return last_result_; }
 
  private:
@@ -68,6 +73,14 @@ core::FriendSeekerConfig default_seeker_config();
 
 /// The four baselines with sensible defaults, name -> instance.
 std::vector<std::unique_ptr<baselines::FriendshipAttack>> make_baselines();
+
+/// The attack called `name`: "friendseeker" (run with `seeker`) or one of
+/// make_baselines()' names. Throws std::invalid_argument otherwise.
+std::unique_ptr<baselines::FriendshipAttack> make_attack(
+    const std::string& name, const core::FriendSeekerConfig& seeker);
+
+/// Every name make_attack accepts, "friendseeker" first.
+std::vector<std::string> attack_names();
 
 // ---- Stratified analyses ----
 

@@ -70,30 +70,4 @@ double LogisticClassifier::decision(const double* query) const {
   return z;
 }
 
-std::vector<double> LogisticClassifier::decision(
-    const nn::Matrix& queries) const {
-  if (queries.cols() != weights_.size())
-    throw std::invalid_argument("LogisticClassifier: query width mismatch");
-  std::vector<double> out(queries.rows());
-  for (std::size_t r = 0; r < queries.rows(); ++r)
-    out[r] = decision(queries.row(r));
-  return out;
-}
-
-std::vector<int> LogisticClassifier::predict(const nn::Matrix& queries) const {
-  const auto d = decision(queries);
-  std::vector<int> out(d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) out[i] = d[i] > 0.0;
-  return out;
-}
-
-std::vector<double> LogisticClassifier::predict_proba(
-    const nn::Matrix& queries) const {
-  const auto d = decision(queries);
-  std::vector<double> out(d.size());
-  for (std::size_t i = 0; i < d.size(); ++i)
-    out[i] = 1.0 / (1.0 + std::exp(-d[i]));
-  return out;
-}
-
 }  // namespace fs::ml

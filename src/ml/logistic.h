@@ -32,11 +32,6 @@ class LogisticClassifier {
   /// It needs no scratch and allocates nothing, so a caller can decide
   /// rows one at a time as it builds them.
   double decision(const double* query) const;
-  /// The row decision of every query row, in row order.
-  std::vector<double> decision(const nn::Matrix& queries) const;
-
-  std::vector<int> predict(const nn::Matrix& queries) const;
-  std::vector<double> predict_proba(const nn::Matrix& queries) const;
 
   bool trained() const { return trained_; }
   const std::vector<double>& weights() const { return weights_; }

@@ -6,6 +6,7 @@
 
 #include "core/pipeline.h"
 #include "eval/digest.h"
+#include "eval/harness.h"
 #include "par/pool.h"
 #include "scenario/options.h"
 #include "util/error.h"
@@ -67,6 +68,8 @@ AttackSpec parse_attack(const json::Value& node, const std::string& context) {
   OptionReader reader(node, context);
   AttackSpec spec;
   spec.label = reader.get_string("label", "");
+  spec.attacker =
+      reader.get_enum("attacker", spec.attacker, eval::attack_names());
   spec.threads = static_cast<std::size_t>(reader.get_int(
       "threads", 0, 0, static_cast<long long>(par::kMaxThreads)));
   reader.finish();
@@ -161,6 +164,8 @@ json::Value defense_to_json(const DefenseSpec& spec) {
 json::Value attack_to_json(const AttackSpec& spec) {
   json::Object o;
   o["label"] = attack_label(spec);
+  // Omitted for FriendSeeker, so its cells keep their fingerprints.
+  if (spec.attacker != AttackSpec{}.attacker) o["attacker"] = spec.attacker;
   o["threads"] = spec.threads;
   return json::Value(std::move(o));
 }
@@ -223,7 +228,9 @@ std::string defense_label(const DefenseSpec& spec) {
 
 std::string attack_label(const AttackSpec& spec) {
   if (!spec.label.empty()) return spec.label;
-  return "thr:" + std::to_string(spec.threads);
+  const std::string threads = "thr:" + std::to_string(spec.threads);
+  if (spec.attacker == AttackSpec{}.attacker) return threads;
+  return spec.attacker + "," + threads;
 }
 
 std::string model_label(const ModelSpec& spec) {

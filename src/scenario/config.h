@@ -49,10 +49,13 @@ struct DefenseSpec {
   std::size_t grid_sigma = 120;
 };
 
-/// Attack-execution variant: the thread count (0 = inherit the runner's
-/// ambient thread setting).
+/// The attack a cell runs and its thread count (0 = inherit the runner's
+/// ambient thread setting). `attacker` is an eval::attack_names() entry;
+/// a baseline cell grades that baseline on the cell's world, defense and
+/// dynamics, and ignores the model axis.
 struct AttackSpec {
   std::string label;
+  std::string attacker = "friendseeker";
   std::size_t threads = 0;
 };
 

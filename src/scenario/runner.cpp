@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <map>
+#include <memory>
 #include <utility>
 
 #include "data/defense.h"
@@ -184,25 +185,39 @@ MatrixResult run_scenario(const ScenarioConfig& config,
     result.cell = cell;
     result.fingerprint = cell_fingerprint(config, cell);
 
+    const std::unique_ptr<baselines::FriendshipAttack> attack =
+        eval::make_attack(cell.attack.attacker, seeker);
     const auto start = std::chrono::steady_clock::now();
-    eval::FriendSeekerAttack attack(seeker);
     const std::vector<int> predictions =
-        attack.infer(experiment.dataset, experiment.split.train_pairs,
-                     experiment.split.train_labels,
-                     experiment.split.test_pairs);
+        attack->infer(experiment.dataset, experiment.split.train_pairs,
+                      experiment.split.train_labels,
+                      experiment.split.test_pairs);
     result.wall_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - start)
                          .count();
 
-    const core::FriendSeekerResult& run = attack.last_result();
     result.quality = compute_quality(experiment.split.test_labels,
-                                     predictions, run.test_scores);
-    result.result_digest = eval::result_digest(run);
-    result.final_graph_digest = eval::graph_digest(run.final_graph);
-    result.peak_memory_bytes = context.peak_charged();
-    result.universe_pairs = run.blocking.universe_pairs;
-    result.scored_pairs = run.blocking.scored_pairs;
-    result.pruned_pairs = run.blocking.pruned_pairs;
+                                     predictions, attack->test_scores());
+    if (const auto* ours =
+            dynamic_cast<const eval::FriendSeekerAttack*>(attack.get())) {
+      const core::FriendSeekerResult& run = ours->last_result();
+      result.result_digest = eval::result_digest(run);
+      result.final_graph_digest = eval::graph_digest(run.final_graph);
+      result.peak_memory_bytes = context.peak_charged();
+      result.universe_pairs = run.blocking.universe_pairs;
+      result.scored_pairs = run.blocking.scored_pairs;
+      result.pruned_pairs = run.blocking.pruned_pairs;
+    } else {
+      // A baseline's graph is the test pairs it predicts friends.
+      graph::Graph predicted(experiment.dataset.user_count());
+      for (std::size_t i = 0; i < predictions.size(); ++i)
+        if (predictions[i] == 1)
+          predicted.add_edge(experiment.split.test_pairs[i].first,
+                             experiment.split.test_pairs[i].second);
+      result.result_digest = eval::result_digest(
+          predictions, attack->test_scores(), predicted);
+      result.final_graph_digest = eval::graph_digest(predicted);
+    }
 
     if (options.on_cell) options.on_cell(result);
     matrix.cells.push_back(std::move(result));

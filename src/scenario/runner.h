@@ -1,12 +1,12 @@
 // Scenario grid execution: resolves each cell's coordinate into a concrete
 // (world, dataset, seeker config) through the existing pipeline facade and
-// runs the full attack, reusing worlds and perturbed datasets across cells.
+// runs the cell's attack (FriendSeeker or a baseline), reusing worlds and
+// perturbed datasets across cells, so every attacker is graded on the
+// same data and pair split by the same arithmetic.
 //
-// The resolution helpers are public on purpose: the differential tests and
-// the countermeasure benches rebuild a cell's exact dataset and seeker
-// config outside the runner to pin that a grid cell is bit-identical to a
-// direct attack invocation (and to grade baseline attacks on the very same
-// perturbed data).
+// The resolution helpers are public on purpose: the differential tests
+// rebuild a cell's exact dataset and seeker config outside the runner to
+// pin that a grid cell is bit-identical to a direct attack invocation.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +38,10 @@ struct CellResult {
   std::string fingerprint;  // cell_fingerprint(config, cell)
   CellQuality quality;
   std::string result_digest;
+  /// A baseline cell's graph is the test pairs it predicts friends.
   std::string final_graph_digest;
   double wall_ms = 0.0;
+  /// Charged peak and blocking counts: 0 for a baseline cell.
   std::size_t peak_memory_bytes = 0;
   std::size_t universe_pairs = 0;
   std::size_t scored_pairs = 0;
@@ -55,7 +57,7 @@ struct MatrixResult {
   std::vector<CellResult> cells;
 };
 
-// ---- Cell resolution (public for differential tests and benches) ----
+// ---- Cell resolution (public for differential tests and bench_defense) ----
 
 /// World generator config for a cell: preset scaled by the spec's
 /// overrides, seeded by preset seed + config seed + spec seed_offset.

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "baselines/colocation.h"
 #include "baselines/distance.h"
 #include "baselines/usergraph.h"
 #include "baselines/walk2friends.h"
+#include "data/obfuscation.h"
 #include "data/synthetic.h"
 #include "eval/pairs.h"
 #include "ml/metrics.h"
@@ -37,13 +40,40 @@ struct BaselineFixture {
 
 // ---------- shared helpers ----------
 
-TEST(Threshold, TuneAndApply) {
-  const TunedThreshold tuned =
-      tune_threshold({0.0, 1.0, 2.0, 3.0}, {0, 0, 1, 1});
-  EXPECT_GT(tuned.threshold, 1.0);
-  EXPECT_LE(tuned.threshold, 2.0);
-  EXPECT_EQ(apply_threshold({0.5, 2.5}, tuned.threshold),
+/// Scores a pair by its first user id, through the shared protocol.
+class FirstUserAttack final : public FriendshipAttack {
+ public:
+  explicit FirstUserAttack(double min_threshold)
+      : min_threshold_(min_threshold) {}
+  std::string name() const override { return "first-user"; }
+  std::vector<int> infer(const data::Dataset&,
+                         const std::vector<data::UserPair>& train_pairs,
+                         const std::vector<int>& train_labels,
+                         const std::vector<data::UserPair>& test_pairs)
+      override {
+    return threshold_scores(
+        [](const data::UserPair& p) { return static_cast<double>(p.first); },
+        train_pairs, train_labels, test_pairs, min_threshold_);
+  }
+
+ private:
+  double min_threshold_;
+};
+
+TEST(Threshold, TunesOnTrainScoresAndKeepsTestScores) {
+  // Train users 0..3 with labels {0, 0, 1, 1}: the F1-best cut lies in
+  // (1, 2], so test user 0 is a non-friend and user 2 a friend.
+  const data::Dataset empty;
+  const std::vector<data::UserPair> train{{0, 9}, {1, 9}, {2, 9}, {3, 9}};
+  const std::vector<data::UserPair> test{{0, 9}, {2, 9}};
+  FirstUserAttack attack(-1.0);
+  EXPECT_EQ(attack.infer(empty, train, {0, 0, 1, 1}, test),
             (std::vector<int>{0, 1}));
+  EXPECT_EQ(attack.test_scores(), (std::vector<double>{0.0, 2.0}));
+  // The floor overrides a lower tuned cut.
+  FirstUserAttack floored(5.0);
+  EXPECT_EQ(floored.infer(empty, train, {0, 0, 1, 1}, test),
+            (std::vector<int>{0, 0}));
 }
 
 // ---------- co-location ----------
@@ -68,7 +98,10 @@ TEST(CoLocation, ScoreZeroWithoutCommonPois) {
   for (const auto& [a, b] : fx.split.test_pairs) {
     if (fx.world.dataset.common_poi_count(a, b) == 0) {
       EXPECT_DOUBLE_EQ(
-          CoLocationAttack::pair_score(fx.world.dataset, a, b, {}), 0.0);
+          CoLocationAttack::pair_score(
+              fx.world.dataset,
+              CoLocationAttack::poi_popularity(fx.world.dataset), a, b, {}),
+          0.0);
       return;
     }
   }
@@ -80,10 +113,12 @@ TEST(CoLocation, ScoreIncreasesWithSharedRarePois) {
   double best_multi = 0.0;
   bool found_multi = false, found_single = false;
   double some_single = 0.0;
+  const std::vector<std::size_t> popularity =
+      CoLocationAttack::poi_popularity(fx.world.dataset);
   for (const auto& [a, b] : fx.split.test_pairs) {
     const std::size_t common = fx.world.dataset.common_poi_count(a, b);
     const double score =
-        CoLocationAttack::pair_score(fx.world.dataset, a, b, {});
+        CoLocationAttack::pair_score(fx.world.dataset, popularity, a, b, {});
     if (common >= 3 && !found_multi) {
       best_multi = score;
       found_multi = true;
@@ -98,6 +133,26 @@ TEST(CoLocation, ScoreIncreasesWithSharedRarePois) {
   if (found_single) {
     EXPECT_GT(some_single, 0.0);
   }
+}
+
+TEST(CoLocation, ScoresADatasetBuiltWhereAnotherOnceLived) {
+  // Popularity belongs to the dataset being attacked, even when it sits at
+  // the address of one attacked before.
+  BaselineFixture fx;
+  const data::Dataset hidden =
+      data::hide_checkins_coupled(fx.world.dataset, 0.5, 3);
+  CoLocationAttack attack;
+  attack.infer(hidden, fx.split.train_pairs, fx.split.train_labels,
+               fx.split.test_pairs);
+  const std::vector<double> expected = attack.test_scores();
+
+  std::optional<data::Dataset> slot(fx.world.dataset);
+  attack.infer(*slot, fx.split.train_pairs, fx.split.train_labels,
+               fx.split.test_pairs);
+  slot.emplace(hidden);
+  attack.infer(*slot, fx.split.train_pairs, fx.split.train_labels,
+               fx.split.test_pairs);
+  EXPECT_EQ(attack.test_scores(), expected);
 }
 
 TEST(CoLocation, BeatsChanceOnSyntheticWorld) {
@@ -220,6 +275,7 @@ TEST(AllBaselines, ProduceOnePredictionPerTestPair) {
         attack->infer(fx.world.dataset, fx.split.train_pairs,
                       fx.split.train_labels, fx.split.test_pairs);
     EXPECT_EQ(pred.size(), fx.split.test_pairs.size()) << attack->name();
+    EXPECT_EQ(attack->test_scores().size(), pred.size()) << attack->name();
     for (int p : pred) EXPECT_TRUE(p == 0 || p == 1);
   }
 }

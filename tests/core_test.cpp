@@ -626,15 +626,21 @@ TEST(Pipeline, IterationRecordsAreConsistent) {
 }
 
 TEST(Pipeline, PhaseOneOnlyAblation) {
+  // A 0-iteration cap skips phase 2 outright: the phase-1 graph is the
+  // result, which is neither a fallback nor a cap hit before convergence.
   PipelineFixture fx;
   FriendSeekerConfig cfg = fast_seeker_config();
-  cfg.iterate = false;
+  cfg.max_iterations = 0;
+  runtime::ExecutionContext context;
+  cfg.context = &context;
   FriendSeeker seeker(cfg);
   const FriendSeekerResult result =
       seeker.run(fx.world.dataset, fx.split.train_pairs,
                  fx.split.train_labels, fx.split.test_pairs);
   EXPECT_EQ(result.iterations.size(), 1u);
   EXPECT_EQ(result.iterations_run, 0);
+  EXPECT_FALSE(result.fell_back_to_phase1);
+  EXPECT_FALSE(result.degradation.degraded());
 }
 
 TEST(Pipeline, HeuristicSocialFeatureAblationRuns) {

@@ -200,7 +200,7 @@ TEST(Harness, DefaultSeekerConfigMatchesPaperChoices) {
   EXPECT_EQ(cfg.k, 3);                       // paper: k = 3 optimal
   EXPECT_DOUBLE_EQ(cfg.tau_days, 7.0);       // paper: tau = 7 days peaks
   EXPECT_TRUE(cfg.use_social_feature);
-  EXPECT_TRUE(cfg.iterate);
+  EXPECT_GT(cfg.max_iterations, 0);
 }
 
 TEST(Harness, FriendSeekerAttackAdapterWorksEndToEnd) {

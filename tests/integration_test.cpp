@@ -140,7 +140,7 @@ TEST_F(IntegrationFixture, CrossGridBlurringHurtsMoreThanInGrid) {
 
 TEST_F(IntegrationFixture, SupervisedAblationBeatsPlainAutoencoder) {
   core::FriendSeekerConfig supervised = integration_seeker();
-  supervised.iterate = false;  // isolate phase 1
+  supervised.max_iterations = 0;  // isolate phase 1
   core::FriendSeekerConfig unsupervised = supervised;
   unsupervised.presence.alpha = 0.0;
 

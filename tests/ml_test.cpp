@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "ml/knn.h"
-#include "ml/logistic.h"
 #include "ml/metrics.h"
 #include "ml/scaler.h"
 #include "ml/split.h"
@@ -580,30 +579,6 @@ TEST(Svm, RowDecisionsEqualTheMatrixOverloadBitForBit) {
   std::vector<double> dots(4);
   EXPECT_THROW(SvmClassifier().decision({queries.row(0), dim}, dots),
                std::logic_error);
-}
-
-TEST(Logistic, RowDecisionsEqualTheMatrixOverloadBitForBit) {
-  util::Rng rng(4411);
-  nn::Matrix x;
-  std::vector<int> y;
-  blobs_2d(x, y, 120, rng, 1.0);
-  nn::Matrix queries;
-  std::vector<int> unused;
-  blobs_2d(queries, unused, 64, rng, 1.0);
-  for (std::size_t threads : {1u, 4u}) {
-    par::set_threads(threads);
-    LogisticClassifier clf;
-    clf.fit(x, y);
-    const std::vector<double> batch = clf.decision(queries);
-    std::vector<double> rows(queries.rows());
-    for (std::size_t r = 0; r < queries.rows(); ++r)
-      rows[r] = clf.decision(queries.row(r));
-    ASSERT_EQ(batch.size(), rows.size());
-    EXPECT_EQ(0, std::memcmp(rows.data(), batch.data(),
-                             rows.size() * sizeof(double)))
-        << "threads=" << threads;
-  }
-  par::set_threads(1);
 }
 
 TEST(Svm, RefitInAWorkspaceMatchesAFreshFit) {

@@ -386,7 +386,7 @@ TEST_F(RuntimeTest, PipelineDegradesGracefullyOnPhase2MemoryBudget) {
   runtime::ExecutionContext probe;
   core::FriendSeekerConfig probe_cfg = exp.config;
   probe_cfg.context = &probe;
-  probe_cfg.iterate = false;
+  probe_cfg.max_iterations = 0;
   core::FriendSeeker probe_seeker(probe_cfg);
   (void)probe_seeker.run(exp.dataset, exp.split.train_pairs,
                          exp.split.train_labels, exp.split.test_pairs);
@@ -413,7 +413,7 @@ TEST_F(RuntimeTest, PipelineDegradesWhenPhase2EdgeTableExceedsBudget) {
   runtime::ExecutionContext probe;
   core::FriendSeekerConfig probe_cfg = exp.config;
   probe_cfg.context = &probe;
-  probe_cfg.iterate = false;
+  probe_cfg.max_iterations = 0;
   core::FriendSeeker probe_seeker(probe_cfg);
   (void)probe_seeker.run(exp.dataset, exp.split.train_pairs,
                          exp.split.train_labels, exp.split.test_pairs);
@@ -467,7 +467,7 @@ TEST_F(RuntimeTest, ChargedPeakCountsEachJocRowOnce) {
   // non-zero), and phase 1's charged peak holds it once, beside the
   // autoencoder's weights and the presence rows, never a second copy.
   TinyExperiment exp = make_tiny_experiment();
-  exp.config.iterate = false;
+  exp.config.max_iterations = 0;
   const geo::QuadtreeDivision division(exp.dataset.poi_coordinates(),
                                        exp.config.sigma);
   const geo::QuadtreeDivisionView view(division);

@@ -1,7 +1,7 @@
 // fs::scenario: config parsing/validation, the config_fields() walk shared
 // with the attack CLI, grid expansion, runner determinism, the
-// defense=none differential against a direct attack invocation, and the
-// artifact validate/diff contracts.
+// differentials of FriendSeeker and baseline cells against direct attack
+// invocations, and the artifact validate/diff contracts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -188,6 +188,47 @@ TEST(ScenarioConfigTest, RejectsOutOfRangeAndBadEnums) {
   EXPECT_THROW(scenario::parse_scenario_config_text(
                    R"({"axes": {"defense": []}})"),
                ParseError);
+  EXPECT_THROW(scenario::parse_scenario_config_text(
+                   R"({"axes": {"attack": [{"attacker": "colocation"}]}})"),
+               ParseError);
+}
+
+TEST(ScenarioConfigTest, FriendSeekerAttackerLeavesDumpAndLabelsAlone) {
+  // Configs written before the attacker key keep their fingerprints, cell
+  // ids and cell fingerprints.
+  const ScenarioConfig implicit = scenario::parse_scenario_config_text(
+      R"({"axes": {"attack": [{"threads": 2}]}})");
+  const ScenarioConfig spelled = scenario::parse_scenario_config_text(
+      R"({"axes": {"attack": [{"threads": 2, "attacker": "friendseeker"}]}})");
+  EXPECT_EQ(scenario::scenario_config_to_json(spelled).dump(0),
+            scenario::scenario_config_to_json(implicit).dump(0));
+  EXPECT_EQ(scenario::scenario_config_to_json(implicit).dump(0).find(
+                "attacker"),
+            std::string::npos);
+  EXPECT_EQ(scenario::attack_label(spelled.attacks[0]), "thr:2");
+
+  const ScenarioConfig baselines = scenario::parse_scenario_config_text(
+      R"({"axes": {"attack": [{"attacker": "friendseeker"},
+                              {"attacker": "co-location"},
+                              {"attacker": "distance"},
+                              {"attacker": "walk2friends"},
+                              {"attacker": "user-graph-embedding"}]}})");
+  const auto cells = scenario::expand_grid(baselines);
+  ASSERT_EQ(cells.size(), 5u);
+  EXPECT_EQ(scenario::attack_label(cells[0].attack), "thr:0");
+  EXPECT_EQ(scenario::attack_label(cells[3].attack), "walk2friends,thr:0");
+  std::vector<std::string> fingerprints;
+  for (const scenario::ScenarioCell& cell : cells)
+    fingerprints.push_back(scenario::cell_fingerprint(baselines, cell));
+  std::sort(fingerprints.begin(), fingerprints.end());
+  EXPECT_EQ(std::unique(fingerprints.begin(), fingerprints.end()),
+            fingerprints.end());
+  const std::string dump =
+      scenario::scenario_config_to_json(baselines).dump(2);
+  EXPECT_EQ(scenario::scenario_config_to_json(
+                scenario::parse_scenario_config(json::parse(dump)))
+                .dump(2),
+            dump);
 }
 
 TEST(ScenarioConfigTest, GridIsAxisCardinalityProduct) {
@@ -403,6 +444,49 @@ TEST(ScenarioRunner, DefenseNoneCellMatchesDirectInvocation) {
   EXPECT_DOUBLE_EQ(none_cell.quality.f1, direct.f1);
   EXPECT_DOUBLE_EQ(none_cell.quality.auc, direct.auc);
   EXPECT_DOUBLE_EQ(none_cell.quality.precision_at_k, direct.precision_at_k);
+}
+
+TEST(ScenarioRunner, BaselineCellsMatchDirectInvocation) {
+  // Every baseline, on the none cell and the hiding 0.3 cell, graded by the
+  // runner equals compute_quality over a direct infer() and test_scores()
+  // on the identical dataset and split.
+  const ScenarioConfig config = scenario::parse_scenario_config_text(
+      std::string(R"({"name": "micro-baselines", "axes": {"world": [)") +
+      kMicroWorld + R"(], "defense": [{"mechanism": "none"},
+          {"mechanism": "hiding", "rate": 0.3}],
+        "attack": [{"attacker": "co-location"}, {"attacker": "distance"},
+                   {"attacker": "walk2friends"},
+                   {"attacker": "user-graph-embedding"}]}})");
+  const scenario::MatrixResult matrix = scenario::run_scenario(config);
+  ASSERT_EQ(matrix.cells.size(), 8u);
+
+  const scenario::WorldSpec& world = config.worlds[0];
+  const eval::Experiment clean = eval::make_experiment(
+      scenario::resolve_world(world, config.seed), {}, 0.7,
+      scenario::split_seed(config.seed));
+  for (const scenario::CellResult& cell : matrix.cells) {
+    SCOPED_TRACE(cell.cell.id);
+    const data::Dataset dataset = scenario::apply_defense(
+        clean.dataset, cell.cell.defense,
+        scenario::defense_seed(config.seed, scenario::world_label(world),
+                               scenario::defense_label(cell.cell.defense)));
+    const auto attack = eval::make_attack(
+        cell.cell.attack.attacker, eval::default_seeker_config());
+    const std::vector<int> predictions =
+        attack->infer(dataset, clean.split.train_pairs,
+                      clean.split.train_labels, clean.split.test_pairs);
+    const scenario::CellQuality direct = scenario::compute_quality(
+        clean.split.test_labels, predictions, attack->test_scores());
+    EXPECT_DOUBLE_EQ(cell.quality.f1, direct.f1);
+    EXPECT_DOUBLE_EQ(cell.quality.auc, direct.auc);
+    EXPECT_DOUBLE_EQ(cell.quality.precision_at_k, direct.precision_at_k);
+    EXPECT_EQ(cell.universe_pairs, 0u);
+    EXPECT_EQ(cell.peak_memory_bytes, 0u);
+  }
+  // Hiding moves every baseline's scores.
+  for (std::size_t i = 0; i < 4; ++i)
+    EXPECT_NE(matrix.cells[i].result_digest, matrix.cells[4 + i].result_digest)
+        << matrix.cells[i].cell.id;
 }
 
 // ---- Artifact validation and diff ----

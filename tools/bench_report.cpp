@@ -81,12 +81,8 @@ const std::map<std::string, std::string>& titles() {
       {"fig1_cdfs", "Fig 1 — CDFs of common POIs / common friends"},
       {"fig5_khop_cdfs", "Fig 5 — k-length path census"},
       {"fig10_iterations", "Fig 10 — refinement iteration curve"},
-      {"fig11_baselines", "Fig 11 — FriendSeeker vs baselines"},
       {"fig12_colocations", "Fig 12 — F1 by common-location count"},
       {"fig13_checkins", "Fig 13 — F1 by pair check-in volume"},
-      {"fig14_hiding", "Fig 14 — hiding countermeasure"},
-      {"fig15_ingrid", "Fig 15 — in-grid blurring countermeasure"},
-      {"fig16_crossgrid", "Fig 16 — cross-grid blurring countermeasure"},
       {"ablation", "Design-choice ablations"},
       {"defense", "Extension — FriendGuard defense"},
   };
@@ -152,10 +148,9 @@ int main(int argc, char** argv) {
         stems.push_back(entry.path().stem().string());
     std::vector<std::string> ordered;
     const char* paper_order[] = {
-        "table1_stats", "table2_proportions", "fig1_cdfs", "fig5_khop_cdfs",
-        "fig10_iterations", "fig11_baselines", "fig12_colocations",
-        "fig13_checkins", "fig14_hiding", "fig15_ingrid", "fig16_crossgrid",
-        "ablation", "defense"};
+        "table1_stats",     "table2_proportions", "fig1_cdfs",
+        "fig5_khop_cdfs",   "fig10_iterations",   "fig12_colocations",
+        "fig13_checkins",   "ablation",           "defense"};
     for (const char* stem : paper_order)
       if (std::find(stems.begin(), stems.end(), stem) != stems.end())
         ordered.push_back(stem);

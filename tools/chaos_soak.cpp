@@ -952,7 +952,7 @@ int run_budget_mode(const SoakOptions& options) {
   runtime::ExecutionContext probe;
   core::FriendSeekerConfig probe_cfg = world.config;
   probe_cfg.context = &probe;
-  probe_cfg.iterate = false;
+  probe_cfg.max_iterations = 0;
   (void)attack(probe_cfg);
   expect(probe.peak_charged() > 0, "probe charged no memory");
 
