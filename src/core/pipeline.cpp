@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -421,25 +422,24 @@ FriendSeekerResult FriendSeeker::run(
 
     // Per pool participant (ChunkRange::worker indexes it), reused across
     // pairs, chunks and iterations: the k-hop scratch (its markers are
-    // epoch-stamped, so reuse is free), the composite row a pair is built,
-    // scaled and decided in, and the SVM's dot-product scratch. Their
-    // bytes are charged per worker by each region below. The path tallies
-    // are summed after each region, so their total does not depend on
-    // scheduling.
+    // epoch-stamped, so reuse is free), the block of composite rows the
+    // decide pass builds, scales and decides together, and the SVM's
+    // block scratch. Their bytes are charged per worker by each region
+    // below. The path tallies and the stage times are summed after each
+    // region, so the tallies do not depend on scheduling.
+    constexpr std::size_t kDecideBlock = ml::SvmScratch::kBlockRows;
     struct alignas(64) Phase2Worker {
       graph::KHopScratch khop;
       graph::KHopStats stats;
-      std::vector<double> row;     // one pair's composite v = h ⊕ s
-      std::vector<double> dots;    // SVM decision scratch
+      nn::Matrix block;            // up to kDecideBlock composites v = h ⊕ s
+      ml::SvmScratch svm_scratch;  // SVM decision scratch
       std::vector<double> social;  // heuristic ablation only
+      double build_us = 0.0;       // decide pass: building and scaling rows
+      double classify_us = 0.0;    // decide pass: classifying them
     };
     std::vector<Phase2Worker> workers(par::threads());
-    for (Phase2Worker& worker : workers) {
-      worker.row.resize(composite_width);
-      // A fit keeps at most its training rows as support vectors.
-      worker.dots.reserve(
-          std::min(train_active.size(), config_.max_svm_train_rows));
-    }
+    for (Phase2Worker& worker : workers)
+      worker.block.resize(kDecideBlock, composite_width);
 
     // Writes the composite v = h ⊕ s of scored row `ai` on the current
     // graph into `row`: the presence half h is the pair's own `embeddings`
@@ -458,14 +458,14 @@ FriendSeekerResult FriendSeeker::run(
       std::copy(worker.social.begin(), worker.social.end(), row + d);
       return stats;
     };
-    const auto region = [&](const char* what, std::size_t row_scratch) {
+    const auto region = [&](const char* what, std::size_t grain,
+                            std::size_t scratch_bytes) {
       par::ParallelOptions options;
       options.context = ctx;
       options.what = what;
-      options.grain = 8;
+      options.grain = grain;
       options.scratch_bytes_per_worker =
-          row_scratch * sizeof(double) +
-          graph::KHopScratch::bytes_for(current.node_count());
+          scratch_bytes + graph::KHopScratch::bytes_for(current.node_count());
       return options;
     };
 
@@ -543,7 +543,7 @@ FriendSeekerResult FriendSeeker::run(
       train_span.arg("rows", static_cast<double>(svm_rows.size()));
       svm_train.resize(svm_rows.size(), composite_width);
       par::parallel_for_chunks(
-          svm_rows.size(), region("core.phase2.train_rows", 0),
+          svm_rows.size(), region("core.phase2.train_rows", 8, 0),
           [&](const par::ChunkRange& chunk) {
             Phase2Worker& worker = workers[chunk.worker];
             for (std::size_t j = chunk.begin; j < chunk.end; ++j)
@@ -564,42 +564,60 @@ FriendSeekerResult FriendSeeker::run(
         svm.fit(svm_train, svm_labels, svm_workspace);
       }
 
-      // One pass decides every scored pair on the current graph: each
-      // pair's composite is built into its worker's row, scaled and
-      // decided right away. Pairs fan out over the pool in fixed chunks,
-      // and each writes only its own decision slot.
+      // One pass decides every scored pair on the current graph. Pairs fan
+      // out over the pool in fixed chunks of one block: each worker builds
+      // and scales the block's composites into its scratch, then decides
+      // them together, and each pair writes only its own decision slot.
+      // A decision depends only on its pair's row, never on the block.
       obs::Span decide_span("core.phase2.decide");
       decide_span.arg("rows", static_cast<double>(active_count));
-      const std::size_t dots_width =
-          logistic ? 0 : svm.support_vector_count();
       for (Phase2Worker& worker : workers) {
         worker.stats = {};
-        worker.dots.resize(dots_width);
+        worker.build_us = worker.classify_us = 0.0;
       }
       decision.resize(active_count);
       par::parallel_for_chunks(
           active_count,
-          region("core.phase2.decide", composite_width + dots_width),
+          region("core.phase2.decide", kDecideBlock,
+                 kDecideBlock * composite_width * sizeof(double) +
+                     (logistic ? 0 : svm.scratch_bytes())),
           [&](const par::ChunkRange& chunk) {
             Phase2Worker& worker = workers[chunk.worker];
-            for (std::size_t ai = chunk.begin; ai < chunk.end; ++ai) {
+            const std::size_t rows = chunk.end - chunk.begin;
+            const double start_us = obs::trace_now_us();
+            for (std::size_t r = 0; r < rows; ++r) {
               const graph::KHopStats pair_stats =
-                  build_composite(ai, worker.row.data(), worker);
+                  build_composite(chunk.begin + r, worker.block.row(r),
+                                  worker);
               worker.stats.paths += pair_stats.paths;
               worker.stats.capped += pair_stats.capped;
-              scaler.transform_row(worker.row);
-              decision[ai] = logistic
-                                 ? logistic_clf->decision(worker.row.data())
-                                 : svm.decision(worker.row, worker.dots);
+              scaler.transform_row({worker.block.row(r), composite_width});
             }
+            const double built_us = obs::trace_now_us();
+            double* out = decision.data() + chunk.begin;
+            if (logistic) {
+              for (std::size_t r = 0; r < rows; ++r)
+                out[r] = logistic_clf->decision(worker.block.row(r));
+            } else {
+              svm.decide(worker.block.data(), rows, out, worker.svm_scratch);
+            }
+            worker.build_us += built_us - start_us;
+            worker.classify_us += obs::trace_now_us() - built_us;
           });
       graph::KHopStats khop_total;
+      double build_us = 0.0, classify_us = 0.0;
       for (const Phase2Worker& worker : workers) {
         khop_total.paths += worker.stats.paths;
         khop_total.capped += worker.stats.capped;
+        build_us += worker.build_us;
+        classify_us += worker.classify_us;
       }
       decide_span.arg("paths", static_cast<double>(khop_total.paths));
       decide_span.arg("capped", static_cast<double>(khop_total.capped));
+      // Worker time summed over the pool: composites built and scaled,
+      // and the classifier's decisions.
+      decide_span.arg("build_ms", build_us * 1e-3);
+      decide_span.arg("classify_ms", classify_us * 1e-3);
       decide_span.end();
       obs::metrics()
           .counter("core.social.paths_total", {},
@@ -743,11 +761,19 @@ FriendSeekerResult FriendSeeker::run(
         result.iterations.front().iteration == 0;
   }
 
+  // A pruned pair was never scored. It reports one fixed sentinel below
+  // every scored pair's score (the lowest one minus 1), so ranking metrics
+  // rank it last instead of inside the classifier's decision range. Only
+  // the reported copy carries it: predictions and the graph never read it.
+  double lowest = std::numeric_limits<double>::infinity();
+  for (std::size_t row : active_rows) lowest = std::min(lowest, scores[row]);
+  const double pruned_score = active_count == 0 ? 0.0 : lowest - 1.0;
   result.test_predictions.reserve(test_rows.size());
   result.test_scores.reserve(test_rows.size());
   for (std::size_t row : test_rows) {
     result.test_predictions.push_back(predictions[row]);
-    result.test_scores.push_back(scores[row]);
+    result.test_scores.push_back(
+        active_of_row[row] == kInactive ? pruned_score : scores[row]);
   }
   result.final_graph = std::move(current);
   if (ctx != nullptr) result.peak_memory_estimate = ctx->peak_charged();

@@ -83,7 +83,12 @@ void gemm_entry(const GemmCall& call) { run_gemm<Avx2Arch>(call); }
 }  // namespace
 
 const VTable* vtable_avx2() {
-  static const VTable table{&gemm_entry, &sparse_rows<Avx2Lanes>,
+  static const VTable table{&gemm_entry,
+                            Avx2Arch::kNr,
+                            &pack_nt_body<Avx2Arch>,
+                            &gemm_packed_body<Avx2Arch>,
+                            &row_norms_body<Avx2Lanes>,
+                            &sparse_rows<Avx2Lanes>,
                             &sparse_step_cols<Avx2Lanes>};
   return &table;
 }

@@ -290,11 +290,17 @@ void run_row_blocks(const GemmCall& call, double* partial) {
 /// only its own B panels into its thread's scratch and walks the KC blocks
 /// in ascending order. A C element therefore gets bit-for-bit what
 /// run_row_blocks would give it.
+///
+/// With `b_packed` (pack_nt_body's layout of the whole B), the chunks read
+/// their panels from it instead of packing them: the same panel bytes, so
+/// the same bits.
 template <typename Arch>
-void run_column_panels(const GemmCall& call, double* partial) {
+void run_column_panels(const GemmCall& call, double* partial,
+                       const double* b_packed = nullptr) {
   constexpr std::size_t MR = Arch::kMr;
   constexpr std::size_t NR = Arch::kNr;
   const std::size_t m_padded = (call.m + MR - 1) / MR * MR;
+  const std::size_t n_padded = (call.n + NR - 1) / NR * NR;
   double* ap = pack_scratch_a(m_padded * call.k);
   for (std::size_t pc = 0; pc < call.k; pc += kKc)
     pack_a_block<MR>(call, 0, call.m, pc, std::min(kKc, call.k - pc),
@@ -303,15 +309,22 @@ void run_column_panels(const GemmCall& call, double* partial) {
   const auto chunk_body = [&](const par::ChunkRange& chunk) {
     const std::size_t j0 = chunk.begin * NR;
     const std::size_t nc = std::min(chunk.end * NR, call.n) - j0;
-    double* bp =
-        pack_scratch_b((chunk.end - chunk.begin) * NR * std::min(kKc, call.k));
+    double* scratch =
+        b_packed != nullptr
+            ? nullptr
+            : pack_scratch_b((chunk.end - chunk.begin) * NR *
+                             std::min(kKc, call.k));
     alignas(64) double acc[MR * NR];
     for (std::size_t pc = 0; pc < call.k; pc += kKc) {
       const std::size_t kc = std::min(kKc, call.k - pc);
       const bool last_pc = pc + kc == call.k;
       const bool acc_c = call.accumulate || pc != 0;
       const double* apc = ap + m_padded * pc;
-      pack_b_block<NR>(call, j0, nc, pc, kc, bp);
+      const double* bp = scratch;
+      if (b_packed != nullptr)
+        bp = b_packed + n_padded * pc + chunk.begin * kc * NR;
+      else
+        pack_b_block<NR>(call, j0, nc, pc, kc, scratch);
       for (std::size_t jr = 0; jr < nc; jr += NR) {
         const double* bpanel = bp + (jr / NR) * kc * NR;
         const std::size_t nr = std::min(NR, nc - jr);
@@ -330,6 +343,71 @@ void run_column_panels(const GemmCall& call, double* partial) {
   // blocking sizes for L3 (a one-row product would otherwise pack all of B).
   options.grain = std::min(kNc / NR, flop_grain(2 * call.m * call.k * NR));
   par::parallel_for_chunks((call.n + NR - 1) / NR, options, chunk_body);
+}
+
+/// The n stored rows of a gemm_nt B operand (k wide, stride ld) in this
+/// path's B panels, each KC block of columns after the last: block pc
+/// starts at dst + n_padded * pc and holds its ceil(n / NR) panels of
+/// kc x NR, exactly what run_column_panels packs per chunk.
+template <typename Arch>
+void pack_nt_body(const double* rows, std::size_t n, std::size_t k,
+                  std::size_t ld, double* dst) {
+  constexpr std::size_t NR = Arch::kNr;
+  GemmCall call;
+  call.n = n;
+  call.k = k;
+  call.b = rows;
+  call.ldb = ld;
+  call.b_trans = true;
+  const std::size_t n_padded = (n + NR - 1) / NR * NR;
+  for (std::size_t pc = 0; pc < k; pc += kKc)
+    pack_b_block<NR>(call, 0, n, pc, std::min(kKc, k - pc),
+                     dst + n_padded * pc);
+}
+
+/// C = A B^T against a B packed by pack_nt_body: A in row blocks of at
+/// most kMc, each one run_column_panels product, so each C element runs
+/// gemm_nt's chain.
+template <typename Arch>
+void gemm_packed_body(std::size_t m, std::size_t n, std::size_t k,
+                      const double* a, std::size_t lda, const double* packed,
+                      double* c, std::size_t ldc) {
+  GemmCall call;
+  call.n = n;
+  call.k = k;
+  call.lda = lda;
+  call.b_trans = true;
+  call.ldc = ldc;
+  for (std::size_t i0 = 0; i0 < m; i0 += kMc) {
+    call.m = std::min(kMc, m - i0);
+    call.a = a + i0 * lda;
+    call.c = c + i0 * ldc;
+    if (k == 0)
+      epilogue_only(call);
+    else
+      run_column_panels<Arch>(call, nullptr, packed);
+  }
+}
+
+/// kern::row_norms on one path: each row's x.x accumulated as the
+/// micro-kernel accumulates a C element (from +0.0, p ascending, through
+/// Lanes::fmadd1, the path's scalar twin of its FMA), one KC block at a
+/// time, the blocks chained as write_tile chains them (v = acc + v).
+template <typename Lanes>
+void row_norms_body(const double* rows, std::size_t n, std::size_t dim,
+                    std::size_t ld, double* out) {
+  for (std::size_t r = 0; r < n; ++r) {
+    const double* x = rows + r * ld;
+    double total = 0.0;
+    for (std::size_t pc = 0; pc < dim; pc += kKc) {
+      const std::size_t end = std::min(dim, pc + kKc);
+      double acc = 0.0;
+      for (std::size_t p = pc; p < end; ++p)
+        acc = Lanes::fmadd1(x[p], x[p], acc);
+      total = pc == 0 ? acc : acc + total;
+    }
+    out[r] = total;
+  }
 }
 
 template <typename Arch>

@@ -52,7 +52,12 @@ void gemm_entry(const GemmCall& call) { run_gemm<ScalarArch>(call); }
 }  // namespace
 
 const VTable* vtable_scalar() {
-  static const VTable table{&gemm_entry, &sparse_rows<ScalarLanes>,
+  static const VTable table{&gemm_entry,
+                            ScalarArch::kNr,
+                            &pack_nt_body<ScalarArch>,
+                            &gemm_packed_body<ScalarArch>,
+                            &row_norms_body<ScalarLanes>,
+                            &sparse_rows<ScalarLanes>,
                             &sparse_step_cols<ScalarLanes>};
   return &table;
 }

@@ -435,13 +435,68 @@ void sq_dist_rows(const double* panel, std::size_t n, std::size_t dim,
   active_kernels()->rows->sq_dist(panel, n, dim, q, out);
 }
 
-void dot_rows(const double* panel, std::size_t n, std::size_t dim,
-              const double* q, double* out) {
-  active_kernels()->rows->dot(panel, n, dim, q, out);
-}
-
 void accumulate(double* acc, const double* x, std::size_t n) {
   active_kernels()->rows->accumulate(acc, x, n);
+}
+
+void PackedRows::assign(const double* rows, std::size_t n, std::size_t k,
+                        std::size_t ld) {
+  if (n != 0 && k > ld)
+    throw std::invalid_argument("kern::PackedRows: ld shorter than a row");
+  const detail::VTable* table = active_kernels()->gemm;
+  path_ = active_path();
+  n_ = n;
+  k_ = k;
+  data_.resize((n + table->nr - 1) / table->nr * table->nr * k);
+  table->pack_nt(rows, n, k, ld, data_.data());
+}
+
+bool PackedRows::on_active_path() const {
+  return kernels_for(path_)->gemm == active_kernels()->gemm;
+}
+
+void gemm_nt_packed(std::size_t m, const double* a, std::size_t lda,
+                    const PackedRows& b, double* c, std::size_t ldc) {
+  if (!b.on_active_path())
+    throw std::logic_error("kern::gemm_nt_packed: rows packed for " +
+                           std::string(path_name(b.path_)) + ", active path " +
+                           path_name(active_path()));
+  if (m == 0 || b.n_ == 0) return;
+  if (a == nullptr || c == nullptr)
+    throw std::invalid_argument("kern::gemm_nt_packed: null operand");
+  if ((b.k_ != 0 && lda < b.k_) || ldc < b.n_)
+    throw std::invalid_argument("kern::gemm_nt_packed: lda or ldc too short");
+  active_kernels()->gemm->gemm_packed(m, b.n_, b.k_, a, lda, b.data_.data(),
+                                      c, ldc);
+}
+
+void row_norms(const double* rows, std::size_t n, std::size_t dim,
+               std::size_t ld, double* out) {
+  if (n != 0 && dim > ld)
+    throw std::invalid_argument("kern::row_norms: ld shorter than a row");
+  active_kernels()->gemm->row_norms(rows, n, dim, ld, out);
+}
+
+void exp_values(const double* x, std::size_t n, double* out) {
+  active_kernels()->rows->exp(x, n, out);
+}
+
+void rbf_kernel(const RbfBlock& block, double* out, std::size_t ldo) {
+  if (block.m != 0 && (block.ld < block.n || ldo < block.n))
+    throw std::invalid_argument("kern::rbf_kernel: ld or ldo < n");
+  active_kernels()->rows->rbf_kernel(block, out, ldo);
+}
+
+void rbf_accumulate(const RbfBlock& block, const double* weights,
+                    double* partials) {
+  if (block.m != 0 && block.ld < block.n)
+    throw std::invalid_argument("kern::rbf_accumulate: ld < n");
+  active_kernels()->rows->rbf_accumulate(block, weights, partials);
+}
+
+double stripe_sum(const double* p) {
+  static_assert(kRowGroup == 8);
+  return ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]));
 }
 
 RowPanel::RowPanel(const double* rows, std::size_t n, std::size_t dim) {

@@ -1,14 +1,18 @@
 // fs::kern — the compute kernel layer.
 //
-// Two kernel families live here, behind one runtime ISA dispatch:
+// Three kernel families live here, behind one runtime ISA dispatch:
 //
-//   * GEMM, the autoencoder's dense primitive (forward/backward products,
-//     batch encoding), as a cache-blocked, register-tiled kernel, plus its
+//   * GEMM, the dense primitive of the autoencoder (forward/backward
+//     products, batch encoding) and of the RBF-SVM (queries x support
+//     vectors^T), as a cache-blocked, register-tiled kernel, plus its
 //     sparse-input twins for the bottom layer (forward and weight step
 //     over compressed-sparse-row input, at the dense kernel's bits);
-//   * row sweeps, the classifiers' primitive: one query against every row
-//     of a packed reference panel (KNN distances, RBF dot products), plus
-//     the element-wise accumulate that sums phase-2 path features.
+//   * row sweeps: sq_dist (one query against every row of a packed
+//     reference panel, KNN's distances) and the element-wise accumulate
+//     that sums phase-2 path features;
+//   * the RBF epilogue, which turns a block of GEMM dot products and row
+//     norms into kernel values exp(-gamma * max(0, |q|^2 + |s|^2 - 2 q.s)),
+//     or into their weighted sums (SVM decisions), with its own exp.
 //
 // GEMM:
 //
@@ -21,6 +25,10 @@
 //     w -= lr * g) are fused into the C-tile writeback, so callers get
 //     activated layer outputs, or stepped weights, in a single pass
 //     instead of re-sweeping the matrix.
+//   * row_norms gives each row's squared norm from the same per-element
+//     dot chain, so a row's norm equals its own GEMM diagonal entry.
+//   * PackedRows holds an NT product's B operand packed once, for callers
+//     that multiply many A blocks against it (gemm_nt_packed).
 //
 // Dispatch model: the ISA path (scalar, AVX2, AVX-512) is chosen once, at
 // first use, from CPU capabilities, and can be pinned with FS_KERNEL=
@@ -32,20 +40,21 @@
 // byte-identical to a 1-thread run on the same path. Different paths
 // legitimately differ in low-order bits (FMA vs separate multiply-add,
 // vector-lane epilogue order); the scalar path is the golden reference the
-// parity suite measures the vector paths against. Epilogues add no
-// divergence of their own: the GEMM translation units are compiled with
-// -ffp-contract=off, so an epilogue's multiply and add stay two rounded
-// operations on every path (only the micro-kernels' explicit FMA
-// intrinsics fuse).
+// parity suite measures the vector paths against. The AVX2 and AVX-512
+// micro-kernels run the same FMA chain per element, so those two paths
+// agree with each other. Epilogues add no divergence of their own: the
+// GEMM translation units are compiled with -ffp-contract=off, so an
+// epilogue's multiply and add stay two rounded operations on every path
+// (only the micro-kernels' explicit FMA intrinsics fuse).
 //
-// Row sweeps have a stronger contract: their bits are PATH-independent.
-// Each output element runs the plain scalar loop's own operation sequence
-// (a subtract or multiply, then a separate add, columns ascending from
-// 0.0); vector lanes only run independent elements side by side. Their
+// Row sweeps and the RBF epilogue have a stronger contract: their bits are
+// PATH-independent. Each output element runs the plain scalar loop's own
+// operation sequence (one IEEE operation at a time, no fused multiply-add);
+// vector lanes only run independent elements side by side. Their
 // translation units are therefore compiled with -ffp-contract=off and
-// without -mfma, so no path can fuse the multiply-add, and every path
-// returns exactly what `acc += (r[c] - q[c]) * (r[c] - q[c])` (or
-// `acc += r[c] * q[c]`) returns, at any thread count.
+// without -mfma, so no path can fuse, and every path returns exactly what
+// the scalar loop returns, at any thread count. An SVM decision is thus
+// path-dependent only through its GEMM dot products and row norms.
 #pragma once
 
 #include <cstddef>
@@ -172,6 +181,45 @@ void gemm_tn_step(std::size_t m, std::size_t n, std::size_t k,
 /// strictly, or a step call that accumulates or whose C overlaps A or B.
 void gemm(const GemmCall& call);
 
+/// The B^T operand of gemm_nt (n stored rows of k, stride ld) packed once
+/// into the active path's B panels, for a caller that multiplies many A
+/// blocks against the same rows (the SVM's support vectors): a product
+/// against it skips the per-call pack, which is about a third of a
+/// 64 x 256 x 144 product's time. Packing only copies, so the product has
+/// gemm_nt's bits. The panels are laid out for the path active at
+/// assign().
+class PackedRows {
+ public:
+  void assign(const double* rows, std::size_t n, std::size_t k,
+              std::size_t ld);
+  std::size_t rows() const { return n_; }
+  /// Whether the panels fit the active path (lock-free; false after
+  /// force_path moved it to another path).
+  bool on_active_path() const;
+
+ private:
+  friend void gemm_nt_packed(std::size_t m, const double* a, std::size_t lda,
+                             const PackedRows& b, double* c, std::size_t ldc);
+  std::vector<double, util::AlignedAllocator<double>> data_;
+  std::size_t n_ = 0, k_ = 0;
+  IsaPath path_ = IsaPath::kScalar;
+};
+
+/// C = A.B^T for the packed B (C is m x b.rows(), a is m x k): the
+/// bits of gemm_nt on the rows b was packed from. Throws
+/// std::logic_error unless b.on_active_path().
+void gemm_nt_packed(std::size_t m, const double* a, std::size_t lda,
+                    const PackedRows& b, double* c, std::size_t ldc);
+
+/// out[r] = sum over c of rows[r][c]^2 for n rows of `dim` (stride ld),
+/// accumulated exactly as a GEMM accumulates one output element on the
+/// active path: from +0.0, c ascending, FMA on the vector paths, KC blocks
+/// chained as the tile writeback chains them. So out[r] is bit for bit the
+/// diagonal entry gemm_nt(rows, rows) would hold, and an RBF distance from
+/// a row to itself is exactly 0.
+void row_norms(const double* rows, std::size_t n, std::size_t dim,
+               std::size_t ld, double* out);
+
 // ---------------------------------------------------------------------------
 // Sparse-input products
 // ---------------------------------------------------------------------------
@@ -237,10 +285,6 @@ void pack_rows8(const double* rows, std::size_t n, std::size_t dim,
 void sq_dist_rows(const double* panel, std::size_t n, std::size_t dim,
                   const double* q, double* out);
 
-/// out[r] = sum over c of row_r[c] * q[c], accumulated like sq_dist_rows.
-void dot_rows(const double* panel, std::size_t n, std::size_t dim,
-              const double* q, double* out);
-
 /// acc[i] += x[i] for i < n: the k-hop path sum's primitive (phase 2 adds
 /// each path edge's presence row into its length slot). Each element is
 /// one rounded add, so every path returns the scalar loop's bits. Neither
@@ -258,11 +302,6 @@ class RowPanel {
   /// Repacks the panel from `rows`, reusing its storage when it is large
   /// enough.
   void assign(const double* rows, std::size_t n, std::size_t dim);
-  /// Makes room for n rows of `dim`, so a later assign of at most that
-  /// many never reallocates.
-  void reserve(std::size_t n, std::size_t dim) {
-    data_.reserve(packed_rows_size(n, dim));
-  }
 
   std::size_t rows() const { return rows_; }
   std::size_t dim() const { return dim_; }
@@ -275,14 +314,52 @@ class RowPanel {
   void sq_dist(const double* q, double* out) const {
     sq_dist_rows(data_.data(), rows_, dim_, q, out);
   }
-  void dot(const double* q, double* out) const {
-    dot_rows(data_.data(), rows_, dim_, q, out);
-  }
 
  private:
   std::vector<double, util::AlignedAllocator<double>> data_;
   std::size_t rows_ = 0;
   std::size_t dim_ = 0;
 };
+
+// ---------------------------------------------------------------------------
+// RBF epilogue
+// ---------------------------------------------------------------------------
+
+/// out[i] = exp(x[i]) for i < n: fdlibm's range reduction and rational
+/// correction (error below 1 ulp), with no fused multiply-add, the same
+/// operation sequence on every path. exp(+-0) is exactly 1, a NaN stays
+/// NaN, and below the underflow point (x < -745.14) the result is +0.
+void exp_values(const double* x, std::size_t n, double* out);
+
+/// An m x n block of RBF terms, from the cross dot products of m queries
+/// and n support rows (a GEMM output, row-major, leading dimension ld) and
+/// both sides' squared norms (row_norms):
+///   term(i, j) = exp(-gamma * max(0, (q_norms[i] + s_norms[j])
+///                                    - 2 * dots[i * ld + j]))
+/// Every operation rounds on its own, so the terms' bits depend only on
+/// the inputs, never on the path.
+struct RbfBlock {
+  const double* dots = nullptr;
+  std::size_t m = 0, n = 0, ld = 0;
+  const double* q_norms = nullptr;
+  const double* s_norms = nullptr;
+  double gamma = 0.0;
+};
+
+/// out[i * ldo + j] = term(i, j): the Gram fill. `out` may be `dots`
+/// itself (ldo == ld).
+void rbf_kernel(const RbfBlock& block, double* out, std::size_t ldo);
+
+/// partials[i * kRowGroup + j % kRowGroup] += weights[j] * term(i, j), j
+/// ascending: each query's weighted sum in kRowGroup striped partials
+/// (m x kRowGroup, seeded by the caller, +0.0 to start). Blocks of support
+/// rows that start at multiples of kRowGroup continue one striping, so a
+/// caller can tile the support rows and reduce once with stripe_sum.
+void rbf_accumulate(const RbfBlock& block, const double* weights,
+                    double* partials);
+
+/// ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7)): the fixed-order total
+/// of one query's kRowGroup striped partials.
+double stripe_sum(const double* partials);
 
 }  // namespace fs::kern

@@ -27,6 +27,17 @@ struct CscView {
 
 struct VTable {
   void (*gemm)(const GemmCall& call);
+  /// B panel width, and the packed-B pair behind kern::PackedRows:
+  /// pack_nt writes ceil(n / nr) * nr * k doubles.
+  std::size_t nr;
+  void (*pack_nt)(const double* rows, std::size_t n, std::size_t k,
+                  std::size_t ld, double* dst);
+  void (*gemm_packed)(std::size_t m, std::size_t n, std::size_t k,
+                      const double* a, std::size_t lda, const double* packed,
+                      double* c, std::size_t ldc);
+  /// row_norms on this path's GEMM dot chain.
+  void (*row_norms)(const double* rows, std::size_t n, std::size_t dim,
+                    std::size_t ld, double* out);
   /// Rows [r0, r1) of a sparse_gemm_nn call.
   void (*sparse_rows)(const CsrView& a, std::size_t r0, std::size_t r1,
                       const double* w, std::size_t ldw, std::size_t n,
@@ -44,14 +55,17 @@ const VTable* vtable_scalar();
 const VTable* vtable_avx2();
 const VTable* vtable_avx512();
 
-/// Row-sweep bodies (rows_*.cpp, all compiled with -ffp-contract=off and
-/// without -mfma, so every path returns the scalar reference's bits).
+/// Row-sweep and RBF-epilogue bodies (rows_*.cpp, all compiled with
+/// -ffp-contract=off and without -mfma, so every path returns the scalar
+/// reference's bits).
 struct RowKernels {
   void (*sq_dist)(const double* panel, std::size_t n, std::size_t dim,
                   const double* q, double* out);
-  void (*dot)(const double* panel, std::size_t n, std::size_t dim,
-              const double* q, double* out);
   void (*accumulate)(double* acc, const double* x, std::size_t n);
+  void (*exp)(const double* x, std::size_t n, double* out);
+  void (*rbf_kernel)(const RbfBlock& block, double* out, std::size_t ldo);
+  void (*rbf_accumulate)(const RbfBlock& block, const double* weights,
+                         double* partials);
 };
 
 const RowKernels* rows_scalar();

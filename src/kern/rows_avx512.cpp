@@ -1,7 +1,8 @@
-// AVX-512F row sweeps: a group is one zmm register, four groups per column
-// step. Compiled with -mavx512f -ffp-contract=off and deliberately without
-// -mfma: separate multiply and add are what keep these bits equal to the
-// scalar path's. On any other toolchain the TU degrades to a null table.
+// AVX-512F row sweeps and RBF epilogue: a group is one zmm register, four
+// groups per column step. Compiled with -mavx512f -ffp-contract=off and
+// deliberately without -mfma: separate multiply and add are what keep
+// these bits equal to the scalar path's. On any other toolchain the TU
+// degrades to a null table.
 #include <cstddef>
 
 #include "kern/kern_internal.h"
@@ -27,6 +28,16 @@ struct Avx512Lanes {
   static Vec add(Vec a, Vec b) { return _mm512_add_pd(a, b); }
   static Vec sub(Vec a, Vec b) { return _mm512_sub_pd(a, b); }
   static Vec mul(Vec a, Vec b) { return _mm512_mul_pd(a, b); }
+  static Vec div(Vec a, Vec b) { return _mm512_div_pd(a, b); }
+  // maxpd/minpd return the second operand when the compare is false,
+  // NaN included: a > b ? a : b and a < b ? a : b.
+  static Vec max(Vec a, Vec b) { return _mm512_max_pd(a, b); }
+  static Vec min(Vec a, Vec b) { return _mm512_min_pd(a, b); }
+  static Vec pow2(Vec t) {
+    const __m512i bits =
+        _mm512_add_epi64(_mm512_castpd_si512(t), _mm512_set1_epi64(1023));
+    return _mm512_castsi512_pd(_mm512_slli_epi64(bits, 52));
+  }
 };
 
 }  // namespace

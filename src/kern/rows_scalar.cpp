@@ -1,7 +1,9 @@
-// Portable row sweeps: one group of 8 independent scalar accumulators at a
-// time. Compiled with -ffp-contract=off; the reference the vector paths
-// match bit for bit.
+// Portable row sweeps and RBF epilogue: one group of 8 independent scalar
+// lanes at a time. Compiled with -ffp-contract=off; the reference the
+// vector paths match bit for bit.
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 
 #include "kern/kern_internal.h"
 #include "kern/rows_body.h"
@@ -49,6 +51,34 @@ struct ScalarLanes {
     Vec r;
 #pragma GCC unroll 8
     for (std::size_t l = 0; l < kRowGroup; ++l) r.v[l] = a.v[l] * b.v[l];
+    return r;
+  }
+  static Vec div(const Vec& a, const Vec& b) {
+    Vec r;
+#pragma GCC unroll 8
+    for (std::size_t l = 0; l < kRowGroup; ++l) r.v[l] = a.v[l] / b.v[l];
+    return r;
+  }
+  static Vec max(const Vec& a, const Vec& b) {
+    Vec r;
+#pragma GCC unroll 8
+    for (std::size_t l = 0; l < kRowGroup; ++l)
+      r.v[l] = a.v[l] > b.v[l] ? a.v[l] : b.v[l];
+    return r;
+  }
+  static Vec min(const Vec& a, const Vec& b) {
+    Vec r;
+#pragma GCC unroll 8
+    for (std::size_t l = 0; l < kRowGroup; ++l)
+      r.v[l] = a.v[l] < b.v[l] ? a.v[l] : b.v[l];
+    return r;
+  }
+  static Vec pow2(const Vec& t) {
+    Vec r;
+#pragma GCC unroll 8
+    for (std::size_t l = 0; l < kRowGroup; ++l)
+      r.v[l] = std::bit_cast<double>(
+          (std::bit_cast<std::uint64_t>(t.v[l]) + 1023) << 52);
     return r;
   }
 };

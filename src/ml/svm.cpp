@@ -14,27 +14,20 @@
 
 namespace fs::ml {
 
-namespace {
-
-/// Squared row norms of a packed panel, as its squared distances to the
-/// origin: each term (x − 0)² is exactly x·x.
-std::vector<double> row_squared_norms(const kern::RowPanel& panel) {
-  std::vector<double> norms(panel.rows());
-  const std::vector<double> origin(panel.dim(), 0.0);
-  panel.sq_dist(origin.data(), norms.data());
-  return norms;
-}
-
-}  // namespace
-
 SvmClassifier::SvmClassifier(const SvmConfig& config) : config_(config) {
   if (config.c <= 0.0)
     throw std::invalid_argument("SvmClassifier: C must be > 0");
 }
 
-void SvmClassifier::cache_support_norms() {
-  support_panel_.assign(support_.data(), support_.rows(), support_.cols());
-  support_norms_ = row_squared_norms(support_panel_);
+void SvmClassifier::cache_support() {
+  const std::size_t sv = support_.rows(), dim = support_.cols();
+  support_norms_.resize(sv);
+  kern::row_norms(support_.data(), sv, dim, dim, support_norms_.data());
+  constexpr std::size_t kTile = SvmScratch::kSupportTile;
+  support_tiles_.resize((sv + kTile - 1) / kTile);
+  for (std::size_t t = 0; t < support_tiles_.size(); ++t)
+    support_tiles_[t].assign(support_.row(t * kTile),
+                             std::min(kTile, sv - t * kTile), dim, dim);
 }
 
 nn::Matrix& SvmWorkspace::kernel(runtime::ExecutionContext* context,
@@ -120,39 +113,34 @@ void SvmClassifier::fit(const nn::Matrix& features,
                               : 1.0 / static_cast<double>(dim);
   }
 
-  // Precomputed kernel matrix (symmetric; memory guarded by max_train_rows
-  // and charged against the run's memory budget by the workspace). Every
-  // entry is written below, so a reused buffer needs no clearing. Cached
-  // row norms turn each RBF entry into one dot product; rows fan out over
-  // the pool, each sweeping the packed panel from the group that holds row
-  // i + 1 to fill the upper triangle, then a mirror pass copies it down.
-  // Like the gamma pass, the fill ignores the deadline: a fit always
-  // returns a model, and an expired deadline only cuts the solver short.
+  // Precomputed kernel matrix (memory guarded by max_train_rows and
+  // charged against the run's memory budget by the workspace): one
+  // gemm_nt of the rows against themselves, then the RBF epilogue in place,
+  // rows fanned out over the pool. The dots of (i, j) and (j, i) run the
+  // same FMA chain on the same products, and a row's norm is its own
+  // diagonal dot, so K is exactly symmetric with a unit diagonal. Like the
+  // gamma pass, the fill ignores the deadline: a fit always returns a
+  // model, and an expired deadline only cuts the solver short.
   nn::Matrix& K = workspace.kernel(config_.context, n);
-  kern::RowPanel& panel = workspace.panel();
-  panel.assign(features.data(), n, dim);
-  const std::vector<double> norms = row_squared_norms(panel);
+  std::vector<double> norms(n);
+  kern::row_norms(features.data(), n, dim, dim, norms.data());
+  kern::gemm_nt(n, n, dim, features.data(), dim, features.data(), dim,
+                K.data(), n);
   par::ParallelOptions kopts;
   kopts.context = config_.context;
   kopts.what = "ml.svm.kernel";
-  kopts.grain = par::grain_for(n * dim / 2 + 1);
+  kopts.grain = par::grain_for(n);  // a chunk of about 2^15 terms
   kopts.hard_deadline = false;
   par::parallel_for_chunks(n, kopts, [&](const par::ChunkRange& chunk) {
-    std::vector<double> dots(n);
-    for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-      K(i, i) = 1.0;
-      // Lanes of the first group at or below the diagonal are discarded.
-      const std::size_t first = (i + 1) / kern::kRowGroup * kern::kRowGroup;
-      kern::dot_rows(panel.from_row(first), n - first, dim, features.row(i),
-                     dots.data());
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const double dist = norms[i] + norms[j] - 2.0 * dots[j - first];
-        K(i, j) = std::exp(-gamma_ * (dist > 0.0 ? dist : 0.0));
-      }
-    }
+    kern::RbfBlock block;
+    block.dots = K.row(chunk.begin);
+    block.m = chunk.end - chunk.begin;
+    block.n = block.ld = n;
+    block.q_norms = norms.data() + chunk.begin;
+    block.s_norms = norms.data();
+    block.gamma = gamma_;
+    kern::rbf_kernel(block, K.row(chunk.begin), n);
   });
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j) K(j, i) = K(i, j);
 
   // LIBSVM's C-SVC solver without shrinking (Fan, Chen & Lin, JMLR 2005).
   // The dual is min ½αᵀQα − eᵀα over 0 ≤ α ≤ C, yᵀα = 0, with
@@ -328,7 +316,6 @@ void SvmClassifier::fit(const nn::Matrix& features,
   for (std::size_t i = 0; i < n; ++i)
     if (alpha[i] > 0.0) sv.push_back(i);
   support_.reserve(n * dim);
-  support_panel_.reserve(n, dim);
   features.gather_rows_into(sv, support_);
   alpha_y_.resize(sv.size());
   for (std::size_t s = 0; s < sv.size(); ++s)
@@ -339,28 +326,52 @@ void SvmClassifier::fit(const nn::Matrix& features,
   fit_span.arg("sv", static_cast<double>(sv.size()));
   fit_span.arg("bounded_sv", static_cast<double>(bounded_count));
   fit_span.arg("converged", converged ? 1.0 : 0.0);
-  cache_support_norms();
+  cache_support();
   trained_ = true;
 }
 
-double SvmClassifier::decision(std::span<const double> query,
-                               std::span<double> dots) const {
+std::size_t SvmClassifier::scratch_bytes() const {
+  constexpr std::size_t kBlock = SvmScratch::kBlockRows;
+  return (kBlock * std::min(SvmScratch::kSupportTile, support_.rows()) +
+          kBlock + kBlock * kern::kRowGroup) *
+         sizeof(double);
+}
+
+void SvmClassifier::decide(const double* queries, std::size_t rows,
+                           double* out, SvmScratch& scratch) const {
   if (!trained_) throw std::logic_error("SvmClassifier: predict before fit");
-  if (query.size() != support_.cols())
-    throw std::invalid_argument("SvmClassifier: query width mismatch");
-  if (dots.size() < support_.rows())
-    throw std::invalid_argument("SvmClassifier: dots scratch too small");
-  // ‖q‖² as the packed sweeps take a squared distance to the origin:
-  // columns ascending from 0.0, each (q − 0)² = q·q rounded, then added.
-  double query_norm = 0.0;
-  for (const double x : query) query_norm += x * x;
-  support_panel_.dot(query.data(), dots.data());
-  double f = bias_;
-  for (std::size_t s = 0; s < support_.rows(); ++s) {
-    const double dist = support_norms_[s] + query_norm - 2.0 * dots[s];
-    f += alpha_y_[s] * std::exp(-gamma_ * (dist > 0.0 ? dist : 0.0));
+  constexpr std::size_t kBlock = SvmScratch::kBlockRows;
+  constexpr std::size_t kTile = SvmScratch::kSupportTile;
+  scratch.dots_.resize(kBlock * std::min(kTile, support_.rows()));
+  scratch.norms_.resize(kBlock);
+  scratch.partials_.resize(kBlock * kern::kRowGroup);
+  const std::size_t dim = support_.cols();
+  const std::size_t sv = support_.rows();
+  for (std::size_t r0 = 0; r0 < rows; r0 += kBlock) {
+    const std::size_t m = std::min(kBlock, rows - r0);
+    const double* block = queries + r0 * dim;
+    kern::row_norms(block, m, dim, dim, scratch.norms_.data());
+    std::fill_n(scratch.partials_.begin(), m * kern::kRowGroup, 0.0);
+    // Tiles start at multiples of kRowGroup, so the partials' striping
+    // runs on across them.
+    for (std::size_t s0 = 0; s0 < sv; s0 += kTile) {
+      const std::size_t n = std::min(kTile, sv - s0);
+      kern::gemm_nt_packed(m, block, dim, support_tiles_[s0 / kTile],
+                           scratch.dots_.data(), n);
+      kern::RbfBlock tile;
+      tile.dots = scratch.dots_.data();
+      tile.m = m;
+      tile.n = tile.ld = n;
+      tile.q_norms = scratch.norms_.data();
+      tile.s_norms = support_norms_.data() + s0;
+      tile.gamma = gamma_;
+      kern::rbf_accumulate(tile, alpha_y_.data() + s0,
+                           scratch.partials_.data());
+    }
+    for (std::size_t i = 0; i < m; ++i)
+      out[r0 + i] = bias_ + kern::stripe_sum(scratch.partials_.data() +
+                                             i * kern::kRowGroup);
   }
-  return f;
 }
 
 std::vector<double> SvmClassifier::decision(const nn::Matrix& queries) const {
@@ -370,17 +381,17 @@ std::vector<double> SvmClassifier::decision(const nn::Matrix& queries) const {
   obs::Span span("ml.svm.decision");
   span.arg("rows", static_cast<double>(queries.rows()));
   std::vector<double> out(queries.rows());
-  // Queries fan out over the pool, each chunk deciding its rows one at a
-  // time against the shared packed support panel.
+  // One block per chunk, each worker deciding in its own scratch.
+  std::vector<SvmScratch> scratch(par::threads());
   par::ParallelOptions popts;
   popts.context = config_.context;
   popts.what = "ml.svm.decision";
-  popts.grain = par::grain_for(support_.rows() * support_.cols() + 1);
+  popts.grain = SvmScratch::kBlockRows;
+  popts.scratch_bytes_per_worker = scratch_bytes();
   par::parallel_for_chunks(
       queries.rows(), popts, [&](const par::ChunkRange& chunk) {
-        std::vector<double> dots(support_.rows());
-        for (std::size_t r = chunk.begin; r < chunk.end; ++r)
-          out[r] = decision({queries.row(r), queries.cols()}, dots);
+        decide(queries.row(chunk.begin), chunk.end - chunk.begin,
+               out.data() + chunk.begin, scratch[chunk.worker]);
       });
   record_decisions(queries.rows());
   return out;
@@ -418,7 +429,7 @@ SvmClassifier SvmClassifier::load(util::BinaryReader& reader) {
   svm.support_ = nn::Matrix(rows, cols);
   std::copy(flat.begin(), flat.end(), svm.support_.data());
   svm.trained_ = reader.u64() != 0;
-  svm.cache_support_norms();  // derived, never serialized
+  svm.cache_support();  // derived, never serialized
   return svm;
 }
 

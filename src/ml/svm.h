@@ -11,10 +11,16 @@
 // repo's training sets of a thousand-odd rows. A fixed cap of 100·n steps
 // (not a knob) keeps the α it reached and marks the fit unconverged in the
 // `ml.svm.fit` span and the `ml.svm.unconverged_total` counter.
+//
+// Every kernel evaluation, in the fit's Gram fill and in the decisions,
+// is one kern::gemm_nt (rows x support rows^T, the path's FMA chain)
+// followed by kern's RBF epilogue on ‖x‖² + ‖y‖² − 2·x·y, the norms from
+// the same dot chain (kern::row_norms). The epilogue's bits do not depend
+// on the ISA path, so a model and its decisions are path-dependent only
+// through the GEMM dots, as the autoencoder is.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "kern/kern.h"
@@ -41,9 +47,8 @@ struct SvmConfig {
   fs::runtime::ExecutionContext* context = nullptr;
 };
 
-/// The buffers fit() builds its kernel in — the n x n kernel matrix and
-/// the packed training rows — kept between fits so a caller that refits
-/// every iteration allocates them once. The kernel's bytes are charged as
+/// The n x n kernel matrix fit() builds, kept between fits so a caller
+/// that refits every iteration allocates it once. Its bytes are charged as
 /// `ml.svm.kernel` against the context of the fit that sized it, for as
 /// long as the workspace holds them.
 class SvmWorkspace {
@@ -52,12 +57,30 @@ class SvmWorkspace {
   /// already held; a failed charge throws BudgetError and leaves the
   /// kernel empty.
   nn::Matrix& kernel(fs::runtime::ExecutionContext* context, std::size_t n);
-  kern::RowPanel& panel() { return panel_; }
+  /// The kernel matrix of the last fit in this workspace.
+  const nn::Matrix& last_kernel() const { return kernel_; }
 
  private:
   nn::Matrix kernel_;
   fs::runtime::MemoryCharge charge_;
-  kern::RowPanel panel_;
+};
+
+/// Caller-owned scratch for SvmClassifier::decide: one block's cross dots
+/// against a tile of support vectors, its query norms and its striped
+/// partial sums. Its size is bounded by the block and tile shapes, never
+/// by the support-vector count; a caller charges the classifier's
+/// scratch_bytes() per worker.
+class SvmScratch {
+ public:
+  /// Query rows decided together, and support vectors per GEMM tile.
+  static constexpr std::size_t kBlockRows = 64;
+  static constexpr std::size_t kSupportTile = 256;
+
+ private:
+  friend class SvmClassifier;
+  std::vector<double> dots_;      // kBlockRows x min(kSupportTile, SVs)
+  std::vector<double> norms_;     // ‖query‖² per block row
+  std::vector<double> partials_;  // kBlockRows x kRowGroup striped sums
 };
 
 class SvmClassifier {
@@ -71,22 +94,29 @@ class SvmClassifier {
   void fit(const nn::Matrix& features, const std::vector<int>& labels,
            SvmWorkspace& workspace);
 
-  /// Signed decision value of one query row: positive means class 1.
-  /// `dots` is caller-owned scratch of at least support_vector_count()
-  /// doubles, overwritten; nothing is allocated, so a caller can decide
-  /// rows one at a time as it builds them. Each RBF term uses
-  /// ‖x−y‖² = ‖x‖² + ‖y‖² − 2·x·y, clamped at 0 (the expansion can go
-  /// epsilon-negative where the direct difference cannot), and the terms
-  /// add up in support-vector order.
-  double decision(std::span<const double> query, std::span<double> dots) const;
-  /// The row decision of every query row, fanned out over the pool.
+  /// Signed decision values of `rows` query rows (row-major, dim wide) into
+  /// out[0, rows): positive means class 1. The rows go kBlockRows at a
+  /// time through one GEMM per kSupportTile support vectors (against the
+  /// tile packed at fit or load) and the RBF epilogue, which adds α·y
+  /// times each term into eight partial sums
+  /// striped by support-vector index; a row's decision is the bias plus
+  /// their fixed-order total (kern::stripe_sum). A row's value depends
+  /// only on the row, never on its block or on `rows`, and nothing is
+  /// allocated once `scratch` has been used. The support tiles and norms
+  /// are built on the kernel path active at fit or load; after
+  /// kern::force_path moves it, decide throws std::logic_error.
+  void decide(const double* queries, std::size_t rows, double* out,
+              SvmScratch& scratch) const;
+  /// decide() over every query row, blocks fanned out over the pool.
   std::vector<double> decision(const nn::Matrix& queries) const;
   /// Adds `n` to the `ml.svm.decisions_total` counter. The matrix overload
-  /// counts its own rows; the row overload counts nothing, so a caller
-  /// deciding rows one at a time reports them here once per pass.
+  /// counts its own rows; decide() counts nothing, so a caller deciding
+  /// blocks as it builds them reports them here once per pass.
   static void record_decisions(std::size_t n);
 
   std::size_t support_vector_count() const { return support_.rows(); }
+  /// The bytes decide() grows an SvmScratch to with this model.
+  std::size_t scratch_bytes() const;
 
   void save(util::BinaryWriter& writer) const;
   static SvmClassifier load(util::BinaryReader& reader);
@@ -98,15 +128,16 @@ class SvmClassifier {
   bool trained() const { return trained_; }
 
  private:
-  /// Packs support_ and rebuilds support_norms_ (after fit and load).
-  void cache_support_norms();
+  /// Rebuilds support_norms_ and support_tiles_ (after fit and load).
+  void cache_support();
 
   SvmConfig config_;
   double gamma_ = 1.0;
   double bias_ = 0.0;
   nn::Matrix support_;              // support vectors (rows)
-  kern::RowPanel support_panel_;    // support_ packed (derived, not saved)
   std::vector<double> support_norms_;  // ‖support row‖² (derived, not saved)
+  // support_ in kSupportTile-row GEMM operands (derived, not saved).
+  std::vector<kern::PackedRows> support_tiles_;
   std::vector<double> alpha_y_;     // alpha_i * y_i per support vector
   bool trained_ = false;
 };

@@ -273,10 +273,14 @@ void expect_pruned_pairs_inert(const eval::BenchPreset& preset) {
               0);
     EXPECT_EQ(eval::graph_digest(more.final_graph),
               eval::graph_digest(base.final_graph));
-    // ...and each extra reads non-friend, scores 0.0 and is counted.
+    // ...and each extra reads non-friend, scores the one pruned sentinel,
+    // below every scored pair's score, and is counted.
+    const double sentinel = more.test_scores[n];
+    for (const double score : base.test_scores)
+      EXPECT_TRUE(score == sentinel || score >= sentinel + 1.0) << score;
     for (std::size_t i = n; i < extended.size(); ++i) {
       EXPECT_EQ(more.test_predictions[i], 0) << "extra pair " << i - n;
-      EXPECT_EQ(more.test_scores[i], 0.0) << "extra pair " << i - n;
+      EXPECT_EQ(more.test_scores[i], sentinel) << "extra pair " << i - n;
     }
     EXPECT_EQ(more.blocking.scored_pairs, base.blocking.scored_pairs);
     EXPECT_EQ(more.blocking.pruned_pairs,
@@ -371,9 +375,11 @@ TEST(BlockRecallLoss, NeverCoOccurringFriendIsPrunedAndCounted) {
   EXPECT_GE(result.blocking.pruned_pairs, 1u);
   EXPECT_GE(obs::metrics().counter("block.candidates_pruned").value(),
             pruned_before + result.blocking.pruned_pairs);
-  // ...and the documented recall loss: predicted non-friend, never scored.
+  // ...and the documented recall loss: predicted non-friend, never scored,
+  // ranked below every scored test pair.
   EXPECT_EQ(result.test_predictions[0], 0);
-  EXPECT_EQ(result.test_scores[0], 0.0);
+  for (std::size_t i = 1; i < test_pairs.size(); ++i)
+    EXPECT_LT(result.test_scores[0], result.test_scores[i]) << i;
   EXPECT_FALSE(result.final_graph.has_edge(0, 6));
 }
 

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -706,9 +709,9 @@ std::vector<double> mixed_magnitudes(std::size_t count, util::Rng& rng) {
 }
 
 TEST(KernRows, EveryPathMatchesNaiveLoopBitForBit) {
-  // The naive loops below are the contract: any path, any thread count,
+  // The naive loop below is the contract: any path, any thread count,
   // memcmp-equal. Queries fan out over the pool and share one panel, the
-  // way the KNN and SVM sweeps use it.
+  // way the KNN sweep uses it.
   constexpr std::size_t kQueries = 5;
   util::Rng rng(2400144);
   for (std::size_t n : {1u, 7u, 8u, 9u, 17u, 2400u})
@@ -716,17 +719,15 @@ TEST(KernRows, EveryPathMatchesNaiveLoopBitForBit) {
       const std::vector<double> rows = mixed_magnitudes(n * dim, rng);
       const std::vector<double> queries =
           mixed_magnitudes(kQueries * dim, rng);
-      std::vector<double> want_dist(kQueries * n), want_dot(kQueries * n);
+      std::vector<double> want(kQueries * n);
       for (std::size_t q = 0; q < kQueries; ++q)
         for (std::size_t r = 0; r < n; ++r) {
-          double dist = 0.0, dot = 0.0;
+          double dist = 0.0;
           for (std::size_t c = 0; c < dim; ++c) {
             const double d = rows[r * dim + c] - queries[q * dim + c];
             dist += d * d;
-            dot += rows[r * dim + c] * queries[q * dim + c];
           }
-          want_dist[q * n + r] = dist;
-          want_dot[q * n + r] = dot;
+          want[q * n + r] = dist;
         }
 
       const RowPanel panel(rows.data(), n, dim);
@@ -735,29 +736,25 @@ TEST(KernRows, EveryPathMatchesNaiveLoopBitForBit) {
         PathGuard guard(path);
         for (std::size_t threads : {1u, 2u, 5u}) {
           par::set_threads(threads);
-          std::vector<double> dist(kQueries * n), dot(kQueries * n);
+          std::vector<double> dist(kQueries * n);
           par::ParallelOptions options;
           options.grain = 1;
           par::parallel_for(kQueries, options, [&](std::size_t q) {
             panel.sq_dist(queries.data() + q * dim, dist.data() + q * n);
-            panel.dot(queries.data() + q * dim, dot.data() + q * n);
           });
-          EXPECT_EQ(0, std::memcmp(dist.data(), want_dist.data(),
+          EXPECT_EQ(0, std::memcmp(dist.data(), want.data(),
                                    dist.size() * sizeof(double)))
               << "sq_dist " << path_name(path) << " n=" << n
               << " dim=" << dim << " threads=" << threads;
-          EXPECT_EQ(0, std::memcmp(dot.data(), want_dot.data(),
-                                   dot.size() * sizeof(double)))
-              << "dot " << path_name(path) << " n=" << n << " dim=" << dim
-              << " threads=" << threads;
         }
       }
       // A sweep may start at any group: rows [8, n) of the same panel.
       if (n > 8) {
         PathGuard guard(supported_paths().back());
         std::vector<double> tail(n - 8);
-        dot_rows(panel.from_row(8), n - 8, dim, queries.data(), tail.data());
-        EXPECT_EQ(0, std::memcmp(tail.data(), want_dot.data() + 8,
+        sq_dist_rows(panel.from_row(8), n - 8, dim, queries.data(),
+                     tail.data());
+        EXPECT_EQ(0, std::memcmp(tail.data(), want.data() + 8,
                                  tail.size() * sizeof(double)))
             << "sub-panel n=" << n << " dim=" << dim;
       }
@@ -789,6 +786,253 @@ TEST(KernRows, AccumulateMatchesScalarLoopOnEveryPath) {
               << " x_off=" << x_off;
         }
       }
+}
+
+TEST(KernGemm, PackedRowsProductEqualsGemmNtBitForBit) {
+  // A B operand packed once gives gemm_nt's bits for any A block: shapes
+  // cover m across the row-block size, n off the panel widths and k
+  // across the KC block; a product on another path than the packing's is
+  // refused.
+  util::Rng rng(256144);
+  const Shape shapes[] = {{1, 1, 1},     {7, 13, 5},    {64, 256, 144},
+                          {97, 50, 257}, {200, 33, 40}, {5, 9, 0}};
+  for (const Shape& shape : shapes) {
+    std::vector<double> a(shape.m * (shape.k + 2));
+    std::vector<double> b(shape.n * (shape.k + 3));
+    for (double& v : a) v = rng.normal();
+    for (double& v : b) v = rng.normal();
+    for (IsaPath path : supported_paths()) {
+      PathGuard guard(path);
+      const std::size_t ldc = shape.n + 1;
+      std::vector<double> want(shape.m * ldc, -1.0), got(shape.m * ldc, -1.0);
+      gemm_nt(shape.m, shape.n, shape.k, a.data(), shape.k + 2, b.data(),
+              shape.k + 3, want.data(), ldc);
+      PackedRows packed;
+      packed.assign(b.data(), shape.n, shape.k, shape.k + 3);
+      EXPECT_TRUE(packed.on_active_path());
+      EXPECT_EQ(packed.rows(), shape.n);
+      for (std::size_t threads : {1u, 3u}) {
+        par::set_threads(threads);
+        gemm_nt_packed(shape.m, a.data(), shape.k + 2, packed, got.data(),
+                       ldc);
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 got.size() * sizeof(double)))
+            << path_name(path) << " m=" << shape.m << " n=" << shape.n
+            << " k=" << shape.k << " threads=" << threads;
+      }
+      for (IsaPath other : supported_paths()) {
+        if (other == path) continue;
+        PathGuard switched(other);
+        EXPECT_FALSE(packed.on_active_path());
+        EXPECT_THROW(gemm_nt_packed(shape.m, a.data(), shape.k + 2, packed,
+                                    got.data(), ldc),
+                     std::logic_error);
+      }
+    }
+  }
+  par::set_threads(1);
+}
+
+/// Distance in units in the last place between two finite doubles of the
+/// same sign.
+std::uint64_t ulp_distance(double a, double b) {
+  const std::uint64_t x = std::bit_cast<std::uint64_t>(a);
+  const std::uint64_t y = std::bit_cast<std::uint64_t>(b);
+  return x > y ? x - y : y - x;
+}
+
+TEST(KernRbf, ExpIsWithinOneUlpOfStdExpOnEveryPath) {
+  // The RBF epilogue's own exp: within 1 ulp of libm on [-708, 0] (every
+  // kernel argument -gamma * dist lands there until the term underflows),
+  // exactly 1 at +-0, +0 below the underflow point, and the same bits on
+  // every path. Odd lengths exercise the tail group.
+  util::Rng rng(708);
+  std::vector<double> x = {0.0,   -0.0,     -1e-300, -1e-17, -0x1p-53,
+                           -0.5,  -1.0,     -708.0,  -707.9, -700.0,
+                           -50.0, -0.34657, -0.6931471805599453};
+  for (int i = 0; i < 200000; ++i) x.push_back(-708.0 * rng.uniform());
+  for (int i = 0; i < 20000; ++i)
+    x.push_back(-std::ldexp(rng.uniform(), -(i % 60)));
+  x.push_back(-1.0);  // odd length
+  std::vector<double> reference;
+  for (IsaPath path : supported_paths()) {
+    PathGuard guard(path);
+    std::vector<double> got(x.size());
+    exp_values(x.data(), x.size(), got.data());
+    std::uint64_t worst = 0;
+    double worst_x = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const std::uint64_t ulps = ulp_distance(got[i], std::exp(x[i]));
+      if (ulps > worst) {
+        worst = ulps;
+        worst_x = x[i];
+      }
+    }
+    EXPECT_LE(worst, 1u) << path_name(path) << " at x=" << worst_x;
+    EXPECT_EQ(got[0], 1.0) << path_name(path);
+    EXPECT_EQ(got[1], 1.0) << path_name(path);
+    if (reference.empty()) reference = got;
+    EXPECT_EQ(0, std::memcmp(got.data(), reference.data(),
+                             got.size() * sizeof(double)))
+        << path_name(path);
+
+    const double below[] = {-745.2, -746.0, -750.0, -1000.0, -1e300,
+                            -std::numeric_limits<double>::infinity()};
+    double under[std::size(below)];
+    exp_values(below, std::size(below), under);
+    for (std::size_t i = 0; i < std::size(below); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(under[i]), 0u)
+          << path_name(path) << " x=" << below[i];
+    const double nan = std::nan("");
+    double out = 0.0;
+    exp_values(&nan, 1, &out);
+    EXPECT_TRUE(std::isnan(out)) << path_name(path);
+  }
+}
+
+/// A random RBF block: dots from gemm_nt of random queries and support
+/// rows, norms from row_norms, on the active path.
+struct RbfCase {
+  std::size_t m, n, dim;
+  std::vector<double> q, s, dots, q_norms, s_norms, weights;
+
+  RbfCase(std::size_t m_, std::size_t n_, std::size_t dim_, util::Rng& rng)
+      : m(m_), n(n_), dim(dim_), q(m * dim), s(n * dim), dots(m * n),
+        q_norms(m), s_norms(n), weights(n) {
+    for (double& v : q) v = rng.normal(0.0, 0.7);
+    for (double& v : s) v = rng.normal(0.0, 0.7);
+    for (double& v : weights) v = rng.normal(0.0, 3.0);
+    // A query equal to a support row: its term must be exactly 1.
+    if (m > 1 && n > 2) std::copy_n(s.data() + 2 * dim, dim, q.data() + dim);
+    gemm_nt(m, n, dim, q.data(), dim, s.data(), dim, dots.data(), n);
+    row_norms(q.data(), m, dim, dim, q_norms.data());
+    row_norms(s.data(), n, dim, dim, s_norms.data());
+  }
+
+  RbfBlock block(double gamma) const {
+    RbfBlock b;
+    b.dots = dots.data();
+    b.m = m;
+    b.n = b.ld = n;
+    b.q_norms = q_norms.data();
+    b.s_norms = s_norms.data();
+    b.gamma = gamma;
+    return b;
+  }
+};
+
+TEST(KernRbf, RowNormsEqualTheGemmDiagonalOnEveryPath) {
+  // A row's norm is its own GEMM dot, so a point's RBF distance to itself
+  // is exactly 0, on every path; dims straddle the KC block.
+  util::Rng rng(144);
+  for (std::size_t dim : {1u, 7u, 144u, 255u, 256u, 257u, 700u}) {
+    const std::size_t n = 19;
+    std::vector<double> x(n * dim);
+    for (double& v : x) v = rng.normal(0.0, 1.0);
+    for (IsaPath path : supported_paths()) {
+      PathGuard guard(path);
+      std::vector<double> gram(n * n), norms(n);
+      gemm_nt(n, n, dim, x.data(), dim, x.data(), dim, gram.data(), n);
+      row_norms(x.data(), n, dim, dim, norms.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(norms[i], gram[i * n + i])
+            << path_name(path) << " dim=" << dim << " row=" << i;
+        for (std::size_t j = 0; j < i; ++j)
+          ASSERT_EQ(gram[i * n + j], gram[j * n + i])
+              << path_name(path) << " dim=" << dim;
+      }
+    }
+  }
+  std::vector<double> out(1);
+  EXPECT_THROW(row_norms(out.data(), 1, 3, 2, out.data()),
+               std::invalid_argument);
+}
+
+TEST(KernRbf, EpilogueIsPathIndependentAndMatchesItsDefinition) {
+  // Given the same dots and norms, every path writes the same terms and the
+  // same striped sums; the terms follow exp(-gamma * max(0, qn + sn -
+  // 2 dot)) through exp_values, and the sums stripe by column mod 8 and
+  // run on across tiles that start at multiples of 8.
+  util::Rng rng(967);
+  const double gamma = 0.05;
+  for (std::size_t n : {1u, 8u, 13u, 40u, 67u})
+    for (std::size_t m : {1u, 3u, 9u}) {
+      const RbfCase c(m, n, 21, rng);
+      const RbfBlock block = c.block(gamma);
+      std::vector<double> args(m * n), want(m * n);
+      for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < n; ++j) {
+          const double dist =
+              (c.q_norms[i] + c.s_norms[j]) - 2.0 * c.dots[i * n + j];
+          args[i * n + j] = -gamma * (dist > 0.0 ? dist : 0.0);
+        }
+      exp_values(args.data(), args.size(), want.data());
+      std::vector<double> want_partials(m * kRowGroup, 0.0);
+      for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+          want_partials[i * kRowGroup + j % kRowGroup] +=
+              c.weights[j] * want[i * n + j];
+      if (m > 1 && n > 2) {
+        EXPECT_EQ(want[n + 2], 1.0);
+      }
+
+      for (IsaPath path : supported_paths()) {
+        PathGuard guard(path);
+        // Written with a wider output stride, and in place over the dots.
+        std::vector<double> terms(m * (n + 3), -1.0);
+        rbf_kernel(block, terms.data(), n + 3);
+        for (std::size_t i = 0; i < m; ++i) {
+          EXPECT_EQ(0, std::memcmp(terms.data() + i * (n + 3),
+                                   want.data() + i * n, n * sizeof(double)))
+              << path_name(path) << " m=" << m << " n=" << n << " row=" << i;
+          for (std::size_t j = n; j < n + 3; ++j)
+            EXPECT_EQ(terms[i * (n + 3) + j], -1.0);
+        }
+        std::vector<double> in_place = c.dots;
+        RbfBlock self = block;
+        self.dots = in_place.data();
+        rbf_kernel(self, in_place.data(), n);
+        EXPECT_EQ(0, std::memcmp(in_place.data(), want.data(),
+                                 want.size() * sizeof(double)))
+            << path_name(path);
+
+        std::vector<double> partials(m * kRowGroup, 0.0);
+        rbf_accumulate(block, c.weights.data(), partials.data());
+        EXPECT_EQ(0, std::memcmp(partials.data(), want_partials.data(),
+                                 partials.size() * sizeof(double)))
+            << path_name(path) << " m=" << m << " n=" << n;
+        // Two tiles split at a multiple of 8 continue one striping.
+        if (n > 8) {
+          std::vector<double> tiled(m * kRowGroup, 0.0), first(m * 8);
+          for (std::size_t i = 0; i < m; ++i)
+            std::copy_n(c.dots.data() + i * n, 8, first.data() + i * 8);
+          RbfBlock head = block;
+          head.dots = first.data();
+          head.n = head.ld = 8;
+          rbf_accumulate(head, c.weights.data(), tiled.data());
+          RbfBlock rest = block;
+          rest.dots = c.dots.data() + 8;
+          rest.n = n - 8;
+          rest.s_norms = c.s_norms.data() + 8;
+          rbf_accumulate(rest, c.weights.data() + 8, tiled.data());
+          EXPECT_EQ(0, std::memcmp(tiled.data(), want_partials.data(),
+                                   tiled.size() * sizeof(double)))
+              << path_name(path) << " m=" << m << " n=" << n;
+        }
+      }
+    }
+  RbfBlock bad;
+  bad.m = bad.n = 4;
+  bad.ld = 3;
+  double out[16];
+  EXPECT_THROW(rbf_kernel(bad, out, 4), std::invalid_argument);
+  EXPECT_THROW(rbf_accumulate(bad, out, out), std::invalid_argument);
+}
+
+TEST(KernRbf, StripeSumAddsInAFixedTree) {
+  const double p[kRowGroup] = {1e16, 1.0, -1e16, 1.0, 0.5, 0.25, 3.0, -3.0};
+  EXPECT_EQ(stripe_sum(p), ((p[0] + p[1]) + (p[2] + p[3])) +
+                               ((p[4] + p[5]) + (p[6] + p[7])));
 }
 
 TEST(KernAligned, PackScratchAndAllocatorAre64ByteAligned) {

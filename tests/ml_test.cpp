@@ -314,24 +314,6 @@ TEST(Svm, RbfSolvesXor) {
   EXPECT_GT(correct, 185u);
 }
 
-TEST(Svm, DecisionSignMatchesSingleQueries) {
-  // The class of a row is its decision's sign; the batch and the
-  // one-query paths must agree on it for every row.
-  util::Rng rng(73);
-  nn::Matrix x;
-  std::vector<int> y;
-  blobs_2d(x, y, 60, rng);
-  SvmClassifier svm;
-  svm.fit(x, y);
-  const auto decisions = svm.decision(x);
-  ASSERT_EQ(decisions.size(), x.rows());
-  std::vector<double> dots(svm.support_vector_count());
-  for (std::size_t i = 0; i < decisions.size(); ++i)
-    EXPECT_EQ(svm.decision({x.row(i), x.cols()}, dots) > 0.0,
-              decisions[i] > 0.0)
-        << i;
-}
-
 TEST(Svm, DecisionRanksClassOneAboveClassZero) {
   util::Rng rng(79);
   nn::Matrix x;
@@ -496,7 +478,19 @@ TEST(Svm, FitAndDecisionBytesArePinned) {
   // A fixed seeded 300 x 24 training set with a non-linear, noisy label
   // and 170 held-out queries. The digests pin the trained model (save()
   // bytes: gamma, bias, support vectors, alpha*y) and the decision values
-  // bit for bit; they must hold on every kernel path and thread count.
+  // bit for bit at every thread count. The kernel's dot products are GEMM
+  // FMA chains, so the bits are pinned per path, as the autoencoder's are:
+  // the AVX2 and AVX-512 micro-kernels run the same chain per element and
+  // share one pin, the scalar path has its own.
+  struct Pin {
+    kern::IsaPath path;
+    std::uint64_t model, decision;
+  };
+  const Pin kPins[] = {
+      {kern::IsaPath::kScalar, 0x7b6df64ebeb099cbULL, 0x3c300c9b33f6d203ULL},
+      {kern::IsaPath::kAvx2, 0x2bea0836d3a6f91fULL, 0x5d842840ce7d3fb5ULL},
+      {kern::IsaPath::kAvx512, 0x2bea0836d3a6f91fULL, 0x5d842840ce7d3fb5ULL},
+  };
   util::Rng rng(300024);
   const std::size_t n = 300, dim = 24, q = 170;
   nn::Matrix x(n, dim), queries(q, dim);
@@ -512,37 +506,71 @@ TEST(Svm, FitAndDecisionBytesArePinned) {
   for (std::size_t i = 0; i < queries.size(); ++i)
     queries.data()[i] = rng.normal(0.0, 1.0);
 
-  for (std::size_t threads : {1u, 3u}) {
-    par::set_threads(threads);
-    SvmClassifier svm;
-    svm.fit(x, y);
-    std::ostringstream bytes;
-    util::BinaryWriter writer(bytes);
-    svm.save(writer);
-    const std::string model = bytes.str();
-    const std::vector<double> decision = svm.decision(queries);
-    EXPECT_EQ(fnv1a(model), 0x33c05b0aaa6cc6d2ULL)
-        << std::hex << fnv1a(model) << " threads=" << std::dec << threads;
-    EXPECT_EQ(fnv1a(decision), 0xc197bd154334eb8cULL)
-        << std::hex << fnv1a(decision) << " threads=" << std::dec
-        << threads;
-    // The row API on one reused scratch gives the same bits.
-    std::vector<double> dots(svm.support_vector_count());
-    std::vector<double> rows(q);
-    for (std::size_t r = 0; r < q; ++r)
-      rows[r] = svm.decision({queries.row(r), dim}, dots);
-    EXPECT_EQ(fnv1a(rows), 0xc197bd154334eb8cULL)
-        << std::hex << fnv1a(rows) << " threads=" << std::dec << threads;
+  const kern::IsaPath previous = kern::active_path();
+  for (const Pin& pin : kPins) {
+    const auto paths = kern::supported_paths();
+    if (std::find(paths.begin(), paths.end(), pin.path) == paths.end())
+      continue;
+    kern::force_path(pin.path);
+    for (std::size_t threads : {1u, 3u}) {
+      par::set_threads(threads);
+      SvmClassifier svm;
+      svm.fit(x, y);
+      std::ostringstream bytes;
+      util::BinaryWriter writer(bytes);
+      svm.save(writer);
+      const std::string model = bytes.str();
+      const std::vector<double> decision = svm.decision(queries);
+      EXPECT_EQ(fnv1a(model), pin.model)
+          << std::hex << fnv1a(model) << " " << kern::path_name(pin.path)
+          << " threads=" << std::dec << threads;
+      EXPECT_EQ(fnv1a(decision), pin.decision)
+          << std::hex << fnv1a(decision) << " " << kern::path_name(pin.path)
+          << " threads=" << std::dec << threads;
+    }
   }
+  kern::force_path(previous);
   par::set_threads(1);
 }
 
-TEST(Svm, RowDecisionsEqualTheMatrixOverloadBitForBit) {
-  // Phase 2 decides each scored row in its worker's scratch as it is
-  // built. The row API on one reused `dots` buffer must give the matrix
-  // overload's bits for every row, at any thread count.
+TEST(Svm, GramMatrixIsSymmetricWithAUnitDiagonal) {
+  // (i, j) and (j, i) run the same FMA chain on the same products, and a
+  // row's norm is its own diagonal dot, so the kernel matrix is exactly
+  // symmetric and each row's distance to itself is exactly 0, on every
+  // path.
+  util::Rng rng(1200144);
+  const std::size_t n = 150, dim = 144;
+  nn::Matrix x(n, dim);
+  std::vector<int> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c < dim; ++c) x(i, c) = rng.normal(0.0, 0.3);
+    y[i] = x(i, 0) + x(i, 1) > 0.0 ? 1 : 0;
+  }
+  const kern::IsaPath previous = kern::active_path();
+  for (kern::IsaPath path : kern::supported_paths()) {
+    kern::force_path(path);
+    SvmClassifier svm;
+    SvmWorkspace workspace;
+    svm.fit(x, y, workspace);
+    const nn::Matrix& k = workspace.last_kernel();
+    ASSERT_EQ(k.rows(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(k(i, i), 1.0) << kern::path_name(path) << " row " << i;
+      for (std::size_t j = 0; j < i; ++j)
+        ASSERT_EQ(k(i, j), k(j, i)) << kern::path_name(path);
+    }
+  }
+  kern::force_path(previous);
+}
+
+TEST(Svm, BlockDecisionsEqualTheMatrixOverloadAtEverySplit) {
+  // Phase 2 decides scored rows in blocks of up to kBlockRows as it builds
+  // them. A row's decision must not depend on its block: splitting the
+  // queries into blocks of 1, 7 or 64 rows on one reused scratch gives the
+  // matrix overload's bits, at any thread count. The support vectors
+  // outnumber one GEMM tile, so the striped sums run across tiles.
   util::Rng rng(967144);
-  const std::size_t n = 240, dim = 36, q = 97;
+  const std::size_t n = 700, dim = 36, q = 97;
   nn::Matrix x(n, dim), queries(q, dim);
   std::vector<int> y(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -551,34 +579,69 @@ TEST(Svm, RowDecisionsEqualTheMatrixOverloadBitForBit) {
       x(i, c) = rng.normal(0.0, 1.0);
       score += c % 2 == 0 ? x(i, c) * x(i, c) : -x(i, c);
     }
-    y[i] = score + rng.normal(0.0, 1.0) > static_cast<double>(dim) / 2.0;
+    y[i] = score + rng.normal(0.0, 4.0) > static_cast<double>(dim) / 2.0;
   }
   for (std::size_t i = 0; i < queries.size(); ++i)
     queries.data()[i] = rng.normal(0.0, 1.5);
   queries(5, 3) = -0.0;
+  std::vector<double> baseline;
   for (std::size_t threads : {1u, 4u}) {
     par::set_threads(threads);
     SvmClassifier svm;
     svm.fit(x, y);
+    ASSERT_GT(svm.support_vector_count(), SvmScratch::kSupportTile);
     const std::vector<double> batch = svm.decision(queries);
-    // Oversized and pre-filled: the row API overwrites what it reads.
-    std::vector<double> dots(svm.support_vector_count() + 3,
-                             std::nan(""));
-    std::vector<double> rows(q);
-    for (std::size_t r = 0; r < q; ++r)
-      rows[r] = svm.decision({queries.row(r), dim}, dots);
-    EXPECT_EQ(0, std::memcmp(rows.data(), batch.data(), q * sizeof(double)))
+    if (baseline.empty()) baseline = batch;
+    EXPECT_EQ(0, std::memcmp(batch.data(), baseline.data(),
+                             q * sizeof(double)))
         << "threads=" << threads;
-    std::vector<double> short_dots(svm.support_vector_count() - 1);
-    EXPECT_THROW(svm.decision({queries.row(0), dim}, short_dots),
-                 std::invalid_argument);
-    EXPECT_THROW(svm.decision({queries.row(0), dim - 1}, dots),
-                 std::invalid_argument);
+    SvmScratch scratch;
+    for (std::size_t split : {1u, 7u, 64u}) {
+      std::vector<double> blocks(q, std::nan(""));
+      for (std::size_t r = 0; r < q; r += split)
+        svm.decide(queries.row(r), std::min(split, q - r), blocks.data() + r,
+                   scratch);
+      EXPECT_EQ(0, std::memcmp(blocks.data(), batch.data(),
+                               q * sizeof(double)))
+          << "split=" << split << " threads=" << threads;
+    }
   }
   par::set_threads(1);
-  std::vector<double> dots(4);
-  EXPECT_THROW(SvmClassifier().decision({queries.row(0), dim}, dots),
+  SvmScratch scratch;
+  double out = 0.0;
+  EXPECT_THROW(SvmClassifier().decide(queries.row(0), 1, &out, scratch),
                std::logic_error);
+}
+
+TEST(Svm, DecidesOnlyOnThePathItWasBuiltOn) {
+  // The support tiles and norms are built on the path active at fit or
+  // load. After the path moves, the model refuses to decide; the same
+  // model loaded on the new path decides there.
+  const auto paths = kern::supported_paths();
+  if (paths.size() < 2) GTEST_SKIP() << "one kernel path on this host";
+  util::Rng rng(2561);
+  nn::Matrix x;
+  std::vector<int> y;
+  blobs_2d(x, y, 300, rng, 1.5);
+  const kern::IsaPath previous = kern::active_path();
+  kern::force_path(paths.front());
+  SvmClassifier svm;
+  svm.fit(x, y);
+  std::stringstream bytes;
+  util::BinaryWriter writer(bytes);
+  svm.save(writer);
+  for (std::size_t p = 1; p < paths.size(); ++p) {
+    kern::force_path(paths[p]);
+    EXPECT_THROW(svm.decision(x), std::logic_error)
+        << kern::path_name(paths[p]);
+    bytes.seekg(0);
+    util::BinaryReader reader(bytes);
+    const SvmClassifier loaded = SvmClassifier::load(reader);
+    for (const double d : loaded.decision(x)) EXPECT_TRUE(std::isfinite(d));
+  }
+  kern::force_path(paths.front());
+  EXPECT_NO_THROW(svm.decision(x));
+  kern::force_path(previous);
 }
 
 TEST(Svm, RefitInAWorkspaceMatchesAFreshFit) {

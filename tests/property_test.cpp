@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <iterator>
@@ -422,6 +423,56 @@ TEST(BlockingProperties,
     core::build_joc(occupancy, pairs[i].first, pairs[i].second, fresh.data());
     EXPECT_EQ(std::memcmp(row1.data(), fresh.data(), row_bytes), 0)
         << "JOC row differs from a sequential build";
+  }
+}
+
+// A pruned test pair is never scored; it reports one sentinel below every
+// scored pair's score, and nothing else reads it: on seeded tiny worlds a
+// run restricted to the scored test pairs (so with no pruned pair and no
+// sentinel) gives the same predictions, scores and graph.
+TEST(BlockingProperties, PrunedTestPairsRankBelowEveryScoredPair) {
+  for (const std::uint64_t seed : {3u, 9u, 27u}) {
+    SCOPED_TRACE("world seed " + std::to_string(seed));
+    eval::BenchPreset preset = eval::bench_preset("tiny");
+    preset.world.seed = seed;
+    const eval::Experiment experiment = eval::make_experiment(preset.world);
+    const eval::PairSplit& split = experiment.split;
+    core::FriendSeeker seeker(preset.seeker);
+    const core::FriendSeekerResult all = seeker.run(
+        experiment.dataset, split.train_pairs, split.train_labels,
+        split.test_pairs);
+    ASSERT_GT(all.blocking.pruned_pairs, 0u);
+    const double sentinel =
+        *std::min_element(all.test_scores.begin(), all.test_scores.end());
+    std::vector<data::UserPair> scored;
+    std::vector<std::size_t> scored_at;
+    std::size_t pruned = 0;
+    for (std::size_t i = 0; i < split.test_pairs.size(); ++i) {
+      if (all.test_scores[i] == sentinel) {
+        ++pruned;
+        EXPECT_EQ(all.test_predictions[i], 0) << i;
+        continue;
+      }
+      EXPECT_GE(all.test_scores[i], sentinel + 1.0) << i;
+      scored.push_back(split.test_pairs[i]);
+      scored_at.push_back(i);
+    }
+    // Train pairs are always scored, so every pruned pair is a test pair.
+    EXPECT_EQ(pruned, all.blocking.pruned_pairs);
+
+    const core::FriendSeekerResult only = seeker.run(
+        experiment.dataset, split.train_pairs, split.train_labels, scored);
+    EXPECT_EQ(only.blocking.pruned_pairs, 0u);
+    ASSERT_EQ(only.test_scores.size(), scored.size());
+    for (std::size_t j = 0; j < scored.size(); ++j) {
+      EXPECT_EQ(only.test_predictions[j],
+                all.test_predictions[scored_at[j]]) << j;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(only.test_scores[j]),
+                std::bit_cast<std::uint64_t>(all.test_scores[scored_at[j]]))
+          << j;
+    }
+    EXPECT_EQ(eval::graph_digest(only.final_graph),
+              eval::graph_digest(all.final_graph));
   }
 }
 

@@ -339,9 +339,10 @@ TEST_F(RuntimeTest, SvmFitUnderExpiredDeadlineStillReturnsAModel) {
   ml::SvmClassifier svm(cfg);
   ASSERT_NO_THROW(svm.fit(x, y));
   EXPECT_TRUE(svm.trained());
-  std::vector<double> dots(svm.support_vector_count());
-  for (std::size_t r = 0; r < x.rows(); ++r)
-    EXPECT_TRUE(std::isfinite(svm.decision({x.row(r), x.cols()}, dots)));
+  ml::SvmScratch scratch;
+  std::vector<double> decisions(x.rows());
+  svm.decide(x.data(), x.rows(), decisions.data(), scratch);
+  for (const double d : decisions) EXPECT_TRUE(std::isfinite(d));
 }
 
 TEST_F(RuntimeTest, SvmFitThrowsWhenCancelled) {

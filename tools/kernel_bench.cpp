@@ -1,7 +1,8 @@
 // kernel_bench — fs::kern micro-benchmark. Sweeps the GEMM macro-kernel,
-// the sparse-input kernels and the row sweeps over every ISA path this
-// host supports (pinned per measurement with kern::force_path) and writes
-// a machine-readable JSON report: GFLOP/s per (path, variant, shape) and
+// the sparse-input kernels, the row sweeps and the RBF epilogue over every
+// ISA path this host supports (pinned per measurement with
+// kern::force_path) and writes a machine-readable JSON report: GFLOP/s per
+// (path, variant, shape) and
 // per (path, op, shape), so kernel regressions show up as a number diff
 // instead of a pipeline-level slowdown with no attribution.
 //
@@ -32,17 +33,31 @@
 // the dense kernel's on the densified batch, which the sparse contract
 // requires; a mismatch exits 1.
 //
-// The rows section times sq_dist_rows/dot_rows at the classifiers' shapes
-// (KNN reference set, SVM support vectors, SVM kernel-matrix fill): a batch
-// of queries fans out over --threads, all sharing one packed panel. It also
-// times kern::accumulate at phase 2's path-sum shape (per pair, 48 + 232
-// presence rows of d = 48 or 64 scattered over a 10,011-row code matrix,
-// added into two length slots), in GB/s of operand traffic. Each
+// The rows section times sq_dist_rows at KNN's reference-set shape: a
+// batch of queries fans out over --threads, all sharing one packed panel.
+// It also times kern::accumulate at phase 2's path-sum shape (per pair,
+// 48 + 232 presence rows of d = 48 or 64 scattered over a 10,011-row code
+// matrix, added into two length slots), in GB/s of operand traffic. Each
 // entry records whether its output memcmp-equals the scalar path's, which
 // the row-sweep contract requires; a mismatch exits 1.
+//
+// The rbf section times the RBF-SVM's kernel evaluations as the SVM runs
+// them, GEMM dots followed by the RBF epilogue: the phase-2 decide block
+// (64 queries x 967 support vectors x 144, against 256-row support tiles
+// packed once, weighted sums) and the fit's Gram fill (1200 x 1200 x 144,
+// terms written in place), in GFLOP/s of the GEMM and ns per (query,
+// support vector). Each entry records whether the epilogue, fed the scalar path's
+// dots and norms, memcmp-equals the scalar path's output, and each path
+// records exp_max_ulp, the epilogue exp's worst distance from std::exp on
+// [-708, 0]; the epilogue contract requires matches_scalar and at most
+// 1 ulp, and a failure of either exits 1.
 // --quick shrinks reps and the shape list for CI smoke.
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -261,8 +276,8 @@ constexpr std::size_t kRowQueries = 64;
 /// Outputs of one (op, shape) on the scalar path, keyed "op:n:dim".
 using RowReference = std::map<std::string, std::vector<double>>;
 
-json::Object bench_rows(const char* op, const RowShape& shape, double min_ms,
-                        RowReference& reference) {
+json::Object bench_sq_dist(const RowShape& shape, double min_ms,
+                           RowReference& reference) {
   // Seeded by shape alone, so every path sweeps the same operands.
   util::Rng rng(shape.n * 131 + shape.dim);
   nn::Matrix rows(shape.n, shape.dim), queries(kRowQueries, shape.dim);
@@ -270,36 +285,31 @@ json::Object bench_rows(const char* op, const RowShape& shape, double min_ms,
   for (std::size_t i = 0; i < queries.size(); ++i)
     queries.data()[i] = rng.normal();
   const kern::RowPanel panel(rows.data(), shape.n, shape.dim);
-  const bool dist = std::strcmp(op, "sq_dist") == 0;
   std::vector<double> out(kRowQueries * shape.n);
   par::ParallelOptions options;
   options.grain = 1;
   const auto sweep = [&] {
     par::parallel_for(kRowQueries, options, [&](std::size_t q) {
-      double* slot = out.data() + q * shape.n;
-      if (dist)
-        panel.sq_dist(queries.row(q), slot);
-      else
-        panel.dot(queries.row(q), slot);
+      panel.sq_dist(queries.row(q), out.data() + q * shape.n);
     });
   };
   const auto [wall_ms, reps] = measure(min_ms, sweep);
 
-  const std::string key = std::string(op) + ":" + std::to_string(shape.n) +
-                          ":" + std::to_string(shape.dim);
+  const std::string key = "sq_dist:" + std::to_string(shape.n) + ":" +
+                          std::to_string(shape.dim);
   if (kern::active_path() == kern::IsaPath::kScalar) reference[key] = out;
   const std::vector<double>& want = reference.at(key);
   const bool matches =
       std::memcmp(want.data(), out.data(), out.size() * sizeof(double)) == 0;
 
-  // sq_dist is a subtract, a multiply and an add per element; dot is two.
-  const double flops = (dist ? 3.0 : 2.0) * static_cast<double>(shape.n) *
+  // A subtract, a multiply and an add per element.
+  const double flops = 3.0 * static_cast<double>(shape.n) *
                        static_cast<double>(shape.dim) *
                        static_cast<double>(kRowQueries) *
                        static_cast<double>(reps);
   json::Object entry;
   entry["what"] = std::string(shape.what);
-  entry["op"] = std::string(op);
+  entry["op"] = std::string("sq_dist");
   entry["n"] = shape.n;
   entry["dim"] = shape.dim;
   entry["queries"] = kRowQueries;
@@ -308,6 +318,148 @@ json::Object bench_rows(const char* op, const RowShape& shape, double min_ms,
   entry["gflops"] = wall_ms > 0.0 ? flops / (wall_ms * 1e6) : 0.0;
   entry["matches_scalar"] = matches;
   return entry;
+}
+
+/// One RBF-SVM kernel evaluation shape: m queries against n support rows
+/// of `dim`. "decide" runs SvmClassifier::decide's sequence (query norms,
+/// then per 256-row tile of support rows packed at fit, a packed GEMM and
+/// the alpha*y-weighted sums); "gram" runs the fit's kernel fill (the n
+/// rows' norms, their gemm_nt with themselves and the terms in place;
+/// m == n).
+struct RbfShape {
+  const char* op;
+  std::size_t m, n, dim;
+  const char* what;
+};
+
+/// The kernel width phase 2's fits land near on the gowalla preset, and
+/// the SVM's support tile (ml::SvmScratch::kSupportTile).
+constexpr double kRbfGamma = 1.0 / 144.0;
+constexpr std::size_t kSupportTile = 256;
+
+json::Object bench_rbf(const RbfShape& shape, double min_ms,
+                       RowReference& reference) {
+  util::Rng rng(shape.m * 7919 + shape.n * 131 + shape.dim);
+  const bool decide = std::strcmp(shape.op, "decide") == 0;
+  nn::Matrix support(shape.n, shape.dim);
+  nn::Matrix queries(decide ? shape.m : 0, shape.dim);
+  for (std::size_t i = 0; i < support.size(); ++i)
+    support.data()[i] = rng.normal(0.0, 0.5);
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    queries.data()[i] = rng.normal(0.0, 0.5);
+  const double* q = decide ? queries.data() : support.data();
+  std::vector<double> weights(shape.n);
+  for (double& w : weights) w = rng.normal();
+  std::vector<double> q_norms(shape.m), s_norms(shape.n),
+      partials(shape.m * kern::kRowGroup);
+  std::vector<double> dots(shape.m * (decide ? kSupportTile : shape.n));
+
+  const auto block_of = [&](const double* block_dots, std::size_t s0,
+                            std::size_t n) {
+    kern::RbfBlock block;
+    block.dots = block_dots;
+    block.m = shape.m;
+    block.n = block.ld = n;
+    block.q_norms = q_norms.data();
+    block.s_norms = s_norms.data() + s0;
+    block.gamma = kRbfGamma;
+    return block;
+  };
+  kern::row_norms(support.data(), shape.n, shape.dim, shape.dim,
+                  s_norms.data());
+  std::vector<kern::PackedRows> tiles;
+  for (std::size_t s0 = 0; decide && s0 < shape.n; s0 += kSupportTile)
+    tiles.emplace_back().assign(support.row(s0),
+                                std::min(kSupportTile, shape.n - s0),
+                                shape.dim, shape.dim);
+  const auto evaluate = [&] {
+    kern::row_norms(q, shape.m, shape.dim, shape.dim, q_norms.data());
+    if (!decide) {
+      kern::gemm_nt(shape.m, shape.n, shape.dim, q, shape.dim, q, shape.dim,
+                    dots.data(), shape.n);
+      kern::rbf_kernel(block_of(dots.data(), 0, shape.n), dots.data(),
+                       shape.n);
+      return;
+    }
+    std::fill(partials.begin(), partials.end(), 0.0);
+    for (std::size_t t = 0; t < tiles.size(); ++t) {
+      const std::size_t s0 = t * kSupportTile;
+      kern::gemm_nt_packed(shape.m, q, shape.dim, tiles[t], dots.data(),
+                           tiles[t].rows());
+      kern::rbf_accumulate(block_of(dots.data(), s0, tiles[t].rows()),
+                           weights.data() + s0, partials.data());
+    }
+  };
+  const auto [wall_ms, reps] = measure(min_ms, evaluate);
+
+  // Epilogue bits on the scalar path's dots and norms (the whole m x n
+  // block at once), which differ from this path's only through the GEMM.
+  const std::string key = std::string("rbf:") + shape.op;
+  if (kern::active_path() == kern::IsaPath::kScalar) {
+    std::vector<double> inputs(shape.m * shape.n + shape.m + shape.n);
+    kern::gemm_nt(shape.m, shape.n, shape.dim, q, shape.dim, support.data(),
+                  shape.dim, inputs.data(), shape.n);
+    kern::row_norms(q, shape.m, shape.dim, shape.dim,
+                    inputs.data() + shape.m * shape.n);
+    std::copy(s_norms.begin(), s_norms.end(),
+              inputs.end() - static_cast<std::ptrdiff_t>(shape.n));
+    reference[key + ":in"] = std::move(inputs);
+  }
+  const std::vector<double>& inputs = reference.at(key + ":in");
+  std::vector<double> out(inputs.begin(), inputs.begin() + shape.m * shape.n);
+  std::copy_n(inputs.begin() + shape.m * shape.n, shape.m, q_norms.begin());
+  std::copy_n(inputs.end() - static_cast<std::ptrdiff_t>(shape.n), shape.n,
+              s_norms.begin());
+  const kern::RbfBlock whole = block_of(out.data(), 0, shape.n);
+  if (decide) {
+    std::fill(partials.begin(), partials.end(), 0.0);
+    kern::rbf_accumulate(whole, weights.data(), partials.data());
+    out = partials;
+  } else {
+    kern::rbf_kernel(whole, out.data(), shape.n);
+  }
+  if (kern::active_path() == kern::IsaPath::kScalar) reference[key] = out;
+  const std::vector<double>& want = reference.at(key);
+  const bool matches =
+      std::memcmp(want.data(), out.data(), out.size() * sizeof(double)) == 0;
+
+  const double evals = static_cast<double>(shape.m) *
+                       static_cast<double>(shape.n) *
+                       static_cast<double>(reps);
+  json::Object entry;
+  entry["what"] = std::string(shape.what);
+  entry["op"] = std::string("rbf");
+  entry["variant"] = std::string(shape.op);
+  entry["m"] = shape.m;
+  entry["n"] = shape.n;
+  entry["dim"] = shape.dim;
+  entry["reps"] = reps;
+  entry["wall_ms"] = wall_ms;
+  entry["gflops"] = wall_ms > 0.0 ? 2.0 * static_cast<double>(shape.dim) *
+                                        evals / (wall_ms * 1e6)
+                                  : 0.0;
+  entry["ns_per_sv"] = evals > 0.0 ? wall_ms * 1e6 / evals : 0.0;
+  entry["matches_scalar"] = matches;
+  return entry;
+}
+
+/// The epilogue exp's worst distance from std::exp, in ulps, over a dense
+/// sweep of [-708, 0] (the kernel arguments before a term underflows).
+double exp_max_ulp() {
+  constexpr std::size_t kPoints = 1 << 18;
+  std::vector<double> x(kPoints), got(kPoints);
+  util::Rng rng(708);
+  for (std::size_t i = 0; i < kPoints; ++i)
+    x[i] = i % 2 == 0 ? -708.0 * static_cast<double>(i) / kPoints
+                      : -std::ldexp(rng.uniform(), -static_cast<int>(i % 64));
+  kern::exp_values(x.data(), kPoints, got.data());
+  std::uint64_t worst = 0;
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    const auto a = std::bit_cast<std::uint64_t>(got[i]);
+    const auto b = std::bit_cast<std::uint64_t>(std::exp(x[i]));
+    worst = std::max(worst, a > b ? a - b : b - a);
+  }
+  return static_cast<double>(worst);
 }
 
 /// Phase 2's path-sum shape, counted on attack_full (gowalla preset, every
@@ -408,19 +560,23 @@ int run(const util::ArgParser& args) {
       {"forward", 128, 2100, 21, 320, "encode.l1 (128-row chunk)"},
   };
 
-  // The classifiers' sweeps on the attack_full shapes: KNN over the
-  // 2400 x 48 reference set, SVM decisions over 800 x 144 support vectors,
-  // the SVM kernel-matrix fill over 1200 x 144 training rows.
-  const std::vector<RowShape> row_shapes = {
-      {2400, 48, "knn.reference"},
-      {800, 144, "svm.support_vectors"},
-      {1200, 144, "svm.kernel_fill"},
+  // KNN's distance sweep over the attack_full 2400 x 48 reference set.
+  const RowShape knn_shape = {2400, 48, "knn.reference"};
+
+  // The RBF-SVM on attack_full: a phase-2 decide block against 967
+  // support vectors of the 144-wide composite, and the Gram fill of a
+  // 1200-row fit.
+  const std::vector<RbfShape> rbf_shapes = {
+      {"decide", 64, 967, 144, "svm.decide (64-row block)"},
+      {"gram", 1200, 1200, 144, "svm.fit.gram"},
   };
 
   json::Array paths;
   bool rows_match = true;
   bool steps_match = true;
   bool sparse_match = true;
+  bool rbf_match = true;
+  bool exp_ok = true;
   RowReference reference;  // filled by the scalar path, which runs first
   for (const kern::IsaPath path : kern::supported_paths()) {
     kern::force_path(path);
@@ -446,23 +602,32 @@ int run(const util::ArgParser& args) {
     }
     section["sparse"] = std::move(sparse);
     json::Array rows;
-    for (const RowShape& shape : row_shapes)
-      for (const char* op : {"sq_dist", "dot"}) {
-        json::Object entry = bench_rows(op, shape, min_ms, reference);
-        rows_match = rows_match && entry["matches_scalar"].as_bool();
-        rows.emplace_back(std::move(entry));
-      }
+    {
+      json::Object entry = bench_sq_dist(knn_shape, min_ms, reference);
+      rows_match = rows_match && entry["matches_scalar"].as_bool();
+      rows.emplace_back(std::move(entry));
+    }
     for (const std::size_t dim : {48u, 64u}) {
       json::Object entry = bench_accumulate(dim, min_ms, reference);
       rows_match = rows_match && entry["matches_scalar"].as_bool();
       rows.emplace_back(std::move(entry));
     }
     section["rows"] = std::move(rows);
+    json::Array rbf;
+    for (const RbfShape& shape : rbf_shapes) {
+      json::Object entry = bench_rbf(shape, min_ms, reference);
+      rbf_match = rbf_match && entry["matches_scalar"].as_bool();
+      rbf.emplace_back(std::move(entry));
+    }
+    section["rbf"] = std::move(rbf);
+    const double ulps = exp_max_ulp();
+    exp_ok = exp_ok && ulps <= 1.0;
+    section["exp_max_ulp"] = ulps;
     paths.emplace_back(std::move(section));
   }
 
   json::Object root;
-  root["schema_version"] = 7;
+  root["schema_version"] = 8;
   root["threads"] = par::threads();
   root["paths"] = std::move(paths);
 
@@ -517,6 +682,20 @@ int run(const util::ArgParser& args) {
                                                        : "  MISMATCH");
     }
   }
+  for (const json::Value& section : report.at("paths").as_array()) {
+    const char* path = section.at("path").as_string().c_str();
+    for (const json::Value& entry : section.at("rbf").as_array())
+      std::printf("%-7s rbf %-6s(%4.0f x %4.0f x %3.0f) %7.2f GFLOP/s  "
+                  "%6.2f ns/SV  %s%s\n",
+                  path, entry.at("variant").as_string().c_str(),
+                  entry.at("m").as_number(), entry.at("n").as_number(),
+                  entry.at("dim").as_number(), entry.at("gflops").as_number(),
+                  entry.at("ns_per_sv").as_number(),
+                  entry.at("what").as_string().c_str(),
+                  entry.at("matches_scalar").as_bool() ? "" : "  MISMATCH");
+    std::printf("%-7s exp max error %.0f ulp\n", path,
+                section.at("exp_max_ulp").as_number());
+  }
   std::printf("wrote %s\n", args.get("out").c_str());
   if (!steps_match)
     std::fprintf(stderr,
@@ -527,7 +706,17 @@ int run(const util::ArgParser& args) {
   if (!rows_match)
     std::fprintf(stderr,
                  "kernel_bench: a row sweep differs from the scalar path\n");
-  return rows_match && steps_match && sparse_match ? 0 : 1;
+  if (!rbf_match)
+    std::fprintf(stderr,
+                 "kernel_bench: an RBF epilogue differs from the scalar "
+                 "path\n");
+  if (!exp_ok)
+    std::fprintf(stderr,
+                 "kernel_bench: the epilogue exp is more than 1 ulp from "
+                 "std::exp\n");
+  return rows_match && steps_match && sparse_match && rbf_match && exp_ok
+             ? 0
+             : 1;
 }
 
 }  // namespace
